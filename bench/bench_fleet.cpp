@@ -103,61 +103,6 @@ BENCHMARK(BM_FleetRun)
     ->Args({1000000, 0})  // EXPERIMENTS.md recipe only; excluded from CI
     ->Unit(benchmark::kMillisecond);
 
-// Fleet-scale solver batching: the same fleet under a binding per-session
-// access cap (the "popular video, capped last-mile" regime where many
-// sessions traverse identical decision states) with the cross-session plan
-// cache off (arg1 = 0) or on (arg1 = 1). Counters report events/solves per
-// second and the warm hit rate; the off/on delta at equal fleet size is the
-// amortized solver saving. Picked up by the CI BM_FleetRun substring filter.
-void BM_FleetRunPlanCache(benchmark::State& state) {
-  const std::size_t sessions = static_cast<std::size_t>(state.range(0));
-  const bool cache_on = state.range(1) != 0;
-  const sim::VideoWorkload& workload = bench_workload();
-  const trace::NetworkTrace link = bench_link(sessions);
-  fleet::FleetConfig config;
-  config.sessions = sessions;
-  config.start_spread_s = 2.0;
-  // 2.0 Mbps < the unscaled trace minimum (2.3 Mbps): with the link scaled
-  // ×sessions, every fair share clears the cap, so each download runs at
-  // exactly the cap and same-test-user sessions evolve identically — the
-  // regime the plan cache is built for.
-  config.access_cap_mbps = 2.0;
-  config.plan_cache = cache_on;
-  std::uint64_t events = 0, decides = 0, hits = 0;
-  for (auto _ : state) {
-    obs::MetricsRegistry metrics;
-    obs::Observer observer{&metrics, nullptr};
-    config.observer = &observer;  // counts mpc.decides in both arms
-    const fleet::FleetResult result = fleet::run_fleet(workload, link, config);
-    events += result.stats.events;
-    decides += static_cast<std::uint64_t>(metrics.value("mpc.decides"));
-    hits += result.stats.plan_cache_hits;
-    benchmark::DoNotOptimize(result.sessions.data());
-  }
-  const double iters = static_cast<double>(
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(state.iterations())));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(sessions));
-  state.counters["sessions_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * sessions),
-      benchmark::Counter::kIsRate);
-  state.counters["events_per_s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  // "Solves" = DP executions (cache misses); hits replay a stored plan.
-  state.counters["solves_per_s"] = benchmark::Counter(
-      static_cast<double>(decides - hits), benchmark::Counter::kIsRate);
-  state.counters["hit_rate"] = benchmark::Counter(
-      decides > 0 ? static_cast<double>(hits) / static_cast<double>(decides)
-                  : 0.0);
-  state.counters["decides"] = benchmark::Counter(
-      static_cast<double>(decides) / iters);
-}
-BENCHMARK(BM_FleetRunPlanCache)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 1})
-    ->Unit(benchmark::kMillisecond);
-
 // Observer-on variant: the identical fleet with a metrics registry and a
 // bounded tracer attached to every session and the engine. The delta to
 // BM_FleetRun is the full observability tax and must stay within noise.
@@ -188,10 +133,10 @@ BENCHMARK(BM_FleetRunObserved)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // The server/CDN tier under load: a 1000-session fleet through the two-tier
 // topology (edge cache + origin link), swept over cache size (MiB, arg1)
-// and Zipf skew (α × 100, arg2). The access cap binds (the plan-cache
-// regime) and the origin is provisioned for the fleet, so the MPC's plans
-// stay cache-independent and origin traffic is a pure function of miss
-// bytes — an under-provisioned origin would instead feed back through
+// and Zipf skew (α × 100, arg2). The access cap binds and the origin is
+// provisioned for the fleet, so the MPC's plans stay cache-independent and
+// origin traffic is a pure function of miss bytes — an under-provisioned
+// origin would instead feed back through
 // bitrate adaptation (slower origin → smaller segments → fewer origin
 // bytes at *smaller* caches) and scramble the curve. LRU policy
 // throughout; the origin_mib column is the tracked trajectory

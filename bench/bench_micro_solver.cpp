@@ -13,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/mpc.h"
-#include "core/plan_cache.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/tracer.h"
@@ -93,30 +92,6 @@ void BM_MpcDecideObserved(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpcDecideObserved)->Arg(10)->Arg(20);
-
-// Warm plan-cache hit path: the first decide() populates the cache, every
-// timed iteration replays it. The gap to BM_MpcDecide at the same horizon is
-// what one fleet-level hit saves — key hashing + a map probe + the decision
-// rebuild, instead of the full DP. Picked up by the CI BM_Mpc filter.
-void BM_MpcDecideCachedHit(benchmark::State& state) {
-  const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 20);
-  core::MpcConfig config;
-  core::MpcController controller(config,
-                                 power::device_model(power::Device::kPixel3),
-                                 core::MpcObjective::kMinEnergyQoEConstrained);
-  core::PlanCache cache;
-  controller.set_plan_cache(&cache);
-  (void)controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5),
-                          50.0);  // warm: the one and only miss
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5),
-                                         50.0));
-  }
-  state.counters["hit_rate"] = benchmark::Counter(
-      static_cast<double>(cache.stats().hits) /
-      static_cast<double>(cache.stats().hits + cache.stats().misses));
-}
-BENCHMARK(BM_MpcDecideCachedHit)->Arg(5)->Arg(10)->Arg(20);
 
 void BM_MpcDecideQoeMax(benchmark::State& state) {
   const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 5);

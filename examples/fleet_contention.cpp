@@ -21,11 +21,6 @@
 // recovery counters — retries, timeouts, degradations, aborted flows. Runs
 // are reproducible: the same seed gives the same faults and counters.
 //
-// With `--plan-cache` it instead runs one capped 64-session fleet twice —
-// cross-session plan cache off, then on — and prints the warm hit rate and
-// the amortized cost per controller decision in each arm. The two arms
-// produce bit-identical fleet metrics; only the wall clock moves.
-//
 // With `--edge-cache BYTES` it instead runs one 16-session fleet through the
 // server/CDN tier twice — edge cache disabled (capacity 0: every request
 // pays the origin round trip), then with a BYTES-sized cache — and prints
@@ -36,7 +31,6 @@
 // each replication (N=0 resolves PS360_THREADS / hardware concurrency; see
 // DESIGN.md §15). Every number printed is bit-identical for any N — only
 // the wall clock moves.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -142,74 +136,6 @@ int run_faulted(const sim::VideoWorkload& workload,
   return 0;
 }
 
-// The fleet-scale solver-batching demo: a capped 64-session fleet (every
-// download pinned to the per-session access cap, so sessions of the same
-// test user traverse identical decision states) run cache-off then
-// cache-on. The arms must agree bit-for-bit on the fleet metrics; the
-// cache's whole effect is the wall-clock column.
-int run_plan_cached(const sim::VideoWorkload& workload,
-                    const fleet::FleetConfig& base,
-                    const fleet::FleetRunOptions& base_options) {
-  fleet::FleetRunOptions options = base_options;
-  options.replications = 1;
-  // Provision the link past the cap for all 64 sessions (base is ×16) so
-  // the cap — not the fair share — is binding in every download.
-  options.link.mean_mbps *= 4.0;
-  options.link.min_mbps *= 4.0;
-  options.link.max_mbps *= 4.0;
-
-  double elapsed_s[2] = {0.0, 0.0};
-  double decides[2] = {0.0, 0.0};
-  fleet::FleetAggregate agg[2];
-  for (int arm = 0; arm < 2; ++arm) {
-    obs::MetricsRegistry metrics;
-    obs::Observer observer{&metrics, nullptr};
-    fleet::FleetConfig config = base;
-    config.sessions = 64;
-    config.observer = &observer;
-    // 2.0 Mbps sits below the unscaled trace minimum (2.3 Mbps): with the
-    // link scaled ×64 every fair share clears it, so the cap binds.
-    config.access_cap_mbps = 2.0;
-    config.plan_cache = arm == 1;
-    const auto t0 = std::chrono::steady_clock::now();
-    agg[arm] = fleet::run_fleet_aggregate(workload, config, options);
-    const auto t1 = std::chrono::steady_clock::now();
-    elapsed_s[arm] = std::chrono::duration<double>(t1 - t0).count();
-    decides[arm] = metrics.value("mpc.decides");
-  }
-
-  const fleet::FleetStats& warm = agg[1].stats;
-  const double hit_rate =
-      decides[1] > 0.0
-          ? static_cast<double>(warm.plan_cache_hits) / decides[1]
-          : 0.0;
-  std::printf("plan-cache demo: 64 capped sessions, 1 replication per arm\n\n");
-  for (int arm = 0; arm < 2; ++arm) {
-    const double us_per_decide =
-        decides[arm] > 0.0 ? elapsed_s[arm] * 1e6 / decides[arm] : 0.0;
-    std::printf("  cache %-3s  %6.0f decides, %6.1f ms wall, "
-                "%5.2f us/decision (amortized)\n",
-                arm == 1 ? "on" : "off", decides[arm],
-                elapsed_s[arm] * 1e3, us_per_decide);
-  }
-  std::printf("\n  warm arm: %llu hits / %llu misses (hit rate %.1f%%), "
-              "%zu resident entries, %.1f KiB\n",
-              static_cast<unsigned long long>(warm.plan_cache_hits),
-              static_cast<unsigned long long>(warm.plan_cache_misses),
-              hit_rate * 100.0, warm.plan_cache_entries,
-              warm.plan_cache_bytes.value() / 1024.0);
-  const bool identical =
-      agg[0].metrics.energy_per_session_mj == agg[1].metrics.energy_per_session_mj &&
-      agg[0].metrics.mean_qoe == agg[1].metrics.mean_qoe &&
-      agg[0].metrics.stall_ratio == agg[1].metrics.stall_ratio;
-  std::printf("  fleet metrics cache-on vs cache-off: %s "
-              "(energy %.3f mJ, QoE %.3f, stall %.3f%%)\n",
-              identical ? "bit-identical" : "DIVERGED — bug",
-              agg[1].metrics.energy_per_session_mj, agg[1].metrics.mean_qoe,
-              agg[1].metrics.stall_ratio * 100.0);
-  return identical ? 0 : 1;
-}
-
 // The server/CDN demo: the same 16-session fleet through the two-tier
 // topology, first with a capacity-0 edge cache (every request pays the
 // origin latency and occupies the origin link), then with a real one. The
@@ -267,7 +193,6 @@ int run_edge_cached(const sim::VideoWorkload& workload,
 int main(int argc, char** argv) {
   std::string trace_path;
   bool faults = false;
-  bool plan_cache = false;
   double edge_cache_bytes = -1.0;
   double zipf_alpha = 0.8;
   std::size_t shards = 1;
@@ -276,8 +201,6 @@ int main(int argc, char** argv) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       faults = true;
-    } else if (std::strcmp(argv[i], "--plan-cache") == 0) {
-      plan_cache = true;
     } else if (std::strcmp(argv[i], "--edge-cache") == 0 && i + 1 < argc) {
       edge_cache_bytes = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--zipf") == 0 && i + 1 < argc) {
@@ -286,7 +209,7 @@ int main(int argc, char** argv) {
       shards = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--trace PATH] [--faults] [--plan-cache] "
+                   "usage: %s [--trace PATH] [--faults] "
                    "[--edge-cache BYTES] [--zipf ALPHA] [--shards N]\n",
                    argv[0]);
       return 1;
@@ -317,7 +240,6 @@ int main(int argc, char** argv) {
 
   if (!trace_path.empty()) return run_traced(workload, base, options, trace_path);
   if (faults) return run_faulted(workload, base, options);
-  if (plan_cache) return run_plan_cached(workload, base, options);
   if (edge_cache_bytes >= 0.0)
     return run_edge_cached(workload, base, options, edge_cache_bytes,
                            zipf_alpha);

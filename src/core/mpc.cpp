@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/buffer.h"
-#include "core/plan_cache.h"
 #include "util/check.h"
 #include "util/units.h"
 
@@ -46,9 +45,7 @@ std::size_t MpcScratch::capacity_bytes() const {
              sizeof(unsigned char) +
          (next_bucket.capacity() + frontier_root.capacity() +
           next_root.capacity()) *
-             sizeof(std::int32_t) +
-         (table_key_hi.capacity() + table_key_lo.capacity()) *
-             sizeof(std::uint64_t);
+             sizeof(std::int32_t);
 }
 
 const QualityOption& reference_option(const SegmentChoices& choices,
@@ -90,34 +87,7 @@ MpcController::MpcController(MpcConfig config, const power::DeviceModel& device,
               config_.buffer_quantum_s <= config_.buffer_threshold_s);
   PS360_CHECK(config_.epsilon >= 0.0 && config_.epsilon < 1.0);
   PS360_CHECK(config_.stall_penalty_per_s >= 0.0);
-
-  // Fingerprint of everything decide() reads besides the live decision
-  // state: the objective, every MpcConfig field, and the device power model
-  // (option_energy depends on it). Folded into every plan-cache key, so two
-  // controllers share cached plans only when their solves are identical —
-  // never via pointer identity, which ASLR would make nondeterministic.
-  PlanKeyHasher fp;
-  fp.mix(static_cast<std::uint64_t>(objective_));
-  fp.mix_double(config_.segment_seconds);
-  fp.mix_double(config_.buffer_threshold_s);
-  fp.mix_double(config_.buffer_quantum_s);
-  fp.mix_double(config_.epsilon);
-  fp.mix_double(config_.weights.variation);
-  fp.mix_double(config_.weights.rebuffer);
-  fp.mix_double(config_.stall_penalty_per_s);
-  fp.mix_double(device.transmit_mw);
-  for (const power::LinearPower& p : device.decode) {
-    fp.mix_double(p.base_mw);
-    fp.mix_double(p.slope_mw_per_fps);
-  }
-  fp.mix_double(device.render.base_mw);
-  fp.mix_double(device.render.slope_mw_per_fps);
-  const PlanKey fp_key = fp.key();
-  config_fp_hi_ = fp_key.hi;
-  config_fp_lo_ = fp_key.lo;
 }
-
-void MpcController::set_plan_cache(PlanCache* cache) { plan_cache_ = cache; }
 
 void MpcController::set_observer(obs::Observer* observer, std::uint32_t session) {
   observer_ = observer;
@@ -149,64 +119,6 @@ void MpcController::reference_qualities(const std::vector<SegmentChoices>& horiz
   }
 }
 
-namespace {
-
-// Exact plan-cache key of one decide() call: the controller fingerprint
-// (objective + config + device) folded with the live decision state. The
-// buffer enters as its DP bucket — lossless, since decide() reads the start
-// buffer only through bucket_of — while bandwidth and prev_qo enter as raw
-// double bits, never bucketed. The horizon content (every option's v, f,
-// fps, bytes, Qo, decode profile, per segment) subsumes the segment index:
-// per-segment encoding noise makes different segments hash differently.
-// prev_qo is folded only in kMaxQoE mode; the energy objective provably
-// never reads it, so excluding it is what lets energy-mode plans hit across
-// segments whose previous qualities differ.
-PlanKey make_plan_key(std::uint64_t fp_hi, std::uint64_t fp_lo,
-                      const std::vector<SegmentChoices>& horizon, int bucket,
-                      double bandwidth_bytes_per_s, bool include_prev_qo,
-                      double prev_qo) {
-  PlanKeyHasher hasher;
-  hasher.mix(fp_hi);
-  hasher.mix(fp_lo);
-  hasher.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(bucket)));
-  hasher.mix_double(bandwidth_bytes_per_s);
-  if (include_prev_qo) hasher.mix_double(prev_qo);
-  hasher.mix(horizon.size());
-  for (const SegmentChoices& seg : horizon) {
-    hasher.mix(seg.options.size());
-    for (const QualityOption& option : seg.options) {
-      // The three small integer fields share one word (v and the ladder
-      // index each fit 24 bits by construction; the profile enum fits 16),
-      // keeping the hot hashing loop at four mixes per option.
-      hasher.mix(static_cast<std::uint64_t>(
-                     static_cast<std::uint32_t>(option.quality)) |
-                 (static_cast<std::uint64_t>(option.frame_index) << 24) |
-                 (static_cast<std::uint64_t>(option.profile) << 48));
-      hasher.mix_double(option.fps);
-      hasher.mix_double(option.bytes);
-      hasher.mix_double(option.qo);
-    }
-  }
-  return hasher.key();
-}
-
-}  // namespace
-
-void MpcController::publish_decision(const MpcDecision& decision,
-                                     bool relaxed_fallback,
-                                     std::size_t horizon_len) const {
-  if (observer_ == nullptr) return;
-  if (observer_->metrics != nullptr) {
-    observer_->metrics->add(id_decides_);
-    if (relaxed_fallback) observer_->metrics->add(id_relaxed_);
-    if (!decision.feasible) observer_->metrics->add(id_infeasible_);
-  }
-  obs::trace(observer_, obs_session_,
-             relaxed_fallback ? obs::TraceEventKind::kMpcRelaxed
-                              : obs::TraceEventKind::kMpcStrict,
-             static_cast<std::int64_t>(horizon_len), decision.objective);
-}
-
 // The DP of Eq. 8 over dense tables. State = (quantized buffer bucket,
 // option chosen for the previous segment); the previous option matters only
 // through its Qo (the kMaxQoE variation term), so in energy mode — where the
@@ -217,8 +129,8 @@ void MpcController::publish_decision(const MpcDecision& decision,
 // decide() call into the scratch arena:
 //   * step_cost[i][oi]   — option energy (Eq. 1) or raw Qo,
 //   * eps_ok[i][oi]      — constraint (8c) vs the shared reference ladder,
-//   * next_bucket/stall_s[b][oi] — the quantized Eq. 6 transition of the
-//     current step, which only depends on the (small) buffer grid.
+//   * next_bucket/stall_s[i][b][oi] — the quantized Eq. 6 transition of
+//     every step over the (small) buffer grid, read by both DP passes.
 //
 // The inner cost sweep is branch-free. Energy mode runs in two phases:
 // phase 1 computes every (bucket, option) candidate cost with strictness
@@ -253,26 +165,6 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   const std::size_t h = horizon.size();
 
   const BufferModel buffers = buffer_model_of(config_);
-
-  // Cross-session memoization: on a hit, rebuild the decision from the live
-  // horizon and replay the observer emissions — bit-identical to a solve.
-  PlanKey plan_key{};
-  if (plan_cache_ != nullptr) {
-    plan_key = make_plan_key(config_fp_hi_, config_fp_lo_, horizon,
-                             buffers.bucket_of(buffer), bandwidth_bytes_per_s,
-                             /*include_prev_qo=*/!energy_mode, prev_qo);
-    if (const PlanCache::Entry* hit = plan_cache_->find(plan_key)) {
-      PS360_ASSERT(hit->root >= 0 &&
-                   static_cast<std::size_t>(hit->root) <
-                       horizon[0].options.size());
-      MpcDecision decision;
-      decision.choice = horizon[0].options[static_cast<std::size_t>(hit->root)];
-      decision.objective = hit->objective;
-      decision.feasible = hit->feasible;
-      publish_decision(decision, hit->relaxed_fallback, h);
-      return decision;
-    }
-  }
 
   std::size_t max_options = 0;
   for (const auto& seg : horizon)
@@ -326,27 +218,32 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     scratch.at_request_s[b] = level - std::max(level - config_.buffer_threshold_s, 0.0);
   }
 
-  // Quantized Eq. 6 transition from bucket b under download time d: stall
-  // and the next bucket. raw_next lies in [L, cap], so the quantize() clamp
-  // reduces to the min(), and dividing by the quantum directly reproduces
-  // bucket_of(quantize(raw_next)) without materialising the level. lround
-  // stays confined to this small per-step table fill; the hot sweep below
-  // only reads the materialised table.
-  auto transition = [&](std::size_t b, double d, double& stall) {
-    const double at_request = scratch.at_request_s[b];
-    stall = std::max(d - at_request, 0.0);
-    const double raw_next =
-        std::max(at_request - d, 0.0) + config_.segment_seconds;
-    return static_cast<std::size_t>(std::lround(std::min(raw_next, cap) / quantum));
-  };
-
-  // Per-step (bucket × option) transition tables — one slot per horizon step
-  // so each step's fill can be memoized (see MpcScratch) — shared by both
-  // modes; the energy sweep additionally stages its masked candidate costs.
+  // Per-step (bucket × option) Eq. 6 transition tables, filled once here
+  // and read by both the strict and the relaxed pass: stall and next bucket
+  // from bucket b under download time d. raw_next lies in [L, cap], so the
+  // quantize() clamp reduces to the min(), and dividing by the quantum
+  // directly reproduces bucket_of(quantize(raw_next)) without materialising
+  // the level. lround stays confined to this fill; the hot sweep below only
+  // reads the materialised tables.
   grow(scratch.next_bucket, h * buckets * max_options, scratch.grow_events);
   grow(scratch.stall_s, h * buckets * max_options, scratch.grow_events);
-  grow(scratch.table_key_hi, h, scratch.grow_events);
-  grow(scratch.table_key_lo, h, scratch.grow_events);
+  for (std::size_t i = 0; i < h; ++i) {
+    const std::size_t n_options = horizon[i].options.size();
+    const double* download_s = scratch.download_s.data() + i * max_options;
+    for (std::size_t b = 0; b < buckets; ++b) {
+      const double at_request = scratch.at_request_s[b];
+      const std::size_t row = (i * buckets + b) * max_options;
+      for (std::size_t oi = 0; oi < n_options; ++oi) {
+        const double d = download_s[oi];
+        const double raw_next =
+            std::max(at_request - d, 0.0) + config_.segment_seconds;
+        scratch.stall_s[row + oi] = std::max(d - at_request, 0.0);
+        scratch.next_bucket[row + oi] = static_cast<std::int32_t>(
+            std::lround(std::min(raw_next, cap) / quantum));
+      }
+    }
+  }
+  // The energy sweep additionally stages its masked candidate costs.
   if (energy_mode)
     grow(scratch.cand_cost, buckets * max_options, scratch.grow_events);
 
@@ -356,10 +253,8 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
 
   // strict = enforce no-stall + ε-constraint (energy mode); relaxed = allow
   // everything, penalise stalls — used as fallback and as the kMaxQoE mode.
-  // Returns false if no complete path exists under the given strictness;
-  // on success also reports the chosen root index for the plan cache.
-  auto run = [&](bool strict, MpcDecision& decision,
-                 std::int32_t& root_out) -> bool {
+  // Returns false if no complete path exists under the given strictness.
+  auto run = [&](bool strict, MpcDecision& decision) -> bool {
     grow(scratch.frontier_cost, table_size, scratch.grow_events);
     grow(scratch.next_cost, table_size, scratch.grow_events);
     grow(scratch.frontier_root, table_size, scratch.grow_events);
@@ -383,42 +278,11 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
       any_alive = false;
       const std::size_t n_options = horizon[i].options.size();
       const double* step_cost = scratch.step_cost.data() + i * max_options;
-      const double* download_s = scratch.download_s.data() + i * max_options;
       const unsigned char* eps_ok = scratch.eps_ok.data() + i * max_options;
-
-      // This step's Eq. 6 transitions, one row per bucket — memoized on the
-      // exact bits of everything the fill reads that can vary between calls:
-      // the table layout and this step's download-time row (at_request_s,
-      // cap, quantum, and L are all fixed by the controller config, and the
-      // scratch arena is per-controller). The strict→relaxed fallback pass
-      // and same-shaped decide() calls under a pinned bandwidth estimate hit
-      // here and skip the lround loop entirely.
+      // This step's transition tables, one row per bucket.
       const std::size_t table_base = i * buckets * max_options;
-      std::int32_t* nb_tab = scratch.next_bucket.data() + table_base;
-      double* stall_tab = scratch.stall_s.data() + table_base;
-      PlanKeyHasher table_hasher;
-      table_hasher.mix(buckets);
-      table_hasher.mix(max_options);
-      table_hasher.mix(n_options);
-      for (std::size_t oi = 0; oi < n_options; ++oi)
-        table_hasher.mix_double(download_s[oi]);
-      const PlanKey table_key = table_hasher.key();
-      if (scratch.table_key_hi[i] == table_key.hi &&
-          scratch.table_key_lo[i] == table_key.lo) {
-        ++scratch.table_fill_hits;
-      } else {
-        for (std::size_t b = 0; b < buckets; ++b) {
-          for (std::size_t oi = 0; oi < n_options; ++oi) {
-            double stall;
-            const std::size_t nb = transition(b, download_s[oi], stall);
-            nb_tab[b * max_options + oi] = static_cast<std::int32_t>(nb);
-            stall_tab[b * max_options + oi] = stall;
-          }
-        }
-        ++scratch.table_fills;
-        scratch.table_key_hi[i] = table_key.hi;
-        scratch.table_key_lo[i] = table_key.lo;
-      }
+      const std::int32_t* nb_tab = scratch.next_bucket.data() + table_base;
+      const double* stall_tab = scratch.stall_s.data() + table_base;
 
       if (energy_mode) {
         // Phase 1 — masked candidate costs, no branches in the loop body:
@@ -548,31 +412,31 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     decision.choice = horizon[0].options[static_cast<std::size_t>(best_root)];
     decision.objective = best_cost;
     decision.feasible = !best_stall;
-    root_out = best_root;
     return true;
   };
 
   MpcDecision decision;
-  std::int32_t root_choice = -1;
   bool relaxed_fallback = false;
-  if (!run(/*strict=*/energy_mode, decision, root_choice)) {
+  if (!run(/*strict=*/energy_mode, decision)) {
     // No plan satisfies the constraints (e.g. bandwidth collapse): fall back
     // to the relaxed problem — reusing the same precomputed tables — and
     // report infeasibility.
-    const bool found = run(/*strict=*/false, decision, root_choice);
+    const bool found = run(/*strict=*/false, decision);
     PS360_ASSERT_MSG(found, "relaxed MPC must always find a plan");
     decision.feasible = false;
     relaxed_fallback = true;
   }
-  if (plan_cache_ != nullptr) {
-    PlanCache::Entry entry;
-    entry.root = root_choice;
-    entry.objective = decision.objective;
-    entry.feasible = decision.feasible;
-    entry.relaxed_fallback = relaxed_fallback;
-    plan_cache_->insert(plan_key, entry);
+  if (observer_ != nullptr) {
+    if (observer_->metrics != nullptr) {
+      observer_->metrics->add(id_decides_);
+      if (relaxed_fallback) observer_->metrics->add(id_relaxed_);
+      if (!decision.feasible) observer_->metrics->add(id_infeasible_);
+    }
+    obs::trace(observer_, obs_session_,
+               relaxed_fallback ? obs::TraceEventKind::kMpcRelaxed
+                                : obs::TraceEventKind::kMpcStrict,
+               static_cast<std::int64_t>(h), decision.objective);
   }
-  publish_decision(decision, relaxed_fallback, h);
   return decision;
 }
 

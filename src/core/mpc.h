@@ -35,8 +35,6 @@
 
 namespace ps360::core {
 
-class PlanCache;  // core/plan_cache.h
-
 // One downloadable version of a segment: the (v, f) tuple plus everything
 // the controller needs to evaluate it.
 struct QualityOption {
@@ -94,21 +92,12 @@ struct MpcScratch {
   // Buffer level available at request time per bucket (Eq. 6 Δt applied).
   std::vector<double> at_request_s;
   // Quantized Eq. 6 transition tables, one (bucket × option) slot per
-  // horizon step (slot i at offset i · buckets · max_options): each bucket
-  // row is shared by every prev-option slot in kMaxQoE mode and feeds the
-  // two-phase masked sweep in energy mode. Slot i's fill is memoized on an
-  // exact fingerprint of its inputs (table layout + the step's download-time
-  // row bits — everything else the transition reads is fixed per controller
-  // config), so the strict→relaxed fallback pass and repeat horizons under a
-  // pinned bandwidth estimate skip the lround-heavy refill entirely. The
-  // memo is exact-key, so memo-on ≡ memo-off bit-identically (covered by
-  // the decide ≡ decide_exhaustive and plan-cache differentials).
+  // horizon step (slot i at offset i · buckets · max_options), filled once
+  // per decide() call before the strict and relaxed passes read them: each
+  // bucket row is shared by every prev-option slot in kMaxQoE mode and feeds
+  // the two-phase masked sweep in energy mode.
   std::vector<std::int32_t> next_bucket;
   std::vector<double> stall_s;
-  std::vector<std::uint64_t> table_key_hi;  // per-step fill fingerprints
-  std::vector<std::uint64_t> table_key_lo;
-  std::uint64_t table_fills = 0;      // transition-table slot refills
-  std::uint64_t table_fill_hits = 0;  // refills skipped via fingerprint match
   // Energy-mode phase-1 candidate costs per (bucket, option): masked to
   // +inf where strict constraints fail, so phase 2 is a pure min-scatter.
   std::vector<double> cand_cost;
@@ -160,28 +149,12 @@ class MpcController {
   std::size_t scratch_capacity_bytes() const { return scratch_.capacity_bytes(); }
   std::uint64_t scratch_grow_events() const { return scratch_.grow_events; }
 
-  // Transition-table memo observability (see MpcScratch): how many per-step
-  // (bucket × option) table fills ran vs. were skipped on an exact
-  // fingerprint match. The relaxed fallback pass alone makes hits common.
-  std::uint64_t scratch_table_fills() const { return scratch_.table_fills; }
-  std::uint64_t scratch_table_fill_hits() const {
-    return scratch_.table_fill_hits;
-  }
-
   // Attach a nullable metrics/trace observer (obs/observer.h). `session`
   // labels the trace records. decide() then counts solves and strict-vs-
   // relaxed outcomes (the Eq. 8c ε-constraint forcing a fallback is the
   // signal this exposes); observation is write-only and never alters the
   // decision — the observer-inertness differential test pins this.
   void set_observer(obs::Observer* observer, std::uint32_t session);
-
-  // Attach a nullable cross-session plan cache (core/plan_cache.h). decide()
-  // then memoizes on the exact decision-state fingerprint; a hit replays the
-  // stored plan — observer emissions included — bit-identically to a fresh
-  // solve (pinned by the plan-cache differential tests). The cache is
-  // single-threaded: callers share one per fleet run / replication slot.
-  // decide_exhaustive() never consults it (it is the uncached reference).
-  void set_plan_cache(PlanCache* cache);
 
  private:
   // Fill q_ref[i] with the constraint-(8c) reference quality of horizon[i].
@@ -190,12 +163,6 @@ class MpcController {
   void reference_qualities(const std::vector<SegmentChoices>& horizon,
                            util::BytesPerSec bandwidth,
                            std::vector<double>& q_ref) const;
-
-  // Emit the per-decide observer metrics and trace record (shared by the
-  // solve path and the plan-cache hit path, which must be indistinguishable
-  // to the observer).
-  void publish_decision(const MpcDecision& decision, bool relaxed_fallback,
-                        std::size_t horizon_len) const;
 
   MpcConfig config_;
   const power::DeviceModel* device_;
@@ -212,13 +179,6 @@ class MpcController {
   obs::MetricsRegistry::Id id_decides_ = 0;
   obs::MetricsRegistry::Id id_relaxed_ = 0;
   obs::MetricsRegistry::Id id_infeasible_ = 0;
-
-  // Nullable cross-session plan cache plus the (objective, config, device)
-  // fingerprint folded into every key — computed once at construction so
-  // the per-decide key path only hashes the live decision state.
-  PlanCache* plan_cache_ = nullptr;
-  std::uint64_t config_fp_hi_ = 0;
-  std::uint64_t config_fp_lo_ = 0;
 };
 
 // Reference quality for constraint (8c): the highest-(v,f) option the

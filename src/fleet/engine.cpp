@@ -145,14 +145,8 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   // the steady-state hot path performs no heap allocation (the zero-growth
   // regression test pins EventLoop growth to 0).
   const bool faults_on = config.session.faults.enabled;
-  // One plan cache per run_fleet call, shared by every session's MPC — the
-  // fleet-scale batching layer. The engine is single-threaded, so the cache
-  // needs no locking; FleetRunner calls run_fleet once per replication slot,
-  // which keeps results thread-count invariant.
-  std::optional<core::PlanCache> plan_cache;
-  if (config.plan_cache) plan_cache.emplace(config.plan_cache_capacity);
-  // Server/CDN tier: per-run catalog, edge cache, and origin link (same
-  // replication-slot discipline as the plan cache, see FleetServerConfig).
+  // Server/CDN tier: per-run catalog, edge cache, and origin link (one per
+  // replication slot, see FleetServerConfig).
   // The origin trace is flat with its only breakpoint far past any makespan,
   // so the origin link never schedules capacity-change events.
   const bool server_on = config.server.enabled;
@@ -200,7 +194,6 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     }
     rt.accountant = std::make_unique<sim::SessionAccountant>(
         workload, test_user, config.scheme, session_config);
-    if (plan_cache) rt.accountant->attach_plan_cache(&*plan_cache);
     rt.client = std::make_unique<sim::StreamingClient>(
         rt.accountant->client_config(), workload, rt.accountant->scheme(),
         workload.test_trace(test_user));
@@ -220,12 +213,10 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
 
   // Speculative solving requires finish_plan() to stay a pure function of
   // session-local state: an attached observer (solver emissions must land in
-  // global event order) or a shared plan cache (lookups mutate cross-session
-  // state) forces plans to be solved just-in-time on the coordinator instead
-  // — bit-identical results either way, since the solve's inputs are frozen
-  // at begin_plan() time.
-  const bool speculative =
-      shards > 1 && config.observer == nullptr && !config.plan_cache;
+  // global event order) forces plans to be solved just-in-time on the
+  // coordinator instead — bit-identical results either way, since the
+  // solve's inputs are frozen at begin_plan() time.
+  const bool speculative = shards > 1 && config.observer == nullptr;
   std::optional<SolvePool> pool;
   if (speculative)
     pool.emplace(shards, n, [&sessions](std::size_t i) {
@@ -565,14 +556,6 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     stats.cache_resident = es.resident;
     stats.origin_bytes = origin_link->delivered_bytes();
   }
-  if (plan_cache) {
-    const core::PlanCache::Stats cs = plan_cache->stats();
-    stats.plan_cache_hits = cs.hits;
-    stats.plan_cache_misses = cs.misses;
-    stats.plan_cache_evictions = cs.evictions;
-    stats.plan_cache_entries = cs.entries;
-    stats.plan_cache_bytes = cs.bytes;
-  }
   result.stats = stats;
 
   // End-of-run engine aggregates: counters add and gauges take max across
@@ -592,18 +575,6 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     metrics.set_max(metrics.gauge("fleet.queue_peak"),
                     static_cast<double>(stats.queue_peak));
     metrics.set_max(metrics.gauge("fleet.makespan_s"), stats.makespan_s);
-    if (plan_cache) {
-      metrics.add(metrics.counter("plan_cache.hits"),
-                  static_cast<double>(stats.plan_cache_hits));
-      metrics.add(metrics.counter("plan_cache.misses"),
-                  static_cast<double>(stats.plan_cache_misses));
-      metrics.add(metrics.counter("plan_cache.evictions"),
-                  static_cast<double>(stats.plan_cache_evictions));
-      metrics.set_max(metrics.gauge("plan_cache.entries"),
-                      static_cast<double>(stats.plan_cache_entries));
-      metrics.set_max(metrics.gauge("plan_cache.bytes"),
-                      stats.plan_cache_bytes.value());
-    }
     // Server metrics are registered only when the tier is on, so a disabled
     // run's metrics output is byte-identical to the pre-server engine.
     if (server_on) {

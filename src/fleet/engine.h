@@ -75,24 +75,15 @@ struct FleetConfig {
   // replications out, it gives each replication a private observer and
   // merges them in slot order, so aggregates stay thread-count invariant.
   obs::Observer* observer = nullptr;
-  // Cross-session MPC plan cache (core/plan_cache.h): one cache per
-  // run_fleet call, shared by every session's controller — fleet-scale
-  // solver batching. The engine is single-threaded, and FleetRunner gives
-  // each replication its own run_fleet call, so per-slot caches keep results
-  // bit-identical for any PS360_THREADS. Provably inert: exact-key
-  // memoization makes cache-on ≡ cache-off (pinned by the plan-cache
-  // differential tests).
-  bool plan_cache = false;
-  std::size_t plan_cache_capacity = core::PlanCache::kUnbounded;
-  // Server/CDN tier (edge cache + origin link). Same per-replication-slot
-  // discipline as the plan cache: one catalog/cache/origin link per
-  // run_fleet call, so FleetRunner results stay bit-identical for any
-  // PS360_THREADS; provably inert when disabled.
+  // Server/CDN tier (edge cache + origin link): one catalog/cache/origin
+  // link per run_fleet call — FleetRunner gives each replication its own
+  // run_fleet call — so results stay bit-identical for any PS360_THREADS;
+  // provably inert when disabled.
   FleetServerConfig server;
   // Event-loop shards inside this one replication (ROADMAP item 1). Sessions
   // partition across per-shard event heaps (session % shards) and — when no
-  // observer or plan cache is attached — per-shard worker threads solve each
-  // session's MPC plan speculatively during its Eq. 6 wait. 1 (the default)
+  // observer is attached — per-shard worker threads solve each session's
+  // MPC plan speculatively during its Eq. 6 wait. 1 (the default)
   // is the serial engine; 0 resolves like sim::resolve_thread_count — the
   // PS360_THREADS env override, else hardware concurrency. Output is
   // bit-identical for every value: sharding changes wall-clock time, never
@@ -121,12 +112,10 @@ struct FleetStats {
   double makespan_s = 0.0;               // last session finish time
   util::Bytes delivered_bytes;           // bytes the edge link actually carried
   util::Bytes offered_bytes;             // integral of C(t) over the makespan
-  // Plan-cache outcome of this run (all zero when the cache is off).
+  // Always zero: the engine has no plan cache. These two stay only because
+  // the frozen perfbench/workloads.cpp fingerprints them.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
-  std::uint64_t plan_cache_evictions = 0;
-  std::size_t plan_cache_entries = 0;    // resident at end of run
-  util::Bytes plan_cache_bytes;          // estimated resident footprint
   // Server/CDN outcome of this run (all zero when the server tier is off).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -155,6 +144,8 @@ struct FleetMetrics {
   double p95_energy_mj = 0.0;
   double mean_qoe = 0.0;  // mean of per-session Eq. 2 session QoE
   double p50_qoe = 0.0;
+  // 95th percentile of per-session QoE: the best-off sessions, not the bad
+  // tail (higher QoE is better).
   double p95_qoe = 0.0;
   double stall_ratio = 0.0;        // Σ stall / (Σ stall + Σ playback)
   double link_utilization = 0.0;   // delivered / offered bytes

@@ -114,11 +114,6 @@ FleetAggregate aggregate_fleet(const std::vector<FleetResult>& results,
     pooled.stats.makespan_s = std::max(pooled.stats.makespan_s, r.stats.makespan_s);
     pooled.stats.delivered_bytes += r.stats.delivered_bytes;
     pooled.stats.offered_bytes += r.stats.offered_bytes;
-    pooled.stats.plan_cache_hits += r.stats.plan_cache_hits;
-    pooled.stats.plan_cache_misses += r.stats.plan_cache_misses;
-    pooled.stats.plan_cache_evictions += r.stats.plan_cache_evictions;
-    pooled.stats.plan_cache_entries += r.stats.plan_cache_entries;
-    pooled.stats.plan_cache_bytes += r.stats.plan_cache_bytes;
     pooled.stats.cache_hits += r.stats.cache_hits;
     pooled.stats.cache_misses += r.stats.cache_misses;
     pooled.stats.cache_evictions += r.stats.cache_evictions;

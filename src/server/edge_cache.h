@@ -19,8 +19,7 @@
 // a regression test can pin it flat across a workload. Determinism: plain
 // vectors and index order only — no unordered containers, no pointers as
 // keys, no wall clock — so fleet runs stay bit-identical for any
-// PS360_THREADS (one cache per replication slot, same discipline as
-// core::PlanCache).
+// PS360_THREADS (one cache per replication slot).
 #pragma once
 
 #include <cstddef>

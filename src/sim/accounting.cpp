@@ -98,10 +98,6 @@ void SessionAccountant::attach_observer(obs::Observer* observer,
   scheme_->attach_observer(observer, session);
 }
 
-void SessionAccountant::attach_plan_cache(core::PlanCache* cache) {
-  scheme_->attach_plan_cache(cache);
-}
-
 void SessionAccountant::record(const ClientRequest& request,
                                util::Seconds download, util::Seconds stall) {
   const double download_s = download.value();

@@ -40,11 +40,6 @@ class SessionAccountant {
   // rate) and energy/QoE counters. Write-only: accounting is unchanged.
   void attach_observer(obs::Observer* observer, std::uint32_t session);
 
-  // Forward a nullable cross-session plan cache to the scheme's MPC
-  // controller(s). Memoization is exact-key, so attaching a cache never
-  // changes any accounted value — it only amortizes solver work.
-  void attach_plan_cache(core::PlanCache* cache);
-
   // Account segment `request.segment`: delivered QoE against the user's
   // ground-truth viewport, Eq. 1 energy, and the per-segment record.
   // Segments must arrive in order, each exactly once.

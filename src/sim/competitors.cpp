@@ -3,9 +3,9 @@
 // the session seed — the LP greedy iterates tiles in row-major index order
 // with strict-> tie-breaking, tile byte noise comes from counter-mode
 // derive_seed streams (role 7, salted by tile id), and no unordered
-// containers or wall-clock reads appear anywhere. attach_plan_cache is a
-// documented no-op and attach_observer only adds counters, so hook wiring
-// never changes decisions (pinned by tests/tournament_test.cpp).
+// containers or wall-clock reads appear anywhere. attach_observer only adds
+// counters, so hook wiring never changes decisions (pinned by
+// tests/tournament_test.cpp).
 #include "sim/competitors.h"
 
 #include <algorithm>
@@ -94,11 +94,6 @@ class GhoshScheme : public SchemeBase {
     if (observer_ != nullptr && observer_->metrics != nullptr)
       id_allocations_ = observer_->metrics->counter("lp.allocations");
   }
-
-  // No MPC inside: the allocator is a closed-form greedy, so there is no
-  // solve to memoize. Accepting (and ignoring) the cache keeps the
-  // cache-on ≡ cache-off differential trivially true for this controller.
-  void attach_plan_cache(core::PlanCache*) override {}
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
@@ -248,10 +243,6 @@ class PanoScheme : public SchemeBase {
 
   void attach_observer(obs::Observer* observer, std::uint32_t session) override {
     controller_.set_observer(observer, session);
-  }
-
-  void attach_plan_cache(core::PlanCache* cache) override {
-    controller_.set_plan_cache(cache);
   }
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,

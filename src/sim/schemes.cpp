@@ -89,10 +89,6 @@ class CtileScheme : public SchemeBase {
     controller_.set_observer(observer, session);
   }
 
-  void attach_plan_cache(core::PlanCache* cache) override {
-    controller_.set_plan_cache(cache);
-  }
-
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
@@ -149,10 +145,6 @@ class FtileScheme : public SchemeBase {
 
   void attach_observer(obs::Observer* observer, std::uint32_t session) override {
     controller_.set_observer(observer, session);
-  }
-
-  void attach_plan_cache(core::PlanCache* cache) override {
-    controller_.set_plan_cache(cache);
   }
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
@@ -221,10 +213,6 @@ class NontileScheme : public SchemeBase {
     controller_.set_observer(observer, session);
   }
 
-  void attach_plan_cache(core::PlanCache* cache) override {
-    controller_.set_plan_cache(cache);
-  }
-
   DownloadPlan plan(std::size_t k, const Viewport&, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
@@ -279,11 +267,6 @@ class PtileScheme : public SchemeBase {
   void attach_observer(obs::Observer* observer, std::uint32_t session) override {
     controller_.set_observer(observer, session);
     fallback_.attach_observer(observer, session);  // fallback solves count too
-  }
-
-  void attach_plan_cache(core::PlanCache* cache) override {
-    controller_.set_plan_cache(cache);
-    fallback_.attach_plan_cache(cache);  // fallback solves memoize too
   }
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,

@@ -136,12 +136,6 @@ class Scheme {
   // Observation is write-only; planning decisions are unaffected.
   virtual void attach_observer(obs::Observer* observer, std::uint32_t session) = 0;
 
-  // Forward a nullable cross-session plan cache (core/plan_cache.h) to the
-  // scheme's internal MPC controller(s). Caching is exact-key memoization: a
-  // hit replays the stored solve bit-identically, so attaching a cache never
-  // alters planning decisions — only amortizes them across sessions.
-  virtual void attach_plan_cache(core::PlanCache* cache) = 0;
-
   // Plan segment k's download. `predicted` is the viewport prediction for
   // the segment's playback time, `predicted_sfov` the recent switching speed
   // (deg/s), `bandwidth` the estimated throughput, `buffer` B_k, and

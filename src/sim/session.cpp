@@ -4,7 +4,6 @@
 #include "sim/session.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "sim/accounting.h"
 #include "sim/client.h"
@@ -110,13 +109,6 @@ SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_u
   if (observer != nullptr) {
     accountant.attach_observer(observer, /*session=*/0);
     client.attach_observer(observer, /*session=*/0);
-  }
-  // Session-private MPC plan cache: memoizes repeated horizons within this
-  // session. Must outlive the client loop below.
-  std::optional<core::PlanCache> plan_cache;
-  if (config.plan_cache) {
-    plan_cache.emplace(config.plan_cache_capacity);
-    accountant.attach_plan_cache(&*plan_cache);
   }
 
   if (!config.faults.enabled) {

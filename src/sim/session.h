@@ -17,7 +17,6 @@
 //    switching speed.
 #pragma once
 
-#include "core/plan_cache.h"
 #include "power/energy.h"
 #include "predict/bandwidth_estimators.h"
 #include "predict/predictors.h"
@@ -64,13 +63,6 @@ struct SessionConfig {
   // `seed` above, and the fleet engine sets it per session.
   trace::FaultConfig faults;
   RecoveryConfig recovery;
-
-  // MPC plan cache (core/plan_cache.h). Off by default — provably inert
-  // when on (exact-key memoization; the plan-cache differential tests pin
-  // bit-identical results either way). `plan_cache_capacity` bounds resident
-  // entries; PlanCache::kUnbounded never evicts.
-  bool plan_cache = false;
-  std::size_t plan_cache_capacity = core::PlanCache::kUnbounded;
 };
 
 struct SegmentRecord {
@@ -118,8 +110,10 @@ SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_u
                                SchemeKind scheme, const trace::NetworkTrace& network,
                                const SessionConfig& config, obs::Observer* observer);
 
-// Convenience: average the per-user results of all test users (energy and
-// QoE aggregates are means across users; segments are dropped).
+// Convenience: aggregate the per-user results of all test users. Energy,
+// stall time, bytes, and the mean_* / ptile_usage / qoe.mean_* fields are
+// means across users; the two counts, rebuffer_events and qoe.segments, are
+// sums over users. Per-segment records are dropped.
 SessionResult simulate_all_test_users(const VideoWorkload& workload, SchemeKind scheme,
                                       const trace::NetworkTrace& network,
                                       const SessionConfig& config);

@@ -8,8 +8,8 @@
 // Layout (names are load-bearing for CI):
 //  * ShardedFleetBatteryTest.* — the heavy randomized differential battery
 //    (200+ seeded configs across fleet sizes 1–512, faults on/off, server
-//    tier on/off, plan cache on/off, access caps, every scheme). Runs in
-//    the regular Debug/Release ctest legs only: the name deliberately
+//    tier on/off, access caps, every scheme). Runs in the regular
+//    Debug/Release ctest legs only: the name deliberately
 //    avoids the TSan leg's filter so the sanitizer budget is spent on the
 //    thread-shaped tests below, not on hundreds of serial re-runs.
 //  * FleetShardTest.* / FleetShardEventLoopTest.* — light tests that
@@ -72,10 +72,6 @@ void expect_bit_identical(const FleetResult& a, const FleetResult& b,
   EXPECT_EQ(a.stats.makespan_s, b.stats.makespan_s);
   EXPECT_EQ(a.stats.delivered_bytes.value(), b.stats.delivered_bytes.value());
   EXPECT_EQ(a.stats.offered_bytes.value(), b.stats.offered_bytes.value());
-  EXPECT_EQ(a.stats.plan_cache_hits, b.stats.plan_cache_hits);
-  EXPECT_EQ(a.stats.plan_cache_misses, b.stats.plan_cache_misses);
-  EXPECT_EQ(a.stats.plan_cache_evictions, b.stats.plan_cache_evictions);
-  EXPECT_EQ(a.stats.plan_cache_entries, b.stats.plan_cache_entries);
   EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits);
   EXPECT_EQ(a.stats.cache_misses, b.stats.cache_misses);
   EXPECT_EQ(a.stats.cache_evictions, b.stats.cache_evictions);
@@ -151,7 +147,8 @@ FleetConfig random_config(util::Rng& rng, std::uint64_t seed) {
                                ? server::EvictionPolicy::kLru
                                : server::EvictionPolicy::kPopularityWeighted;
   }
-  config.plan_cache = rng.bernoulli(0.25);
+  // Formerly a config toggle; the draw stays so later configs do not shift.
+  (void)rng.bernoulli(0.25);
   return config;
 }
 
@@ -173,8 +170,7 @@ void run_battery(std::uint64_t seed_base, int count) {
         std::to_string(config.sessions) + " scheme " +
         std::to_string(static_cast<int>(config.scheme)) +
         (config.session.faults.enabled ? " faults" : "") +
-        (config.server.enabled ? " server" : "") +
-        (config.plan_cache ? " plan-cache" : "");
+        (config.server.enabled ? " server" : "");
 
     config.shards = 1;
     const FleetResult serial = run_fleet(workload, network, config);
@@ -301,20 +297,6 @@ TEST(FleetShardTest, Ps360ThreadsOverrideIsResultInvariant) {
                          std::string("PS360_THREADS=") + threads);
   }
   ::unsetenv("PS360_THREADS");
-}
-
-TEST(FleetShardTest, PlanCacheArmDisablesSpeculationButNotSharding) {
-  // A shared plan cache forces just-in-time planning (the cache is mutable
-  // shared state), yet the sharded event loop still partitions sessions —
-  // results and cache telemetry must stay bitwise serial-identical.
-  const auto traces = trace::make_paper_traces(/*seed=*/23, util::Seconds(300.0));
-  FleetConfig config = small_fleet_config();
-  config.plan_cache = true;
-  const FleetResult serial = run_fleet(battery_workload(), traces.second, config);
-  config.shards = 4;
-  const FleetResult sharded = run_fleet(battery_workload(), traces.second, config);
-  expect_bit_identical(serial, sharded, "plan-cache shards 4");
-  EXPECT_GT(sharded.stats.plan_cache_hits + sharded.stats.plan_cache_misses, 0u);
 }
 
 TEST(FleetShardTest, FaultArmMatchesSerialUnderThreads) {

@@ -401,6 +401,38 @@ TEST(SessionTest, AllTestUsersAggregationAverages) {
   EXPECT_EQ(mean.qoe.segments, 8u * football_workload().segment_count());
 }
 
+TEST(SessionTest, AllTestUsersSumsTheCountsAndAveragesTheRest) {
+  // A flat 1.5 Mbps link starves whole-frame Nontile, so every user
+  // rebuffers and a summed count differs from a mean one.
+  const trace::NetworkTrace starved(
+      std::vector<trace::ThroughputSample>{{0.0, 1.5}, {400.0, 1.5}});
+  const VideoWorkload& workload = football_workload();
+  const auto all = simulate_all_test_users(workload, SchemeKind::kNontile,
+                                           starved, fast_config());
+  const std::size_t users = workload.test_user_count();
+  std::size_t rebuffer_events = 0;
+  std::size_t segments = 0;
+  double energy_mj = 0.0;
+  double stall_s = 0.0;
+  double mean_q = 0.0;
+  for (std::size_t u = 0; u < users; ++u) {
+    const auto r = simulate_session(workload, u, SchemeKind::kNontile, starved,
+                                    fast_config());
+    EXPECT_GT(r.rebuffer_events, 0u) << "user " << u;
+    rebuffer_events += r.rebuffer_events;
+    segments += r.qoe.segments;
+    energy_mj += r.energy.total_mj();
+    stall_s += r.total_stall_s;
+    mean_q += r.qoe.mean_q;
+  }
+  const double n = static_cast<double>(users);
+  EXPECT_EQ(all.rebuffer_events, rebuffer_events);  // summed
+  EXPECT_EQ(all.qoe.segments, segments);            // summed
+  EXPECT_NEAR(all.energy.total_mj(), energy_mj / n, 1e-9 * energy_mj);
+  EXPECT_NEAR(all.total_stall_s, stall_s / n, 1e-9 * stall_s);
+  EXPECT_NEAR(all.qoe.mean_q, mean_q / n, 1e-9 * std::fabs(mean_q));
+}
+
 TEST(SessionTest, RejectsBadTestUser) {
   EXPECT_THROW(simulate_session(football_workload(), 99, SchemeKind::kOurs, trace2(),
                                 fast_config()),

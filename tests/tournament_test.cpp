@@ -8,10 +8,9 @@
 //    (concave utilities, budget ramp) pin the Ghosh allocator's optimality,
 //    floor handling, and lower-tile-index tie-breaking.
 //  * Hook forwarding audit: for every registered controller, observer-on is
-//    bit-identical to observer-off and plan-cache-on to plan-cache-off (the
-//    PR-4/PR-7 inertness guarantees), and the attached observer actually
-//    receives the controller's solve counters — forwarding is neither
-//    results-altering nor silently dropped.
+//    bit-identical to observer-off (the observer inertness guarantee), and
+//    the attached observer actually receives the controller's solve
+//    counters — forwarding is neither results-altering nor silently dropped.
 //  * Tournament determinism: same seed => byte-identical ranked report
 //    across PS360_THREADS in {1, 4, hw} and shards in {0, 1, 4}; report
 //    shape, rank permutation, and borda arithmetic hold.
@@ -253,7 +252,7 @@ std::vector<double> fingerprint(const SessionResult& result) {
   return out;
 }
 
-TEST(HookForwardingTest, ObserverAndPlanCacheAreInertForEveryScheme) {
+TEST(HookForwardingTest, ObserverIsInertForEveryScheme) {
   SessionConfig config;
   for (const SchemeKind kind : registered_schemes()) {
     SCOPED_TRACE(scheme_name(kind));
@@ -275,14 +274,6 @@ TEST(HookForwardingTest, ObserverAndPlanCacheAreInertForEveryScheme) {
     } else {
       EXPECT_GT(metrics.value("mpc.decides"), 0.0);
     }
-
-    // Plan-cache arm: exact-key memoization must replay solves
-    // bit-identically (a no-op accept is fine for closed-form planners).
-    SessionConfig cached = config;
-    cached.plan_cache = true;
-    const SessionResult with_cache = simulate_session(tiny_workload(), 0, kind,
-                                                      paper_trace1(), cached);
-    EXPECT_EQ(fingerprint(with_cache), expected);
   }
 }
 
@@ -314,7 +305,9 @@ TEST(TournamentTest, ReportShapeRanksAndBorda) {
     EXPECT_DOUBLE_EQ(s.borda, s.energy_rank + s.qoe_rank + s.stall_rank);
     EXPECT_GE(s.energy_rank, 1.0);
     EXPECT_LE(s.energy_rank, static_cast<double>(n));
-    if (i > 0) EXPECT_GE(s.borda, prev_borda);
+    if (i > 0) {
+      EXPECT_GE(s.borda, prev_borda);
+    }
     prev_borda = s.borda;
     EXPECT_GT(s.mean_energy_mj, 0.0);
     EXPECT_GE(s.mean_stall_ratio, 0.0);

@@ -27,13 +27,9 @@ RNG_EXEMPT = ("src/util/rng.h", "src/util/rng.cpp")
 # event-loop code here next). src/sim covers the controller registry, the
 # competitor schemes (competitors.cpp), and the tournament harness
 # (tournament.cpp — compiled into ps360::fleet but living here), whose ranked
-# report promises byte-identical JSON for any thread/shard count. Individual
-# files join too: the MPC plan cache promises cache-on == cache-off
-# bit-identicality, so its internals (no unordered containers, no wall
-# clock) are part of the same contract.
+# report promises byte-identical JSON for any thread/shard count.
 DETERMINISTIC_DIRS = ("src/fleet", "src/obs", "src/trace", "src/sim",
-                      "src/server",
-                      "src/core/plan_cache.h", "src/core/plan_cache.cpp")
+                      "src/server")
 
 # Modules whose public entry points must validate inputs with
 # PS360_CHECK / PS360_ASSERT (util/check.h): all of src/.

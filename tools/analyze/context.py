@@ -131,8 +131,7 @@ class RepoContext:
             if suffixes and not sf.rel.endswith(suffixes):
                 continue
             # `under` entries are directories or single files: exact path
-            # matches let config scope a discipline to one file (e.g. the
-            # plan cache inside src/core).
+            # matches let config scope a discipline to one file.
             if under and not any(
                 sf.rel == d or sf.rel.startswith(d + "/") for d in under
             ):

@@ -3,7 +3,7 @@
 
 Usage:
   tools/bench_report.py BENCH_mpc.json [BENCH_fleet.json ...] \\
-      [--baseline bench/results/BENCH_mpc_before.json]
+      [--baseline bench/results/BENCH_mpc.json]
 
 Accepts any number of results files and prints one table per file, one row
 per benchmark with its real time. When a baseline file is given, rows whose
