@@ -1,23 +1,31 @@
 // google-benchmark microbenchmarks for the hot algorithmic pieces: the MPC
 // dynamic program (O(H V F) per decision, Section IV-C), Algorithm 1
-// clustering, the ridge-regression viewport predictor, and the encoding
-// model.
+// clustering, the ridge-regression viewport predictor, the encoding model,
+// and one whole Scheme::plan per paper scheme.
 //
-// The MPC rows are the repo's tracked perf trajectory: CI (and any local
-// run) emits machine-readable results with
-//   bench_micro_solver --benchmark_filter=BM_Mpc --benchmark_min_time=0.05
+// The MPC, predictor and scheme-plan rows are the repo's tracked perf
+// trajectory: CI (and any local run) emits machine-readable results with
+//   bench_micro_solver --benchmark_filter='BM_Mpc|BM_ViewportPredict|BM_SchemePlan'
+//     --benchmark_min_time=0.05
 //     --benchmark_out=BENCH_mpc.json --benchmark_out_format=json
 // and tools/bench_report.py renders the summary/speedup table against the
 // committed snapshots in bench/results/. Pin PS360_THREADS=1 when an eval
 // grid shares the machine.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/mpc.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/tracer.h"
+#include "power/device_models.h"
 #include "predict/viewport_predictor.h"
 #include "ptile/clusterer.h"
+#include "qoe/qo_model.h"
+#include "sim/schemes.h"
+#include "sim/session.h"
+#include "sim/workload.h"
 #include "trace/head_synth.h"
 #include "util/rng.h"
 #include "video/encoding.h"
@@ -122,18 +130,69 @@ void BM_Clustering(benchmark::State& state) {
 }
 BENCHMARK(BM_Clustering)->Arg(40)->Arg(200)->Arg(1000);
 
+// One prediction over a 1 s window, on a trace of range(0) seconds. The
+// window is binary-searched, so the cost must not grow with trace length.
 void BM_ViewportPredict(benchmark::State& state) {
+  trace::VideoInfo video = trace::test_videos()[7];
+  video.duration_s = static_cast<double>(state.range(0));
   const trace::HeadTraceSynthesizer synth;
-  const trace::HeadTrace head = synth.synthesize(trace::test_videos()[7], 0);
+  const trace::HeadTrace head = synth.synthesize(video, 0);
   const predict::ViewportPredictor predictor;
-  double t = 10.0;
+  double t = 2.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(predictor.predict(head, t, t + 1.5));
     t += 0.37;
-    if (t > 150.0) t = 10.0;
+    if (t > video.duration_s - 2.0) t = 2.0;
   }
 }
-BENCHMARK(BM_ViewportPredict);
+BENCHMARK(BM_ViewportPredict)->Arg(20)->Arg(60)->Arg(300);
+
+// One Scheme::plan per iteration on a 20 s workload, cycling through the
+// segments with test user 0's true viewport and switching speed standing in
+// for the prediction. The scheme is wired as a default session wires it.
+// The workload's Ftile layouts are built before timing.
+void BM_SchemePlan(benchmark::State& state, sim::SchemeKind kind) {
+  trace::VideoInfo video = trace::test_videos()[7];
+  video.duration_s = 20.0;
+  const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
+  benchmark::DoNotOptimize(workload.ftile(0));
+  const sim::SessionConfig config;
+  video::EncodingConfig encoding_config = config.encoding;
+  encoding_config.seed = config.seed;
+  const video::EncodingModel encoding(encoding_config);
+  const qoe::QoModel qo_model(config.qo_params, config.qoe_bitrate_scale);
+  sim::SchemeEnv env;
+  env.workload = &workload;
+  env.encoding = &encoding;
+  env.qo_model = &qo_model;
+  env.device = &power::device_model(config.device);
+  env.mpc = config.mpc;
+  env.mpc_horizon = config.mpc_horizon;
+  env.ptile_min_coverage = config.ptile_min_coverage;
+  env.fov_deg = workload.config().fov_deg;
+  env.tile_overlap_threshold = config.tile_overlap_threshold;
+  const auto scheme = sim::make_scheme(kind, env);
+
+  const std::size_t n = workload.segment_count();
+  std::vector<geometry::Viewport> viewports;
+  std::vector<double> speeds;
+  for (std::size_t k = 0; k < n; ++k) {
+    viewports.push_back(workload.actual_viewport(0, k));
+    speeds.push_back(workload.actual_switching_speed(0, k));
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheme->plan(k, viewports[k], speeds[k],
+                                          util::BytesPerSec(4.875e5), util::Seconds(2.0),
+                                          50.0));
+    k = (k + 1) % n;
+  }
+}
+BENCHMARK_CAPTURE(BM_SchemePlan, Ctile, sim::SchemeKind::kCtile);
+BENCHMARK_CAPTURE(BM_SchemePlan, Ftile, sim::SchemeKind::kFtile);
+BENCHMARK_CAPTURE(BM_SchemePlan, Nontile, sim::SchemeKind::kNontile);
+BENCHMARK_CAPTURE(BM_SchemePlan, Ptile, sim::SchemeKind::kPtile);
+BENCHMARK_CAPTURE(BM_SchemePlan, Ours, sim::SchemeKind::kOurs);
 
 void BM_EncodingBytes(benchmark::State& state) {
   const video::EncodingModel model;

@@ -9,9 +9,16 @@ namespace ps360::geometry {
 
 namespace {
 
+// fmod(x, 360) returns x itself, sign of zero included, whenever |x| < 360,
+// so skipping the libm call there is bit-identical; nearly every angle the
+// geometry wraps is within one turn. NaN and ±inf still go through fmod.
+double fmod360(double deg) {
+  return std::fabs(deg) < kDegreesPerTurn ? deg : std::fmod(deg, kDegreesPerTurn);
+}
+
 // Internal double-valued wrap; the typed wrap360 below is the public face.
 double wrap360_value(double deg) {
-  double w = std::fmod(deg, kDegreesPerTurn);
+  double w = fmod360(deg);
   if (w < 0.0) w += kDegreesPerTurn;
   // fmod of a value just below a multiple of 360 can round to exactly 360.
   if (w >= kDegreesPerTurn) w = 0.0;
@@ -23,7 +30,7 @@ double wrap360_value(double deg) {
 Degrees wrap360(Degrees deg) { return Degrees(wrap360_value(deg.value())); }
 
 Degrees wrap_delta(Degrees a, Degrees b) {
-  double d = std::fmod(a.value() - b.value(), kDegreesPerTurn);
+  double d = fmod360(a.value() - b.value());
   if (d > 180.0) d -= kDegreesPerTurn;
   if (d <= -180.0) d += kDegreesPerTurn;
   return Degrees(d);

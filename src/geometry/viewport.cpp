@@ -8,6 +8,7 @@
 namespace ps360::geometry {
 
 EquirectPoint EquirectPoint::make(Degrees lon, Degrees colat) {
+  PS360_CHECK_MSG(std::isfinite(lon.value()), "longitude is not finite");
   PS360_CHECK_MSG(colat.value() >= 0.0 && colat.value() <= 180.0,
                   "colatitude out of [0,180]");
   return EquirectPoint{wrap360(lon).value(), colat.value()};
@@ -86,7 +87,7 @@ EquirectRect EquirectRect::make(LonInterval lon, Degrees y_lo, Degrees y_hi) {
 }
 
 bool EquirectRect::contains(const EquirectPoint& p) const {
-  return lon.contains(Degrees(p.x)) && p.y >= y_lo && p.y <= y_hi;
+  return lon.contains(Degrees(p.x)) && contains_colat(Degrees(p.y));
 }
 
 EquirectRect EquirectRect::united(const EquirectRect& other) const {

@@ -71,7 +71,12 @@ struct EquirectRect {
   // Fraction of the full 360x180 frame.
   double area_fraction() const { return area_deg2() / (360.0 * 180.0); }
 
+  // A longitude test AND a colatitude test: lon.contains(p.lon()) &&
+  // contains_colat(p.colat()).
   bool contains(const EquirectPoint& p) const;
+  bool contains_colat(Degrees colat) const {
+    return colat.value() >= y_lo && colat.value() <= y_hi;
+  }
 
   // Smallest rect covering both.
   EquirectRect united(const EquirectRect& other) const;

@@ -24,13 +24,16 @@ EquirectPoint ViewportPredictor::predict(const trace::HeadTrace& trace, double n
   const double horizon = std::min(target_t - now_t, config_.max_horizon_s);
   const double t0 = now_t - config_.history_seconds;
 
-  // Collect the window, unwrapping longitude as we go.
+  // Collect the window [t0, now_t], unwrapping longitude as we go.
+  const auto window = trace.samples_in(t0, now_t);
   std::vector<double> times, xs_unwrapped, ys;
+  times.reserve(window.size());
+  xs_unwrapped.reserve(window.size());
+  ys.reserve(window.size());
   double x_acc = 0.0;
   bool first = true;
   double prev_x = 0.0;
-  for (const auto& s : trace.samples()) {
-    if (s.t < t0 || s.t > now_t) continue;
+  for (const auto& s : window) {
     if (first) {
       x_acc = s.center.x;
       first = false;

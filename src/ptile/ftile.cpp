@@ -8,9 +8,48 @@
 
 namespace ps360::ptile {
 
+using geometry::Degrees;
 using geometry::EquirectPoint;
+using geometry::EquirectRect;
+using geometry::TileGrid;
 using geometry::TileIndex;
 using geometry::Viewport;
+
+namespace {
+
+EquirectPoint block_center(const TileGrid& blocks, TileIndex idx) {
+  const auto area = blocks.tile_area(idx);
+  return EquirectPoint{
+      geometry::wrap360(Degrees(area.lon.lo + area.lon.width / 2.0)).value(),
+      (area.y_lo + area.y_hi) / 2.0};
+}
+
+// Which blocks have their center inside `area`. A block center's longitude
+// depends only on its column and its colatitude only on its row, and
+// EquirectRect::contains is a longitude test AND a colatitude test, so
+// block (r, c) is in view exactly when in_col[c] && in_row[r]: cols + rows
+// containment tests instead of cols x rows.
+struct BlocksInView {
+  std::vector<char> in_col;
+  std::vector<char> in_row;
+};
+
+BlocksInView blocks_in_view(const TileGrid& blocks, const EquirectRect& area) {
+  BlocksInView view;
+  view.in_col.reserve(blocks.cols());
+  for (std::size_t c = 0; c < blocks.cols(); ++c) {
+    const EquirectPoint center = block_center(blocks, TileIndex{0, c});
+    view.in_col.push_back(area.lon.contains(center.lon()));
+  }
+  view.in_row.reserve(blocks.rows());
+  for (std::size_t r = 0; r < blocks.rows(); ++r) {
+    const EquirectPoint center = block_center(blocks, TileIndex{r, 0});
+    view.in_row.push_back(area.contains_colat(center.colat()));
+  }
+  return view;
+}
+
+}  // namespace
 
 FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
                          const FtileLayoutConfig& config)
@@ -19,6 +58,12 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   const std::size_t n_blocks = blocks_.tile_count();
   PS360_CHECK(config.tile_count <= n_blocks);
 
+  std::vector<EquirectRect> user_views;
+  user_views.reserve(centers.size());
+  for (const auto& user_center : centers)
+    user_views.push_back(
+        Viewport(user_center, Degrees(config.fov_deg), Degrees(config.fov_deg)).area());
+
   // Block centers and view-density weights.
   std::vector<EquirectPoint> block_centers;
   std::vector<double> weights;
@@ -26,17 +71,11 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   weights.reserve(n_blocks);
   for (std::size_t r = 0; r < blocks_.rows(); ++r) {
     for (std::size_t c = 0; c < blocks_.cols(); ++c) {
-      const auto area = blocks_.tile_area(TileIndex{r, c});
-      const EquirectPoint center{
-          geometry::wrap360(geometry::Degrees(area.lon.lo + area.lon.width / 2.0)).value(),
-          (area.y_lo + area.y_hi) / 2.0};
+      const EquirectPoint center = block_center(blocks_, TileIndex{r, c});
       block_centers.push_back(center);
       double views = 0.0;
-      for (const auto& user_center : centers) {
-        if (Viewport(user_center, geometry::Degrees(config.fov_deg),
-                     geometry::Degrees(config.fov_deg))
-                .contains(center))
-          views += 1.0;
+      for (const auto& view : user_views) {
+        if (view.contains(center)) views += 1.0;
       }
       // +1 keeps unwatched blocks clusterable; view-dense blocks dominate
       // centroid placement so the hot region gets fine tiles.
@@ -79,16 +118,12 @@ std::vector<std::size_t> FtileLayout::tiles_overlapping(
     const Viewport& viewport, double min_block_fraction) const {
   PS360_CHECK(min_block_fraction >= 0.0 && min_block_fraction <= 1.0);
   std::vector<std::size_t> hits(tile_blocks_.size(), 0);
-  const auto area = viewport.area();
-  for (std::size_t b = 0; b < block_owner_.size(); ++b) {
-    const TileIndex idx{b / blocks_.cols(), b % blocks_.cols()};
-    const auto block_area = blocks_.tile_area(idx);
-    const EquirectPoint center{
-        geometry::wrap360(
-            geometry::Degrees(block_area.lon.lo + block_area.lon.width / 2.0))
-            .value(),
-        (block_area.y_lo + block_area.y_hi) / 2.0};
-    if (area.contains(center)) ++hits[block_owner_[b]];
+  const BlocksInView view = blocks_in_view(blocks_, viewport.area());
+  for (std::size_t r = 0; r < blocks_.rows(); ++r) {
+    if (!view.in_row[r]) continue;
+    for (std::size_t c = 0; c < blocks_.cols(); ++c) {
+      if (view.in_col[c]) ++hits[block_owner_[r * blocks_.cols() + c]];
+    }
   }
   std::vector<std::size_t> out;
   for (std::size_t t = 0; t < hits.size(); ++t) {
@@ -107,19 +142,15 @@ double FtileLayout::coverage(const Viewport& viewport,
     PS360_CHECK(t < tile_blocks_.size());
     selected[t] = true;
   }
-  const auto area = viewport.area();
+  const BlocksInView view = blocks_in_view(blocks_, viewport.area());
   std::size_t in_view = 0, covered = 0;
-  for (std::size_t b = 0; b < block_owner_.size(); ++b) {
-    const TileIndex idx{b / blocks_.cols(), b % blocks_.cols()};
-    const auto block_area = blocks_.tile_area(idx);
-    const EquirectPoint center{
-        geometry::wrap360(
-            geometry::Degrees(block_area.lon.lo + block_area.lon.width / 2.0))
-            .value(),
-        (block_area.y_lo + block_area.y_hi) / 2.0};
-    if (!area.contains(center)) continue;
-    ++in_view;
-    if (selected[block_owner_[b]]) ++covered;
+  for (std::size_t r = 0; r < blocks_.rows(); ++r) {
+    if (!view.in_row[r]) continue;
+    for (std::size_t c = 0; c < blocks_.cols(); ++c) {
+      if (!view.in_col[c]) continue;
+      ++in_view;
+      if (selected[block_owner_[r * blocks_.cols() + c]]) ++covered;
+    }
   }
   if (in_view == 0) return 1.0;
   return static_cast<double>(covered) / static_cast<double>(in_view);

@@ -71,13 +71,18 @@ class SchemeBase : public Scheme {
     return qo * qoe::QoModel::frame_rate_factor(alpha, frame_ratio);
   }
 
-  // Build the MPC horizon [k, k+H-1] clipped to the video end.
+  // One past the last segment of the MPC horizon [k, k+H-1] clipped to the
+  // video end.
+  std::size_t horizon_end(std::size_t k) const {
+    return std::min(k + env_.mpc_horizon, env_.workload->segment_count());
+  }
+
+  // Build the MPC horizon [k, horizon_end(k)).
   std::vector<core::SegmentChoices> build_horizon(std::size_t k, const BytesFn& bytes,
                                                   bool frame_options,
                                                   double predicted_sfov,
                                                   power::DecodeProfile profile) const {
-    const std::size_t n = env_.workload->segment_count();
-    const std::size_t end = std::min(k + env_.mpc_horizon, n);
+    const std::size_t end = horizon_end(k);
     std::vector<core::SegmentChoices> horizon;
     horizon.reserve(end - k);
     for (std::size_t i = k; i < end; ++i) {

@@ -152,25 +152,40 @@ class FtileScheme : public SchemeBase {
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
     const double L = env_.mpc.segment_seconds;
+    DownloadPlan plan;
+    plan.ftile_layout = &workload.ftile(k);
 
     // The FoV tile set is computed against each lookahead segment's own
-    // layout (layouts are per-segment server-side artifacts).
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
-      const auto& layout = workload.ftile(i);
-      const auto selected = layout.tiles_overlapping(predicted);
+    // layout (layouts are per-segment server-side artifacts). It depends on
+    // the segment alone, so it is selected once per segment, not once per
+    // (quality, frame) option.
+    struct SegmentTiles {
+      std::vector<std::size_t> selected;
       std::vector<double> hq_areas, bg_areas;
+    };
+    const std::size_t end = horizon_end(k);
+    std::vector<SegmentTiles> tiles;
+    tiles.reserve(end - k);
+    for (std::size_t i = k; i < end; ++i) {
+      const auto& layout = workload.ftile(i);
+      SegmentTiles& seg = tiles.emplace_back();
+      seg.selected = layout.tiles_overlapping(predicted);
       for (std::size_t t = 0; t < layout.tile_count(); ++t) {
         const bool is_hq =
-            std::find(selected.begin(), selected.end(), t) != selected.end();
-        (is_hq ? hq_areas : bg_areas).push_back(layout.tile_areas()[t]);
+            std::find(seg.selected.begin(), seg.selected.end(), t) != seg.selected.end();
+        (is_hq ? seg.hq_areas : seg.bg_areas).push_back(layout.tile_areas()[t]);
       }
+    }
+
+    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
+      const SegmentTiles& seg = tiles[i - k];
       double total = 0.0;
-      if (!hq_areas.empty()) {
-        total += env_.encoding->tiled_bytes(hq_areas, v, workload.features(i), L, 1.0,
+      if (!seg.hq_areas.empty()) {
+        total += env_.encoding->tiled_bytes(seg.hq_areas, v, workload.features(i), L, 1.0,
                                             noise_key(workload, i, v, fi, 2));
       }
-      if (!bg_areas.empty()) {
-        total += env_.encoding->tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
+      if (!seg.bg_areas.empty()) {
+        total += env_.encoding->tiled_bytes(seg.bg_areas, 1, workload.features(i), L, 1.0,
                                             noise_key(workload, i, 1, fi, 3));
       }
       return total;
@@ -182,12 +197,10 @@ class FtileScheme : public SchemeBase {
     const core::MpcDecision decision =
         controller_.decide(horizon, bandwidth, buffer, prev_qo);
 
-    DownloadPlan plan;
     plan.option = decision.choice;
     plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
     plan.mpc_feasible = decision.feasible;
-    plan.ftile_layout = &workload.ftile(k);
-    plan.ftile_tiles = plan.ftile_layout->tiles_overlapping(predicted);
+    plan.ftile_tiles = std::move(tiles.front().selected);
     return plan;
   }
 

@@ -9,7 +9,8 @@
 //  * per-segment Ptiles (Algorithm 1 + builder),
 //  * per-segment Ftile layouts (built lazily — they are only needed when the
 //    Ftile baseline runs, and k-means over 450 blocks per segment is the
-//    most expensive precomputation step).
+//    most expensive precomputation step: building every segment's layout
+//    costs about 1.5-1.7x the rest of this constructor, per DESIGN.md §17).
 #pragma once
 
 #include <memory>

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/check.h"
 #include "util/csv.h"
@@ -13,12 +14,28 @@ namespace ps360::trace {
 
 using geometry::EquirectPoint;
 
+namespace {
+
+void check_finite_sample(std::size_t index, double t, double x, double y) {
+  PS360_CHECK_MSG(std::isfinite(t) && std::isfinite(x) && std::isfinite(y),
+                  "head trace sample " + std::to_string(index) +
+                      " has a non-finite t, x or y");
+}
+
+bool sample_before(const HeadSample& s, double t) { return s.t < t; }
+bool sample_after(double t, const HeadSample& s) { return t < s.t; }
+
+}  // namespace
+
 HeadTrace::HeadTrace(int video_id, int user_id, std::vector<HeadSample> samples)
     : video_id_(video_id), user_id_(user_id), samples_(std::move(samples)) {
   PS360_CHECK_MSG(!samples_.empty(), "head trace must have samples");
-  for (std::size_t i = 1; i < samples_.size(); ++i) {
-    PS360_CHECK_MSG(samples_[i].t > samples_[i - 1].t,
-                    "head trace timestamps must be strictly increasing");
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    const HeadSample& s = samples_[i];
+    check_finite_sample(i, s.t, s.center.x, s.center.y);
+    if (i > 0)
+      PS360_CHECK_MSG(s.t > samples_[i - 1].t,
+                      "head trace timestamps must be strictly increasing");
   }
 }
 
@@ -39,9 +56,7 @@ EquirectPoint lerp_center(const EquirectPoint& a, const EquirectPoint& b, double
 EquirectPoint HeadTrace::center_at(double t) const {
   if (t <= samples_.front().t) return samples_.front().center;
   if (t >= samples_.back().t) return samples_.back().center;
-  const auto it = std::lower_bound(
-      samples_.begin(), samples_.end(), t,
-      [](const HeadSample& s, double value) { return s.t < value; });
+  const auto it = std::lower_bound(samples_.begin(), samples_.end(), t, sample_before);
   const auto& hi = *it;
   const auto& lo = *(it - 1);
   const double frac = (t - lo.t) / (hi.t - lo.t);
@@ -52,13 +67,18 @@ geometry::Viewport HeadTrace::viewport_at(double t, util::Degrees fov) const {
   return geometry::Viewport(center_at(t), fov, fov);
 }
 
-EquirectPoint HeadTrace::mean_center(double t0, double t1) const {
+std::span<const HeadSample> HeadTrace::samples_in(double t0, double t1) const {
   PS360_CHECK(t1 >= t0);
+  const auto first = std::lower_bound(samples_.begin(), samples_.end(), t0, sample_before);
+  const auto last = std::upper_bound(first, samples_.end(), t1, sample_after);
+  return {first, last};
+}
+
+EquirectPoint HeadTrace::mean_center(double t0, double t1) const {
   // Circular mean on x via unit-vector averaging; plain mean on y.
   double sx = 0.0, sy = 0.0, y_sum = 0.0;
   std::size_t n = 0;
-  for (const auto& s : samples_) {
-    if (s.t < t0 || s.t > t1) continue;
+  for (const auto& s : samples_in(t0, t1)) {
     const double rad = geometry::to_radians(geometry::Degrees(s.center.x)).value();
     sx += std::cos(rad);
     sy += std::sin(rad);
@@ -82,20 +102,16 @@ double HeadTrace::switching_speed(double t0, double t1) const {
   // per consecutive sample pair and aggregated).
   double path_deg = 0.0;
   geometry::Vec3 prev = center_at(t0).orientation();
-  double prev_t = t0;
-  bool any = false;
-  for (const auto& s : samples_) {
-    if (s.t <= t0 || s.t >= t1) continue;
-    const geometry::Vec3 cur = s.center.orientation();
+  // The samples strictly inside (t0, t1); the endpoints are interpolated.
+  const auto first = std::upper_bound(samples_.begin(), samples_.end(), t0, sample_after);
+  const auto last = std::lower_bound(first, samples_.end(), t1, sample_before);
+  for (auto it = first; it != last; ++it) {
+    const geometry::Vec3 cur = it->center.orientation();
     path_deg += geometry::angular_distance(prev, cur).value();
     prev = cur;
-    prev_t = s.t;
-    any = true;
   }
-  const geometry::Vec3 last = center_at(t1).orientation();
-  path_deg += geometry::angular_distance(prev, last).value();
-  (void)prev_t;
-  (void)any;
+  const geometry::Vec3 end = center_at(t1).orientation();
+  path_deg += geometry::angular_distance(prev, end).value();
   return path_deg / (t1 - t0);
 }
 
@@ -130,7 +146,10 @@ HeadTrace load_head_trace(const std::filesystem::path& path, int video_id, int u
   const std::size_t cy = table.column("y");
   std::vector<HeadSample> samples;
   samples.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    const auto& row = table.rows[i];
+    // Checked before EquirectPoint::make so the message names the sample.
+    check_finite_sample(i, row[ct], row[cx], row[cy]);
     samples.push_back(
         HeadSample{row[ct], geometry::EquirectPoint::make(geometry::Degrees(row[cx]),
                                                           geometry::Degrees(row[cy]))});

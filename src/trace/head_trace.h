@@ -9,6 +9,7 @@
 #pragma once
 
 #include <filesystem>
+#include <span>
 #include <vector>
 
 #include "geometry/viewport.h"
@@ -23,13 +24,17 @@ struct HeadSample {
 
 class HeadTrace {
  public:
-  // Samples must be non-empty and strictly increasing in time.
+  // Samples must be non-empty, finite and strictly increasing in time.
   HeadTrace(int video_id, int user_id, std::vector<HeadSample> samples);
 
   int video_id() const { return video_id_; }
   int user_id() const { return user_id_; }
   const std::vector<HeadSample>& samples() const { return samples_; }
   double duration() const { return samples_.back().t; }
+
+  // The samples with t in the closed window [t0, t1] (t0 <= t1), in time
+  // order; binary-searched, so the cost is the window's, not the trace's.
+  std::span<const HeadSample> samples_in(double t0, double t1) const;
 
   // Viewing center at time t (clamped to the trace's time range), linearly
   // interpolated with longitude-wraparound awareness.

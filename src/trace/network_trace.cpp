@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/check.h"
 #include "util/csv.h"
@@ -15,8 +16,11 @@ namespace ps360::trace {
 NetworkTrace::NetworkTrace(std::vector<ThroughputSample> samples)
     : samples_(std::move(samples)) {
   PS360_CHECK_MSG(!samples_.empty(), "network trace must have samples");
-  PS360_CHECK_MSG(samples_.front().t >= 0.0, "trace must start at t >= 0");
   for (std::size_t i = 0; i < samples_.size(); ++i) {
+    PS360_CHECK_MSG(std::isfinite(samples_[i].t) && std::isfinite(samples_[i].mbps),
+                    "network trace sample " + std::to_string(i) +
+                        " has a non-finite t or mbps");
+    if (i == 0) PS360_CHECK_MSG(samples_[i].t >= 0.0, "trace must start at t >= 0");
     PS360_CHECK_MSG(samples_[i].mbps > 0.0, "throughput must be positive");
     if (i > 0)
       PS360_CHECK_MSG(samples_[i].t > samples_[i - 1].t,

@@ -23,7 +23,8 @@ struct ThroughputSample {
 
 class NetworkTrace {
  public:
-  // Samples must be non-empty, strictly increasing in t, positive in mbps.
+  // Samples must be non-empty, finite, strictly increasing in t, positive in
+  // mbps.
   // The last sample is assumed to last as long as the one before it (1 s for
   // a single-sample trace), so the trace covers [first.t, end_time()).
   explicit NetworkTrace(std::vector<ThroughputSample> samples);

@@ -3,7 +3,11 @@
 // tile grid.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "geometry/angles.h"
 #include "geometry/tile_grid.h"
@@ -22,6 +26,52 @@ TEST(AnglesTest, Wrap360) {
   EXPECT_DOUBLE_EQ(wrap360(Degrees(725.0)).value(), 5.0);
   EXPECT_GE(wrap360(Degrees(-1e-13)).value(), 0.0);
   EXPECT_LT(wrap360(Degrees(359.9999999)).value(), 360.0);
+}
+
+// wrap360 and wrap_delta as they were before the in-range fmod skip: fmod
+// on every input.
+double wrap360_plain_fmod(double deg) {
+  double w = std::fmod(deg, kDegreesPerTurn);
+  if (w < 0.0) w += kDegreesPerTurn;
+  if (w >= kDegreesPerTurn) w = 0.0;
+  return w;
+}
+
+double wrap_delta_plain_fmod(double a, double b) {
+  double d = std::fmod(a - b, kDegreesPerTurn);
+  if (d > 180.0) d -= kDegreesPerTurn;
+  if (d <= -180.0) d += kDegreesPerTurn;
+  return d;
+}
+
+TEST(AnglesTest, WrapMatchesPlainFmodBitForBit) {
+  const double below_turn = std::nextafter(360.0, 0.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> inputs = {0.0,   -0.0,  below_turn, -below_turn, 360.0, -360.0,
+                                725.0, -1e-13, 1e300,     -1e300,      inf,   -inf,
+                                nan,   180.0, -180.0,     359.5,       -720.0};
+  util::Rng rng(8);
+  for (int i = 0; i < 2000; ++i) inputs.push_back(rng.uniform(-1100.0, 1100.0));
+  const auto same = [](double got, double want) {
+    if (std::isnan(want)) return std::isnan(got);
+    return std::bit_cast<std::uint64_t>(got) == std::bit_cast<std::uint64_t>(want);
+  };
+  for (const double a : inputs) {
+    EXPECT_TRUE(same(wrap360(Degrees(a)).value(), wrap360_plain_fmod(a))) << a;
+    for (const double b : {0.0, -0.0, 10.0, 350.0, -360.0, a}) {
+      EXPECT_TRUE(same(wrap_delta(Degrees(a), Degrees(b)).value(),
+                       wrap_delta_plain_fmod(a, b)))
+          << a << " - " << b;
+    }
+  }
+  // The sign of zero survives exactly as fmod leaves it.
+  EXPECT_FALSE(std::signbit(wrap360(Degrees(0.0)).value()));
+  EXPECT_TRUE(std::signbit(wrap360(Degrees(-0.0)).value()));
+  EXPECT_TRUE(std::signbit(wrap_delta(Degrees(-0.0), Degrees(0.0)).value()));
+  EXPECT_FALSE(std::signbit(wrap_delta(Degrees(0.0), Degrees(-0.0)).value()));
+  EXPECT_TRUE(std::isnan(wrap360(Degrees(inf)).value()));
+  EXPECT_TRUE(std::isnan(wrap360(Degrees(nan)).value()));
 }
 
 TEST(AnglesTest, WrapDeltaShortestPath) {
@@ -80,6 +130,12 @@ TEST(EquirectPointTest, MakeWrapsAndValidates) {
   EXPECT_DOUBLE_EQ(p.x, 10.0);
   EXPECT_THROW(EquirectPoint::make(Degrees(0.0), Degrees(181.0)), std::invalid_argument);
   EXPECT_THROW(EquirectPoint::make(Degrees(0.0), Degrees(-1.0)), std::invalid_argument);
+  // wrap360(±inf) is NaN, which would slip through as a longitude.
+  for (const double lon : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(EquirectPoint::make(Degrees(lon), Degrees(90.0)), std::invalid_argument);
+  }
 }
 
 TEST(EquirectPointTest, WrappedDistanceHonoursSeam) {

@@ -4,7 +4,9 @@
 // robust competitor allocator.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "predict/bandwidth.h"
 #include "predict/bandwidth_estimators.h"
@@ -13,6 +15,7 @@
 #include "predict/visibility.h"
 #include "trace/head_synth.h"
 #include "trace/video_catalog.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace ps360::predict {
@@ -109,6 +112,82 @@ TEST(ViewportPredictorTest, RecentSwitchingSpeedTracksMotion) {
   EXPECT_NEAR(predictor.recent_switching_speed(fast, 5.0), 40.0, 2.0);
   EXPECT_NEAR(predictor.recent_switching_speed(slow, 5.0), 2.0, 1.0);
   EXPECT_DOUBLE_EQ(predictor.recent_switching_speed(fast, 0.0), 0.0);
+}
+
+// predict() before its window was binary-searched scanned the whole trace
+// for the samples in [now - W, now]. Everything after the window (unwrap,
+// ridge fit, extrapolation) is unchanged, so the reference feeds the
+// scanned window to the predictor as a trace of its own; a window too short
+// to fit holds the full trace's center, as predict() does.
+geometry::EquirectPoint predict_full_scan(const ViewportPredictor& predictor,
+                                          const HeadTrace& trace, double now,
+                                          double target) {
+  const double t0 = now - predictor.config().history_seconds;
+  std::vector<HeadSample> window;
+  for (const auto& s : trace.samples()) {
+    if (s.t < t0 || s.t > now) continue;
+    window.push_back(s);
+  }
+  if (window.size() < predictor.config().poly_degree + 1) return trace.center_at(now);
+  return predictor.predict(HeadTrace(trace.video_id(), trace.user_id(), std::move(window)),
+                           now, target);
+}
+
+// Irregular gaps of 1/64 to 2 s on a dyadic time grid, so now - W lands
+// exactly on a sample time when now = sample + W; the longitude random-walks
+// across the 0/360 seam.
+HeadTrace sparse_dyadic_trace(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<HeadSample> samples;
+  double t = 0.5, x = 340.0;
+  for (int i = 0; i < 150; ++i) {
+    x += rng.uniform(-30.0, 30.0);
+    samples.push_back(HeadSample{t, geometry::EquirectPoint::make(
+                                        geometry::Degrees(x),
+                                        geometry::Degrees(rng.uniform(10.0, 170.0)))});
+    t += static_cast<double>(1 + rng.uniform_index(128)) / 64.0;
+  }
+  return HeadTrace(1, 0, std::move(samples));
+}
+
+TEST(ViewportPredictorTest, WindowMatchesFullScanReference) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  trace::VideoInfo video = trace::test_videos()[4];
+  video.duration_s = 20.0;
+  const HeadTrace dense = trace::HeadTraceSynthesizer().synthesize(video, 2);
+  const HeadTrace sparse = sparse_dyadic_trace(5);
+  util::Rng rng(31);
+  for (const HeadTrace* trace : {&dense, &sparse}) {
+    const auto& s = trace->samples();
+    for (const double history : {0.5, 1.0, 2.5}) {
+      for (const std::size_t degree : {1u, 2u}) {
+        ViewportPredictorConfig config;
+        config.history_seconds = history;
+        config.poly_degree = degree;
+        const ViewportPredictor predictor(config);
+        // Before the first and after the last sample, then seeded times:
+        // on a sample (t1 exact), one window after a sample (t0 exact), and
+        // anywhere.
+        std::vector<double> nows = {s.front().t - 3.0, s.front().t - history,
+                                    s.front().t,       s.back().t,
+                                    s.back().t + 0.3,  s.back().t + history,
+                                    s.back().t + 5.0};
+        for (int k = 0; k < 120; ++k) {
+          const double sample_t = s[rng.uniform_index(s.size())].t;
+          nows.push_back(k % 3 == 0   ? sample_t
+                         : k % 3 == 1 ? sample_t + history
+                                      : rng.uniform(s.front().t - 1.0, s.back().t + 1.0));
+        }
+        for (const double now : nows) {
+          const double target = now + rng.uniform(0.0, 5.0);
+          const auto got = predictor.predict(*trace, now, target);
+          const auto want = predict_full_scan(predictor, *trace, now, target);
+          ASSERT_EQ(bits(got.x), bits(want.x)) << "now " << now << " W " << history;
+          ASSERT_EQ(bits(got.y), bits(want.y)) << "now " << now << " W " << history;
+        }
+      }
+    }
+  }
 }
 
 TEST(ViewportPredictorTest, ConfigValidation) {

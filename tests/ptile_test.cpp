@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "ptile/clusterer.h"
@@ -11,6 +13,7 @@
 #include "ptile/heatmap.h"
 #include "ptile/kmeans.h"
 #include "ptile/ptile.h"
+#include "trace/head_synth.h"
 #include "util/rng.h"
 
 namespace ps360::ptile {
@@ -406,6 +409,130 @@ TEST(FtileLayoutTest, DeterministicForSeed) {
   const FtileLayout b(centers, FtileLayoutConfig{});
   ASSERT_EQ(a.tile_count(), b.tile_count());
   EXPECT_EQ(a.tile_areas(), b.tile_areas());
+}
+
+// The per-block loops tiles_overlapping() and coverage() ran before they
+// tested rows and columns separately: every one of the 450 blocks rebuilds
+// its own rect and center and tests it against the viewport. The block
+// owners come from the public tile_blocks().
+struct PerBlockReference {
+  geometry::TileGrid blocks;
+  std::vector<std::size_t> block_owner;
+
+  PerBlockReference(const FtileLayout& layout, const FtileLayoutConfig& config)
+      : blocks(config.block_rows, config.block_cols),
+        block_owner(blocks.tile_count(), layout.tile_count()) {
+    for (std::size_t t = 0; t < layout.tile_count(); ++t) {
+      for (const auto& idx : layout.tile_blocks()[t])
+        block_owner[idx.row * blocks.cols() + idx.col] = t;
+    }
+  }
+
+  bool block_in_view(std::size_t b, const geometry::EquirectRect& area) const {
+    const geometry::TileIndex idx{b / blocks.cols(), b % blocks.cols()};
+    const auto block_area = blocks.tile_area(idx);
+    const EquirectPoint center{
+        geometry::wrap360(
+            geometry::Degrees(block_area.lon.lo + block_area.lon.width / 2.0))
+            .value(),
+        (block_area.y_lo + block_area.y_hi) / 2.0};
+    return area.contains(center);
+  }
+
+  std::vector<std::size_t> tiles_overlapping(const FtileLayout& layout, const Viewport& vp,
+                                             double min_block_fraction) const {
+    std::vector<std::size_t> hits(layout.tile_count(), 0);
+    const auto area = vp.area();
+    for (std::size_t b = 0; b < block_owner.size(); ++b) {
+      if (block_in_view(b, area)) ++hits[block_owner[b]];
+    }
+    std::vector<std::size_t> out;
+    for (std::size_t t = 0; t < hits.size(); ++t) {
+      if (hits[t] == 0) continue;
+      const double fraction = static_cast<double>(hits[t]) /
+                              static_cast<double>(layout.tile_blocks()[t].size());
+      if (fraction >= min_block_fraction) out.push_back(t);
+    }
+    return out;
+  }
+
+  double coverage(const FtileLayout& layout, const Viewport& vp,
+                  const std::vector<std::size_t>& tile_ids) const {
+    std::vector<bool> selected(layout.tile_count(), false);
+    for (std::size_t t : tile_ids) selected[t] = true;
+    const auto area = vp.area();
+    std::size_t in_view = 0, covered = 0;
+    for (std::size_t b = 0; b < block_owner.size(); ++b) {
+      if (!block_in_view(b, area)) continue;
+      ++in_view;
+      if (selected[block_owner[b]]) ++covered;
+    }
+    if (in_view == 0) return 1.0;
+    return static_cast<double>(covered) / static_cast<double>(in_view);
+  }
+};
+
+// A viewport center and FoV drawn to hit the awkward cases: the 0/360 seam,
+// both poles, and edges that land exactly on block centers (block centers
+// sit on a 12 x 12 degree lattice offset by 6, so a center on a multiple of
+// 6 with a FoV that is a multiple of 12 puts its edges on that lattice).
+Viewport draw_viewport(util::Rng& rng) {
+  double x = rng.uniform(0.0, 360.0);
+  double y = rng.uniform(0.0, 180.0);
+  double fov = rng.uniform(60.0, 120.0);
+  switch (rng.uniform_index(5)) {
+    case 0:  // across the seam
+      x = rng.uniform(-20.0, 20.0);
+      break;
+    case 1:  // near a pole
+      y = rng.uniform_index(2) == 0 ? rng.uniform(0.0, 15.0) : rng.uniform(165.0, 180.0);
+      break;
+    case 2:  // edges on the block-center lattice
+      x = 6.0 * static_cast<double>(rng.uniform_index(61));
+      y = 6.0 * static_cast<double>(rng.uniform_index(31));
+      fov = 12.0 * static_cast<double>(5 + rng.uniform_index(6));
+      break;
+    default:
+      break;
+  }
+  return Viewport(EquirectPoint::make(geometry::Degrees(x), geometry::Degrees(y)),
+                  geometry::Degrees(fov), geometry::Degrees(fov));
+}
+
+TEST(FtileLayoutTest, RowColumnContainmentMatchesPerBlockReference) {
+  const trace::HeadTraceSynthesizer synth;
+  const FtileLayoutConfig config;
+  util::Rng rng(2024);
+  std::size_t viewports = 0;
+  for (const std::size_t video : {0u, 6u}) {
+    trace::VideoInfo info = trace::test_videos()[video];
+    info.duration_s = 6.0;
+    const auto traces = synth.synthesize_all(info, trace::kTrainingUsers);
+    for (const double t0 : {0.0, 3.0, 5.0}) {
+      std::vector<EquirectPoint> centers;
+      for (const auto& trace : traces) centers.push_back(trace.mean_center(t0, t0 + 1.0));
+      const FtileLayout layout(centers, config);
+      const PerBlockReference reference(layout, config);
+      for (int i = 0; i < 100; ++i, ++viewports) {
+        const Viewport vp = draw_viewport(rng);
+        for (const double fraction : {0.0, 0.2, 1.0}) {
+          const auto selected = layout.tiles_overlapping(vp, fraction);
+          ASSERT_EQ(selected, reference.tiles_overlapping(layout, vp, fraction))
+              << "video " << video << " t0 " << t0 << " viewport " << i;
+          const double got = layout.coverage(vp, selected);
+          const double want = reference.coverage(layout, vp, selected);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want));
+        }
+        std::vector<std::size_t> subset;
+        for (std::size_t t = 0; t < layout.tile_count(); ++t) {
+          if (rng.uniform_index(2) == 0) subset.push_back(t);
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(layout.coverage(vp, subset)),
+                  std::bit_cast<std::uint64_t>(reference.coverage(layout, vp, subset)));
+      }
+    }
+  }
+  EXPECT_GE(viewports, 500u);
 }
 
 // ----------------------------------------------------------------- Heatmap

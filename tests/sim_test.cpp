@@ -3,10 +3,14 @@
 // energy/QoE accounting, determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "sim/experiment.h"
+#include "sim/scheme_base.h"
 #include "sim/session.h"
 
 namespace ps360::sim {
@@ -260,6 +264,95 @@ TEST(SchemeTest, FtileDownloadsSubsetOfTiles) {
   EXPECT_LT(plan.ftile_tiles.size(), plan.ftile_layout->tile_count());
   for (std::size_t t : plan.ftile_tiles) {
     EXPECT_LT(t, plan.ftile_layout->tile_count());
+  }
+}
+
+// Ftile's plan() as it was before tile selection moved out of the bytes
+// function: every (segment, quality) option re-selects the FoV tiles
+// against its segment's layout and rebuilds the area lists.
+class PerOptionFtileReference : public SchemeBase {
+ public:
+  explicit PerOptionFtileReference(const SchemeEnv& env)
+      : SchemeBase(SchemeKind::kFtile, env),
+        controller_(env.mpc, *env.device, core::MpcObjective::kMaxQoE) {}
+
+  void attach_observer(obs::Observer*, std::uint32_t) override {}
+
+  DownloadPlan plan(std::size_t k, const geometry::Viewport& predicted,
+                    double predicted_sfov, util::BytesPerSec bandwidth,
+                    util::Seconds buffer, double prev_qo) const override {
+    const auto& workload = *env_.workload;
+    const double L = env_.mpc.segment_seconds;
+    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
+      const auto& layout = workload.ftile(i);
+      const auto selected = layout.tiles_overlapping(predicted);
+      std::vector<double> hq_areas, bg_areas;
+      for (std::size_t t = 0; t < layout.tile_count(); ++t) {
+        const bool is_hq =
+            std::find(selected.begin(), selected.end(), t) != selected.end();
+        (is_hq ? hq_areas : bg_areas).push_back(layout.tile_areas()[t]);
+      }
+      double total = 0.0;
+      if (!hq_areas.empty()) {
+        total += env_.encoding->tiled_bytes(hq_areas, v, workload.features(i), L, 1.0,
+                                            noise_key(workload, i, v, fi, 2));
+      }
+      if (!bg_areas.empty()) {
+        total += env_.encoding->tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
+                                            noise_key(workload, i, 1, fi, 3));
+      }
+      return total;
+    };
+    const auto horizon = build_horizon(k, bytes, /*frame_options=*/false,
+                                       predicted_sfov, power::DecodeProfile::kFtile);
+    const core::MpcDecision decision =
+        controller_.decide(horizon, bandwidth, buffer, prev_qo);
+    DownloadPlan plan;
+    plan.option = decision.choice;
+    plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
+    plan.mpc_feasible = decision.feasible;
+    plan.ftile_layout = &workload.ftile(k);
+    plan.ftile_tiles = plan.ftile_layout->tiles_overlapping(predicted);
+    return plan;
+  }
+
+  double coverage(const DownloadPlan&, const geometry::Viewport&) const override {
+    return 0.0;
+  }
+
+ private:
+  core::MpcController controller_;
+};
+
+TEST(SchemeTest, FtilePlanMatchesPerOptionReference) {
+  const PlannerFixture fixture;
+  const auto& workload = football_workload();
+  const auto scheme = make_scheme(SchemeKind::kFtile, fixture.env);
+  const PerOptionFtileReference reference(fixture.env);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::size_t n = workload.segment_count();
+  // Every 7th segment plus the last few, whose horizons are clipped.
+  std::vector<std::size_t> segments;
+  for (std::size_t k = 0; k < n; k += 7) segments.push_back(k);
+  for (std::size_t k = n - 4; k < n; ++k) segments.push_back(k);
+  for (const std::size_t k : segments) {
+    const auto& trace = workload.test_trace(k % workload.test_user_count());
+    const double fov = 100.0 + static_cast<double>(k % 3) * 10.0;
+    const geometry::Viewport predicted(trace.center_at(static_cast<double>(k)),
+                                       geometry::Degrees(fov), geometry::Degrees(100.0));
+    const util::Seconds buffer(k % 2 == 0 ? 0.5 : 3.0);
+    for (const double bandwidth : {150e3, 600e3, 3e6}) {
+      const util::BytesPerSec rate(bandwidth);
+      const DownloadPlan got = scheme->plan(k, predicted, 12.0, rate, buffer, 40.0);
+      const DownloadPlan want = reference.plan(k, predicted, 12.0, rate, buffer, 40.0);
+      ASSERT_EQ(got.option.quality, want.option.quality) << "segment " << k;
+      ASSERT_EQ(got.option.frame_index, want.option.frame_index) << "segment " << k;
+      ASSERT_EQ(bits(got.option.bytes), bits(want.option.bytes)) << "segment " << k;
+      ASSERT_EQ(bits(got.option.qo), bits(want.option.qo)) << "segment " << k;
+      ASSERT_EQ(got.mpc_feasible, want.mpc_feasible) << "segment " << k;
+      ASSERT_EQ(got.ftile_layout, want.ftile_layout) << "segment " << k;
+      ASSERT_EQ(got.ftile_tiles, want.ftile_tiles) << "segment " << k;
+    }
   }
 }
 

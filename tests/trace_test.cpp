@@ -4,14 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "trace/dataset.h"
 #include "trace/head_synth.h"
 #include "trace/head_trace.h"
 #include "trace/network_trace.h"
 #include "trace/video_catalog.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace ps360::trace {
@@ -122,6 +128,175 @@ TEST(HeadTraceTest, CsvRoundTrip) {
   std::filesystem::remove(path);
 }
 
+void write_text_file(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+}
+
+// Expects `fn` to throw E with a message containing `needle`.
+template <typename E, typename Fn>
+void expect_throw_naming(Fn fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a throw naming '" << needle << "'";
+  } catch (const E& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(HeadTraceTest, RejectsNonFiniteSamples) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto with = [](std::size_t index, HeadSample bad) {
+    auto samples = ramp_samples();
+    samples[index] = bad;
+    return samples;
+  };
+  // A lone NaN sample, an infinite last timestamp and a NaN longitude all
+  // passed the strictly-increasing check before.
+  expect_throw_naming<std::invalid_argument>(
+      [&] { HeadTrace(1, 0, {HeadSample{nan, {}}}); }, "head trace sample 0");
+  expect_throw_naming<std::invalid_argument>(
+      [&] { HeadTrace(1, 0, with(100, HeadSample{inf, {}})); }, "head trace sample 100");
+  expect_throw_naming<std::invalid_argument>(
+      [&] { HeadTrace(1, 0, with(3, HeadSample{0.3, {nan, 90.0}})); }, "head trace sample 3");
+  expect_throw_naming<std::invalid_argument>(
+      [&] { HeadTrace(1, 0, with(4, HeadSample{0.4, {10.0, -inf}})); }, "head trace sample 4");
+}
+
+TEST(HeadTraceTest, LoadRejectsNonFiniteCells) {
+  const auto path = std::filesystem::temp_directory_path() / "ps360_head_nonfinite.csv";
+  for (const char* row :
+       {"nan,10,90", "3,inf,90", "3,-inf,90", "3,10,nan", "inf,10,90", "3,nan,nan"}) {
+    write_text_file(path, std::string("t,x,y\n0,10,90\n1,11,90\n") + row + "\n");
+    expect_throw_naming<std::invalid_argument>([&] { load_head_trace(path, 1, 0); },
+                                               "head trace sample 2");
+  }
+  std::filesystem::remove(path);
+}
+
+// mean_center and switching_speed as they were before their windows were
+// binary-searched: a scan of the whole trace that tests every sample
+// against the window. The rewritten methods must match them bit for bit.
+geometry::EquirectPoint mean_center_full_scan(const HeadTrace& trace, double t0,
+                                              double t1) {
+  double sx = 0.0, sy = 0.0, y_sum = 0.0;
+  std::size_t n = 0;
+  for (const auto& s : trace.samples()) {
+    if (s.t < t0 || s.t > t1) continue;
+    const double rad = geometry::to_radians(geometry::Degrees(s.center.x)).value();
+    sx += std::cos(rad);
+    sy += std::sin(rad);
+    y_sum += s.center.y;
+    ++n;
+  }
+  if (n == 0) return trace.center_at((t0 + t1) / 2.0);
+  double x;
+  if (sx == 0.0 && sy == 0.0) {
+    x = trace.center_at((t0 + t1) / 2.0).x;
+  } else {
+    x = geometry::wrap360(geometry::to_degrees(geometry::Radians(std::atan2(sy, sx))))
+            .value();
+  }
+  return geometry::EquirectPoint{x, y_sum / static_cast<double>(n)};
+}
+
+double switching_speed_full_scan(const HeadTrace& trace, double t0, double t1) {
+  double path_deg = 0.0;
+  geometry::Vec3 prev = trace.center_at(t0).orientation();
+  for (const auto& s : trace.samples()) {
+    if (s.t <= t0 || s.t >= t1) continue;
+    const geometry::Vec3 cur = s.center.orientation();
+    path_deg += geometry::angular_distance(prev, cur).value();
+    prev = cur;
+  }
+  const geometry::Vec3 last = trace.center_at(t1).orientation();
+  path_deg += geometry::angular_distance(prev, last).value();
+  return path_deg / (t1 - t0);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Windows over a trace's sample times: endpoints exactly on samples,
+// windows before the first and after the last sample, windows holding zero
+// or one sample (endpoints strictly between neighbours), and random spans.
+std::vector<std::pair<double, double>> seeded_windows(const HeadTrace& trace,
+                                                      std::uint64_t seed) {
+  const auto& s = trace.samples();
+  const double first = s.front().t, last = s.back().t;
+  std::vector<std::pair<double, double>> windows = {
+      {first - 3.0, first - 1.0}, {first - 1.0, first},  {first - 2.0, first + 0.5},
+      {last + 1.0, last + 2.0},   {last, last + 1.0},    {last - 0.5, last + 3.0},
+      {first, last},              {first - 1.0, last + 1.0}};
+  util::Rng rng(seed);
+  for (int k = 0; k < 300; ++k) {
+    const std::size_t i = rng.uniform_index(s.size() - 1);
+    const double gap = s[i + 1].t - s[i].t;
+    switch (k % 4) {
+      case 0: {  // both endpoints on sample times
+        const std::size_t span = std::min<std::size_t>(60, s.size() - 1 - i);
+        const std::size_t j = i + 1 + rng.uniform_index(span);
+        windows.emplace_back(s[i].t, s[j].t);
+        break;
+      }
+      case 1:  // zero samples: strictly between two neighbours
+        windows.emplace_back(s[i].t + 0.25 * gap, s[i].t + 0.75 * gap);
+        break;
+      case 2:  // exactly one sample, not on an endpoint
+        windows.emplace_back(s[i + 1].t - 0.5 * gap, s[i + 1].t + 1e-9);
+        break;
+      default: {  // random span anywhere around the trace
+        const double t0 = rng.uniform(first - 2.0, last + 2.0);
+        windows.emplace_back(t0, t0 + rng.uniform(1e-6, 3.0));
+        break;
+      }
+    }
+  }
+  return windows;
+}
+
+// A sparse trace with irregular gaps (0.05-2 s) whose longitude random-walks
+// across the 0/360 seam. Every other sample's longitude is scaled down by
+// 100, so neighbours differ in magnitude and interpolating exactly onto a
+// sample time rounds: whether a window keeps its endpoint sample then shows
+// in the bits, as it would not on a smooth trace.
+HeadTrace irregular_trace(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<HeadSample> samples;
+  double t = 0.3, x = 350.0;
+  for (int i = 0; i < 200; ++i) {
+    x += rng.uniform(-40.0, 40.0);
+    samples.push_back(HeadSample{t, geometry::EquirectPoint::make(
+                                        geometry::Degrees(i % 2 == 0 ? x : 0.01 * x),
+                                        geometry::Degrees(rng.uniform(0.0, 180.0)))});
+    t += rng.uniform(0.05, 2.0);
+  }
+  return HeadTrace(1, 0, std::move(samples));
+}
+
+TEST(HeadTraceTest, WindowsMatchFullScanReference) {
+  VideoInfo video = test_videos()[2];
+  video.duration_s = 20.0;
+  const HeadTrace synthesized = HeadTraceSynthesizer().synthesize(video, 5);
+  const HeadTrace irregular = irregular_trace(77);
+  for (const HeadTrace* trace : {&synthesized, &irregular}) {
+    for (const auto& [t0, t1] : seeded_windows(*trace, 99)) {
+      const auto got = trace->mean_center(t0, t1);
+      const auto want = mean_center_full_scan(*trace, t0, t1);
+      ASSERT_EQ(bits(got.x), bits(want.x)) << "[" << t0 << ", " << t1 << "]";
+      ASSERT_EQ(bits(got.y), bits(want.y)) << "[" << t0 << ", " << t1 << "]";
+      ASSERT_EQ(bits(trace->switching_speed(t0, t1)),
+                bits(switching_speed_full_scan(*trace, t0, t1)))
+          << "(" << t0 << ", " << t1 << ")";
+      // A zero-width window holds at most the one sample it sits on.
+      const auto point = trace->mean_center(t0, t0);
+      const auto point_want = mean_center_full_scan(*trace, t0, t0);
+      ASSERT_EQ(bits(point.x), bits(point_want.x));
+      ASSERT_EQ(bits(point.y), bits(point_want.y));
+    }
+  }
+}
+
 // -------------------------------------------------------- HeadSynthesizer
 
 TEST(HeadSynthTest, DeterministicPerSeedAndUser) {
@@ -217,6 +392,29 @@ TEST(NetworkTraceTest, ValidatesInput) {
   EXPECT_THROW(NetworkTrace({}), std::invalid_argument);
   EXPECT_THROW(NetworkTrace({{0.0, 1.0}, {0.0, 2.0}}), std::invalid_argument);
   EXPECT_THROW(NetworkTrace({{0.0, 0.0}}), std::invalid_argument);
+}
+
+TEST(NetworkTraceTest, RejectsNonFiniteSamples) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_throw_naming<std::invalid_argument>(
+      [&] { NetworkTrace({{nan, 4.0}}); }, "network trace sample 0");
+  expect_throw_naming<std::invalid_argument>(
+      [&] { NetworkTrace({{0.0, 4.0}, {1.0, inf}}); }, "network trace sample 1");
+  // An infinite last timestamp is still strictly increasing.
+  expect_throw_naming<std::invalid_argument>(
+      [&] { NetworkTrace({{0.0, 4.0}, {1.0, 4.0}, {inf, 4.0}}); },
+      "network trace sample 2");
+}
+
+TEST(NetworkTraceTest, LoadRejectsNonFiniteCells) {
+  const auto path = std::filesystem::temp_directory_path() / "ps360_net_nonfinite.csv";
+  for (const char* row : {"nan,4", "inf,4", "2,inf", "2,nan", "2,-inf"}) {
+    write_text_file(path, std::string("t,mbps\n0,4\n1,5\n") + row + "\n");
+    expect_throw_naming<std::runtime_error>([&] { load_network_trace(path); },
+                                            "network trace sample 2");
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(NetworkTraceTest, ThroughputAtPiecewiseConstant) {
