@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the fleet engine: end-to-end fleets
-// of 1 to 1M MPC clients over a shared bottleneck (serial and sharded
-// engine, see DESIGN.md §15), plus the SharedLink water-filling step in
-// isolation.
+// of 1 to 1M MPC clients over a shared bottleneck (serial engine and
+// speculative solve workers, see DESIGN.md §15), plus SharedLink's
+// start/finish churn in isolation.
 //
 // The fleet rows are a tracked perf trajectory next to the MPC solver: CI
 // emits machine-readable results with
@@ -60,10 +60,10 @@ trace::NetworkTrace bench_link(std::size_t sessions) {
 }
 
 // (sessions, shards): shards=1 is the serial engine, 0 resolves like
-// sim::resolve_thread_count (PS360_THREADS, else hardware concurrency).
-// Output is bit-identical across the shard axis (the fleet_shard_test
-// battery enforces it), so the serial/sharded delta at equal sessions is
-// pure wall-clock speedup from speculative MPC solves.
+// sim::resolve_thread_count (PS360_THREADS, else hardware concurrency) solve
+// workers. Output is bit-identical across the shard axis (the
+// fleet_shard_test battery enforces it), so the serial/sharded delta at
+// equal sessions is pure wall-clock speedup from speculative MPC solves.
 void BM_FleetRun(benchmark::State& state) {
   const std::size_t sessions = static_cast<std::size_t>(state.range(0));
   const std::size_t shards = static_cast<std::size_t>(state.range(1));
@@ -199,8 +199,8 @@ BENCHMARK(BM_FleetEdgeCache)
 // (the paper five plus GhoshLP/GhoshRobust/Pano) × both paper traces × both
 // default fault profiles × two small fleets, ranked into one report. This is
 // the end-to-end cost of a controller-zoo comparison run; cells_per_s is the
-// tracked rate (grid cells retired per wall-clock second). Arg = event-loop
-// shards per fleet — the report is bit-identical across the axis
+// tracked rate (grid cells retired per wall-clock second). Arg = solve
+// workers per fleet — the report is bit-identical across the axis
 // (tests/tournament_test.cpp pins it), so the /1 → /4 delta is pure
 // wall-clock. Picked up by the CI BM_FleetRun|...|BM_Tournament filter and
 // bench_guard --require.
@@ -227,25 +227,31 @@ void BM_Tournament(benchmark::State& state) {
 }
 BENCHMARK(BM_Tournament)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// The fair-share recompute in isolation: start/finish churn over a standing
-// pool of flows, exercising the O(flows) water-fill per event.
+// The link update in isolation: start/finish churn over a standing pool of
+// `flows` flows (arg0) on an 80 Mbps link, either uncapped (arg1 = 0, the
+// origin link and a cap-free device link) or under a link-wide cap of half
+// the smallest fair share, which binds throughout (arg1 = 1, a device link
+// whose access cap binds). O(log flows) per start/finish either way.
 void BM_SharedLinkChurn(benchmark::State& state) {
   const std::size_t flows = static_cast<std::size_t>(state.range(0));
+  const bool capped = state.range(1) != 0;
   std::vector<trace::ThroughputSample> samples;
   for (double t = 0.0; t < 600.0; t += 1.0) samples.push_back({t, 80.0});
   const trace::NetworkTrace trace(std::move(samples));
+  const double capacity_bytes_per_s = 80.0 * 1e6 / 8.0;
+  const util::BytesPerSec cap(
+      capped ? capacity_bytes_per_s / (2.0 * static_cast<double>(flows)) : 0.0);
   for (auto _ : state) {
-    fleet::SharedLink link(trace, flows);
+    fleet::SharedLink link(trace, flows, cap);
     for (std::size_t s = 0; s < flows; ++s)
-      link.start(s, util::Bytes(1e5 + 1e3 * static_cast<double>(s)),
-                 util::BytesPerSec(s % 3 == 0 ? 2e5 : 0.0));
+      link.start(s, util::Bytes(1e5 + 1e3 * static_cast<double>(s)));
     std::size_t restarts_left = flows;  // one replacement flow per session
     while (const auto completion = link.next_completion()) {
       link.advance_to(completion->t);
       link.finish(completion->session);
       if (restarts_left > 0) {
         --restarts_left;
-        link.start(completion->session, util::Bytes(5e4), util::BytesPerSec(0.0));
+        link.start(completion->session, util::Bytes(5e4));
       }
     }
     benchmark::DoNotOptimize(link.reallocations());
@@ -253,6 +259,6 @@ void BM_SharedLinkChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * flows));
 }
-BENCHMARK(BM_SharedLinkChurn)->Arg(8)->Arg(64)->Arg(256);
+BENCHMARK(BM_SharedLinkChurn)->ArgsProduct({{8, 64, 256}, {0, 1}});
 
 }  // namespace

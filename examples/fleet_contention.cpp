@@ -27,10 +27,10 @@
 // the hit rate, origin traffic, and the stall delta the cache buys.
 // `--zipf ALPHA` sets the catalog popularity skew (default 0.8).
 //
-// `--shards N` composes with every mode: it shards the event loop inside
-// each replication (N=0 resolves PS360_THREADS / hardware concurrency; see
-// DESIGN.md §15). Every number printed is bit-identical for any N — only
-// the wall clock moves.
+// `--shards N` composes with every mode: it runs each replication's MPC
+// solves speculatively on N worker threads (N=0 resolves PS360_THREADS /
+// hardware concurrency; see DESIGN.md §15). Every number printed is
+// bit-identical for any N — only the wall clock moves.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -10,8 +10,8 @@
 //   --quick         tiny matrix (2/3-session fleets) for CI smoke runs
 //   --json PATH     also write the full report as JSON (render with
 //                   tools/tournament_report.py)
-//   --shards N      event-loop shards per fleet (0 = PS360_THREADS /
-//                   hardware); every number printed is bit-identical for
+//   --shards N      speculative-solve workers per fleet (0 = PS360_THREADS
+//                   / hardware); every number printed is bit-identical for
 //                   any N — only the wall clock moves
 //   --schemes A,B   enter only the named schemes (registry names, e.g.
 //                   Ours,Ctile,GhoshLP)

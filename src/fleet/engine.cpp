@@ -1,13 +1,14 @@
-// Fleet engine implementation: a sharded event loop drives N StreamingClients
+// Fleet engine implementation: one event loop drives N StreamingClients
 // against one SharedLink. The coordinator thread owns every shared resource
-// (links, caches, observability, the event heaps) and processes events in
-// global (t, session, seq) order; shard workers only run speculative
+// (links, caches, observability, the event heap) and processes events in
+// (t, session, seq) order; SolvePool workers only run speculative
 // per-session MPC solves during each session's Eq. 6 wait. Only the earliest
 // completion is ever scheduled; stale predictions are discarded by
 // generation tag.
 #include "fleet/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 
@@ -110,31 +111,30 @@ FleetMetrics FleetResult::metrics(double segment_seconds) const {
   return m;
 }
 
-std::size_t recommended_reserve_events(const FleetConfig& config,
-                                       std::size_t shards) {
+std::size_t recommended_reserve_events(const FleetConfig& config) {
   PS360_CHECK(config.sessions >= 1);
-  PS360_CHECK(shards >= 1);
   // Residents per session, bounded by feature rather than fleet size: the
   // pending session-start/flow-start event, the live completion prediction,
   // and a short tail of stale predictions that drain as they pop. Faults are
   // the heavy case — every attempt leaves its deadline event resident for
   // timeout_s after the flow resolves, so startup bursts (back-to-back
-  // downloads while the buffer fills) park tens of stale deadlines at once,
-  // and a per-shard heap cannot average that across the whole fleet the way
-  // a single heap does. Constants carry ~2x headroom over the worst
-  // per-shard peaks measured across the 200-config differential battery
+  // downloads while the buffer fills) park tens of stale deadlines at once.
+  // The constants keep the heap inside its reservation across the
+  // 200-config differential battery
   // (FleetShardTest.ReserveFormulaCoversMeasuredPeaks pins growth at zero).
   const std::size_t per_session = (config.session.faults.enabled ? 32 : 8) +
                                   (config.server.enabled ? 4 : 0);
-  const std::size_t sessions_per_shard = (config.sessions + shards - 1) / shards;
-  return per_session * sessions_per_shard + 64;
+  return per_session * config.sessions + 64;
 }
 
 FleetResult run_fleet(const sim::VideoWorkload& workload,
                       const trace::NetworkTrace& link_trace,
                       const FleetConfig& config) {
   PS360_CHECK(config.sessions >= 1);
-  PS360_CHECK(config.start_spread_s >= 0.0);
+  PS360_CHECK_MSG(std::isfinite(config.start_spread_s) && config.start_spread_s >= 0.0,
+                  "start_spread_s must be finite and >= 0");
+  PS360_CHECK_MSG(std::isfinite(config.access_cap_mbps),
+                  "access_cap_mbps must be finite (<= 0 disables the cap)");
   PS360_CHECK(workload.test_user_count() > 0);
 
   const std::size_t n = config.sessions;
@@ -156,8 +156,12 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   std::optional<SharedLink> origin_link;
   std::vector<std::uint32_t> session_video;
   if (server_on) {
-    PS360_CHECK(config.server.origin_mbps > 0.0);
-    PS360_CHECK(config.server.origin_latency_s >= 0.0);
+    PS360_CHECK_MSG(std::isfinite(config.server.origin_mbps) &&
+                        config.server.origin_mbps > 0.0,
+                    "origin_mbps must be finite and > 0");
+    PS360_CHECK_MSG(std::isfinite(config.server.origin_latency_s) &&
+                        config.server.origin_latency_s >= 0.0,
+                    "origin_latency_s must be finite and >= 0");
     popularity.emplace(config.server.catalog);
     server::EdgeCacheConfig cache_config;
     cache_config.capacity = config.server.cache_capacity;
@@ -168,7 +172,10 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     origin_trace.emplace(std::vector<trace::ThroughputSample>{
         {0.0, config.server.origin_mbps},
         {kOriginTraceHorizonS, config.server.origin_mbps}});
-    origin_link.emplace(*origin_trace, n);
+    // Origin fetches are uncapped: the access cap models the device radio,
+    // not the edge's backhaul; concurrent misses share the origin capacity
+    // equally.
+    origin_link.emplace(*origin_trace, n, util::BytesPerSec(0.0));
     session_video.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       util::Rng rng(
@@ -199,16 +206,16 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         workload.test_trace(test_user));
   }
 
-  // Shard resolution: 0 = PS360_THREADS override / hardware concurrency,
-  // never more shards than sessions. Purely a wall-clock knob — results are
-  // bit-identical for every value (the fleet_shard differential battery).
+  // Solve-worker resolution: 0 = PS360_THREADS override / hardware
+  // concurrency, never more workers than sessions. Purely a wall-clock knob —
+  // results are bit-identical for every value (the fleet_shard differential
+  // battery).
   const std::size_t shards = std::max<std::size_t>(
       std::min(config.shards != 0 ? config.shards : sim::resolve_thread_count(0),
                n),
       1);
-  // Link-wide events are only the single resident capacity-change breakpoint.
-  ShardedEventLoop loop(shards, recommended_reserve_events(config, shards), 16);
-  SharedLink link(link_trace, n);
+  EventLoop loop(recommended_reserve_events(config));
+  SharedLink link(link_trace, n, util::BytesPerSec(cap_bytes_per_s));
   FleetStats stats;
 
   // Speculative solving requires finish_plan() to stay a pure function of
@@ -254,17 +261,15 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
 
   // Consume the session's Eq. 6 wait (begin_plan advances the client through
   // it) and schedule the flow start; the plan itself is solved later — by the
-  // owning shard worker during the wait when speculation is on, or just-in-
-  // time when kFlowStart pops. Dispatching after schedule() keeps scheduling
-  // order identical for every shard count.
+  // owning SolvePool worker during the wait when speculation is on, or just-
+  // in-time when kFlowStart pops. Dispatching after schedule() keeps
+  // scheduling order identical for every shard count.
   const auto schedule_next_flow = [&](std::size_t i, double t) {
     SessionRuntime& rt = sessions[i];
     const double wait_s = rt.client->begin_plan();
     loop.schedule(t + wait_s, i, EventKind::kFlowStart);
     if (pool) pool->dispatch(i);
   };
-
-  const util::BytesPerSec access_cap(cap_bytes_per_s);
 
   // Cache key of the pending request: the plan word packs the MPC's chosen
   // encoding (quality level, frame-rate ladder index, decode profile), so
@@ -282,24 +287,43 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
                               plan_word};
   };
 
+  // Start the pending download on the device-side (edge) link.
+  const auto start_edge_flow = [&](std::size_t i) {
+    SessionRuntime& rt = sessions[i];
+    rt.in_flight = true;
+    link.start(i, util::Bytes(rt.pending->plan.option.bytes));
+    obs::trace(observer, static_cast<std::uint32_t>(i),
+               obs::TraceEventKind::kDownloadStart,
+               static_cast<std::int64_t>(rt.pending->segment),
+               rt.pending->plan.option.bytes);
+  };
+
   // Put the pending download onto the device-side link — or, with the
   // server tier on and the segment absent from the edge cache, route the
   // fetch through the origin first. flow_started_at stays at issue time, so
   // the device-perceived download (and any stall it causes) includes the
   // full miss cost: origin latency + origin transfer + edge transfer.
   const auto admit_flow = [&](std::size_t i, double t) {
-    SessionRuntime& rt = sessions[i];
     if (server_on && !edge_cache->lookup(segment_key(i))) {
       loop.schedule(t + config.server.origin_latency_s, i,
-                    EventKind::kOriginStart, rt.attempt_seq);
+                    EventKind::kOriginStart, sessions[i].attempt_seq);
       return;
     }
-    rt.in_flight = true;
-    link.start(i, util::Bytes(rt.pending->plan.option.bytes), access_cap);
-    obs::trace(observer, static_cast<std::uint32_t>(i),
-               obs::TraceEventKind::kDownloadStart,
-               static_cast<std::int64_t>(rt.pending->segment),
-               rt.pending->plan.option.bytes);
+    start_edge_flow(i);
+  };
+
+  // Whenever a link's rates moved since its last prediction, schedule its
+  // earliest completion, tagged with the generation it was predicted under.
+  const auto predict_completion = [&](const SharedLink& target,
+                                      std::uint64_t& predicted_generation,
+                                      EventKind kind, double t) {
+    if (target.generation() == predicted_generation || target.active_flows() == 0)
+      return;
+    const auto completion = target.next_completion();
+    PS360_ASSERT(completion.has_value());
+    loop.schedule(std::max(completion->t, t), completion->session, kind,
+                  target.generation());
+    predicted_generation = target.generation();
   };
 
   std::uint64_t scheduled_generation = 0;  // link generation last predicted at
@@ -405,12 +429,8 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
           break;  // the attempt failed while the request travelled upstream
         rt.origin_in_flight = true;
         ++stats.origin_flows;
-        // Origin fetches are uncapped: the access cap models the device
-        // radio, not the edge's backhaul; concurrent misses share the
-        // origin capacity max-min fair.
         origin_link->start(event.session,
-                           util::Bytes(rt.pending->plan.option.bytes),
-                           util::BytesPerSec(0.0));
+                           util::Bytes(rt.pending->plan.option.bytes));
         break;
       }
 
@@ -428,13 +448,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         // device-side flow.
         edge_cache->admit(segment_key(event.session),
                           util::Bytes(rt.pending->plan.option.bytes));
-        rt.in_flight = true;
-        link.start(event.session, util::Bytes(rt.pending->plan.option.bytes),
-                   access_cap);
-        obs::trace(observer, static_cast<std::uint32_t>(event.session),
-                   obs::TraceEventKind::kDownloadStart,
-                   static_cast<std::int64_t>(rt.pending->segment),
-                   rt.pending->plan.option.bytes);
+        start_edge_flow(event.session);
         break;
       }
 
@@ -494,7 +508,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
       }
 
       case EventKind::kCapacityChange:
-        // advance_to already re-waterfilled from the new C(t); keep the
+        // advance_to already recomputed the rate from the new C(t); keep the
         // breakpoint events coming.
         loop.schedule(link_trace.next_rate_change_after(event.t), kLinkSession,
                       EventKind::kCapacityChange);
@@ -508,23 +522,11 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         break;
     }
 
-    // Re-predict the earliest completion whenever the link's rates moved.
-    if (link.generation() != scheduled_generation && link.active_flows() > 0) {
-      const auto completion = link.next_completion();
-      PS360_ASSERT(completion.has_value());
-      loop.schedule(std::max(completion->t, event.t), completion->session,
-                    EventKind::kFlowCompletion, link.generation());
-      scheduled_generation = link.generation();
-    }
-    // Same lazy-invalidation discipline for the origin link.
-    if (server_on && origin_link->generation() != scheduled_origin_generation &&
-        origin_link->active_flows() > 0) {
-      const auto completion = origin_link->next_completion();
-      PS360_ASSERT(completion.has_value());
-      loop.schedule(std::max(completion->t, event.t), completion->session,
-                    EventKind::kOriginCompletion, origin_link->generation());
-      scheduled_origin_generation = origin_link->generation();
-    }
+    predict_completion(link, scheduled_generation, EventKind::kFlowCompletion,
+                       event.t);
+    if (server_on)
+      predict_completion(*origin_link, scheduled_origin_generation,
+                         EventKind::kOriginCompletion, event.t);
   }
 
   FleetResult result;

@@ -9,18 +9,18 @@
 // else's download time. This is the regime server-side rate-adaptation
 // schemes target and the single-client evaluation of the paper assumes away.
 //
-// Determinism: one ShardedEventLoop drives the whole fleet; ties break by
+// Determinism: one EventLoop drives the whole fleet; ties break by
 // (time, session_id, sequence); the only randomness is the session start
 // stagger, keyed off (seed, session_id). Results are bit-identical for any
 // shard count and any PS360_THREADS (enforced by the differential battery in
-// tests/fleet_shard_test.cpp): every shared-resource mutation — link
-// water-fills, cache admissions, event scheduling, observability — runs on
-// the coordinator thread in global event order, and the only work that runs
-// on shard workers is the per-session MPC solve, a pure function of
+// tests/fleet_shard_test.cpp): every shared-resource mutation — link rate
+// updates, cache admissions, event scheduling, observability — runs on the
+// coordinator thread in event order, and the only work that runs on
+// SolvePool workers is the per-session MPC solve, a pure function of
 // session-local state frozen when its Eq. 6 wait began (see
 // sim::StreamingClient::begin_plan / finish_plan and DESIGN.md §15).
 // fleet::FleetRunner additionally fans independent replications out across
-// threads, orthogonal to in-replication sharding.
+// threads, orthogonal to in-replication solve workers.
 #pragma once
 
 #include <vector>
@@ -49,8 +49,9 @@ struct FleetServerConfig {
   util::Bytes cache_capacity{64.0 * 1024.0 * 1024.0};
   server::EvictionPolicy policy = server::EvictionPolicy::kLru;
   std::size_t cache_max_entries = 4096;
-  // Origin link: capacity shared max-min fair by every concurrent miss
-  // fetch (> 0 when enabled), plus a per-miss edge→origin latency.
+  // Origin link: capacity shared equally by every concurrent miss fetch
+  // (finite and > 0 when enabled), plus a finite per-miss edge→origin
+  // latency.
   double origin_mbps = 200.0;
   double origin_latency_s = 0.05;
 };
@@ -60,10 +61,11 @@ struct FleetConfig {
   std::uint64_t seed = 42;
   sim::SchemeKind scheme = sim::SchemeKind::kOurs;
   // Per-session access-link cap in Mbps (last-mile radio limit); <= 0
-  // disables it and the bottleneck alone divides throughput.
+  // disables it and the bottleneck alone divides throughput. Must be finite.
   double access_cap_mbps = 0.0;
   // Session arrivals are staggered uniformly over [0, start_spread_s],
-  // keyed off (seed, session_id); 0 starts every session at t = 0.
+  // keyed off (seed, session_id); 0 starts every session at t = 0. Must be
+  // finite.
   double start_spread_s = 1.0;
   // Per-session template (device, MPC knobs, estimators). The session seed
   // is shared — every client streams the same CDN-encoded files.
@@ -80,26 +82,25 @@ struct FleetConfig {
   // run_fleet call — so results stay bit-identical for any PS360_THREADS;
   // provably inert when disabled.
   FleetServerConfig server;
-  // Event-loop shards inside this one replication (ROADMAP item 1). Sessions
-  // partition across per-shard event heaps (session % shards) and — when no
-  // observer is attached — per-shard worker threads solve each session's
-  // MPC plan speculatively during its Eq. 6 wait. 1 (the default)
-  // is the serial engine; 0 resolves like sim::resolve_thread_count — the
-  // PS360_THREADS env override, else hardware concurrency. Output is
-  // bit-identical for every value: sharding changes wall-clock time, never
-  // results.
+  // SolvePool worker threads inside this one replication (DESIGN.md §15).
+  // With more than one worker and no observer attached, session i's MPC
+  // plan is solved speculatively on worker i % shards during its Eq. 6
+  // wait; the event loop, the links and the cache stay on the coordinator.
+  // 1 (the default) is the serial engine; 0 resolves like
+  // sim::resolve_thread_count — the PS360_THREADS env override, else
+  // hardware concurrency. Output is bit-identical for every value: workers
+  // change wall-clock time, never results.
   std::size_t shards = 1;
 };
 
-// The per-shard event-heap reservation run_fleet uses for a fleet of
-// `config.sessions` split across `shards` heaps, sized so heap growth stays
-// zero from 1 session to 1M: events resident per session are bounded by a
-// small per-feature constant (pending start/flow-start, the live completion
-// prediction, and stale predictions/deadlines that drain as they pop), NOT
-// by anything that grows with fleet size. Exposed so the regression tests
-// can pin both the zero-growth contract and the formula's linearity.
-std::size_t recommended_reserve_events(const FleetConfig& config,
-                                       std::size_t shards);
+// The event-heap reservation run_fleet uses for a fleet of
+// `config.sessions`, sized so heap growth stays zero from 1 session to 1M:
+// events resident per session are bounded by a small per-feature constant
+// (pending start/flow-start, the live completion prediction, and stale
+// predictions/deadlines that drain as they pop), NOT by anything that grows
+// with fleet size. Exposed so the regression tests can pin both the
+// zero-growth contract and the formula's linearity.
+std::size_t recommended_reserve_events(const FleetConfig& config);
 
 // Engine internals exposed for regression tests and capacity planning.
 struct FleetStats {

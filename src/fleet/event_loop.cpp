@@ -45,61 +45,4 @@ Event EventLoop::pop() {
   return event;
 }
 
-const Event& EventLoop::peek() const {
-  PS360_CHECK_MSG(!heap_.empty(), "peek() on an empty event loop");
-  return heap_.front();
-}
-
-ShardedEventLoop::ShardedEventLoop(std::size_t shards,
-                                   std::size_t reserve_events_per_shard,
-                                   std::size_t reserve_link_events)
-    : shards_(shards) {
-  PS360_CHECK_MSG(shards >= 1, "need at least one shard");
-  loops_.reserve(shards + 1);
-  for (std::size_t s = 0; s < shards; ++s)
-    loops_.emplace_back(reserve_events_per_shard);
-  loops_.emplace_back(reserve_link_events);
-}
-
-void ShardedEventLoop::schedule(double t, std::size_t session, EventKind kind,
-                                std::uint64_t generation) {
-  // Global monotonic-time contract: the per-shard check alone would only
-  // compare against that shard's (possibly lagging) local clock.
-  PS360_CHECK_MSG(t >= now_, "events cannot be scheduled in the past");
-  loops_[shard_of(session)].schedule(t, session, kind, generation);
-  ++scheduled_;
-  ++size_;
-  peak_size_ = std::max(peak_size_, size_);
-}
-
-Event ShardedEventLoop::pop() {
-  PS360_CHECK_MSG(size_ > 0, "pop() on an empty event loop");
-  // Argmin over the shard heads by (t, session). Cross-shard (t, session)
-  // ties cannot happen — distinct shards hold distinct sessions — so no
-  // cross-shard sequence comparison is needed for a total order.
-  EventLoop* best = nullptr;
-  for (EventLoop& loop : loops_) {
-    if (loop.empty()) continue;
-    if (best == nullptr) {
-      best = &loop;
-      continue;
-    }
-    const Event& a = loop.peek();
-    const Event& b = best->peek();
-    if (a.t < b.t || (a.t == b.t && a.session < b.session)) best = &loop;
-  }
-  PS360_ASSERT(best != nullptr);
-  const Event event = best->pop();
-  --size_;
-  PS360_ASSERT(event.t >= now_);
-  now_ = event.t;
-  return event;
-}
-
-std::uint64_t ShardedEventLoop::grow_events() const {
-  std::uint64_t total = 0;
-  for (const EventLoop& loop : loops_) total += loop.grow_events();
-  return total;
-}
-
 }  // namespace ps360::fleet

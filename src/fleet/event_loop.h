@@ -9,7 +9,9 @@
 // after the edge→origin latency and that origin fetch completing.
 // EventLoop totally orders them by (time, session_id, sequence) — never by
 // pointer value or hash-container iteration order — so a fleet run is
-// bit-reproducible across platforms and thread counts.
+// bit-reproducible across platforms and thread counts. One EventLoop holds
+// every event of a fleet run, and only the engine's coordinator thread
+// schedules and pops (SolvePool workers never touch it).
 //
 // Zero steady-state allocation: the queue is a binary heap over a vector
 // reserved up front (same discipline as core::MpcScratch); every reallocation
@@ -48,7 +50,7 @@ enum class EventKind : std::uint8_t {
 struct Event {
   double t = 0.0;
   std::size_t session = kLinkSession;
-  std::uint64_t seq = 0;  // global schedule() counter: the final tie-break
+  std::uint64_t seq = 0;  // schedule() counter: the final tie-break
   EventKind kind = EventKind::kCapacityChange;
   // Lazy-invalidation tag for kFlowCompletion: the link generation the
   // prediction was made under. A popped completion whose generation no
@@ -74,13 +76,9 @@ class EventLoop {
   // now() to its timestamp.
   Event pop();
 
-  // The event pop() would return next, without removing it.
-  const Event& peek() const;
-
   // Observability for the zero-growth regression test.
   std::uint64_t grow_events() const { return grow_events_; }
   std::size_t peak_size() const { return peak_size_; }
-  std::uint64_t scheduled() const { return next_seq_; }
 
  private:
   // Min-heap order: a sorts after b when (t, session, seq) is greater.
@@ -90,61 +88,6 @@ class EventLoop {
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t grow_events_ = 0;
-  std::size_t peak_size_ = 0;
-};
-
-// Sharded event queue: sessions are partitioned across `shards` per-shard
-// EventLoop heaps (session → session % shards) plus one heap for link-wide
-// events (kLinkSession), and pop() returns the global minimum by
-// (t, session) across the shard heads.
-//
-// The pop order is provably identical to a single EventLoop for ANY shard
-// count: cross-shard candidates always differ in session id (a session maps
-// to exactly one shard, and kLinkSession has its own heap), so the
-// (t, session) comparison alone resolves every cross-shard tie, and
-// within-shard ties fall back to the shard-local sequence counter — which
-// orders same-session events exactly as a global counter would, because
-// all scheduling happens on one coordinator thread. The differential
-// battery in tests/fleet_shard_test.cpp enforces this invariant bitwise.
-//
-// Size, peak size, growth, and the monotonic-time contract are tracked
-// globally so the observable stats are shard-count invariant too.
-class ShardedEventLoop {
- public:
-  // `reserve_events_per_shard` sizes each session shard's heap;
-  // `reserve_link_events` sizes the link-event heap.
-  ShardedEventLoop(std::size_t shards, std::size_t reserve_events_per_shard,
-                   std::size_t reserve_link_events);
-
-  std::size_t shards() const { return shards_; }
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  double now() const { return now_; }
-
-  // The shard heap owning `session`'s events.
-  std::size_t shard_of(std::size_t session) const {
-    return session == kLinkSession ? shards_ : session % shards_;
-  }
-
-  // Enqueue an event at time t >= now() (global time, across all shards).
-  void schedule(double t, std::size_t session, EventKind kind,
-                std::uint64_t generation = 0);
-
-  // Remove and return the globally next event in (t, session) order,
-  // advancing now() to its timestamp.
-  Event pop();
-
-  // Observability, aggregated across shard heaps (partition invariant).
-  std::uint64_t grow_events() const;
-  std::size_t peak_size() const { return peak_size_; }
-  std::uint64_t scheduled() const { return scheduled_; }
-
- private:
-  std::vector<EventLoop> loops_;  // shards_ session heaps + 1 link heap
-  std::size_t shards_ = 1;
-  std::size_t size_ = 0;
-  double now_ = 0.0;
-  std::uint64_t scheduled_ = 0;
   std::size_t peak_size_ = 0;
 };
 

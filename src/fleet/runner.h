@@ -10,8 +10,8 @@
 //
 // Two orthogonal parallelism axes compose here: this runner parallelizes
 // ACROSS replications (each worker owns whole run_fleet calls), while
-// FleetConfig::shards parallelizes WITHIN one replication (per-shard event
-// heaps plus speculative MPC solves, DESIGN.md §15). Both are
+// FleetConfig::shards parallelizes WITHIN one replication (speculative MPC
+// solves on SolvePool workers, DESIGN.md §15). Both are
 // result-invariant, so any mix of `threads` × `shards` is bit-identical to
 // fully serial; oversubscription, not correctness, is the only reason to
 // prefer one axis — replications scale embarrassingly, so give this runner

@@ -1,11 +1,11 @@
-// Worker pool for the sharded fleet engine's speculative MPC solves.
+// Worker pool for the fleet engine's speculative MPC solves.
 //
-// The engine partitions sessions across shards (session % shards) and keeps
-// ALL shared-resource mutation — link water-fills, cache admissions, event
-// scheduling, observability — on the coordinator thread in global event
-// order. The only work that leaves the coordinator is the per-session
-// planning solve (StreamingClient::finish_plan), which is a pure function
-// of session-local state frozen at begin_plan() time. Each shard owns one
+// The engine assigns session i's solves to worker i % shards and keeps ALL
+// shared-resource mutation — link rate updates, cache admissions, event
+// scheduling, observability — on the coordinator thread in event order.
+// The only work that leaves the coordinator is the per-session planning
+// solve (StreamingClient::finish_plan), which is a pure function of
+// session-local state frozen at begin_plan() time. Each shard owns one
 // worker thread and a bounded FIFO of session ids; the coordinator
 // dispatches a session's solve when the Eq. 6 wait starts and joins it when
 // the flow-start event fires, so solves for many sessions overlap while the

@@ -1,15 +1,11 @@
-// SharedLink implementation: a uniform-cap virtual-clock fast path (O(1)
-// integration, O(log n) starts/finishes) that degenerates to the single-pass
-// max-min water-fill over the (cap, session)-sorted active set whenever the
-// caps are heterogeneous, and a generation counter that lazily invalidates
-// completion predictions.
+// SharedLink implementation: one shared rate min(cap, C/N) integrated on a
+// virtual per-flow byte clock (O(1) integration, O(log n) starts/finishes),
+// and a generation counter that lazily invalidates completion predictions.
 #include "fleet/shared_link.h"
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "fleet/event_loop.h"
 #include "util/check.h"
 
 namespace ps360::fleet {
@@ -21,10 +17,12 @@ namespace {
 constexpr double kCompletionSlackBytes = 1e-2;
 }  // namespace
 
-SharedLink::SharedLink(const trace::NetworkTrace& trace, std::size_t max_sessions)
-    : trace_(&trace), flows_(max_sessions) {
+SharedLink::SharedLink(const trace::NetworkTrace& trace, std::size_t max_sessions,
+                       util::BytesPerSec cap)
+    : trace_(&trace), cap_bytes_per_s_(cap.value()), flows_(max_sessions) {
   PS360_CHECK(max_sessions >= 1);
-  active_.reserve(max_sessions);
+  PS360_CHECK_MSG(std::isfinite(cap_bytes_per_s_),
+                  "cap must be finite (<= 0 means uncapped)");
   // One live heap entry per session plus tombstones from aborts that have
   // not yet surfaced; doubling leaves ample slack before any regrowth.
   heap_.reserve(2 * max_sessions + 16);
@@ -38,25 +36,20 @@ double SharedLink::next_capacity_change() const {
   return trace_->next_rate_change_after(now_);
 }
 
-double SharedLink::cap_key(std::size_t session) const {
-  const double cap = flows_[session].cap_bytes_per_s;
-  return cap > 0.0 ? cap : std::numeric_limits<double>::infinity();
-}
-
 bool SharedLink::heap_after(const HeapEntry& a, const HeapEntry& b) {
   if (a.v_end != b.v_end) return a.v_end > b.v_end;
   return a.session > b.session;
 }
 
-void SharedLink::refresh_uniform_rate() {
+void SharedLink::refresh_rate() {
   if (active_count_ == 0) return;
   ++reallocations_;
   const double share =
       capacity_bytes_per_s(now_) / static_cast<double>(active_count_);
   const double rate =
-      uniform_cap_ > 0.0 ? std::min(uniform_cap_, share) : share;
-  if (rate != uniform_rate_) {
-    uniform_rate_ = rate;
+      cap_bytes_per_s_ > 0.0 ? std::min(cap_bytes_per_s_, share) : share;
+  if (rate != rate_) {
+    rate_ = rate;
     ++generation_;
   }
 }
@@ -72,170 +65,56 @@ void SharedLink::prune_heap() {
 }
 
 void SharedLink::reset_epoch() {
-  uniform_ = true;
-  uniform_cap_ = 0.0;
-  uniform_rate_ = 0.0;
+  rate_ = 0.0;
   virtual_bytes_ = 0.0;
   heap_.clear();
-  active_.clear();
 }
 
-void SharedLink::fall_back_to_general() {
-  // Materialize what the virtual clock knows implicitly: per-flow remaining
-  // bytes and the (cap, session)-sorted active set. Rare by construction —
-  // only heterogeneous caps land here — so the O(n log n) sort is fine.
-  active_.clear();
-  for (std::size_t session = 0; session < flows_.size(); ++session) {
-    Flow& flow = flows_[session];
-    if (!flow.active) continue;
-    flow.remaining_bytes = std::max(flow.v_end - virtual_bytes_, 0.0);
-    flow.rate_bytes_per_s = uniform_rate_;
-    active_.push_back(session);
-  }
-  std::sort(active_.begin(), active_.end(),
-            [this](std::size_t a, std::size_t b) {
-              const double ka = cap_key(a), kb = cap_key(b);
-              if (ka != kb) return ka < kb;
-              return a < b;
-            });
-  heap_.clear();
-  uniform_ = false;
-  reallocate();
-}
-
-void SharedLink::start(std::size_t session, util::Bytes bytes, util::BytesPerSec cap) {
-  const double cap_bytes_per_s = cap.value();
+void SharedLink::start(std::size_t session, util::Bytes bytes) {
   PS360_CHECK(session < flows_.size());
   PS360_CHECK_MSG(!flows_[session].active, "session already has a flow in flight");
   PS360_CHECK(bytes.value() > 0.0);
 
   Flow& flow = flows_[session];
-  flow.cap_bytes_per_s = cap_bytes_per_s;
-  flow.rate_bytes_per_s = 0.0;
   flow.active = true;
   ++flow.flow_seq;
   ++active_count_;
-
-  if (uniform_) {
-    if (active_count_ == 1) {
-      // First flow of an epoch fixes the resident uniform cap.
-      reset_epoch();
-      flow.active = true;  // reset_epoch cleared nothing of flows_, keep set
-      uniform_cap_ = cap_bytes_per_s;
-    }
-    if (flow.cap_bytes_per_s == uniform_cap_) {
-      flow.v_end = virtual_bytes_ + bytes.value();
-      flow.remaining_bytes = bytes.value();
-      heap_.push_back(HeapEntry{flow.v_end, session, flow.flow_seq});
-      std::push_heap(heap_.begin(), heap_.end(), &SharedLink::heap_after);
-      refresh_uniform_rate();
-      ++generation_;  // a new flow always invalidates completion predictions
-      return;
-    }
-    // Heterogeneous cap: leave the fast path. The new flow is already
-    // flagged active, so give it its bytes before materializing.
-    flow.v_end = virtual_bytes_ + bytes.value();
-    fall_back_to_general();
-    ++generation_;
-    return;
-  }
-
-  flow.remaining_bytes = bytes.value();
-  // Keep the active set sorted by (cap, session) so reallocate() water-fills
-  // in one pass. Insertion is O(flows) — within the per-event budget.
-  const auto pos = std::upper_bound(
-      active_.begin(), active_.end(), session,
-      [&](std::size_t a, std::size_t b) {
-        const double ka = cap_key(a), kb = cap_key(b);
-        if (ka != kb) return ka < kb;
-        return a < b;
-      });
-  active_.insert(pos, session);
-  reallocate();
+  flow.v_end = virtual_bytes_ + bytes.value();
+  heap_.push_back(HeapEntry{flow.v_end, session, flow.flow_seq});
+  std::push_heap(heap_.begin(), heap_.end(), &SharedLink::heap_after);
+  refresh_rate();
   ++generation_;  // a new flow always invalidates completion predictions
 }
 
 void SharedLink::advance_to(double t) {
   PS360_CHECK_MSG(t >= now_, "the link cannot move backwards in time");
   const double dt = t - now_;
-  if (uniform_) {
-    if (dt > 0.0) {
-      const double moved = uniform_rate_ * dt;
-      virtual_bytes_ += moved;
-      delivered_bytes_ += moved * static_cast<double>(active_count_);
-      now_ = t;
-    }
-    refresh_uniform_rate();
-    return;
-  }
   if (dt > 0.0) {
-    for (const std::size_t session : active_) {
-      Flow& flow = flows_[session];
-      const double moved = flow.rate_bytes_per_s * dt;
-      delivered_bytes_ += std::min(moved, flow.remaining_bytes);
-      flow.remaining_bytes = std::max(flow.remaining_bytes - moved, 0.0);
-    }
+    const double moved = rate_ * dt;
+    virtual_bytes_ += moved;
+    delivered_bytes_ += moved * static_cast<double>(active_count_);
     now_ = t;
   }
-  reallocate();
-}
-
-void SharedLink::reallocate() {
-  if (active_.empty()) return;
-  ++reallocations_;
-  // Single-pass max-min water-filling over the (cap, session)-sorted active
-  // set: the flow with the smallest cap either binds (takes its cap, the
-  // surplus re-divides among the rest) or nobody binds and everyone gets the
-  // equal share.
-  double remaining_capacity = capacity_bytes_per_s(now_);
-  std::size_t unserved = active_.size();
-  bool changed = false;
-  for (const std::size_t session : active_) {
-    Flow& flow = flows_[session];
-    const double share = remaining_capacity / static_cast<double>(unserved);
-    const double rate =
-        flow.cap_bytes_per_s > 0.0 ? std::min(flow.cap_bytes_per_s, share) : share;
-    if (rate != flow.rate_bytes_per_s) {
-      flow.rate_bytes_per_s = rate;
-      changed = true;
-    }
-    remaining_capacity -= rate;
-    --unserved;
-  }
-  if (changed) ++generation_;
+  refresh_rate();
 }
 
 void SharedLink::remove_flow(std::size_t session) {
-  Flow& flow = flows_[session];
-  flow.active = false;
-  flow.remaining_bytes = 0.0;
-  flow.rate_bytes_per_s = 0.0;
+  flows_[session].active = false;
   --active_count_;
-  if (uniform_) {
-    prune_heap();
-    if (active_count_ == 0) {
-      reset_epoch();
-    } else {
-      refresh_uniform_rate();
-    }
+  prune_heap();
+  if (active_count_ == 0) {
+    reset_epoch();
   } else {
-    active_.erase(std::find(active_.begin(), active_.end(), session));
-    if (active_count_ == 0) {
-      reset_epoch();
-    } else {
-      reallocate();
-    }
+    refresh_rate();
   }
   ++generation_;
 }
 
 void SharedLink::finish(std::size_t session) {
   PS360_CHECK(session < flows_.size());
-  Flow& flow = flows_[session];
+  const Flow& flow = flows_[session];
   PS360_CHECK_MSG(flow.active, "no flow in flight for this session");
-  const double residual = uniform_ ? flow.v_end - virtual_bytes_
-                                   : flow.remaining_bytes;
-  PS360_ASSERT_MSG(residual <= kCompletionSlackBytes,
+  PS360_ASSERT_MSG(flow.v_end - virtual_bytes_ <= kCompletionSlackBytes,
                    "flow finished with bytes still outstanding");
   remove_flow(session);
 }
@@ -248,47 +127,19 @@ void SharedLink::abort(std::size_t session) {
 
 std::optional<SharedLink::Completion> SharedLink::next_completion() const {
   if (active_count_ == 0) return std::nullopt;
-  if (uniform_) {
-    // prune_heap() runs after every mutation, so the top entry is live; the
-    // (v_end, session) heap order equals (dt, session) order because every
-    // flow shares one rate.
-    PS360_ASSERT(!heap_.empty());
-    PS360_ASSERT(uniform_rate_ > 0.0);
-    const HeapEntry& top = heap_.front();
-    const double dt =
-        std::max(top.v_end - virtual_bytes_, 0.0) / uniform_rate_;
-    return Completion{now_ + dt, top.session};
-  }
-  // Scan flows in ascending session order so float-equal completion times
-  // break deterministically on the smaller session id.
-  double best_dt = std::numeric_limits<double>::infinity();
-  std::size_t best_session = kLinkSession;
-  for (std::size_t session = 0; session < flows_.size(); ++session) {
-    const Flow& flow = flows_[session];
-    if (!flow.active) continue;
-    PS360_ASSERT(flow.rate_bytes_per_s > 0.0);
-    const double dt = flow.remaining_bytes / flow.rate_bytes_per_s;
-    if (dt < best_dt) {
-      best_dt = dt;
-      best_session = session;
-    }
-  }
-  return Completion{now_ + best_dt, best_session};
-}
-
-util::Bytes SharedLink::remaining_bytes(std::size_t session) const {
-  PS360_CHECK(session < flows_.size());
-  const Flow& flow = flows_[session];
-  if (!flow.active) return util::Bytes(0.0);
-  if (uniform_) return util::Bytes(std::max(flow.v_end - virtual_bytes_, 0.0));
-  return util::Bytes(flow.remaining_bytes);
+  // prune_heap() runs after every removal, so the top entry is live; the
+  // (v_end, session) heap order equals (dt, session) order because every
+  // flow shares one rate.
+  PS360_ASSERT(!heap_.empty());
+  PS360_ASSERT(rate_ > 0.0);
+  const HeapEntry& top = heap_.front();
+  const double dt = std::max(top.v_end - virtual_bytes_, 0.0) / rate_;
+  return Completion{now_ + dt, top.session};
 }
 
 double SharedLink::rate_bytes_per_s(std::size_t session) const {
   PS360_CHECK(session < flows_.size());
-  const Flow& flow = flows_[session];
-  if (!flow.active) return 0.0;
-  return uniform_ ? uniform_rate_ : flow.rate_bytes_per_s;
+  return flows_[session].active ? rate_ : 0.0;
 }
 
 }  // namespace ps360::fleet

@@ -1,38 +1,32 @@
 // Fluid model of one shared bottleneck link.
 //
 // N in-flight downloads (flows) divide the instantaneous capacity C(t) — a
-// piecewise-constant trace::NetworkTrace — by max-min fair share: water-fill
-// the capacity over the flows in ascending order of their per-flow access
-// caps, so capped flows keep min(cap, fair share) and the surplus is split
-// equally among the rest. With no caps this degenerates to C(t)/N, the
-// classic processor-sharing model of a TCP bottleneck.
+// piecewise-constant trace::NetworkTrace — equally, each limited by one
+// link-wide per-flow cap fixed at construction: every flow runs at
+// r(t) = min(cap, C(t)/N), which is the max-min fair share when all flows
+// share one cap. With no cap this is C(t)/N, the classic processor-sharing
+// model of a TCP bottleneck. The fleet engine builds two links: the device
+// link, capped at FleetConfig::access_cap_mbps, and the server tier's
+// uncapped origin link.
 //
-// The link is advanced by an exterior event loop: rates are constant between
-// events, advance_to() integrates every flow forward and re-waterfills, and
-// next_completion() predicts the earliest finish at the current rates. Every
-// change that can invalidate that prediction bumps generation(), which the
-// engine uses to lazily discard stale completion events.
+// Because every flow runs at the same rate, the link keeps one virtual
+// per-flow byte clock V(t) (dV = r dt): a flow started at V_start completes
+// when V reaches V_start + bytes, so completions live in a (V_end, session)
+// min-heap with lazy per-flow tombstones — O(1) integration and O(log n)
+// per start/finish, which is what lets one replication scale to 100k–1M
+// sessions (DESIGN.md §9). When the link drains empty it resets the virtual
+// clock, keeping V small.
 //
-// Two interchangeable regimes (same public API, same contracts):
-//  * Uniform-cap fast path. Whenever every active flow shares one cap value
-//    (the fleet engine's regime: all device flows share access_cap_mbps, all
-//    origin flows are uncapped), max-min degenerates to a single shared rate
-//    r(t) = min(cap, C(t)/N). The link then runs on a virtual per-flow byte
-//    clock V(t) (dV = r dt): a flow started at V_start completes when V
-//    reaches V_start + bytes, so completions live in a (V_end, session)
-//    min-heap with lazy per-flow tombstones — O(1) integration and O(log n)
-//    per start/finish, which is what lets one replication scale to 100k–1M
-//    sessions (DESIGN.md §15).
-//  * General water-fill. The first start() whose cap differs from the
-//    resident uniform cap materializes per-flow remaining bytes from the
-//    virtual clock and falls back to the O(flows)-per-event single-pass
-//    water-fill over the (cap, session)-sorted active set. When the link
-//    drains empty it re-enters the uniform regime (and resets the virtual
-//    clock, keeping V small).
+// The link is advanced by an exterior event loop: the rate is constant
+// between events, advance_to() integrates V forward and recomputes r from
+// C(t), and next_completion() predicts the earliest finish at the current
+// rate. Every change that can invalidate that prediction bumps
+// generation(), which the engine uses to lazily discard stale completion
+// events.
 //
 // Invariants (differential-tested against a brute-force fluid simulation):
-//  * Σ rates == min(C(t), Σ caps) whenever a flow is uncapped or capacity
-//    binds — the link never invents or wastes deliverable capacity;
+//  * Σ rates == min(C(t), N·cap) — the link never invents or wastes
+//    deliverable capacity;
 //  * determinism: completion ties break on the smaller session id; ordering
 //    never depends on insertion or pointer order.
 #pragma once
@@ -55,7 +49,9 @@ class SharedLink {
 
   // `trace` must outlive the link; Mbps samples are converted to bytes/s.
   // `max_sessions` bounds the session ids (flow slots are preallocated).
-  SharedLink(const trace::NetworkTrace& trace, std::size_t max_sessions);
+  // `cap` limits every flow's rate and must be finite; <= 0 means uncapped.
+  SharedLink(const trace::NetworkTrace& trace, std::size_t max_sessions,
+             util::BytesPerSec cap);
 
   double now() const { return now_; }
   std::size_t active_flows() const { return active_count_; }
@@ -69,14 +65,14 @@ class SharedLink {
   // Earliest time strictly after now() at which C(t) may change.
   double next_capacity_change() const;
 
-  // Register a flow of `bytes` (> 0) for `session` starting at now().
-  // A `cap` <= 0 means uncapped. One flow per session at a time.
-  void start(std::size_t session, util::Bytes bytes, util::BytesPerSec cap);
+  // Register a flow of `bytes` (> 0) for `session` starting at now(). One
+  // flow per session at a time.
+  void start(std::size_t session, util::Bytes bytes);
 
   // Integrate every in-flight flow forward to t (>= now()) at the current
-  // rates, then re-waterfill from C(t). The caller must not step across a
-  // capacity breakpoint or a flow completion (that is what the event loop's
-  // kCapacityChange / kFlowCompletion events are for).
+  // rate, then recompute the rate from C(t). The caller must not step across
+  // a capacity breakpoint or a flow completion (that is what the event
+  // loop's kCapacityChange / kFlowCompletion events are for).
   void advance_to(double t);
 
   // Remove `session`'s flow; its remaining bytes must have drained to ~0.
@@ -88,27 +84,22 @@ class SharedLink {
   // generation(), so pending completion predictions invalidate lazily).
   void abort(std::size_t session);
 
-  // Earliest completion if rates stay constant; ties break on the smaller
-  // session id. nullopt when no flow is in flight.
+  // Earliest completion if the rate stays constant; ties break on the
+  // smaller session id. nullopt when no flow is in flight.
   std::optional<Completion> next_completion() const;
 
-  // Test/metrics accessors.
-  util::Bytes remaining_bytes(std::size_t session) const;
+  // The session's current rate, bytes/s (0 when it has no flow in flight).
   double rate_bytes_per_s(std::size_t session) const;
-  bool uniform_regime() const { return uniform_; }  // test observability
 
  private:
   struct Flow {
-    double remaining_bytes = 0.0;  // general regime only
-    double v_end = 0.0;            // uniform regime: V at which the flow ends
-    double cap_bytes_per_s = 0.0;  // <= 0: uncapped
-    double rate_bytes_per_s = 0.0; // general regime only
-    std::uint32_t flow_seq = 0;    // tombstones stale completion-heap entries
+    double v_end = 0.0;          // V at which the flow ends
+    std::uint32_t flow_seq = 0;  // tombstones stale completion-heap entries
     bool active = false;
   };
 
-  // Completion-heap entry for the uniform regime; stale when flow_seq no
-  // longer matches the session's flow (finished/aborted/restarted).
+  // Completion-heap entry; stale when flow_seq no longer matches the
+  // session's flow (finished/aborted/restarted).
   struct HeapEntry {
     double v_end = 0.0;
     std::size_t session = 0;
@@ -116,32 +107,22 @@ class SharedLink {
   };
   static bool heap_after(const HeapEntry& a, const HeapEntry& b);
 
-  // General regime: water-fill C(now) over the active flows (ascending cap
-  // order). Bumps generation_ when any rate changed.
-  void reallocate();
-  double cap_key(std::size_t session) const;
-
-  // Uniform regime: recompute the shared rate from C(now) and the active
-  // count. Bumps generation_ when it changed.
-  void refresh_uniform_rate();
+  // Recompute the shared rate from C(now) and the active count. Bumps
+  // generation_ when it changed.
+  void refresh_rate();
   // Pop tombstoned entries so the heap top is always a live flow.
   void prune_heap();
-  // Link drained empty: re-enter the uniform regime, reset the virtual clock.
+  // Link drained empty: reset the virtual clock, the rate and the heap.
   void reset_epoch();
-  // A start() broke cap uniformity: materialize per-flow remaining bytes and
-  // the sorted active set from the virtual clock, switch to water-filling.
-  void fall_back_to_general();
   void remove_flow(std::size_t session);
 
   const trace::NetworkTrace* trace_;
-  std::vector<Flow> flows_;          // indexed by session id
-  std::vector<std::size_t> active_;  // general regime: (cap, session)-sorted
-  std::vector<HeapEntry> heap_;      // uniform regime: completion min-heap
+  double cap_bytes_per_s_ = 0.0;  // <= 0: uncapped
+  std::vector<Flow> flows_;       // indexed by session id
+  std::vector<HeapEntry> heap_;   // completion min-heap
   std::size_t active_count_ = 0;
-  bool uniform_ = true;
-  double uniform_cap_ = 0.0;         // shared cap while uniform (<= 0: none)
-  double uniform_rate_ = 0.0;        // shared per-flow rate r(t)
-  double virtual_bytes_ = 0.0;       // V(t): per-flow bytes since the epoch
+  double rate_ = 0.0;             // shared per-flow rate r(t)
+  double virtual_bytes_ = 0.0;    // V(t): per-flow bytes since the epoch
   double now_ = 0.0;
   std::uint64_t generation_ = 0;
   double delivered_bytes_ = 0.0;

@@ -35,9 +35,15 @@ StreamingClient::StreamingClient(ClientConfig config, const VideoWorkload& workl
   PS360_CHECK(config_.mpc.buffer_threshold_s > 0.0);
   PS360_CHECK_MSG(config_.recovery.max_attempts >= 1,
                   "recovery needs at least one attempt");
-  PS360_CHECK(config_.recovery.timeout_s > 0.0);
-  PS360_CHECK(config_.recovery.backoff_base_s >= 0.0);
-  PS360_CHECK(config_.recovery.backoff_max_s >= config_.recovery.backoff_base_s);
+  PS360_CHECK_MSG(std::isfinite(config_.recovery.timeout_s) &&
+                      config_.recovery.timeout_s > 0.0,
+                  "timeout_s must be finite and > 0");
+  PS360_CHECK_MSG(std::isfinite(config_.recovery.backoff_base_s) &&
+                      config_.recovery.backoff_base_s >= 0.0,
+                  "backoff_base_s must be finite and >= 0");
+  PS360_CHECK_MSG(std::isfinite(config_.recovery.backoff_max_s) &&
+                      config_.recovery.backoff_max_s >= config_.recovery.backoff_base_s,
+                  "backoff_max_s must be finite and >= backoff_base_s");
   PS360_CHECK_MSG(
       config_.recovery.backoff_jitter >= 0.0 && config_.recovery.backoff_jitter < 1.0,
       "backoff jitter must be in [0, 1)");

@@ -31,9 +31,9 @@ namespace ps360::sim {
 // delivery path, so the loop always terminates.
 struct RecoveryConfig {
   std::size_t max_attempts = 6;     // hard ceiling, >= 1; last attempt succeeds
-  double timeout_s = 4.0;           // per-attempt deadline (seconds, > 0)
-  double backoff_base_s = 0.25;     // first retry delay
-  double backoff_max_s = 4.0;       // backoff cap
+  double timeout_s = 4.0;           // per-attempt deadline (seconds, finite, > 0)
+  double backoff_base_s = 0.25;     // first retry delay (finite)
+  double backoff_max_s = 4.0;       // backoff cap (finite)
   double backoff_jitter = 0.25;     // +/- fraction of jitter on each backoff
   std::size_t degrade_after = 2;    // degrade every this many failures (>= 1)
   std::size_t max_degrade_steps = 3;

@@ -52,8 +52,9 @@ struct TournamentConfig {
   // the same nominal contention level and size sweeps probe burstiness, not
   // starvation.
   std::vector<std::size_t> fleet_sizes = {4, 16};
-  // Event-loop shards per fleet (bit-identical for any value; wall clock
-  // only). 0 resolves PS360_THREADS / hardware concurrency.
+  // Speculative-solve workers per fleet (FleetConfig::shards; bit-identical
+  // for any value, wall clock only). 0 resolves PS360_THREADS / hardware
+  // concurrency.
   std::size_t shards = 1;
   // Content: trace::test_videos()[video_index] trimmed to video_duration_s.
   std::size_t video_index = 1;

@@ -5,6 +5,7 @@
 #include "trace/fault_schedule.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.h"
 
@@ -24,16 +25,20 @@ FaultSchedule::FaultSchedule(const FaultConfig& config,
     : config_(config),
       session_seed_(session_seed),
       outage_rng_(util::derive_seed(session_seed, kOutageStream)) {
-  PS360_CHECK_MSG(config.outage_mean_s > 0.0, "outage mean must be positive");
-  PS360_CHECK_MSG(config.outage_max_s > 0.0, "outage cap must be positive");
+  PS360_CHECK_MSG(std::isfinite(config.outage_spacing_s),
+                  "outage_spacing_s must be finite (<= 0 disables outages)");
+  PS360_CHECK_MSG(std::isfinite(config.outage_mean_s) && config.outage_mean_s > 0.0,
+                  "outage_mean_s must be finite and > 0");
+  PS360_CHECK_MSG(std::isfinite(config.outage_max_s) && config.outage_max_s > 0.0,
+                  "outage_max_s must be finite and > 0");
   PS360_CHECK_MSG(
       config.loss_probability >= 0.0 && config.loss_probability <= 1.0,
       "loss probability must be in [0, 1]");
   PS360_CHECK_MSG(
       config.spike_probability >= 0.0 && config.spike_probability <= 1.0,
       "spike probability must be in [0, 1]");
-  PS360_CHECK_MSG(config.spike_mean_s >= 0.0,
-                  "spike mean must be non-negative");
+  PS360_CHECK_MSG(std::isfinite(config.spike_mean_s) && config.spike_mean_s >= 0.0,
+                  "spike_mean_s must be finite and >= 0");
 }
 
 void FaultSchedule::ensure_horizon(double t) {

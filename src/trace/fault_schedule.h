@@ -20,7 +20,8 @@ namespace ps360::trace {
 
 // Knobs for the fault process. Defaults are a moderately hostile LTE link:
 // a couple-second outage every two minutes, one request in twenty lost,
-// one in ten delayed by a few hundred milliseconds.
+// one in ten delayed by a few hundred milliseconds. Every duration must be
+// finite (FaultSchedule rejects the config otherwise).
 struct FaultConfig {
   bool enabled = false;          // master switch; false must be provably inert
   double outage_spacing_s = 120.0;  // mean gap between outages (<= 0: none)

@@ -12,9 +12,8 @@
 //    Debug/Release ctest legs only: the name deliberately
 //    avoids the TSan leg's filter so the sanitizer budget is spent on the
 //    thread-shaped tests below, not on hundreds of serial re-runs.
-//  * FleetShardTest.* / FleetShardEventLoopTest.* — light tests that
-//    actually exercise worker threads, the SolvePool, the PS360_THREADS
-//    override, and the ShardedEventLoop contracts. These ARE matched by the
+//  * FleetShardTest.* — light tests that actually exercise worker threads,
+//    the SolvePool and the PS360_THREADS override. These ARE matched by the
 //    TSan ctest filter (-R ...|FleetShard), so every cross-thread handoff
 //    in the shard path runs under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
@@ -23,13 +22,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "fleet/engine.h"
-#include "fleet/event_loop.h"
 #include "fleet/shard.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
@@ -65,8 +62,8 @@ void expect_bit_identical(const FleetResult& a, const FleetResult& b,
   EXPECT_EQ(a.stats.stale_completions, b.stats.stale_completions);
   EXPECT_EQ(a.stats.flow_aborts, b.stats.flow_aborts);
   EXPECT_EQ(a.stats.reallocations, b.stats.reallocations);
-  // Global queue occupancy is partition-invariant: the coordinator performs
-  // the same schedule/pop sequence whatever the shard count.
+  // Queue occupancy is shard-count invariant: the coordinator performs the
+  // same schedule/pop sequence whatever the worker count.
   EXPECT_EQ(a.stats.queue_peak, b.stats.queue_peak);
   EXPECT_EQ(a.stats.queue_grow_events, b.stats.queue_grow_events);
   EXPECT_EQ(a.stats.makespan_s, b.stats.makespan_s);
@@ -316,7 +313,7 @@ TEST(FleetShardTest, FaultArmMatchesSerialUnderThreads) {
 
 // ------------------------------------------------- reserve-size contract
 
-// The 1M-session scaling prerequisite: the per-shard heap reservation from
+// The 1M-session scaling prerequisite: the heap reservation from
 // recommended_reserve_events() must absorb the true event population, so
 // the hot loop never reallocates — for any feature mix and shard count.
 TEST(FleetShardTest, ReserveFormulaCoversMeasuredPeaks) {
@@ -341,174 +338,29 @@ TEST(FleetShardTest, ReserveFormulaCoversMeasuredPeaks) {
                      std::to_string(server) + " shards " +
                      std::to_string(shards));
         EXPECT_EQ(result.stats.queue_grow_events, 0u);
-        // The global peak fits one shard's reservation with room to spare,
-        // so per-shard heaps (which split the sessions) cannot overflow.
-        EXPECT_LE(result.stats.queue_peak,
-                  recommended_reserve_events(config, 1));
+        EXPECT_LE(result.stats.queue_peak, recommended_reserve_events(config));
       }
     }
   }
 }
 
-TEST(FleetShardTest, ReserveFormulaScalesPerShardNotPerFleet) {
+TEST(FleetShardTest, ReserveFormulaScalesPerSession) {
   FleetConfig config;
   config.sessions = 1000;
-  // Baseline: 8 resident events per session, split across shards, plus a
-  // constant tail.
-  EXPECT_EQ(recommended_reserve_events(config, 1), 8u * 1000u + 64u);
-  EXPECT_EQ(recommended_reserve_events(config, 4), 8u * 250u + 64u);
-  EXPECT_EQ(recommended_reserve_events(config, 7), 8u * 143u + 64u);  // ceil
+  // Baseline: 8 resident events per session plus a constant tail.
+  EXPECT_EQ(recommended_reserve_events(config), 8u * 1000u + 64u);
   config.session.faults.enabled = true;
-  EXPECT_EQ(recommended_reserve_events(config, 4), 32u * 250u + 64u);
+  EXPECT_EQ(recommended_reserve_events(config), 32u * 1000u + 64u);
   config.server.enabled = true;
-  EXPECT_EQ(recommended_reserve_events(config, 4), 36u * 250u + 64u);
+  EXPECT_EQ(recommended_reserve_events(config), 36u * 1000u + 64u);
   config.session.faults.enabled = false;
-  EXPECT_EQ(recommended_reserve_events(config, 4), 12u * 250u + 64u);
-  // A 1M-session fleet on 16 shards still reserves only per-shard state.
+  EXPECT_EQ(recommended_reserve_events(config), 12u * 1000u + 64u);
+  // Linear in the fleet, and independent of the solve-worker count.
   config.server.enabled = false;
   config.sessions = 1'000'000;
-  EXPECT_EQ(recommended_reserve_events(config, 16), 8u * 62'500u + 64u);
-}
-
-// -------------------------------------------------- ShardedEventLoop
-
-TEST(FleetShardEventLoopTest, PopsInGlobalTimeSessionOrderAcrossShards) {
-  // 3 session shards + the link heap; sessions 0..5 land on shards 0/1/2.
-  ShardedEventLoop loop(3, 8, 8);
-  loop.schedule(1.0, kLinkSession, EventKind::kCapacityChange);
-  loop.schedule(1.0, 5, EventKind::kFlowStart);       // shard 2
-  loop.schedule(1.0, 0, EventKind::kFlowStart);       // shard 0
-  loop.schedule(1.0, 4, EventKind::kFlowCompletion);  // shard 1
-  loop.schedule(0.5, 3, EventKind::kSessionStart);    // shard 0, earlier t
-  EXPECT_EQ(loop.pop().session, 3u);
-  EXPECT_EQ(loop.pop().session, 0u);
-  EXPECT_EQ(loop.pop().session, 4u);
-  EXPECT_EQ(loop.pop().session, 5u);
-  EXPECT_EQ(loop.pop().session, kLinkSession);  // link sorts after any session
-  EXPECT_TRUE(loop.empty());
-}
-
-TEST(FleetShardEventLoopTest, WithinShardTiesBreakBySessionThenSequence) {
-  ShardedEventLoop loop(2, 8, 8);
-  // Sessions 1 and 3 share shard 1; same timestamp, scheduled out of order.
-  loop.schedule(2.0, 3, EventKind::kFlowStart);
-  loop.schedule(2.0, 1, EventKind::kFlowStart);
-  loop.schedule(2.0, 1, EventKind::kFlowCompletion);  // later seq, same session
-  const Event first = loop.pop();
-  EXPECT_EQ(first.session, 1u);
-  EXPECT_EQ(first.kind, EventKind::kFlowStart);
-  const Event second = loop.pop();
-  EXPECT_EQ(second.session, 1u);
-  EXPECT_EQ(second.kind, EventKind::kFlowCompletion);
-  EXPECT_EQ(loop.pop().session, 3u);
-}
-
-TEST(FleetShardEventLoopTest, InterleavedScheduleDuringDrainMatchesSerial) {
-  // Push-during-pop: replay one adversarial schedule/pop interleaving into a
-  // serial EventLoop and a ShardedEventLoop for every shard count; the pop
-  // sequences must be identical.
-  util::Rng rng(77);
-  struct Op {
-    double t;
-    std::size_t session;
-  };
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{5}, std::size_t{8}}) {
-    util::Rng arm_rng(77);
-    EventLoop serial(512);
-    ShardedEventLoop sharded(shards, 512, 64);
-    const auto schedule = [&](double t, std::size_t session) {
-      serial.schedule(t, session, EventKind::kFlowStart);
-      sharded.schedule(t, session, EventKind::kFlowStart);
-    };
-    for (int i = 0; i < 32; ++i)
-      schedule(arm_rng.uniform(0.0, 4.0), arm_rng.uniform_index(16));
-    int drained = 0;
-    while (!serial.empty()) {
-      const Event a = serial.pop();
-      ASSERT_EQ(sharded.size(), serial.size() + 1);
-      const Event b = sharded.pop();
-      ASSERT_EQ(a.t, b.t);
-      ASSERT_EQ(a.session, b.session);
-      ASSERT_EQ(serial.now(), sharded.now());
-      // Keep injecting while draining: same-timestamp ties on purpose.
-      if (++drained % 3 == 0 && drained < 90) {
-        schedule(a.t, arm_rng.uniform_index(16));                  // tie at now
-        schedule(a.t + arm_rng.uniform(0.0, 2.0),
-                 arm_rng.uniform_index(16));
-        if (drained % 9 == 0)
-          schedule(a.t, kLinkSession);  // link events interleave too
-      }
-    }
-    EXPECT_TRUE(sharded.empty());
-    EXPECT_EQ(serial.scheduled(), sharded.scheduled());
-  }
-}
-
-TEST(FleetShardEventLoopTest, HundredThousandEventsWithoutGrowth) {
-  // A rolling window of events per shard stays inside the reservation: zero
-  // heap growth across 100k schedule/pop pairs, the steady-state shape of a
-  // long fleet run.
-  ShardedEventLoop loop(4, 64, 16);
-  const std::size_t kSessions = 64;
-  for (std::size_t i = 0; i < kSessions; ++i)
-    loop.schedule(static_cast<double>(i) * 1e-3, i, EventKind::kSessionStart);
-  loop.schedule(0.0, kLinkSession, EventKind::kCapacityChange);
-  for (int i = 0; i < 100'000; ++i) {
-    const Event event = loop.pop();
-    loop.schedule(event.t + 0.25, event.session,
-                  event.session == kLinkSession ? EventKind::kCapacityChange
-                                                : EventKind::kFlowStart);
-  }
-  EXPECT_EQ(loop.grow_events(), 0u);
-  EXPECT_EQ(loop.scheduled(), kSessions + 1u + 100'000u);
-  EXPECT_LE(loop.peak_size(), kSessions + 1u);
-}
-
-TEST(FleetShardEventLoopTest, ContractViolationsThrowWithoutCorruption) {
-  ShardedEventLoop loop(3, 8, 8);
-  EXPECT_THROW(loop.pop(), std::invalid_argument);  // empty
-  EXPECT_THROW(
-      loop.schedule(std::numeric_limits<double>::quiet_NaN(), 0,
-                    EventKind::kSessionStart),
-      std::invalid_argument);
-  EXPECT_TRUE(loop.empty());
-
-  loop.schedule(5.0, 2, EventKind::kFlowStart);
-  EXPECT_EQ(loop.pop().t, 5.0);  // global now() is 5.0
-  // The past is global, not per shard: session 1 lives on a different heap
-  // whose local head never advanced, but scheduling before now() must still
-  // throw — otherwise cross-shard merge order would be violated.
-  EXPECT_THROW(loop.schedule(3.0, 1, EventKind::kFlowStart),
-               std::invalid_argument);
-  EXPECT_THROW(loop.schedule(3.0, kLinkSession, EventKind::kCapacityChange),
-               std::invalid_argument);
-  // The rejected schedules left no residue.
-  EXPECT_TRUE(loop.empty());
-  loop.schedule(6.0, 1, EventKind::kFlowStart);
-  EXPECT_EQ(loop.pop().session, 1u);
-  EXPECT_TRUE(loop.empty());
-  EXPECT_EQ(loop.scheduled(), 2u);
-}
-
-TEST(FleetShardEventLoopTest, SingleShardDegeneratesToSerialLoop) {
-  EventLoop serial(32);
-  ShardedEventLoop sharded(1, 32, 8);
-  util::Rng rng(5);
-  for (int i = 0; i < 64; ++i) {
-    const double t = rng.uniform(0.0, 10.0);
-    const std::size_t session =
-        rng.bernoulli(0.1) ? kLinkSession : rng.uniform_index(9);
-    serial.schedule(t, session, EventKind::kFlowStart);
-    sharded.schedule(t, session, EventKind::kFlowStart);
-  }
-  while (!serial.empty()) {
-    const Event a = serial.pop();
-    const Event b = sharded.pop();
-    EXPECT_EQ(a.t, b.t);
-    EXPECT_EQ(a.session, b.session);
-  }
-  EXPECT_TRUE(sharded.empty());
+  EXPECT_EQ(recommended_reserve_events(config), 8u * 1'000'000u + 64u);
+  config.shards = 16;
+  EXPECT_EQ(recommended_reserve_events(config), 8u * 1'000'000u + 64u);
 }
 
 }  // namespace

@@ -7,12 +7,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "fleet/engine.h"
 #include "fleet/event_loop.h"
 #include "fleet/runner.h"
 #include "fleet/shared_link.h"
+#include "obs/metrics.h"
+#include "obs/observer.h"
+#include "obs/tracer.h"
 #include "sim/session.h"
 #include "sim/workload.h"
 #include "trace/video_catalog.h"
@@ -105,40 +115,46 @@ trace::NetworkTrace flat_trace(double mbps, double duration_s = 100.0) {
 
 TEST(SharedLinkTest, EqualShareWithoutCaps) {
   const trace::NetworkTrace trace = flat_trace(8.0);  // 1e6 bytes/s
-  SharedLink link(trace, 4);
-  link.start(0, util::Bytes(1e6), util::BytesPerSec(0.0));
-  link.start(1, util::Bytes(1e6), util::BytesPerSec(0.0));
-  link.start(2, util::Bytes(1e6), util::BytesPerSec(0.0));
-  link.start(3, util::Bytes(1e6), util::BytesPerSec(0.0));
+  SharedLink link(trace, 4, util::BytesPerSec(0.0));
+  link.start(0, util::Bytes(1e6));
+  link.start(1, util::Bytes(1e6));
+  link.start(2, util::Bytes(1e6));
+  link.start(3, util::Bytes(1e6));
   for (std::size_t s = 0; s < 4; ++s)
     EXPECT_DOUBLE_EQ(link.rate_bytes_per_s(s), 0.25e6);
 }
 
-TEST(SharedLinkTest, WaterFillingRespectsCapsAndRedistributes) {
+TEST(SharedLinkTest, LinkWideCapBindsOnlyBelowTheFairShare) {
   const trace::NetworkTrace trace = flat_trace(8.0);  // 1e6 bytes/s
-  SharedLink link(trace, 3);
-  link.start(0, util::Bytes(1e6), util::BytesPerSec(0.1e6));  // capped well below the fair share
-  link.start(1, util::Bytes(1e6), util::BytesPerSec(0.0));
-  link.start(2, util::Bytes(1e6), util::BytesPerSec(0.0));
-  EXPECT_DOUBLE_EQ(link.rate_bytes_per_s(0), 0.1e6);
-  // The freed 1/3 - 0.1 splits equally between the uncapped flows.
-  EXPECT_DOUBLE_EQ(link.rate_bytes_per_s(1), 0.45e6);
-  EXPECT_DOUBLE_EQ(link.rate_bytes_per_s(2), 0.45e6);
-  // Nothing invented, nothing wasted while an uncapped flow exists.
-  EXPECT_DOUBLE_EQ(link.rate_bytes_per_s(0) + link.rate_bytes_per_s(1) +
-                       link.rate_bytes_per_s(2),
-                   1e6);
+  SharedLink link(trace, 3, util::BytesPerSec(0.4e6));
+  link.start(0, util::Bytes(0.2e6));
+  link.start(1, util::Bytes(1e6));
+  link.start(2, util::Bytes(1e6));
+  // Three flows: the 1/3 fair share sits below the cap, so the whole link
+  // is shared out.
+  for (std::size_t s = 0; s < 3; ++s)
+    EXPECT_DOUBLE_EQ(link.rate_bytes_per_s(s), 1e6 / 3.0);
+  const auto first = link.next_completion();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->session, 0u);
+  link.advance_to(first->t);
+  link.finish(0);
+  // Two flows: the 0.5 share exceeds the cap, which binds; the link carries
+  // min(C, N * cap) and leaves the rest idle.
+  EXPECT_DOUBLE_EQ(link.rate_bytes_per_s(1), 0.4e6);
+  EXPECT_DOUBLE_EQ(link.rate_bytes_per_s(2), 0.4e6);
+  EXPECT_DOUBLE_EQ(link.rate_bytes_per_s(0), 0.0);  // finished
 }
 
 TEST(SharedLinkTest, CompletionAndRatePredictions) {
   const trace::NetworkTrace trace = flat_trace(8.0);  // 1e6 bytes/s
-  SharedLink link(trace, 2);
-  link.start(0, util::Bytes(0.5e6), util::BytesPerSec(0.0));  // alone: finishes in 0.5 s
+  SharedLink link(trace, 2, util::BytesPerSec(0.0));
+  link.start(0, util::Bytes(0.5e6));  // alone: finishes in 0.5 s
   const auto first = link.next_completion();
   ASSERT_TRUE(first.has_value());
   EXPECT_DOUBLE_EQ(first->t, 0.5);
   link.advance_to(0.25);
-  link.start(1, util::Bytes(1.0e6), util::BytesPerSec(0.0));  // now both at 0.5e6 B/s
+  link.start(1, util::Bytes(1.0e6));  // now both at 0.5e6 B/s
   const auto second = link.next_completion();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->session, 0u);
@@ -151,16 +167,22 @@ TEST(SharedLinkTest, CompletionAndRatePredictions) {
 
 TEST(SharedLinkTest, ContractViolationsThrowAndDoNotCorruptFlows) {
   const trace::NetworkTrace trace = flat_trace(8.0);  // 1e6 bytes/s
-  EXPECT_THROW(SharedLink(trace, 0), std::invalid_argument);
+  EXPECT_THROW(SharedLink(trace, 0, util::BytesPerSec(0.0)), std::invalid_argument);
+  EXPECT_THROW(SharedLink(trace, 2, util::BytesPerSec(
+                                        std::numeric_limits<double>::quiet_NaN())),
+               std::invalid_argument);
+  EXPECT_THROW(SharedLink(trace, 2, util::BytesPerSec(
+                                        std::numeric_limits<double>::infinity())),
+               std::invalid_argument);
 
-  SharedLink link(trace, 2);
-  EXPECT_THROW(link.start(2, util::Bytes(1e6), util::BytesPerSec(0.0)), std::invalid_argument);   // out of range
-  EXPECT_THROW(link.start(0, util::Bytes(0.0), util::BytesPerSec(0.0)), std::invalid_argument);   // no bytes
-  EXPECT_THROW(link.start(0, util::Bytes(-1.0), util::BytesPerSec(0.0)), std::invalid_argument);  // negative
+  SharedLink link(trace, 2, util::BytesPerSec(0.0));
+  EXPECT_THROW(link.start(2, util::Bytes(1e6)), std::invalid_argument);   // out of range
+  EXPECT_THROW(link.start(0, util::Bytes(0.0)), std::invalid_argument);   // no bytes
+  EXPECT_THROW(link.start(0, util::Bytes(-1.0)), std::invalid_argument);  // negative
   EXPECT_THROW(link.finish(0), std::invalid_argument);            // nothing in flight
 
-  link.start(0, util::Bytes(1e6), util::BytesPerSec(0.0));
-  EXPECT_THROW(link.start(0, util::Bytes(1e6), util::BytesPerSec(0.0)), std::invalid_argument);  // double start
+  link.start(0, util::Bytes(1e6));
+  EXPECT_THROW(link.start(0, util::Bytes(1e6)), std::invalid_argument);  // double start
   link.advance_to(0.5);
   EXPECT_THROW(link.advance_to(0.25), std::invalid_argument);  // backwards
 
@@ -205,14 +227,15 @@ struct Arrival {
   double t = 0.0;
   std::size_t session = 0;
   double bytes = 0.0;
-  double cap = 0.0;  // <= 0: uncapped
 };
 
 // Brute-force fluid simulation: march time in tiny steps, recompute max-min
-// shares from scratch each step, interpolate the completion instant.
+// shares from scratch each step, interpolate the completion instant. `cap`
+// (<= 0: uncapped) limits every flow, as SharedLink's link-wide cap does.
 std::vector<double> brute_force_completions(const trace::NetworkTrace& trace,
                                             const std::vector<Arrival>& arrivals,
-                                            std::size_t n_sessions, double dt) {
+                                            std::size_t n_sessions, double cap,
+                                            double dt) {
   std::vector<double> completion(n_sessions, -1.0);
   std::vector<double> remaining(n_sessions, 0.0);
   std::vector<bool> active(n_sessions, false);
@@ -225,7 +248,7 @@ std::vector<double> brute_force_completions(const trace::NetworkTrace& trace,
            arrivals[next_arrival].t <= t + 1e-12) {
       const Arrival& a = arrivals[next_arrival++];
       remaining[a.session] = a.bytes;
-      caps[a.session] = a.cap;
+      caps[a.session] = cap;
       active[a.session] = true;
     }
     std::vector<double> act_caps;
@@ -261,9 +284,9 @@ std::vector<double> brute_force_completions(const trace::NetworkTrace& trace,
 // miniature, without clients).
 std::vector<double> link_completions(const trace::NetworkTrace& trace,
                                      const std::vector<Arrival>& arrivals,
-                                     std::size_t n_sessions) {
+                                     std::size_t n_sessions, double cap) {
   std::vector<double> completion(n_sessions, -1.0);
-  SharedLink link(trace, n_sessions);
+  SharedLink link(trace, n_sessions, util::BytesPerSec(cap));
   std::size_t next_arrival = 0;
   std::size_t done = 0;
   while (done < arrivals.size()) {
@@ -282,15 +305,16 @@ std::vector<double> link_completions(const trace::NetworkTrace& trace,
       ++done;
     } else if (t_arrival <= t_next) {
       const Arrival& a = arrivals[next_arrival++];
-      link.start(a.session, util::Bytes(a.bytes), util::BytesPerSec(a.cap));
+      link.start(a.session, util::Bytes(a.bytes));
     }
-    // Capacity changes need no explicit handling: advance_to re-waterfilled.
+    // Capacity changes need no explicit handling: advance_to recomputed the
+    // rate.
   }
   return completion;
 }
 
 TEST(SharedLinkDifferentialTest, MatchesBruteForceFluidSimulation) {
-  // A deliberately bumpy capacity trace and staggered heterogeneous flows.
+  // A deliberately bumpy capacity trace and staggered flows of mixed sizes.
   std::vector<trace::ThroughputSample> samples;
   const double rates_mbps[] = {6.0, 2.5, 9.0, 4.0, 3.0, 8.0, 2.4, 5.0};
   for (std::size_t i = 0; i < 40; ++i)
@@ -298,23 +322,27 @@ TEST(SharedLinkDifferentialTest, MatchesBruteForceFluidSimulation) {
   const trace::NetworkTrace trace(std::move(samples));
 
   const std::vector<Arrival> arrivals = {
-      {0.00, 0, 8.0e5, 0.0},
-      {0.20, 1, 3.0e5, 2e5},   // tightly capped
-      {0.45, 2, 6.0e5, 0.0},
-      {1.10, 3, 2.0e5, 4e5},
-      {1.30, 4, 9.0e5, 0.0},
-      {2.75, 5, 1.5e5, 1e5},
+      {0.00, 0, 8.0e5}, {0.20, 1, 3.0e5}, {0.45, 2, 6.0e5},
+      {1.10, 3, 2.0e5}, {1.30, 4, 9.0e5}, {2.75, 5, 1.5e5},
   };
   const std::size_t n = 6;
 
-  const std::vector<double> expected =
-      brute_force_completions(trace, arrivals, n, 2e-4);
-  const std::vector<double> actual = link_completions(trace, arrivals, n);
-
-  for (std::size_t s = 0; s < n; ++s) {
-    ASSERT_GE(actual[s], 0.0) << "session " << s << " never completed";
-    EXPECT_NEAR(actual[s], expected[s], 5e-3) << "session " << s;
+  // Uncapped, then a 2e5 B/s cap that binds whenever few flows share the
+  // 0.3-1.1e6 B/s link and lifts when many do.
+  std::vector<double> makespans;
+  for (const double cap : {0.0, 2e5}) {
+    const std::vector<double> expected =
+        brute_force_completions(trace, arrivals, n, cap, 2e-4);
+    const std::vector<double> actual = link_completions(trace, arrivals, n, cap);
+    for (std::size_t s = 0; s < n; ++s) {
+      ASSERT_GE(actual[s], 0.0) << "cap " << cap << " session " << s
+                                << " never completed";
+      EXPECT_NEAR(actual[s], expected[s], 5e-3) << "cap " << cap << " session " << s;
+    }
+    makespans.push_back(*std::max_element(actual.begin(), actual.end()));
   }
+  // The cap really binds: it delays the last completion.
+  EXPECT_GT(makespans[1], makespans[0]);
 }
 
 TEST(SharedLinkDifferentialTest, RandomizedSmallCases) {
@@ -326,6 +354,9 @@ TEST(SharedLinkDifferentialTest, RandomizedSmallCases) {
     const trace::NetworkTrace trace(std::move(samples));
 
     const std::size_t n = 2 + rng.uniform_index(4);
+    // Half the links are uncapped; the rest carry a cap that binds once the
+    // fair share climbs above it.
+    const double cap = rng.bernoulli(0.5) ? rng.uniform(1e5, 6e5) : 0.0;
     std::vector<Arrival> arrivals;
     double t = 0.0;
     for (std::size_t s = 0; s < n; ++s) {
@@ -333,17 +364,16 @@ TEST(SharedLinkDifferentialTest, RandomizedSmallCases) {
       a.t = t;
       a.session = s;
       a.bytes = rng.uniform(1e5, 8e5);
-      a.cap = rng.bernoulli(0.4) ? rng.uniform(1e5, 6e5) : 0.0;
       arrivals.push_back(a);
       t += rng.uniform(0.0, 0.8);
     }
 
     const std::vector<double> expected =
-        brute_force_completions(trace, arrivals, n, 2e-4);
-    const std::vector<double> actual = link_completions(trace, arrivals, n);
+        brute_force_completions(trace, arrivals, n, cap, 2e-4);
+    const std::vector<double> actual = link_completions(trace, arrivals, n, cap);
     for (std::size_t s = 0; s < n; ++s)
       EXPECT_NEAR(actual[s], expected[s], 5e-3)
-          << "iteration " << iteration << " session " << s;
+          << "iteration " << iteration << " cap " << cap << " session " << s;
   }
 }
 
@@ -449,6 +479,200 @@ TEST(FleetEngineTest, ContentionStretchesDownloadsAndStalls) {
   // the link: downloads stretch and the stall ratio cannot improve.
   EXPECT_GT(crowded.mean_download_s, alone.mean_download_s);
   EXPECT_GE(crowded.stall_ratio, alone.stall_ratio);
+}
+
+// ------------------------------------------------ non-finite config fields
+
+// Unchecked, a non-finite duration, delay or rate hangs run_fleet (event
+// times reach inf, and the capacity-change event keeps rescheduling itself
+// every trace second) or is absorbed silently (a NaN access cap runs
+// uncapped, an infinite spike fails every attempt). Each must throw from
+// run_fleet with a message naming the field.
+struct NonFiniteField {
+  const char* field;
+  void (*set)(FleetConfig&);
+};
+
+// Prints the field name, which keeps the discovered ctest names stable.
+void PrintTo(const NonFiniteField& param, std::ostream* out) { *out << param.field; }
+
+class NonFiniteConfigTest : public ::testing::TestWithParam<NonFiniteField> {};
+
+TEST_P(NonFiniteConfigTest, RunFleetThrowsNamingTheField) {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/9, util::Seconds(300.0));
+  FleetConfig config;
+  config.sessions = 4;
+  // Fault injection and the server tier are on, so every field below is read.
+  config.session.faults.enabled = true;
+  config.server.enabled = true;
+  GetParam().set(config);
+  const std::string expected = std::string(GetParam().field) + " must be finite";
+  try {
+    run_fleet(*fixture.workload, traces.second, config);
+    ADD_FAILURE() << "run_fleet accepted a non-finite " << GetParam().field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryField, NonFiniteConfigTest,
+    ::testing::Values(
+        NonFiniteField{"start_spread_s", [](FleetConfig& c) { c.start_spread_s = kInf; }},
+        NonFiniteField{"access_cap_mbps", [](FleetConfig& c) { c.access_cap_mbps = kNaN; }},
+        NonFiniteField{"origin_mbps", [](FleetConfig& c) { c.server.origin_mbps = kInf; }},
+        NonFiniteField{"origin_latency_s",
+                       [](FleetConfig& c) { c.server.origin_latency_s = kInf; }},
+        NonFiniteField{"timeout_s",
+                       [](FleetConfig& c) { c.session.recovery.timeout_s = kInf; }},
+        NonFiniteField{"backoff_base_s",
+                       [](FleetConfig& c) { c.session.recovery.backoff_base_s = kInf; }},
+        NonFiniteField{"backoff_max_s",
+                       [](FleetConfig& c) { c.session.recovery.backoff_max_s = kInf; }},
+        NonFiniteField{"outage_spacing_s",
+                       [](FleetConfig& c) { c.session.faults.outage_spacing_s = kNaN; }},
+        NonFiniteField{"outage_mean_s",
+                       [](FleetConfig& c) { c.session.faults.outage_mean_s = kInf; }},
+        NonFiniteField{"outage_max_s",
+                       [](FleetConfig& c) { c.session.faults.outage_max_s = kInf; }},
+        NonFiniteField{"spike_mean_s",
+                       [](FleetConfig& c) { c.session.faults.spike_mean_s = kInf; }}),
+    [](const ::testing::TestParamInfo<NonFiniteField>& param) {
+      return std::string(param.param.field);
+    });
+
+// ------------------------------------------------------------ Fleet golden
+
+// Pins run_fleet's output across commits: the battery in fleet_shard_test
+// compares two runs of one build, so it cannot see a refactor that moves
+// every run the same way. tests/data/fleet_golden.csv holds, per config,
+// every FleetStats field and each session's energy, QoE, stall, bytes and
+// finish time as precision-17 values (exact round trip), one
+// `config,key,value` line each. To regenerate deliberately, run
+// fleet_test --gtest_filter='FleetGoldenTest.*' with the environment
+// variable PS360_FLEET_GOLDEN_OUT=tests/data/fleet_golden.csv and review the
+// diff: any moved line is an output change.
+std::string golden_number(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+void append_golden_lines(const std::string& name, const FleetResult& result,
+                         std::vector<std::string>& lines) {
+  const auto line = [&](const std::string& key, const std::string& value) {
+    lines.push_back(name + "," + key + "," + value);
+  };
+  const FleetStats& s = result.stats;
+  line("events", std::to_string(s.events));
+  line("stale_completions", std::to_string(s.stale_completions));
+  line("flow_aborts", std::to_string(s.flow_aborts));
+  line("queue_grow_events", std::to_string(s.queue_grow_events));
+  line("queue_peak", std::to_string(s.queue_peak));
+  line("reallocations", std::to_string(s.reallocations));
+  line("makespan_s", golden_number(s.makespan_s));
+  line("delivered_bytes", golden_number(s.delivered_bytes.value()));
+  line("offered_bytes", golden_number(s.offered_bytes.value()));
+  line("plan_cache_hits", std::to_string(s.plan_cache_hits));
+  line("plan_cache_misses", std::to_string(s.plan_cache_misses));
+  line("cache_hits", std::to_string(s.cache_hits));
+  line("cache_misses", std::to_string(s.cache_misses));
+  line("cache_evictions", std::to_string(s.cache_evictions));
+  line("cache_insertions", std::to_string(s.cache_insertions));
+  line("cache_entries", std::to_string(s.cache_entries));
+  line("cache_resident", golden_number(s.cache_resident.value()));
+  line("origin_flows", std::to_string(s.origin_flows));
+  line("origin_bytes", golden_number(s.origin_bytes.value()));
+  for (const FleetSessionResult& session : result.sessions) {
+    const std::string prefix = "session." + std::to_string(session.session) + ".";
+    line(prefix + "energy_mj", golden_number(session.result.energy.total_mj()));
+    line(prefix + "qoe", golden_number(session.result.qoe.mean_q));
+    line(prefix + "stall_s", golden_number(session.result.total_stall_s));
+    line(prefix + "bytes", golden_number(session.result.total_bytes));
+    line(prefix + "finish_s", golden_number(session.finish_s));
+  }
+}
+
+// Four small fleets over the paper's trace 2 scaled to the fleet: clean and
+// uncapped; a binding access cap; hostile faults with the server tier (a
+// starved edge cache and a short deadline, so misses, evictions, origin
+// flows and aborts on both links all happen); and an observer attached at
+// shards = 4.
+std::vector<std::string> golden_lines() {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/17, util::Seconds(300.0));
+  std::vector<std::string> lines;
+  const auto run = [&](const std::string& name, const FleetConfig& config) {
+    const trace::NetworkTrace link =
+        traces.second.scaled(static_cast<double>(config.sessions));
+    append_golden_lines(name, run_fleet(*fixture.workload, link, config), lines);
+  };
+
+  FleetConfig clean;
+  clean.sessions = 6;
+  clean.seed = 101;
+  run("clean", clean);
+
+  FleetConfig capped = clean;
+  capped.seed = 102;
+  capped.access_cap_mbps = 2.0;  // below the ~3.9 Mbps per-session share
+  run("capped", capped);
+
+  FleetConfig hostile = clean;
+  hostile.seed = 103;
+  hostile.session.faults.enabled = true;
+  hostile.session.faults.outage_spacing_s = 5.0;
+  hostile.session.faults.outage_mean_s = 0.5;
+  hostile.session.faults.outage_max_s = 2.0;
+  hostile.session.faults.loss_probability = 0.15;
+  hostile.session.faults.spike_probability = 0.2;
+  hostile.server.enabled = true;
+  hostile.server.catalog = {/*videos=*/3, /*alpha=*/0.8};
+  hostile.server.cache_capacity = util::Bytes(512.0 * 1024.0);
+  hostile.server.origin_mbps = 6.0;
+  hostile.session.recovery.timeout_s = 1.0;  // short enough to abort flows
+  run("hostile_server", hostile);
+
+  obs::MetricsRegistry metrics;
+  obs::EventTracer tracer(1 << 12);
+  obs::Observer observer{&metrics, &tracer};
+  FleetConfig observed = clean;
+  observed.seed = 104;
+  observed.shards = 4;
+  observed.observer = &observer;
+  run("observed_shards4", observed);
+  return lines;
+}
+
+TEST(FleetGoldenTest, OutputMatchesCheckedInGolden) {
+  const std::vector<std::string> actual = golden_lines();
+  if (const char* out = std::getenv("PS360_FLEET_GOLDEN_OUT")) {
+    std::ofstream file(out);
+    file << "config,key,value\n";
+    for (const std::string& line : actual) file << line << "\n";
+  }
+
+  const std::filesystem::path golden_path =
+      std::filesystem::path(PS360_TEST_DATA_DIR) / "fleet_golden.csv";
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "cannot open " << golden_path;
+  std::vector<std::string> expected;
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header, "config,key,value");
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+
+  // Line by line, so a drift names the config, the field and both values.
+  const std::size_t common = std::min(expected.size(), actual.size());
+  for (std::size_t i = 0; i < common; ++i)
+    EXPECT_EQ(actual[i], expected[i]) << "fleet golden drift at line " << (i + 2);
+  EXPECT_EQ(actual.size(), expected.size())
+      << "row count changed (golden " << expected.size() << " rows, actual "
+      << actual.size() << ")";
 }
 
 // ------------------------------------------------------------ FleetRunner

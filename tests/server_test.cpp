@@ -497,7 +497,7 @@ TEST(FleetServerShardTest, CacheTelemetryIsShardCountInvariant) {
 TEST(FleetServerShardTest, OriginOnlyTrafficIsShardCountInvariant) {
   // Capacity zero: every request takes the miss path through the origin
   // link, so this pins the origin-flow scheduling (kOriginStart /
-  // kOriginCompletion) across the per-shard heaps.
+  // kOriginCompletion) across solve-worker counts.
   const auto traces = trace::make_paper_traces(/*seed=*/19, util::Seconds(300.0));
   FleetConfig config = server_config(util::Bytes(0.0));
   config.sessions = 12;
