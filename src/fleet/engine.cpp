@@ -49,10 +49,9 @@ struct SessionRuntime {
   // owning shard worker, moved into `pending` by the coordinator after
   // SolvePool::wait — which is the release/acquire edge making it visible.
   std::optional<sim::ClientRequest> speculative;
-  double flow_started_at = 0.0;
+  double flow_started_at = 0.0;  // issue time of the current attempt
   double start_s = 0.0;
   double finish_s = 0.0;
-  bool done = false;
 
   // Fault-injection state (null/idle unless FaultConfig.enabled).
   std::unique_ptr<trace::FaultSchedule> faults;
@@ -360,57 +359,48 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
           }
         }
         PS360_ASSERT(rt.pending.has_value());
+        // Download time runs from issue, so it includes any spike, outage
+        // wait or origin fetch before the bytes reach the device.
+        rt.flow_started_at = event.t;
         if (rt.faults != nullptr) {
           const sim::RecoveryConfig& rc = rt.client->recovery();
           const std::size_t attempt = rt.client->attempts() + 1;
+          const auto outage = rt.faults->outage_at(event.t);
           if (attempt >= rc.max_attempts) {
-            // Guaranteed final attempt: if blacked out, just re-issue at the
-            // outage end (no failure charged); otherwise run with no deadline
-            // so the transfer always completes.
-            if (const auto w = rt.faults->outage_at(event.t)) {
-              loop.schedule(w->end, event.session, EventKind::kFlowStart);
+            // Guaranteed final attempt: never lost, no deadline. Blacked out
+            // at issue, it waits for the outage to end before admission.
+            if (outage) {
+              loop.schedule(outage->end, event.session, EventKind::kFlowAdmit,
+                            rt.attempt_seq);
               break;
             }
           } else {
+            // Every other attempt runs against one deadline and fails in
+            // causal order: blacked out at issue (it burns until the outage
+            // ends or the deadline), lost in flight (nothing reaches the
+            // link; the client learns at the deadline), or too slow.
             const std::uint64_t tag = ++rt.attempt_seq;
-            if (const auto w = rt.faults->outage_at(event.t)) {
-              // Blacked out at issue: the attempt burns until the outage ends
-              // or the deadline, whichever is sooner; no bytes ever flow.
-              rt.fail_reason = sim::FailureReason::kOutage;
-              rt.flow_started_at = event.t;
-              const double elapsed = std::min(w->end - event.t, rc.timeout_s);
-              loop.schedule(event.t + elapsed, event.session,
-                            EventKind::kFlowDeadline, tag);
-              break;
-            }
             const trace::AttemptFault fault =
-                rt.faults->attempt_fault(rt.pending->segment, attempt);
-            if (fault.lost) {
-              // Request vanished: nothing reaches the link; the client only
-              // learns at the deadline.
-              rt.fail_reason = sim::FailureReason::kLost;
-              rt.flow_started_at = event.t;
-              loop.schedule(event.t + rc.timeout_s, event.session,
-                            EventKind::kFlowDeadline, tag);
-              break;
-            }
-            rt.fail_reason = sim::FailureReason::kTimeout;
-            loop.schedule(event.t + rc.timeout_s, event.session,
+                outage ? trace::AttemptFault{}
+                       : rt.faults->attempt_fault(rt.pending->segment, attempt);
+            rt.fail_reason = outage       ? sim::FailureReason::kOutage
+                             : fault.lost ? sim::FailureReason::kLost
+                                          : sim::FailureReason::kTimeout;
+            const double deadline_s =
+                outage ? std::min(outage->end - event.t, rc.timeout_s) : rc.timeout_s;
+            loop.schedule(event.t + deadline_s, event.session,
                           EventKind::kFlowDeadline, tag);
+            if (outage || fault.lost) break;
             if (fault.spike_s > 0.0) {
               // Latency spike: the flow reaches the link only after the
-              // spike; flow_started_at stays at issue so download time
-              // includes it. If the spike outlasts the deadline the admit
-              // arrives stale and is discarded.
-              rt.flow_started_at = event.t;
+              // spike. If the spike outlasts the deadline the admit arrives
+              // stale and is discarded.
               loop.schedule(event.t + fault.spike_s, event.session,
                             EventKind::kFlowAdmit, tag);
               break;
             }
-            // fall through to a normal (but deadline-guarded) start
           }
         }
-        rt.flow_started_at = event.t;
         admit_flow(event.session, event.t);
         break;
       }
@@ -498,7 +488,13 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         rt.attempt_elapsed = 0.0;
         rt.pending.reset();
         if (rt.client->finished()) {
-          rt.done = true;
+          // Per-session time closes: the engine clock at the last completion
+          // equals the start stagger plus the client's own wall clock (Eq. 6
+          // waits, failed attempts, backoffs and downloads).
+          const double client_t = rt.start_s + rt.client->wall_time_s();
+          PS360_ASSERT_MSG(std::abs(event.t - client_t) <= 1e-9 * event.t,
+                           "session time does not close: engine and client "
+                           "clocks disagree");
           rt.finish_s = event.t;
           ++done_count;
         } else {

@@ -35,6 +35,27 @@ SchemeEnv make_env(const VideoWorkload& workload, const video::EncodingModel& en
   return env;
 }
 
+// Reject SessionConfig values that would be absorbed silently (a coverage
+// floor above 1 disables Ptile) or fail far from their cause (an infinite
+// buffer threshold throws from a vector resize). Runs before any member is
+// built from the config, so simulate_session and run_fleet both reject it
+// with the field's name.
+const SessionConfig& validated(const SessionConfig& config) {
+  const auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  PS360_CHECK_MSG(config.ptile_min_coverage >= 0.0 && config.ptile_min_coverage <= 1.0,
+                  "ptile_min_coverage must be in [0, 1]");
+  PS360_CHECK_MSG(
+      config.tile_overlap_threshold >= 0.0 && config.tile_overlap_threshold < 1.0,
+      "tile_overlap_threshold must be in [0, 1)");
+  PS360_CHECK_MSG(finite_positive(config.initial_bandwidth_bytes_per_s),
+                  "initial_bandwidth_bytes_per_s must be finite and > 0");
+  PS360_CHECK_MSG(finite_positive(config.mpc.buffer_threshold_s),
+                  "mpc.buffer_threshold_s must be finite and > 0");
+  PS360_CHECK_MSG(finite_positive(config.mpc.segment_seconds),
+                  "mpc.segment_seconds must be finite and > 0");
+  return config;
+}
+
 video::EncodingConfig seeded_encoding(const SessionConfig& config) {
   video::EncodingConfig enc_cfg = config.encoding;
   enc_cfg.seed = config.seed;
@@ -48,7 +69,7 @@ SessionAccountant::SessionAccountant(const VideoWorkload& workload,
                                      const SessionConfig& config)
     : workload_(&workload),
       test_user_(test_user),
-      config_(config),
+      config_(validated(config)),
       encoding_(seeded_encoding(config)),
       qo_model_(config.qo_params, config.qoe_bitrate_scale),
       qoe_model_(config.mpc.weights),
@@ -57,8 +78,6 @@ SessionAccountant::SessionAccountant(const VideoWorkload& workload,
                                    power::device_model(config.device), config))),
       device_(&power::device_model(config.device)) {
   PS360_CHECK(test_user < workload.test_user_count());
-  PS360_CHECK(config.mpc.segment_seconds > 0.0 &&
-              config.mpc.buffer_threshold_s > 0.0);
   result_.scheme = scheme;
   result_.segments.reserve(workload.segment_count());
   qoe_segments_.reserve(workload.segment_count());

@@ -189,7 +189,6 @@ FailureAction StreamingClient::report_download_failure(util::Seconds elapsed,
 
   ++attempt_;
   FailureAction action;
-  action.attempt = attempt_;
 
   // Capped exponential backoff with seeded jitter. The jitter stream is a
   // pure function of (recovery seed, segment, attempt), so schedules are
@@ -219,7 +218,6 @@ FailureAction StreamingClient::report_download_failure(util::Seconds elapsed,
 
   action.degrade =
       attempt_ % rc.degrade_after == 0 && degrade_level_ < rc.max_degrade_steps;
-  action.final_attempt = attempt_ + 1 >= rc.max_attempts;
 
   if (observer_ != nullptr) {
     observer_->now_s = obs_clock_offset_s_ + wall_t_;

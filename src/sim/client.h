@@ -9,8 +9,11 @@
 // throughput trace; a real client would issue an HTTP request) and reports
 // how long it took; the client advances the Eq. 6 buffer state.
 //
-// sim::simulate_session drives this class against a trace::NetworkTrace;
-// tests drive it directly with hand-crafted download times.
+// sim::simulate_session drives this class fault-free against a private
+// trace::NetworkTrace; fleet::run_fleet drives it against a shared link and
+// is the only caller that injects faults, so it alone reports failures
+// (report_download_failure) and issues the guaranteed final attempt. Tests
+// drive it directly with hand-crafted download times.
 #pragma once
 
 #include <memory>
@@ -27,8 +30,8 @@ namespace ps360::sim {
 // Bounded recovery policy for failed downloads: capped exponential backoff
 // with seeded jitter, and a degradation ladder that re-plans the segment
 // against a pessimistic bandwidth so repeated failures fetch less, not more.
-// The final attempt (attempt max_attempts) is the caller's guaranteed-
-// delivery path, so the loop always terminates.
+// The final attempt (attempts() + 1 == max_attempts) is the caller's
+// guaranteed-delivery path, so the loop always terminates.
 struct RecoveryConfig {
   std::size_t max_attempts = 6;     // hard ceiling, >= 1; last attempt succeeds
   double timeout_s = 4.0;           // per-attempt deadline (seconds, finite, > 0)
@@ -63,10 +66,8 @@ enum class FailureReason {
 
 // What the client decided after a failure was reported.
 struct FailureAction {
-  std::size_t attempt = 0;     // failures so far for this segment
-  double backoff_s = 0.0;      // delay before the next attempt (already applied)
-  bool degrade = false;        // caller should invoke replan_degraded()
-  bool final_attempt = false;  // next attempt must be driven to completion
+  double backoff_s = 0.0;  // delay before the next attempt (already applied)
+  bool degrade = false;    // caller should invoke replan_degraded()
 };
 
 // One planned request: what to fetch for the next segment plus the

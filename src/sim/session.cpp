@@ -1,89 +1,14 @@
-// simulate_session: drives a StreamingClient against a NetworkTrace (plus
-// optional fault schedule). Deterministic: downloads integrate the trace,
-// faults come from a seeded schedule, and no step reads a real clock.
+// simulate_session: drives a StreamingClient against a private NetworkTrace,
+// fault-free. Deterministic: downloads integrate the trace and no step reads
+// a real clock. Fault injection runs only in the fleet engine.
 #include "sim/session.h"
-
-#include <algorithm>
 
 #include "sim/accounting.h"
 #include "sim/client.h"
 
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace ps360::sim {
-
-namespace {
-
-// Drive one segment to completion against a faulty network: bounded retries
-// with outage/loss/timeout verdicts from the schedule, degradation when the
-// client says so, and a guaranteed-delivery final attempt (waits out any
-// outage, immune to loss and the deadline) so the loop always terminates.
-struct FaultedDownload {
-  double download_s = 0.0;  // the successful transfer's duration
-  double radio_s = 0.0;     // radio-on seconds incl. failed attempts
-};
-
-FaultedDownload download_with_faults(StreamingClient& client,
-                                     const trace::NetworkTrace& network,
-                                     trace::FaultSchedule& schedule,
-                                     ClientRequest& request) {
-  const RecoveryConfig& rc = client.recovery();
-  FaultedDownload out;
-  for (;;) {
-    const double t = client.wall_time_s();
-    const std::size_t attempt = client.attempts() + 1;
-    if (attempt >= rc.max_attempts) {
-      // Final attempt: wait out any outage at issue time, then download with
-      // outage pauses folded into the transfer — never lost, no deadline.
-      double wait_s = 0.0;
-      if (const auto w = schedule.outage_at(t)) wait_s = w->end - t;
-      const double start = t + wait_s;
-      const double busy =
-          network.time_to_download(request.plan.option.bytes, start);
-      out.download_s =
-          wait_s + busy +
-          schedule.outage_overlap(start, util::Seconds(busy));
-      out.radio_s += out.download_s;
-      return out;
-    }
-
-    // Non-final attempts can fail three ways, checked in causal order:
-    // blacked out at issue, lost in flight, or too slow for the deadline.
-    double elapsed = 0.0;
-    FailureReason reason = FailureReason::kTimeout;
-    if (const auto w = schedule.outage_at(t)) {
-      elapsed = std::min(w->end - t, rc.timeout_s);
-      reason = FailureReason::kOutage;
-    } else {
-      const trace::AttemptFault fault =
-          schedule.attempt_fault(request.segment, attempt);
-      if (fault.lost) {
-        elapsed = rc.timeout_s;
-        reason = FailureReason::kLost;
-      } else {
-        const double busy =
-            network.time_to_download(request.plan.option.bytes, t) +
-            fault.spike_s;
-        const double download_s =
-            busy + schedule.outage_overlap(t, util::Seconds(busy));
-        if (download_s <= rc.timeout_s) {
-          out.download_s = download_s;
-          out.radio_s += download_s;
-          return out;
-        }
-        elapsed = rc.timeout_s;
-        reason = FailureReason::kTimeout;
-      }
-    }
-    out.radio_s += elapsed;
-    const FailureAction action =
-        client.report_download_failure(util::Seconds(elapsed), reason);
-    if (action.degrade) request = client.replan_degraded();
-  }
-}
-
-}  // namespace
 
 SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
                                SchemeKind scheme_kind,
@@ -98,6 +23,9 @@ SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_u
                                const trace::NetworkTrace& network,
                                const SessionConfig& config, obs::Observer* observer) {
   PS360_CHECK(test_user < workload.test_user_count());
+  PS360_CHECK_MSG(!config.faults.enabled,
+                  "simulate_session runs fault-free; run a faulted session through "
+                  "fleet::run_fleet (a fleet of one with start_spread_s = 0)");
 
   // The accountant owns the per-session models and the delivered-QoE/energy
   // bookkeeping (shared with the fleet engine); this function supplies the
@@ -111,33 +39,12 @@ SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_u
     client.attach_observer(observer, /*session=*/0);
   }
 
-  if (!config.faults.enabled) {
-    while (auto request = client.plan_next()) {
-      const double download_s =
-          network.time_to_download(request->plan.option.bytes, client.wall_time_s());
-      PS360_ASSERT(download_s > 0.0);
-      const double stall =
-          client.complete_download(util::Seconds(download_s));
-      accountant.record(*request, util::Seconds(download_s),
-                        util::Seconds(stall));
-    }
-    return accountant.finish();
-  }
-
-  // Faulted path: same loop, but each segment runs the bounded retry /
-  // backoff / degradation state machine. Energy accounting sees radio-on
-  // seconds (failed attempts included, backoff excluded — the radio idles
-  // while the client waits to retry).
-  trace::FaultSchedule schedule(
-      config.faults,
-      util::derive_seed(config.seed, trace::kFaultSeedStream, 0));
   while (auto request = client.plan_next()) {
-    const FaultedDownload d =
-        download_with_faults(client, network, schedule, *request);
-    PS360_ASSERT(d.download_s > 0.0);
-    const double stall = client.complete_download(util::Seconds(d.download_s));
-    accountant.record(*request, util::Seconds(d.radio_s),
-                      util::Seconds(stall));
+    const double download_s =
+        network.time_to_download(request->plan.option.bytes, client.wall_time_s());
+    PS360_ASSERT(download_s > 0.0);
+    const double stall = client.complete_download(util::Seconds(download_s));
+    accountant.record(*request, util::Seconds(download_s), util::Seconds(stall));
   }
   return accountant.finish();
 }

@@ -57,8 +57,9 @@ struct SessionConfig {
   video::EncodingConfig encoding;
   qoe::QoParams qo_params;
 
-  // Fault injection (off by default — provably inert then, pinned by the
-  // fault differential test) and the client's bounded recovery policy.
+  // Fault injection and the client's bounded recovery policy, read only by
+  // fleet::run_fleet: simulate_session rejects faults.enabled. Off by
+  // default, and inert then (pinned by the fault differential tests).
   // RecoveryConfig::seed is a stream index: the accountant folds it with
   // `seed` above, and the fleet engine sets it per session.
   trace::FaultConfig faults;
@@ -97,7 +98,9 @@ struct SessionResult {
 };
 
 // Simulate one session. The network trace is consumed from t = 0 (it loops
-// if shorter than the session).
+// if shorter than the session). Fault-free: throws if config.faults.enabled;
+// run a faulted session through fleet::run_fleet as a fleet of one with
+// start_spread_s = 0.
 SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
                                SchemeKind scheme, const trace::NetworkTrace& network,
                                const SessionConfig& config);

@@ -68,31 +68,6 @@ std::optional<OutageWindow> FaultSchedule::outage_at(double t) {
   return std::nullopt;
 }
 
-double FaultSchedule::outage_overlap(double t, util::Seconds busy) {
-  const double busy_s = busy.value();
-  PS360_CHECK(t >= 0.0 && busy_s >= 0.0);
-  if (!config_.enabled || config_.outage_spacing_s <= 0.0 || busy_s == 0.0)
-    return 0.0;
-  // Each second of outage inside the busy span pushes the span's end out by
-  // one second, which can expose it to further windows — iterate until no
-  // new overlap appears. Terminates because windows have positive gaps drawn
-  // from an exponential, so overlap per iteration is bounded by span length.
-  double overlap = 0.0;
-  for (;;) {
-    const double end = t + busy_s + overlap;
-    ensure_horizon(end);
-    double found = 0.0;
-    for (const OutageWindow& w : windows_) {
-      if (w.begin >= end) break;
-      const double lo = std::max(w.begin, t);
-      const double hi = std::min(w.end, end);
-      if (hi > lo) found += hi - lo;
-    }
-    if (found <= overlap) return overlap;
-    overlap = found;
-  }
-}
-
 AttemptFault FaultSchedule::attempt_fault(std::size_t segment,
                                           std::size_t attempt) const {
   AttemptFault fault;

@@ -6,7 +6,8 @@
 // spikes) are drawn from seeds derived per (segment, attempt) — so the answer
 // never depends on the order callers ask, the thread count, or how far the
 // outage horizon has been extended. No wall-clock time anywhere: all times
-// are simulated seconds.
+// are simulated seconds. The fleet engine (fleet::run_fleet) is the only
+// simulator that reads a schedule.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "util/rng.h"
-#include "util/units.h"
 
 namespace ps360::trace {
 
@@ -39,8 +39,9 @@ struct AttemptFault {
   double spike_s = 0.0;
 };
 
-// Half-open outage interval [begin, end) during which no request can start
-// and no bytes flow.
+// Half-open outage interval [begin, end). A request issued inside it cannot
+// reach the link before `end`; a flow already in flight keeps running
+// (outages gate issue, they do not pause transfers).
 struct OutageWindow {
   double begin = 0.0;
   double end = 0.0;
@@ -54,22 +55,15 @@ class FaultSchedule {
  public:
   FaultSchedule(const FaultConfig& config, std::uint64_t session_seed);
 
-  bool enabled() const { return config_.enabled; }
-  const FaultConfig& config() const { return config_; }
-
   // The outage window covering time t, if any. Extends the lazily generated
   // window list as needed; windows are disjoint and strictly ordered.
   std::optional<OutageWindow> outage_at(double t);
-
-  // Seconds of outage overlapping [t, t + busy): the extra wall time a
-  // transfer spanning that span spends paused. busy must be >= 0.
-  double outage_overlap(double t, util::Seconds busy);
 
   // Fault verdict for a given (segment, attempt) pair. Stateless and
   // order-invariant: derived from the session seed alone.
   AttemptFault attempt_fault(std::size_t segment, std::size_t attempt) const;
 
-  // Windows generated so far (grows as outage_at/outage_overlap look ahead).
+  // Windows generated so far (grows as outage_at looks ahead).
   const std::vector<OutageWindow>& windows() const { return windows_; }
 
  private:

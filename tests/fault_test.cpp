@@ -1,15 +1,19 @@
 // Tests for the fault-injection layer: trace::FaultSchedule determinism, the
-// client's bounded retry/backoff/degradation state machine, and the two
-// hard contracts of ISSUE 5 — the layer is provably inert when disabled
-// (bit-identical results for every scheme, single sessions and fleets, any
-// thread count), and with faults enabled every scheme still completes every
-// session with reproducible, nonzero recovery counters.
+// client's bounded retry/backoff/degradation state machine, and the fleet
+// engine, the one simulator that runs faults. The layer is inert when disabled
+// (bit-identical single sessions for every registered scheme, and fleets at
+// any thread count); simulate_session rejects enabled faults; with
+// faults on every scheme completes every fleet session with reproducible,
+// nonzero recovery counters, and each session's time closes: its records
+// rebuild the engine's finish time, outage waits included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/buffer.h"
 #include "fleet/engine.h"
 #include "fleet/runner.h"
 #include "obs/metrics.h"
@@ -21,6 +25,7 @@
 #include "sim/workload.h"
 #include "trace/fault_schedule.h"
 #include "trace/video_catalog.h"
+#include "util/rng.h"
 
 namespace ps360 {
 namespace {
@@ -51,10 +56,6 @@ void expect_bit_identical(const sim::SessionResult& a, const sim::SessionResult&
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   EXPECT_EQ(a.rebuffer_events, b.rebuffer_events);
 }
-
-constexpr sim::SchemeKind kAllSchemes[] = {
-    sim::SchemeKind::kOurs, sim::SchemeKind::kCtile, sim::SchemeKind::kFtile,
-    sim::SchemeKind::kNontile};
 
 trace::FaultConfig hostile_faults() {
   trace::FaultConfig faults;
@@ -138,28 +139,11 @@ TEST(FaultScheduleTest, AttemptFaultIsOrderInvariant) {
   EXPECT_TRUE(any_spike);
 }
 
-TEST(FaultScheduleTest, OutageOverlapMatchesManualIntegral) {
-  trace::FaultSchedule schedule(hostile_faults(), 42);
-  const double t0 = 0.0, busy = 200.0;
-  const double overlap = schedule.outage_overlap(t0, util::Seconds(busy));
-  // Manual check: total outage inside [t0, t0 + busy + overlap).
-  double manual = 0.0;
-  for (const auto& w : schedule.windows()) {
-    const double lo = std::max(w.begin, t0);
-    const double hi = std::min(w.end, t0 + busy + overlap);
-    if (hi > lo) manual += hi - lo;
-  }
-  EXPECT_DOUBLE_EQ(overlap, manual);
-  EXPECT_GT(overlap, 0.0);
-  EXPECT_DOUBLE_EQ(schedule.outage_overlap(t0, util::Seconds(0.0)), 0.0);
-}
-
 TEST(FaultScheduleTest, DisabledScheduleIsInert) {
   trace::FaultConfig config = hostile_faults();
   config.enabled = false;
   trace::FaultSchedule schedule(config, 7);
   EXPECT_FALSE(schedule.outage_at(100.0).has_value());
-  EXPECT_DOUBLE_EQ(schedule.outage_overlap(0.0, util::Seconds(1000.0)), 0.0);
   for (std::size_t a = 1; a <= 8; ++a) {
     const auto fault = schedule.attempt_fault(3, a);
     EXPECT_FALSE(fault.lost);
@@ -252,7 +236,7 @@ TEST(RecoveryTest, TimeoutAdvancesWallClockExactlyByDeadlinePlusBackoff) {
   EXPECT_DOUBLE_EQ(action.backoff_s, config.recovery.backoff_base_s);
   EXPECT_DOUBLE_EQ(client.wall_time_s(),
                    t0 + config.recovery.timeout_s + action.backoff_s);
-  EXPECT_EQ(action.attempt, 1u);
+  EXPECT_EQ(client.attempts(), 1u);
 }
 
 TEST(RecoveryTest, DegradationLadderShrinksRequestsAndTerminates) {
@@ -293,20 +277,6 @@ TEST(RecoveryTest, DegradationLadderShrinksRequestsAndTerminates) {
   EXPECT_EQ(client.degrade_level(), 0u);
 }
 
-TEST(RecoveryTest, FinalAttemptIsFlaggedBeforeTheCeiling) {
-  const ClientFixture fixture;
-  sim::ClientConfig config;
-  config.recovery.max_attempts = 3;
-  auto client = fixture.make_client(config);
-  client.plan_next();
-  const auto first =
-      client.report_download_failure(util::Seconds(0.1), sim::FailureReason::kTimeout);
-  EXPECT_FALSE(first.final_attempt);  // attempt 2 may still fail
-  const auto second =
-      client.report_download_failure(util::Seconds(0.1), sim::FailureReason::kTimeout);
-  EXPECT_TRUE(second.final_attempt);  // attempt 3 is the guaranteed one
-}
-
 TEST(RecoveryTest, MisuseThrowsWithoutCorruptingState) {
   const ClientFixture fixture;
   auto client = fixture.make_client();
@@ -345,7 +315,7 @@ TEST(FaultDifferentialTest, DisabledFaultLayerIsBitIdenticalPerScheme) {
   candidate.recovery.backoff_base_s = 3.0;
   candidate.recovery.seed = 1234;
 
-  for (const sim::SchemeKind scheme : kAllSchemes) {
+  for (const sim::SchemeKind scheme : sim::registered_schemes()) {
     const sim::SessionResult baseline = sim::simulate_session(
         workload, /*test_user=*/0, scheme, traces.second, sim::SessionConfig{});
     const sim::SessionResult off = sim::simulate_session(
@@ -354,82 +324,17 @@ TEST(FaultDifferentialTest, DisabledFaultLayerIsBitIdenticalPerScheme) {
   }
 }
 
-TEST(FaultSessionTest, EverySchemeCompletesUnderHostileFaults) {
-  const sim::VideoWorkload& workload = test_workload();
+TEST(FaultSessionTest, SimulateSessionRejectsEnabledFaultsNamingRunFleet) {
   const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
   sim::SessionConfig config;
   config.faults = hostile_faults();
-
-  for (const sim::SchemeKind scheme : kAllSchemes) {
-    const sim::SessionResult a =
-        sim::simulate_session(workload, 0, scheme, traces.second, config);
-    ASSERT_EQ(a.segments.size(), workload.segment_count());
-    // Reproducible per seed: a second run is bit-identical.
-    const sim::SessionResult b =
-        sim::simulate_session(workload, 0, scheme, traces.second, config);
-    expect_bit_identical(a, b);
+  try {
+    sim::simulate_session(test_workload(), 0, sim::SchemeKind::kOurs, traces.second,
+                          config);
+    ADD_FAILURE() << "simulate_session accepted enabled faults";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("run_fleet"), std::string::npos) << e.what();
   }
-}
-
-TEST(FaultSessionTest, TotalLossStillTerminatesViaTheFinalAttempt) {
-  const sim::VideoWorkload& workload = test_workload();
-  const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
-  sim::SessionConfig config;
-  config.faults.enabled = true;
-  config.faults.outage_spacing_s = 0.0;  // no outages, pure loss
-  config.faults.loss_probability = 1.0;  // every fallible attempt is lost
-  config.faults.spike_probability = 0.0;
-  config.recovery.max_attempts = 4;
-  config.recovery.timeout_s = 1.0;
-
-  obs::MetricsRegistry metrics;
-  obs::Observer observer{&metrics, nullptr};
-  const sim::SessionResult result = sim::simulate_session(
-      workload, 0, sim::SchemeKind::kOurs, traces.second, config, &observer);
-  ASSERT_EQ(result.segments.size(), workload.segment_count());
-  // Every segment burned exactly max_attempts - 1 losses before the
-  // guaranteed final attempt delivered.
-  const double expected =
-      static_cast<double>((config.recovery.max_attempts - 1) *
-                          workload.segment_count());
-  EXPECT_EQ(metrics.value("client.retries"), expected);
-  EXPECT_EQ(metrics.value("client.losses"), expected);
-  EXPECT_EQ(metrics.value("client.timeouts"), 0.0);
-  EXPECT_GT(metrics.value("client.degradations"), 0.0);
-}
-
-TEST(FaultSessionTest, CountersAreNonzeroAndReproduciblePerSeed) {
-  const sim::VideoWorkload& workload = test_workload();
-  const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
-  sim::SessionConfig config;
-  config.faults = hostile_faults();
-
-  const auto run = [&] {
-    obs::MetricsRegistry metrics;
-    obs::EventTracer tracer(1 << 14);
-    obs::Observer observer{&metrics, &tracer};
-    sim::simulate_session(workload, 0, sim::SchemeKind::kOurs, traces.second,
-                          config, &observer);
-    return metrics.to_json();
-  };
-  const std::string a = run(), b = run();
-  EXPECT_EQ(a, b);
-
-  obs::MetricsRegistry metrics;
-  obs::EventTracer tracer(1 << 14);
-  obs::Observer observer{&metrics, &tracer};
-  sim::simulate_session(workload, 0, sim::SchemeKind::kOurs, traces.second,
-                        config, &observer);
-  EXPECT_GT(metrics.value("client.retries"), 0.0);
-  // Per-reason counters sum to the retry total.
-  EXPECT_EQ(metrics.value("client.timeouts") + metrics.value("client.losses") +
-                metrics.value("client.outage_failures"),
-            metrics.value("client.retries"));
-  // The retry/timeout records made it into the trace.
-  std::size_t retry_records = 0;
-  for (const obs::TraceRecord& r : tracer.snapshot())
-    if (r.kind == obs::TraceEventKind::kDownloadRetry) ++retry_records;
-  EXPECT_EQ(static_cast<double>(retry_records), metrics.value("client.retries"));
 }
 
 // ------------------------------------------------------------ fleet engine
@@ -468,7 +373,8 @@ TEST(FaultFleetTest, EverySchemeCompletesUnderHostileFaults) {
   const sim::VideoWorkload& workload = test_workload();
   const auto traces = trace::make_paper_traces(/*seed=*/11, util::Seconds(300.0));
 
-  for (const sim::SchemeKind scheme : kAllSchemes) {
+  for (const sim::SchemeKind scheme : sim::registered_schemes()) {
+    SCOPED_TRACE(sim::scheme_name(scheme));
     fleet::FleetConfig config;
     config.sessions = 4;
     config.seed = 99;
@@ -509,6 +415,11 @@ TEST(FaultFleetTest, FleetCountersAreNonzeroUnderFaults) {
   EXPECT_EQ(metrics.value("client.timeouts") + metrics.value("client.losses") +
                 metrics.value("client.outage_failures"),
             metrics.value("client.retries"));
+  // The retry records made it into the trace.
+  std::size_t retry_records = 0;
+  for (const obs::TraceRecord& r : tracer.snapshot())
+    if (r.kind == obs::TraceEventKind::kDownloadRetry) ++retry_records;
+  EXPECT_EQ(static_cast<double>(retry_records), metrics.value("client.retries"));
   EXPECT_GT(result.stats.flow_aborts, 0u);
   EXPECT_EQ(metrics.value("fleet.flow_aborts"),
             static_cast<double>(result.stats.flow_aborts));
@@ -517,6 +428,123 @@ TEST(FaultFleetTest, FleetCountersAreNonzeroUnderFaults) {
   EXPECT_EQ(agg.stats.flow_aborts, 2 * result.stats.flow_aborts);
   for (const auto& s : result.sessions)
     EXPECT_EQ(s.result.segments.size(), workload.segment_count());
+}
+
+// One session under hostile faults, run as a fleet of one since only the
+// fleet engine runs faults: its counters are reproducible for a fixed seed,
+// nonzero, and consistent with the trace.
+TEST(FaultSessionTest, CountersAreNonzeroAndReproduciblePerSeed) {
+  const sim::VideoWorkload& workload = test_workload();
+  const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
+  fleet::FleetConfig config;
+  config.sessions = 1;
+  config.start_spread_s = 0.0;
+  config.scheme = sim::SchemeKind::kOurs;
+  config.session.faults = hostile_faults();
+
+  const auto run = [&](obs::MetricsRegistry& metrics, obs::EventTracer& tracer) {
+    obs::Observer observer{&metrics, &tracer};
+    fleet::FleetConfig observed = config;
+    observed.observer = &observer;
+    return fleet::run_fleet(workload, traces.second, observed);
+  };
+  obs::MetricsRegistry metrics_a, metrics_b;
+  obs::EventTracer tracer_a(1 << 14), tracer_b(1 << 14);
+  const fleet::FleetResult a = run(metrics_a, tracer_a);
+  const fleet::FleetResult b = run(metrics_b, tracer_b);
+  EXPECT_EQ(metrics_a.to_json(), metrics_b.to_json());
+  ASSERT_EQ(a.sessions.size(), 1u);
+  ASSERT_EQ(b.sessions.size(), 1u);
+  expect_bit_identical(a.sessions[0].result, b.sessions[0].result);
+
+  EXPECT_GT(metrics_a.value("client.retries"), 0.0);
+  // Per-reason counters sum to the retry total.
+  EXPECT_EQ(metrics_a.value("client.timeouts") + metrics_a.value("client.losses") +
+                metrics_a.value("client.outage_failures"),
+            metrics_a.value("client.retries"));
+  // The retry/timeout records made it into the trace.
+  std::size_t retry_records = 0;
+  for (const obs::TraceRecord& r : tracer_a.snapshot())
+    if (r.kind == obs::TraceEventKind::kDownloadRetry) ++retry_records;
+  EXPECT_EQ(static_cast<double>(retry_records), metrics_a.value("client.retries"));
+}
+
+TEST(FaultFleetTest, TotalLossStillTerminatesViaTheFinalAttempt) {
+  const sim::VideoWorkload& workload = test_workload();
+  const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
+  obs::MetricsRegistry metrics;
+  obs::Observer observer{&metrics, nullptr};
+  fleet::FleetConfig config;
+  config.sessions = 1;
+  config.start_spread_s = 0.0;
+  config.observer = &observer;
+  config.session.faults.enabled = true;
+  config.session.faults.outage_spacing_s = 0.0;  // no outages, pure loss
+  config.session.faults.loss_probability = 1.0;  // every fallible attempt is lost
+  config.session.faults.spike_probability = 0.0;
+  config.session.recovery.max_attempts = 4;
+  config.session.recovery.timeout_s = 1.0;
+
+  const fleet::FleetResult result = fleet::run_fleet(workload, traces.second, config);
+  ASSERT_EQ(result.sessions.size(), 1u);
+  ASSERT_EQ(result.sessions[0].result.segments.size(), workload.segment_count());
+  // Every segment burned exactly max_attempts - 1 losses before the
+  // guaranteed final attempt delivered.
+  const double expected =
+      static_cast<double>((config.session.recovery.max_attempts - 1) *
+                          workload.segment_count());
+  EXPECT_EQ(metrics.value("client.retries"), expected);
+  EXPECT_EQ(metrics.value("client.losses"), expected);
+  EXPECT_EQ(metrics.value("client.timeouts"), 0.0);
+  EXPECT_GT(metrics.value("client.degradations"), 0.0);
+}
+
+// A final attempt issued into an outage waits for the outage to end, and the
+// wait belongs to that segment's download time. With every attempt final and
+// outages every ~3 s, the client's elapsed time rebuilt from the records
+// (each Eq. 6 wait from consecutive buffer levels, plus every download) must
+// equal the engine's finish time minus the start.
+TEST(FaultFleetTest, FinalAttemptOutageWaitClosesSessionTime) {
+  const sim::VideoWorkload& workload = test_workload();
+  const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
+  fleet::FleetConfig config;
+  config.sessions = 1;
+  config.start_spread_s = 0.0;
+  config.session.faults.enabled = true;
+  config.session.faults.outage_spacing_s = 3.0;
+  config.session.faults.outage_mean_s = 1.0;
+  config.session.recovery.max_attempts = 1;  // every attempt is the final one
+  const core::MpcConfig& mpc = config.session.mpc;
+  const core::BufferModel buffers(util::Seconds(mpc.segment_seconds),
+                                  util::Seconds(mpc.buffer_threshold_s),
+                                  util::Seconds(mpc.buffer_quantum_s));
+
+  std::size_t issued_into_outage = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    config.seed = seed;
+    const fleet::FleetResult result = fleet::run_fleet(workload, traces.second, config);
+    ASSERT_EQ(result.sessions.size(), 1u);
+    const fleet::FleetSessionResult& session = result.sessions[0];
+    // The engine's schedule for session 0, to count the outages this run
+    // actually issued into.
+    trace::FaultSchedule schedule(
+        config.session.faults,
+        util::derive_seed(seed, trace::kFaultSeedStream, /*session=*/0));
+    double elapsed = 0.0;
+    double buffer = 0.0;  // B after the previous download, before its wait
+    for (const sim::SegmentRecord& segment : session.result.segments) {
+      elapsed += buffer - segment.buffer_before_s;  // the Eq. 6 wait
+      if (schedule.outage_at(session.start_s + elapsed)) ++issued_into_outage;
+      elapsed += segment.download_s;
+      buffer = buffers
+                   .advance(util::Seconds(segment.buffer_before_s),
+                            util::Seconds(segment.download_s))
+                   .next_buffer_s;
+    }
+    EXPECT_NEAR(elapsed, session.finish_s - session.start_s, 1e-9 * session.finish_s);
+  }
+  EXPECT_GT(issued_into_outage, 0u);
 }
 
 TEST(FaultFleetTest, ReplicationsAreThreadCountInvariantWithFaultsOn) {

@@ -1,7 +1,8 @@
 // Tests for the fleet subsystem: EventLoop ordering, SharedLink max-min
 // fairness (differential-tested against a brute-force fluid simulation),
-// fleet-of-one parity with simulate_session, thread-count invariance of the
-// replication runner, and the zero-allocation steady state of the event
+// fleet-of-one parity with simulate_session for every registered scheme,
+// SessionConfig validation in both simulators, thread-count invariance of
+// the replication runner, and the zero-allocation steady state of the event
 // queue.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -392,38 +394,58 @@ struct FleetFixture {
   const sim::VideoWorkload* workload;
 };
 
+// The fleet engine integrates its link per event and simulate_session
+// integrates the trace per sample, so the two simulators agree to rounding,
+// not bitwise: the same choices in every segment, and times within 1e-9 s.
 TEST(FleetEngineTest, FleetOfOneReproducesSimulateSession) {
   const FleetFixture fixture;
+  static const sim::VideoWorkload exploratory = [] {
+    trace::VideoInfo v = trace::test_videos()[5];
+    v.duration_s = 20.0;
+    return sim::VideoWorkload(v, sim::WorkloadConfig{});
+  }();
+  ASSERT_TRUE(fixture.workload->video().focused);
+  ASSERT_FALSE(exploratory.video().focused);
   const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
-  const trace::NetworkTrace& network = traces.second;
-
   const sim::SessionConfig session_config;
-  const sim::SessionResult solo = sim::simulate_session(
-      *fixture.workload, /*test_user=*/0, sim::SchemeKind::kOurs, network,
-      session_config);
 
-  FleetConfig config;
-  config.sessions = 1;
-  config.start_spread_s = 0.0;  // align the lone session with t = 0
-  config.scheme = sim::SchemeKind::kOurs;
-  config.session = session_config;
-  const FleetResult fleet = run_fleet(*fixture.workload, network, config);
+  for (const sim::VideoWorkload* workload : {fixture.workload, &exploratory}) {
+    for (const trace::NetworkTrace* network : {&traces.first, &traces.second}) {
+      for (const sim::SchemeKind scheme : sim::registered_schemes()) {
+        SCOPED_TRACE(sim::scheme_name(scheme) + " video " +
+                     std::to_string(workload->video().id) +
+                     (network == &traces.first ? " trace 1" : " trace 2"));
+        const sim::SessionResult solo = sim::simulate_session(
+            *workload, /*test_user=*/0, scheme, *network, session_config);
 
-  ASSERT_EQ(fleet.sessions.size(), 1u);
-  const sim::SessionResult& result = fleet.sessions[0].result;
-  ASSERT_EQ(result.segments.size(), solo.segments.size());
-  for (std::size_t k = 0; k < solo.segments.size(); ++k) {
-    EXPECT_NEAR(result.segments[k].download_s, solo.segments[k].download_s, 1e-9)
-        << "segment " << k;
-    EXPECT_EQ(result.segments[k].quality, solo.segments[k].quality);
-    EXPECT_EQ(result.segments[k].frame_index, solo.segments[k].frame_index);
-    EXPECT_NEAR(result.segments[k].stall_s, solo.segments[k].stall_s, 1e-9);
+        FleetConfig config;
+        config.sessions = 1;
+        config.start_spread_s = 0.0;  // align the lone session with t = 0
+        config.scheme = scheme;
+        config.session = session_config;
+        const FleetResult fleet = run_fleet(*workload, *network, config);
+
+        ASSERT_EQ(fleet.sessions.size(), 1u);
+        const sim::SessionResult& result = fleet.sessions[0].result;
+        ASSERT_EQ(result.segments.size(), solo.segments.size());
+        for (std::size_t k = 0; k < solo.segments.size(); ++k) {
+          EXPECT_EQ(result.segments[k].quality, solo.segments[k].quality) << "segment " << k;
+          EXPECT_EQ(result.segments[k].frame_index, solo.segments[k].frame_index)
+              << "segment " << k;
+          EXPECT_EQ(result.segments[k].bytes, solo.segments[k].bytes) << "segment " << k;
+          EXPECT_NEAR(result.segments[k].download_s, solo.segments[k].download_s, 1e-9)
+              << "segment " << k;
+          EXPECT_NEAR(result.segments[k].stall_s, solo.segments[k].stall_s, 1e-9)
+              << "segment " << k;
+        }
+        EXPECT_NEAR(result.energy.total_mj(), solo.energy.total_mj(),
+                    1e-6 * solo.energy.total_mj());
+        EXPECT_NEAR(result.qoe.mean_q, solo.qoe.mean_q, 1e-9 * std::abs(solo.qoe.mean_q));
+        EXPECT_NEAR(result.total_stall_s, solo.total_stall_s, 1e-9);
+        EXPECT_DOUBLE_EQ(result.total_bytes, solo.total_bytes);
+      }
+    }
   }
-  EXPECT_NEAR(result.energy.total_mj(), solo.energy.total_mj(),
-              1e-6 * solo.energy.total_mj());
-  EXPECT_NEAR(result.qoe.mean_q, solo.qoe.mean_q, 1e-9 * std::abs(solo.qoe.mean_q));
-  EXPECT_NEAR(result.total_stall_s, solo.total_stall_s, 1e-9);
-  EXPECT_DOUBLE_EQ(result.total_bytes, solo.total_bytes);
 }
 
 TEST(FleetEngineTest, DeterministicAcrossRuns) {
@@ -496,6 +518,17 @@ struct NonFiniteField {
 // Prints the field name, which keeps the discovered ctest names stable.
 void PrintTo(const NonFiniteField& param, std::ostream* out) { *out << param.field; }
 
+// Runs `run` and requires an std::invalid_argument whose message contains
+// `expected` (the field's name).
+void expect_throw_naming(const std::function<void()>& run, const std::string& expected) {
+  try {
+    run();
+    ADD_FAILURE() << "accepted an invalid config; expected: " << expected;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+  }
+}
+
 class NonFiniteConfigTest : public ::testing::TestWithParam<NonFiniteField> {};
 
 TEST_P(NonFiniteConfigTest, RunFleetThrowsNamingTheField) {
@@ -507,13 +540,8 @@ TEST_P(NonFiniteConfigTest, RunFleetThrowsNamingTheField) {
   config.session.faults.enabled = true;
   config.server.enabled = true;
   GetParam().set(config);
-  const std::string expected = std::string(GetParam().field) + " must be finite";
-  try {
-    run_fleet(*fixture.workload, traces.second, config);
-    ADD_FAILURE() << "run_fleet accepted a non-finite " << GetParam().field;
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
-  }
+  expect_throw_naming([&] { run_fleet(*fixture.workload, traces.second, config); },
+                      std::string(GetParam().field) + " must be finite");
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -544,6 +572,66 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<NonFiniteField>& param) {
       return std::string(param.param.field);
     });
+
+// ---------------------------------------------- invalid SessionConfig fields
+
+// Unchecked, each of these is absorbed silently (a coverage floor above 1
+// means Ours never picks a Ptile; an infinite bandwidth prior changes the
+// plans) or fails far from its cause (an infinite buffer threshold throws
+// from a vector resize). The session accountant, which both simulators build,
+// rejects each with a message naming the field.
+struct InvalidSessionField {
+  const char* field;
+  void (*set)(sim::SessionConfig&);
+};
+
+void PrintTo(const InvalidSessionField& param, std::ostream* out) { *out << param.field; }
+
+class InvalidSessionConfigTest : public ::testing::TestWithParam<InvalidSessionField> {};
+
+TEST_P(InvalidSessionConfigTest, SimulateSessionThrowsNamingTheField) {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/9, util::Seconds(300.0));
+  sim::SessionConfig config;
+  GetParam().set(config);
+  expect_throw_naming(
+      [&] {
+        sim::simulate_session(*fixture.workload, 0, sim::SchemeKind::kOurs, traces.second,
+                              config);
+      },
+      GetParam().field);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryField, InvalidSessionConfigTest,
+    ::testing::Values(
+        InvalidSessionField{"ptile_min_coverage",
+                            [](sim::SessionConfig& c) { c.ptile_min_coverage = 2.0; }},
+        InvalidSessionField{"tile_overlap_threshold",
+                            [](sim::SessionConfig& c) { c.tile_overlap_threshold = kNaN; }},
+        InvalidSessionField{"initial_bandwidth_bytes_per_s",
+                            [](sim::SessionConfig& c) {
+                              c.initial_bandwidth_bytes_per_s = kInf;
+                            }},
+        InvalidSessionField{"mpc.buffer_threshold_s",
+                            [](sim::SessionConfig& c) { c.mpc.buffer_threshold_s = kInf; }},
+        InvalidSessionField{"mpc.segment_seconds",
+                            [](sim::SessionConfig& c) { c.mpc.segment_seconds = kInf; }}),
+    [](const ::testing::TestParamInfo<InvalidSessionField>& param) {
+      std::string name = param.param.field;
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
+
+TEST(InvalidSessionConfigFleetTest, RunFleetThrowsNamingTheField) {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/9, util::Seconds(300.0));
+  FleetConfig config;
+  config.sessions = 2;
+  config.session.ptile_min_coverage = kNaN;
+  expect_throw_naming([&] { run_fleet(*fixture.workload, traces.second, config); },
+                      "ptile_min_coverage");
+}
 
 // ------------------------------------------------------------ Fleet golden
 
