@@ -128,7 +128,7 @@ std::size_t recommended_reserve_events(const FleetConfig& config) {
 
 FleetResult run_fleet(const sim::VideoWorkload& workload,
                       const trace::NetworkTrace& link_trace,
-                      const FleetConfig& config) {
+                      const FleetConfig& config, std::size_t first_test_user) {
   PS360_CHECK(config.sessions >= 1);
   PS360_CHECK_MSG(std::isfinite(config.start_spread_s) && config.start_spread_s >= 0.0,
                   "start_spread_s must be finite and >= 0");
@@ -182,10 +182,13 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
       session_video[i] = static_cast<std::uint32_t>(popularity->sample(rng));
     }
   }
+  const auto test_user_of = [&](std::size_t i) {
+    return (first_test_user + i) % workload.test_user_count();
+  };
   std::vector<SessionRuntime> sessions(n);
   for (std::size_t i = 0; i < n; ++i) {
     SessionRuntime& rt = sessions[i];
-    const std::size_t test_user = i % workload.test_user_count();
+    const std::size_t test_user = test_user_of(i);
     // Under fault injection each session gets a private fault schedule and a
     // private recovery (jitter) seed, both keyed off (fleet seed, session) so
     // replications and sessions decorrelate. The config copy is only made on
@@ -530,7 +533,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   for (std::size_t i = 0; i < n; ++i) {
     FleetSessionResult out;
     out.session = i;
-    out.test_user = i % workload.test_user_count();
+    out.test_user = test_user_of(i);
     out.video = server_on ? session_video[i] : 0;
     out.start_s = sessions[i].start_s;
     out.finish_s = sessions[i].finish_s;

@@ -3,11 +3,13 @@
 //
 // Each session is a full sim::StreamingClient running the paper's
 // Section IV loop (predict viewport, predict bandwidth, solve the horizon,
-// download, advance Eq. 6) — but where simulate_session integrates a private
-// throughput trace, here every in-flight download receives its max-min fair
-// share of the SharedLink, so one client's byte budget changes everyone
-// else's download time. This is the regime server-side rate-adaptation
-// schemes target and the single-client evaluation of the paper assumes away.
+// download, advance Eq. 6), and every in-flight download receives its
+// max-min fair share of the SharedLink, so one client's byte budget changes
+// everyone else's download time. This is the regime server-side
+// rate-adaptation schemes target and the single-client evaluation of the
+// paper assumes away. The paper's single client is the fleet of one:
+// sim::simulate_session runs through this engine, so both share one
+// download integrator and one fault state machine.
 //
 // Determinism: one EventLoop drives the whole fleet; ties break by
 // (time, session_id, sequence); the only randomness is the session start
@@ -134,7 +136,7 @@ struct FleetSessionResult {
   std::size_t video = 0;      // Zipf-drawn video id (0 when the server is off)
   double start_s = 0.0;       // staggered entry time
   double finish_s = 0.0;      // wall time of the last segment completion
-  sim::SessionResult result;  // same accounting as simulate_session
+  sim::SessionResult result;  // per-segment records and session aggregates
 };
 
 // Fleet-level aggregates (see FleetResult::metrics).
@@ -164,10 +166,11 @@ struct FleetResult {
 };
 
 // Run one fleet: `config.sessions` clients over `link_trace`, session i
-// replaying test user i mod test_user_count. Deterministic in (workload,
-// link_trace, config).
+// replaying test user (first_test_user + i) mod test_user_count.
+// sim::simulate_session passes its own user to a fleet of one.
+// Deterministic in (workload, link_trace, config, first_test_user).
 FleetResult run_fleet(const sim::VideoWorkload& workload,
                       const trace::NetworkTrace& link_trace,
-                      const FleetConfig& config);
+                      const FleetConfig& config, std::size_t first_test_user = 0);
 
 }  // namespace ps360::fleet

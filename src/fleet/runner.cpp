@@ -1,13 +1,12 @@
-// FleetRunner implementation: slot-per-replication results claimed through
-// one atomic counter, so aggregates are bit-identical for any worker count.
-// Each worker runs whole run_fleet calls; any in-replication sharding
-// (FleetConfig::shards) nests its own SolvePool threads inside the call and
-// joins them before the slot is written, so the two axes never interact.
+// FleetRunner implementation: slot-per-replication results through the
+// sim::for_each_slot worker pool, so aggregates are bit-identical for any
+// worker count. Each worker runs whole run_fleet calls; any in-replication
+// sharding (FleetConfig::shards) nests its own SolvePool threads inside the
+// call and joins them before the slot is written, so the two axes never
+// interact.
 #include "fleet/runner.h"
 
-#include <atomic>
 #include <memory>
-#include <thread>
 
 #include "sim/experiment.h"
 #include "util/check.h"
@@ -29,11 +28,8 @@ std::vector<FleetResult> run_fleet_replications(const sim::VideoWorkload& worklo
 
   const std::size_t n_reps = options.replications;
   // One slot per replication keeps the output order deterministic no matter
-  // how the workers interleave (same pattern as run_evaluation_grid).
+  // how the workers interleave (same pool as run_evaluation_grid).
   std::vector<FleetResult> results(n_reps);
-  // Work queue head: workers claim replication indices with fetch_add;
-  // each index is processed exactly once, so slot writes never race.
-  std::atomic<std::size_t> next_rep{0};
 
   // A shared Observer cannot be fed from concurrent workers, and merging as
   // replications *finish* would make the aggregate depend on completion
@@ -47,41 +43,24 @@ std::vector<FleetResult> run_fleet_replications(const sim::VideoWorkload& worklo
   std::vector<std::unique_ptr<obs::EventTracer>> rep_tracers(n_reps);
   std::vector<obs::Observer> rep_observers(n_reps);
 
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t r = next_rep.fetch_add(1);
-      if (r >= n_reps) return;
-      const std::uint64_t rep_seed =
-          util::derive_seed(config.seed, kReplicationStream, r);
-      trace::NetworkSynthConfig link_cfg = options.link;
-      link_cfg.seed = rep_seed;
-      const trace::NetworkTrace link_trace = trace::synthesize_network_trace(link_cfg);
-      FleetConfig rep_config = config;
-      rep_config.seed = rep_seed;
-      if (caller_obs != nullptr) {
-        if (caller_obs->metrics != nullptr)
-          rep_metrics[r] = std::make_unique<obs::MetricsRegistry>();
-        if (caller_obs->tracer != nullptr)
-          rep_tracers[r] =
-              std::make_unique<obs::EventTracer>(caller_obs->tracer->capacity());
-        rep_observers[r].metrics = rep_metrics[r].get();
-        rep_observers[r].tracer = rep_tracers[r].get();
-        rep_config.observer = &rep_observers[r];
-      }
-      results[r] = run_fleet(workload, link_trace, rep_config);
+  sim::for_each_slot(n_reps, options.threads, [&](std::size_t r) {
+    const std::uint64_t rep_seed = util::derive_seed(config.seed, kReplicationStream, r);
+    trace::NetworkSynthConfig link_cfg = options.link;
+    link_cfg.seed = rep_seed;
+    const trace::NetworkTrace link_trace = trace::synthesize_network_trace(link_cfg);
+    FleetConfig rep_config = config;
+    rep_config.seed = rep_seed;
+    if (caller_obs != nullptr) {
+      if (caller_obs->metrics != nullptr)
+        rep_metrics[r] = std::make_unique<obs::MetricsRegistry>();
+      if (caller_obs->tracer != nullptr)
+        rep_tracers[r] = std::make_unique<obs::EventTracer>(caller_obs->tracer->capacity());
+      rep_observers[r].metrics = rep_metrics[r].get();
+      rep_observers[r].tracer = rep_tracers[r].get();
+      rep_config.observer = &rep_observers[r];
     }
-  };
-
-  const std::size_t n_threads =
-      std::min(sim::resolve_thread_count(options.threads), n_reps);
-  if (n_threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+    results[r] = run_fleet(workload, link_trace, rep_config);
+  });
 
   if (caller_obs != nullptr) {
     for (std::size_t r = 0; r < n_reps; ++r) {

@@ -19,6 +19,12 @@ namespace {
 // client actually runs with.
 constexpr std::uint64_t kRecoverySeedStream = 0x4EC0FE4ULL;
 
+// Most buffer states the MPC's DP may sweep. Its dense tables hold one row
+// per state, BufferModel::bucket_count() = lround((β + L) / q) + 1; the
+// repo's quanta (0.25–1 s) need at most 17, so this only stops a quantum
+// small enough to exhaust memory.
+constexpr double kMaxBufferStates = 4096.0;
+
 SchemeEnv make_env(const VideoWorkload& workload, const video::EncodingModel& encoding,
                    const qoe::QoModel& qo_model, const power::DeviceModel& device,
                    const SessionConfig& config) {
@@ -37,9 +43,9 @@ SchemeEnv make_env(const VideoWorkload& workload, const video::EncodingModel& en
 
 // Reject SessionConfig values that would be absorbed silently (a coverage
 // floor above 1 disables Ptile) or fail far from their cause (an infinite
-// buffer threshold throws from a vector resize). Runs before any member is
-// built from the config, so simulate_session and run_fleet both reject it
-// with the field's name.
+// buffer threshold throws from a vector resize, a tiny buffer quantum from
+// the DP's allocation). Runs before any member is built from the config, so
+// run_fleet, and with it simulate_session, rejects it with the field's name.
 const SessionConfig& validated(const SessionConfig& config) {
   const auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
   PS360_CHECK_MSG(config.ptile_min_coverage >= 0.0 && config.ptile_min_coverage <= 1.0,
@@ -53,6 +59,12 @@ const SessionConfig& validated(const SessionConfig& config) {
                   "mpc.buffer_threshold_s must be finite and > 0");
   PS360_CHECK_MSG(finite_positive(config.mpc.segment_seconds),
                   "mpc.segment_seconds must be finite and > 0");
+  // lround(steps) + 1 <= kMaxBufferStates, tested before lround could see a
+  // ratio too large for a long. NaN fails it too.
+  const double steps = (config.mpc.buffer_threshold_s + config.mpc.segment_seconds) /
+                       config.mpc.buffer_quantum_s;
+  PS360_CHECK_MSG(steps < kMaxBufferStates - 0.5,
+                  "mpc.buffer_quantum_s gives the MPC more than 4096 buffer states");
   return config;
 }
 

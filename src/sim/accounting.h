@@ -1,12 +1,11 @@
-// Per-session accounting shared by every simulator front-end.
+// Per-session accounting for the one session driver.
 //
-// simulate_session (one client over a private trace) and the fleet engine
-// (many clients contending for a shared link) drive the same per-segment
-// loop; what differs is only *where the download time comes from*. This
+// The fleet engine (many clients contending for a shared link;
+// simulate_session is its fleet of one) supplies the download times. This
 // class owns everything else: the per-session models (encoding, Qo, QoE,
 // device), the scheme instance, and the delivered-QoE/energy bookkeeping of
-// Section V — so a fleet-of-one is the single-session simulator by
-// construction, not by parallel reimplementation.
+// Section V. Tools that replay a recorded session construct it directly for
+// the scheme and client config.
 //
 // Protocol: construct, drive the client with client_config()/scheme(), call
 // record() once per completed segment in order, then finish() exactly once.

@@ -1,5 +1,5 @@
 // StreamingClient state machine (Section IV-B/IV-C loop). Deterministic:
-// all state advances only through plan_next/complete_download/
+// all state advances only through begin_plan/finish_plan/complete_download/
 // report_download_failure with caller-supplied times; no wall clock.
 #include "sim/client.h"
 
@@ -89,14 +89,6 @@ double StreamingClient::playhead_s() const {
   const double L = config_.mpc.segment_seconds;
   return std::clamp(static_cast<double>(next_segment_) * L - buffer_s_, 0.0,
                     head_->duration());
-}
-
-std::optional<ClientRequest> StreamingClient::plan_next() {
-  PS360_CHECK_MSG(!awaiting_download_,
-                  "plan_next called before completing the previous download");
-  if (finished()) return std::nullopt;
-  begin_plan();
-  return finish_plan();
 }
 
 double StreamingClient::begin_plan() {
@@ -284,7 +276,7 @@ double StreamingClient::complete_download(util::Seconds download) {
   bandwidth_->observe(util::BytesPerSec(pending_bytes_ / download_s));
   wall_t_ += download_s;
 
-  // Eq. 6 (the wait already happened in plan_next, so no further Δt here).
+  // Eq. 6 (the wait already happened in begin_plan, so no further Δt here).
   const core::BufferModel buffers(util::Seconds(config_.mpc.segment_seconds),
                                   util::Seconds(config_.mpc.buffer_threshold_s),
                                   util::Seconds(config_.mpc.buffer_quantum_s));

@@ -9,15 +9,13 @@
 // throughput trace; a real client would issue an HTTP request) and reports
 // how long it took; the client advances the Eq. 6 buffer state.
 //
-// sim::simulate_session drives this class fault-free against a private
-// trace::NetworkTrace; fleet::run_fleet drives it against a shared link and
-// is the only caller that injects faults, so it alone reports failures
-// (report_download_failure) and issues the guaranteed final attempt. Tests
-// drive it directly with hand-crafted download times.
+// fleet::run_fleet is the one session driver (sim::simulate_session is a
+// fleet of one): it times downloads on a shared link, injects faults,
+// reports failures (report_download_failure) and issues the guaranteed
+// final attempt. Tests drive it directly with hand-crafted download times.
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "obs/observer.h"
 #include "predict/bandwidth_estimators.h"
@@ -90,20 +88,17 @@ class StreamingClient {
   StreamingClient(ClientConfig config, const VideoWorkload& workload,
                   const Scheme& scheme, const trace::HeadTrace& head);
 
-  // Plan the next segment's download; std::nullopt when the video is fully
-  // requested. Must be followed by complete_download() before the next call.
-  // Equivalent to begin_plan() + finish_plan().
-  std::optional<ClientRequest> plan_next();
-
-  // Two-phase planning, used by the sharded fleet engine. begin_plan()
+  // Two-phase planning of the next segment's download. begin_plan()
   // consumes the Eq. 6 wait — advancing the wall clock and draining the
   // buffer — and returns that wait. finish_plan() then runs prediction,
   // bandwidth estimation, and the scheme's MPC solve, and returns the
   // request. finish_plan() reads only client-local state frozen at
   // begin_plan() time, so the engine may run it just-in-time when the
   // flow-start event fires or speculatively on a worker thread — the two
-  // executions are bit-identical. Requires !finished(); one finish_plan()
-  // must follow each begin_plan() before any other state transition.
+  // executions are bit-identical. begin_plan() throws past the last segment
+  // (finished()) and before the previous download completed; one
+  // finish_plan() must follow each begin_plan() before any other state
+  // transition, and the request must be completed by complete_download().
   double begin_plan();
   ClientRequest finish_plan();
 

@@ -1,12 +1,14 @@
 // Evaluation-grid driver: per-(video,user,scheme,trace) sessions fanned
-// out over a worker pool. Deterministic by construction: workers claim
-// video indices from an atomic counter but write into per-video slots, so
-// the merged grid is independent of thread count and interleaving.
+// out over the for_each_slot worker pool. Deterministic by construction:
+// workers claim slot indices from an atomic counter but write only into
+// their own slot, so the merged grid is independent of thread count and
+// interleaving.
 #include "sim/experiment.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -64,6 +66,38 @@ std::size_t resolve_thread_count(std::size_t requested) {
                         : std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
 }
 
+void for_each_slot(std::size_t n, std::size_t threads,
+                   const std::function<void(std::size_t)>& fn) {
+  // Work queue head: workers claim slot indices with fetch_add; each index
+  // is claimed once, so slot writes never race. A failing fn moves it to n
+  // so no worker claims another slot.
+  std::atomic<std::size_t> next_slot{0};
+  // Guards `error`, the first exception any fn(i) threw; it is rethrown on
+  // the calling thread after the join, as the serial path would throw it.
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto worker = [&] {
+    try {
+      for (std::size_t i = next_slot.fetch_add(1); i < n; i = next_slot.fetch_add(1))
+        fn(i);
+    } catch (...) {
+      next_slot.store(n);
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+  };
+  const std::size_t n_threads = std::min(resolve_thread_count(threads), n);
+  if (n_threads <= 1) {
+    worker();
+  } else {
+    // jthreads join when the pool leaves scope, also if starting one throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(n_threads);
+    for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 double EvaluationGrid::energy_metric(const EvaluationCell& cell) {
   return cell.energy_per_segment_mj();
 }
@@ -90,49 +124,31 @@ EvaluationGrid run_evaluation_grid(power::Device device,
   // One result slot per video keeps the output order deterministic no
   // matter how the workers interleave.
   std::vector<std::vector<EvaluationCell>> per_video(n_videos);
-  // Work queue head: workers claim video indices with fetch_add; each
-  // index is visited once, so per_video slot writes never race.
-  std::atomic<std::size_t> next_video{0};
   // Serializes progress callbacks only — result data is lock-free via
   // the per-video slots, so contention here cannot reorder results.
   std::mutex progress_mutex;
 
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t vi = next_video.fetch_add(1);
-      if (vi >= n_videos) return;
-      WorkloadConfig wconfig;
-      wconfig.seed = options.seed;
-      const VideoWorkload workload(videos[vi], wconfig);
-      for (int trace_id = 1; trace_id <= 2; ++trace_id) {
-        const trace::NetworkTrace& net =
-            trace_id == 1 ? traces.first : traces.second;
-        for (SchemeKind scheme : all_schemes()) {
-          EvaluationCell cell;
-          cell.video_id = videos[vi].id;
-          cell.trace_id = trace_id;
-          cell.scheme = scheme;
-          cell.segments = workload.segment_count();
-          cell.result = simulate_all_test_users(workload, scheme, net, session);
-          per_video[vi].push_back(std::move(cell));
-        }
-        if (options.progress) {
-          const std::lock_guard<std::mutex> lock(progress_mutex);
-          options.progress(videos[vi].id, trace_id);
-        }
+  for_each_slot(n_videos, options.threads, [&](std::size_t vi) {
+    WorkloadConfig wconfig;
+    wconfig.seed = options.seed;
+    const VideoWorkload workload(videos[vi], wconfig);
+    for (int trace_id = 1; trace_id <= 2; ++trace_id) {
+      const trace::NetworkTrace& net = trace_id == 1 ? traces.first : traces.second;
+      for (SchemeKind scheme : all_schemes()) {
+        EvaluationCell cell;
+        cell.video_id = videos[vi].id;
+        cell.trace_id = trace_id;
+        cell.scheme = scheme;
+        cell.segments = workload.segment_count();
+        cell.result = simulate_all_test_users(workload, scheme, net, session);
+        per_video[vi].push_back(std::move(cell));
+      }
+      if (options.progress) {
+        const std::lock_guard<std::mutex> lock(progress_mutex);
+        options.progress(videos[vi].id, trace_id);
       }
     }
-  };
-
-  std::size_t n_threads = std::min(resolve_thread_count(options.threads), n_videos);
-  if (n_threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+  });
 
   for (auto& cells : per_video) {
     grid.cells.insert(grid.cells.end(), std::make_move_iterator(cells.begin()),

@@ -70,6 +70,16 @@ struct EvaluationOptions {
 // `requested` is returned, with 0 meaning hardware concurrency.
 std::size_t resolve_thread_count(std::size_t requested);
 
+// The one worker pool: runs fn(i) exactly once for every slot i in [0, n) on
+// resolve_thread_count(threads) workers, capped at n, and joins them before
+// returning. With one worker the same loop runs on the calling thread. fn(i)
+// must write only slot i's state, so results never depend on the thread
+// count or the interleaving; anything else it touches needs its own lock.
+// If an fn(i) throws, no further slots start and the first exception is
+// rethrown to the caller once every worker has stopped.
+void for_each_slot(std::size_t n, std::size_t threads,
+                   const std::function<void(std::size_t)>& fn);
+
 // Run the grid for one device. `session` parametrises every cell (its seed
 // and device are overridden per the options/device arguments).
 EvaluationGrid run_evaluation_grid(power::Device device,

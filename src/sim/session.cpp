@@ -1,11 +1,10 @@
-// simulate_session: drives a StreamingClient against a private NetworkTrace,
-// fault-free. Deterministic: downloads integrate the trace and no step reads
-// a real clock. Fault injection runs only in the fleet engine.
+// simulate_session: the paper's single client as a fleet of one, so the
+// fleet engine is the one session driver: it times every download on its
+// link's byte clock and runs the one fault state machine. Deterministic: no
+// step reads a real clock.
 #include "sim/session.h"
 
-#include "sim/accounting.h"
-#include "sim/client.h"
-
+#include "fleet/engine.h"
 #include "util/check.h"
 
 namespace ps360::sim {
@@ -13,40 +12,20 @@ namespace ps360::sim {
 SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
                                SchemeKind scheme_kind,
                                const trace::NetworkTrace& network,
-                               const SessionConfig& config) {
-  return simulate_session(workload, test_user, scheme_kind, network, config,
-                          /*observer=*/nullptr);
-}
-
-SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
-                               SchemeKind scheme_kind,
-                               const trace::NetworkTrace& network,
                                const SessionConfig& config, obs::Observer* observer) {
   PS360_CHECK(test_user < workload.test_user_count());
-  PS360_CHECK_MSG(!config.faults.enabled,
-                  "simulate_session runs fault-free; run a faulted session through "
-                  "fleet::run_fleet (a fleet of one with start_spread_s = 0)");
-
-  // The accountant owns the per-session models and the delivered-QoE/energy
-  // bookkeeping (shared with the fleet engine); this function supplies the
-  // network: each planned download takes whatever the throughput trace says.
-  SessionAccountant accountant(workload, test_user, scheme_kind, config);
-  const trace::HeadTrace& head = workload.test_trace(test_user);
-  StreamingClient client(accountant.client_config(), workload,
-                         accountant.scheme(), head);
-  if (observer != nullptr) {
-    accountant.attach_observer(observer, /*session=*/0);
-    client.attach_observer(observer, /*session=*/0);
-  }
-
-  while (auto request = client.plan_next()) {
-    const double download_s =
-        network.time_to_download(request->plan.option.bytes, client.wall_time_s());
-    PS360_ASSERT(download_s > 0.0);
-    const double stall = client.complete_download(util::Seconds(download_s));
-    accountant.record(*request, util::Seconds(download_s), util::Seconds(stall));
-  }
-  return accountant.finish();
+  fleet::FleetConfig fleet;
+  fleet.sessions = 1;
+  fleet.seed = config.seed;
+  fleet.scheme = scheme_kind;
+  fleet.start_spread_s = 0.0;
+  fleet.session = config;
+  fleet.observer = observer;
+  // Never 0: resolved like PS360_THREADS, it would start solve workers
+  // inside every evaluation-grid worker.
+  fleet.shards = 1;
+  fleet::FleetResult result = fleet::run_fleet(workload, network, fleet, test_user);
+  return std::move(result.sessions.front().result);
 }
 
 SessionResult simulate_all_test_users(const VideoWorkload& workload,

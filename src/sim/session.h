@@ -6,7 +6,8 @@
 // samples), estimate bandwidth (harmonic mean of observed download rates),
 // run the scheme's MPC, download over the variable-rate trace, and evolve
 // the buffer by Eq. 6 (wait above the β threshold, stall when the download
-// outlasts the buffer).
+// outlasts the buffer). The session runs as a fleet of one through
+// fleet::run_fleet, the one session driver.
 //
 // Per segment it accounts:
 //  * energy (Eq. 1, Table I models — radio for the download time, decoder
@@ -57,11 +58,11 @@ struct SessionConfig {
   video::EncodingConfig encoding;
   qoe::QoParams qo_params;
 
-  // Fault injection and the client's bounded recovery policy, read only by
-  // fleet::run_fleet: simulate_session rejects faults.enabled. Off by
-  // default, and inert then (pinned by the fault differential tests).
-  // RecoveryConfig::seed is a stream index: the accountant folds it with
-  // `seed` above, and the fleet engine sets it per session.
+  // Fault injection and the client's bounded recovery policy, run by the
+  // fleet engine (simulate_session included). Off by default, and inert then
+  // (pinned by the fault differential tests). RecoveryConfig::seed is a
+  // stream index: the accountant folds it with `seed` above, and the fleet
+  // engine sets it per session.
   trace::FaultConfig faults;
   RecoveryConfig recovery;
 };
@@ -97,21 +98,19 @@ struct SessionResult {
   double total_bytes = 0.0;
 };
 
-// Simulate one session. The network trace is consumed from t = 0 (it loops
-// if shorter than the session). Fault-free: throws if config.faults.enabled;
-// run a faulted session through fleet::run_fleet as a fleet of one with
-// start_spread_s = 0.
+// Simulate one session: fleet::run_fleet with one session replaying
+// `test_user`, no start stagger, one engine thread and the fleet seed set to
+// config.seed (it keys the fault and retry streams). The network trace is
+// consumed from t = 0 (it loops if shorter than the session), and enabled
+// faults run through the engine's fault state machine. The nullable
+// metrics/trace observer (obs/observer.h) sees the client, the accountant,
+// the scheme's MPC and the engine's fleet.* counters; results are
+// bit-identical without it — observation is write-only (pinned by the obs
+// differential test).
 SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
                                SchemeKind scheme, const trace::NetworkTrace& network,
-                               const SessionConfig& config);
-
-// Same, with a nullable metrics/trace observer attached to the client, the
-// accountant, and the scheme's MPC (obs/observer.h). Results are
-// bit-identical to the observer-free overload — observation is write-only
-// (pinned by the obs differential test).
-SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
-                               SchemeKind scheme, const trace::NetworkTrace& network,
-                               const SessionConfig& config, obs::Observer* observer);
+                               const SessionConfig& config,
+                               obs::Observer* observer = nullptr);
 
 // Convenience: aggregate the per-user results of all test users. Energy,
 // stall time, bytes, and the mean_* / ptile_usage / qoe.mean_* fields are

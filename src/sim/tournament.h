@@ -16,9 +16,8 @@
 // stream is reproducible across machines, thread counts, and shard counts
 // (pinned by tests/tournament_test.cpp).
 //
-// Compiled into ps360::fleet (it drives fleets; ps360::sim cannot link the
-// fleet engine), but lives in ps360::sim alongside the scheme registry it
-// enumerates. See tools/tournament_report.py for rendering the JSON.
+// Lives in ps360::sim alongside the scheme registry it enumerates. See
+// tools/tournament_report.py for rendering the JSON.
 #pragma once
 
 #include <string>

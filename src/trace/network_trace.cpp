@@ -122,28 +122,6 @@ double NetworkTrace::bytes_in(double t0, double t1) const {
   return bytes;
 }
 
-double NetworkTrace::time_to_download(double bytes, double t0) const {
-  PS360_CHECK(bytes >= 0.0);
-  if (bytes == 0.0) return 0.0;
-  double remaining = bytes;
-  double t = t0;
-  // Fast-forward whole trace periods: a multi-gigabyte request on a short
-  // trace would otherwise grind through every sample of every wrap.
-  if (t >= samples_.front().t && remaining > bytes_per_period_) {
-    const double periods = std::floor(remaining / bytes_per_period_);
-    remaining = std::max(remaining - periods * bytes_per_period_, 0.0);
-    t += periods * period_s();
-  }
-  for (;;) {
-    const WrapStep step = step_at(t);
-    const double rate_bytes_s = samples_[step.index].mbps * 1e6 / 8.0;
-    const double deliverable = rate_bytes_s * step.chunk_s;
-    if (deliverable >= remaining) return (t - t0) + remaining / rate_bytes_s;
-    remaining -= deliverable;
-    t += step.chunk_s;
-  }
-}
-
 double NetworkTrace::mean_mbps(double t0, double t1) const {
   PS360_CHECK(t1 > t0);
   return bytes_in(t0, t1) * 8.0 / 1e6 / (t1 - t0);

@@ -35,8 +35,8 @@ class NetworkTrace {
   // Length of one trace period (end_time() - first sample time) and the
   // bytes one full period delivers. Because the trace is periodic past its
   // end, any window of exactly period_s() seconds delivers bytes_per_period()
-  // regardless of phase — which is what lets bytes_in/time_to_download
-  // fast-forward whole wraps instead of stepping sample by sample.
+  // regardless of phase — which is what lets bytes_in fast-forward whole
+  // wraps instead of stepping sample by sample.
   double period_s() const { return end_time_ - samples_.front().t; }
   double bytes_per_period() const { return bytes_per_period_; }
 
@@ -51,9 +51,6 @@ class NetworkTrace {
 
   // Bytes deliverable in [t0, t1] (integrates the piecewise-constant rate).
   double bytes_in(double t0, double t1) const;
-
-  // Seconds needed to download `bytes` starting at time t0.
-  double time_to_download(double bytes, double t0) const;
 
   // Mean throughput over [t0, t1] in Mbps.
   double mean_mbps(double t0, double t1) const;

@@ -40,18 +40,24 @@ struct ClientFixture {
   std::unique_ptr<Scheme> scheme;
 };
 
+// Plans the next segment as the fleet engine does: the Eq. 6 wait, then the
+// solve.
+ClientRequest plan(StreamingClient& client) {
+  client.begin_plan();
+  return client.finish_plan();
+}
+
 TEST(StreamingClientTest, WalksEverySegmentExactlyOnce) {
   const ClientFixture fixture;
   auto client = fixture.make_client();
   std::size_t planned = 0;
-  while (auto request = client.plan_next()) {
-    EXPECT_EQ(request->segment, planned);
+  while (!client.finished()) {
+    EXPECT_EQ(plan(client).segment, planned);
     client.complete_download(util::Seconds(0.4));
     ++planned;
   }
   EXPECT_EQ(planned, fixture.workload->segment_count());
-  EXPECT_TRUE(client.finished());
-  EXPECT_FALSE(client.plan_next().has_value());
+  EXPECT_THROW(plan(client), std::invalid_argument);
 }
 
 TEST(StreamingClientTest, BufferFollowsEq6) {
@@ -64,12 +70,11 @@ TEST(StreamingClientTest, BufferFollowsEq6) {
   // in and holds it there.
   double expected_buffer = 0.0;
   for (int k = 0; k < 8; ++k) {
-    const auto request = client.plan_next();
-    ASSERT_TRUE(request.has_value());
+    const ClientRequest request = plan(client);
     // Eq. 6 wait: the client never requests with more than β buffered.
-    EXPECT_LE(request->buffer_at_request_s, beta + 1e-12);
+    EXPECT_LE(request.buffer_at_request_s, beta + 1e-12);
     const double expected_wait = std::max(expected_buffer - beta, 0.0);
-    EXPECT_NEAR(request->wait_s, expected_wait, 1e-12);
+    EXPECT_NEAR(request.wait_s, expected_wait, 1e-12);
     const double download_s = 0.25;
     const double stall = client.complete_download(util::Seconds(download_s));
     EXPECT_DOUBLE_EQ(stall, 0.0);
@@ -83,9 +88,9 @@ TEST(StreamingClientTest, BufferFollowsEq6) {
 TEST(StreamingClientTest, StallAccountedWhenDownloadOutlastsBuffer) {
   const ClientFixture fixture;
   auto client = fixture.make_client();
-  ASSERT_TRUE(client.plan_next().has_value());
+  plan(client);
   EXPECT_DOUBLE_EQ(client.complete_download(util::Seconds(5.0)), 0.0);  // startup excluded
-  ASSERT_TRUE(client.plan_next().has_value());
+  plan(client);
   // Buffer is 1 s (one segment); a 2.5 s download stalls 1.5 s.
   const double stall = client.complete_download(util::Seconds(2.5));
   EXPECT_NEAR(stall, 1.5, 1e-12);
@@ -97,9 +102,7 @@ TEST(StreamingClientTest, WallClockAdvancesByWaitAndDownload) {
   auto client = fixture.make_client();
   double expected_wall = 0.0;
   for (int k = 0; k < 6; ++k) {
-    const auto request = client.plan_next();
-    ASSERT_TRUE(request.has_value());
-    expected_wall += request->wait_s;
+    expected_wall += plan(client).wait_s;
     client.complete_download(util::Seconds(0.5));
     expected_wall += 0.5;
     EXPECT_NEAR(client.wall_time_s(), expected_wall, 1e-12);
@@ -110,7 +113,7 @@ TEST(StreamingClientTest, PlayheadLagsDownloadsByBuffer) {
   const ClientFixture fixture;
   auto client = fixture.make_client();
   for (int k = 0; k < 5; ++k) {
-    ASSERT_TRUE(client.plan_next().has_value());
+    plan(client);
     client.complete_download(util::Seconds(0.5));
   }
   EXPECT_NEAR(client.playhead_s(),
@@ -121,8 +124,8 @@ TEST(StreamingClientTest, ProtocolMisuseThrows) {
   const ClientFixture fixture;
   auto client = fixture.make_client();
   EXPECT_THROW(client.complete_download(util::Seconds(0.5)), std::invalid_argument);
-  ASSERT_TRUE(client.plan_next().has_value());
-  EXPECT_THROW(client.plan_next(), std::invalid_argument);
+  plan(client);
+  EXPECT_THROW(plan(client), std::invalid_argument);
   EXPECT_THROW(client.complete_download(util::Seconds(0.0)), std::invalid_argument);
   EXPECT_NO_THROW(client.complete_download(util::Seconds(0.5)));
 }
@@ -132,14 +135,14 @@ TEST(StreamingClientTest, ProtocolMisuseThrows) {
 TEST(StreamingClientTest, MisuseDoesNotCorruptState) {
   const ClientFixture fixture;
   auto client = fixture.make_client();
-  ASSERT_TRUE(client.plan_next().has_value());
+  plan(client);
   const double buffer_before = client.buffer_s();
   const double wall_before = client.wall_time_s();
   const std::size_t segment_before = client.next_segment();
 
-  // plan_next twice without completing, and completing with a negative or
+  // Planning twice without completing, and completing with a negative or
   // zero download time, are protocol violations.
-  EXPECT_THROW(client.plan_next(), std::invalid_argument);
+  EXPECT_THROW(plan(client), std::invalid_argument);
   EXPECT_THROW(client.complete_download(util::Seconds(-1.0)), std::invalid_argument);
   EXPECT_THROW(client.complete_download(util::Seconds(0.0)), std::invalid_argument);
 
@@ -150,14 +153,14 @@ TEST(StreamingClientTest, MisuseDoesNotCorruptState) {
   // The in-flight download is still completable and the loop proceeds.
   EXPECT_NO_THROW(client.complete_download(util::Seconds(0.5)));
   EXPECT_EQ(client.next_segment(), segment_before + 1);
-  ASSERT_TRUE(client.plan_next().has_value());
+  plan(client);
   EXPECT_NO_THROW(client.complete_download(util::Seconds(0.5)));
 }
 
 TEST(StreamingClientTest, RejectsNonFiniteDownloadTime) {
   const ClientFixture fixture;
   auto client = fixture.make_client();
-  ASSERT_TRUE(client.plan_next().has_value());
+  plan(client);
   // NaN fails the download_s > 0 precondition, same as zero and negative.
   EXPECT_THROW(client.complete_download(util::Seconds(std::numeric_limits<double>::quiet_NaN())),
                std::invalid_argument);
@@ -176,26 +179,33 @@ TEST(StreamingClientTest, MisuseEmitsNoObservation) {
   client.attach_observer(&observer, /*session=*/0);
 
   EXPECT_THROW(client.complete_download(util::Seconds(0.5)), std::invalid_argument);
-  ASSERT_TRUE(client.plan_next().has_value());
+  plan(client);
   const double planned = metrics.value("client.segments_planned");
   const std::uint64_t recorded = tracer.recorded();
 
-  EXPECT_THROW(client.plan_next(), std::invalid_argument);
+  EXPECT_THROW(plan(client), std::invalid_argument);
   EXPECT_THROW(client.complete_download(util::Seconds(-1.0)), std::invalid_argument);
   EXPECT_EQ(metrics.value("client.segments_planned"), planned);
   EXPECT_EQ(tracer.recorded(), recorded);
 }
 
-// After the last segment, the protocol is over: plan_next() reports the end
-// with nullopt (not an error), while complete_download remains a violation.
+// After the last segment, the protocol is over: planning past it and
+// completing a download are both violations, and the first rejection leaves
+// the client where it was.
 TEST(StreamingClientTest, PostFinishContract) {
   const ClientFixture fixture;
   auto client = fixture.make_client();
-  while (auto request = client.plan_next()) client.complete_download(util::Seconds(0.4));
-  ASSERT_TRUE(client.finished());
-  EXPECT_FALSE(client.plan_next().has_value());
-  EXPECT_FALSE(client.plan_next().has_value());  // idempotent
+  while (!client.finished()) {
+    plan(client);
+    client.complete_download(util::Seconds(0.4));
+  }
+  const double wall_before = client.wall_time_s();
+  const double buffer_before = client.buffer_s();
+  EXPECT_THROW(plan(client), std::invalid_argument);
+  EXPECT_THROW(plan(client), std::invalid_argument);  // still rejected
   EXPECT_THROW(client.complete_download(util::Seconds(0.5)), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(client.wall_time_s(), wall_before);
+  EXPECT_DOUBLE_EQ(client.buffer_s(), buffer_before);
 }
 
 TEST(StreamingClientTest, SlowBandwidthEstimateLowersQuality) {
@@ -204,16 +214,15 @@ TEST(StreamingClientTest, SlowBandwidthEstimateLowersQuality) {
   auto slow_client = fixture.make_client();
   int fast_quality = 0, slow_quality = 0;
   for (int k = 0; k < 10; ++k) {
-    const auto fast_request = fast_client.plan_next();
-    const auto slow_request = slow_client.plan_next();
-    ASSERT_TRUE(fast_request && slow_request);
+    const ClientRequest fast_request = plan(fast_client);
+    const ClientRequest slow_request = plan(slow_client);
     if (k >= 6) {  // after the estimators converge
-      fast_quality += fast_request->plan.option.quality;
-      slow_quality += slow_request->plan.option.quality;
+      fast_quality += fast_request.plan.option.quality;
+      slow_quality += slow_request.plan.option.quality;
     }
     // Feed very different observed rates.
-    fast_client.complete_download(util::Seconds(std::max(fast_request->plan.option.bytes / 2e6, 1e-3)));
-    slow_client.complete_download(util::Seconds(std::max(slow_request->plan.option.bytes / 1e5, 1e-3)));
+    fast_client.complete_download(util::Seconds(std::max(fast_request.plan.option.bytes / 2e6, 1e-3)));
+    slow_client.complete_download(util::Seconds(std::max(slow_request.plan.option.bytes / 1e5, 1e-3)));
   }
   EXPECT_GT(fast_quality, slow_quality);
 }

@@ -1,16 +1,15 @@
 // Tests for the fault-injection layer: trace::FaultSchedule determinism, the
 // client's bounded retry/backoff/degradation state machine, and the fleet
-// engine, the one simulator that runs faults. The layer is inert when disabled
+// engine, the one session driver. The layer is inert when disabled
 // (bit-identical single sessions for every registered scheme, and fleets at
-// any thread count); simulate_session rejects enabled faults; with
-// faults on every scheme completes every fleet session with reproducible,
-// nonzero recovery counters, and each session's time closes: its records
-// rebuild the engine's finish time, outage waits included.
+// any thread count); a faulted simulate_session is the fleet of one, bit for
+// bit; with faults on every scheme completes every fleet session with
+// reproducible, nonzero recovery counters, and each session's time closes:
+// its records rebuild the engine's finish time, outage waits included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
-#include <string>
 #include <vector>
 
 #include "core/buffer.h"
@@ -188,6 +187,13 @@ struct ClientFixture {
   std::unique_ptr<sim::Scheme> scheme;
 };
 
+// Plans the next segment as the fleet engine does: the Eq. 6 wait, then the
+// solve.
+sim::ClientRequest plan(sim::StreamingClient& client) {
+  client.begin_plan();
+  return client.finish_plan();
+}
+
 TEST(RecoveryTest, BackoffSequenceIsCappedAndSeededDeterministic) {
   const ClientFixture fixture;
   sim::ClientConfig config;
@@ -195,7 +201,7 @@ TEST(RecoveryTest, BackoffSequenceIsCappedAndSeededDeterministic) {
   config.recovery.seed = 7;
   const auto collect = [&] {
     auto client = fixture.make_client(config);
-    client.plan_next();
+    plan(client);
     std::vector<double> backoffs;
     for (int i = 0; i < 10; ++i)
       backoffs.push_back(
@@ -228,7 +234,7 @@ TEST(RecoveryTest, TimeoutAdvancesWallClockExactlyByDeadlinePlusBackoff) {
   sim::ClientConfig config;
   config.recovery.backoff_jitter = 0.0;  // exact arithmetic
   auto client = fixture.make_client(config);
-  client.plan_next();
+  plan(client);
   const double t0 = client.wall_time_s();
   const auto action = client.report_download_failure(
       util::Seconds(config.recovery.timeout_s),
@@ -244,13 +250,12 @@ TEST(RecoveryTest, DegradationLadderShrinksRequestsAndTerminates) {
   sim::ClientConfig config;
   config.recovery.max_attempts = 32;  // plenty of room to exhaust the ladder
   auto client = fixture.make_client(config);
-  const auto request = client.plan_next();
-  ASSERT_TRUE(request.has_value());
-  const double original_bytes = request->plan.option.bytes;
+  const sim::ClientRequest request = plan(client);
+  const double original_bytes = request.plan.option.bytes;
 
   std::size_t degrades = 0;
   double last_bytes = original_bytes;
-  double last_estimate = request->bandwidth_estimate_bps;
+  double last_estimate = request.bandwidth_estimate_bps;
   for (int i = 0; i < 20; ++i) {
     const auto action =
         client.report_download_failure(util::Seconds(0.5), sim::FailureReason::kLost);
@@ -288,7 +293,8 @@ TEST(RecoveryTest, MisuseThrowsWithoutCorruptingState) {
 
   // …and the client still runs a full clean session afterwards.
   std::size_t planned = 0;
-  while (auto request = client.plan_next()) {
+  while (!client.finished()) {
+    plan(client);
     EXPECT_THROW(client.report_download_failure(util::Seconds(-1.0), sim::FailureReason::kLost),
                  std::invalid_argument);  // negative elapsed rejected
     client.complete_download(util::Seconds(0.4));
@@ -324,17 +330,32 @@ TEST(FaultDifferentialTest, DisabledFaultLayerIsBitIdenticalPerScheme) {
   }
 }
 
-TEST(FaultSessionTest, SimulateSessionRejectsEnabledFaultsNamingRunFleet) {
+// A faulted single session runs through the engine's one fault state
+// machine: simulate_session is the fleet of one seeded with
+// SessionConfig::seed, bit for bit, and it really retries.
+TEST(FaultSessionTest, SimulateSessionIsTheFaultedFleetOfOne) {
+  const sim::VideoWorkload& workload = test_workload();
   const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
-  sim::SessionConfig config;
-  config.faults = hostile_faults();
-  try {
-    sim::simulate_session(test_workload(), 0, sim::SchemeKind::kOurs, traces.second,
-                          config);
-    ADD_FAILURE() << "simulate_session accepted enabled faults";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("run_fleet"), std::string::npos) << e.what();
-  }
+  sim::SessionConfig session;
+  session.seed = 7;  // not FleetConfig's default: the seed must be passed on
+  session.faults = hostile_faults();
+
+  obs::MetricsRegistry metrics;
+  obs::Observer observer{&metrics, nullptr};
+  const sim::SessionResult solo =
+      sim::simulate_session(workload, /*test_user=*/0, sim::SchemeKind::kOurs,
+                            traces.second, session, &observer);
+
+  fleet::FleetConfig config;
+  config.sessions = 1;
+  config.start_spread_s = 0.0;
+  config.seed = session.seed;
+  config.scheme = sim::SchemeKind::kOurs;
+  config.session = session;
+  const fleet::FleetResult fleet = fleet::run_fleet(workload, traces.second, config);
+  ASSERT_EQ(fleet.sessions.size(), 1u);
+  expect_bit_identical(solo, fleet.sessions[0].result);
+  EXPECT_GT(metrics.value("client.retries"), 0.0);
 }
 
 // ------------------------------------------------------------ fleet engine

@@ -1,8 +1,9 @@
 // Tests for the fleet subsystem: EventLoop ordering, SharedLink max-min
-// fairness (differential-tested against a brute-force fluid simulation),
-// fleet-of-one parity with simulate_session for every registered scheme,
-// SessionConfig validation in both simulators, thread-count invariance of
-// the replication runner, and the zero-allocation steady state of the event
+// fairness (differential-tested against a brute-force fluid simulation) and
+// its one-flow inversion of the trace integral, simulate_session as the
+// bitwise fleet of one for every registered scheme, replaying the test user
+// it is asked for, SessionConfig validation, thread-count invariance of the
+// replication runner, and the zero-allocation steady state of the event
 // queue.
 #include <gtest/gtest.h>
 
@@ -25,6 +26,8 @@
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/tracer.h"
+#include "sim/accounting.h"
+#include "sim/client.h"
 #include "sim/session.h"
 #include "sim/workload.h"
 #include "trace/video_catalog.h"
@@ -347,6 +350,21 @@ TEST(SharedLinkDifferentialTest, MatchesBruteForceFluidSimulation) {
   EXPECT_GT(makespans[1], makespans[0]);
 }
 
+// A lone flow is the paper's single client on its trace: it completes once
+// the trace has delivered its bytes, across the trace's wrap and when it
+// starts past the trace end too.
+TEST(SharedLinkTest, OneFlowInvertsBytesInAcrossTheWrap) {
+  const trace::NetworkTrace trace({{0.0, 4.0}, {1.0, 8.0}, {2.0, 2.0}});
+  for (const double t0 : {0.3, 2.5, 2.9999, 3.0, 7.1}) {
+    for (const double span : {0.5, 1.7, 4.0, 9.3}) {
+      const std::vector<double> completion = link_completions(
+          trace, {{t0, 0, trace.bytes_in(t0, t0 + span)}}, /*n_sessions=*/1,
+          /*cap=*/0.0);
+      EXPECT_NEAR(completion[0] - t0, span, 1e-6) << "t0 " << t0 << " span " << span;
+    }
+  }
+}
+
 TEST(SharedLinkDifferentialTest, RandomizedSmallCases) {
   util::Rng rng(1234);
   for (int iteration = 0; iteration < 10; ++iteration) {
@@ -394,9 +412,52 @@ struct FleetFixture {
   const sim::VideoWorkload* workload;
 };
 
-// The fleet engine integrates its link per event and simulate_session
-// integrates the trace per sample, so the two simulators agree to rounding,
-// not bitwise: the same choices in every segment, and times within 1e-9 s.
+// Every SegmentRecord field and every session aggregate, compared exactly.
+void expect_same_session(const sim::SessionResult& a, const sim::SessionResult& b) {
+  EXPECT_EQ(a.scheme, b.scheme);
+  ASSERT_EQ(a.segments.size(), b.segments.size());
+  for (std::size_t k = 0; k < a.segments.size(); ++k) {
+    SCOPED_TRACE("segment " + std::to_string(k));
+    const sim::SegmentRecord& x = a.segments[k];
+    const sim::SegmentRecord& y = b.segments[k];
+    EXPECT_EQ(x.index, y.index);
+    EXPECT_EQ(x.quality, y.quality);
+    EXPECT_EQ(x.frame_index, y.frame_index);
+    EXPECT_EQ(x.fps, y.fps);
+    EXPECT_EQ(x.bytes, y.bytes);
+    EXPECT_EQ(x.download_s, y.download_s);
+    EXPECT_EQ(x.stall_s, y.stall_s);
+    EXPECT_EQ(x.buffer_before_s, y.buffer_before_s);
+    EXPECT_EQ(x.coverage, y.coverage);
+    EXPECT_EQ(x.used_ptile, y.used_ptile);
+    EXPECT_EQ(x.mpc_feasible, y.mpc_feasible);
+    EXPECT_EQ(x.qoe.qo, y.qoe.qo);
+    EXPECT_EQ(x.qoe.variation, y.qoe.variation);
+    EXPECT_EQ(x.qoe.rebuffer, y.qoe.rebuffer);
+    EXPECT_EQ(x.qoe.q, y.qoe.q);
+    EXPECT_EQ(x.energy.transmit_mj, y.energy.transmit_mj);
+    EXPECT_EQ(x.energy.decode_mj, y.energy.decode_mj);
+    EXPECT_EQ(x.energy.render_mj, y.energy.render_mj);
+  }
+  EXPECT_EQ(a.qoe.mean_qo, b.qoe.mean_qo);
+  EXPECT_EQ(a.qoe.mean_variation, b.qoe.mean_variation);
+  EXPECT_EQ(a.qoe.mean_rebuffer, b.qoe.mean_rebuffer);
+  EXPECT_EQ(a.qoe.mean_q, b.qoe.mean_q);
+  EXPECT_EQ(a.qoe.segments, b.qoe.segments);
+  EXPECT_EQ(a.energy.transmit_mj, b.energy.transmit_mj);
+  EXPECT_EQ(a.energy.decode_mj, b.energy.decode_mj);
+  EXPECT_EQ(a.energy.render_mj, b.energy.render_mj);
+  EXPECT_EQ(a.total_stall_s, b.total_stall_s);
+  EXPECT_EQ(a.rebuffer_events, b.rebuffer_events);
+  EXPECT_EQ(a.mean_quality, b.mean_quality);
+  EXPECT_EQ(a.mean_fps, b.mean_fps);
+  EXPECT_EQ(a.mean_coverage, b.mean_coverage);
+  EXPECT_EQ(a.ptile_usage, b.ptile_usage);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+}
+
+// simulate_session is a fleet of one, so run_fleet's lone session
+// reproduces it bitwise: one driver, one integrator.
 TEST(FleetEngineTest, FleetOfOneReproducesSimulateSession) {
   const FleetFixture fixture;
   static const sim::VideoWorkload exploratory = [] {
@@ -421,31 +482,50 @@ TEST(FleetEngineTest, FleetOfOneReproducesSimulateSession) {
         FleetConfig config;
         config.sessions = 1;
         config.start_spread_s = 0.0;  // align the lone session with t = 0
+        config.seed = session_config.seed;
         config.scheme = scheme;
         config.session = session_config;
         const FleetResult fleet = run_fleet(*workload, *network, config);
 
         ASSERT_EQ(fleet.sessions.size(), 1u);
-        const sim::SessionResult& result = fleet.sessions[0].result;
-        ASSERT_EQ(result.segments.size(), solo.segments.size());
-        for (std::size_t k = 0; k < solo.segments.size(); ++k) {
-          EXPECT_EQ(result.segments[k].quality, solo.segments[k].quality) << "segment " << k;
-          EXPECT_EQ(result.segments[k].frame_index, solo.segments[k].frame_index)
-              << "segment " << k;
-          EXPECT_EQ(result.segments[k].bytes, solo.segments[k].bytes) << "segment " << k;
-          EXPECT_NEAR(result.segments[k].download_s, solo.segments[k].download_s, 1e-9)
-              << "segment " << k;
-          EXPECT_NEAR(result.segments[k].stall_s, solo.segments[k].stall_s, 1e-9)
-              << "segment " << k;
-        }
-        EXPECT_NEAR(result.energy.total_mj(), solo.energy.total_mj(),
-                    1e-6 * solo.energy.total_mj());
-        EXPECT_NEAR(result.qoe.mean_q, solo.qoe.mean_q, 1e-9 * std::abs(solo.qoe.mean_q));
-        EXPECT_NEAR(result.total_stall_s, solo.total_stall_s, 1e-9);
-        EXPECT_DOUBLE_EQ(result.total_bytes, solo.total_bytes);
+        expect_same_session(fleet.sessions[0].result, solo);
       }
     }
   }
+}
+
+// The engine's first-test-user argument is the one input simulate_session
+// adds: session u must plan exactly what a fresh client plans on user u's
+// head trace when fed the recorded download times.
+TEST(FleetEngineTest, SimulateSessionReplaysTheRequestedUser) {
+  const FleetFixture fixture;
+  const sim::VideoWorkload& workload = *fixture.workload;
+  const std::size_t user = 5;
+  ASSERT_LT(user, workload.test_user_count());
+  const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
+  const sim::SessionConfig session_config;
+  const sim::SchemeKind scheme = sim::SchemeKind::kOurs;
+  const sim::SessionResult result =
+      sim::simulate_session(workload, user, scheme, traces.second, session_config);
+  // User 0 watches differently, so replaying the wrong user would show.
+  EXPECT_NE(result.total_bytes,
+            sim::simulate_session(workload, 0, scheme, traces.second, session_config)
+                .total_bytes);
+
+  const sim::SessionAccountant accountant(workload, user, scheme, session_config);
+  sim::StreamingClient client(accountant.client_config(), workload, accountant.scheme(),
+                              workload.test_trace(user));
+  ASSERT_EQ(result.segments.size(), workload.segment_count());
+  for (const sim::SegmentRecord& segment : result.segments) {
+    SCOPED_TRACE("segment " + std::to_string(segment.index));
+    client.begin_plan();
+    const core::QualityOption option = client.finish_plan().plan.option;
+    EXPECT_EQ(option.quality, segment.quality);
+    EXPECT_EQ(option.frame_index, segment.frame_index);
+    EXPECT_EQ(option.bytes, segment.bytes);
+    client.complete_download(util::Seconds(segment.download_s));
+  }
+  EXPECT_TRUE(client.finished());
 }
 
 TEST(FleetEngineTest, DeterministicAcrossRuns) {
@@ -578,7 +658,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Unchecked, each of these is absorbed silently (a coverage floor above 1
 // means Ours never picks a Ptile; an infinite bandwidth prior changes the
 // plans) or fails far from its cause (an infinite buffer threshold throws
-// from a vector resize). The session accountant, which both simulators build,
+// from a vector resize, a tiny buffer quantum from the DP's allocation). The
+// session accountant, which the fleet engine builds for every session,
 // rejects each with a message naming the field.
 struct InvalidSessionField {
   const char* field;
@@ -616,7 +697,10 @@ INSTANTIATE_TEST_SUITE_P(
         InvalidSessionField{"mpc.buffer_threshold_s",
                             [](sim::SessionConfig& c) { c.mpc.buffer_threshold_s = kInf; }},
         InvalidSessionField{"mpc.segment_seconds",
-                            [](sim::SessionConfig& c) { c.mpc.segment_seconds = kInf; }}),
+                            [](sim::SessionConfig& c) { c.mpc.segment_seconds = kInf; }},
+        // Passes 0 < q <= β, but asks the DP for ~4e9 buffer states.
+        InvalidSessionField{"mpc.buffer_quantum_s",
+                            [](sim::SessionConfig& c) { c.mpc.buffer_quantum_s = 1e-9; }}),
     [](const ::testing::TestParamInfo<InvalidSessionField>& param) {
       std::string name = param.param.field;
       std::replace(name.begin(), name.end(), '.', '_');

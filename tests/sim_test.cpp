@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
+#include <vector>
 
 #include "sim/experiment.h"
 #include "sim/scheme_base.h"
@@ -552,6 +554,29 @@ TEST(ExperimentTest, ResolveThreadCountHonorsEnvOverride) {
   setenv("PS360_THREADS", "2x", 1);  // trailing garbage
   EXPECT_EQ(resolve_thread_count(3), 3u);
   unsetenv("PS360_THREADS");
+}
+
+TEST(ForEachSlotTest, EverySlotRunsExactlyOnce) {
+  // fn(i) writes only slot i: a slot claimed twice counts 2 (and races under
+  // TSan), a skipped one 0. n + 5 workers are capped at n.
+  const std::size_t n = 37;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, n + 5}) {
+    std::vector<int> runs(n, 0);
+    for_each_slot(n, threads, [&runs](std::size_t i) { ++runs[i]; });
+    EXPECT_EQ(runs, std::vector<int>(n, 1)) << "threads " << threads;
+  }
+}
+
+TEST(ForEachSlotTest, ExceptionReachesTheCaller) {
+  // A failing slot throws from every thread count, never std::terminate.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    EXPECT_THROW(for_each_slot(8, threads,
+                               [](std::size_t i) {
+                                 if (i == 5) throw std::invalid_argument("slot 5");
+                               }),
+                 std::invalid_argument)
+        << "threads " << threads;
+  }
 }
 
 TEST(ExperimentTest, GridIndexLookupMatchesLinearScan) {

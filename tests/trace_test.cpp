@@ -431,13 +431,6 @@ TEST(NetworkTraceTest, BytesInIntegratesRate) {
   EXPECT_NEAR(trace.bytes_in(0.0, 1.5), 4e6 / 8.0 + 8e6 / 8.0 * 0.5, 1.0);
 }
 
-TEST(NetworkTraceTest, TimeToDownloadInvertsBytesIn) {
-  const NetworkTrace trace({{0.0, 4.0}, {1.0, 8.0}, {2.0, 2.0}});
-  const double bytes = trace.bytes_in(0.3, 1.7);
-  EXPECT_NEAR(trace.time_to_download(bytes, 0.3), 1.4, 1e-6);
-  EXPECT_DOUBLE_EQ(trace.time_to_download(0.0, 0.3), 0.0);
-}
-
 TEST(NetworkTraceTest, ScaledMultipliesRates) {
   const NetworkTrace trace({{0.0, 4.0}, {1.0, 8.0}});
   const NetworkTrace doubled = trace.scaled(2.0);
@@ -468,14 +461,6 @@ TEST(NetworkTraceTest, SynthesizerIsDeterministic) {
   const auto b = synthesize_network_trace(config);
   ASSERT_EQ(a.samples().size(), b.samples().size());
   EXPECT_DOUBLE_EQ(a.samples()[100].mbps, b.samples()[100].mbps);
-}
-
-TEST(NetworkTraceTest, WrapsForLongSessions) {
-  const NetworkTrace trace({{0.0, 4.0}, {1.0, 8.0}, {2.0, 2.0}});
-  // Beyond the end the trace loops; downloading is still possible.
-  const double d = trace.time_to_download(1e6, 100.0);
-  EXPECT_GT(d, 0.0);
-  EXPECT_LT(d, 10.0);
 }
 
 TEST(NetworkTraceTest, CsvRoundTrip) {
@@ -515,29 +500,6 @@ TEST(NetworkTraceTest, BytesInConservesAcrossWrap) {
   }
   // The wrapped second period is identical to the first.
   EXPECT_NEAR(trace.bytes_in(3.0, 4.5), trace.bytes_in(0.0, 1.5), 1e-3);
-}
-
-TEST(NetworkTraceTest, TimeToDownloadRoundTripsAcrossWrap) {
-  const NetworkTrace trace({{0.0, 4.0}, {1.0, 8.0}, {2.0, 2.0}});
-  for (const double t0 : {0.3, 2.5, 2.9999, 3.0, 7.1}) {
-    for (const double span : {0.5, 1.7, 4.0, 9.3}) {
-      const double bytes = trace.bytes_in(t0, t0 + span);
-      EXPECT_NEAR(trace.time_to_download(bytes, t0), span, 1e-6)
-          << "t0 " << t0 << " span " << span;
-    }
-  }
-}
-
-TEST(NetworkTraceTest, TimeToDownloadFastForwardsLargeTransfers) {
-  // Regression: a multi-gigabyte request on a short trace used to crawl
-  // through millions of fabricated 1e-6 s chunks. With whole-period
-  // fast-forwarding it is exact and effectively instant: 2000 full periods
-  // of 1.75 MB take exactly 6000 s.
-  const NetworkTrace trace({{0.0, 4.0}, {1.0, 8.0}, {2.0, 2.0}});
-  EXPECT_NEAR(trace.time_to_download(2000.0 * 1.75e6, 0.0), 6000.0, 1e-6);
-  // Non-integral period count and nonzero phase still invert bytes_in.
-  const double bytes = trace.bytes_in(1.3, 1.3 + 4321.7);
-  EXPECT_NEAR(trace.time_to_download(bytes, 1.3), 4321.7, 1e-5);
 }
 
 TEST(NetworkTraceTest, LoadRejectsMalformedCsv) {

@@ -26,8 +26,8 @@ RNG_EXEMPT = ("src/util/rng.h", "src/util/rng.cpp")
 # simulation core are all inside the discipline (ROADMAP item 1 puts sharded
 # event-loop code here next). src/sim covers the controller registry, the
 # competitor schemes (competitors.cpp), and the tournament harness
-# (tournament.cpp — compiled into ps360::fleet but living here), whose ranked
-# report promises byte-identical JSON for any thread/shard count.
+# (tournament.cpp), whose ranked report promises byte-identical JSON for any
+# thread/shard count; src/sim and src/fleet compile into one ps360::sim.
 DETERMINISTIC_DIRS = ("src/fleet", "src/obs", "src/trace", "src/sim",
                       "src/server")
 
