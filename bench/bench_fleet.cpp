@@ -64,6 +64,7 @@ trace::NetworkTrace bench_link(std::size_t sessions) {
 // workers. Output is bit-identical across the shard axis (the
 // fleet_shard_test battery enforces it), so the serial/sharded delta at
 // equal sessions is pure wall-clock speedup from speculative MPC solves.
+// Real time, so the rates are per wall-clock second with solve workers on.
 void BM_FleetRun(benchmark::State& state) {
   const std::size_t sessions = static_cast<std::size_t>(state.range(0));
   const std::size_t shards = static_cast<std::size_t>(state.range(1));
@@ -101,7 +102,8 @@ BENCHMARK(BM_FleetRun)
     ->Args({10000, 0})
     ->Args({100000, 0})
     ->Args({1000000, 0})  // EXPERIMENTS.md recipe only; excluded from CI
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Observer-on variant: the identical fleet with a metrics registry and a
 // bounded tracer attached to every session and the engine. The delta to
@@ -199,11 +201,12 @@ BENCHMARK(BM_FleetEdgeCache)
 // (the paper five plus GhoshLP/GhoshRobust/Pano) × both paper traces × both
 // default fault profiles × two small fleets, ranked into one report. This is
 // the end-to-end cost of a controller-zoo comparison run; cells_per_s is the
-// tracked rate (grid cells retired per wall-clock second). Arg = solve
-// workers per fleet — the report is bit-identical across the axis
-// (tests/tournament_test.cpp pins it), so the /1 → /4 delta is pure
-// wall-clock. Picked up by the CI BM_FleetRun|...|BM_Tournament filter and
-// bench_guard --require.
+// tracked rate (grid cells retired per wall-clock second, hence real time:
+// the cells run on the worker pool, not on the timing thread). Arg = solve
+// workers per fleet, nested inside each cell worker — the report is
+// bit-identical across the axis (tests/tournament_test.cpp pins it), so the
+// /1 → /4 delta is pure wall-clock. Picked up by the CI
+// BM_FleetRun|...|BM_Tournament filter and bench_guard --require.
 void BM_Tournament(benchmark::State& state) {
   sim::TournamentConfig config;
   config.shards = static_cast<std::size_t>(state.range(0));
@@ -225,7 +228,11 @@ void BM_Tournament(benchmark::State& state) {
   state.counters["schemes"] = benchmark::Counter(
       static_cast<double>(sim::registered_schemes().size()));
 }
-BENCHMARK(BM_Tournament)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Tournament)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The link update in isolation: start/finish churn over a standing pool of
 // `flows` flows (arg0) on an 80 Mbps link, either uncapped (arg1 = 0, the

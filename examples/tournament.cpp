@@ -12,7 +12,10 @@
 //                   tools/tournament_report.py)
 //   --shards N      speculative-solve workers per fleet (0 = PS360_THREADS
 //                   / hardware); every number printed is bit-identical for
-//                   any N — only the wall clock moves
+//                   any N — only the wall clock moves. The fleets (cells)
+//                   themselves run on PS360_THREADS workers, else one per
+//                   core, so N nests: up to workers × N threads run at once
+//                   (PS360_THREADS=1 runs the cells one after another)
 //   --schemes A,B   enter only the named schemes (registry names, e.g.
 //                   Ours,Ctile,GhoshLP)
 #include <cstdio>

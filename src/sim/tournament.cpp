@@ -1,17 +1,21 @@
 // Tournament harness implementation. Deterministic contract: the report is
-// a pure function of TournamentConfig — group fleet seeds derive from
-// (config.seed, group indices) only (never the scheme, preserving the
-// fairness contract in tournament.h), cells run through the bit-identical
-// fleet engine, ranking uses stable sorts over ordered vectors with
-// enum-order tie-breaks, and to_json() emits fixed key order with
-// locale-free precision(17) floats — so the byte stream is identical for
-// any PS360_THREADS or shard count (pinned by tests/tournament_test.cpp).
+// a pure function of TournamentConfig. Group fleet seeds derive from
+// (config.seed, group indices) only, never the scheme, preserving the
+// fairness contract in tournament.h. The cells are independent fleets on
+// the bit-identical fleet engine; they run on the sim::for_each_slot pool,
+// largest fleets first, and each writes only its own pre-sized
+// report.cells slot. Ranking runs after the join, serially and in grid
+// order, with stable sorts and enum-order tie-breaks, and to_json() emits
+// fixed key order with locale-free precision(17) floats — so the byte
+// stream is identical for any PS360_THREADS or shard count (pinned by
+// tests/tournament_test.cpp).
 #include "sim/tournament.h"
 
 #include <algorithm>
 #include <numeric>
 #include <sstream>
 
+#include "sim/experiment.h"
 #include "trace/network_trace.h"
 #include "trace/video_catalog.h"
 #include "util/check.h"
@@ -100,76 +104,93 @@ TournamentReport run_tournament(const TournamentConfig& config) {
   video.duration_s = config.video_duration_s;
   const VideoWorkload workload(video, WorkloadConfig{});
 
-  // Paper traces at unit (one-session) provisioning; scaled per fleet size.
+  // Paper traces at unit (one-session) provisioning, scaled once per
+  // (trace, fleet size): both fault profiles share the link.
   const auto paper = trace::make_paper_traces(
       config.seed, util::Seconds(config.trace_duration_s));
+  const std::size_t n_sizes = config.fleet_sizes.size();
+  std::vector<trace::NetworkTrace> links;
+  links.reserve(config.trace_ids.size() * n_sizes);
+  for (const int trace_id : config.trace_ids)
+    for (const std::size_t sessions : config.fleet_sizes)
+      links.push_back((trace_id == 1 ? paper.first : paper.second)
+                          .scaled(static_cast<double>(sessions)));
+
+  // Cell c runs scheme c % n in group g = c / n. Groups are in grid order
+  // (trace, fault profile, fleet size): g = (ti * profiles + fi) * sizes + si.
+  const std::size_t n = schemes.size();
+  const std::size_t groups = config.trace_ids.size() * profiles.size() * n_sizes;
+  const auto fleet_size = [&](std::size_t c) {
+    return config.fleet_sizes[c / n % n_sizes];
+  };
 
   TournamentReport report;
   report.seed = config.seed;
+  report.cells.resize(groups * n);
 
-  // Per-scheme accumulators across groups.
-  const std::size_t n = schemes.size();
+  // Workers claim the largest fleets first, so no big fleet starts last and
+  // leaves the other workers idle; the stable sort keeps ties in grid order.
+  std::vector<std::size_t> claim_order(report.cells.size());
+  std::iota(claim_order.begin(), claim_order.end(), 0);
+  std::stable_sort(claim_order.begin(), claim_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return fleet_size(a) > fleet_size(b);
+                   });
+
+  for_each_slot(claim_order.size(), 0, [&](std::size_t slot) {
+    const std::size_t c = claim_order[slot];
+    const std::size_t g = c / n, s = c % n;
+    const std::size_t si = g % n_sizes;
+    const std::size_t fi = g / n_sizes % profiles.size();
+    const std::size_t ti = g / n_sizes / profiles.size();
+    // One link, one seed, one arrival pattern for the whole group: the
+    // scheme is the only thing that varies between its cells.
+    fleet::FleetConfig fc;
+    fc.sessions = config.fleet_sizes[si];
+    fc.seed = util::derive_seed(config.seed, kTournamentSeedStream,
+                                (ti * 1000ULL + fi) * 1000ULL + si);
+    fc.scheme = schemes[s];
+    fc.start_spread_s = config.start_spread_s;
+    fc.session = config.session;
+    fc.session.faults = profiles[fi].faults;
+    fc.shards = config.shards;
+    const fleet::FleetResult result =
+        run_fleet(workload, links[ti * n_sizes + si], fc);
+
+    TournamentCell& cell = report.cells[c];
+    cell.scheme = schemes[s];
+    cell.trace_id = config.trace_ids[ti];
+    cell.fault_profile = profiles[fi].name;
+    cell.sessions = fc.sessions;
+    cell.metrics = result.metrics(fc.session.mpc.segment_seconds);
+  });
+
+  // Rank after the join, group by group in grid order, so every sum adds
+  // its terms in the same order as a serial run.
   std::vector<double> sum_energy(n, 0.0), sum_qoe(n, 0.0), sum_stall(n, 0.0);
   std::vector<double> sum_energy_rank(n, 0.0), sum_qoe_rank(n, 0.0),
       sum_stall_rank(n, 0.0);
-  std::size_t groups = 0;
-
-  for (std::size_t ti = 0; ti < config.trace_ids.size(); ++ti) {
-    const int trace_id = config.trace_ids[ti];
-    const trace::NetworkTrace& base_trace =
-        trace_id == 1 ? paper.first : paper.second;
-    for (std::size_t fi = 0; fi < profiles.size(); ++fi) {
-      for (std::size_t si = 0; si < config.fleet_sizes.size(); ++si) {
-        const std::size_t sessions = config.fleet_sizes[si];
-        // One link, one seed, one arrival pattern for the whole group: the
-        // scheme is the only thing that varies between its cells.
-        const trace::NetworkTrace link =
-            base_trace.scaled(static_cast<double>(sessions));
-        const std::uint64_t fleet_seed = util::derive_seed(
-            config.seed, kTournamentSeedStream,
-            (ti * 1000ULL + fi) * 1000ULL + si);
-
-        std::vector<double> energy(n, 0.0), qoe(n, 0.0), stall(n, 0.0);
-        for (std::size_t s = 0; s < n; ++s) {
-          fleet::FleetConfig fc;
-          fc.sessions = sessions;
-          fc.seed = fleet_seed;
-          fc.scheme = schemes[s];
-          fc.start_spread_s = config.start_spread_s;
-          fc.session = config.session;
-          fc.session.faults = profiles[fi].faults;
-          fc.shards = config.shards;
-          const fleet::FleetResult result = run_fleet(workload, link, fc);
-
-          TournamentCell cell;
-          cell.scheme = schemes[s];
-          cell.trace_id = trace_id;
-          cell.fault_profile = profiles[fi].name;
-          cell.sessions = sessions;
-          cell.metrics = result.metrics(fc.session.mpc.segment_seconds);
-          energy[s] = cell.metrics.energy_per_session_mj;
-          qoe[s] = cell.metrics.mean_qoe;
-          stall[s] = cell.metrics.stall_ratio;
-          report.cells.push_back(std::move(cell));
-
-          sum_energy[s] += energy[s];
-          sum_qoe[s] += qoe[s];
-          sum_stall[s] += stall[s];
-        }
-
-        const auto energy_rank =
-            group_ranks(energy, [](double a, double b) { return a < b; });
-        const auto qoe_rank =
-            group_ranks(qoe, [](double a, double b) { return a > b; });
-        const auto stall_rank =
-            group_ranks(stall, [](double a, double b) { return a < b; });
-        for (std::size_t s = 0; s < n; ++s) {
-          sum_energy_rank[s] += static_cast<double>(energy_rank[s]);
-          sum_qoe_rank[s] += static_cast<double>(qoe_rank[s]);
-          sum_stall_rank[s] += static_cast<double>(stall_rank[s]);
-        }
-        ++groups;
-      }
+  std::vector<double> energy(n), qoe(n), stall(n);
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (std::size_t s = 0; s < n; ++s) {
+      const fleet::FleetMetrics& m = report.cells[g * n + s].metrics;
+      energy[s] = m.energy_per_session_mj;
+      qoe[s] = m.mean_qoe;
+      stall[s] = m.stall_ratio;
+      sum_energy[s] += energy[s];
+      sum_qoe[s] += qoe[s];
+      sum_stall[s] += stall[s];
+    }
+    const auto energy_rank =
+        group_ranks(energy, [](double a, double b) { return a < b; });
+    const auto qoe_rank =
+        group_ranks(qoe, [](double a, double b) { return a > b; });
+    const auto stall_rank =
+        group_ranks(stall, [](double a, double b) { return a < b; });
+    for (std::size_t s = 0; s < n; ++s) {
+      sum_energy_rank[s] += static_cast<double>(energy_rank[s]);
+      sum_qoe_rank[s] += static_cast<double>(qoe_rank[s]);
+      sum_stall_rank[s] += static_cast<double>(stall_rank[s]);
     }
   }
 

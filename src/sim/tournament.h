@@ -10,7 +10,10 @@
 //
 // Determinism contract: run_tournament is a pure function of its config.
 // Each cell runs through fleet::run_fleet, which is bit-identical for any
-// shard count and any PS360_THREADS (DESIGN.md §15), and the ranking +
+// shard count and any PS360_THREADS (DESIGN.md §15). The cells run on the
+// sim::for_each_slot pool with resolve_thread_count(0) workers, largest
+// fleets first, each into its own report slot (PS360_THREADS=1 runs them
+// serially). Ranking happens after the join in grid order, and it and the
 // to_json() serialization are branch-free over ordered containers with
 // printf-free, precision(17) float formatting — so the full report byte
 // stream is reproducible across machines, thread counts, and shard counts
@@ -53,7 +56,8 @@ struct TournamentConfig {
   std::vector<std::size_t> fleet_sizes = {4, 16};
   // Speculative-solve workers per fleet (FleetConfig::shards; bit-identical
   // for any value, wall clock only). 0 resolves PS360_THREADS / hardware
-  // concurrency.
+  // concurrency. Every cell worker runs its own fleet's shards, so up to
+  // cell workers × shards threads run at once: 0 means hardware × hardware.
   std::size_t shards = 1;
   // Content: trace::test_videos()[video_index] trimmed to video_duration_s.
   std::size_t video_index = 1;

@@ -63,7 +63,7 @@ const ptile::SegmentPtiles& VideoWorkload::ptiles(std::size_t segment) const {
 
 const ptile::FtileLayout& VideoWorkload::ftile(std::size_t segment) const {
   PS360_CHECK(segment < centers_.size());
-  if (!ftiles_.has_value()) {
+  std::call_once(ftiles_built_, [this] {
     ptile::FtileLayoutConfig cfg = config_.ftile;
     cfg.seed = config_.seed;
     cfg.fov_deg = config_.fov_deg;
@@ -71,8 +71,8 @@ const ptile::FtileLayout& VideoWorkload::ftile(std::size_t segment) const {
     layouts.reserve(centers_.size());
     for (const auto& centers : centers_) layouts.emplace_back(centers, cfg);
     ftiles_ = std::move(layouts);
-  }
-  return (*ftiles_)[segment];
+  });
+  return ftiles_[segment];
 }
 
 const trace::HeadTrace& VideoWorkload::test_trace(std::size_t test_user) const {

@@ -13,8 +13,7 @@
 //    costs about 1.5-1.7x the rest of this constructor, per DESIGN.md §17).
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <mutex>
 #include <vector>
 
 #include "ptile/ftile.h"
@@ -55,7 +54,10 @@ class VideoWorkload {
   // Ptiles constructed for the segment.
   const ptile::SegmentPtiles& ptiles(std::size_t segment) const;
 
-  // Ftile layout for the segment (built on first use for any segment).
+  // Ftile layout for the segment. Every segment's layout is built on the
+  // first call, under a std::call_once, so any number of threads may make
+  // that first call at once: all of them get the same layouts, which never
+  // move afterwards.
   const ptile::FtileLayout& ftile(std::size_t segment) const;
 
   // Head trace of a held-out test user (0-based among the test users).
@@ -77,7 +79,8 @@ class VideoWorkload {
   std::vector<video::ContentFeatures> features_;
   std::vector<std::vector<geometry::EquirectPoint>> centers_;  // per segment
   std::vector<ptile::SegmentPtiles> ptiles_;
-  mutable std::optional<std::vector<ptile::FtileLayout>> ftiles_;  // lazy
+  mutable std::once_flag ftiles_built_;
+  mutable std::vector<ptile::FtileLayout> ftiles_;  // lazy, see ftile()
 };
 
 }  // namespace ps360::sim

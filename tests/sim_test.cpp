@@ -95,6 +95,19 @@ TEST(WorkloadTest, FtileLayoutsLazyButStable) {
   EXPECT_LE(layout_a.tile_count(), 10u);
 }
 
+TEST(WorkloadTest, FtileFirstUseIsThreadSafe) {
+  // Parallel tournament cells and shard workers share one workload, so the
+  // lazy layout build must be safe to enter from many threads at once (TSan
+  // flags the build if it is not); every thread gets the one layout.
+  trace::VideoInfo video = trace::test_videos()[5];
+  video.duration_s = 8.0;
+  const VideoWorkload w(video, WorkloadConfig{});
+  std::vector<const ptile::FtileLayout*> first(8, nullptr);
+  for_each_slot(8, 8, [&](std::size_t i) { first[i] = &w.ftile(i % 4); });
+  for (std::size_t i = 0; i < first.size(); ++i)
+    EXPECT_EQ(first[i], &w.ftile(i % 4)) << "slot " << i;
+}
+
 TEST(WorkloadTest, ConfigValidation) {
   WorkloadConfig bad;
   bad.n_training_users = 48;  // no test users left

@@ -12,12 +12,14 @@
 //    the attached observer actually receives the controller's solve
 //    counters — forwarding is neither results-altering nor silently dropped.
 //  * Tournament determinism: same seed => byte-identical ranked report
-//    across PS360_THREADS in {1, 4, hw} and shards in {0, 1, 4}; report
-//    shape, rank permutation, and borda arithmetic hold.
+//    across PS360_THREADS in {1, 2, 8, hw} and shards in {0, 1, 4}; report
+//    shape, rank permutation, and borda arithmetic hold, and a cell's
+//    failure reaches the caller from the cell pool.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -312,22 +314,26 @@ TEST(TournamentTest, ReportShapeRanksAndBorda) {
     EXPECT_GT(s.mean_energy_mj, 0.0);
     EXPECT_GE(s.mean_stall_ratio, 0.0);
   }
-  // Every scheme appears exactly once per environment group, and groups are
-  // internally consistent (same trace/faults/sessions for all n schemes).
+  // Cells are in grid order (trace, fault profile, fleet size, scheme),
+  // whatever order the cell pool ran them in: every scheme appears once per
+  // environment group, and each group is one (trace, faults, size).
+  const TournamentConfig config = tiny_tournament();
+  const auto profiles = default_fault_profiles();
   for (std::size_t g = 0; g < groups; ++g) {
-    std::set<SchemeKind> in_group;
     for (std::size_t s = 0; s < n; ++s) {
       const TournamentCell& cell = report.cells[g * n + s];
-      EXPECT_TRUE(in_group.insert(cell.scheme).second);
-      EXPECT_EQ(cell.trace_id, report.cells[g * n].trace_id);
-      EXPECT_EQ(cell.fault_profile, report.cells[g * n].fault_profile);
-      EXPECT_EQ(cell.sessions, report.cells[g * n].sessions);
+      EXPECT_EQ(cell.scheme, registered_schemes()[s]);
+      EXPECT_EQ(cell.trace_id, config.trace_ids[g / 4]);
+      EXPECT_EQ(cell.fault_profile, profiles[g / 2 % 2].name);
+      EXPECT_EQ(cell.sessions, config.fleet_sizes[g % 2]);
       EXPECT_EQ(cell.metrics.sessions, cell.sessions);
     }
   }
 }
 
 TEST(TournamentTest, ByteIdenticalAcrossThreadAndShardCounts) {
+  // PS360_THREADS sets both the cell pool's workers and, at shards 0, each
+  // fleet's solve workers; the serial baseline runs the cells in grid order.
   TournamentConfig config = tiny_tournament();
   std::string baseline;
   {
@@ -337,8 +343,8 @@ TEST(TournamentTest, ByteIdenticalAcrossThreadAndShardCounts) {
   }
   ASSERT_FALSE(baseline.empty());
 
-  const char* thread_arms[] = {"1", "4", nullptr};  // nullptr = hardware
-  const std::size_t shard_arms[] = {0, 4};          // 0 resolves threads env
+  const char* thread_arms[] = {"1", "2", "8", nullptr};  // nullptr = hardware
+  const std::size_t shard_arms[] = {0, 1, 4};            // 0 resolves threads env
   for (const char* threads : thread_arms) {
     for (const std::size_t shards : shard_arms) {
       const ScopedThreadsEnv env(threads);
@@ -347,6 +353,21 @@ TEST(TournamentTest, ByteIdenticalAcrossThreadAndShardCounts) {
           << "threads=" << (threads != nullptr ? threads : "hw")
           << " shards=" << shards;
     }
+  }
+}
+
+TEST(TournamentTest, CellFailureReachesTheCaller) {
+  // run_fleet rejects the config inside every cell; the pool must hand the
+  // rejection to the caller, never std::terminate.
+  TournamentConfig config = tiny_tournament();
+  config.session.mpc.buffer_quantum_s = 1e-9;
+  const ScopedThreadsEnv env("4");
+  try {
+    run_tournament(config);
+    ADD_FAILURE() << "run_tournament accepted mpc.buffer_quantum_s = 1e-9";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("mpc.buffer_quantum_s"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -30,8 +30,10 @@ current run*: the run fails unless both names are present in the current
 side of some pair and real_time(FAST) < real_time(SLOW). This gates
 speedups that must hold on the runner itself regardless of baseline drift —
 e.g. the sharded fleet engine beating the serial engine at equal fleet size
-(BM_FleetRun/10000/0 vs BM_FleetRun/10000/1). Both rows come from the same
-process on the same machine, so no cross-run tolerance applies.
+(BM_FleetRun/10000/0/real_time vs BM_FleetRun/10000/1/real_time; rows
+registered with UseRealTime() carry the /real_time suffix). Both rows come
+from the same process on the same machine, so no cross-run tolerance
+applies.
 """
 
 from __future__ import annotations
