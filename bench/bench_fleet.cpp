@@ -106,16 +106,20 @@ BENCHMARK(BM_FleetRun)
     ->UseRealTime();
 
 // Observer-on variant: the identical fleet with a metrics registry and a
-// bounded tracer attached to every session and the engine. The delta to
-// BM_FleetRun is the full observability tax and must stay within noise.
-// Picked up by the CI BM_FleetRun filter (substring regex).
+// bounded tracer attached to every session and the engine, on the same
+// (sessions, shards) axes. Observed solves speculate too (their emissions
+// are staged and replayed on the coordinator), so the delta to the matching
+// BM_FleetRun row is the full observability tax and must stay within noise,
+// with solve workers on (/1000/0) as well as serially.
 void BM_FleetRunObserved(benchmark::State& state) {
   const std::size_t sessions = static_cast<std::size_t>(state.range(0));
+  const std::size_t shards = static_cast<std::size_t>(state.range(1));
   const sim::VideoWorkload& workload = bench_workload();
   const trace::NetworkTrace link = bench_link(sessions);
   fleet::FleetConfig config;
   config.sessions = sessions;
   config.start_spread_s = 2.0;
+  config.shards = shards;
   for (auto _ : state) {
     obs::MetricsRegistry metrics;
     obs::EventTracer tracer(1 << 14);
@@ -131,7 +135,13 @@ void BM_FleetRunObserved(benchmark::State& state) {
       static_cast<double>(state.iterations() * sessions),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FleetRunObserved)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetRunObserved)
+    ->Args({8, 1})
+    ->Args({64, 1})
+    ->Args({1000, 1})
+    ->Args({1000, 0})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The server/CDN tier under load: a 1000-session fleet through the two-tier
 // topology (edge cache + origin link), swept over cache size (MiB, arg1)

@@ -427,11 +427,9 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     relaxed_fallback = true;
   }
   if (observer_ != nullptr) {
-    if (observer_->metrics != nullptr) {
-      observer_->metrics->add(id_decides_);
-      if (relaxed_fallback) observer_->metrics->add(id_relaxed_);
-      if (!decision.feasible) observer_->metrics->add(id_infeasible_);
-    }
+    obs::add(observer_, id_decides_);
+    if (relaxed_fallback) obs::add(observer_, id_relaxed_);
+    if (!decision.feasible) obs::add(observer_, id_infeasible_);
     obs::trace(observer_, obs_session_,
                relaxed_fallback ? obs::TraceEventKind::kMpcRelaxed
                                 : obs::TraceEventKind::kMpcStrict,

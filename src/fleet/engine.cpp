@@ -1,9 +1,10 @@
 // Fleet engine implementation: one event loop drives N StreamingClients
 // against one SharedLink. The coordinator thread owns every shared resource
-// (links, caches, observability, the event heap) and processes events in
-// (t, session, seq) order; SolvePool workers only run speculative
-// per-session MPC solves during each session's Eq. 6 wait. Only the earliest
-// completion is ever scheduled; stale predictions are discarded by
+// (links, caches, observability sinks, the event heap) and processes events
+// in (t, session, seq) order; SolvePool workers only run speculative
+// per-session MPC solves during nonzero Eq. 6 waits, staging any observer
+// emissions for the coordinator to replay at the flow start. Only the
+// earliest completion is ever scheduled; stale predictions are discarded by
 // generation tag.
 #include "fleet/engine.h"
 
@@ -13,6 +14,7 @@
 #include <optional>
 
 #include "fleet/shard.h"
+#include "obs/stage.h"
 #include "sim/client.h"
 #include "sim/experiment.h"
 #include "trace/fault_schedule.h"
@@ -49,6 +51,10 @@ struct SessionRuntime {
   // owning shard worker, moved into `pending` by the coordinator after
   // SolvePool::wait — which is the release/acquire edge making it visible.
   std::optional<sim::ClientRequest> speculative;
+  // This session's view of the caller's observer: the caller's sinks, its
+  // own clock (owned by the client), and a stage while a solve is on a
+  // worker. Unused when the run is unobserved.
+  obs::Observer observer;
   double flow_started_at = 0.0;  // issue time of the current attempt
   double start_s = 0.0;
   double finish_s = 0.0;
@@ -220,31 +226,34 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   SharedLink link(link_trace, n, util::BytesPerSec(cap_bytes_per_s));
   FleetStats stats;
 
-  // Speculative solving requires finish_plan() to stay a pure function of
-  // session-local state: an attached observer (solver emissions must land in
-  // global event order) forces plans to be solved just-in-time on the
-  // coordinator instead — bit-identical results either way, since the
-  // solve's inputs are frozen at begin_plan() time.
-  const bool speculative = shards > 1 && config.observer == nullptr;
+  // finish_plan() is a pure function of session-local state frozen at
+  // begin_plan() time, so a worker may run it during the session's Eq. 6
+  // wait — bit-identical results either way. Its observer emissions go to
+  // the session's stage (declared before the pool: workers write it until
+  // the pool joins them) and are replayed on the coordinator at the flow
+  // start, where a serial run emits them.
+  obs::Observer* const observer = config.observer;
+  std::vector<obs::EmissionStage> stages(shards > 1 && observer != nullptr ? n : 0);
   std::optional<SolvePool> pool;
-  if (speculative)
+  if (shards > 1)
     pool.emplace(shards, n, [&sessions](std::size_t i) {
       sessions[i].speculative = sessions[i].client->finish_plan();
     });
 
   for (std::size_t i = 0; i < n; ++i) {
+    SessionRuntime& rt = sessions[i];
     util::Rng rng(util::derive_seed(config.seed, kStartJitterStream, i));
-    sessions[i].start_s =
+    rt.start_s =
         config.start_spread_s > 0.0 ? rng.uniform(0.0, config.start_spread_s) : 0.0;
-    loop.schedule(sessions[i].start_s, i, EventKind::kSessionStart);
-    if (config.observer != nullptr) {
-      sessions[i].accountant->attach_observer(config.observer,
-                                              static_cast<std::uint32_t>(i));
+    loop.schedule(rt.start_s, i, EventKind::kSessionStart);
+    if (observer != nullptr) {
+      rt.observer.metrics = observer->metrics;
+      rt.observer.tracer = observer->tracer;
+      rt.accountant->attach_observer(&rt.observer, static_cast<std::uint32_t>(i));
       // The client's private wall clock starts at its staggered entry, so
       // offsetting by start_s makes its trace timestamps engine-time.
-      sessions[i].client->attach_observer(config.observer,
-                                          static_cast<std::uint32_t>(i),
-                                          util::Seconds(sessions[i].start_s));
+      rt.client->attach_observer(&rt.observer, static_cast<std::uint32_t>(i),
+                                 util::Seconds(rt.start_s));
     }
   }
   loop.schedule(link_trace.next_rate_change_after(0.0), kLinkSession,
@@ -252,7 +261,6 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
 
   // Engine-level metric ids, registered once so the event loop below only
   // performs index-adds. kLinkTraceSession labels link-wide trace records.
-  obs::Observer* const observer = config.observer;
   obs::MetricsRegistry::Id id_events = 0, id_stale = 0, id_rate_changes = 0;
   if (observer != nullptr && observer->metrics != nullptr) {
     id_events = observer->metrics->counter("fleet.events");
@@ -263,14 +271,18 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
 
   // Consume the session's Eq. 6 wait (begin_plan advances the client through
   // it) and schedule the flow start; the plan itself is solved later — by the
-  // owning SolvePool worker during the wait when speculation is on, or just-
-  // in-time when kFlowStart pops. Dispatching after schedule() keeps
-  // scheduling order identical for every shard count.
+  // owning SolvePool worker during a nonzero wait, or on the coordinator when
+  // kFlowStart pops (with no wait there is nothing to hide the solve behind,
+  // and the coordinator would block on the worker at once). Dispatching
+  // after schedule() keeps scheduling order identical for every shard count.
   const auto schedule_next_flow = [&](std::size_t i, double t) {
     SessionRuntime& rt = sessions[i];
     const double wait_s = rt.client->begin_plan();
     loop.schedule(t + wait_s, i, EventKind::kFlowStart);
-    if (pool) pool->dispatch(i);
+    if (pool && wait_s > 0.0) {
+      if (observer != nullptr) rt.observer.stage = &stages[i];
+      pool->dispatch(i);
+    }
   };
 
   // Cache key of the pending request: the plan word packs the MPC's chosen
@@ -353,13 +365,21 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
           // First start of this attempt cycle: collect the plan — solved
           // speculatively during the wait, or just-in-time right here.
           // Retries re-enter with `pending` already set and skip this.
-          if (pool) {
+          if (pool && pool->outstanding(event.session)) {
             pool->wait(event.session);
             rt.pending = std::move(rt.speculative);
             rt.speculative.reset();
+            if (observer != nullptr) {
+              rt.observer.stage = nullptr;
+              stages[event.session].replay(observer->metrics, observer->tracer);
+            }
           } else {
             rt.pending = rt.client->finish_plan();
           }
+          // The download_start record below carries the session's planning
+          // clock, not the event time (they can differ in the last bit);
+          // the fleet golden pins these stamps.
+          if (observer != nullptr) observer->now_s = rt.observer.now_s;
         }
         PS360_ASSERT(rt.pending.has_value());
         // Download time runs from issue, so it includes any spike, outage

@@ -72,10 +72,13 @@ struct FleetConfig {
   // Per-session template (device, MPC knobs, estimators). The session seed
   // is shared — every client streams the same CDN-encoded files.
   sim::SessionConfig session;
-  // Nullable metrics/trace observer (obs/observer.h) shared by every session
-  // and the engine itself. Trace records are stamped with engine event time
+  // Nullable metrics/trace observer (obs/observer.h). The engine records
+  // link-level events into it and gives each session its own Observer over
+  // the same sinks; trace records are stamped with engine event time
   // (client clocks are offset by the start stagger so the timelines line
-  // up). Must only be fed from one thread: when FleetRunner fans
+  // up). Attaching one never changes which code runs: solves still go to
+  // the workers, and their emissions are staged and replayed in event
+  // order. The sinks must only be fed from one thread: when FleetRunner fans
   // replications out, it gives each replication a private observer and
   // merges them in slot order, so aggregates stay thread-count invariant.
   obs::Observer* observer = nullptr;
@@ -85,13 +88,14 @@ struct FleetConfig {
   // provably inert when disabled.
   FleetServerConfig server;
   // SolvePool worker threads inside this one replication (DESIGN.md §15).
-  // With more than one worker and no observer attached, session i's MPC
-  // plan is solved speculatively on worker i % shards during its Eq. 6
-  // wait; the event loop, the links and the cache stay on the coordinator.
+  // With more than one worker, session i's MPC plan is solved speculatively
+  // on worker i % shards whenever its Eq. 6 wait is nonzero, observed or
+  // not; a plan with no wait is solved on the coordinator. The event loop,
+  // the links, the cache and the observer's sinks stay on the coordinator.
   // 1 (the default) is the serial engine; 0 resolves like
   // sim::resolve_thread_count — the PS360_THREADS env override, else
-  // hardware concurrency. Output is bit-identical for every value: workers
-  // change wall-clock time, never results.
+  // hardware concurrency. Output is bit-identical for every value, observer
+  // bytes included: workers change wall-clock time, never results.
   std::size_t shards = 1;
 };
 

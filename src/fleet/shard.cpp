@@ -3,13 +3,19 @@
 // solve's writes back to the coordinator at join time.
 #include "fleet/shard.h"
 
+#include <string>
+#include <utility>
+
 #include "util/check.h"
 
 namespace ps360::fleet {
 
 SolvePool::SolvePool(std::size_t shards, std::size_t sessions,
                      std::function<void(std::size_t)> solve)
-    : done_(sessions), solve_(std::move(solve)) {
+    : done_(sessions),
+      errors_(sessions),
+      outstanding_(sessions, 0),
+      solve_(std::move(solve)) {
   PS360_CHECK_MSG(shards >= 1, "need at least one shard worker");
   PS360_CHECK_MSG(sessions >= 1, "need at least one session");
   PS360_CHECK_MSG(solve_ != nullptr, "need a solve function");
@@ -24,7 +30,7 @@ SolvePool::SolvePool(std::size_t shards, std::size_t sessions,
     shards_.push_back(std::move(shard));
   }
   // Workers start only after every Shard exists (they touch only their own
-  // slot, done_, and solve_, all fully constructed by now).
+  // slot, done_, errors_ and solve_, all fully constructed by now).
   for (auto& shard : shards_)
     shard->worker = std::thread(&SolvePool::worker_main, this, std::ref(*shard));
 }
@@ -42,6 +48,10 @@ SolvePool::~SolvePool() {
 
 void SolvePool::dispatch(std::size_t session) {
   PS360_CHECK_MSG(session < done_.size(), "session out of range");
+  PS360_CHECK_MSG(!outstanding_[session],
+                  "session " + std::to_string(session) +
+                      " already has a solve outstanding");
+  outstanding_[session] = 1;
   Shard& shard = *shards_[session % shards_.size()];
   done_[session].store(0, std::memory_order_relaxed);
   {
@@ -57,11 +67,22 @@ void SolvePool::dispatch(std::size_t session) {
 
 void SolvePool::wait(std::size_t session) {
   PS360_CHECK_MSG(session < done_.size(), "session out of range");
+  PS360_CHECK_MSG(outstanding_[session],
+                  "session " + std::to_string(session) +
+                      " has no solve outstanding to wait for");
   // Solves are microseconds of DP; a yield-spin keeps the coordinator hot
   // and is bounded by the solve's own runtime (the worker was notified at
   // dispatch, so it is already running or about to).
   while (done_[session].load(std::memory_order_acquire) == 0)
     std::this_thread::yield();
+  outstanding_[session] = 0;
+  if (errors_[session] != nullptr)
+    std::rethrow_exception(std::exchange(errors_[session], nullptr));
+}
+
+bool SolvePool::outstanding(std::size_t session) const {
+  PS360_CHECK_MSG(session < outstanding_.size(), "session out of range");
+  return outstanding_[session] != 0;
 }
 
 void SolvePool::worker_main(Shard& shard) {
@@ -75,7 +96,11 @@ void SolvePool::worker_main(Shard& shard) {
       session = shard.ring[shard.head % shard.ring.size()];
       ++shard.head;
     }
-    solve_(session);
+    try {
+      solve_(session);
+    } catch (...) {
+      errors_[session] = std::current_exception();  // rethrown by wait()
+    }
     done_[session].store(1, std::memory_order_release);
   }
 }

@@ -2,26 +2,31 @@
 //
 // The engine assigns session i's solves to worker i % shards and keeps ALL
 // shared-resource mutation — link rate updates, cache admissions, event
-// scheduling, observability — on the coordinator thread in event order.
-// The only work that leaves the coordinator is the per-session planning
-// solve (StreamingClient::finish_plan), which is a pure function of
-// session-local state frozen at begin_plan() time. Each shard owns one
-// worker thread and a bounded FIFO of session ids; the coordinator
-// dispatches a session's solve when the Eq. 6 wait starts and joins it when
-// the flow-start event fires, so solves for many sessions overlap while the
-// coordinator keeps draining events.
+// scheduling, observability sinks — on the coordinator thread in event
+// order. The only work that leaves the coordinator is the per-session
+// planning solve (StreamingClient::finish_plan), which is a pure function
+// of session-local state frozen at begin_plan() time; its observer
+// emissions land in the session's obs::EmissionStage and are replayed by
+// the coordinator after the join. Each shard owns one worker thread and a
+// bounded FIFO of session ids; the coordinator dispatches a session's
+// solve when a nonzero Eq. 6 wait starts and joins it when the flow-start
+// event fires, so solves for many sessions overlap while the coordinator
+// keeps draining events. A session with no wait is solved on the
+// coordinator instead: there is nothing to overlap.
 //
 // Determinism: workers never touch shared state, a session's solve is
 // always joined before any coordinator code reads its result, and at most
-// one solve per session is ever outstanding — so results are bit-identical
-// for any shard count (the differential battery in
-// tests/fleet_shard_test.cpp enforces this against the serial engine).
+// one solve per session is ever outstanding (dispatch and wait check it) —
+// so results are bit-identical for any shard count (the differential
+// battery in tests/fleet_shard_test.cpp enforces this against the serial
+// engine).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -49,14 +54,22 @@ class SolvePool {
 
   std::size_t shards() const { return shards_.size(); }
 
-  // Enqueue `session`'s solve on its shard worker. Coordinator thread only;
-  // the session must not already have a solve outstanding.
+  // Enqueue `session`'s solve on its shard worker. Coordinator thread only.
+  // Throws std::invalid_argument, changing nothing, if the session is out of
+  // range or already has a solve outstanding.
   void dispatch(std::size_t session);
 
   // Block until `session`'s dispatched solve has completed. Coordinator
   // thread only; pairs with exactly one prior dispatch(). After wait()
-  // returns, everything the solve wrote is visible to the coordinator.
+  // returns, everything the solve wrote is visible to the coordinator. An
+  // exception thrown by the solve is rethrown here. Throws
+  // std::invalid_argument, changing nothing, if the session is out of range
+  // or has no solve outstanding.
   void wait(std::size_t session);
+
+  // Whether `session` has been dispatched and not yet waited for.
+  // Coordinator thread only.
+  bool outstanding(std::size_t session) const;
 
  private:
   struct Shard {
@@ -80,6 +93,13 @@ class SolvePool {
   // the coordinator's wait() — that pair is the happens-before edge carrying
   // the solve's writes back to the coordinator.
   std::vector<std::atomic<std::uint8_t>> done_;
+  // errors_[session]: what the session's last solve threw, or null. Written
+  // by the worker before its release store to done_, read by wait() after
+  // the acquire load.
+  std::vector<std::exception_ptr> errors_;
+  // outstanding_[session]: dispatched and not yet waited for. Read and
+  // written by the coordinator thread only, so it needs no synchronisation.
+  std::vector<char> outstanding_;
   std::function<void(std::size_t)> solve_;
 };
 

@@ -158,13 +158,13 @@ ClientRequest StreamingClient::finish_plan() {
   awaiting_download_ = true;
   current_request_ = request;  // kept for degraded re-planning
 
+  // Through the stage-aware helpers: the fleet engine may run this on a
+  // solve worker and replay the emissions later (obs/stage.h).
   if (observer_ != nullptr) {
-    if (observer_->metrics != nullptr) {
-      observer_->metrics->add(id_planned_);
-      observer_->metrics->add(id_wait_s_, request.wait_s);
-      observer_->metrics->add(id_bytes_, pending_bytes_);
-      observer_->metrics->observe(id_bytes_hist_, pending_bytes_);
-    }
+    obs::add(observer_, id_planned_);
+    obs::add(observer_, id_wait_s_, request.wait_s);
+    obs::add(observer_, id_bytes_, pending_bytes_);
+    obs::observe(observer_, id_bytes_hist_, pending_bytes_);
     obs::trace(observer_, obs_session_, obs::TraceEventKind::kSegmentPlanned,
                static_cast<std::int64_t>(k), request.bandwidth_estimate_bps,
                request.buffer_at_request_s);

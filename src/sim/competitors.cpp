@@ -165,8 +165,7 @@ class GhoshScheme : public SchemeBase {
 
     const LpAllocation alloc =
         lp_allocate(weights, tile_bytes, tile_utility, util::Bytes(budget));
-    if (observer_ != nullptr && observer_->metrics != nullptr)
-      observer_->metrics->add(id_allocations_);
+    obs::add(observer_, id_allocations_);
 
     // Collapse the per-tile levels into the session-level plan: the
     // weight-averaged FoV level (deterministic round-half-up) plus the

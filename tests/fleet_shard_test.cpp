@@ -31,6 +31,7 @@
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/tracer.h"
+#include "sim/schemes.h"
 #include "sim/workload.h"
 #include "trace/video_catalog.h"
 #include "util/rng.h"
@@ -184,9 +185,9 @@ void run_battery(std::uint64_t seed_base, int count) {
       expect_bit_identical(serial, sharded, label + " shards hw");
     }
     if (iteration % 4 == 2 && config.sessions <= 64) {
-      // Observer arm: attaching an observer routes planning just-in-time on
-      // the coordinator, so emission order — not just aggregate values —
-      // must survive sharding byte-for-byte.
+      // Observer arm: observed solves run on workers too, their emissions
+      // staged and replayed at the flow start, so emission order — not just
+      // aggregate values — must survive sharding byte-for-byte.
       const auto observed = [&](std::size_t shards) {
         obs::MetricsRegistry metrics;
         obs::EventTracer tracer(1 << 16);
@@ -258,6 +259,68 @@ TEST(FleetShardTest, SolvePoolRejectsOutOfRangeSessions) {
   pool.wait(3);
 }
 
+// Expects `call` to throw std::invalid_argument whose message names
+// `session`.
+template <typename Call>
+void expect_rejected_naming(Call call, std::size_t session) {
+  try {
+    call();
+    ADD_FAILURE() << "expected std::invalid_argument for session " << session;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("session " + std::to_string(session)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FleetShardTest, SolvePoolRejectsWaitWithoutDispatch) {
+  std::vector<std::atomic<int>> calls(4);
+  for (auto& c : calls) c.store(0);
+  SolvePool pool(2, 4, [&calls](std::size_t i) { calls[i].fetch_add(1); });
+  // Never dispatched: must throw, not spin on a done flag that starts at 0.
+  expect_rejected_naming([&] { pool.wait(1); }, 1);
+  EXPECT_FALSE(pool.outstanding(1));
+  pool.dispatch(1);
+  EXPECT_TRUE(pool.outstanding(1));
+  pool.wait(1);
+  EXPECT_FALSE(pool.outstanding(1));
+  EXPECT_EQ(calls[1].load(), 1);
+  // A second wait must throw, not return at once as if a new solve ran.
+  expect_rejected_naming([&] { pool.wait(1); }, 1);
+  pool.dispatch(1);  // still usable
+  pool.wait(1);
+  EXPECT_EQ(calls[1].load(), 2);
+}
+
+TEST(FleetShardTest, SolvePoolRejectsDoubleDispatch) {
+  std::vector<std::atomic<int>> calls(4);
+  for (auto& c : calls) c.store(0);
+  SolvePool pool(2, 4, [&calls](std::size_t i) { calls[i].fetch_add(1); });
+  pool.dispatch(2);
+  // The shard's ring still has room, so the ring-overrun assert cannot see
+  // this; the outstanding flag does.
+  expect_rejected_naming([&] { pool.dispatch(2); }, 2);
+  EXPECT_TRUE(pool.outstanding(2));
+  pool.wait(2);
+  EXPECT_EQ(calls[2].load(), 1);  // the rejected dispatch queued nothing
+  pool.dispatch(2);
+  pool.wait(2);
+  EXPECT_EQ(calls[2].load(), 2);
+}
+
+TEST(FleetShardTest, SolvePoolRethrowsSolveErrorsAtWait) {
+  SolvePool pool(2, 4, [](std::size_t i) {
+    if (i == 3) throw std::runtime_error("solve failed");
+  });
+  pool.dispatch(3);
+  pool.dispatch(0);
+  EXPECT_THROW(pool.wait(3), std::runtime_error);
+  EXPECT_FALSE(pool.outstanding(3));
+  pool.wait(0);
+  pool.dispatch(3);  // the error was consumed; the pool stays usable
+  EXPECT_THROW(pool.wait(3), std::runtime_error);
+}
+
 FleetConfig small_fleet_config() {
   FleetConfig config;
   config.sessions = 12;
@@ -309,6 +372,94 @@ TEST(FleetShardTest, FaultArmMatchesSerialUnderThreads) {
   config.shards = 4;
   const FleetResult sharded = run_fleet(battery_workload(), traces.second, config);
   expect_bit_identical(serial, sharded, "faults shards 4");
+}
+
+// One observed run: the result, the metrics JSON and the trace JSONL.
+struct ObservedRun {
+  FleetResult result;
+  std::string metrics_json;
+  std::string trace_jsonl;
+  obs::MetricsRegistry metrics;
+};
+
+ObservedRun run_observed(const trace::NetworkTrace& link, FleetConfig config) {
+  ObservedRun run;
+  obs::EventTracer tracer(1 << 16);
+  obs::Observer observer{&run.metrics, &tracer};
+  config.observer = &observer;
+  run.result = run_fleet(battery_workload(), link, config);
+  run.metrics_json = run.metrics.to_json();
+  std::ostringstream jsonl;
+  tracer.export_jsonl(jsonl);
+  run.trace_jsonl = jsonl.str();
+  EXPECT_EQ(tracer.dropped(), 0u);
+  return run;
+}
+
+// Observed fleets speculate like unobserved ones: a solve on a worker
+// stages its client, MPC and LP emissions, and the coordinator replays them
+// at the flow start. Every registered scheme (the battery draws only four)
+// and both the clean and the hostile path must reproduce the serial run's
+// results, metrics JSON and trace JSONL byte for byte.
+TEST(FleetShardTest, ObservedSpeculationIsByteIdenticalForEveryScheme) {
+  const auto traces = trace::make_paper_traces(/*seed=*/26, util::Seconds(300.0));
+  FleetConfig clean;
+  clean.sessions = 24;
+  clean.seed = 77;
+  clean.start_spread_s = 1.5;
+  // Four paper-trace shares per session: the top quality rung downloads in
+  // well under a segment, so even the max-QoE schemes fill their buffers
+  // past β and Eq. 6 waits (the windows a worker solves in) occur.
+  const trace::NetworkTrace link =
+      traces.second.scaled(4.0 * static_cast<double>(clean.sessions));
+
+  FleetConfig hostile = clean;
+  hostile.access_cap_mbps = 6.0;
+  hostile.session.faults.enabled = true;
+  hostile.session.faults.outage_spacing_s = 5.0;
+  hostile.session.faults.outage_mean_s = 0.5;
+  hostile.session.faults.outage_max_s = 2.0;
+  hostile.session.faults.loss_probability = 0.15;
+  hostile.session.faults.spike_probability = 0.2;
+  hostile.server.enabled = true;
+  hostile.server.catalog = {/*videos=*/3, /*alpha=*/0.8};
+  hostile.server.cache_capacity = util::Bytes(512.0 * 1024.0);
+
+  double hostile_wait_s = 0.0;
+  for (const sim::SchemeKind scheme : sim::registered_schemes()) {
+    for (const bool is_hostile : {false, true}) {
+      FleetConfig config = is_hostile ? hostile : clean;
+      config.scheme = scheme;
+      const std::string label = sim::scheme_name(scheme) +
+                                (is_hostile ? " hostile" : " clean");
+      SCOPED_TRACE(label);
+      config.shards = 1;
+      const ObservedRun serial = run_observed(link, config);
+      config.shards = 3;
+      const ObservedRun sharded = run_observed(link, config);
+      expect_bit_identical(serial.result, sharded.result, label);
+      EXPECT_EQ(serial.metrics_json, sharded.metrics_json);
+      EXPECT_EQ(serial.trace_jsonl, sharded.trace_jsonl);
+
+      // The staged emitters were live: every solve decided, and sessions
+      // waited, so the sharded arm solved on workers. Under the 6 Mbps cap
+      // Ctile, Ftile, Pano, GhoshLP and GhoshRobust spend about their whole
+      // bandwidth estimate and do not rise above β in an 8 s video, so
+      // their hostile arms solve every plan on the coordinator and their
+      // clean arms cover their staged emissions; Ours, Ptile and Nontile
+      // wait in both.
+      const bool lp = scheme == sim::SchemeKind::kGhoshLp ||
+                      scheme == sim::SchemeKind::kGhoshRobust;
+      EXPECT_GT(sharded.metrics.value(lp ? "lp.allocations" : "mpc.decides"), 0.0);
+      const double wait_s = sharded.metrics.value("client.wait_seconds");
+      if (is_hostile) {
+        hostile_wait_s += wait_s;
+      } else {
+        EXPECT_GT(wait_s, 0.0);
+      }
+    }
+  }
+  EXPECT_GT(hostile_wait_s, 0.0);
 }
 
 // ------------------------------------------------- reserve-size contract

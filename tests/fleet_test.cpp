@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -16,6 +17,7 @@
 #include <functional>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -724,7 +726,10 @@ TEST(InvalidSessionConfigFleetTest, RunFleetThrowsNamingTheField) {
 // every run the same way. tests/data/fleet_golden.csv holds, per config,
 // every FleetStats field and each session's energy, QoE, stall, bytes and
 // finish time as precision-17 values (exact round trip), one
-// `config,key,value` line each. To regenerate deliberately, run
+// `config,key,value` line each; observed configs add the metrics JSON
+// verbatim and the trace's record count, drop count and FNV-1a-64 digest,
+// so an observer byte that moves in every run alike (a trace stamp's last
+// bit, say) shows too. To regenerate deliberately, run
 // fleet_test --gtest_filter='FleetGoldenTest.*' with the environment
 // variable PS360_FLEET_GOLDEN_OUT=tests/data/fleet_golden.csv and review the
 // diff: any moved line is an output change.
@@ -769,11 +774,35 @@ void append_golden_lines(const std::string& name, const FleetResult& result,
   }
 }
 
-// Four small fleets over the paper's trace 2 scaled to the fleet: clean and
+// FNV-1a, 64-bit: a fixed digest of the trace JSONL bytes.
+std::string fnv1a64_hex(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  char buffer[17];
+  std::snprintf(buffer, sizeof buffer, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buffer;
+}
+
+void append_observer_lines(const std::string& name, const obs::MetricsRegistry& metrics,
+                           const obs::EventTracer& tracer,
+                           std::vector<std::string>& lines) {
+  std::ostringstream jsonl;
+  tracer.export_jsonl(jsonl);
+  lines.push_back(name + ",metrics_json," + metrics.to_json());
+  lines.push_back(name + ",trace_records," + std::to_string(tracer.recorded()));
+  lines.push_back(name + ",trace_dropped," + std::to_string(tracer.dropped()));
+  lines.push_back(name + ",trace_fnv1a64," + fnv1a64_hex(jsonl.str()));
+}
+
+// Five small fleets over the paper's trace 2 scaled to the fleet: clean and
 // uncapped; a binding access cap; hostile faults with the server tier (a
 // starved edge cache and a short deadline, so misses, evictions, origin
-// flows and aborts on both links all happen); and an observer attached at
-// shards = 4.
+// flows and aborts on both links all happen); an observer attached at
+// shards = 4; and the hostile fleet observed at shards = 3.
 std::vector<std::string> golden_lines() {
   const FleetFixture fixture;
   const auto traces = trace::make_paper_traces(/*seed=*/17, util::Seconds(300.0));
@@ -809,14 +838,25 @@ std::vector<std::string> golden_lines() {
   hostile.session.recovery.timeout_s = 1.0;  // short enough to abort flows
   run("hostile_server", hostile);
 
-  obs::MetricsRegistry metrics;
-  obs::EventTracer tracer(1 << 12);
-  obs::Observer observer{&metrics, &tracer};
+  // The tracer holds every record (trace_dropped pins 0).
+  const auto run_observed = [&](const std::string& name, FleetConfig config) {
+    obs::MetricsRegistry metrics;
+    obs::EventTracer tracer(1 << 16);
+    obs::Observer observer{&metrics, &tracer};
+    config.observer = &observer;
+    run(name, config);
+    append_observer_lines(name, metrics, tracer, lines);
+  };
+
   FleetConfig observed = clean;
   observed.seed = 104;
   observed.shards = 4;
-  observed.observer = &observer;
-  run("observed_shards4", observed);
+  run_observed("observed_shards4", observed);
+
+  FleetConfig observed_hostile = hostile;
+  observed_hostile.seed = 105;
+  observed_hostile.shards = 3;
+  run_observed("observed_hostile_shards3", observed_hostile);
   return lines;
 }
 
