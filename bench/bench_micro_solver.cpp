@@ -169,7 +169,6 @@ void BM_SchemePlan(benchmark::State& state, sim::SchemeKind kind) {
   env.mpc = config.mpc;
   env.mpc_horizon = config.mpc_horizon;
   env.ptile_min_coverage = config.ptile_min_coverage;
-  env.fov_deg = workload.config().fov_deg;
   env.tile_overlap_threshold = config.tile_overlap_threshold;
   const auto scheme = sim::make_scheme(kind, env);
 
@@ -193,6 +192,9 @@ BENCHMARK_CAPTURE(BM_SchemePlan, Ftile, sim::SchemeKind::kFtile);
 BENCHMARK_CAPTURE(BM_SchemePlan, Nontile, sim::SchemeKind::kNontile);
 BENCHMARK_CAPTURE(BM_SchemePlan, Ptile, sim::SchemeKind::kPtile);
 BENCHMARK_CAPTURE(BM_SchemePlan, Ours, sim::SchemeKind::kOurs);
+BENCHMARK_CAPTURE(BM_SchemePlan, GhoshLP, sim::SchemeKind::kGhoshLp);
+BENCHMARK_CAPTURE(BM_SchemePlan, GhoshRobust, sim::SchemeKind::kGhoshRobust);
+BENCHMARK_CAPTURE(BM_SchemePlan, Pano, sim::SchemeKind::kPano);
 
 void BM_EncodingBytes(benchmark::State& state) {
   const video::EncodingModel model;

@@ -86,7 +86,11 @@ MpcController::MpcController(MpcConfig config, const power::DeviceModel& device,
   PS360_CHECK(config_.buffer_quantum_s > 0.0 &&
               config_.buffer_quantum_s <= config_.buffer_threshold_s);
   PS360_CHECK(config_.epsilon >= 0.0 && config_.epsilon < 1.0);
-  PS360_CHECK(config_.stall_penalty_per_s >= 0.0);
+  // Finite too: an infinite weight or penalty turns the first ∞ × 0 into NaN.
+  PS360_CHECK(std::isfinite(config_.stall_penalty_per_s) &&
+              config_.stall_penalty_per_s >= 0.0);
+  PS360_CHECK(std::isfinite(config_.weights.variation) &&
+              config_.weights.variation >= 0.0);
 }
 
 void MpcController::set_observer(obs::Observer* observer, std::uint32_t session) {

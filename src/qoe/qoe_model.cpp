@@ -8,8 +8,9 @@
 namespace ps360::qoe {
 
 QoEModel::QoEModel(QoEWeights weights) : weights_(weights) {
-  PS360_CHECK(weights.variation >= 0.0);
-  PS360_CHECK(weights.rebuffer >= 0.0);
+  // Finite too: an infinite weight turns the first ∞ × 0 into NaN.
+  PS360_CHECK(std::isfinite(weights.variation) && weights.variation >= 0.0);
+  PS360_CHECK(std::isfinite(weights.rebuffer) && weights.rebuffer >= 0.0);
 }
 
 SegmentQoE QoEModel::segment(double qo, double prev_qo, util::Seconds download_time,

@@ -36,18 +36,20 @@ SchemeEnv make_env(const VideoWorkload& workload, const video::EncodingModel& en
   env.mpc = config.mpc;
   env.mpc_horizon = config.mpc_horizon;
   env.ptile_min_coverage = config.ptile_min_coverage;
-  env.fov_deg = workload.config().fov_deg;
   env.tile_overlap_threshold = config.tile_overlap_threshold;
   return env;
 }
 
 // Reject SessionConfig values that would be absorbed silently (a coverage
-// floor above 1 disables Ptile) or fail far from their cause (an infinite
-// buffer threshold throws from a vector resize, a tiny buffer quantum from
-// the DP's allocation). Runs before any member is built from the config, so
-// run_fleet, and with it simulate_session, rejects it with the field's name.
+// floor above 1 disables Ptile, an infinite QoE weight makes the session's
+// QoE NaN) or fail far from their cause (an infinite buffer threshold throws
+// from a vector resize, a tiny buffer quantum from the DP's allocation, an
+// infinite stall penalty from the MPC's internal assert). Runs before any
+// member is built from the config, so run_fleet, and with it
+// simulate_session, rejects it with the field's name.
 const SessionConfig& validated(const SessionConfig& config) {
   const auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto finite_non_negative = [](double v) { return std::isfinite(v) && v >= 0.0; };
   PS360_CHECK_MSG(config.ptile_min_coverage >= 0.0 && config.ptile_min_coverage <= 1.0,
                   "ptile_min_coverage must be in [0, 1]");
   PS360_CHECK_MSG(
@@ -59,6 +61,12 @@ const SessionConfig& validated(const SessionConfig& config) {
                   "mpc.buffer_threshold_s must be finite and > 0");
   PS360_CHECK_MSG(finite_positive(config.mpc.segment_seconds),
                   "mpc.segment_seconds must be finite and > 0");
+  PS360_CHECK_MSG(finite_non_negative(config.mpc.stall_penalty_per_s),
+                  "mpc.stall_penalty_per_s must be finite and >= 0");
+  PS360_CHECK_MSG(finite_non_negative(config.mpc.weights.variation),
+                  "mpc.weights.variation must be finite and >= 0");
+  PS360_CHECK_MSG(finite_non_negative(config.mpc.weights.rebuffer),
+                  "mpc.weights.rebuffer must be finite and >= 0");
   // lround(steps) + 1 <= kMaxBufferStates, tested before lround could see a
   // ratio too large for a long. NaN fails it too.
   const double steps = (config.mpc.buffer_threshold_s + config.mpc.segment_seconds) /

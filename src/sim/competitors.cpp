@@ -1,4 +1,4 @@
-// Competitor controllers (GhoshLP / GhoshRobust / Pano). Deterministic
+// Competitor LP allocators (GhoshLP / GhoshRobust). Deterministic
 // contract: plan() is a pure function of the SchemeEnv, segment state, and
 // the session seed — the LP greedy iterates tiles in row-major index order
 // with strict-> tie-breaking, tile byte noise comes from counter-mode
@@ -88,9 +88,8 @@ class GhoshScheme : public SchemeBase {
   GhoshScheme(SchemeKind kind, const SchemeEnv& env, bool robust)
       : SchemeBase(kind, env), robust_(robust) {}
 
-  void attach_observer(obs::Observer* observer, std::uint32_t session) override {
+  void attach_observer(obs::Observer* observer, std::uint32_t /*session*/) override {
     observer_ = observer;
-    session_ = session;
     if (observer_ != nullptr && observer_->metrics != nullptr)
       id_allocations_ = observer_->metrics->counter("lp.allocations");
   }
@@ -208,10 +207,6 @@ class GhoshScheme : public SchemeBase {
     return plan;
   }
 
-  double coverage(const DownloadPlan& plan, const Viewport& actual) const override {
-    return plan.hq_region.coverage_of(actual.area());
-  }
-
  private:
   static constexpr double kVisibilityFloor = 0.05;  // robust candidate cutoff
 
@@ -227,83 +222,7 @@ class GhoshScheme : public SchemeBase {
 
   bool robust_;
   obs::Observer* observer_ = nullptr;
-  std::uint32_t session_ = 0;
   obs::MetricsRegistry::Id id_allocations_{};
-};
-
-// ---------------------------------------------------------------------------
-// Pano
-
-class PanoScheme : public SchemeBase {
- public:
-  explicit PanoScheme(const SchemeEnv& env)
-      : SchemeBase(SchemeKind::kPano, env),
-        controller_(env.mpc, *env.device, core::MpcObjective::kMaxQoE) {}
-
-  void attach_observer(obs::Observer* observer, std::uint32_t session) override {
-    controller_.set_observer(observer, session);
-  }
-
-  DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
-                    util::BytesPerSec bandwidth, util::Seconds buffer,
-                    double prev_qo) const override {
-    // Ctile download geometry (same tiling, same per-role noise keys, so
-    // Pano streams the exact same encodings Ctile would) — the difference
-    // is purely the objective: perceptually weighted Qo over the full
-    // (quality, frame-rate) ladder.
-    const auto& workload = *env_.workload;
-    const auto rect =
-        grid_.covering_rect(predicted.area(), env_.tile_overlap_threshold);
-    const EquirectRect hq = grid_.rect_area(rect);
-    const double hq_area = hq.area_fraction();
-    const std::size_t n_hq = rect.tile_count();
-    const std::size_t n_bg = grid_.tile_count() - n_hq;
-    const double bg_area = std::max(1.0 - hq_area, 0.0);
-    const double L = env_.mpc.segment_seconds;
-
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
-      double total =
-          env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L, ratio,
-                                      noise_key(workload, i, v, fi, 0));
-      if (n_bg > 0 && bg_area > 0.0) {
-        total += env_.encoding->region_bytes(bg_area, n_bg, 1, workload.features(i), L,
-                                             1.0, noise_key(workload, i, 1, fi, 1));
-      }
-      return total;
-    };
-
-    const auto horizon =
-        build_horizon(k, bytes, /*frame_options=*/true, predicted_sfov,
-                      power::DecodeProfile::kCtile);
-    const core::MpcDecision decision =
-        controller_.decide(horizon, bandwidth, buffer, prev_qo);
-
-    DownloadPlan plan;
-    plan.option = decision.choice;
-    plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
-    plan.mpc_feasible = decision.feasible;
-    plan.hq_region = hq;
-    return plan;
-  }
-
-  double coverage(const DownloadPlan& plan, const Viewport& actual) const override {
-    return plan.hq_region.coverage_of(actual.area());
-  }
-
- protected:
-  // The Pano twist: the planner's Qo is masked by what the viewer can
-  // actually perceive at this switching speed and content. Delivered-QoE
-  // accounting stays on the unweighted Eq. 3 (accounting.cpp owns that).
-  double predicted_qo(std::size_t segment, int quality, double frame_ratio,
-                      double predicted_sfov) const override {
-    const auto& feat = env_.workload->features(segment);
-    return SchemeBase::predicted_qo(segment, quality, frame_ratio, predicted_sfov) *
-           qoe::QoModel::perceptual_sensitivity(util::DegPerSec(predicted_sfov),
-                                                feat.si, feat.ti);
-  }
-
- private:
-  core::MpcController controller_;
 };
 
 }  // namespace
@@ -314,10 +233,6 @@ std::unique_ptr<Scheme> make_ghosh_lp(const SchemeEnv& env) {
 
 std::unique_ptr<Scheme> make_ghosh_robust(const SchemeEnv& env) {
   return std::make_unique<GhoshScheme>(SchemeKind::kGhoshRobust, env, /*robust=*/true);
-}
-
-std::unique_ptr<Scheme> make_pano(const SchemeEnv& env) {
-  return std::make_unique<PanoScheme>(env);
 }
 
 }  // namespace ps360::sim

@@ -1,6 +1,8 @@
-// The competitor zoo (ROADMAP item 3): controllers from the literature the
-// paper did not compare against, registered alongside the Section V schemes
-// so the tournament harness ranks everything on equal footing.
+// The competitor zoo's LP allocators (ROADMAP item 3): controllers from the
+// literature the paper did not compare against, registered alongside the
+// Section V schemes so the tournament harness ranks everything on equal
+// footing. Pano, the zoo's MPC competitor, is a Ctile with a perceptual
+// objective and lives with the other MPC schemes in schemes.cpp.
 //
 //   GhoshLP     — Ghosh/Aggarwal/Qian (arXiv:1812.00816): each segment's
 //                 byte budget (estimated bandwidth × segment length) is
@@ -14,14 +16,8 @@
 //                 the visibility probabilities from predict/visibility.h, so
 //                 bits hedge against prediction error instead of betting on
 //                 the point estimate.
-//   Pano        — Pano-style perceptual objective (arXiv:1911.04139): the
-//                 Ctile geometry and QoE-maximising MPC, but the planner's
-//                 predicted Qo is scaled by qoe::QoModel::
-//                 perceptual_sensitivity (viewport-speed/luminance masking)
-//                 and the frame-rate ladder is enabled, composing the
-//                 perceptual weight with the existing S_fov factor.
 //
-// All three are deterministic pure planners, same as the in-paper schemes.
+// Both are deterministic pure planners, same as the in-paper schemes.
 #pragma once
 
 #include <memory>
@@ -57,6 +53,5 @@ LpAllocation lp_allocate(const std::vector<double>& weights,
 // Registry factories (rows in sim/schemes.cpp's controller registry).
 std::unique_ptr<Scheme> make_ghosh_lp(const SchemeEnv& env);
 std::unique_ptr<Scheme> make_ghosh_robust(const SchemeEnv& env);
-std::unique_ptr<Scheme> make_pano(const SchemeEnv& env);
 
 }  // namespace ps360::sim

@@ -21,24 +21,13 @@ double EvaluationCell::energy_per_segment_mj() const {
   return result.energy.total_mj() / static_cast<double>(segments);
 }
 
-const std::map<EvaluationGrid::CellKey, std::size_t>& EvaluationGrid::index() const {
-  if (index_.size() != cells.size()) {
-    index_.clear();
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const auto& cell = cells[i];
-      index_.emplace(
-          CellKey{cell.video_id, cell.trace_id, static_cast<int>(cell.scheme)}, i);
-    }
-  }
-  return index_;
-}
-
 const EvaluationCell& EvaluationGrid::at(int video_id, int trace_id,
                                          SchemeKind scheme) const {
-  const auto& idx = index();
-  const auto it = idx.find(CellKey{video_id, trace_id, static_cast<int>(scheme)});
-  if (it == idx.end()) throw std::invalid_argument("missing evaluation cell");
-  return cells[it->second];
+  for (const EvaluationCell& cell : cells) {
+    if (cell.video_id == video_id && cell.trace_id == trace_id && cell.scheme == scheme)
+      return cell;
+  }
+  throw std::invalid_argument("missing evaluation cell");
 }
 
 double EvaluationGrid::normalized_mean(

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
-#include <tuple>
 #include <vector>
 
 #include "sim/session.h"
@@ -26,9 +24,9 @@ struct EvaluationCell {
 struct EvaluationGrid {
   std::vector<EvaluationCell> cells;
 
-  // The cell for one (video, trace, scheme); throws if absent. Looks up
-  // through the keyed index (O(log cells)), so grid-wide aggregations such
-  // as normalized_mean stay O(cells · log cells) instead of O(cells²).
+  // The first cell for one (video, trace, scheme); throws if absent. A
+  // linear scan of `cells`, so it sees every edit made to them (the paper
+  // grid holds at most 80 cells).
   const EvaluationCell& at(int video_id, int trace_id, SchemeKind scheme) const;
 
   // Mean over videos of metric(cell)/metric(Ctile cell) for one trace.
@@ -38,14 +36,6 @@ struct EvaluationGrid {
   // Convenience metrics.
   static double energy_metric(const EvaluationCell& cell);
   static double qoe_metric(const EvaluationCell& cell);
-
- private:
-  // Keyed index over (video, trace, scheme), built lazily on first lookup
-  // and rebuilt whenever cells have been appended since. Queries are not
-  // thread-safe against concurrent appends: build the grid first, then read.
-  using CellKey = std::tuple<int, int, int>;
-  const std::map<CellKey, std::size_t>& index() const;
-  mutable std::map<CellKey, std::size_t> index_;
 };
 
 struct EvaluationOptions {

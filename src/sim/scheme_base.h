@@ -1,10 +1,13 @@
 // Shared planning machinery behind every registered controller (internal to
 // sim/; the stable surface is sim/schemes.h). SchemeBase owns the pieces all
-// controllers need — the tile grid, the frame-rate ladder, the Eq. 3/Eq. 4
-// predicted-Qo evaluation, and the MPC horizon builder — so in-paper schemes
-// (schemes.cpp) and the competitor zoo (competitors.cpp) plan against one
-// implementation. Deterministic: every helper is a pure function of the
-// SchemeEnv and its arguments (size noise is keyed, never drawn).
+// controllers need — the paper's 4x8 tile grid, the frame-rate ladder, the
+// Eq. 3/Eq. 4 predicted-Qo evaluation, the MPC horizon builder and the
+// high-quality-region coverage — and MpcScheme owns the one Section IV-C
+// MPC solve that every MPC controller (Ctile, Ftile, Nontile, Ptile, Ours
+// and Pano, all in schemes.cpp) plans through; the Ghosh allocators
+// (competitors.cpp) derive from SchemeBase alone. Deterministic: every
+// helper is a pure function of the SchemeEnv and its arguments (size noise
+// is keyed, never drawn).
 #pragma once
 
 #include <algorithm>
@@ -46,13 +49,17 @@ using BytesFn = std::function<double(std::size_t segment, int quality,
 class SchemeBase : public Scheme {
  public:
   SchemeBase(SchemeKind kind, const SchemeEnv& env)
-      : Scheme(kind),
-        env_(env),
-        grid_(env.grid_rows, env.grid_cols),
-        frame_ladder_(env.workload->video().fps) {
+      : Scheme(kind), env_(env), frame_ladder_(env.workload->video().fps) {
     PS360_CHECK(env_.workload != nullptr && env_.encoding != nullptr &&
                 env_.qo_model != nullptr && env_.device != nullptr);
     PS360_CHECK(env_.mpc_horizon >= 1);
+  }
+
+  // Fraction of the actual viewport inside the plan's high-quality region.
+  // Ftile (per-segment tile layouts) and Nontile (the whole frame) override.
+  double coverage(const DownloadPlan& plan,
+                  const geometry::Viewport& actual) const override {
+    return plan.hq_region.coverage_of(actual.area());
   }
 
  protected:
@@ -108,8 +115,43 @@ class SchemeBase : public Scheme {
   }
 
   const SchemeEnv env_;
-  const geometry::TileGrid grid_;
+  const geometry::TileGrid grid_{4, 8};  // the paper's conventional tiling
   const video::FrameRateLadder frame_ladder_;
+};
+
+// A controller that plans with the paper's Section IV-C MPC+DP solver: the
+// QoE objective (Ctile, Ftile, Nontile, Pano) or the ε-constrained energy
+// objective (Ptile, Ours). A subclass supplies only its geometry, as the
+// bytes of each (segment, quality, frame) option, and the plan's served
+// region.
+class MpcScheme : public SchemeBase {
+ public:
+  MpcScheme(SchemeKind kind, const SchemeEnv& env, core::MpcObjective objective)
+      : SchemeBase(kind, env), controller_(env.mpc, *env.device, objective) {}
+
+  void attach_observer(obs::Observer* observer, std::uint32_t session) override {
+    controller_.set_observer(observer, session);
+  }
+
+ protected:
+  // Build the horizon [k, horizon_end(k)), solve it, and return the plan's
+  // option, frame ratio and feasibility; the caller fills in the rest.
+  DownloadPlan solve(std::size_t k, const BytesFn& bytes, bool frame_options,
+                     double predicted_sfov, power::DecodeProfile profile,
+                     util::BytesPerSec bandwidth, util::Seconds buffer,
+                     double prev_qo) const {
+    const core::MpcDecision decision = controller_.decide(
+        build_horizon(k, bytes, frame_options, predicted_sfov, profile), bandwidth,
+        buffer, prev_qo);
+    DownloadPlan plan;
+    plan.option = decision.choice;
+    plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
+    plan.mpc_feasible = decision.feasible;
+    return plan;
+  }
+
+ private:
+  core::MpcController controller_;
 };
 
 }  // namespace ps360::sim

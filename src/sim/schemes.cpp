@@ -1,11 +1,11 @@
-// The in-paper Section V schemes plus the controller registry. Each plan()
-// is a pure function of (segment, prediction, bandwidth, buffer, prev_qo) —
-// no hidden state — so scheme comparisons are reproducible
-// decision-for-decision. The registry at the bottom is the single source of
-// truth for scheme identity: scheme_name / all_schemes / registered_schemes
-// / make_scheme all derive from it, so a controller cannot exist without a
-// stable name and a factory (ISSUE 10 bugfixes: no config-dependent kind(),
-// no hand-maintained enum lists).
+// The MPC schemes (the Section V five plus Pano) and the controller
+// registry. Each plan() is a pure function of (segment, prediction,
+// bandwidth, buffer, prev_qo) — no hidden state — so scheme comparisons are
+// reproducible decision-for-decision. The registry at the bottom is the
+// single source of truth for scheme identity: scheme_name / all_schemes /
+// registered_schemes / make_scheme all derive from it, so a controller
+// cannot exist without a stable name and a factory (no config-dependent
+// kind(), no hand-maintained enum lists).
 #include "sim/schemes.h"
 
 #include <algorithm>
@@ -77,17 +77,15 @@ std::vector<SchemeKind> registered_schemes() {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Ctile
+// Ctile (and Pano)
 
-class CtileScheme : public SchemeBase {
+class CtileScheme : public MpcScheme {
  public:
-  explicit CtileScheme(const SchemeEnv& env)
-      : SchemeBase(SchemeKind::kCtile, env),
-        controller_(env.mpc, *env.device, core::MpcObjective::kMaxQoE) {}
-
-  void attach_observer(obs::Observer* observer, std::uint32_t session) override {
-    controller_.set_observer(observer, session);
-  }
+  // `frame_options` opens the frame-rate ladder to the planner (Pano); the
+  // in-paper Ctile and the Ptile fallback plan at the original frame rate.
+  CtileScheme(SchemeKind kind, const SchemeEnv& env, bool frame_options)
+      : MpcScheme(kind, env, core::MpcObjective::kMaxQoE),
+        frame_options_(frame_options) {}
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
@@ -102,9 +100,10 @@ class CtileScheme : public SchemeBase {
     const double bg_area = std::max(1.0 - hq_area, 0.0);
     const double L = env_.mpc.segment_seconds;
 
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
-      double total = env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i),
-                                                 L, 1.0, noise_key(workload, i, v, fi, 0));
+    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
+      double total =
+          env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L, ratio,
+                                      noise_key(workload, i, v, fi, 0));
       if (n_bg > 0 && bg_area > 0.0) {
         total += env_.encoding->region_bytes(bg_area, n_bg, 1, workload.features(i), L,
                                              1.0, noise_key(workload, i, 1, fi, 1));
@@ -112,48 +111,50 @@ class CtileScheme : public SchemeBase {
       return total;
     };
 
-    const auto horizon =
-        build_horizon(k, bytes, /*frame_options=*/false, predicted_sfov,
-                      power::DecodeProfile::kCtile);
-    const core::MpcDecision decision =
-        controller_.decide(horizon, bandwidth, buffer, prev_qo);
-
-    DownloadPlan plan;
-    plan.option = decision.choice;
-    plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
-    plan.mpc_feasible = decision.feasible;
+    DownloadPlan plan = solve(k, bytes, frame_options_, predicted_sfov,
+                              power::DecodeProfile::kCtile, bandwidth, buffer, prev_qo);
     plan.hq_region = hq;
     return plan;
   }
 
-  double coverage(const DownloadPlan& plan, const Viewport& actual) const override {
-    return plan.hq_region.coverage_of(actual.area());
-  }
-
  private:
-  core::MpcController controller_;
+  bool frame_options_;
+};
+
+// Pano (arXiv:1911.04139): Ctile's tiling and encodings (the same noise
+// keys, so it streams the files Ctile would) over the full (quality,
+// frame-rate) ladder, planned against a perceptually weighted Qo.
+class PanoScheme : public CtileScheme {
+ public:
+  explicit PanoScheme(const SchemeEnv& env)
+      : CtileScheme(SchemeKind::kPano, env, /*frame_options=*/true) {}
+
+ protected:
+  // The planner's Qo is masked by what the viewer can perceive at this
+  // switching speed and content. Delivered-QoE accounting stays on the
+  // unweighted Eq. 3 (accounting.cpp owns that).
+  double predicted_qo(std::size_t segment, int quality, double frame_ratio,
+                      double predicted_sfov) const override {
+    const auto& feat = env_.workload->features(segment);
+    return SchemeBase::predicted_qo(segment, quality, frame_ratio, predicted_sfov) *
+           qoe::QoModel::perceptual_sensitivity(util::DegPerSec(predicted_sfov),
+                                                feat.si, feat.ti);
+  }
 };
 
 // ---------------------------------------------------------------------------
 // Ftile
 
-class FtileScheme : public SchemeBase {
+class FtileScheme : public MpcScheme {
  public:
   explicit FtileScheme(const SchemeEnv& env)
-      : SchemeBase(SchemeKind::kFtile, env),
-        controller_(env.mpc, *env.device, core::MpcObjective::kMaxQoE) {}
-
-  void attach_observer(obs::Observer* observer, std::uint32_t session) override {
-    controller_.set_observer(observer, session);
-  }
+      : MpcScheme(SchemeKind::kFtile, env, core::MpcObjective::kMaxQoE) {}
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
     const double L = env_.mpc.segment_seconds;
-    DownloadPlan plan;
-    plan.ftile_layout = &workload.ftile(k);
 
     // The FoV tile set is computed against each lookahead segment's own
     // layout (layouts are per-segment server-side artifacts). It depends on
@@ -191,15 +192,9 @@ class FtileScheme : public SchemeBase {
       return total;
     };
 
-    const auto horizon =
-        build_horizon(k, bytes, /*frame_options=*/false, predicted_sfov,
-                      power::DecodeProfile::kFtile);
-    const core::MpcDecision decision =
-        controller_.decide(horizon, bandwidth, buffer, prev_qo);
-
-    plan.option = decision.choice;
-    plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
-    plan.mpc_feasible = decision.feasible;
+    DownloadPlan plan = solve(k, bytes, /*frame_options=*/false, predicted_sfov,
+                              power::DecodeProfile::kFtile, bandwidth, buffer, prev_qo);
+    plan.ftile_layout = &workload.ftile(k);
     plan.ftile_tiles = std::move(tiles.front().selected);
     return plan;
   }
@@ -208,23 +203,15 @@ class FtileScheme : public SchemeBase {
     PS360_ASSERT(plan.ftile_layout != nullptr);
     return plan.ftile_layout->coverage(actual, plan.ftile_tiles);
   }
-
- private:
-  core::MpcController controller_;
 };
 
 // ---------------------------------------------------------------------------
 // Nontile
 
-class NontileScheme : public SchemeBase {
+class NontileScheme : public MpcScheme {
  public:
   explicit NontileScheme(const SchemeEnv& env)
-      : SchemeBase(SchemeKind::kNontile, env),
-        controller_(env.mpc, *env.device, core::MpcObjective::kMaxQoE) {}
-
-  void attach_observer(obs::Observer* observer, std::uint32_t session) override {
-    controller_.set_observer(observer, session);
-  }
+      : MpcScheme(SchemeKind::kNontile, env, core::MpcObjective::kMaxQoE) {}
 
   DownloadPlan plan(std::size_t k, const Viewport&, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
@@ -237,16 +224,8 @@ class NontileScheme : public SchemeBase {
                                          noise_key(workload, i, v, fi, 4));
     };
 
-    const auto horizon =
-        build_horizon(k, bytes, /*frame_options=*/false, predicted_sfov,
-                      power::DecodeProfile::kNontile);
-    const core::MpcDecision decision =
-        controller_.decide(horizon, bandwidth, buffer, prev_qo);
-
-    DownloadPlan plan;
-    plan.option = decision.choice;
-    plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
-    plan.mpc_feasible = decision.feasible;
+    DownloadPlan plan = solve(k, bytes, /*frame_options=*/false, predicted_sfov,
+                              power::DecodeProfile::kNontile, bandwidth, buffer, prev_qo);
     plan.hq_region =
         EquirectRect::make(
             geometry::LonInterval::make(geometry::Degrees(0.0), geometry::Degrees(360.0)),
@@ -257,28 +236,23 @@ class NontileScheme : public SchemeBase {
   double coverage(const DownloadPlan&, const Viewport&) const override {
     return 1.0;  // the whole frame is at the chosen quality
   }
-
- private:
-  core::MpcController controller_;
 };
 
 // ---------------------------------------------------------------------------
 // Ptile / Ours
 
-class PtileScheme : public SchemeBase {
+class PtileScheme : public MpcScheme {
  public:
   // `kind` is the registry identity (kPtile or kOurs) — passed explicitly by
   // the factory, never inferred from frame_adaptation (PR 10 bugfix).
   PtileScheme(SchemeKind kind, const SchemeEnv& env, bool frame_adaptation)
-      : SchemeBase(kind, env),
+      : MpcScheme(kind, env, core::MpcObjective::kMinEnergyQoEConstrained),
         frame_adaptation_(frame_adaptation),
         builder_(env.workload->config().ptile),
-        controller_(env.mpc, *env.device,
-                    core::MpcObjective::kMinEnergyQoEConstrained),
-        fallback_(env) {}
+        fallback_(SchemeKind::kCtile, env, /*frame_options=*/false) {}
 
   void attach_observer(obs::Observer* observer, std::uint32_t session) override {
-    controller_.set_observer(observer, session);
+    MpcScheme::attach_observer(observer, session);
     fallback_.attach_observer(observer, session);  // fallback solves count too
   }
 
@@ -290,11 +264,8 @@ class PtileScheme : public SchemeBase {
         workload.ptiles(k).covering(predicted, env_.ptile_min_coverage);
     if (ptile == nullptr) {
       // Section IV-B: no covering Ptile -> conventional tiles at the best
-      // possible quality for this segment.
-      DownloadPlan plan =
-          fallback_.plan(k, predicted, predicted_sfov, bandwidth, buffer, prev_qo);
-      plan.used_ptile = false;
-      return plan;
+      // possible quality for this segment (used_ptile stays false).
+      return fallback_.plan(k, predicted, predicted_sfov, bandwidth, buffer, prev_qo);
     }
 
     const double L = env_.mpc.segment_seconds;
@@ -312,29 +283,16 @@ class PtileScheme : public SchemeBase {
       return total;
     };
 
-    const auto horizon = build_horizon(k, bytes, frame_adaptation_, predicted_sfov,
-                                       power::DecodeProfile::kPtile);
-    const core::MpcDecision decision =
-        controller_.decide(horizon, bandwidth, buffer, prev_qo);
-
-    DownloadPlan plan;
-    plan.option = decision.choice;
-    plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
-    plan.mpc_feasible = decision.feasible;
+    DownloadPlan plan = solve(k, bytes, frame_adaptation_, predicted_sfov,
+                              power::DecodeProfile::kPtile, bandwidth, buffer, prev_qo);
     plan.used_ptile = true;
     plan.hq_region = ptile->area;
     return plan;
   }
 
-  double coverage(const DownloadPlan& plan, const Viewport& actual) const override {
-    if (!plan.used_ptile) return fallback_.coverage(plan, actual);
-    return plan.hq_region.coverage_of(actual.area());
-  }
-
  private:
   bool frame_adaptation_;
   ptile::PtileBuilder builder_;
-  core::MpcController controller_;
   CtileScheme fallback_;
 };
 
@@ -342,7 +300,7 @@ class PtileScheme : public SchemeBase {
 // Registry
 
 std::unique_ptr<Scheme> make_ctile(const SchemeEnv& env) {
-  return std::make_unique<CtileScheme>(env);
+  return std::make_unique<CtileScheme>(SchemeKind::kCtile, env, /*frame_options=*/false);
 }
 std::unique_ptr<Scheme> make_ftile(const SchemeEnv& env) {
   return std::make_unique<FtileScheme>(env);
@@ -357,6 +315,9 @@ std::unique_ptr<Scheme> make_ptile_fixed(const SchemeEnv& env) {
 std::unique_ptr<Scheme> make_ours(const SchemeEnv& env) {
   return std::make_unique<PtileScheme>(SchemeKind::kOurs, env,
                                        /*frame_adaptation=*/true);
+}
+std::unique_ptr<Scheme> make_pano(const SchemeEnv& env) {
+  return std::make_unique<PanoScheme>(env);
 }
 
 // Row i must register SchemeKind(i): every accessor indexes by enum value,

@@ -19,16 +19,22 @@
 //   Ours    — Ptile plus the frame-rate ladder {original, -10%, -20%, -30%};
 //             the full energy-minimising ε-constrained MPC over (v, f).
 //
-// Competitors (sim/competitors.cpp):
+// Competitors:
 //   GhoshLP     — Ghosh/Aggarwal/Qian LP tile rate allocation
 //                 (arXiv:1812.00816): per-segment budgeted quality levels
-//                 for the predicted-FoV tiles, no MPC buffer control.
+//                 for the predicted-FoV tiles, no MPC buffer control
+//                 (sim/competitors.cpp).
 //   GhoshRobust — the robust variant: candidate tiles weighted by the
-//                 viewport-visibility probabilities from predict/visibility.
-//   Pano        — Pano-style perceptual objective (arXiv:1911.04139):
-//                 QoE-maximising MPC whose predicted Qo is scaled by the
-//                 viewport-speed/luminance sensitivity, composed with the
-//                 existing S_fov frame-rate factor.
+//                 viewport-visibility probabilities from predict/visibility
+//                 (sim/competitors.cpp).
+//   Pano        — Pano-style perceptual objective (arXiv:1911.04139): a
+//                 Ctile with the frame-rate ladder open, whose QoE-maximising
+//                 MPC scales the predicted Qo by the viewport-speed/luminance
+//                 sensitivity, composed with the existing S_fov frame-rate
+//                 factor (sim/schemes.cpp).
+//
+// Every scheme but the two Ghosh allocators plans through the one MPC path,
+// MpcScheme in sim/scheme_base.h.
 //
 // When the predicted viewport is not covered by any Ptile, Ptile/Ours fall
 // back to conventional tiles at the best possible quality for that segment,
@@ -99,9 +105,6 @@ struct SchemeEnv {
   core::MpcConfig mpc;            // L, β, quantum, ε, weights, stall penalty
   std::size_t mpc_horizon = 5;    // H
   double ptile_min_coverage = 0.9;  // predicted-FoV coverage to pick a Ptile
-  std::size_t grid_rows = 4;
-  std::size_t grid_cols = 8;
-  double fov_deg = 100.0;
   // Minimum fraction of a boundary tile the FoV must overlap before the
   // client downloads it at high quality (how the paper's "nine FoV tiles"
   // arise from a 100° FoV on a 45° grid).

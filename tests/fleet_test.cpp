@@ -659,10 +659,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Unchecked, each of these is absorbed silently (a coverage floor above 1
 // means Ours never picks a Ptile; an infinite bandwidth prior changes the
-// plans) or fails far from its cause (an infinite buffer threshold throws
-// from a vector resize, a tiny buffer quantum from the DP's allocation). The
-// session accountant, which the fleet engine builds for every session,
-// rejects each with a message naming the field.
+// plans; an infinite QoE weight makes the session QoE NaN) or fails far from
+// its cause (an infinite buffer threshold throws from a vector resize, a tiny
+// buffer quantum from the DP's allocation, an infinite stall penalty from
+// the MPC's internal assert). The session accountant, which the fleet engine
+// builds for every session, rejects each with a message naming the field.
 struct InvalidSessionField {
   const char* field;
   void (*set)(sim::SessionConfig&);
@@ -702,7 +703,14 @@ INSTANTIATE_TEST_SUITE_P(
                             [](sim::SessionConfig& c) { c.mpc.segment_seconds = kInf; }},
         // Passes 0 < q <= β, but asks the DP for ~4e9 buffer states.
         InvalidSessionField{"mpc.buffer_quantum_s",
-                            [](sim::SessionConfig& c) { c.mpc.buffer_quantum_s = 1e-9; }}),
+                            [](sim::SessionConfig& c) { c.mpc.buffer_quantum_s = 1e-9; }},
+        // Each passes a >= 0 check; the first ∞ × 0 then makes a NaN.
+        InvalidSessionField{"mpc.stall_penalty_per_s",
+                            [](sim::SessionConfig& c) { c.mpc.stall_penalty_per_s = kInf; }},
+        InvalidSessionField{"mpc.weights.variation",
+                            [](sim::SessionConfig& c) { c.mpc.weights.variation = kInf; }},
+        InvalidSessionField{"mpc.weights.rebuffer",
+                            [](sim::SessionConfig& c) { c.mpc.weights.rebuffer = kInf; }}),
     [](const ::testing::TestParamInfo<InvalidSessionField>& param) {
       std::string name = param.param.field;
       std::replace(name.begin(), name.end(), '.', '_');
@@ -798,11 +806,13 @@ void append_observer_lines(const std::string& name, const obs::MetricsRegistry& 
   lines.push_back(name + ",trace_fnv1a64," + fnv1a64_hex(jsonl.str()));
 }
 
-// Five small fleets over the paper's trace 2 scaled to the fleet: clean and
+// Small fleets over the paper's trace 2 scaled to the fleet: clean and
 // uncapped; a binding access cap; hostile faults with the server tier (a
 // starved edge cache and a short deadline, so misses, evictions, origin
 // flows and aborts on both links all happen); an observer attached at
-// shards = 4; and the hostile fleet observed at shards = 3.
+// shards = 4; the hostile fleet observed at shards = 3; and one clean
+// four-session fleet per other registered scheme, so a change to any
+// controller's plans moves a line here, not only the default scheme's.
 std::vector<std::string> golden_lines() {
   const FleetFixture fixture;
   const auto traces = trace::make_paper_traces(/*seed=*/17, util::Seconds(300.0));
@@ -857,6 +867,15 @@ std::vector<std::string> golden_lines() {
   observed_hostile.seed = 105;
   observed_hostile.shards = 3;
   run_observed("observed_hostile_shards3", observed_hostile);
+
+  for (const sim::SchemeKind scheme : sim::registered_schemes()) {
+    if (scheme == clean.scheme) continue;
+    FleetConfig per_scheme = clean;
+    per_scheme.scheme = scheme;
+    per_scheme.sessions = 4;
+    per_scheme.seed = 106 + static_cast<std::uint64_t>(scheme);
+    run("scheme_" + sim::scheme_name(scheme), per_scheme);
+  }
   return lines;
 }
 

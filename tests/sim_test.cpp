@@ -593,8 +593,8 @@ TEST(ForEachSlotTest, ExceptionReachesTheCaller) {
 }
 
 TEST(ExperimentTest, GridIndexLookupMatchesLinearScan) {
-  // at() resolves through the keyed (video, trace, scheme) index; verify it
-  // against a hand-built grid, including the missing-cell throw.
+  // at() finds the (video, trace, scheme) cell; verify it against a
+  // hand-built grid, including the missing-cell throw.
   EvaluationGrid grid;
   for (int video = 1; video <= 3; ++video) {
     for (int trace = 1; trace <= 2; ++trace) {
@@ -615,7 +615,7 @@ TEST(ExperimentTest, GridIndexLookupMatchesLinearScan) {
   EXPECT_EQ(cell.segments, 21u);
   EXPECT_THROW(grid.at(9, 1, SchemeKind::kPtile), std::invalid_argument);
 
-  // The index refreshes when cells are appended after a lookup.
+  // Cells appended after a lookup are found.
   EvaluationCell late;
   late.video_id = 9;
   late.trace_id = 1;
@@ -623,6 +623,27 @@ TEST(ExperimentTest, GridIndexLookupMatchesLinearScan) {
   late.segments = 91;
   grid.cells.push_back(late);
   EXPECT_EQ(grid.at(9, 1, SchemeKind::kPtile).segments, 91u);
+}
+
+TEST(ExperimentTest, AtSeesCellsEditedInPlace) {
+  // cells is a public vector, so a cell may be re-keyed in place after a
+  // lookup; the next lookup must see the edit. A duplicate key resolves to
+  // the first cell.
+  EvaluationGrid grid;
+  for (int video = 1; video <= 3; ++video) {
+    EvaluationCell cell;
+    cell.video_id = video;
+    cell.trace_id = 1;
+    cell.scheme = SchemeKind::kOurs;
+    cell.segments = static_cast<std::size_t>(video);
+    grid.cells.push_back(cell);
+  }
+  EXPECT_EQ(grid.at(2, 1, SchemeKind::kOurs).segments, 2u);
+  grid.cells[1].video_id = 4;
+  EXPECT_THROW(grid.at(2, 1, SchemeKind::kOurs), std::invalid_argument);
+  EXPECT_EQ(grid.at(4, 1, SchemeKind::kOurs).segments, 2u);
+  grid.cells[2].video_id = 4;
+  EXPECT_EQ(grid.at(4, 1, SchemeKind::kOurs).segments, 2u);
 }
 
 }  // namespace

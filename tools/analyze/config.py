@@ -24,10 +24,11 @@ RNG_EXEMPT = ("src/util/rng.h", "src/util/rng.cpp")
 # observability layer, the trace/fault synthesis layer, the server/CDN tier
 # (Zipf catalog + edge cache, one instance per replication slot), and the
 # simulation core are all inside the discipline (ROADMAP item 1 puts sharded
-# event-loop code here next). src/sim covers the controller registry, the
-# competitor schemes (competitors.cpp), and the tournament harness
-# (tournament.cpp), whose ranked report promises byte-identical JSON for any
-# thread/shard count; src/sim and src/fleet compile into one ps360::sim.
+# event-loop code here next). src/sim covers the controller registry and the
+# MPC schemes (schemes.cpp, Pano included), the Ghosh LP allocators
+# (competitors.cpp), and the tournament harness (tournament.cpp), whose
+# ranked report promises byte-identical JSON for any thread/shard count;
+# src/sim and src/fleet compile into one ps360::sim.
 DETERMINISTIC_DIRS = ("src/fleet", "src/obs", "src/trace", "src/sim",
                       "src/server")
 
