@@ -41,9 +41,10 @@ void video_cdf(const trace::VideoInfo& video, const bench::BenchOptions& options
       const auto& feat = workload.features(k);
       // Independent size noise per encoding, as two real encoder runs.
       const std::uint64_t key = k * 100 + static_cast<std::uint64_t>(v);
-      const double as_ptile = model.region_bytes(area, 1, v, feat, 1.0, 1.0, key);
+      const double as_ptile =
+          model.region_bytes(area, 1, v, feat, 1.0, 1.0, model.size_noise(key));
       const double as_tiles =
-          model.region_bytes(area, tiles, v, feat, 1.0, 1.0, key + 50);
+          model.region_bytes(area, tiles, v, feat, 1.0, 1.0, model.size_noise(key + 50));
       ratios.push_back(as_ptile / as_tiles);
     }
     if (ratios.empty()) continue;

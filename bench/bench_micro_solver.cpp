@@ -1,11 +1,14 @@
 // google-benchmark microbenchmarks for the hot algorithmic pieces: the MPC
 // dynamic program (O(H V F) per decision, Section IV-C), Algorithm 1
-// clustering, the ridge-regression viewport predictor, the encoding model,
-// and one whole Scheme::plan per paper scheme.
+// clustering, the ridge-regression viewport predictor, the encoding model
+// and its size-noise table, and one whole Scheme::plan per registered
+// scheme.
 //
-// The MPC, predictor and scheme-plan rows are the repo's tracked perf
-// trajectory: CI (and any local run) emits machine-readable results with
-//   bench_micro_solver --benchmark_filter='BM_Mpc|BM_ViewportPredict|BM_SchemePlan'
+// The MPC, predictor, scheme-plan and size-noise-row rows are the repo's
+// tracked perf trajectory: CI (and any local run) emits machine-readable
+// results with
+//   bench_micro_solver
+//     --benchmark_filter='BM_Mpc|BM_ViewportPredict|BM_SchemePlan|BM_SizeNoiseRow'
 //     --benchmark_min_time=0.05
 //     --benchmark_out=BENCH_mpc.json --benchmark_out_format=json
 // and tools/bench_report.py renders the summary/speedup table against the
@@ -196,13 +199,34 @@ BENCHMARK_CAPTURE(BM_SchemePlan, GhoshLP, sim::SchemeKind::kGhoshLp);
 BENCHMARK_CAPTURE(BM_SchemePlan, GhoshRobust, sim::SchemeKind::kGhoshRobust);
 BENCHMARK_CAPTURE(BM_SchemePlan, Pano, sim::SchemeKind::kPano);
 
+// A size-noise row's first use: the 300 keyed lognormal draws one segment's
+// row of the video's SizeNoiseTable holds (roles 0-6 × 5 qualities × 4 frame
+// indices, plus 32 Ghosh tiles × 5 qualities), on a fresh table each
+// iteration. Every plan after the first reads the drawn row instead, so this
+// is the one-off cost per (video, encoding, segment) behind the
+// BM_SchemePlan rows.
+void BM_SizeNoiseRow(benchmark::State& state) {
+  trace::VideoInfo video = trace::test_videos()[7];
+  video.duration_s = 1.0;  // one segment
+  const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
+  const video::EncodingModel encoding;
+  for (auto _ : state) {
+    const sim::SizeNoiseTable table(workload, encoding);
+    double factor = table.row(0).ghosh_tile(sim::SizeNoiseTable::kGhoshTiles - 1,
+                                            video::QualityLadder::kMaxLevel)
+                        .factor;
+    benchmark::DoNotOptimize(factor);
+  }
+}
+BENCHMARK(BM_SizeNoiseRow);
+
 void BM_EncodingBytes(benchmark::State& state) {
   const video::EncodingModel model;
   const video::ContentFeatures content{55.0, 35.0};
   std::uint64_t key = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        model.region_bytes(0.3, 9, 3, content, 1.0, 0.9, ++key));
+        model.region_bytes(0.3, 9, 3, content, 1.0, 0.9, model.size_noise(++key)));
   }
 }
 BENCHMARK(BM_EncodingBytes);

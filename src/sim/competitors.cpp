@@ -1,8 +1,8 @@
 // Competitor LP allocators (GhoshLP / GhoshRobust). Deterministic
 // contract: plan() is a pure function of the SchemeEnv, segment state, and
 // the session seed — the LP greedy iterates tiles in row-major index order
-// with strict-> tie-breaking, tile byte noise comes from counter-mode
-// derive_seed streams (role 7, salted by tile id), and no unordered
+// with strict-> tie-breaking, tile byte noise is read from the video's keyed
+// size-noise table (role 7, salted by tile id), and no unordered
 // containers or wall-clock reads appear anywhere. attach_observer only adds
 // counters, so hook wiring never changes decisions (pinned by
 // tests/tournament_test.cpp).
@@ -75,11 +75,6 @@ LpAllocation lp_allocate(const std::vector<double>& weights,
 
 namespace {
 
-// Noise role 7 (roles 0-6 belong to the in-paper schemes); the tile's
-// row-major id is folded in through the salt overload so per-tile sizes
-// vary independently.
-constexpr int kGhoshNoiseRole = 7;
-
 // ---------------------------------------------------------------------------
 // GhoshLP / GhoshRobust
 
@@ -97,8 +92,8 @@ class GhoshScheme : public SchemeBase {
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double /*prev_qo*/) const override {
-    const auto& workload = *env_.workload;
-    const auto& feat = workload.features(k);
+    const auto& feat = env_.workload->features(k);
+    const SizeNoiseRow noise = noise_->row(k);
     const double L = env_.mpc.segment_seconds;
 
     // Candidate (allocated) tiles and their weights.
@@ -137,7 +132,7 @@ class GhoshScheme : public SchemeBase {
     double bg_bytes = 0.0;
     for (std::size_t id = 0; id < grid_.tile_count(); ++id) {
       if (is_candidate[id]) continue;
-      bg_bytes += tile_level_bytes(k, {id / grid_.cols(), id % grid_.cols()},
+      bg_bytes += tile_level_bytes(noise, {id / grid_.cols(), id % grid_.cols()},
                                    video::QualityLadder::kMinLevel, feat, L);
     }
     const double total_budget = bandwidth.value() * L;
@@ -151,13 +146,12 @@ class GhoshScheme : public SchemeBase {
     std::vector<double> level_utility;
     for (int v = video::QualityLadder::kMinLevel; v <= video::QualityLadder::kMaxLevel;
          ++v) {
-      level_utility.push_back(env_.qo_model->qo(
-          feat.si, feat.ti, util::Mbps(env_.encoding->fov_bitrate_mbps(v, feat))));
+      level_utility.push_back(segment_qo(feat, v));
     }
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       for (int v = video::QualityLadder::kMinLevel;
            v <= video::QualityLadder::kMaxLevel; ++v) {
-        tile_bytes[i].push_back(tile_level_bytes(k, candidates[i], v, feat, L));
+        tile_bytes[i].push_back(tile_level_bytes(noise, candidates[i], v, feat, L));
       }
       tile_utility[i] = level_utility;
     }
@@ -199,7 +193,7 @@ class GhoshScheme : public SchemeBase {
     plan.option.frame_index = video::FrameRateLadder::kOptions;
     plan.option.fps = frame_ladder_.fps(video::FrameRateLadder::kOptions);
     plan.option.bytes = bg_bytes + alloc.spent;
-    plan.option.qo = predicted_qo(k, quality, 1.0, predicted_sfov);
+    plan.option.qo = level_utility[level_index(quality)];
     plan.option.profile = power::DecodeProfile::kCtile;
     plan.frame_ratio = 1.0;
     plan.mpc_feasible = alloc.feasible && bg_bytes <= total_budget;
@@ -212,12 +206,11 @@ class GhoshScheme : public SchemeBase {
 
   std::size_t tile_id(const TileIndex& t) const { return t.row * grid_.cols() + t.col; }
 
-  double tile_level_bytes(std::size_t segment, const TileIndex& t, int quality,
+  double tile_level_bytes(const SizeNoiseRow& noise, const TileIndex& t, int quality,
                           const video::ContentFeatures& feat, double seconds) const {
-    return env_.encoding->region_bytes(
-        grid_.tile_area(t).area_fraction(), 1, quality, feat, seconds, 1.0,
-        noise_key(*env_.workload, segment, quality, video::FrameRateLadder::kOptions,
-                  kGhoshNoiseRole, tile_id(t)));
+    return env_.encoding->region_bytes(grid_.tile_area(t).area_fraction(), 1, quality,
+                                       feat, seconds, 1.0,
+                                       noise.ghosh_tile(tile_id(t), quality));
   }
 
   bool robust_;

@@ -1,16 +1,17 @@
 // Shared planning machinery behind every registered controller (internal to
 // sim/; the stable surface is sim/schemes.h). SchemeBase owns the pieces all
 // controllers need — the paper's 4x8 tile grid, the frame-rate ladder, the
-// Eq. 3/Eq. 4 predicted-Qo evaluation, the MPC horizon builder and the
-// high-quality-region coverage — and MpcScheme owns the one Section IV-C
-// MPC solve that every MPC controller (Ctile, Ftile, Nontile, Ptile, Ours
-// and Pano, all in schemes.cpp) plans through; the Ghosh allocators
-// (competitors.cpp) derive from SchemeBase alone. Deterministic: every
-// helper is a pure function of the SchemeEnv and its arguments (size noise
-// is keyed, never drawn).
+// video's size-noise table for this encoding, the Eq. 3 predicted Qo, the
+// MPC horizon builder and the high-quality-region coverage — and MpcScheme
+// owns the one Section IV-C MPC solve that every MPC controller (Ctile,
+// Ftile, Nontile, Ptile, Ours and Pano, all in schemes.cpp) plans through;
+// the Ghosh allocators (competitors.cpp) derive from SchemeBase alone.
+// Deterministic: every helper is a pure function of the SchemeEnv and its
+// arguments (size noise is read from the keyed table, never drawn here).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -18,42 +19,34 @@
 #include "qoe/qo_model.h"
 #include "sim/schemes.h"
 #include "util/check.h"
-#include "util/rng.h"
 #include "video/quality.h"
 
 namespace ps360::sim {
 
-// Deterministic per-(segment, version, role) key for the encoding-size
-// noise. Roles 0-6 are taken by the in-paper schemes; competitors use the
-// `salt` overload below to fold in a tile index without colliding.
-inline std::uint64_t noise_key(const VideoWorkload& workload, std::size_t segment,
-                               int quality, std::size_t frame_index, int role) {
-  return util::derive_seed(
-      workload.config().seed,
-      static_cast<std::uint64_t>(workload.video().id) * 1000003ULL + segment,
-      static_cast<std::uint64_t>(quality) * 100 + frame_index * 10 +
-          static_cast<std::uint64_t>(role));
-}
+// Bytes of one encoded region of lookahead segment `segment` at (quality,
+// frame ratio), scaled by the region's drawn size noise.
+using RegionBytesFn = std::function<double(std::size_t segment, int quality,
+                                           double frame_ratio, video::SizeNoise noise)>;
 
-inline std::uint64_t noise_key(const VideoWorkload& workload, std::size_t segment,
-                               int quality, std::size_t frame_index, int role,
-                               std::uint64_t salt) {
-  return util::derive_seed(noise_key(workload, segment, quality, frame_index, role),
-                           salt + 1, 0);
-}
-
-// bytes(i, v, frame_ratio) for one lookahead segment.
-using BytesFn = std::function<double(std::size_t segment, int quality,
-                                     std::size_t frame_index, double frame_ratio)>;
+// What one option of a lookahead segment downloads: the served region at
+// the option's (quality, frame rate), plus an optional background that is
+// always at the lowest quality and the original frame rate. Each term reads
+// its size noise under its own role; the background's depends on the
+// segment and frame index alone.
+struct HorizonBytes {
+  NoiseRole served_role = NoiseRole::kCtileHq;
+  RegionBytesFn served;
+  NoiseRole background_role = NoiseRole::kCtileBackground;
+  RegionBytesFn background;  // empty: the plan has no background
+};
 
 class SchemeBase : public Scheme {
  public:
   SchemeBase(SchemeKind kind, const SchemeEnv& env)
-      : Scheme(kind), env_(env), frame_ladder_(env.workload->video().fps) {
-    PS360_CHECK(env_.workload != nullptr && env_.encoding != nullptr &&
-                env_.qo_model != nullptr && env_.device != nullptr);
-    PS360_CHECK(env_.mpc_horizon >= 1);
-  }
+      : Scheme(kind),
+        env_(checked(env)),
+        frame_ladder_(env.workload->video().fps),
+        noise_(&env.workload->size_noise_table(*env.encoding)) {}
 
   // Fraction of the actual viewport inside the plan's high-quality region.
   // Ftile (per-segment tile layouts) and Nontile (the whole frame) override.
@@ -63,19 +56,20 @@ class SchemeBase : public Scheme {
   }
 
  protected:
-  // Predicted Qo of a (v, f) version of segment `i` (Eq. 3 + Eq. 4 with the
-  // *predicted* switching speed). Virtual so perceptual controllers (Pano)
-  // can re-weight the objective their planner optimizes; delivered-QoE
-  // accounting always uses the unweighted model.
-  virtual double predicted_qo(std::size_t segment, int quality, double frame_ratio,
-                              double predicted_sfov) const {
-    const auto& feat = env_.workload->features(segment);
-    const double b = env_.encoding->fov_bitrate_mbps(quality, feat);
-    const double qo = env_.qo_model->qo(feat.si, feat.ti, util::Mbps(b));
-    if (frame_ratio >= 1.0) return qo;
-    const double alpha =
-        qoe::QoModel::alpha(util::DegPerSec(predicted_sfov), feat.ti);
-    return qo * qoe::QoModel::frame_rate_factor(alpha, frame_ratio);
+  // Eq. 3: predicted Qo of a segment with these features at `quality` and
+  // the original frame rate.
+  double segment_qo(const video::ContentFeatures& feat, int quality) const {
+    return env_.qo_model->qo(feat.si, feat.ti,
+                             util::Mbps(env_.encoding->fov_bitrate_mbps(quality, feat)));
+  }
+
+  // The factor a planner scales each of the segment's predicted Qo values
+  // by. 1 (exact, so the product keeps its bits) but for perceptual
+  // controllers (Pano); delivered-QoE accounting always uses the unweighted
+  // model.
+  virtual double objective_weight(const video::ContentFeatures& /*feat*/,
+                                  double /*predicted_sfov*/) const {
+    return 1.0;
   }
 
   // One past the last segment of the MPC horizon [k, k+H-1] clipped to the
@@ -84,46 +78,88 @@ class SchemeBase : public Scheme {
     return std::min(k + env_.mpc_horizon, env_.workload->segment_count());
   }
 
-  // Build the MPC horizon [k, horizon_end(k)).
-  std::vector<core::SegmentChoices> build_horizon(std::size_t k, const BytesFn& bytes,
+  // Build the MPC horizon [k, horizon_end(k)). Each term is evaluated at
+  // the granularity it varies on: per segment the objective weight, per
+  // (segment, quality) Eq. 3, per (segment, frame index) the Eq. 4
+  // frame-rate factor (with the *predicted* switching speed) and the
+  // background bytes; per option only the served region's bytes and the
+  // products, multiplied in the order (Qo × frame factor) × weight.
+  std::vector<core::SegmentChoices> build_horizon(std::size_t k, const HorizonBytes& bytes,
                                                   bool frame_options,
                                                   double predicted_sfov,
                                                   power::DecodeProfile profile) const {
+    using video::FrameRateLadder;
+    using video::QualityLadder;
     const std::size_t end = horizon_end(k);
-    std::vector<core::SegmentChoices> horizon;
-    horizon.reserve(end - k);
+    const std::size_t first_frame = frame_options ? 1 : FrameRateLadder::kOptions;
+    std::vector<core::SegmentChoices> horizon(end - k);
     for (std::size_t i = k; i < end; ++i) {
-      core::SegmentChoices choices;
-      const std::size_t first_frame = frame_options ? 1 : video::FrameRateLadder::kOptions;
-      for (int v = video::QualityLadder::kMinLevel; v <= video::QualityLadder::kMaxLevel;
-           ++v) {
-        for (std::size_t fi = first_frame; fi <= video::FrameRateLadder::kOptions; ++fi) {
+      const video::ContentFeatures& feat = env_.workload->features(i);
+      const SizeNoiseRow noise = noise_->row(i);
+      std::array<double, QualityLadder::kLevels> qo{};
+      for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v)
+        qo[level_index(v)] = segment_qo(feat, v);
+      const double alpha =
+          frame_options ? qoe::QoModel::alpha(util::DegPerSec(predicted_sfov), feat.ti)
+                        : 0.0;
+      std::array<double, FrameRateLadder::kOptions> frame_factor{};
+      std::array<double, FrameRateLadder::kOptions> background{};
+      for (std::size_t fi = first_frame; fi <= FrameRateLadder::kOptions; ++fi) {
+        const double ratio = frame_ladder_.ratio(fi);
+        frame_factor[fi - 1] =
+            ratio >= 1.0 ? 1.0 : qoe::QoModel::frame_rate_factor(alpha, ratio);
+        background[fi - 1] =
+            bytes.background
+                ? bytes.background(
+                      i, QualityLadder::kMinLevel, 1.0,
+                      noise.at(bytes.background_role, QualityLadder::kMinLevel, fi))
+                : 0.0;
+      }
+      const double weight = objective_weight(feat, predicted_sfov);
+
+      std::vector<core::QualityOption>& options = horizon[i - k].options;
+      options.reserve(QualityLadder::kLevels * (FrameRateLadder::kOptions - first_frame + 1));
+      for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
+        for (std::size_t fi = first_frame; fi <= FrameRateLadder::kOptions; ++fi) {
           core::QualityOption option;
           option.quality = v;
           option.frame_index = fi;
           const double ratio = frame_ladder_.ratio(fi);
           option.fps = frame_ladder_.fps(fi);
-          option.bytes = bytes(i, v, fi, ratio);
-          option.qo = predicted_qo(i, v, ratio, predicted_sfov);
+          option.bytes = bytes.served(i, v, ratio, noise.at(bytes.served_role, v, fi)) +
+                         background[fi - 1];
+          option.qo = qo[level_index(v)] * frame_factor[fi - 1] * weight;
           option.profile = profile;
-          choices.options.push_back(option);
+          options.push_back(option);
         }
       }
-      horizon.push_back(std::move(choices));
     }
     return horizon;
+  }
+
+  static std::size_t level_index(int quality) {
+    return static_cast<std::size_t>(quality - video::QualityLadder::kMinLevel);
   }
 
   const SchemeEnv env_;
   const geometry::TileGrid grid_{4, 8};  // the paper's conventional tiling
   const video::FrameRateLadder frame_ladder_;
+  const SizeNoiseTable* const noise_;  // env_.workload's table for env_.encoding
+
+ private:
+  static const SchemeEnv& checked(const SchemeEnv& env) {
+    PS360_CHECK(env.workload != nullptr && env.encoding != nullptr &&
+                env.qo_model != nullptr && env.device != nullptr);
+    PS360_CHECK(env.mpc_horizon >= 1);
+    return env;
+  }
 };
 
 // A controller that plans with the paper's Section IV-C MPC+DP solver: the
 // QoE objective (Ctile, Ftile, Nontile, Pano) or the ε-constrained energy
 // objective (Ptile, Ours). A subclass supplies only its geometry, as the
-// bytes of each (segment, quality, frame) option, and the plan's served
-// region.
+// bytes of its served region and background (HorizonBytes), and the plan's
+// served region.
 class MpcScheme : public SchemeBase {
  public:
   MpcScheme(SchemeKind kind, const SchemeEnv& env, core::MpcObjective objective)
@@ -136,7 +172,7 @@ class MpcScheme : public SchemeBase {
  protected:
   // Build the horizon [k, horizon_end(k)), solve it, and return the plan's
   // option, frame ratio and feasibility; the caller fills in the rest.
-  DownloadPlan solve(std::size_t k, const BytesFn& bytes, bool frame_options,
+  DownloadPlan solve(std::size_t k, const HorizonBytes& bytes, bool frame_options,
                      double predicted_sfov, power::DecodeProfile profile,
                      util::BytesPerSec bandwidth, util::Seconds buffer,
                      double prev_qo) const {

@@ -100,16 +100,19 @@ class CtileScheme : public MpcScheme {
     const double bg_area = std::max(1.0 - hq_area, 0.0);
     const double L = env_.mpc.segment_seconds;
 
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
-      double total =
-          env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L, ratio,
-                                      noise_key(workload, i, v, fi, 0));
-      if (n_bg > 0 && bg_area > 0.0) {
-        total += env_.encoding->region_bytes(bg_area, n_bg, 1, workload.features(i), L,
-                                             1.0, noise_key(workload, i, 1, fi, 1));
-      }
-      return total;
+    HorizonBytes bytes;
+    bytes.served_role = NoiseRole::kCtileHq;
+    bytes.served = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
+      return env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L, ratio,
+                                         noise);
     };
+    if (n_bg > 0 && bg_area > 0.0) {
+      bytes.background_role = NoiseRole::kCtileBackground;
+      bytes.background = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
+        return env_.encoding->region_bytes(bg_area, n_bg, v, workload.features(i), L,
+                                           ratio, noise);
+      };
+    }
 
     DownloadPlan plan = solve(k, bytes, frame_options_, predicted_sfov,
                               power::DecodeProfile::kCtile, bandwidth, buffer, prev_qo);
@@ -122,7 +125,7 @@ class CtileScheme : public MpcScheme {
 };
 
 // Pano (arXiv:1911.04139): Ctile's tiling and encodings (the same noise
-// keys, so it streams the files Ctile would) over the full (quality,
+// roles, so it streams the files Ctile would) over the full (quality,
 // frame-rate) ladder, planned against a perceptually weighted Qo.
 class PanoScheme : public CtileScheme {
  public:
@@ -133,12 +136,10 @@ class PanoScheme : public CtileScheme {
   // The planner's Qo is masked by what the viewer can perceive at this
   // switching speed and content. Delivered-QoE accounting stays on the
   // unweighted Eq. 3 (accounting.cpp owns that).
-  double predicted_qo(std::size_t segment, int quality, double frame_ratio,
-                      double predicted_sfov) const override {
-    const auto& feat = env_.workload->features(segment);
-    return SchemeBase::predicted_qo(segment, quality, frame_ratio, predicted_sfov) *
-           qoe::QoModel::perceptual_sensitivity(util::DegPerSec(predicted_sfov),
-                                                feat.si, feat.ti);
+  double objective_weight(const video::ContentFeatures& feat,
+                          double predicted_sfov) const override {
+    return qoe::QoModel::perceptual_sensitivity(util::DegPerSec(predicted_sfov), feat.si,
+                                                feat.ti);
   }
 };
 
@@ -178,18 +179,22 @@ class FtileScheme : public MpcScheme {
       }
     }
 
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
-      const SegmentTiles& seg = tiles[i - k];
-      double total = 0.0;
-      if (!seg.hq_areas.empty()) {
-        total += env_.encoding->tiled_bytes(seg.hq_areas, v, workload.features(i), L, 1.0,
-                                            noise_key(workload, i, v, fi, 2));
-      }
-      if (!seg.bg_areas.empty()) {
-        total += env_.encoding->tiled_bytes(seg.bg_areas, 1, workload.features(i), L, 1.0,
-                                            noise_key(workload, i, 1, fi, 3));
-      }
-      return total;
+    // A segment whose layout puts every tile on one side has no region on
+    // the other, which costs 0 bytes.
+    HorizonBytes bytes;
+    bytes.served_role = NoiseRole::kFtileHq;
+    bytes.served = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
+      const std::vector<double>& areas = tiles[i - k].hq_areas;
+      return areas.empty() ? 0.0
+                           : env_.encoding->tiled_bytes(areas, v, workload.features(i), L,
+                                                        ratio, noise);
+    };
+    bytes.background_role = NoiseRole::kFtileBackground;
+    bytes.background = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
+      const std::vector<double>& areas = tiles[i - k].bg_areas;
+      return areas.empty() ? 0.0
+                           : env_.encoding->tiled_bytes(areas, v, workload.features(i), L,
+                                                        ratio, noise);
     };
 
     DownloadPlan plan = solve(k, bytes, /*frame_options=*/false, predicted_sfov,
@@ -219,9 +224,10 @@ class NontileScheme : public MpcScheme {
     const auto& workload = *env_.workload;
     const double L = env_.mpc.segment_seconds;
 
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
-      return env_.encoding->region_bytes(1.0, 1, v, workload.features(i), L, 1.0,
-                                         noise_key(workload, i, v, fi, 4));
+    HorizonBytes bytes;
+    bytes.served_role = NoiseRole::kNontile;
+    bytes.served = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
+      return env_.encoding->region_bytes(1.0, 1, v, workload.features(i), L, ratio, noise);
     };
 
     DownloadPlan plan = solve(k, bytes, /*frame_options=*/false, predicted_sfov,
@@ -272,16 +278,19 @@ class PtileScheme : public MpcScheme {
     const double ptile_area = ptile->area.area_fraction();
     const std::vector<double> bg_areas = builder_.background_block_areas(*ptile);
 
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
-      double total =
-          env_.encoding->region_bytes(ptile_area, 1, v, workload.features(i), L, ratio,
-                                      noise_key(workload, i, v, fi, 5));
-      if (!bg_areas.empty()) {
-        total += env_.encoding->tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
-                                            noise_key(workload, i, 1, fi, 6));
-      }
-      return total;
+    HorizonBytes bytes;
+    bytes.served_role = NoiseRole::kPtile;
+    bytes.served = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
+      return env_.encoding->region_bytes(ptile_area, 1, v, workload.features(i), L, ratio,
+                                         noise);
     };
+    if (!bg_areas.empty()) {
+      bytes.background_role = NoiseRole::kPtileBackground;
+      bytes.background = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
+        return env_.encoding->tiled_bytes(bg_areas, v, workload.features(i), L, ratio,
+                                          noise);
+      };
+    }
 
     DownloadPlan plan = solve(k, bytes, frame_adaptation_, predicted_sfov,
                               power::DecodeProfile::kPtile, bandwidth, buffer, prev_qo);

@@ -1,16 +1,74 @@
 // VideoWorkload: per-video derived artifacts (features, Ptiles, layouts,
-// head traces) built once from seeded inputs; all accessors are const, so
-// every session over the same workload sees identical data.
+// size-noise tables, head traces) built once from seeded inputs; all
+// accessors are const, so every session over the same workload sees
+// identical data.
 #include "sim/workload.h"
 
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace ps360::sim {
 
 using geometry::EquirectPoint;
 using geometry::Viewport;
+using video::FrameRateLadder;
+using video::QualityLadder;
+
+std::uint64_t noise_key(const VideoWorkload& workload, std::size_t segment, int quality,
+                        std::size_t frame_index, NoiseRole role) {
+  return util::derive_seed(
+      workload.config().seed,
+      static_cast<std::uint64_t>(workload.video().id) * 1000003ULL + segment,
+      static_cast<std::uint64_t>(quality) * 100 + frame_index * 10 +
+          static_cast<std::uint64_t>(role));
+}
+
+std::uint64_t noise_key(const VideoWorkload& workload, std::size_t segment, int quality,
+                        std::size_t frame_index, NoiseRole role, std::uint64_t salt) {
+  return util::derive_seed(noise_key(workload, segment, quality, frame_index, role),
+                           salt + 1, 0);
+}
+
+SizeNoiseTable::SizeNoiseTable(const VideoWorkload& workload,
+                               const video::EncodingModel& encoding)
+    : workload_(workload),
+      encoding_(encoding),
+      drawn_(std::make_unique<std::once_flag[]>(workload.segment_count())),
+      values_(workload.segment_count() * kRowSize) {}
+
+bool SizeNoiseTable::draws_like(const video::EncodingModel& encoding) const {
+  return encoding.config().seed == encoding_.config().seed &&
+         encoding.config().size_noise_sigma_log == encoding_.config().size_noise_sigma_log;
+}
+
+SizeNoiseRow SizeNoiseTable::row(std::size_t segment) const {
+  PS360_CHECK(segment < workload_.segment_count());
+  double* const values = values_.data() + segment * kRowSize;
+  std::call_once(drawn_[segment], [&] {
+    double* out = values;
+    for (std::size_t role = 0; role < kMpcRoles; ++role) {
+      for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
+        for (std::size_t fi = 1; fi <= FrameRateLadder::kOptions; ++fi) {
+          *out++ = encoding_
+                       .size_noise(noise_key(workload_, segment, v, fi,
+                                             static_cast<NoiseRole>(role)))
+                       .factor;
+        }
+      }
+    }
+    for (std::size_t tile = 0; tile < kGhoshTiles; ++tile) {
+      for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
+        *out++ = encoding_
+                     .size_noise(noise_key(workload_, segment, v, FrameRateLadder::kOptions,
+                                           NoiseRole::kGhoshTile, tile))
+                     .factor;
+      }
+    }
+  });
+  return SizeNoiseRow(values);
+}
 
 VideoWorkload::VideoWorkload(const trace::VideoInfo& video, WorkloadConfig config)
     : video_(video), config_(config) {
@@ -73,6 +131,15 @@ const ptile::FtileLayout& VideoWorkload::ftile(std::size_t segment) const {
     ftiles_ = std::move(layouts);
   });
   return ftiles_[segment];
+}
+
+const SizeNoiseTable& VideoWorkload::size_noise_table(
+    const video::EncodingModel& encoding) const {
+  const std::lock_guard<std::mutex> lock(noise_mutex_);
+  for (const auto& table : noise_tables_) {
+    if (table->draws_like(encoding)) return *table;
+  }
+  return *noise_tables_.emplace_back(std::make_unique<SizeNoiseTable>(*this, encoding));
 }
 
 const trace::HeadTrace& VideoWorkload::test_trace(std::size_t test_user) const {

@@ -46,16 +46,16 @@ double EncodingModel::tile_overhead_mbps(int quality,
   return anchor_area * rate * (1.0 - ratio) / (n * ratio - 1.0);
 }
 
-double EncodingModel::size_noise(std::uint64_t noise_key) const {
-  if (noise_key == 0 || config_.size_noise_sigma_log == 0.0) return 1.0;
+SizeNoise EncodingModel::size_noise(std::uint64_t noise_key) const {
+  if (noise_key == 0 || config_.size_noise_sigma_log == 0.0) return {};
   util::Rng rng(util::derive_seed(config_.seed, 0x517EULL, noise_key));
-  return rng.lognormal_median(1.0, config_.size_noise_sigma_log);
+  return {rng.lognormal_median(1.0, config_.size_noise_sigma_log)};
 }
 
 double EncodingModel::region_bytes(double area_fraction, std::size_t n_tiles,
                                    int quality, const ContentFeatures& features,
                                    double seconds, double frame_rate_ratio,
-                                   std::uint64_t noise_key) const {
+                                   SizeNoise noise) const {
   PS360_CHECK(area_fraction > 0.0 && area_fraction <= 1.0 + 1e-9);
   PS360_CHECK(n_tiles >= 1);
   PS360_CHECK(seconds > 0.0);
@@ -66,13 +66,13 @@ double EncodingModel::region_bytes(double area_fraction, std::size_t n_tiles,
       static_cast<double>(n_tiles) * tile_overhead_mbps(quality, features);
   const double frame_factor =
       std::pow(frame_rate_ratio, config_.framerate_size_exponent);
-  return mbps * 1e6 / 8.0 * seconds * frame_factor * size_noise(noise_key);
+  return mbps * 1e6 / 8.0 * seconds * frame_factor * noise.factor;
 }
 
 double EncodingModel::tiled_bytes(const std::vector<double>& tile_area_fractions,
                                   int quality, const ContentFeatures& features,
                                   double seconds, double frame_rate_ratio,
-                                  std::uint64_t noise_key) const {
+                                  SizeNoise noise) const {
   PS360_CHECK(!tile_area_fractions.empty());
   double area = 0.0;
   for (double a : tile_area_fractions) {
@@ -80,7 +80,7 @@ double EncodingModel::tiled_bytes(const std::vector<double>& tile_area_fractions
     area += a;
   }
   return region_bytes(std::min(area, 1.0), tile_area_fractions.size(), quality,
-                      features, seconds, frame_rate_ratio, noise_key);
+                      features, seconds, frame_rate_ratio, noise);
 }
 
 double EncodingModel::fov_bitrate_mbps(int quality, const ContentFeatures& features) const {

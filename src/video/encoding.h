@@ -30,7 +30,10 @@
 //                      dropped frames are cheap predicted frames, and wider
 //                      temporal gaps make the surviving frames cost more.
 //   noise            — per-(segment, region) lognormal variation reproducing
-//                      the CDF spread of Fig. 8. Keyed, deterministic.
+//                      the CDF spread of Fig. 8. Keyed, deterministic: the
+//                      caller draws it with size_noise(key) and passes the
+//                      drawn factor (the schemes read theirs from the
+//                      video's SizeNoiseTable, sim/workload.h).
 //
 // The model also defines the `b` used by the QoE logistic (Eq. 3):
 // fov_bitrate_mbps(q) is the bitrate of a FoV-sized patch at quality q.
@@ -84,6 +87,12 @@ struct EncodingConfig {
   double fov_area_fraction = (100.0 * 100.0) / (360.0 * 180.0);
 };
 
+// A drawn size-noise factor (EncodingModel::size_noise). Its own type, so a
+// raw noise key cannot stand in for a drawn factor.
+struct SizeNoise {
+  double factor = 1.0;
+};
+
 class EncodingModel {
  public:
   explicit EncodingModel(EncodingConfig config = {});
@@ -97,19 +106,25 @@ class EncodingModel {
   // the given quality (fixed per tile; see file comment).
   double tile_overhead_mbps(int quality, const ContentFeatures& features) const;
 
+  // The deterministic lognormal size jitter of `noise_key` (median 1); key 0
+  // or σ = 0 gives exactly 1. It reads only config().seed and
+  // config().size_noise_sigma_log, so two models that agree on those two
+  // fields draw the same factor for every key.
+  SizeNoise size_noise(std::uint64_t noise_key) const;
+
   // Bytes for a region of `area_fraction` of the frame encoded as `n_tiles`
   // equal tiles at `quality`, `seconds` long, at a reduced frame-rate ratio
-  // (f / fm in (0,1]). `noise_key` selects the deterministic size jitter;
-  // pass 0 to disable noise (exact medians — used by calibration tests).
+  // (f / fm in (0,1]), scaled by a drawn size-noise factor (the default
+  // disables noise: exact medians, as the calibration tests use).
   double region_bytes(double area_fraction, std::size_t n_tiles, int quality,
                       const ContentFeatures& features, double seconds,
-                      double frame_rate_ratio = 1.0, std::uint64_t noise_key = 0) const;
+                      double frame_rate_ratio = 1.0, SizeNoise noise = {}) const;
 
   // Bytes for a region made of tiles with the given individual area
   // fractions (for irregular layouts like Ftile).
   double tiled_bytes(const std::vector<double>& tile_area_fractions, int quality,
                      const ContentFeatures& features, double seconds,
-                     double frame_rate_ratio = 1.0, std::uint64_t noise_key = 0) const;
+                     double frame_rate_ratio = 1.0, SizeNoise noise = {}) const;
 
   // Mbps of a FoV-sized patch at this quality — both the transfer-size
   // proxy and, scaled by QoModel's bitrate_scale, the `b` fed to Eq. 3
@@ -118,8 +133,6 @@ class EncodingModel {
   double fov_bitrate_mbps(int quality, const ContentFeatures& features) const;
 
  private:
-  double size_noise(std::uint64_t noise_key) const;
-
   EncodingConfig config_;
 };
 

@@ -710,7 +710,15 @@ INSTANTIATE_TEST_SUITE_P(
         InvalidSessionField{"mpc.weights.variation",
                             [](sim::SessionConfig& c) { c.mpc.weights.variation = kInf; }},
         InvalidSessionField{"mpc.weights.rebuffer",
-                            [](sim::SessionConfig& c) { c.mpc.weights.rebuffer = kInf; }}),
+                            [](sim::SessionConfig& c) { c.mpc.weights.rebuffer = kInf; }},
+        // Passes QoModel's > 0 check, then saturates every Eq. 3 Qo.
+        InvalidSessionField{"qoe_bitrate_scale",
+                            [](sim::SessionConfig& c) { c.qoe_bitrate_scale = kInf; }},
+        // Reaches the client's first plan as a NaN download FoV.
+        InvalidSessionField{"download_fov_padding_deg",
+                            [](sim::SessionConfig& c) {
+                              c.download_fov_padding_deg = kNaN;
+                            }}),
     [](const ::testing::TestParamInfo<InvalidSessionField>& param) {
       std::string name = param.param.field;
       std::replace(name.begin(), name.end(), '.', '_');

@@ -8,7 +8,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.h"
@@ -34,6 +37,8 @@ const trace::NetworkTrace& trace2() {
   static const trace::NetworkTrace t = trace::make_paper_traces(7, util::Seconds(400.0)).second;
   return t;
 }
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // ---------------------------------------------------------------- Workload
 
@@ -106,6 +111,164 @@ TEST(WorkloadTest, FtileFirstUseIsThreadSafe) {
   for_each_slot(8, 8, [&](std::size_t i) { first[i] = &w.ftile(i % 4); });
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_EQ(first[i], &w.ftile(i % 4)) << "slot " << i;
+}
+
+// A row's 300 factors: roles 0-6 × quality × frame index, then the Ghosh
+// tiles × quality.
+std::vector<double> row_values(const SizeNoiseRow& row) {
+  using video::FrameRateLadder;
+  using video::QualityLadder;
+  std::vector<double> values;
+  for (int role = 0; role < 7; ++role) {
+    for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
+      for (std::size_t fi = 1; fi <= FrameRateLadder::kOptions; ++fi)
+        values.push_back(row.at(static_cast<NoiseRole>(role), v, fi).factor);
+    }
+  }
+  for (std::size_t tile = 0; tile < SizeNoiseTable::kGhoshTiles; ++tile) {
+    for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v)
+      values.push_back(row.ghosh_tile(tile, v).factor);
+  }
+  return values;
+}
+static_assert(SizeNoiseTable::kRowSize == 7 * 5 * 4 + 32 * 5);
+
+// Segment k's fresh per-key draws, in row_values' order.
+std::vector<double> per_key_draws(const VideoWorkload& w, const video::EncodingModel& model,
+                                  std::size_t k) {
+  using video::FrameRateLadder;
+  using video::QualityLadder;
+  std::vector<double> values;
+  for (int role = 0; role < 7; ++role) {
+    for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
+      for (std::size_t fi = 1; fi <= FrameRateLadder::kOptions; ++fi) {
+        values.push_back(
+            model.size_noise(noise_key(w, k, v, fi, static_cast<NoiseRole>(role))).factor);
+      }
+    }
+  }
+  for (std::size_t tile = 0; tile < SizeNoiseTable::kGhoshTiles; ++tile) {
+    for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
+      values.push_back(model
+                           .size_noise(noise_key(w, k, v, FrameRateLadder::kOptions,
+                                                 NoiseRole::kGhoshTile, tile))
+                           .factor);
+    }
+  }
+  return values;
+}
+
+TEST(WorkloadTest, SizeNoiseTableMatchesPerKeyDraws) {
+  const auto& w = football_workload();
+  for (const std::uint64_t seed : {42ULL, 7ULL}) {
+    video::EncodingConfig config;
+    config.seed = seed;
+    const video::EncodingModel model(config);
+    const SizeNoiseTable& table = w.size_noise_table(model);
+    for (std::size_t k = 0; k < w.segment_count(); ++k)
+      ASSERT_EQ(row_values(table.row(k)), per_key_draws(w, model, k)) << "segment " << k;
+  }
+  // σ = 0 draws no noise: every factor is exactly 1.
+  video::EncodingConfig flat;
+  flat.size_noise_sigma_log = 0.0;
+  const SizeNoiseTable& table = w.size_noise_table(video::EncodingModel(flat));
+  for (std::size_t k = 0; k < w.segment_count(); ++k) {
+    for (const double factor : row_values(table.row(k))) ASSERT_EQ(factor, 1.0);
+  }
+  EXPECT_THROW(table.row(w.segment_count()), std::invalid_argument);
+}
+
+// Exposes the table a scheme found at construction.
+class NoiseTableProbe : public SchemeBase {
+ public:
+  using SchemeBase::SchemeBase;
+  const SizeNoiseTable* table() const { return noise_; }
+  void attach_observer(obs::Observer*, std::uint32_t) override {}
+  DownloadPlan plan(std::size_t, const geometry::Viewport&, double, util::BytesPerSec,
+                    util::Seconds, double) const override {
+    return {};
+  }
+};
+
+TEST(WorkloadTest, SchemesWithEqualSeedAndSigmaShareOneTable) {
+  const auto& w = football_workload();
+  const qoe::QoModel qo_model(qoe::QoParams{}, 4.0);
+  // Two encodings that differ in everything but (seed, σ), and a third
+  // with another seed.
+  video::EncodingConfig config_a;
+  config_a.seed = 1234;
+  video::EncodingConfig config_b = config_a;
+  config_b.full_frame_mbps_best = 20.0;
+  config_b.framerate_size_exponent = 0.7;
+  video::EncodingConfig config_c = config_a;
+  config_c.seed = 1235;
+  const video::EncodingModel a(config_a), b(config_b), c(config_c);
+  const auto probe = [&](const video::EncodingModel& encoding) {
+    SchemeEnv env;
+    env.workload = &w;
+    env.encoding = &encoding;
+    env.qo_model = &qo_model;
+    env.device = &power::device_model(power::Device::kPixel3);
+    return NoiseTableProbe(SchemeKind::kCtile, env).table();
+  };
+  EXPECT_EQ(probe(a), probe(b));
+  EXPECT_EQ(probe(a), &w.size_noise_table(a));
+  EXPECT_NE(probe(a), probe(c));
+  EXPECT_EQ(probe(c), &w.size_noise_table(c));
+}
+
+TEST(WorkloadTest, SizeNoiseFirstUseIsThreadSafe) {
+  // Fleet solve workers, tournament cells and grid cells plan over one
+  // workload, so the first table lookup and the first draw of every row
+  // must be safe to enter from many threads at once (TSan flags them if
+  // they are not); every thread reads the same tables and factors.
+  trace::VideoInfo video = trace::test_videos()[5];
+  video.duration_s = 8.0;
+  const VideoWorkload w(video, WorkloadConfig{});
+  video::EncodingConfig config_a, config_b;
+  config_a.seed = 11;
+  config_b.seed = 12;
+  const video::EncodingModel a(config_a), b(config_b);
+  const auto read_all = [&](const SizeNoiseTable& table, std::vector<double>& out) {
+    for (std::size_t k = 0; k < w.segment_count(); ++k) {
+      for (const double factor : row_values(table.row(k))) out.push_back(factor);
+    }
+  };
+  struct Seen {
+    const SizeNoiseTable* a = nullptr;
+    const SizeNoiseTable* b = nullptr;
+    std::vector<double> values;
+  };
+  std::vector<Seen> seen(8);
+  for_each_slot(8, 8, [&](std::size_t i) {
+    // Half the slots look the two seeds up in the other order.
+    if (i % 2 == 0) {
+      seen[i].a = &w.size_noise_table(a);
+      seen[i].b = &w.size_noise_table(b);
+    } else {
+      seen[i].b = &w.size_noise_table(b);
+      seen[i].a = &w.size_noise_table(a);
+    }
+    read_all(*seen[i].a, seen[i].values);
+    read_all(*seen[i].b, seen[i].values);
+  });
+  const SizeNoiseTable& table_a = w.size_noise_table(a);
+  const SizeNoiseTable& table_b = w.size_noise_table(b);
+  EXPECT_NE(&table_a, &table_b);
+  std::vector<double> want;
+  read_all(table_a, want);
+  read_all(table_b, want);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].a, &table_a) << "slot " << i;
+    EXPECT_EQ(seen[i].b, &table_b) << "slot " << i;
+    ASSERT_EQ(seen[i].values.size(), want.size()) << "slot " << i;
+    for (std::size_t j = 0; j < want.size(); ++j)
+      ASSERT_EQ(bits(seen[i].values[j]), bits(want[j])) << "slot " << i << " entry " << j;
+  }
+  for (std::size_t k = 0; k < w.segment_count(); ++k) {
+    EXPECT_EQ(row_values(table_a.row(k)), per_key_draws(w, a, k)) << "segment " << k;
+    EXPECT_EQ(row_values(table_b.row(k)), per_key_draws(w, b, k)) << "segment " << k;
+  }
 }
 
 TEST(WorkloadTest, ConfigValidation) {
@@ -282,25 +445,149 @@ TEST(SchemeTest, FtileDownloadsSubsetOfTiles) {
   }
 }
 
-// Ftile's plan() as it was before tile selection moved out of the bytes
-// function: every (segment, quality) option re-selects the FoV tiles
-// against its segment's layout and rebuilds the area lists.
-class PerOptionFtileReference : public SchemeBase {
+// The per-option reference for the MPC schemes' plan() (Ftile, Ctile, Pano,
+// Ptile and Ours): every (segment, quality, frame) option makes one bytes()
+// call, which draws its own size noise (EncodingModel::size_noise(
+// noise_key(...))) and, for Ftile, selects the FoV tiles against its
+// segment's layout; and one Eq. 3/4 predicted Qo, times Pano's perceptual
+// weight. The schemes evaluate each of these terms once per segment,
+// (segment, quality) or (segment, frame) instead; the tests below pin them
+// to this reference bit for bit.
+class PerOptionReference : public Scheme {
  public:
-  explicit PerOptionFtileReference(const SchemeEnv& env)
-      : SchemeBase(SchemeKind::kFtile, env),
-        controller_(env.mpc, *env.device, core::MpcObjective::kMaxQoE) {}
+  PerOptionReference(SchemeKind kind, const SchemeEnv& env)
+      : Scheme(kind),
+        env_(env),
+        ladder_(env.workload->video().fps),
+        qoe_(env.mpc, *env.device, core::MpcObjective::kMaxQoE),
+        energy_(env.mpc, *env.device, core::MpcObjective::kMinEnergyQoEConstrained),
+        builder_(env.workload->config().ptile) {}
 
   void attach_observer(obs::Observer*, std::uint32_t) override {}
 
   DownloadPlan plan(std::size_t k, const geometry::Viewport& predicted,
                     double predicted_sfov, util::BytesPerSec bandwidth,
                     util::Seconds buffer, double prev_qo) const override {
+    const Inputs in{k, predicted, predicted_sfov, bandwidth, buffer, prev_qo};
+    switch (kind()) {
+      case SchemeKind::kFtile:
+        return ftile(in);
+      case SchemeKind::kCtile:
+        return ctile(in, /*frame_options=*/false, /*perceptual=*/false);
+      case SchemeKind::kPano:
+        return ctile(in, /*frame_options=*/true, /*perceptual=*/true);
+      case SchemeKind::kPtile:
+      case SchemeKind::kOurs:
+        return ptile(in, kind() == SchemeKind::kOurs);
+      default:
+        throw std::invalid_argument("no per-option reference for this scheme");
+    }
+  }
+
+  double coverage(const DownloadPlan&, const geometry::Viewport&) const override {
+    return 0.0;
+  }
+
+ private:
+  using OptionBytesFn =
+      std::function<double(std::size_t segment, int quality, std::size_t frame_index,
+                           double frame_ratio)>;
+
+  struct Inputs {
+    std::size_t k;
+    const geometry::Viewport& predicted;
+    double sfov;
+    util::BytesPerSec bandwidth;
+    util::Seconds buffer;
+    double prev_qo;
+  };
+
+  video::SizeNoise draw(std::size_t segment, int quality, std::size_t frame_index,
+                        NoiseRole role) const {
+    return env_.encoding->size_noise(
+        noise_key(*env_.workload, segment, quality, frame_index, role));
+  }
+
+  double predicted_qo(std::size_t segment, int quality, double frame_ratio,
+                      double sfov, bool perceptual) const {
+    const auto& feat = env_.workload->features(segment);
+    const double b = env_.encoding->fov_bitrate_mbps(quality, feat);
+    double qo = env_.qo_model->qo(feat.si, feat.ti, util::Mbps(b));
+    if (frame_ratio < 1.0) {
+      const double alpha = qoe::QoModel::alpha(util::DegPerSec(sfov), feat.ti);
+      qo = qo * qoe::QoModel::frame_rate_factor(alpha, frame_ratio);
+    }
+    if (!perceptual) return qo;
+    return qo * qoe::QoModel::perceptual_sensitivity(util::DegPerSec(sfov), feat.si,
+                                                     feat.ti);
+  }
+
+  DownloadPlan solve(const core::MpcController& controller, const Inputs& in,
+                     const OptionBytesFn& bytes, bool frame_options, bool perceptual,
+                     power::DecodeProfile profile) const {
+    const std::size_t end =
+        std::min(in.k + env_.mpc_horizon, env_.workload->segment_count());
+    std::vector<core::SegmentChoices> horizon;
+    for (std::size_t i = in.k; i < end; ++i) {
+      core::SegmentChoices choices;
+      const std::size_t first_frame =
+          frame_options ? 1 : video::FrameRateLadder::kOptions;
+      for (int v = video::QualityLadder::kMinLevel; v <= video::QualityLadder::kMaxLevel;
+           ++v) {
+        for (std::size_t fi = first_frame; fi <= video::FrameRateLadder::kOptions; ++fi) {
+          core::QualityOption option;
+          option.quality = v;
+          option.frame_index = fi;
+          const double ratio = ladder_.ratio(fi);
+          option.fps = ladder_.fps(fi);
+          option.bytes = bytes(i, v, fi, ratio);
+          option.qo = predicted_qo(i, v, ratio, in.sfov, perceptual);
+          option.profile = profile;
+          choices.options.push_back(option);
+        }
+      }
+      horizon.push_back(std::move(choices));
+    }
+    const core::MpcDecision decision =
+        controller.decide(horizon, in.bandwidth, in.buffer, in.prev_qo);
+    DownloadPlan plan;
+    plan.option = decision.choice;
+    plan.frame_ratio = ladder_.ratio(decision.choice.frame_index);
+    plan.mpc_feasible = decision.feasible;
+    return plan;
+  }
+
+  DownloadPlan ctile(const Inputs& in, bool frame_options, bool perceptual) const {
+    const auto& workload = *env_.workload;
+    const auto rect =
+        grid_.covering_rect(in.predicted.area(), env_.tile_overlap_threshold);
+    const geometry::EquirectRect hq = grid_.rect_area(rect);
+    const double hq_area = hq.area_fraction();
+    const std::size_t n_hq = rect.tile_count();
+    const std::size_t n_bg = grid_.tile_count() - n_hq;
+    const double bg_area = std::max(1.0 - hq_area, 0.0);
+    const double L = env_.mpc.segment_seconds;
+    const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
+      double total = env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L,
+                                                 ratio, draw(i, v, fi, NoiseRole::kCtileHq));
+      if (n_bg > 0 && bg_area > 0.0) {
+        total += env_.encoding->region_bytes(bg_area, n_bg, 1, workload.features(i), L, 1.0,
+                                             draw(i, 1, fi, NoiseRole::kCtileBackground));
+      }
+      return total;
+    };
+    DownloadPlan plan = solve(qoe_, in, bytes, frame_options, perceptual,
+                              power::DecodeProfile::kCtile);
+    plan.hq_region = hq;
+    return plan;
+  }
+
+  DownloadPlan ftile(const Inputs& in) const {
     const auto& workload = *env_.workload;
     const double L = env_.mpc.segment_seconds;
-    const BytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
+    const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
       const auto& layout = workload.ftile(i);
-      const auto selected = layout.tiles_overlapping(predicted);
+      const auto selected = layout.tiles_overlapping(in.predicted);
       std::vector<double> hq_areas, bg_areas;
       for (std::size_t t = 0; t < layout.tile_count(); ++t) {
         const bool is_hq =
@@ -310,41 +597,78 @@ class PerOptionFtileReference : public SchemeBase {
       double total = 0.0;
       if (!hq_areas.empty()) {
         total += env_.encoding->tiled_bytes(hq_areas, v, workload.features(i), L, 1.0,
-                                            noise_key(workload, i, v, fi, 2));
+                                            draw(i, v, fi, NoiseRole::kFtileHq));
       }
       if (!bg_areas.empty()) {
         total += env_.encoding->tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
-                                            noise_key(workload, i, 1, fi, 3));
+                                            draw(i, 1, fi, NoiseRole::kFtileBackground));
       }
       return total;
     };
-    const auto horizon = build_horizon(k, bytes, /*frame_options=*/false,
-                                       predicted_sfov, power::DecodeProfile::kFtile);
-    const core::MpcDecision decision =
-        controller_.decide(horizon, bandwidth, buffer, prev_qo);
-    DownloadPlan plan;
-    plan.option = decision.choice;
-    plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
-    plan.mpc_feasible = decision.feasible;
-    plan.ftile_layout = &workload.ftile(k);
-    plan.ftile_tiles = plan.ftile_layout->tiles_overlapping(predicted);
+    DownloadPlan plan = solve(qoe_, in, bytes, /*frame_options=*/false,
+                              /*perceptual=*/false, power::DecodeProfile::kFtile);
+    plan.ftile_layout = &workload.ftile(in.k);
+    plan.ftile_tiles = plan.ftile_layout->tiles_overlapping(in.predicted);
     return plan;
   }
 
-  double coverage(const DownloadPlan&, const geometry::Viewport&) const override {
-    return 0.0;
+  DownloadPlan ptile(const Inputs& in, bool frame_adaptation) const {
+    const auto& workload = *env_.workload;
+    const ptile::Ptile* ptile =
+        workload.ptiles(in.k).covering(in.predicted, env_.ptile_min_coverage);
+    if (ptile == nullptr) return ctile(in, /*frame_options=*/false, /*perceptual=*/false);
+    const double L = env_.mpc.segment_seconds;
+    const double ptile_area = ptile->area.area_fraction();
+    const std::vector<double> bg_areas = builder_.background_block_areas(*ptile);
+    const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
+      double total = env_.encoding->region_bytes(ptile_area, 1, v, workload.features(i), L,
+                                                 ratio, draw(i, v, fi, NoiseRole::kPtile));
+      if (!bg_areas.empty()) {
+        total += env_.encoding->tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
+                                            draw(i, 1, fi, NoiseRole::kPtileBackground));
+      }
+      return total;
+    };
+    DownloadPlan plan = solve(energy_, in, bytes, frame_adaptation, /*perceptual=*/false,
+                              power::DecodeProfile::kPtile);
+    plan.used_ptile = true;
+    plan.hq_region = ptile->area;
+    return plan;
   }
 
- private:
-  core::MpcController controller_;
+  const SchemeEnv env_;
+  const geometry::TileGrid grid_{4, 8};
+  const video::FrameRateLadder ladder_;
+  core::MpcController qoe_;
+  core::MpcController energy_;
+  ptile::PtileBuilder builder_;
 };
+
+// Every field a plan carries, compared bit for bit.
+void expect_same_plan(const DownloadPlan& got, const DownloadPlan& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.option.quality, want.option.quality) << where;
+  ASSERT_EQ(got.option.frame_index, want.option.frame_index) << where;
+  ASSERT_EQ(bits(got.option.fps), bits(want.option.fps)) << where;
+  ASSERT_EQ(bits(got.option.bytes), bits(want.option.bytes)) << where;
+  ASSERT_EQ(bits(got.option.qo), bits(want.option.qo)) << where;
+  ASSERT_EQ(got.option.profile, want.option.profile) << where;
+  ASSERT_EQ(bits(got.frame_ratio), bits(want.frame_ratio)) << where;
+  ASSERT_EQ(got.used_ptile, want.used_ptile) << where;
+  ASSERT_EQ(got.mpc_feasible, want.mpc_feasible) << where;
+  ASSERT_EQ(bits(got.hq_region.lon.lo), bits(want.hq_region.lon.lo)) << where;
+  ASSERT_EQ(bits(got.hq_region.lon.width), bits(want.hq_region.lon.width)) << where;
+  ASSERT_EQ(bits(got.hq_region.y_lo), bits(want.hq_region.y_lo)) << where;
+  ASSERT_EQ(bits(got.hq_region.y_hi), bits(want.hq_region.y_hi)) << where;
+  ASSERT_EQ(got.ftile_layout, want.ftile_layout) << where;
+  ASSERT_EQ(got.ftile_tiles, want.ftile_tiles) << where;
+}
 
 TEST(SchemeTest, FtilePlanMatchesPerOptionReference) {
   const PlannerFixture fixture;
   const auto& workload = football_workload();
   const auto scheme = make_scheme(SchemeKind::kFtile, fixture.env);
-  const PerOptionFtileReference reference(fixture.env);
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const PerOptionReference reference(SchemeKind::kFtile, fixture.env);
   const std::size_t n = workload.segment_count();
   // Every 7th segment plus the last few, whose horizons are clipped.
   std::vector<std::size_t> segments;
@@ -360,15 +684,73 @@ TEST(SchemeTest, FtilePlanMatchesPerOptionReference) {
       const util::BytesPerSec rate(bandwidth);
       const DownloadPlan got = scheme->plan(k, predicted, 12.0, rate, buffer, 40.0);
       const DownloadPlan want = reference.plan(k, predicted, 12.0, rate, buffer, 40.0);
-      ASSERT_EQ(got.option.quality, want.option.quality) << "segment " << k;
-      ASSERT_EQ(got.option.frame_index, want.option.frame_index) << "segment " << k;
-      ASSERT_EQ(bits(got.option.bytes), bits(want.option.bytes)) << "segment " << k;
-      ASSERT_EQ(bits(got.option.qo), bits(want.option.qo)) << "segment " << k;
-      ASSERT_EQ(got.mpc_feasible, want.mpc_feasible) << "segment " << k;
-      ASSERT_EQ(got.ftile_layout, want.ftile_layout) << "segment " << k;
-      ASSERT_EQ(got.ftile_tiles, want.ftile_tiles) << "segment " << k;
+      expect_same_plan(got, want, "segment " + std::to_string(k));
     }
   }
+}
+
+// Ours (the frame-rate ladder, Ptile plus background blocks, and the
+// Ctile fallback when no Ptile covers the prediction) and Pano (the
+// perceptual weight over the full ladder on Ctile's tiles) against the
+// per-option reference, over segments, predicted viewports (a training
+// user's and one off to the side), switching speeds, bandwidths, buffer
+// levels and previous Qo values.
+void expect_plans_match_reference(SchemeKind kind) {
+  const PlannerFixture fixture;
+  const auto& workload = football_workload();
+  const auto scheme = make_scheme(kind, fixture.env);
+  const PerOptionReference reference(kind, fixture.env);
+  const std::size_t n = workload.segment_count();
+  std::vector<std::size_t> segments;
+  for (std::size_t k = 0; k < n; k += 6) segments.push_back(k);
+  for (std::size_t k = n - 4; k < n; ++k) segments.push_back(k);
+  std::size_t used_ptile = 0;
+  std::size_t plans = 0;
+  for (const std::size_t k : segments) {
+    const auto& trace = workload.test_trace(k % workload.test_user_count());
+    const geometry::EquirectPoint center = trace.center_at(static_cast<double>(k));
+    const geometry::Viewport on_view(center, geometry::Degrees(110.0),
+                                     geometry::Degrees(100.0));
+    const geometry::Viewport aside(
+        geometry::EquirectPoint::make(geometry::Degrees(center.lon().value() + 150.0),
+                                      geometry::Degrees(60.0)),
+        geometry::Degrees(100.0), geometry::Degrees(100.0));
+    for (const geometry::Viewport* predicted : {&on_view, &aside}) {
+      for (const double sfov : {0.0, 8.0, 45.0}) {
+        for (const double bandwidth : {150e3, 600e3, 3e6}) {
+          for (const auto& [buffer, prev_qo] :
+               {std::pair{0.5, -1.0}, std::pair{3.0, 55.0}}) {
+            const util::BytesPerSec rate(bandwidth);
+            const util::Seconds level(buffer);
+            const DownloadPlan got =
+                scheme->plan(k, *predicted, sfov, rate, level, prev_qo);
+            const DownloadPlan want =
+                reference.plan(k, *predicted, sfov, rate, level, prev_qo);
+            expect_same_plan(got, want,
+                             scheme_name(kind) + " segment " + std::to_string(k) +
+                                 " sfov " + std::to_string(sfov) + " bandwidth " +
+                                 std::to_string(bandwidth));
+            if (::testing::Test::HasFatalFailure()) return;
+            used_ptile += got.used_ptile ? 1 : 0;
+            ++plans;
+          }
+        }
+      }
+    }
+  }
+  if (kind == SchemeKind::kOurs) {
+    // Both of Ours' paths ran: a covering Ptile and the Ctile fallback.
+    EXPECT_GT(used_ptile, 0u);
+    EXPECT_LT(used_ptile, plans);
+  }
+}
+
+TEST(SchemeTest, OursPlanMatchesPerOptionReference) {
+  expect_plans_match_reference(SchemeKind::kOurs);
+}
+
+TEST(SchemeTest, PanoPlanMatchesPerOptionReference) {
+  expect_plans_match_reference(SchemeKind::kPano);
 }
 
 TEST(SchemeTest, OursUsesReducedFramesUnderFastSwitching) {

@@ -163,11 +163,15 @@ TEST(EncodingModelTest, FrameRateReductionSavesSublinearly) {
 
 TEST(EncodingModelTest, NoiseIsDeterministicAndMedianCentred) {
   const EncodingModel model;
-  const double clean = model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, 0);
+  const double clean =
+      model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, model.size_noise(0));
+  EXPECT_EQ(clean, model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0));
   std::vector<double> ratios;
   for (std::uint64_t key = 1; key <= 501; ++key) {
-    const double noisy = model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, key);
-    EXPECT_DOUBLE_EQ(noisy, model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, key));
+    const double noisy =
+        model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, model.size_noise(key));
+    EXPECT_DOUBLE_EQ(noisy, model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0,
+                                               model.size_noise(key)));
     ratios.push_back(noisy / clean);
   }
   std::sort(ratios.begin(), ratios.end());
