@@ -1,14 +1,14 @@
 // google-benchmark microbenchmarks for the hot algorithmic pieces: the MPC
 // dynamic program (O(H V F) per decision, Section IV-C), Algorithm 1
-// clustering, the ridge-regression viewport predictor, the encoding model
-// and its size-noise table, and one whole Scheme::plan per registered
-// scheme.
+// clustering, the ridge-regression viewport predictor, the Eq. 5 switching
+// speed, the encoding model and its size-noise table, and one whole
+// Scheme::plan per registered scheme.
 //
-// The MPC, predictor, scheme-plan and size-noise-row rows are the repo's
-// tracked perf trajectory: CI (and any local run) emits machine-readable
-// results with
+// The MPC, predictor, switching-speed, scheme-plan and size-noise-row rows
+// are the repo's tracked perf trajectory: CI (and any local run) emits
+// machine-readable results with
 //   bench_micro_solver
-//     --benchmark_filter='BM_Mpc|BM_ViewportPredict|BM_SchemePlan|BM_SizeNoiseRow'
+//     --benchmark_filter='BM_Mpc|BM_ViewportPredict|BM_SwitchingSpeedWindow|BM_SchemePlan|BM_SizeNoiseRow'
 //     --benchmark_min_time=0.05
 //     --benchmark_out=BENCH_mpc.json --benchmark_out_format=json
 // and tools/bench_report.py renders the summary/speedup table against the
@@ -149,6 +149,25 @@ void BM_ViewportPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViewportPredict)->Arg(20)->Arg(60)->Arg(300);
+
+// One Eq. 5 switching speed over a 1 s window (the client's
+// recent_switching_speed and the accountant's per-segment speed) on a trace
+// of range(0) seconds. The trace's pair distances are built before timing,
+// as a replayed trace's are after its first segment, so a call costs two
+// interpolated endpoints plus a sum, whatever the trace's length.
+void BM_SwitchingSpeedWindow(benchmark::State& state) {
+  trace::VideoInfo video = trace::test_videos()[7];
+  video.duration_s = static_cast<double>(state.range(0));
+  const trace::HeadTrace head = trace::HeadTraceSynthesizer().synthesize(video, 0);
+  benchmark::DoNotOptimize(head.switching_speed(1.0, 2.0));
+  double t = 2.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(head.switching_speed(t - 1.0, t));
+    t += 0.37;
+    if (t > video.duration_s - 2.0) t = 2.0;
+  }
+}
+BENCHMARK(BM_SwitchingSpeedWindow)->Arg(20)->Arg(60)->Arg(300);
 
 // One Scheme::plan per iteration on a 20 s workload, cycling through the
 // segments with test user 0's true viewport and switching speed standing in

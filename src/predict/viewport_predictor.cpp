@@ -1,7 +1,8 @@
 #include "predict/viewport_predictor.h"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
+#include <span>
 
 #include "util/check.h"
 #include "util/matrix.h"
@@ -9,6 +10,13 @@
 namespace ps360::predict {
 
 using geometry::EquirectPoint;
+
+namespace {
+
+// The constructor caps poly_degree at 4, so a fit has at most 5 terms.
+constexpr std::size_t kMaxTerms = 5;
+
+}  // namespace
 
 ViewportPredictor::ViewportPredictor(ViewportPredictorConfig config)
     : config_(config) {
@@ -22,67 +30,66 @@ EquirectPoint ViewportPredictor::predict(const trace::HeadTrace& trace, double n
                                          double target_t) const {
   PS360_CHECK(target_t >= now_t);
   const double horizon = std::min(target_t - now_t, config_.max_horizon_s);
-  const double t0 = now_t - config_.history_seconds;
-
-  // Collect the window [t0, now_t], unwrapping longitude as we go.
-  const auto window = trace.samples_in(t0, now_t);
-  std::vector<double> times, xs_unwrapped, ys;
-  times.reserve(window.size());
-  xs_unwrapped.reserve(window.size());
-  ys.reserve(window.size());
-  double x_acc = 0.0;
-  bool first = true;
-  double prev_x = 0.0;
-  for (const auto& s : window) {
-    if (first) {
-      x_acc = s.center.x;
-      first = false;
-    } else {
-      x_acc += geometry::wrap_delta(geometry::Degrees(s.center.x),
-                                    geometry::Degrees(prev_x))
-                   .value();
-    }
-    prev_x = s.center.x;
-    times.push_back(s.t - now_t);  // in [-W, 0]
-    xs_unwrapped.push_back(x_acc);
-    ys.push_back(s.center.y);
-  }
-  if (times.size() < config_.poly_degree + 1) {
-    // Not enough history: hold the last known center.
-    return trace.center_at(now_t);
-  }
-
-  const std::size_t n = times.size();
+  const auto window = trace.samples_in(now_t - config_.history_seconds, now_t);
+  const std::size_t n = window.size();
   const std::size_t p = config_.poly_degree + 1;
+  // Not enough history: hold the last known center.
+  if (n < p) return trace.center_at(now_t);
+
+  // Both passes over the window unwrap longitude as they go.
+  const auto unwrap = [&](std::size_t k, double x_prev) {
+    if (k == 0) return window[0].center.x;
+    return x_prev + geometry::wrap_delta(geometry::Degrees(window[k].center.x),
+                                         geometry::Degrees(window[k - 1].center.x))
+                        .value();
+  };
   // Centre the time basis at the window midpoint: over a symmetric window t
   // and t^2 are uncorrelated, so the ridge penalty shrinks real curvature
   // instead of tearing collinear coefficients apart (which would wreck the
-  // extrapolation).
-  double t_mid = 0.0;
-  for (double t : times) t_mid += t;
+  // extrapolation). The targets are centred for numerical conditioning.
+  double t_mid = 0.0, x_mean = 0.0, y_mean = 0.0, x = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    x = unwrap(k, x);
+    t_mid += window[k].t - now_t;  // in [-W, 0]
+    x_mean += x;
+    y_mean += window[k].center.y;
+  }
   t_mid /= static_cast<double>(n);
-  util::Matrix design(n, p);
-  for (std::size_t i = 0; i < n; ++i) {
+  x_mean /= static_cast<double>(n);
+  y_mean /= static_cast<double>(n);
+
+  // The design X does not depend on the axis, so one normal matrix
+  // X^T X + diag(lambda) (lower triangle, all the factorisation reads) and
+  // both right-hand sides X^T (v - mean) are summed in sample order. The
+  // substitutions below turn each right-hand side into its axis' weights.
+  std::array<double, kMaxTerms * kMaxTerms> normal{}, factor{};
+  std::array<double, kMaxTerms> wx{}, wy{};
+  for (std::size_t k = 0; k < n; ++k) {
+    x = unwrap(k, x);
+    std::array<double, kMaxTerms> row{};
     double pow_t = 1.0;
     for (std::size_t j = 0; j < p; ++j) {
-      design(i, j) = pow_t;
-      pow_t *= times[i] - t_mid;
+      row[j] = pow_t;
+      pow_t *= (window[k].t - now_t) - t_mid;
+    }
+    for (std::size_t r = 0; r < p; ++r) {
+      wx[r] += row[r] * (x - x_mean);
+      wy[r] += row[r] * (window[k].center.y - y_mean);
+      if (row[r] == 0.0) continue;
+      for (std::size_t c = 0; c <= r; ++c) normal[r * p + c] += row[r] * row[c];
     }
   }
-  const double eval_t = horizon - t_mid;
-  // The intercept column is unpenalised (shrinking it toward zero would drag
-  // the whole prediction toward the origin); only the trend coefficients get
-  // the ridge penalty. The target is centred for numerical conditioning.
-  std::vector<double> lambdas(p, config_.lambda);
-  lambdas[0] = 0.0;
+  // The intercept is unpenalised (shrinking it toward zero would drag the
+  // whole prediction toward the origin); only the trend coefficients get the
+  // ridge penalty.
+  for (std::size_t j = 0; j < p; ++j) normal[j * p + j] += j == 0 ? 0.0 : config_.lambda;
+  const std::span<double> l(factor.data(), p * p);
+  util::cholesky_factor(std::span(normal.data(), p * p), l, p);
+  util::cholesky_substitute(l, p, std::span(wx.data(), p));
+  util::cholesky_substitute(l, p, std::span(wy.data(), p));
 
-  auto extrapolate = [&](const std::vector<double>& series) {
-    double mean = 0.0;
-    for (double v : series) mean += v;
-    mean /= static_cast<double>(series.size());
-    std::vector<double> centred(series.size());
-    for (std::size_t i = 0; i < series.size(); ++i) centred[i] = series[i] - mean;
-    const std::vector<double> w = util::ridge_solve(design, centred, lambdas);
+  const double eval_t = horizon - t_mid;
+  const auto extrapolate = [&](double mean, const std::array<double, kMaxTerms>& w) {
     double value = mean;
     double pow_t = 1.0;
     for (std::size_t j = 0; j < p; ++j) {
@@ -91,9 +98,8 @@ EquirectPoint ViewportPredictor::predict(const trace::HeadTrace& trace, double n
     }
     return value;
   };
-
-  const double x_pred = extrapolate(xs_unwrapped);
-  const double y_pred = std::clamp(extrapolate(ys), 0.0, 180.0);
+  const double x_pred = extrapolate(x_mean, wx);
+  const double y_pred = std::clamp(extrapolate(y_mean, wy), 0.0, 180.0);
   return EquirectPoint{geometry::wrap360(geometry::Degrees(x_pred)).value(), y_pred};
 }
 

@@ -44,11 +44,11 @@ SchemeEnv make_env(const VideoWorkload& workload, const video::EncodingModel& en
 // floor above 1 disables Ptile, an infinite QoE weight makes the session's
 // QoE NaN, an infinite bitrate scale saturates every Qo) or fail far from
 // their cause (an infinite buffer threshold throws from a vector resize, a
-// tiny buffer quantum from the DP's allocation, an infinite stall penalty
-// from the MPC's internal assert, a NaN or negative FoV padding from the
-// viewport at the client's first plan). Runs before any member is built
-// from the config, so run_fleet, and with it simulate_session, rejects it
-// with the field's name.
+// tiny buffer quantum from the DP's allocation, an infinite stall penalty or
+// an infinite encoding rate or size-noise sigma from the MPC's internal
+// assert, a NaN or negative FoV padding from the viewport at the client's
+// first plan). Runs before any member is built from the config, so
+// run_fleet, and with it simulate_session, rejects it with the field's name.
 const SessionConfig& validated(const SessionConfig& config) {
   const auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
   const auto finite_non_negative = [](double v) { return std::isfinite(v) && v >= 0.0; };
@@ -73,6 +73,10 @@ const SessionConfig& validated(const SessionConfig& config) {
                   "qoe_bitrate_scale must be finite and > 0");
   PS360_CHECK_MSG(finite_non_negative(config.download_fov_padding_deg),
                   "download_fov_padding_deg must be finite and >= 0");
+  PS360_CHECK_MSG(finite_positive(config.encoding.full_frame_mbps_best),
+                  "encoding.full_frame_mbps_best must be finite and > 0");
+  PS360_CHECK_MSG(finite_non_negative(config.encoding.size_noise_sigma_log),
+                  "encoding.size_noise_sigma_log must be finite and >= 0");
   // lround(steps) + 1 <= kMaxBufferStates, tested before lround could see a
   // ratio too large for a long. NaN fails it too.
   const double steps = (config.mpc.buffer_threshold_s + config.mpc.segment_seconds) /

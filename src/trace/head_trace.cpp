@@ -33,6 +33,10 @@ HeadTrace::HeadTrace(int video_id, int user_id, std::vector<HeadSample> samples)
   for (std::size_t i = 0; i < samples_.size(); ++i) {
     const HeadSample& s = samples_[i];
     check_finite_sample(i, s.t, s.center.x, s.center.y);
+    // Eq. 5's orientation vectors exist only on the sphere.
+    PS360_CHECK_MSG(s.center.y >= 0.0 && s.center.y <= 180.0,
+                    "head trace sample " + std::to_string(i) +
+                        " has a colatitude outside [0, 180]");
     if (i > 0)
       PS360_CHECK_MSG(s.t > samples_[i - 1].t,
                       "head trace timestamps must be strictly increasing");
@@ -96,22 +100,36 @@ EquirectPoint HeadTrace::mean_center(double t0, double t1) const {
   return EquirectPoint{x, y_sum / static_cast<double>(n)};
 }
 
+const std::vector<double>& HeadTrace::pair_degrees() const {
+  std::call_once(pairs_->built, [this] {
+    std::vector<double>& deg = pairs_->deg;
+    deg.assign(samples_.size(), 0.0);
+    geometry::Vec3 prev = samples_.front().center.orientation();
+    for (std::size_t i = 1; i < samples_.size(); ++i) {
+      const geometry::Vec3 cur = samples_[i].center.orientation();
+      deg[i] = geometry::angular_distance(prev, cur).value();
+      prev = cur;
+    }
+  });
+  return pairs_->deg;
+}
+
 double HeadTrace::switching_speed(double t0, double t1) const {
   PS360_CHECK(t1 > t0);
   // Great-circle path length over the window / elapsed time (Eq. 5 applied
-  // per consecutive sample pair and aggregated).
-  double path_deg = 0.0;
-  geometry::Vec3 prev = center_at(t0).orientation();
-  // The samples strictly inside (t0, t1); the endpoints are interpolated.
+  // per consecutive sample pair and aggregated): start -> the samples
+  // strictly inside (t0, t1) -> end, whose endpoints are interpolated.
+  const geometry::Vec3 start = center_at(t0).orientation();
+  const geometry::Vec3 end = center_at(t1).orientation();
   const auto first = std::upper_bound(samples_.begin(), samples_.end(), t0, sample_after);
   const auto last = std::lower_bound(first, samples_.end(), t1, sample_before);
-  for (auto it = first; it != last; ++it) {
-    const geometry::Vec3 cur = it->center.orientation();
-    path_deg += geometry::angular_distance(prev, cur).value();
-    prev = cur;
-  }
-  const geometry::Vec3 end = center_at(t1).orientation();
-  path_deg += geometry::angular_distance(prev, end).value();
+  if (first == last) return geometry::angular_distance(start, end).value() / (t1 - t0);
+  const std::vector<double>& deg = pair_degrees();
+  double path_deg = geometry::angular_distance(start, first->center.orientation()).value();
+  for (auto i = static_cast<std::size_t>(first - samples_.begin()) + 1;
+       i < static_cast<std::size_t>(last - samples_.begin()); ++i)
+    path_deg += deg[i];
+  path_deg += geometry::angular_distance((last - 1)->center.orientation(), end).value();
   return path_deg / (t1 - t0);
 }
 

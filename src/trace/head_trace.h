@@ -9,6 +9,8 @@
 #pragma once
 
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -24,7 +26,8 @@ struct HeadSample {
 
 class HeadTrace {
  public:
-  // Samples must be non-empty, finite and strictly increasing in time.
+  // Samples must be non-empty, finite, strictly increasing in time, with
+  // colatitudes in [0, 180].
   HeadTrace(int video_id, int user_id, std::vector<HeadSample> samples);
 
   int video_id() const { return video_id_; }
@@ -49,7 +52,10 @@ class HeadTrace {
 
   // Eq. 5 view-switching speed (degrees/second) averaged over [t0, t1]:
   // total great-circle path length between consecutive samples divided by
-  // the elapsed time.
+  // the elapsed time. The distance between each pair of consecutive samples
+  // is computed once per trace, at the first call, under a std::call_once,
+  // so any number of threads may make that first call at once; each call
+  // then computes only its two interpolated endpoints' distances.
   double switching_speed(double t0, double t1) const;
 
   // Instantaneous switching speeds for every consecutive sample pair; used
@@ -57,9 +63,24 @@ class HeadTrace {
   std::vector<double> switching_speed_series() const;
 
  private:
+  // Great-circle degrees from sample i - 1 to sample i at [i] ([0] is 0),
+  // built on first use: only replayed traces are ever walked, so no
+  // constructor pays for it.
+  const std::vector<double>& pair_degrees() const;
+
+  struct PairDegrees {
+    // Lets exactly one of the threads racing to a trace's first Eq. 5 call
+    // build `deg`; the others wait, then all read the same values. Each is a
+    // pure function of two samples, so no result depends on who built it.
+    std::once_flag built;
+    std::vector<double> deg;
+  };
+
   int video_id_;
   int user_id_;
   std::vector<HeadSample> samples_;
+  // Behind a pointer so the trace stays movable (a once_flag is not).
+  std::unique_ptr<PairDegrees> pairs_ = std::make_unique<PairDegrees>();
 };
 
 // CSV persistence. Columns: t,x,y (header included on write).

@@ -19,12 +19,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 double& Matrix::operator()(std::size_t r, std::size_t c) {
   PS360_CHECK(r < rows_ && c < cols_);
   return data_[r * cols_ + c];
@@ -35,134 +29,52 @@ double Matrix::operator()(std::size_t r, std::size_t c) const {
   return data_[r * cols_ + c];
 }
 
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Matrix Matrix::operator+(const Matrix& other) const {
-  PS360_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] + other.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& other) const {
-  PS360_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] - other.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator*(const Matrix& other) const {
-  PS360_CHECK_MSG(cols_ == other.rows_, "matrix product dimension mismatch");
-  Matrix out(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      for (std::size_t c = 0; c < other.cols_; ++c) out(r, c) += a * other(k, c);
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::operator*(double scalar) const {
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] * scalar;
-  return out;
-}
-
-std::vector<double> Matrix::operator*(const std::vector<double>& v) const {
-  PS360_CHECK(v.size() == cols_);
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out[r] += (*this)(r, c) * v[c];
-  return out;
-}
-
-double Matrix::frobenius_norm() const {
-  double sum = 0.0;
-  for (double v : data_) sum += v * v;
-  return std::sqrt(sum);
-}
-
-double Matrix::max_abs_diff(const Matrix& other) const {
-  PS360_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  double max = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    max = std::max(max, std::fabs(data_[i] - other.data_[i]));
-  return max;
-}
-
 Matrix cholesky(const Matrix& a) {
   PS360_CHECK_MSG(a.rows() == a.cols(), "cholesky requires a square matrix");
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double sum = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
-      if (i == j) {
-        PS360_CHECK_MSG(sum > 0.0, "matrix is not positive definite");
-        l(i, j) = std::sqrt(sum);
-      } else {
-        l(i, j) = sum / l(j, j);
-      }
-    }
-  }
+  Matrix l(a.rows(), a.rows());
+  cholesky_factor(a.values(), l.values(), a.rows());
   return l;
 }
 
 std::vector<double> cholesky_solve(const Matrix& a, const std::vector<double>& b) {
   PS360_CHECK(a.rows() == b.size());
   const Matrix l = cholesky(a);
-  const std::size_t n = a.rows();
-  // Forward substitution: L y = b.
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l(i, k) * y[k];
-    y[i] = sum / l(i, i);
-  }
-  // Back substitution: L^T x = y.
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double sum = y[i];
-    for (std::size_t k = i + 1; k < n; ++k) sum -= l(k, i) * x[k];
-    x[i] = sum / l(i, i);
-  }
+  std::vector<double> x = b;
+  cholesky_substitute(l.values(), a.rows(), x);
   return x;
 }
 
-std::vector<double> ridge_solve(const Matrix& x, const std::vector<double>& y,
-                                double lambda) {
-  PS360_CHECK(lambda >= 0.0);
-  return ridge_solve(x, y, std::vector<double>(x.cols(), lambda));
+void cholesky_factor(std::span<const double> a, std::span<double> l, std::size_t n) {
+  PS360_CHECK(a.size() == n * n && l.size() == n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sum = a[i * n + j];
+      for (std::size_t k = 0; k < j; ++k) sum -= l[i * n + k] * l[j * n + k];
+      if (i == j) {
+        PS360_CHECK_MSG(sum > 0.0, "matrix is not positive definite");
+        l[i * n + j] = std::sqrt(sum);
+      } else {
+        l[i * n + j] = sum / l[j * n + j];
+      }
+    }
+  }
 }
 
-std::vector<double> ridge_solve(const Matrix& x, const std::vector<double>& y,
-                                const std::vector<double>& lambdas) {
-  PS360_CHECK(x.rows() == y.size());
-  PS360_CHECK(lambdas.size() == x.cols());
-  for (double l : lambdas) PS360_CHECK(l >= 0.0);
-  const Matrix xt = x.transposed();
-  Matrix normal = xt * x;
-  for (std::size_t i = 0; i < normal.rows(); ++i) normal(i, i) += lambdas[i];
-  const std::vector<double> rhs = xt * y;
-  return cholesky_solve(normal, rhs);
+void cholesky_substitute(std::span<const double> l, std::size_t n, std::span<double> b) {
+  PS360_CHECK(l.size() == n * n && b.size() == n);
+  // Forward substitution: L y = b.
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    for (std::size_t k = 0; k < i; ++k) sum -= l[i * n + k] * b[k];
+    b[i] = sum / l[i * n + i];
+  }
+  // Back substitution: L^T x = y.
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double sum = b[i];
+    for (std::size_t k = i + 1; k < n; ++k) sum -= l[k * n + i] * b[k];
+    b[i] = sum / l[i * n + i];
+  }
 }
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  PS360_CHECK(a.size() == b.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
 
 }  // namespace ps360::util

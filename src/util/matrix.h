@@ -1,5 +1,5 @@
 // Small dense linear algebra used by the ridge-regression viewport predictor
-// (predict::RidgeRegression) and the Gauss-Newton QoE fitter (qoe::QoFitter).
+// (predict::ViewportPredictor) and the Gauss-Newton QoE fitter (qoe::QoFitter).
 //
 // These problems are tiny (at most a few dozen unknowns), so the goal is a
 // clear, well-tested implementation, not BLAS performance. Storage is
@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace ps360::util {
@@ -22,8 +23,6 @@ class Matrix {
   // Construct from nested initializer lists; all rows must have equal length.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
@@ -31,21 +30,9 @@ class Matrix {
   double& operator()(std::size_t r, std::size_t c);
   double operator()(std::size_t r, std::size_t c) const;
 
-  Matrix transposed() const;
-
-  Matrix operator+(const Matrix& other) const;
-  Matrix operator-(const Matrix& other) const;
-  Matrix operator*(const Matrix& other) const;
-  Matrix operator*(double scalar) const;
-
-  // Matrix-vector product; v.size() must equal cols().
-  std::vector<double> operator*(const std::vector<double>& v) const;
-
-  // Frobenius norm.
-  double frobenius_norm() const;
-
-  // Maximum absolute difference to another matrix of the same shape.
-  double max_abs_diff(const Matrix& other) const;
+  // The row-major storage, rows() * cols() values.
+  std::span<double> values() { return data_; }
+  std::span<const double> values() const { return data_; }
 
  private:
   std::size_t rows_ = 0;
@@ -61,20 +48,12 @@ Matrix cholesky(const Matrix& a);
 // Solve A x = b for symmetric positive-definite A via Cholesky.
 std::vector<double> cholesky_solve(const Matrix& a, const std::vector<double>& b);
 
-// Solve the regularised normal equations (X^T X + lambda I) w = X^T y.
-// This is ridge regression's closed form; lambda >= 0. With lambda == 0 the
-// system must be positive definite (i.e. X full column rank).
-std::vector<double> ridge_solve(const Matrix& x, const std::vector<double>& y,
-                                double lambda);
-
-// Ridge with a per-coefficient penalty (X^T X + diag(lambdas)) w = X^T y —
-// the standard way to leave an intercept column unpenalised (lambda 0 for
-// that column). lambdas.size() must equal x.cols().
-std::vector<double> ridge_solve(const Matrix& x, const std::vector<double>& y,
-                                const std::vector<double>& lambdas);
-
-// Vector helpers shared by the solvers.
-double dot(const std::vector<double>& a, const std::vector<double>& b);
-double norm2(const std::vector<double>& a);
+// The loops behind cholesky and cholesky_solve, on caller-owned n x n
+// row-major storage, for callers that must not allocate. cholesky_factor
+// reads only a's lower triangle and writes only l's, so l's strict upper
+// triangle keeps whatever it held. cholesky_substitute solves
+// L L^T x = b in place (b becomes x) for that L.
+void cholesky_factor(std::span<const double> a, std::span<double> l, std::size_t n);
+void cholesky_substitute(std::span<const double> l, std::size_t n, std::span<double> b);
 
 }  // namespace ps360::util

@@ -8,10 +8,12 @@
 namespace ps360::video {
 
 EncodingModel::EncodingModel(EncodingConfig config) : config_(config) {
-  PS360_CHECK(config_.full_frame_mbps_best > 0.0);
+  PS360_CHECK(std::isfinite(config_.full_frame_mbps_best) &&
+              config_.full_frame_mbps_best > 0.0);
   PS360_CHECK(config_.framerate_size_exponent > 0.0 &&
               config_.framerate_size_exponent <= 1.0);
-  PS360_CHECK(config_.size_noise_sigma_log >= 0.0);
+  PS360_CHECK(std::isfinite(config_.size_noise_sigma_log) &&
+              config_.size_noise_sigma_log >= 0.0);
   PS360_CHECK(config_.ref_tile_area_fraction > 0.0 &&
               config_.ref_tile_area_fraction < 1.0);
   PS360_CHECK(config_.anchor_tile_count >= 2);

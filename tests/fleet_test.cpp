@@ -661,8 +661,8 @@ INSTANTIATE_TEST_SUITE_P(
 // means Ours never picks a Ptile; an infinite bandwidth prior changes the
 // plans; an infinite QoE weight makes the session QoE NaN) or fails far from
 // its cause (an infinite buffer threshold throws from a vector resize, a tiny
-// buffer quantum from the DP's allocation, an infinite stall penalty from
-// the MPC's internal assert). The session accountant, which the fleet engine
+// buffer quantum from the DP's allocation, an infinite stall penalty or
+// encoding rate or size-noise sigma from the MPC's internal assert). The session accountant, which the fleet engine
 // builds for every session, rejects each with a message naming the field.
 struct InvalidSessionField {
   const char* field;
@@ -718,6 +718,16 @@ INSTANTIATE_TEST_SUITE_P(
         InvalidSessionField{"download_fov_padding_deg",
                             [](sim::SessionConfig& c) {
                               c.download_fov_padding_deg = kNaN;
+                            }},
+        // Each passes EncodingModel's > 0 or >= 0 check, then leaves the
+        // relaxed MPC without a plan.
+        InvalidSessionField{"encoding.full_frame_mbps_best",
+                            [](sim::SessionConfig& c) {
+                              c.encoding.full_frame_mbps_best = kInf;
+                            }},
+        InvalidSessionField{"encoding.size_noise_sigma_log",
+                            [](sim::SessionConfig& c) {
+                              c.encoding.size_noise_sigma_log = kInf;
                             }}),
     [](const ::testing::TestParamInfo<InvalidSessionField>& param) {
       std::string name = param.param.field;

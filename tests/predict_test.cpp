@@ -4,9 +4,11 @@
 // robust competitor allocator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "predict/bandwidth.h"
 #include "predict/bandwidth_estimators.h"
@@ -15,6 +17,8 @@
 #include "predict/visibility.h"
 #include "trace/head_synth.h"
 #include "trace/video_catalog.h"
+#include "util/check.h"
+#include "util/matrix.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -188,6 +192,220 @@ TEST(ViewportPredictorTest, WindowMatchesFullScanReference) {
       }
     }
   }
+}
+
+// The Cholesky solve predict() used to call, with its separate forward (y)
+// and back (x) vectors: util::cholesky_solve as it stood.
+std::vector<double> cholesky_solve_reference(const util::Matrix& a,
+                                             const std::vector<double>& b) {
+  const std::size_t n = a.rows();
+  util::Matrix l(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sum = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
+      if (i == j) {
+        PS360_CHECK_MSG(sum > 0.0, "matrix is not positive definite");
+        l(i, j) = std::sqrt(sum);
+      } else {
+        l(i, j) = sum / l(j, j);
+      }
+    }
+  }
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    for (std::size_t k = 0; k < i; ++k) sum -= l(i, k) * y[k];
+    y[i] = sum / l(i, i);
+  }
+  std::vector<double> x(n);
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double sum = y[i];
+    for (std::size_t k = i + 1; k < n; ++k) sum -= l(k, i) * x[k];
+    x[i] = sum / l(i, i);
+  }
+  return x;
+}
+
+// predict() before it summed one normal matrix on the stack: it copied the
+// window into vectors, built the n x p design matrix X, and per axis took a
+// centred copy of the series and ran the ridge solve, which transposed X,
+// formed X^T X (skipping zero entries of X^T, as the matrix product did),
+// added the penalties, formed X^T y and solved by Cholesky. The rewrite must
+// match it bit for bit.
+geometry::EquirectPoint predict_allocating_reference(const ViewportPredictorConfig& config,
+                                                     const HeadTrace& trace, double now_t,
+                                                     double target_t) {
+  const double horizon = std::min(target_t - now_t, config.max_horizon_s);
+  std::vector<double> times, xs_unwrapped, ys;
+  double x_acc = 0.0;
+  bool first = true;
+  double prev_x = 0.0;
+  for (const auto& s : trace.samples_in(now_t - config.history_seconds, now_t)) {
+    if (first) {
+      x_acc = s.center.x;
+      first = false;
+    } else {
+      x_acc += geometry::wrap_delta(geometry::Degrees(s.center.x), geometry::Degrees(prev_x))
+                   .value();
+    }
+    prev_x = s.center.x;
+    times.push_back(s.t - now_t);
+    xs_unwrapped.push_back(x_acc);
+    ys.push_back(s.center.y);
+  }
+  if (times.size() < config.poly_degree + 1) return trace.center_at(now_t);
+  const std::size_t n = times.size();
+  const std::size_t p = config.poly_degree + 1;
+  double t_mid = 0.0;
+  for (double t : times) t_mid += t;
+  t_mid /= static_cast<double>(n);
+  util::Matrix design(n, p);
+  for (std::size_t i = 0; i < n; ++i) {
+    double pow_t = 1.0;
+    for (std::size_t j = 0; j < p; ++j) {
+      design(i, j) = pow_t;
+      pow_t *= times[i] - t_mid;
+    }
+  }
+  const double eval_t = horizon - t_mid;
+  std::vector<double> lambdas(p, config.lambda);
+  lambdas[0] = 0.0;
+  const auto extrapolate = [&](const std::vector<double>& series) {
+    double mean = 0.0;
+    for (double v : series) mean += v;
+    mean /= static_cast<double>(series.size());
+    std::vector<double> centred(series.size());
+    for (std::size_t i = 0; i < series.size(); ++i) centred[i] = series[i] - mean;
+    util::Matrix xt(p, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < p; ++c) xt(c, r) = design(r, c);
+    util::Matrix normal(p, p);
+    for (std::size_t r = 0; r < p; ++r) {
+      for (std::size_t k = 0; k < n; ++k) {
+        const double a = xt(r, k);
+        if (a == 0.0) continue;
+        for (std::size_t c = 0; c < p; ++c) normal(r, c) += a * design(k, c);
+      }
+    }
+    for (std::size_t i = 0; i < p; ++i) normal(i, i) += lambdas[i];
+    std::vector<double> rhs(p, 0.0);
+    for (std::size_t r = 0; r < p; ++r)
+      for (std::size_t c = 0; c < n; ++c) rhs[r] += xt(r, c) * centred[c];
+    const std::vector<double> w = cholesky_solve_reference(normal, rhs);
+    double value = mean;
+    double pow_t = 1.0;
+    for (std::size_t j = 0; j < p; ++j) {
+      value += w[j] * pow_t;
+      pow_t *= eval_t;
+    }
+    return value;
+  };
+  const double x_pred = extrapolate(xs_unwrapped);
+  const double y_pred = std::clamp(extrapolate(ys), 0.0, 180.0);
+  return geometry::EquirectPoint{geometry::wrap360(geometry::Degrees(x_pred)).value(),
+                                 y_pred};
+}
+
+// 50 Hz, 12 s: the gaze sweeps across the 0/360 seam while its colatitude
+// sits at 0 for the first 4 s and at 180 for the last 4 s, so windows there
+// fit a y series with no trend at all.
+HeadTrace pole_trace() {
+  std::vector<HeadSample> samples;
+  for (int i = 0; i <= 600; ++i) {
+    const double t = i / 50.0;
+    const double y = t < 4.0 ? 0.0 : t > 8.0 ? 180.0 : 45.0 * (t - 4.0);
+    samples.push_back(HeadSample{t, geometry::EquirectPoint::make(
+                                        geometry::Degrees(300.0 + 13.0 * t),
+                                        geometry::Degrees(y))});
+  }
+  return HeadTrace(1, 0, std::move(samples));
+}
+
+TEST(ViewportPredictorTest, MatchesAllocatingRidgeReference) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  trace::VideoInfo video = trace::test_videos()[4];
+  video.duration_s = 20.0;
+  const HeadTrace dense = trace::HeadTraceSynthesizer().synthesize(video, 2);
+  const HeadTrace sparse = sparse_dyadic_trace(5);
+  const HeadTrace poles = pole_trace();
+  util::Rng rng(47);
+  std::size_t fitted = 0, held = 0, singular = 0;
+  for (const HeadTrace* trace : {&dense, &sparse, &poles}) {
+    const auto& s = trace->samples();
+    // Before the first sample, inside the first second, the two poles'
+    // stretches, then seeded sample times and arbitrary times.
+    std::vector<double> nows = {s.front().t - 1.0, s.front().t + 0.1, s.front().t + 0.5,
+                                s.front().t + 0.9, 2.0, 3.5, 10.0, 11.5};
+    for (int k = 0; k < 40; ++k) {
+      nows.push_back(k % 2 == 0 ? s[rng.uniform_index(s.size())].t
+                                : rng.uniform(s.front().t, s.back().t + 1.0));
+    }
+    for (std::size_t degree = 1; degree <= 4; ++degree) {
+      for (const double lambda : {0.0, 0.1, 1e9}) {
+        for (const double history : {0.5, 1.0, 2.5}) {
+          const ViewportPredictorConfig config{history, degree, lambda};
+          const ViewportPredictor predictor(config);
+          for (const double now : nows) {
+            const double target = now + rng.uniform(0.0, 5.0);
+            const std::size_t n = trace->samples_in(now - history, now).size();
+            geometry::EquirectPoint want;
+            try {
+              want = predict_allocating_reference(config, *trace, now, target);
+            } catch (const std::invalid_argument&) {
+              // A λ = 0 fit on too few distinct times: both must refuse it.
+              EXPECT_THROW(predictor.predict(*trace, now, target), std::invalid_argument);
+              ++singular;
+              continue;
+            }
+            const auto got = predictor.predict(*trace, now, target);
+            ASSERT_EQ(bits(got.x), bits(want.x))
+                << "now " << now << " degree " << degree << " lambda " << lambda
+                << " W " << history;
+            ASSERT_EQ(bits(got.y), bits(want.y))
+                << "now " << now << " degree " << degree << " lambda " << lambda
+                << " W " << history;
+            ++(n < degree + 1 ? held : fitted);
+          }
+        }
+      }
+    }
+  }
+  // Both branches ran: fits, and windows too short to fit.
+  EXPECT_GT(fitted, 1000u);
+  EXPECT_GT(held, 100u);
+  EXPECT_LT(singular, fitted / 10);
+}
+
+// Ridge regression's three properties, through the predictor that now owns
+// the solve: with lambda = 0 it is least squares and recovers an exact
+// polynomial; the penalty shrinks the trend toward the hold; and the
+// intercept is unpenalised, so an overwhelming penalty predicts the
+// window's mean rather than 0.
+TEST(ViewportPredictorTest, RidgeFitsExactlyAndShrinksOnlyTheTrend) {
+  std::vector<HeadSample> samples;
+  for (int i = 0; i <= 500; ++i) {
+    const double t = i / 50.0;
+    samples.push_back(HeadSample{
+        t, geometry::EquirectPoint::make(geometry::Degrees(20.0 + 12.0 * t + 1.5 * t * t),
+                                         geometry::Degrees(90.0))});
+  }
+  const HeadTrace quadratic(1, 0, std::move(samples));
+  const auto x_at = [](double t) { return 20.0 + 12.0 * t + 1.5 * t * t; };
+  const auto predict_x = [&](double lambda) {
+    const ViewportPredictor predictor({1.0, 2, lambda});
+    return predictor.predict(quadratic, 6.0, 7.0).x;
+  };
+  EXPECT_NEAR(predict_x(0.0), x_at(7.0), 1e-6);
+  double window_mean = 0.0;
+  const auto window = quadratic.samples_in(5.0, 6.0);
+  for (const auto& s : window) window_mean += s.center.x;
+  window_mean /= static_cast<double>(window.size());
+  EXPECT_NEAR(predict_x(1e9), window_mean, 1e-3);
+  const double shrunk = predict_x(1.0);
+  EXPECT_GT(shrunk, window_mean + 1.0);
+  EXPECT_LT(shrunk, x_at(7.0) - 1.0);
 }
 
 TEST(ViewportPredictorTest, ConfigValidation) {

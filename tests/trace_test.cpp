@@ -11,7 +11,9 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 
+#include "sim/experiment.h"
 #include "trace/dataset.h"
 #include "trace/head_synth.h"
 #include "trace/head_trace.h"
@@ -164,6 +166,21 @@ TEST(HeadTraceTest, RejectsNonFiniteSamples) {
       [&] { HeadTrace(1, 0, with(4, HeadSample{0.4, {10.0, -inf}})); }, "head trace sample 4");
 }
 
+TEST(HeadTraceTest, RejectsColatitudeOffTheSphere) {
+  // Eq. 5's orientation vectors need a colatitude in [0, 180], so the trace
+  // rejects one outside it up front, naming the sample, rather than failing
+  // at its first switching_speed call without the index.
+  auto samples = ramp_samples();
+  samples[7].center.y = 180.5;
+  expect_throw_naming<std::invalid_argument>([&] { HeadTrace(1, 0, samples); },
+                                             "head trace sample 7");
+  samples[7].center.y = -1e-9;
+  expect_throw_naming<std::invalid_argument>([&] { HeadTrace(1, 0, samples); },
+                                             "head trace sample 7");
+  samples[7].center.y = 180.0;
+  EXPECT_NO_THROW(HeadTrace(1, 0, samples));
+}
+
 TEST(HeadTraceTest, LoadRejectsNonFiniteCells) {
   const auto path = std::filesystem::temp_directory_path() / "ps360_head_nonfinite.csv";
   for (const char* row :
@@ -293,6 +310,36 @@ TEST(HeadTraceTest, WindowsMatchFullScanReference) {
       const auto point_want = mean_center_full_scan(*trace, t0, t0);
       ASSERT_EQ(bits(point.x), bits(point_want.x));
       ASSERT_EQ(bits(point.y), bits(point_want.y));
+    }
+  }
+}
+
+TEST(HeadTraceTest, PairPathsFirstUseIsThreadSafe) {
+  // Solve workers and grid threads replay one workload's test traces, so the
+  // first Eq. 5 call, which builds the trace's pair distances, may come from
+  // many threads at once (TSan flags the build if it is not safe). Every
+  // thread's windows must read what a serial walk of a fresh trace reads.
+  VideoInfo video = test_videos()[3];
+  video.duration_s = 30.0;
+  const HeadTrace shared = HeadTraceSynthesizer().synthesize(video, 6);
+  const HeadTrace serial = HeadTraceSynthesizer().synthesize(video, 6);
+  constexpr std::size_t kSlots = 8, kWindows = 200;
+  const auto window = [&](std::size_t slot, std::size_t w) {
+    const double t1 = 1.0 + 0.0137 * static_cast<double>(slot * kWindows + w);
+    return std::pair{t1 - 1.0, t1};
+  };
+  std::vector<std::vector<double>> speeds(kSlots);
+  sim::for_each_slot(kSlots, kSlots, [&](std::size_t slot) {
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      const auto [t0, t1] = window(slot, w);
+      speeds[slot].push_back(shared.switching_speed(t0, t1));
+    }
+  });
+  for (std::size_t slot = 0; slot < kSlots; ++slot) {
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      const auto [t0, t1] = window(slot, w);
+      ASSERT_EQ(bits(speeds[slot][w]), bits(serial.switching_speed(t0, t1)))
+          << "slot " << slot << " window (" << t0 << ", " << t1 << ")";
     }
   }
 }

@@ -3,6 +3,8 @@
 // calibration (Ptile/Ctile size ratios per quality level).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "trace/video_catalog.h"
 #include "video/content.h"
 #include "video/encoding.h"
@@ -232,6 +234,13 @@ TEST(EncodingModelTest, ConfigValidation) {
   EncodingConfig negative;
   negative.full_frame_mbps_best = -1.0;
   EXPECT_THROW(EncodingModel{negative}, std::invalid_argument);
+  // +inf passes a bare > 0 or >= 0 test; the model rejects it too.
+  EncodingConfig infinite_rate;
+  infinite_rate.full_frame_mbps_best = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(EncodingModel{infinite_rate}, std::invalid_argument);
+  EncodingConfig infinite_sigma;
+  infinite_sigma.size_noise_sigma_log = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(EncodingModel{infinite_sigma}, std::invalid_argument);
 }
 
 // Parameterized sweep: the Fig. 8 ratio property holds for every quality
