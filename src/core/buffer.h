@@ -16,6 +16,12 @@
 
 namespace ps360::core {
 
+// Most buffer states the MPC's DP may sweep: a grid passes when
+// bucket_count() = lround((β + L) / q) + 1 stays within it. The repo's quanta
+// (0.25–1 s) need at most 17, so this only stops a quantum small enough to
+// exhaust memory.
+inline constexpr double kMaxBufferStates = 4096.0;
+
 struct BufferStep {
   double wait_s = 0.0;         // Δt spent before the request
   double stall_s = 0.0;        // playback stall caused by the download

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "core/buffer.h"
 #include "util/check.h"
@@ -26,6 +27,14 @@ BufferModel buffer_model_of(const MpcConfig& config) {
                      util::Seconds(config.buffer_quantum_s));
 }
 
+// std::lround of a DP bucket quotient, in (0, kMaxBufferStates) once the
+// constructor bounds the grid: x - trunc(x) is exact below 2^52, so rounding
+// it half up is lround's half-away-from-zero, without the libm call.
+std::int32_t round_bucket(double x) {
+  const auto whole = static_cast<std::int32_t>(x);
+  return whole + (x - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+}
+
 // resize() that tracks reallocations for the zero-allocation contract.
 template <typename T>
 void grow(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
@@ -37,14 +46,13 @@ void grow(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
 
 std::size_t MpcScratch::capacity_bytes() const {
   return (step_cost.capacity() + download_s.capacity() + q_ref.capacity() +
-          at_request_s.capacity() + stall_s.capacity() + cand_cost.capacity() +
+          at_request_s.capacity() + row_stall.capacity() +
           frontier_cost.capacity() + next_cost.capacity()) *
              sizeof(double) +
          (eps_ok.capacity() + frontier_stall.capacity() +
           next_stall.capacity()) *
              sizeof(unsigned char) +
-         (next_bucket.capacity() + frontier_root.capacity() +
-          next_root.capacity()) *
+         (row_next.capacity() + frontier_root.capacity() + next_root.capacity()) *
              sizeof(std::int32_t);
 }
 
@@ -81,10 +89,20 @@ const QualityOption& reference_option(const SegmentChoices& choices,
 MpcController::MpcController(MpcConfig config, const power::DeviceModel& device,
                              MpcObjective objective)
     : config_(config), device_(&device), objective_(objective) {
-  PS360_CHECK(config_.segment_seconds > 0.0);
-  PS360_CHECK(config_.buffer_threshold_s > 0.0);
-  PS360_CHECK(config_.buffer_quantum_s > 0.0 &&
-              config_.buffer_quantum_s <= config_.buffer_threshold_s);
+  // Finite, and at most kMaxBufferStates grid states (decide() sizes its
+  // frontier by the grid and rounds bucket quotients as int32s).
+  PS360_CHECK_MSG(std::isfinite(config_.segment_seconds) && config_.segment_seconds > 0.0,
+                  "MpcConfig.segment_seconds must be finite and > 0");
+  PS360_CHECK_MSG(
+      std::isfinite(config_.buffer_threshold_s) && config_.buffer_threshold_s > 0.0,
+      "MpcConfig.buffer_threshold_s must be finite and > 0");
+  PS360_CHECK_MSG(config_.buffer_quantum_s > 0.0 &&
+                      config_.buffer_quantum_s <= config_.buffer_threshold_s,
+                  "MpcConfig.buffer_quantum_s must be in (0, buffer_threshold_s]");
+  PS360_CHECK_MSG((config_.buffer_threshold_s + config_.segment_seconds) /
+                          config_.buffer_quantum_s <
+                      kMaxBufferStates - 0.5,
+                  "MpcConfig.buffer_quantum_s gives the MPC more than 4096 buffer states");
   PS360_CHECK(config_.epsilon >= 0.0 && config_.epsilon < 1.0);
   // Finite too: an infinite weight or penalty turns the first ∞ × 0 into NaN.
   PS360_CHECK(std::isfinite(config_.stall_penalty_per_s) &&
@@ -129,25 +147,25 @@ void MpcController::reference_qualities(const std::vector<SegmentChoices>& horiz
 // step cost is state-independent — that dimension collapses to a single slot
 // and the frontier is just the buffer grid.
 //
-// Everything that does not depend on the DP state is precomputed once per
-// decide() call into the scratch arena:
+// Everything that depends on neither the DP state nor the buffer level is
+// precomputed once per decide() call into the scratch arena:
 //   * step_cost[i][oi]   — option energy (Eq. 1) or raw Qo,
-//   * eps_ok[i][oi]      — constraint (8c) vs the shared reference ladder,
-//   * next_bucket/stall_s[i][b][oi] — the quantized Eq. 6 transition of
-//     every step over the (small) buffer grid, read by both DP passes.
+//   * eps_ok[i][oi]      — constraint (8c) vs the shared reference ladder.
+// The Eq. 6 transitions depend on the buffer level as well, and most
+// (step, bucket) pairs are never reached, so they are not tabulated: each
+// step walks the frontier in ascending state order, skips dead states, and
+// computes a bucket's row (row_next / row_stall) right before the first
+// live state of that bucket scatters its options.
 //
-// The inner cost sweep is branch-free. Energy mode runs in two phases:
-// phase 1 computes every (bucket, option) candidate cost with strictness
-// applied as a +inf mask (a select, not a branch — the loop has no
-// data-dependent control flow, so the compiler can vectorise it); phase 2
-// scatter-mins the candidates into the next frontier with branchless
-// selects. Masked (+inf) candidates are harmless in phase 2: +inf never
-// compares strictly less than any target, and on an inf == inf tie the
-// candidate root can only win against a target root of -1 — which no
-// nonnegative candidate root does — so dead states keep root -1 and are
-// never observed. kMaxQoE keeps a per-state alive check (dead prev-option
-// slots would index past the previous segment's ladder) but its option loop
-// uses the same branchless selects.
+// Energy mode scatter-mins each live bucket's candidates into the next
+// frontier in (bucket, option) order, the lexicographic (cost, root)
+// tie-break as two selects. A strict pass skips the candidates that stall
+// or miss (8c): their cost would be +inf, which never wins — on an
+// inf == inf tie a candidate root could only beat a target root of -1, and
+// no candidate root of a live state is negative. kMaxQoE keeps a per-state
+// alive check too (dead prev-option slots would index past the previous
+// segment's ladder); its states are bucket-major, so one row serves every
+// live prev-option slot of a bucket.
 //
 // Ties on the optimal objective are broken toward the smallest horizon[0]
 // option index — (cost, root choice) propagates lexicographically through
@@ -163,16 +181,26 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   PS360_CHECK(!horizon.empty());
   PS360_CHECK(bandwidth_bytes_per_s > 0.0);
   PS360_CHECK(buffer_s >= 0.0);
-  for (const auto& seg : horizon) PS360_CHECK(!seg.options.empty());
+  // Every option is checked before any is read: a NaN or negative size
+  // would otherwise be absorbed by the comparisons below or fail inside
+  // Eq. 1 without saying which option carried it.
+  std::size_t max_options = 0;
+  for (std::size_t i = 0; i < horizon.size(); ++i) {
+    const auto& options = horizon[i].options;
+    PS360_CHECK(!options.empty());
+    max_options = std::max(max_options, options.size());
+    for (std::size_t oi = 0; oi < options.size(); ++oi) {
+      PS360_CHECK_MSG(std::isfinite(options[oi].bytes) && options[oi].bytes >= 0.0 &&
+                          std::isfinite(options[oi].qo),
+                      "MPC horizon segment " + std::to_string(i) + " option " +
+                          std::to_string(oi) + ": bytes must be finite and >= 0, qo finite");
+    }
+  }
 
   const bool energy_mode = objective_ == MpcObjective::kMinEnergyQoEConstrained;
   const std::size_t h = horizon.size();
 
   const BufferModel buffers = buffer_model_of(config_);
-
-  std::size_t max_options = 0;
-  for (const auto& seg : horizon)
-    max_options = std::max(max_options, seg.options.size());
 
   const std::size_t buckets = buffers.bucket_count();
   // Frontier stride over the prev-option dimension: slot 0 is the virtual
@@ -186,6 +214,8 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   grow(scratch.eps_ok, h * max_options, scratch.grow_events);
   grow(scratch.q_ref, h, scratch.grow_events);
   grow(scratch.at_request_s, buckets, scratch.grow_events);
+  grow(scratch.row_next, max_options, scratch.grow_events);
+  grow(scratch.row_stall, max_options, scratch.grow_events);
 
   // ε-constraint reference quality per segment (energy mode).
   if (energy_mode) reference_qualities(horizon, bandwidth, scratch.q_ref);
@@ -215,41 +245,28 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   // Buffer available at request time per bucket: level - Δt, with the exact
   // arithmetic of BufferModel::advance so the DP transitions below stay
   // bit-identical to the reference implementations.
-  const double cap = buffers.cap_s();
-  const double quantum = buffers.quantum_s();
   for (std::size_t b = 0; b < buckets; ++b) {
     const double level = buffers.level_of(static_cast<int>(b));
     scratch.at_request_s[b] = level - std::max(level - config_.buffer_threshold_s, 0.0);
   }
 
-  // Per-step (bucket × option) Eq. 6 transition tables, filled once here
-  // and read by both the strict and the relaxed pass: stall and next bucket
-  // from bucket b under download time d. raw_next lies in [L, cap], so the
-  // quantize() clamp reduces to the min(), and dividing by the quantum
-  // directly reproduces bucket_of(quantize(raw_next)) without materialising
-  // the level. lround stays confined to this fill; the hot sweep below only
-  // reads the materialised tables.
-  grow(scratch.next_bucket, h * buckets * max_options, scratch.grow_events);
-  grow(scratch.stall_s, h * buckets * max_options, scratch.grow_events);
-  for (std::size_t i = 0; i < h; ++i) {
+  // The Eq. 6 row of bucket b under step i's download times: stall and next
+  // bucket per option. raw_next lies in [L, cap], so the quantize() clamp
+  // reduces to the min(), and dividing by the quantum directly reproduces
+  // bucket_of(quantize(raw_next)) without materialising the level.
+  const double cap = buffers.cap_s();
+  const double quantum = buffers.quantum_s();
+  const auto fill_row = [&](std::size_t i, std::size_t b) {
     const std::size_t n_options = horizon[i].options.size();
     const double* download_s = scratch.download_s.data() + i * max_options;
-    for (std::size_t b = 0; b < buckets; ++b) {
-      const double at_request = scratch.at_request_s[b];
-      const std::size_t row = (i * buckets + b) * max_options;
-      for (std::size_t oi = 0; oi < n_options; ++oi) {
-        const double d = download_s[oi];
-        const double raw_next =
-            std::max(at_request - d, 0.0) + config_.segment_seconds;
-        scratch.stall_s[row + oi] = std::max(d - at_request, 0.0);
-        scratch.next_bucket[row + oi] = static_cast<std::int32_t>(
-            std::lround(std::min(raw_next, cap) / quantum));
-      }
+    const double at_request = scratch.at_request_s[b];
+    for (std::size_t oi = 0; oi < n_options; ++oi) {
+      const double d = download_s[oi];
+      const double raw_next = std::max(at_request - d, 0.0) + config_.segment_seconds;
+      scratch.row_stall[oi] = std::max(d - at_request, 0.0);
+      scratch.row_next[oi] = round_bucket(std::min(raw_next, cap) / quantum);
     }
-  }
-  // The energy sweep additionally stages its masked candidate costs.
-  if (energy_mode)
-    grow(scratch.cand_cost, buckets * max_options, scratch.grow_events);
+  };
 
   const std::size_t table_size = buckets * prev_stride;
   const std::size_t start =
@@ -273,6 +290,18 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     scratch.frontier_cost[start] = 0.0;
     bool any_alive = true;
 
+    // Scatter-min one candidate into the next frontier: the lexicographic
+    // (cost, root) tie-break is two selects, never a taken branch.
+    const auto relax = [&](std::size_t next_state, double total, std::int32_t root,
+                           unsigned char had) {
+      const bool better = total < scratch.next_cost[next_state] ||
+                          (total == scratch.next_cost[next_state] &&
+                           root < scratch.next_root[next_state]);
+      scratch.next_cost[next_state] = better ? total : scratch.next_cost[next_state];
+      scratch.next_root[next_state] = better ? root : scratch.next_root[next_state];
+      scratch.next_stall[next_state] = better ? had : scratch.next_stall[next_state];
+    };
+
     for (std::size_t i = 0; i < h && any_alive; ++i) {
       std::fill(scratch.next_cost.begin(), scratch.next_cost.end(), kInf);
       std::fill(scratch.next_root.begin(), scratch.next_root.end(),
@@ -283,110 +312,66 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
       const std::size_t n_options = horizon[i].options.size();
       const double* step_cost = scratch.step_cost.data() + i * max_options;
       const unsigned char* eps_ok = scratch.eps_ok.data() + i * max_options;
-      // This step's transition tables, one row per bucket.
-      const std::size_t table_base = i * buckets * max_options;
-      const std::int32_t* nb_tab = scratch.next_bucket.data() + table_base;
-      const double* stall_tab = scratch.stall_s.data() + table_base;
+      const std::int32_t* row_next = scratch.row_next.data();
+      const double* row_stall = scratch.row_stall.data();
 
       if (energy_mode) {
-        // Phase 1 — masked candidate costs, no branches in the loop body:
-        // infeasible (strict) candidates become +inf via a select. A dead
-        // frontier bucket (cost +inf) propagates +inf through the addition,
-        // so no alive-check is needed either.
-        if (strict) {
-          for (std::size_t b = 0; b < table_size; ++b) {
-            const double base = scratch.frontier_cost[b];
-            const double* stall_row = stall_tab + b * max_options;
-            double* cand = scratch.cand_cost.data() + b * max_options;
-            for (std::size_t oi = 0; oi < n_options; ++oi) {
-              const bool ok = eps_ok[oi] != 0 && stall_row[oi] == 0.0;
-              cand[oi] = ok ? base + step_cost[oi] : kInf;
-            }
-          }
-        } else {
-          for (std::size_t b = 0; b < table_size; ++b) {
-            const double base = scratch.frontier_cost[b];
-            const double* stall_row = stall_tab + b * max_options;
-            double* cand = scratch.cand_cost.data() + b * max_options;
-            for (std::size_t oi = 0; oi < n_options; ++oi) {
-              // Parenthesised as (step + penalty·stall) first: the exact
-              // FP association of the reference implementation.
-              cand[oi] = base + (step_cost[oi] +
-                                 kStallPenaltyMjPerS * stall_row[oi]);
-            }
-          }
-        }
-        // Phase 2 — scatter-min with branchless selects; the lexicographic
-        // (cost, root) tie-break is two selects, never a taken branch.
-        for (std::size_t b = 0; b < table_size; ++b) {
+        for (std::size_t b = 0; b < buckets; ++b) {
+          const double base = scratch.frontier_cost[b];
+          if (base == kInf) continue;
+          fill_row(i, b);
           const std::int32_t node_root = scratch.frontier_root[b];
           const unsigned char node_stall = scratch.frontier_stall[b];
-          const double* cand = scratch.cand_cost.data() + b * max_options;
-          const std::int32_t* nb_row = nb_tab + b * max_options;
-          const double* stall_row = stall_tab + b * max_options;
           for (std::size_t oi = 0; oi < n_options; ++oi) {
-            const double total = cand[oi];
-            const std::size_t nb = static_cast<std::size_t>(nb_row[oi]);
-            const std::int32_t root =
-                i == 0 ? static_cast<std::int32_t>(oi) : node_root;
-            const unsigned char had =
-                (node_stall != 0 || stall_row[oi] > 0.0) ? 1 : 0;
-            const bool better =
-                total < scratch.next_cost[nb] ||
-                (total == scratch.next_cost[nb] && root < scratch.next_root[nb]);
-            scratch.next_cost[nb] = better ? total : scratch.next_cost[nb];
-            scratch.next_root[nb] = better ? root : scratch.next_root[nb];
-            scratch.next_stall[nb] = better ? had : scratch.next_stall[nb];
+            const double stall = row_stall[oi];
+            if (strict && (eps_ok[oi] == 0 || stall != 0.0)) continue;
+            // Relaxed: parenthesised as (step + penalty·stall) first, the
+            // exact FP association of the reference implementation.
+            const double total =
+                strict ? base + step_cost[oi]
+                       : base + (step_cost[oi] + kStallPenaltyMjPerS * stall);
+            // Some next state survives iff a finite candidate lands.
+            any_alive = any_alive || total < kInf;
+            const std::int32_t root = i == 0 ? static_cast<std::int32_t>(oi) : node_root;
+            const unsigned char had = (node_stall != 0 || stall > 0.0) ? 1 : 0;
+            relax(static_cast<std::size_t>(row_next[oi]), total, root, had);
           }
         }
-        // Finite-min liveness: some next state survived iff any candidate
-        // landed below +inf.
-        double min_cost = kInf;
-        for (std::size_t s = 0; s < table_size; ++s)
-          min_cost = std::min(min_cost, scratch.next_cost[s]);
-        any_alive = min_cost < kInf;
       } else {
-        for (std::size_t state = 0; state < table_size; ++state) {
-          const double node_cost = scratch.frontier_cost[state];
-          // Dead prev-option slots must be skipped: their slot index can
-          // exceed the previous segment's ladder, so the qo_prev read below
-          // is only defined for reachable states.
-          if (node_cost == kInf) continue;
-          any_alive = true;  // alive state ⇒ finite candidates land below
-          const std::size_t b = state / prev_stride;
-          const std::size_t prev_slot = state % prev_stride;
-          // Slot 0 is the virtual pre-horizon state; negative prev_qo then
-          // means "no previous segment": no variation penalty on the first
-          // decision of a session.
-          const double qo_prev =
-              prev_slot == 0 ? prev_qo : horizon[i - 1].options[prev_slot - 1].qo;
-          const std::int32_t node_root = scratch.frontier_root[state];
-          const unsigned char node_stall = scratch.frontier_stall[state];
-          const std::int32_t* nb_row = nb_tab + b * max_options;
-          const double* stall_row = stall_tab + b * max_options;
-          for (std::size_t oi = 0; oi < n_options; ++oi) {
-            const double stall = stall_row[oi];
-            const double variation =
-                qo_prev >= 0.0 ? std::fabs(step_cost[oi] - qo_prev) : 0.0;
-            const double q = step_cost[oi] - config_.weights.variation * variation -
-                             config_.stall_penalty_per_s * stall;
-            const std::size_t next_state =
-                static_cast<std::size_t>(nb_row[oi]) * prev_stride + oi + 1;
-            const double total = node_cost - q;
-            const std::int32_t root =
-                i == 0 ? static_cast<std::int32_t>(oi) : node_root;
-            const unsigned char had =
-                (node_stall != 0 || stall > 0.0) ? 1 : 0;
-            const bool better =
-                total < scratch.next_cost[next_state] ||
-                (total == scratch.next_cost[next_state] &&
-                 root < scratch.next_root[next_state]);
-            scratch.next_cost[next_state] =
-                better ? total : scratch.next_cost[next_state];
-            scratch.next_root[next_state] =
-                better ? root : scratch.next_root[next_state];
-            scratch.next_stall[next_state] =
-                better ? had : scratch.next_stall[next_state];
+        for (std::size_t b = 0; b < buckets; ++b) {
+          bool row_ready = false;
+          for (std::size_t prev_slot = 0; prev_slot < prev_stride; ++prev_slot) {
+            const std::size_t state = b * prev_stride + prev_slot;
+            const double node_cost = scratch.frontier_cost[state];
+            // Dead prev-option slots must be skipped: their slot index can
+            // exceed the previous segment's ladder, so the qo_prev read
+            // below is only defined for reachable states.
+            if (node_cost == kInf) continue;
+            any_alive = true;  // alive state ⇒ finite candidates land below
+            if (!row_ready) {
+              fill_row(i, b);
+              row_ready = true;
+            }
+            // Slot 0 is the virtual pre-horizon state; negative prev_qo then
+            // means "no previous segment": no variation penalty on the first
+            // decision of a session.
+            const double qo_prev =
+                prev_slot == 0 ? prev_qo : horizon[i - 1].options[prev_slot - 1].qo;
+            const std::int32_t node_root = scratch.frontier_root[state];
+            const unsigned char node_stall = scratch.frontier_stall[state];
+            for (std::size_t oi = 0; oi < n_options; ++oi) {
+              const double stall = row_stall[oi];
+              const double variation =
+                  qo_prev >= 0.0 ? std::fabs(step_cost[oi] - qo_prev) : 0.0;
+              const double q = step_cost[oi] - config_.weights.variation * variation -
+                               config_.stall_penalty_per_s * stall;
+              const std::size_t next_state =
+                  static_cast<std::size_t>(row_next[oi]) * prev_stride + oi + 1;
+              const std::int32_t root =
+                  i == 0 ? static_cast<std::int32_t>(oi) : node_root;
+              const unsigned char had = (node_stall != 0 || stall > 0.0) ? 1 : 0;
+              relax(next_state, node_cost - q, root, had);
+            }
           }
         }
       }
@@ -423,8 +408,8 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   bool relaxed_fallback = false;
   if (!run(/*strict=*/energy_mode, decision)) {
     // No plan satisfies the constraints (e.g. bandwidth collapse): fall back
-    // to the relaxed problem — reusing the same precomputed tables — and
-    // report infeasibility.
+    // to the relaxed problem — reusing the per-option invariants and
+    // recomputing its live rows — and report infeasibility.
     const bool found = run(/*strict=*/false, decision);
     PS360_ASSERT_MSG(found, "relaxed MPC must always find a plan");
     decision.feasible = false;

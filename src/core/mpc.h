@@ -2,7 +2,8 @@
 //
 // Every segment, the client:
 //   (a) reads the buffer level and the metadata of the next H segments,
-//   (b) predicts bandwidth (harmonic mean, predict::HarmonicMeanEstimator),
+//   (b) predicts bandwidth (harmonic mean, the kHarmonic estimator of
+//       predict/bandwidth_estimators.h),
 //   (c) solves the finite-horizon optimization of Eq. 8 by dynamic
 //       programming over discretised buffer states (500 ms granularity),
 //   (d) downloads segment k at the (v, f) the solution prescribes,
@@ -19,7 +20,9 @@
 //
 // The DP state is (buffer level, last chosen option); the transition follows
 // the buffer evolution of Eq. 6 exactly, including the pre-request wait
-// Δt = max(B - β, 0). Complexity O(H · states · V · F), as in the paper.
+// Δt = max(B - β, 0). Complexity O(H · live states · V · F): the paper's
+// O(H · states · V · F) bound, paid only for the buffer states a plan can
+// reach.
 #pragma once
 
 #include <cstddef>
@@ -74,15 +77,13 @@ struct MpcDecision {
 // across decide() calls so the steady state performs zero heap allocations.
 // Layouts (all flattened, row-major):
 //   per (segment, option):  [segment * option_stride + option]
-//   per (bucket, option):   [bucket * option_stride + option]  (one step)
+//   per option:             [option]  (one live bucket's Eq. 6 row)
 //   DP frontier:            [bucket * prev_stride + prev_option + 1]
 // In kMinEnergyQoEConstrained mode the step cost does not depend on the
 // previous option, so prev_stride collapses to 1 and the frontier shrinks by
 // a factor of |options|. The frontier is structure-of-arrays — parallel
-// cost / root / stall vectors instead of an array of nodes — so the cost
-// sweep reads and writes contiguous doubles the compiler can vectorise (see
-// the branch-free sweep in mpc.cpp). Internal: the only stable surface is
-// the observability accessors on MpcController.
+// cost / root / stall vectors instead of an array of nodes. Internal: the
+// only stable surface is the observability accessors on MpcController.
 struct MpcScratch {
   // Per-option invariants of one decide() call (independent of DP state).
   std::vector<double> step_cost;        // energy mJ, or raw qo in kMaxQoE mode
@@ -91,16 +92,12 @@ struct MpcScratch {
   std::vector<double> q_ref;            // per-segment reference quality
   // Buffer level available at request time per bucket (Eq. 6 Δt applied).
   std::vector<double> at_request_s;
-  // Quantized Eq. 6 transition tables, one (bucket × option) slot per
-  // horizon step (slot i at offset i · buckets · max_options), filled once
-  // per decide() call before the strict and relaxed passes read them: each
-  // bucket row is shared by every prev-option slot in kMaxQoE mode and feeds
-  // the two-phase masked sweep in energy mode.
-  std::vector<std::int32_t> next_bucket;
-  std::vector<double> stall_s;
-  // Energy-mode phase-1 candidate costs per (bucket, option): masked to
-  // +inf where strict constraints fail, so phase 2 is a pure min-scatter.
-  std::vector<double> cand_cost;
+  // The Eq. 6 row of the bucket being expanded, one slot per option of the
+  // current step: the bucket the download lands in and the stall it causes.
+  // decide() computes a row right before it scatters a live bucket's
+  // options, so buckets no DP state occupies cost nothing.
+  std::vector<std::int32_t> row_next;
+  std::vector<double> row_stall;
   // Dense DP frontier tables (double-buffered, structure-of-arrays): the
   // minimal cost to reach each state, the option chosen at horizon[0] on
   // that minimal path, and whether that path stalled.
@@ -132,7 +129,9 @@ class MpcController {
                                      util::BytesPerSec bandwidth) const;
 
   // Solve the horizon. horizon[0] is the segment about to be requested;
-  // buffer_s is B_k; prev_qo is Qo_{k-1} for the variation term.
+  // buffer_s is B_k; prev_qo is Qo_{k-1} for the variation term. Every
+  // option's bytes must be finite and >= 0 and its qo finite; a bad option
+  // is rejected naming its segment and option index.
   MpcDecision decide(const std::vector<SegmentChoices>& horizon,
                      util::BytesPerSec bandwidth, util::Seconds buffer,
                      double prev_qo) const;

@@ -1,6 +1,7 @@
 #include "predict/bandwidth_estimators.h"
 
 #include <array>
+#include <deque>
 
 #include "util/check.h"
 #include "util/stats.h"
@@ -76,12 +77,29 @@ class EwmaEstimator final : public BandwidthEstimator {
 class HarmonicEstimator final : public BandwidthEstimator {
  public:
   HarmonicEstimator(std::size_t window, double initial)
-      : inner_(window, util::BytesPerSec(initial)) {}
-  void observe(util::BytesPerSec rate) override { inner_.observe(rate); }
-  double estimate() const override { return inner_.estimate(); }
+      : window_(window), initial_(initial) {
+    PS360_CHECK(window >= 1);
+  }
+  void observe(util::BytesPerSec rate) override {
+    const double bytes_per_s = rate.value();
+    // A zero (or negative) rate would poison the harmonic mean: 1/rate is
+    // infinite or sign-flipped, and the estimate never recovers within the
+    // window. Reject loudly instead.
+    PS360_CHECK_MSG(bytes_per_s > 0.0, "observed download rate must be > 0 bytes/s");
+    history_.push_back(bytes_per_s);
+    if (history_.size() > window_) history_.pop_front();
+  }
+  double estimate() const override {
+    if (history_.empty()) return initial_;
+    double reciprocal_sum = 0.0;
+    for (double rate : history_) reciprocal_sum += 1.0 / rate;
+    return static_cast<double>(history_.size()) / reciprocal_sum;
+  }
 
  private:
-  HarmonicMeanEstimator inner_;
+  std::size_t window_;
+  double initial_;
+  std::deque<double> history_;
 };
 
 }  // namespace

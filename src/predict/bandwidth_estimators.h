@@ -1,23 +1,24 @@
-// Alternative bandwidth estimators.
+// Bandwidth estimation (Section IV-C) and its alternatives.
 //
-// The paper uses the harmonic mean of the last few segments' download rates
-// and points at ARBITER+ / LinkForecast [25, 26] for fancier options. These
-// implementations make the choice measurable:
+// The paper predicts the next segments' throughput as the harmonic mean of
+// the last few segments' download rates — the harmonic mean damps transient
+// spikes that would otherwise cause over-fetching — and points at ARBITER+ /
+// LinkForecast [25, 26] for fancier options. These implementations make the
+// choice measurable:
 //
 //   * kLast     — the most recent observation (jumpy),
 //   * kMean     — sliding arithmetic mean (over-reacts to spikes),
 //   * kEwma     — exponentially weighted moving average,
-//   * kHarmonic — the paper's choice (HarmonicMeanEstimator).
+//   * kHarmonic — the paper's choice.
 //
 // All share one interface so the session simulator and the ablation bench
 // can swap them.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <memory>
 #include <string>
 
-#include "predict/bandwidth.h"
 #include "util/units.h"
 
 namespace ps360::predict {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/buffer.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -18,12 +19,6 @@ namespace {
 // per-session stream index by the fleet engine) into the jitter seed the
 // client actually runs with.
 constexpr std::uint64_t kRecoverySeedStream = 0x4EC0FE4ULL;
-
-// Most buffer states the MPC's DP may sweep. Its dense tables hold one row
-// per state, BufferModel::bucket_count() = lround((β + L) / q) + 1; the
-// repo's quanta (0.25–1 s) need at most 17, so this only stops a quantum
-// small enough to exhaust memory.
-constexpr double kMaxBufferStates = 4096.0;
 
 SchemeEnv make_env(const VideoWorkload& workload, const video::EncodingModel& encoding,
                    const qoe::QoModel& qo_model, const power::DeviceModel& device,
@@ -81,7 +76,7 @@ const SessionConfig& validated(const SessionConfig& config) {
   // ratio too large for a long. NaN fails it too.
   const double steps = (config.mpc.buffer_threshold_s + config.mpc.segment_seconds) /
                        config.mpc.buffer_quantum_s;
-  PS360_CHECK_MSG(steps < kMaxBufferStates - 0.5,
+  PS360_CHECK_MSG(steps < core::kMaxBufferStates - 0.5,
                   "mpc.buffer_quantum_s gives the MPC more than 4096 buffer states");
   return config;
 }

@@ -23,10 +23,10 @@
 
 namespace ps360::sim {
 
-// Bytes of one encoded region of lookahead segment `segment` at (quality,
-// frame ratio), scaled by the region's drawn size noise.
-using RegionBytesFn = std::function<double(std::size_t segment, int quality,
-                                           double frame_ratio, video::SizeNoise noise)>;
+// Noise-free bytes of one encoded region of lookahead segment `segment` at
+// `quality` and the original frame rate; build_horizon applies the frame-rate
+// size factor and the region's drawn size noise, as region_bytes does.
+using RegionBytesFn = std::function<double(std::size_t segment, int quality)>;
 
 // What one option of a lookahead segment downloads: the served region at
 // the option's (quality, frame rate), plus an optional background that is
@@ -46,7 +46,8 @@ class SchemeBase : public Scheme {
       : Scheme(kind),
         env_(checked(env)),
         frame_ladder_(env.workload->video().fps),
-        noise_(&env.workload->size_noise_table(*env.encoding)) {}
+        noise_(&env.workload->size_noise_table(*env.encoding)),
+        frame_terms_(frame_terms(frame_ladder_, *env.encoding)) {}
 
   // Fraction of the actual viewport inside the plan's high-quality region.
   // Ftile (per-segment tile layouts) and Nontile (the whole frame) override.
@@ -79,11 +80,13 @@ class SchemeBase : public Scheme {
   }
 
   // Build the MPC horizon [k, horizon_end(k)). Each term is evaluated at
-  // the granularity it varies on: per segment the objective weight, per
-  // (segment, quality) Eq. 3, per (segment, frame index) the Eq. 4
-  // frame-rate factor (with the *predicted* switching speed) and the
-  // background bytes; per option only the served region's bytes and the
-  // products, multiplied in the order (Qo × frame factor) × weight.
+  // the granularity it varies on: per segment the objective weight and the
+  // background's noise-free bytes, per (segment, quality) Eq. 3 and the
+  // served region's noise-free bytes, per (segment, frame index) the Eq. 4
+  // frame-rate factor (with the *predicted* switching speed) and the noisy
+  // background; per scheme the ladder's fps and size factors. Per option
+  // only the products remain: served bytes × size factor × noise (the
+  // order of EncodingModel::region_bytes), and (Qo × frame factor) × weight.
   std::vector<core::SegmentChoices> build_horizon(std::size_t k, const HorizonBytes& bytes,
                                                   bool frame_options,
                                                   double predicted_sfov,
@@ -97,22 +100,28 @@ class SchemeBase : public Scheme {
       const video::ContentFeatures& feat = env_.workload->features(i);
       const SizeNoiseRow noise = noise_->row(i);
       std::array<double, QualityLadder::kLevels> qo{};
-      for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v)
+      std::array<double, QualityLadder::kLevels> served{};
+      for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
         qo[level_index(v)] = segment_qo(feat, v);
+        served[level_index(v)] = bytes.served(i, v);
+      }
       const double alpha =
           frame_options ? qoe::QoModel::alpha(util::DegPerSec(predicted_sfov), feat.ti)
                         : 0.0;
+      // The background plays at the original frame rate, whose size factor
+      // is exactly 1, so only its noise varies with the frame index.
+      const double background_bytes =
+          bytes.background ? bytes.background(i, QualityLadder::kMinLevel) : 0.0;
       std::array<double, FrameRateLadder::kOptions> frame_factor{};
       std::array<double, FrameRateLadder::kOptions> background{};
       for (std::size_t fi = first_frame; fi <= FrameRateLadder::kOptions; ++fi) {
-        const double ratio = frame_ladder_.ratio(fi);
+        const double ratio = frame_terms_.ratio[fi - 1];
         frame_factor[fi - 1] =
             ratio >= 1.0 ? 1.0 : qoe::QoModel::frame_rate_factor(alpha, ratio);
         background[fi - 1] =
             bytes.background
-                ? bytes.background(
-                      i, QualityLadder::kMinLevel, 1.0,
-                      noise.at(bytes.background_role, QualityLadder::kMinLevel, fi))
+                ? background_bytes *
+                      noise.at(bytes.background_role, QualityLadder::kMinLevel, fi).factor
                 : 0.0;
       }
       const double weight = objective_weight(feat, predicted_sfov);
@@ -124,9 +133,9 @@ class SchemeBase : public Scheme {
           core::QualityOption option;
           option.quality = v;
           option.frame_index = fi;
-          const double ratio = frame_ladder_.ratio(fi);
-          option.fps = frame_ladder_.fps(fi);
-          option.bytes = bytes.served(i, v, ratio, noise.at(bytes.served_role, v, fi)) +
+          option.fps = frame_terms_.fps[fi - 1];
+          option.bytes = served[level_index(v)] * frame_terms_.size_factor[fi - 1] *
+                             noise.at(bytes.served_role, v, fi).factor +
                          background[fi - 1];
           option.qo = qo[level_index(v)] * frame_factor[fi - 1] * weight;
           option.profile = profile;
@@ -147,6 +156,25 @@ class SchemeBase : public Scheme {
   const SizeNoiseTable* const noise_;  // env_.workload's table for env_.encoding
 
  private:
+  // The frame-rate ladder's per-index terms, slot fi - 1 for frame index fi:
+  // fps, f / fm, and the encoding's size factor (f / fm)^γ.
+  struct FrameTerms {
+    std::array<double, video::FrameRateLadder::kOptions> fps{}, ratio{}, size_factor{};
+  };
+
+  static FrameTerms frame_terms(const video::FrameRateLadder& ladder,
+                                const video::EncodingModel& encoding) {
+    FrameTerms terms;
+    for (std::size_t fi = 1; fi <= video::FrameRateLadder::kOptions; ++fi) {
+      terms.fps[fi - 1] = ladder.fps(fi);
+      terms.ratio[fi - 1] = ladder.ratio(fi);
+      terms.size_factor[fi - 1] = encoding.frame_size_factor(ladder.ratio(fi));
+    }
+    return terms;
+  }
+
+  const FrameTerms frame_terms_;
+
   static const SchemeEnv& checked(const SchemeEnv& env) {
     PS360_CHECK(env.workload != nullptr && env.encoding != nullptr &&
                 env.qo_model != nullptr && env.device != nullptr);

@@ -102,15 +102,13 @@ class CtileScheme : public MpcScheme {
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kCtileHq;
-    bytes.served = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
-      return env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L, ratio,
-                                         noise);
+    bytes.served = [&](std::size_t i, int v) {
+      return env_.encoding->full_rate_bytes(hq_area, n_hq, v, workload.features(i), L);
     };
     if (n_bg > 0 && bg_area > 0.0) {
       bytes.background_role = NoiseRole::kCtileBackground;
-      bytes.background = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
-        return env_.encoding->region_bytes(bg_area, n_bg, v, workload.features(i), L,
-                                           ratio, noise);
+      bytes.background = [&](std::size_t i, int v) {
+        return env_.encoding->full_rate_bytes(bg_area, n_bg, v, workload.features(i), L);
       };
     }
 
@@ -183,18 +181,18 @@ class FtileScheme : public MpcScheme {
     // the other, which costs 0 bytes.
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kFtileHq;
-    bytes.served = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
+    bytes.served = [&](std::size_t i, int v) {
       const std::vector<double>& areas = tiles[i - k].hq_areas;
       return areas.empty() ? 0.0
-                           : env_.encoding->tiled_bytes(areas, v, workload.features(i), L,
-                                                        ratio, noise);
+                           : env_.encoding->tiled_full_rate_bytes(areas, v,
+                                                                  workload.features(i), L);
     };
     bytes.background_role = NoiseRole::kFtileBackground;
-    bytes.background = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
+    bytes.background = [&](std::size_t i, int v) {
       const std::vector<double>& areas = tiles[i - k].bg_areas;
       return areas.empty() ? 0.0
-                           : env_.encoding->tiled_bytes(areas, v, workload.features(i), L,
-                                                        ratio, noise);
+                           : env_.encoding->tiled_full_rate_bytes(areas, v,
+                                                                  workload.features(i), L);
     };
 
     DownloadPlan plan = solve(k, bytes, /*frame_options=*/false, predicted_sfov,
@@ -226,8 +224,8 @@ class NontileScheme : public MpcScheme {
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kNontile;
-    bytes.served = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
-      return env_.encoding->region_bytes(1.0, 1, v, workload.features(i), L, ratio, noise);
+    bytes.served = [&](std::size_t i, int v) {
+      return env_.encoding->full_rate_bytes(1.0, 1, v, workload.features(i), L);
     };
 
     DownloadPlan plan = solve(k, bytes, /*frame_options=*/false, predicted_sfov,
@@ -280,15 +278,13 @@ class PtileScheme : public MpcScheme {
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kPtile;
-    bytes.served = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
-      return env_.encoding->region_bytes(ptile_area, 1, v, workload.features(i), L, ratio,
-                                         noise);
+    bytes.served = [&](std::size_t i, int v) {
+      return env_.encoding->full_rate_bytes(ptile_area, 1, v, workload.features(i), L);
     };
     if (!bg_areas.empty()) {
       bytes.background_role = NoiseRole::kPtileBackground;
-      bytes.background = [&](std::size_t i, int v, double ratio, video::SizeNoise noise) {
-        return env_.encoding->tiled_bytes(bg_areas, v, workload.features(i), L, ratio,
-                                          noise);
+      bytes.background = [&](std::size_t i, int v) {
+        return env_.encoding->tiled_full_rate_bytes(bg_areas, v, workload.features(i), L);
       };
     }
 

@@ -55,16 +55,23 @@ EquirectPoint lerp_center(const EquirectPoint& a, const EquirectPoint& b, double
   return EquirectPoint{x, y};
 }
 
+// center_at(t) given its bracket hi = lower_bound(t): an end sample outside
+// the trace, else interpolated between hi - 1 and hi.
+EquirectPoint center_from(const std::vector<HeadSample>& samples,
+                          std::vector<HeadSample>::const_iterator hi, double t) {
+  if (t <= samples.front().t) return samples.front().center;
+  if (t >= samples.back().t) return samples.back().center;
+  const auto& lo = *(hi - 1);
+  const double frac = (t - lo.t) / (hi->t - lo.t);
+  return lerp_center(lo.center, hi->center, frac);
+}
+
 }  // namespace
 
 EquirectPoint HeadTrace::center_at(double t) const {
-  if (t <= samples_.front().t) return samples_.front().center;
-  if (t >= samples_.back().t) return samples_.back().center;
-  const auto it = std::lower_bound(samples_.begin(), samples_.end(), t, sample_before);
-  const auto& hi = *it;
-  const auto& lo = *(it - 1);
-  const double frac = (t - lo.t) / (hi.t - lo.t);
-  return lerp_center(lo.center, hi.center, frac);
+  return center_from(samples_,
+                     std::lower_bound(samples_.begin(), samples_.end(), t, sample_before),
+                     t);
 }
 
 geometry::Viewport HeadTrace::viewport_at(double t, util::Degrees fov) const {
@@ -119,10 +126,15 @@ double HeadTrace::switching_speed(double t0, double t1) const {
   // Great-circle path length over the window / elapsed time (Eq. 5 applied
   // per consecutive sample pair and aggregated): start -> the samples
   // strictly inside (t0, t1) -> end, whose endpoints are interpolated.
-  const geometry::Vec3 start = center_at(t0).orientation();
-  const geometry::Vec3 end = center_at(t1).orientation();
   const auto first = std::upper_bound(samples_.begin(), samples_.end(), t0, sample_after);
   const auto last = std::lower_bound(first, samples_.end(), t1, sample_before);
+  // The two searches also give center_at's brackets: no sample before
+  // `first` reaches t1, so lower_bound(t1) is `last`; lower_bound(t0) is
+  // `first`, or the sample just before it when that one sits exactly at t0.
+  const auto t0_hi =
+      first != samples_.begin() && (first - 1)->t == t0 ? first - 1 : first;
+  const geometry::Vec3 start = center_from(samples_, t0_hi, t0).orientation();
+  const geometry::Vec3 end = center_from(samples_, last, t1).orientation();
   if (first == last) return geometry::angular_distance(start, end).value() / (t1 - t0);
   const std::vector<double>& deg = pair_degrees();
   double path_deg = geometry::angular_distance(start, first->center.orientation()).value();

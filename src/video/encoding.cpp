@@ -1,5 +1,6 @@
 #include "video/encoding.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -58,31 +59,47 @@ double EncodingModel::region_bytes(double area_fraction, std::size_t n_tiles,
                                    int quality, const ContentFeatures& features,
                                    double seconds, double frame_rate_ratio,
                                    SizeNoise noise) const {
-  PS360_CHECK(area_fraction > 0.0 && area_fraction <= 1.0 + 1e-9);
-  PS360_CHECK(n_tiles >= 1);
-  PS360_CHECK(seconds > 0.0);
-  PS360_CHECK(frame_rate_ratio > 0.0 && frame_rate_ratio <= 1.0);
-  const double rate = area_rate_mbps(quality, features);
-  const double mbps =
-      area_fraction * rate +
-      static_cast<double>(n_tiles) * tile_overhead_mbps(quality, features);
-  const double frame_factor =
-      std::pow(frame_rate_ratio, config_.framerate_size_exponent);
-  return mbps * 1e6 / 8.0 * seconds * frame_factor * noise.factor;
+  return full_rate_bytes(area_fraction, n_tiles, quality, features, seconds) *
+         frame_size_factor(frame_rate_ratio) * noise.factor;
 }
 
 double EncodingModel::tiled_bytes(const std::vector<double>& tile_area_fractions,
                                   int quality, const ContentFeatures& features,
                                   double seconds, double frame_rate_ratio,
                                   SizeNoise noise) const {
+  return tiled_full_rate_bytes(tile_area_fractions, quality, features, seconds) *
+         frame_size_factor(frame_rate_ratio) * noise.factor;
+}
+
+double EncodingModel::full_rate_bytes(double area_fraction, std::size_t n_tiles,
+                                      int quality, const ContentFeatures& features,
+                                      double seconds) const {
+  PS360_CHECK(area_fraction > 0.0 && area_fraction <= 1.0 + 1e-9);
+  PS360_CHECK(n_tiles >= 1);
+  PS360_CHECK(seconds > 0.0);
+  const double rate = area_rate_mbps(quality, features);
+  const double mbps =
+      area_fraction * rate +
+      static_cast<double>(n_tiles) * tile_overhead_mbps(quality, features);
+  return mbps * 1e6 / 8.0 * seconds;
+}
+
+double EncodingModel::tiled_full_rate_bytes(const std::vector<double>& tile_area_fractions,
+                                            int quality, const ContentFeatures& features,
+                                            double seconds) const {
   PS360_CHECK(!tile_area_fractions.empty());
   double area = 0.0;
   for (double a : tile_area_fractions) {
     PS360_CHECK(a > 0.0 && a <= 1.0 + 1e-9);
     area += a;
   }
-  return region_bytes(std::min(area, 1.0), tile_area_fractions.size(), quality,
-                      features, seconds, frame_rate_ratio, noise);
+  return full_rate_bytes(std::min(area, 1.0), tile_area_fractions.size(), quality,
+                         features, seconds);
+}
+
+double EncodingModel::frame_size_factor(double frame_rate_ratio) const {
+  PS360_CHECK(frame_rate_ratio > 0.0 && frame_rate_ratio <= 1.0);
+  return std::pow(frame_rate_ratio, config_.framerate_size_exponent);
 }
 
 double EncodingModel::fov_bitrate_mbps(int quality, const ContentFeatures& features) const {

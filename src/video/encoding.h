@@ -115,16 +115,27 @@ class EncodingModel {
   // Bytes for a region of `area_fraction` of the frame encoded as `n_tiles`
   // equal tiles at `quality`, `seconds` long, at a reduced frame-rate ratio
   // (f / fm in (0,1]), scaled by a drawn size-noise factor (the default
-  // disables noise: exact medians, as the calibration tests use).
+  // disables noise: exact medians, as the calibration tests use). Computed
+  // as full_rate_bytes(...) * frame_size_factor(ratio) * noise.factor.
   double region_bytes(double area_fraction, std::size_t n_tiles, int quality,
                       const ContentFeatures& features, double seconds,
                       double frame_rate_ratio = 1.0, SizeNoise noise = {}) const;
 
   // Bytes for a region made of tiles with the given individual area
-  // fractions (for irregular layouts like Ftile).
+  // fractions (for irregular layouts like Ftile), composed likewise.
   double tiled_bytes(const std::vector<double>& tile_area_fractions, int quality,
                      const ContentFeatures& features, double seconds,
                      double frame_rate_ratio = 1.0, SizeNoise noise = {}) const;
+
+  // The factors of region_bytes / tiled_bytes, which a planner evaluates at
+  // different granularities: noise-free bytes at the original frame rate,
+  // and the frame-rate size factor frame_rate_ratio^γ.
+  double full_rate_bytes(double area_fraction, std::size_t n_tiles, int quality,
+                         const ContentFeatures& features, double seconds) const;
+  double tiled_full_rate_bytes(const std::vector<double>& tile_area_fractions,
+                               int quality, const ContentFeatures& features,
+                               double seconds) const;
+  double frame_size_factor(double frame_rate_ratio) const;
 
   // Mbps of a FoV-sized patch at this quality — both the transfer-size
   // proxy and, scaled by QoModel's bitrate_scale, the `b` fed to Eq. 3

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/buffer.h"
 #include "core/mpc.h"
@@ -351,6 +354,48 @@ TEST(MpcValidationTest, RejectsBadInputs) {
   horizon[0] = make_choices(1e6, DecodeProfile::kPtile);
   EXPECT_THROW(controller.decide(horizon, util::BytesPerSec(0.0), util::Seconds(3.0), -1.0), std::invalid_argument);
   EXPECT_THROW(controller.decide(horizon, util::BytesPerSec(1e6), util::Seconds(-1.0), -1.0), std::invalid_argument);
+
+  // A malformed option is rejected by both objectives, naming its segment
+  // and option, before any of it is read: NaN, +inf and negative sizes and
+  // non-finite Qo values would otherwise be absorbed by the DP's comparisons
+  // (or, in energy mode, fail inside Eq. 1 without saying where).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const MpcObjective objective :
+       {MpcObjective::kMaxQoE, MpcObjective::kMinEnergyQoEConstrained}) {
+    const MpcController solver(default_config(), power::device_model(Device::kPixel3),
+                               objective);
+    const auto expect_rejected = [&](bool bad_bytes, double value) {
+      std::vector<SegmentChoices> bad(3, make_choices(1e6, DecodeProfile::kPtile, true));
+      QualityOption& option = bad[1].options[2];
+      (bad_bytes ? option.bytes : option.qo) = value;
+      const std::string what = std::string(bad_bytes ? "bytes " : "qo ") +
+                               std::to_string(value) + " objective " +
+                               std::to_string(static_cast<int>(objective));
+      try {
+        (void)solver.decide(bad, util::BytesPerSec(4e5), util::Seconds(2.0), 50.0);
+        ADD_FAILURE() << "accepted " << what;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("segment 1 option 2"), std::string::npos)
+            << what << ": " << e.what();
+      }
+    };
+    for (const double bytes : {kNaN, kInf, -1.0}) expect_rejected(true, bytes);
+    for (const double qo : {kNaN, kInf, -kInf}) expect_rejected(false, qo);
+  }
+}
+
+// Constructs a controller and expects the config to be rejected with a
+// message naming `field`.
+void expect_config_rejected(const MpcConfig& config, const std::string& field) {
+  try {
+    const MpcController controller(config, power::device_model(Device::kPixel3),
+                                   MpcObjective::kMaxQoE);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << field << ": " << e.what();
+  }
 }
 
 TEST(MpcValidationTest, ConfigValidation) {
@@ -364,6 +409,26 @@ TEST(MpcValidationTest, ConfigValidation) {
   EXPECT_THROW(MpcController(config, power::device_model(Device::kPixel3),
                              MpcObjective::kMaxQoE),
                std::invalid_argument);
+
+  // Each grid field must be finite: an infinite segment length or threshold
+  // would otherwise size decide()'s frontier from an infinite grid.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kInf, kNaN}) {
+    config = default_config();
+    config.segment_seconds = bad;
+    expect_config_rejected(config, "segment_seconds");
+    config = default_config();
+    config.buffer_threshold_s = bad;
+    expect_config_rejected(config, "buffer_threshold_s");
+    config = default_config();
+    config.buffer_quantum_s = bad;
+    expect_config_rejected(config, "buffer_quantum_s");
+  }
+  // (3 + 1) / 5e-4 = 8000 steps: 8001 states, past kMaxBufferStates.
+  config = default_config();
+  config.buffer_quantum_s = 5e-4;
+  expect_config_rejected(config, "buffer_quantum_s");
 }
 
 }  // namespace

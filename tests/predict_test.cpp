@@ -8,9 +8,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "predict/bandwidth.h"
 #include "predict/bandwidth_estimators.h"
 #include "predict/predictors.h"
 #include "predict/viewport_predictor.h"
@@ -422,52 +423,66 @@ TEST(ViewportPredictorTest, ConfigValidation) {
 
 // ------------------------------------------------------ HarmonicEstimator
 
+// The paper's estimator, kHarmonic, built through the factory.
+std::unique_ptr<BandwidthEstimator> harmonic(std::size_t window,
+                                             double initial = 500e3) {
+  return make_bandwidth_estimator(BandwidthEstimatorKind::kHarmonic, window,
+                                  util::BytesPerSec(initial));
+}
+
 TEST(HarmonicEstimatorTest, PriorBeforeObservations) {
-  const HarmonicMeanEstimator estimator(5, util::BytesPerSec(123.0));
-  EXPECT_DOUBLE_EQ(estimator.estimate(), 123.0);
+  const auto estimator = harmonic(5, 123.0);
+  EXPECT_DOUBLE_EQ(estimator->estimate(), 123.0);
 }
 
 TEST(HarmonicEstimatorTest, HarmonicMeanOfWindow) {
-  HarmonicMeanEstimator estimator(3);
-  estimator.observe(util::BytesPerSec(2.0));
-  estimator.observe(util::BytesPerSec(4.0));
-  EXPECT_DOUBLE_EQ(estimator.estimate(), 2.0 / (1.0 / 2.0 + 1.0 / 4.0));
+  const auto estimator = harmonic(3);
+  estimator->observe(util::BytesPerSec(2.0));
+  estimator->observe(util::BytesPerSec(4.0));
+  EXPECT_DOUBLE_EQ(estimator->estimate(), 2.0 / (1.0 / 2.0 + 1.0 / 4.0));
 }
 
 TEST(HarmonicEstimatorTest, WindowEvictsOldest) {
-  HarmonicMeanEstimator estimator(2);
-  estimator.observe(util::BytesPerSec(1.0));
-  estimator.observe(util::BytesPerSec(10.0));
-  estimator.observe(util::BytesPerSec(10.0));  // evicts the 1.0
-  EXPECT_DOUBLE_EQ(estimator.estimate(), 10.0);
-  EXPECT_EQ(estimator.observations(), 2u);
+  const auto estimator = harmonic(2);
+  estimator->observe(util::BytesPerSec(1.0));
+  estimator->observe(util::BytesPerSec(10.0));
+  estimator->observe(util::BytesPerSec(10.0));  // evicts the 1.0
+  EXPECT_DOUBLE_EQ(estimator->estimate(), 10.0);
+  // Two entries stay: the next observation evicts the first 10.0 only.
+  estimator->observe(util::BytesPerSec(2.5));
+  EXPECT_DOUBLE_EQ(estimator->estimate(), 2.0 / (1.0 / 10.0 + 1.0 / 2.5));
 }
 
 TEST(HarmonicEstimatorTest, DampsSpikesVsArithmeticMean) {
-  HarmonicMeanEstimator estimator(5);
+  const auto estimator = harmonic(5);
   const std::vector<double> rates = {4.0, 4.0, 4.0, 4.0, 40.0};
-  for (double r : rates) estimator.observe(util::BytesPerSec(r));
-  EXPECT_LT(estimator.estimate(), util::mean(rates));
+  for (double r : rates) estimator->observe(util::BytesPerSec(r));
+  EXPECT_LT(estimator->estimate(), util::mean(rates));
 }
 
 TEST(HarmonicEstimatorTest, RejectsInvalid) {
-  EXPECT_THROW(HarmonicMeanEstimator(0), std::invalid_argument);
-  EXPECT_THROW(HarmonicMeanEstimator(5, util::BytesPerSec(0.0)),
-               std::invalid_argument);
-  HarmonicMeanEstimator estimator(5);
-  EXPECT_THROW(estimator.observe(util::BytesPerSec(0.0)), std::invalid_argument);
+  EXPECT_THROW(harmonic(0), std::invalid_argument);
+  EXPECT_THROW(harmonic(5, 0.0), std::invalid_argument);
+  const auto estimator = harmonic(5);
+  try {
+    estimator->observe(util::BytesPerSec(0.0));
+    ADD_FAILURE() << "accepted a zero rate";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("> 0 bytes/s"), std::string::npos) << e.what();
+  }
 }
 
 // A non-positive rate must not poison the harmonic mean (1/0 would make the
 // estimate NaN/0 for the rest of the window); the estimator rejects it and
-// keeps its previous state intact.
+// keeps its previous state intact: one observation in the window.
 TEST(HarmonicEstimatorTest, NonPositiveRateDoesNotPoisonState) {
-  HarmonicMeanEstimator estimator(5);
-  estimator.observe(util::BytesPerSec(8.0));
-  EXPECT_THROW(estimator.observe(util::BytesPerSec(0.0)), std::invalid_argument);
-  EXPECT_THROW(estimator.observe(util::BytesPerSec(-4.0)), std::invalid_argument);
-  EXPECT_EQ(estimator.observations(), 1u);
-  EXPECT_DOUBLE_EQ(estimator.estimate(), 8.0);
+  const auto estimator = harmonic(5);
+  estimator->observe(util::BytesPerSec(8.0));
+  EXPECT_THROW(estimator->observe(util::BytesPerSec(0.0)), std::invalid_argument);
+  EXPECT_THROW(estimator->observe(util::BytesPerSec(-4.0)), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(estimator->estimate(), 8.0);
+  estimator->observe(util::BytesPerSec(2.0));
+  EXPECT_DOUBLE_EQ(estimator->estimate(), 2.0 / (1.0 / 8.0 + 1.0 / 2.0));
 }
 
 // ------------------------------------------------- Alternative predictors

@@ -445,8 +445,9 @@ TEST(SchemeTest, FtileDownloadsSubsetOfTiles) {
   }
 }
 
-// The per-option reference for the MPC schemes' plan() (Ftile, Ctile, Pano,
-// Ptile and Ours): every (segment, quality, frame) option makes one bytes()
+// The per-option reference for the MPC schemes' plan() (Ftile, Ctile,
+// Nontile, Pano, Ptile and Ours): every (segment, quality, frame) option
+// makes one bytes()
 // call, which draws its own size noise (EncodingModel::size_noise(
 // noise_key(...))) and, for Ftile, selects the FoV tiles against its
 // segment's layout; and one Eq. 3/4 predicted Qo, times Pano's perceptual
@@ -474,6 +475,8 @@ class PerOptionReference : public Scheme {
         return ftile(in);
       case SchemeKind::kCtile:
         return ctile(in, /*frame_options=*/false, /*perceptual=*/false);
+      case SchemeKind::kNontile:
+        return nontile(in);
       case SchemeKind::kPano:
         return ctile(in, /*frame_options=*/true, /*perceptual=*/true);
       case SchemeKind::kPtile:
@@ -579,6 +582,21 @@ class PerOptionReference : public Scheme {
     DownloadPlan plan = solve(qoe_, in, bytes, frame_options, perceptual,
                               power::DecodeProfile::kCtile);
     plan.hq_region = hq;
+    return plan;
+  }
+
+  DownloadPlan nontile(const Inputs& in) const {
+    const auto& workload = *env_.workload;
+    const double L = env_.mpc.segment_seconds;
+    const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
+      return env_.encoding->region_bytes(1.0, 1, v, workload.features(i), L, ratio,
+                                         draw(i, v, fi, NoiseRole::kNontile));
+    };
+    DownloadPlan plan = solve(qoe_, in, bytes, /*frame_options=*/false,
+                              /*perceptual=*/false, power::DecodeProfile::kNontile);
+    plan.hq_region = geometry::EquirectRect::make(
+        geometry::LonInterval::make(geometry::Degrees(0.0), geometry::Degrees(360.0)),
+        geometry::Degrees(0.0), geometry::Degrees(180.0));
     return plan;
   }
 
@@ -689,12 +707,13 @@ TEST(SchemeTest, FtilePlanMatchesPerOptionReference) {
   }
 }
 
-// Ours (the frame-rate ladder, Ptile plus background blocks, and the
-// Ctile fallback when no Ptile covers the prediction) and Pano (the
-// perceptual weight over the full ladder on Ctile's tiles) against the
-// per-option reference, over segments, predicted viewports (a training
-// user's and one off to the side), switching speeds, bandwidths, buffer
-// levels and previous Qo values.
+// Ours and Ptile (Ptile plus background blocks, with and without the
+// frame-rate ladder, and the Ctile fallback when no Ptile covers the
+// prediction), Ctile and Nontile (the QoE objective at the original frame
+// rate) and Pano (the perceptual weight over the full ladder on Ctile's
+// tiles) against the per-option reference, over segments, predicted
+// viewports (a training user's and one off to the side), switching speeds,
+// bandwidths, buffer levels and previous Qo values.
 void expect_plans_match_reference(SchemeKind kind) {
   const PlannerFixture fixture;
   const auto& workload = football_workload();
@@ -738,8 +757,9 @@ void expect_plans_match_reference(SchemeKind kind) {
       }
     }
   }
-  if (kind == SchemeKind::kOurs) {
-    // Both of Ours' paths ran: a covering Ptile and the Ctile fallback.
+  if (kind == SchemeKind::kOurs || kind == SchemeKind::kPtile) {
+    // Both of the scheme's paths ran: a covering Ptile and the Ctile
+    // fallback.
     EXPECT_GT(used_ptile, 0u);
     EXPECT_LT(used_ptile, plans);
   }
@@ -751,6 +771,18 @@ TEST(SchemeTest, OursPlanMatchesPerOptionReference) {
 
 TEST(SchemeTest, PanoPlanMatchesPerOptionReference) {
   expect_plans_match_reference(SchemeKind::kPano);
+}
+
+TEST(SchemeTest, CtilePlanMatchesPerOptionReference) {
+  expect_plans_match_reference(SchemeKind::kCtile);
+}
+
+TEST(SchemeTest, NontilePlanMatchesPerOptionReference) {
+  expect_plans_match_reference(SchemeKind::kNontile);
+}
+
+TEST(SchemeTest, PtilePlanMatchesPerOptionReference) {
+  expect_plans_match_reference(SchemeKind::kPtile);
 }
 
 TEST(SchemeTest, OursUsesReducedFramesUnderFastSwitching) {
