@@ -18,6 +18,7 @@
 
 #include <vector>
 
+#include "bench/build_context.h"
 #include "core/mpc.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"

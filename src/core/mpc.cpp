@@ -7,6 +7,7 @@
 
 #include "core/buffer.h"
 #include "util/check.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace ps360::core {
@@ -274,7 +275,7 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
 
   // strict = enforce no-stall + ε-constraint (energy mode); relaxed = allow
   // everything, penalise stalls — used as fallback and as the kMaxQoE mode.
-  // Returns false if no complete path exists under the given strictness.
+  // Returns false if no complete finite-cost path exists under the strictness.
   auto run = [&](bool strict, MpcDecision& decision) -> bool {
     grow(scratch.frontier_cost, table_size, scratch.grow_events);
     grow(scratch.next_cost, table_size, scratch.grow_events);
@@ -397,7 +398,8 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
         found = true;
       }
     }
-    PS360_ASSERT(found && best_root >= 0);
+    if (!found) return false;  // every candidate's cost overflowed to +inf
+    PS360_ASSERT(best_root >= 0);
     decision.choice = horizon[0].options[static_cast<std::size_t>(best_root)];
     decision.objective = best_cost;
     decision.feasible = !best_stall;
@@ -411,7 +413,8 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     // to the relaxed problem — reusing the per-option invariants and
     // recomputing its live rows — and report infeasibility.
     const bool found = run(/*strict=*/false, decision);
-    PS360_ASSERT_MSG(found, "relaxed MPC must always find a plan");
+    PS360_CHECK_MSG(found, util::strfmt("bandwidth %g B/s overflows every plan's cost",
+                                        bandwidth_bytes_per_s));
     decision.feasible = false;
     relaxed_fallback = true;
   }

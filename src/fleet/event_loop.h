@@ -11,7 +11,7 @@
 // pointer value or hash-container iteration order — so a fleet run is
 // bit-reproducible across platforms and thread counts. One EventLoop holds
 // every event of a fleet run, and only the engine's coordinator thread
-// schedules and pops (SolvePool workers never touch it).
+// schedules and pops (speculative solves on the worker pool never touch it).
 //
 // Zero steady-state allocation: the queue is a binary heap over a vector
 // reserved up front (same discipline as core::MpcScratch); every reallocation

@@ -1,17 +1,16 @@
-// FleetRunner implementation: slot-per-replication results through the
-// sim::for_each_slot worker pool, so aggregates are bit-identical for any
-// worker count. Each worker runs whole run_fleet calls; any in-replication
-// sharding (FleetConfig::shards) nests its own SolvePool threads inside the
-// call and joins them before the slot is written, so the two axes never
-// interact.
+// FleetRunner implementation: slot-per-replication results through
+// util::for_each_slot on the worker pool, so aggregates are bit-identical
+// for any thread count. Each slot runs a whole run_fleet call; its
+// speculative solves (FleetConfig::shards) are tasks on the same pool,
+// joined before the slot is written.
 #include "fleet/runner.h"
 
 #include <memory>
 
-#include "sim/experiment.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/worker_pool.h"
 
 namespace ps360::fleet {
 
@@ -28,7 +27,7 @@ std::vector<FleetResult> run_fleet_replications(const sim::VideoWorkload& worklo
 
   const std::size_t n_reps = options.replications;
   // One slot per replication keeps the output order deterministic no matter
-  // how the workers interleave (same pool as run_evaluation_grid).
+  // how the threads interleave (same pool as run_evaluation_grid).
   std::vector<FleetResult> results(n_reps);
 
   // A shared Observer cannot be fed from concurrent workers, and merging as
@@ -43,7 +42,7 @@ std::vector<FleetResult> run_fleet_replications(const sim::VideoWorkload& worklo
   std::vector<std::unique_ptr<obs::EventTracer>> rep_tracers(n_reps);
   std::vector<obs::Observer> rep_observers(n_reps);
 
-  sim::for_each_slot(n_reps, options.threads, [&](std::size_t r) {
+  util::for_each_slot(n_reps, options.threads, [&](std::size_t r) {
     const std::uint64_t rep_seed = util::derive_seed(config.seed, kReplicationStream, r);
     trace::NetworkSynthConfig link_cfg = options.link;
     link_cfg.seed = rep_seed;

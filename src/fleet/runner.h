@@ -1,21 +1,19 @@
-// FleetRunner: independent fleet replications fanned out over a thread
+// FleetRunner: independent fleet replications fanned out over the worker
 // pool, aggregated into fleet-level metrics, plus the fleet-size sweep used
 // to map where Ptile's energy advantage survives contention.
 //
 // Each replication r synthesizes its own bottleneck trace and start stagger
 // from seeds derived off (base seed, r) — the same (seed, stream) discipline
 // as the evaluation grid — and lands in result slot r, so aggregates are
-// bit-identical for any worker thread count (PS360_THREADS respected via
-// sim::resolve_thread_count).
+// bit-identical for any thread count (PS360_THREADS respected via
+// util::resolve_thread_count).
 //
-// Two orthogonal parallelism axes compose here: this runner parallelizes
-// ACROSS replications (each worker owns whole run_fleet calls), while
-// FleetConfig::shards parallelizes WITHIN one replication (speculative MPC
-// solves on SolvePool workers, DESIGN.md §15). Both are
+// This runner parallelizes ACROSS replications (each slot runs a whole
+// run_fleet call), while FleetConfig::shards sends the speculative MPC
+// solves WITHIN one replication to the same pool (DESIGN.md §15). Both are
 // result-invariant, so any mix of `threads` × `shards` is bit-identical to
-// fully serial; oversubscription, not correctness, is the only reason to
-// prefer one axis — replications scale embarrassingly, so give this runner
-// the cores and leave shards at 1 unless a single giant fleet is the job.
+// fully serial, and both draw on one thread budget (util/worker_pool.h), so
+// no mix runs more threads than the budget.
 #pragma once
 
 #include <vector>
@@ -26,8 +24,9 @@ namespace ps360::fleet {
 
 struct FleetRunOptions {
   std::size_t replications = 3;
-  // Worker threads over replications; 0 = hardware concurrency. The
-  // PS360_THREADS environment variable overrides (resolve_thread_count).
+  // Threads over replications on the worker pool, capped by its thread
+  // budget; 0 = hardware concurrency. The PS360_THREADS environment
+  // variable overrides (util::resolve_thread_count).
   std::size_t threads = 1;
   // Bottleneck trace synthesis per replication (seed field is overridden
   // with the derived per-replication seed). Scale mean/min/max to provision

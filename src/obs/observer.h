@@ -22,7 +22,7 @@
 //    runner gives every replication a private Observer and merges in slot
 //    order. Inside one replication (DESIGN.md §15) the engine gives each
 //    session its own Observer with the caller's sinks and a private `now_s`;
-//    while that session's MPC solve runs on a SolvePool worker, `stage`
+//    while that session's MPC solve is released to the worker pool, `stage`
 //    points at the session's EmissionStage, so the plan path's obs::add /
 //    obs::observe / obs::trace calls are staged, not emitted. The
 //    coordinator replays the stage when the session's flow-start event pops

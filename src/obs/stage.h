@@ -1,5 +1,5 @@
 // EmissionStage — one fleet session's observer emissions, held while its
-// MPC solve runs on a SolvePool worker and replayed on the coordinator.
+// MPC solve is out on the worker pool and replayed on the coordinator.
 //
 // A MetricsRegistry and an EventTracer are single-threaded, and their bytes
 // depend on emission order (counters are floating-point sums, the trace is

@@ -111,7 +111,6 @@ SessionAccountant::SessionAccountant(const VideoWorkload& workload,
 ClientConfig SessionAccountant::client_config() const {
   ClientConfig client_config;
   client_config.mpc = config_.mpc;
-  client_config.mpc_horizon = config_.mpc_horizon;
   client_config.bandwidth_window = config_.bandwidth_window;
   client_config.initial_bandwidth_bytes_per_s = config_.initial_bandwidth_bytes_per_s;
   client_config.download_fov_padding_deg = config_.download_fov_padding_deg;

@@ -44,7 +44,6 @@ struct RecoveryConfig {
 
 struct ClientConfig {
   core::MpcConfig mpc;                // L, β, quantum, ε, weights
-  std::size_t mpc_horizon = 5;        // H
   std::size_t bandwidth_window = 5;   // harmonic-mean window
   double initial_bandwidth_bytes_per_s = 500e3;  // estimator prior
   double download_fov_padding_deg = 10.0;

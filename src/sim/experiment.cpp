@@ -1,18 +1,15 @@
 // Evaluation-grid driver: per-(video,user,scheme,trace) sessions fanned
-// out over the for_each_slot worker pool. Deterministic by construction:
-// workers claim slot indices from an atomic counter but write only into
-// their own slot, so the merged grid is independent of thread count and
-// interleaving.
+// out over the worker pool (util::for_each_slot). Deterministic by
+// construction: threads claim slot indices from an atomic counter but write
+// only into their own slot, so the merged grid is independent of thread
+// count and interleaving.
 #include "sim/experiment.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <exception>
 #include <mutex>
-#include <thread>
 
 #include "util/check.h"
+#include "util/worker_pool.h"
 
 namespace ps360::sim {
 
@@ -42,49 +39,6 @@ double EvaluationGrid::normalized_mean(
     ++n;
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-std::size_t resolve_thread_count(std::size_t requested) {
-  if (const char* env = std::getenv("PS360_THREADS")) {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0)
-      return static_cast<std::size_t>(value);
-  }
-  return requested != 0 ? requested
-                        : std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-}
-
-void for_each_slot(std::size_t n, std::size_t threads,
-                   const std::function<void(std::size_t)>& fn) {
-  // Work queue head: workers claim slot indices with fetch_add; each index
-  // is claimed once, so slot writes never race. A failing fn moves it to n
-  // so no worker claims another slot.
-  std::atomic<std::size_t> next_slot{0};
-  // Guards `error`, the first exception any fn(i) threw; it is rethrown on
-  // the calling thread after the join, as the serial path would throw it.
-  std::mutex error_mutex;
-  std::exception_ptr error;
-  const auto worker = [&] {
-    try {
-      for (std::size_t i = next_slot.fetch_add(1); i < n; i = next_slot.fetch_add(1))
-        fn(i);
-    } catch (...) {
-      next_slot.store(n);
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::current_exception();
-    }
-  };
-  const std::size_t n_threads = std::min(resolve_thread_count(threads), n);
-  if (n_threads <= 1) {
-    worker();
-  } else {
-    // jthreads join when the pool leaves scope, also if starting one throws.
-    std::vector<std::jthread> pool;
-    pool.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 double EvaluationGrid::energy_metric(const EvaluationCell& cell) {
@@ -117,7 +71,7 @@ EvaluationGrid run_evaluation_grid(power::Device device,
   // the per-video slots, so contention here cannot reorder results.
   std::mutex progress_mutex;
 
-  for_each_slot(n_videos, options.threads, [&](std::size_t vi) {
+  util::for_each_slot(n_videos, options.threads, [&](std::size_t vi) {
     WorkloadConfig wconfig;
     wconfig.seed = options.seed;
     const VideoWorkload workload(videos[vi], wconfig);

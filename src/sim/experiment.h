@@ -42,33 +42,16 @@ struct EvaluationOptions {
   std::uint64_t seed = 42;
   std::size_t max_videos = 8;          // trim for quick runs
   double network_duration_s = 700.0;   // synthesized trace length
-  // Worker threads fanning out over videos (cells are independent and all
-  // randomness is seed-keyed, so the result is identical for any thread
-  // count; 0 = hardware concurrency). The PS360_THREADS environment
-  // variable, when set, overrides this — see resolve_thread_count().
+  // Threads over videos on the worker pool, within its thread budget (cells
+  // are independent and all randomness is seed-keyed, so the result is
+  // identical for any thread count; 0 = hardware concurrency). PS360_THREADS,
+  // when set, overrides this — see util::resolve_thread_count().
   std::size_t threads = 1;
   // Called after each (video, trace) block completes, for progress display.
   // With threads > 1 calls may arrive out of video order (but never
   // concurrently).
   std::function<void(int video_id, int trace_id)> progress;
 };
-
-// Worker-thread count run_evaluation_grid will actually use for `requested`
-// (= EvaluationOptions::threads). A PS360_THREADS environment variable set
-// to a positive integer overrides the request, so bench/eval binaries can be
-// pinned (e.g. PS360_THREADS=1) for reproducible perf numbers; otherwise
-// `requested` is returned, with 0 meaning hardware concurrency.
-std::size_t resolve_thread_count(std::size_t requested);
-
-// The one worker pool: runs fn(i) exactly once for every slot i in [0, n) on
-// resolve_thread_count(threads) workers, capped at n, and joins them before
-// returning. With one worker the same loop runs on the calling thread. fn(i)
-// must write only slot i's state, so results never depend on the thread
-// count or the interleaving; anything else it touches needs its own lock.
-// If an fn(i) throws, no further slots start and the first exception is
-// rethrown to the caller once every worker has stopped.
-void for_each_slot(std::size_t n, std::size_t threads,
-                   const std::function<void(std::size_t)>& fn);
 
 // Run the grid for one device. `session` parametrises every cell (its seed
 // and device are overridden per the options/device arguments).

@@ -21,9 +21,6 @@ SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_u
   fleet.start_spread_s = 0.0;
   fleet.session = config;
   fleet.observer = observer;
-  // Never 0: resolved like PS360_THREADS, it would start solve workers
-  // inside every evaluation-grid worker.
-  fleet.shards = 1;
   fleet::FleetResult result = fleet::run_fleet(workload, network, fleet, test_user);
   return std::move(result.sessions.front().result);
 }

@@ -2,10 +2,10 @@
 // a pure function of TournamentConfig. Group fleet seeds derive from
 // (config.seed, group indices) only, never the scheme, preserving the
 // fairness contract in tournament.h. The cells are independent fleets on
-// the bit-identical fleet engine; they run on the sim::for_each_slot pool,
-// largest fleets first, and each writes only its own pre-sized
-// report.cells slot. Ranking runs after the join, serially and in grid
-// order, with stable sorts and enum-order tie-breaks, and to_json() emits
+// the bit-identical fleet engine; they run on the worker pool
+// (util::for_each_slot), largest fleets first, and each writes only its own
+// pre-sized report.cells slot. Ranking runs after the join, serially and in
+// grid order, with stable sorts and enum-order tie-breaks, and to_json() emits
 // fixed key order with locale-free precision(17) floats — so the byte
 // stream is identical for any PS360_THREADS or shard count (pinned by
 // tests/tournament_test.cpp).
@@ -15,11 +15,11 @@
 #include <numeric>
 #include <sstream>
 
-#include "sim/experiment.h"
 #include "trace/network_trace.h"
 #include "trace/video_catalog.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace ps360::sim {
 
@@ -128,8 +128,8 @@ TournamentReport run_tournament(const TournamentConfig& config) {
   report.seed = config.seed;
   report.cells.resize(groups * n);
 
-  // Workers claim the largest fleets first, so no big fleet starts last and
-  // leaves the other workers idle; the stable sort keeps ties in grid order.
+  // Threads claim the largest fleets first, so no big fleet starts last and
+  // leaves the other threads idle; the stable sort keeps ties in grid order.
   std::vector<std::size_t> claim_order(report.cells.size());
   std::iota(claim_order.begin(), claim_order.end(), 0);
   std::stable_sort(claim_order.begin(), claim_order.end(),
@@ -137,7 +137,7 @@ TournamentReport run_tournament(const TournamentConfig& config) {
                      return fleet_size(a) > fleet_size(b);
                    });
 
-  for_each_slot(claim_order.size(), 0, [&](std::size_t slot) {
+  util::for_each_slot(claim_order.size(), 0, [&](std::size_t slot) {
     const std::size_t c = claim_order[slot];
     const std::size_t g = c / n, s = c % n;
     const std::size_t si = g % n_sizes;

@@ -383,6 +383,37 @@ TEST(MpcValidationTest, RejectsBadInputs) {
     for (const double bytes : {kNaN, kInf, -1.0}) expect_rejected(true, bytes);
     for (const double qo : {kNaN, kInf, -kInf}) expect_rejected(false, qo);
   }
+
+  // A positive bandwidth so small that every download time (or its stall
+  // cost) overflows to +inf leaves no plan of finite cost under either pass:
+  // rejected naming the bandwidth, not an internal assert.
+  struct TinyBandwidth {
+    MpcObjective objective;
+    double bytes_per_s;
+    const char* printed;
+  };
+  for (const TinyBandwidth& tiny :
+       {TinyBandwidth{MpcObjective::kMinEnergyQoEConstrained, 1e-300, "1e-300"},
+        TinyBandwidth{MpcObjective::kMinEnergyQoEConstrained, 1e-310, "1e-310"},
+        TinyBandwidth{MpcObjective::kMaxQoE, 1e-310, "1e-310"}}) {
+    const MpcController solver(default_config(), power::device_model(Device::kPixel3),
+                               tiny.objective);
+    for (const std::size_t h : {std::size_t{1}, std::size_t{3}}) {
+      const std::vector<SegmentChoices> tiny_horizon(h, make_choices(1e6, DecodeProfile::kPtile));
+      const std::string what = std::string(tiny.printed) + " B/s, objective " +
+                               std::to_string(static_cast<int>(tiny.objective)) +
+                               ", H " + std::to_string(h);
+      try {
+        (void)solver.decide(tiny_horizon, util::BytesPerSec(tiny.bytes_per_s),
+                            util::Seconds(2.0), -1.0);
+        ADD_FAILURE() << "accepted " << what;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("bandwidth ") + tiny.printed),
+                  std::string::npos)
+            << what << ": " << e.what();
+      }
+    }
+  }
 }
 
 // Constructs a controller and expects the config to be rejected with a

@@ -449,7 +449,7 @@ TEST(FleetServerTest, DisabledServerIsInertAndUnobservable) {
 // just the session results — is identical for any shard count; a reordered
 // admission would flip hit/miss counts long before it moved a download time.
 // (Named FleetServerShard* so the TSan CI leg, which matches FleetServer,
-// runs the shard workers under the sanitizer against the server tier.)
+// runs the speculative solves under the sanitizer against the server tier.)
 
 void expect_same_cache_outcome(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits);

@@ -17,6 +17,7 @@
 #include "sim/experiment.h"
 #include "sim/scheme_base.h"
 #include "sim/session.h"
+#include "util/worker_pool.h"
 
 namespace ps360::sim {
 namespace {
@@ -101,14 +102,14 @@ TEST(WorkloadTest, FtileLayoutsLazyButStable) {
 }
 
 TEST(WorkloadTest, FtileFirstUseIsThreadSafe) {
-  // Parallel tournament cells and shard workers share one workload, so the
+  // Parallel tournament cells and pool workers share one workload, so the
   // lazy layout build must be safe to enter from many threads at once (TSan
   // flags the build if it is not); every thread gets the one layout.
   trace::VideoInfo video = trace::test_videos()[5];
   video.duration_s = 8.0;
   const VideoWorkload w(video, WorkloadConfig{});
   std::vector<const ptile::FtileLayout*> first(8, nullptr);
-  for_each_slot(8, 8, [&](std::size_t i) { first[i] = &w.ftile(i % 4); });
+  util::for_each_slot(8, 8, [&](std::size_t i) { first[i] = &w.ftile(i % 4); });
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_EQ(first[i], &w.ftile(i % 4)) << "slot " << i;
 }
@@ -240,7 +241,7 @@ TEST(WorkloadTest, SizeNoiseFirstUseIsThreadSafe) {
     std::vector<double> values;
   };
   std::vector<Seen> seen(8);
-  for_each_slot(8, 8, [&](std::size_t i) {
+  util::for_each_slot(8, 8, [&](std::size_t i) {
     // Half the slots look the two seeds up in the other order.
     if (i % 2 == 0) {
       seen[i].a = &w.size_noise_table(a);
@@ -961,50 +962,20 @@ TEST(SessionTest, RejectsBadTestUser) {
                std::invalid_argument);
 }
 
+TEST(SessionTest, RejectsAnInitialBandwidthThatOverflowsEveryDownload) {
+  // Finite and > 0, so the config passes validation, but every download time
+  // of the first plan overflows: the MPC rejects it naming the bandwidth.
+  SessionConfig config = fast_config();
+  config.initial_bandwidth_bytes_per_s = 1e-310;
+  try {
+    (void)simulate_session(football_workload(), 0, SchemeKind::kOurs, trace2(), config);
+    ADD_FAILURE() << "accepted 1e-310 B/s";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bandwidth 1e-310"), std::string::npos) << e.what();
+  }
+}
+
 // ------------------------------------------------------- Evaluation grid
-
-TEST(ExperimentTest, ResolveThreadCountHonorsEnvOverride) {
-  // PS360_THREADS pins the evaluation-grid worker count for reproducible
-  // perf runs; invalid or unset values fall back to the request.
-  unsetenv("PS360_THREADS");
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  EXPECT_GE(resolve_thread_count(0), 1u);  // hardware concurrency
-
-  setenv("PS360_THREADS", "2", 1);
-  EXPECT_EQ(resolve_thread_count(3), 2u);
-  EXPECT_EQ(resolve_thread_count(0), 2u);
-
-  setenv("PS360_THREADS", "0", 1);  // invalid: must be positive
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  setenv("PS360_THREADS", "not-a-number", 1);
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  setenv("PS360_THREADS", "2x", 1);  // trailing garbage
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  unsetenv("PS360_THREADS");
-}
-
-TEST(ForEachSlotTest, EverySlotRunsExactlyOnce) {
-  // fn(i) writes only slot i: a slot claimed twice counts 2 (and races under
-  // TSan), a skipped one 0. n + 5 workers are capped at n.
-  const std::size_t n = 37;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, n + 5}) {
-    std::vector<int> runs(n, 0);
-    for_each_slot(n, threads, [&runs](std::size_t i) { ++runs[i]; });
-    EXPECT_EQ(runs, std::vector<int>(n, 1)) << "threads " << threads;
-  }
-}
-
-TEST(ForEachSlotTest, ExceptionReachesTheCaller) {
-  // A failing slot throws from every thread count, never std::terminate.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    EXPECT_THROW(for_each_slot(8, threads,
-                               [](std::size_t i) {
-                                 if (i == 5) throw std::invalid_argument("slot 5");
-                               }),
-                 std::invalid_argument)
-        << "threads " << threads;
-  }
-}
 
 TEST(ExperimentTest, GridIndexLookupMatchesLinearScan) {
   // at() finds the (video, trace, scheme) cell; verify it against a

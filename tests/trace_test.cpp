@@ -13,7 +13,6 @@
 #include <string>
 #include <utility>
 
-#include "sim/experiment.h"
 #include "trace/dataset.h"
 #include "trace/head_synth.h"
 #include "trace/head_trace.h"
@@ -21,6 +20,7 @@
 #include "trace/video_catalog.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/worker_pool.h"
 
 namespace ps360::trace {
 namespace {
@@ -329,7 +329,7 @@ TEST(HeadTraceTest, PairPathsFirstUseIsThreadSafe) {
     return std::pair{t1 - 1.0, t1};
   };
   std::vector<std::vector<double>> speeds(kSlots);
-  sim::for_each_slot(kSlots, kSlots, [&](std::size_t slot) {
+  util::for_each_slot(kSlots, kSlots, [&](std::size_t slot) {
     for (std::size_t w = 0; w < kWindows; ++w) {
       const auto [t0, t1] = window(slot, w);
       speeds[slot].push_back(shared.switching_speed(t0, t1));

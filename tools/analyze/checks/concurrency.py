@@ -1,10 +1,10 @@
 """Concurrency discipline for threaded translation units.
 
-A file is "threaded" when it mentions std::thread / std::jthread (today:
-src/sim/experiment.cpp, whose for_each_slot is the one worker pool behind
-the evaluation grid and the fleet replication runner, and the sharded
-fleet engine's solve pool in src/fleet/shard.h/.cpp — the per-shard
-worker threads behind DESIGN.md §15). Inside threaded files:
+A file is "threaded" when it mentions std::thread / std::jthread (today
+only src/util/worker_pool.cpp: the one process-wide worker pool that the
+evaluation grid, the fleet replication runner, the tournament's cells and
+the fleet engine's speculative solves all run on, DESIGN.md §15). Inside
+threaded files:
 
   conc-sync-comment      every std::atomic / std::mutex /
                          std::condition_variable declaration carries a

@@ -8,7 +8,10 @@ Usage:
 Accepts any number of results files and prints one table per file, one row
 per benchmark with its real time. When a baseline file is given, rows whose
 names appear in the baseline also get the baseline time and the speedup
-(baseline / current); files with no overlap simply omit those columns. CI
+(baseline / current); files with no overlap simply omit those columns. Each
+table's title names the build type the bench binary was compiled with (our
+own CMAKE_BUILD_TYPE, recorded as `ps360_build_type` in the JSON context;
+the context's `library_build_type` describes google-benchmark's build). CI
 runs this after `bench_micro_solver --benchmark_out=BENCH_mpc.json` and
 `bench_fleet --benchmark_out=BENCH_fleet.json` so every PR records how the
 solver and the fleet engine moved. Exit code is 1 if any report cannot be
@@ -38,6 +41,13 @@ def load_benchmarks(path: pathlib.Path) -> dict[str, float]:
         unit = _TO_NS.get(bench.get("time_unit", "ns"), 1.0)
         result[bench["name"]] = float(bench["real_time"]) * unit
     return result
+
+
+def load_build_type(path: pathlib.Path) -> str:
+    """Our CMAKE_BUILD_TYPE as the bench recorded it, or a note that it did not."""
+    with path.open(encoding="utf-8") as fh:
+        context = json.load(fh).get("context", {})
+    return context.get("ps360_build_type", "not recorded")
 
 
 def fmt_time(ns: float) -> str:
@@ -101,7 +111,8 @@ def main() -> int:
             continue
         if index > 0:
             print()
-        print_table(results, current, baseline)
+        build_type = load_build_type(pathlib.Path(results))
+        print_table(f"{results} (build type: {build_type})", current, baseline)
     return status
 
 
