@@ -109,10 +109,9 @@ BENCHMARK(BM_FleetRun)
 
 // Observer-on variant: the identical fleet with a metrics registry and a
 // bounded tracer attached to every session and the engine, on the same
-// (sessions, shards) axes. Observed solves speculate too (their emissions
-// are staged and replayed on the coordinator), so the delta to the matching
-// BM_FleetRun row is the full observability tax and must stay within noise,
-// with solve workers on (/1000/0) as well as serially.
+// (sessions, shards) axes. Observed solves speculate too, so the delta to
+// the matching BM_FleetRun row is the full observability tax and must stay
+// within noise, with solve workers on (/1000/0) as well as serially.
 void BM_FleetRunObserved(benchmark::State& state) {
   const std::size_t sessions = static_cast<std::size_t>(state.range(0));
   const std::size_t shards = static_cast<std::size_t>(state.range(1));

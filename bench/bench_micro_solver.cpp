@@ -20,9 +20,6 @@
 
 #include "bench/build_context.h"
 #include "core/mpc.h"
-#include "obs/metrics.h"
-#include "obs/observer.h"
-#include "obs/tracer.h"
 #include "power/device_models.h"
 #include "predict/viewport_predictor.h"
 #include "ptile/clusterer.h"
@@ -83,27 +80,6 @@ void BM_MpcDecideColdScratch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpcDecideColdScratch)->Arg(10)->Arg(20);
-
-// Observer-on variant of BM_MpcDecide: same solves with a metrics registry
-// and tracer attached. The delta to BM_MpcDecide is the whole observability
-// tax, which must stay within noise (the counters are index-adds and the
-// trace append is a ring write). Picked up by the CI BM_Mpc filter.
-void BM_MpcDecideObserved(benchmark::State& state) {
-  const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 20);
-  core::MpcConfig config;
-  core::MpcController controller(config,
-                                 power::device_model(power::Device::kPixel3),
-                                 core::MpcObjective::kMinEnergyQoEConstrained);
-  obs::MetricsRegistry metrics;
-  obs::EventTracer tracer(4096);
-  obs::Observer observer{&metrics, &tracer};
-  controller.set_observer(&observer, /*session=*/0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5),
-                                         50.0));
-  }
-}
-BENCHMARK(BM_MpcDecideObserved)->Arg(10)->Arg(20);
 
 void BM_MpcDecideQoeMax(benchmark::State& state) {
   const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 5);

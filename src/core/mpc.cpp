@@ -112,16 +112,6 @@ MpcController::MpcController(MpcConfig config, const power::DeviceModel& device,
               config_.weights.variation >= 0.0);
 }
 
-void MpcController::set_observer(obs::Observer* observer, std::uint32_t session) {
-  observer_ = observer;
-  obs_session_ = session;
-  if (observer_ != nullptr && observer_->metrics != nullptr) {
-    id_decides_ = observer_->metrics->counter("mpc.decides");
-    id_relaxed_ = observer_->metrics->counter("mpc.relaxed_fallbacks");
-    id_infeasible_ = observer_->metrics->counter("mpc.infeasible");
-  }
-}
-
 power::SegmentEnergy MpcController::option_energy(const QualityOption& option,
                                                   util::BytesPerSec bandwidth) const {
   const double bandwidth_bytes_per_s = bandwidth.value();
@@ -407,7 +397,6 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   };
 
   MpcDecision decision;
-  bool relaxed_fallback = false;
   if (!run(/*strict=*/energy_mode, decision)) {
     // No plan satisfies the constraints (e.g. bandwidth collapse): fall back
     // to the relaxed problem — reusing the per-option invariants and
@@ -416,16 +405,7 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     PS360_CHECK_MSG(found, util::strfmt("bandwidth %g B/s overflows every plan's cost",
                                         bandwidth_bytes_per_s));
     decision.feasible = false;
-    relaxed_fallback = true;
-  }
-  if (observer_ != nullptr) {
-    obs::add(observer_, id_decides_);
-    if (relaxed_fallback) obs::add(observer_, id_relaxed_);
-    if (!decision.feasible) obs::add(observer_, id_infeasible_);
-    obs::trace(observer_, obs_session_,
-               relaxed_fallback ? obs::TraceEventKind::kMpcRelaxed
-                                : obs::TraceEventKind::kMpcStrict,
-               static_cast<std::int64_t>(h), decision.objective);
+    decision.relaxed = true;
   }
   return decision;
 }
@@ -497,7 +477,8 @@ MpcDecision MpcController::decide_exhaustive(const std::vector<SegmentChoices>& 
 
   Best best = search(/*strict=*/energy_mode);
   bool feasible = best.root >= 0 && !best.stalled;
-  if (energy_mode && best.root < 0) {
+  const bool relaxed = energy_mode && best.root < 0;
+  if (relaxed) {
     best = search(/*strict=*/false);
     feasible = false;
   }
@@ -507,6 +488,7 @@ MpcDecision MpcController::decide_exhaustive(const std::vector<SegmentChoices>& 
     decision.objective = best.cost;
     decision.feasible = feasible;
   }
+  decision.relaxed = relaxed;
   return decision;
 }
 

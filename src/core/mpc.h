@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/observer.h"
 #include "power/device_models.h"
 #include "power/energy.h"
 #include "qoe/qoe_model.h"
@@ -71,6 +70,7 @@ struct MpcDecision {
   QualityOption choice;      // what to download for the head segment
   bool feasible = false;     // false if every plan stalls (choice = fallback)
   double objective = 0.0;    // optimal DP objective over the horizon
+  bool relaxed = false;      // the strict pass found no plan; the relaxed one ran
 };
 
 // Flat scratch arena for the DP solver, owned by the controller and reused
@@ -131,7 +131,9 @@ class MpcController {
   // Solve the horizon. horizon[0] is the segment about to be requested;
   // buffer_s is B_k; prev_qo is Qo_{k-1} for the variation term. Every
   // option's bytes must be finite and >= 0 and its qo finite; a bad option
-  // is rejected naming its segment and option index.
+  // is rejected naming its segment and option index. decide() emits no
+  // metric or trace record: the decision says what ran (`relaxed`), and
+  // the streaming client reports it (sim::StreamingClient::publish_plan).
   MpcDecision decide(const std::vector<SegmentChoices>& horizon,
                      util::BytesPerSec bandwidth, util::Seconds buffer,
                      double prev_qo) const;
@@ -148,13 +150,6 @@ class MpcController {
   std::size_t scratch_capacity_bytes() const { return scratch_.capacity_bytes(); }
   std::uint64_t scratch_grow_events() const { return scratch_.grow_events; }
 
-  // Attach a nullable metrics/trace observer (obs/observer.h). `session`
-  // labels the trace records. decide() then counts solves and strict-vs-
-  // relaxed outcomes (the Eq. 8c ε-constraint forcing a fallback is the
-  // signal this exposes); observation is write-only and never alters the
-  // decision — the observer-inertness differential test pins this.
-  void set_observer(obs::Observer* observer, std::uint32_t session);
-
  private:
   // Fill q_ref[i] with the constraint-(8c) reference quality of horizon[i].
   // Shared by decide() and decide_exhaustive() so the ε-constraint anchor
@@ -170,14 +165,6 @@ class MpcController {
   // must therefore not run decide() concurrently from multiple threads
   // (sessions and benches each own their controllers, so this holds today).
   mutable MpcScratch scratch_;
-
-  // Nullable observer plus the metric ids registered at attach time, so the
-  // instrumented hot path is an index-add, never a name lookup.
-  obs::Observer* observer_ = nullptr;
-  std::uint32_t obs_session_ = 0;
-  obs::MetricsRegistry::Id id_decides_ = 0;
-  obs::MetricsRegistry::Id id_relaxed_ = 0;
-  obs::MetricsRegistry::Id id_infeasible_ = 0;
 };
 
 // Reference quality for constraint (8c): the highest-(v,f) option the

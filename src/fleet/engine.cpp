@@ -2,9 +2,9 @@
 // against one SharedLink. The coordinator thread owns every shared resource
 // (links, caches, observability sinks, the event heap) and processes events
 // in (t, session, seq) order; the worker pool only runs speculative
-// per-session MPC solves during nonzero Eq. 6 waits, staging any observer
-// emissions for the coordinator to replay at the flow start. Only the
-// earliest completion is ever scheduled; stale predictions are discarded by
+// per-session plans during nonzero Eq. 6 waits. A plan emits nothing, and
+// the coordinator publishes it at the flow start. Only the earliest
+// completion is ever scheduled; stale predictions are discarded by
 // generation tag.
 #include "fleet/engine.h"
 
@@ -13,7 +13,6 @@
 #include <memory>
 #include <optional>
 
-#include "obs/stage.h"
 #include "sim/client.h"
 #include "trace/fault_schedule.h"
 #include "util/check.h"
@@ -50,10 +49,6 @@ struct SessionRuntime {
   // whichever thread runs the solve task, moved into `pending` by the
   // coordinator after TaskGroup::join — the edge that makes it visible.
   std::optional<sim::ClientRequest> speculative;
-  // This session's view of the caller's observer: the caller's sinks, its
-  // own clock (owned by the client), and a stage while a solve is released
-  // to the pool. Unused when the run is unobserved.
-  obs::Observer observer;
   double flow_started_at = 0.0;  // issue time of the current attempt
   double start_s = 0.0;
   double finish_s = 0.0;
@@ -221,13 +216,10 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   FleetStats stats;
 
   // finish_plan() is a pure function of session-local state frozen at
-  // begin_plan() time, so a pool worker may run it during the session's
-  // Eq. 6 wait — bit-identical results either way. Its observer emissions go
-  // to the session's stage (declared before the group, whose destructor
-  // waits for running solves) and are replayed on the coordinator at the
-  // flow start, where a serial run emits them.
+  // begin_plan() time that emits nothing, so a pool worker may run it during
+  // the session's Eq. 6 wait — bit-identical results either way. The
+  // coordinator publishes the plan at the flow start.
   obs::Observer* const observer = config.observer;
-  std::vector<obs::EmissionStage> stages(speculate && observer != nullptr ? n : 0);
   std::optional<util::TaskGroup> solves;
   if (speculate)
     solves.emplace(n, [&sessions](std::size_t i) {
@@ -241,12 +233,10 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         config.start_spread_s > 0.0 ? rng.uniform(0.0, config.start_spread_s) : 0.0;
     loop.schedule(rt.start_s, i, EventKind::kSessionStart);
     if (observer != nullptr) {
-      rt.observer.metrics = observer->metrics;
-      rt.observer.tracer = observer->tracer;
-      rt.accountant->attach_observer(&rt.observer, static_cast<std::uint32_t>(i));
+      rt.accountant->attach_observer(observer, static_cast<std::uint32_t>(i));
       // The client's private wall clock starts at its staggered entry, so
       // offsetting by start_s makes its trace timestamps engine-time.
-      rt.client->attach_observer(&rt.observer, static_cast<std::uint32_t>(i),
+      rt.client->attach_observer(observer, static_cast<std::uint32_t>(i),
                                  util::Seconds(rt.start_s));
     }
   }
@@ -273,10 +263,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     SessionRuntime& rt = sessions[i];
     const double wait_s = rt.client->begin_plan();
     loop.schedule(t + wait_s, i, EventKind::kFlowStart);
-    if (solves && wait_s > 0.0) {
-      if (observer != nullptr) rt.observer.stage = &stages[i];
-      solves->release(i);
-    }
+    if (solves && wait_s > 0.0) solves->release(i);
   };
 
   // Cache key of the pending request: the plan word packs the MPC's chosen
@@ -358,22 +345,19 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         if (!rt.pending.has_value()) {
           // First start of this attempt cycle: collect the plan — released
           // during the wait (the join runs it here if no worker did), or
-          // solved right here. Retries re-enter with `pending` set and skip.
+          // solved right here — and publish it. Retries re-enter with
+          // `pending` set and skip. Publishing moves the observer's clock to
+          // the session's planning clock, so the download_start record below
+          // carries it, not the event time (they can differ in the last
+          // bit); the fleet golden pins these stamps.
           if (solves && solves->outstanding(event.session)) {
             solves->join(event.session);
             rt.pending = std::move(rt.speculative);
             rt.speculative.reset();
-            if (observer != nullptr) {
-              rt.observer.stage = nullptr;
-              stages[event.session].replay(observer->metrics, observer->tracer);
-            }
           } else {
             rt.pending = rt.client->finish_plan();
           }
-          // The download_start record below carries the session's planning
-          // clock, not the event time (they can differ in the last bit);
-          // the fleet golden pins these stamps.
-          if (observer != nullptr) observer->now_s = rt.observer.now_s;
+          rt.client->publish_plan();
         }
         PS360_ASSERT(rt.pending.has_value());
         // Download time runs from issue, so it includes any spike, outage

@@ -18,9 +18,11 @@
 // tests/fleet_shard_test.cpp): every shared-resource mutation — link rate
 // updates, cache admissions, event scheduling, observability — runs on the
 // coordinator thread in event order, and the only work that leaves it for
-// the worker pool (util/worker_pool.h) is the per-session MPC solve, a pure
-// function of session-local state frozen when its Eq. 6 wait began (see
-// sim::StreamingClient::begin_plan / finish_plan and DESIGN.md §15).
+// the worker pool (util/worker_pool.h) is the per-session plan, a pure
+// function of session-local state frozen when its Eq. 6 wait began that
+// emits nothing; the coordinator publishes it (see
+// sim::StreamingClient::begin_plan / finish_plan / publish_plan and
+// DESIGN.md §15).
 // fleet::FleetRunner fans independent replications out on the same pool,
 // within the same thread budget.
 #pragma once
@@ -73,14 +75,15 @@ struct FleetConfig {
   // is shared — every client streams the same CDN-encoded files.
   sim::SessionConfig session;
   // Nullable metrics/trace observer (obs/observer.h). The engine records
-  // link-level events into it and gives each session its own Observer over
-  // the same sinks; trace records are stamped with engine event time
+  // link-level events into it and attaches every session's client and
+  // accountant to it; trace records are stamped with engine event time
   // (client clocks are offset by the start stagger so the timelines line
-  // up). Attaching one never changes which code runs: solves still go to
-  // the pool, and their emissions are staged and replayed in event order.
-  // The sinks must only be fed from one thread: when FleetRunner fans
-  // replications out, it gives each replication a private observer and
-  // merges them in slot order, so aggregates stay thread-count invariant.
+  // up). Attaching one never changes which code runs: plans still go to the
+  // pool, they emit nothing, and the coordinator publishes each one at its
+  // flow start. The sinks must only be fed from one thread: when
+  // FleetRunner fans replications out, it gives each replication a private
+  // observer and merges them in slot order, so aggregates stay
+  // thread-count invariant.
   obs::Observer* observer = nullptr;
   // Server/CDN tier (edge cache + origin link): one catalog/cache/origin
   // link per run_fleet call — FleetRunner gives each replication its own

@@ -138,7 +138,6 @@ void SessionAccountant::attach_observer(obs::Observer* observer,
     // Per-segment Eq. 1 energy: 1 mJ … ~16 J log-spaced.
     id_energy_hist_ = metrics.histogram("session.segment_energy_mj", {1.0, 2.0, 24});
   }
-  scheme_->attach_observer(observer, session);
 }
 
 void SessionAccountant::record(const ClientRequest& request,

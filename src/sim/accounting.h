@@ -33,10 +33,11 @@ class SessionAccountant {
   // The ClientConfig matching this session's SessionConfig.
   ClientConfig client_config() const;
 
-  // Attach a nullable metrics/trace observer; forwards to the scheme's MPC
-  // controller(s) so solver outcomes carry the same session label. record()
-  // then emits the per-segment delivered choice (Ptile vs fallback, frame
-  // rate) and energy/QoE counters. Write-only: accounting is unchanged.
+  // Attach a nullable metrics/trace observer, labelling records `session`.
+  // record() then emits the per-segment delivered choice (Ptile vs
+  // fallback, frame rate) and energy/QoE counters. Write-only: accounting
+  // is unchanged. The scheme's solves are reported by the client
+  // (StreamingClient::publish_plan).
   void attach_observer(obs::Observer* observer, std::uint32_t session);
 
   // Account segment `request.segment`: delivered QoE against the user's

@@ -78,11 +78,20 @@ void StreamingClient::attach_observer(obs::Observer* observer, std::uint32_t ses
     id_outages_ = metrics.counter("client.outage_failures");
     id_degradations_ = metrics.counter("client.degradations");
     id_recovery_s_ = metrics.counter("client.recovery_seconds");
+    // The scheme's solver metrics: the client reports its solves.
+    switch (controller_info(scheme_->kind()).solver) {
+      case PlanSolver::kMpc:
+        id_mpc_decides_ = metrics.counter("mpc.decides");
+        id_mpc_relaxed_ = metrics.counter("mpc.relaxed_fallbacks");
+        id_mpc_infeasible_ = metrics.counter("mpc.infeasible");
+        break;
+      case PlanSolver::kLp:
+        id_lp_allocations_ = metrics.counter("lp.allocations");
+        break;
+      case PlanSolver::kNone:
+        break;
+    }
   }
-  // The scheme is attached separately (SessionAccountant::attach_observer —
-  // the accountant owns the mutable scheme; the client only borrows it
-  // const). The client still stamps observer->now_s before scheme->plan()
-  // runs, so the solver's records get the right timestamps either way.
 }
 
 double StreamingClient::playhead_s() const {
@@ -119,10 +128,6 @@ ClientRequest StreamingClient::finish_plan() {
   const std::size_t k = next_segment_;
   ClientRequest request = current_request_;
 
-  // Clock handoff: everything emitted while planning (including the nested
-  // scheme → MPC solve) is stamped with the post-wait request time.
-  if (observer_ != nullptr) observer_->now_s = obs_clock_offset_s_ + wall_t_;
-
   // Steps (a)/(b): predict the viewport at the segment's playback time and
   // the bandwidth for the horizon.
   const double playhead = playhead_s();
@@ -156,20 +161,51 @@ ClientRequest StreamingClient::finish_plan() {
   prev_plan_qo_ = request.plan.option.qo;
   pending_bytes_ = request.plan.option.bytes;
   awaiting_download_ = true;
-  current_request_ = request;  // kept for degraded re-planning
-
-  // Through the stage-aware helpers: the fleet engine may run this on a
-  // solve worker and replay the emissions later (obs/stage.h).
-  if (observer_ != nullptr) {
-    obs::add(observer_, id_planned_);
-    obs::add(observer_, id_wait_s_, request.wait_s);
-    obs::add(observer_, id_bytes_, pending_bytes_);
-    obs::observe(observer_, id_bytes_hist_, pending_bytes_);
-    obs::trace(observer_, obs_session_, obs::TraceEventKind::kSegmentPlanned,
-               static_cast<std::int64_t>(k), request.bandwidth_estimate_bps,
-               request.buffer_at_request_s);
-  }
+  current_request_ = request;  // kept for degraded re-planning and publishing
   return request;
+}
+
+void StreamingClient::emit_solve(const DownloadPlan& plan) {
+  const SolveRecord& solve = plan.solve;
+  obs::MetricsRegistry* const metrics = observer_->metrics;
+  switch (solve.solver) {
+    case PlanSolver::kMpc:
+      if (metrics != nullptr) {
+        metrics->add(id_mpc_decides_);
+        if (solve.relaxed) metrics->add(id_mpc_relaxed_);
+        if (!plan.mpc_feasible) metrics->add(id_mpc_infeasible_);
+      }
+      obs::trace(observer_, obs_session_,
+                 solve.relaxed ? obs::TraceEventKind::kMpcRelaxed
+                               : obs::TraceEventKind::kMpcStrict,
+                 static_cast<std::int64_t>(solve.horizon), solve.objective);
+      break;
+    case PlanSolver::kLp:
+      if (metrics != nullptr) metrics->add(id_lp_allocations_);
+      break;
+    case PlanSolver::kNone:
+      break;
+  }
+}
+
+void StreamingClient::publish_plan() {
+  PS360_CHECK_MSG(awaiting_download_, "publish_plan without a planned download");
+  if (observer_ == nullptr) return;
+  // Everything below is stamped with the post-wait request time; finish_plan
+  // did not move the clock, so it is the time the plan was made.
+  observer_->now_s = obs_clock_offset_s_ + wall_t_;
+  const ClientRequest& request = current_request_;
+  emit_solve(request.plan);
+  if (observer_->metrics != nullptr) {
+    obs::MetricsRegistry& metrics = *observer_->metrics;
+    metrics.add(id_planned_);
+    metrics.add(id_wait_s_, request.wait_s);
+    metrics.add(id_bytes_, pending_bytes_);
+    metrics.observe(id_bytes_hist_, pending_bytes_);
+  }
+  obs::trace(observer_, obs_session_, obs::TraceEventKind::kSegmentPlanned,
+             static_cast<std::int64_t>(request.segment), request.bandwidth_estimate_bps,
+             request.buffer_at_request_s);
 }
 
 FailureAction StreamingClient::report_download_failure(util::Seconds elapsed,
@@ -246,7 +282,6 @@ ClientRequest StreamingClient::replan_degraded() {
                                   static_cast<double>(degrade_level_));
   const double degraded_bps = current_request_.bandwidth_estimate_bps * haircut;
 
-  if (observer_ != nullptr) observer_->now_s = obs_clock_offset_s_ + wall_t_;
   current_request_.plan = scheme_->plan(
       next_segment_, current_request_.predicted, current_request_.predicted_sfov,
       util::BytesPerSec(degraded_bps), util::Seconds(buffer_s_),
@@ -259,6 +294,8 @@ ClientRequest StreamingClient::replan_degraded() {
   pending_bytes_ = current_request_.plan.option.bytes;
 
   if (observer_ != nullptr) {
+    observer_->now_s = obs_clock_offset_s_ + wall_t_;
+    emit_solve(current_request_.plan);
     if (observer_->metrics != nullptr)
       observer_->metrics->add(id_degradations_);
     obs::trace(observer_, obs_session_, obs::TraceEventKind::kDownloadDegraded,

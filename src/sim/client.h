@@ -90,9 +90,9 @@ class StreamingClient {
   // Two-phase planning of the next segment's download. begin_plan()
   // consumes the Eq. 6 wait — advancing the wall clock and draining the
   // buffer — and returns that wait. finish_plan() then runs prediction,
-  // bandwidth estimation, and the scheme's MPC solve, and returns the
-  // request. finish_plan() reads only client-local state frozen at
-  // begin_plan() time, so the engine may run it just-in-time when the
+  // bandwidth estimation, and the scheme's solve, and returns the request.
+  // finish_plan() reads only client-local state frozen at begin_plan() time
+  // and emits nothing, so the engine may run it just-in-time when the
   // flow-start event fires or speculatively on a worker thread — the two
   // executions are bit-identical. begin_plan() throws past the last segment
   // (finished()) and before the previous download completed; one
@@ -100,6 +100,16 @@ class StreamingClient {
   // transition, and the request must be completed by complete_download().
   double begin_plan();
   ClientRequest finish_plan();
+
+  // Report the plan finish_plan() made to the attached observer, on the
+  // thread that owns it: the solve's records (mpc.decides,
+  // mpc.relaxed_fallbacks, mpc.infeasible and an mpc_strict/mpc_relaxed
+  // record, or lp.allocations), then client.segments_planned,
+  // client.wait_seconds, client.bytes_requested, client.segment_bytes and a
+  // segment_planned record, all stamped with the planning clock, which
+  // becomes the observer's clock. Call it once per finish_plan(), before the
+  // download starts; without an observer it does nothing.
+  void publish_plan();
 
   // Report how long the planned download took (seconds, > 0). Returns the
   // stall time this download caused (0 for the startup segment). Any buffer
@@ -118,7 +128,8 @@ class StreamingClient {
   // re-run against a bandwidth haircut of degrade_bandwidth_factor^level, so
   // repeated failures shrink the request (lower version / fewer tiles / lower
   // frame rate) instead of retrying the same doomed bytes. Returns the
-  // updated request. Requires an in-flight download and a non-exhausted
+  // updated request, and reports the new solve and the degradation itself
+  // to the observer. Requires an in-flight download and a non-exhausted
   // ladder (FailureAction.degrade said so).
   ClientRequest replan_degraded();
 
@@ -131,9 +142,11 @@ class StreamingClient {
   // records; `clock_offset_s` maps the client's private wall clock onto the
   // caller's simulated timeline (the fleet engine passes the session's start
   // stagger so client records line up with link-level events). The client
-  // becomes the observer's clock owner while it runs: it stamps
-  // observer->now_s before planning and after completing, which also covers
-  // the nested scheme → MPC emissions. Pass nullptr to detach.
+  // becomes the observer's clock owner while it reports: it stamps
+  // observer->now_s when it publishes a plan, reports a failure or a
+  // degraded re-plan, and completes a download. It also registers the
+  // metrics of the scheme's solver (ControllerInfo::solver), since the
+  // client reports the scheme's solves. Pass nullptr to detach.
   void attach_observer(obs::Observer* observer, std::uint32_t session,
                        util::Seconds clock_offset = util::Seconds(0.0));
 
@@ -167,6 +180,9 @@ class StreamingClient {
   double fault_stall_s_ = 0.0;     // stall accrued by failed attempts
   ClientRequest current_request_;  // last plan, for degraded re-planning
 
+  // Emit the solve record of `plan` (publish_plan, replan_degraded).
+  void emit_solve(const DownloadPlan& plan);
+
   // Observability (nullable; ids cached at attach so the hot path is an
   // index-add). Observation is write-only: no client state depends on it.
   obs::Observer* observer_ = nullptr;
@@ -185,6 +201,10 @@ class StreamingClient {
   obs::MetricsRegistry::Id id_outages_ = 0;
   obs::MetricsRegistry::Id id_degradations_ = 0;
   obs::MetricsRegistry::Id id_recovery_s_ = 0;
+  obs::MetricsRegistry::Id id_mpc_decides_ = 0;
+  obs::MetricsRegistry::Id id_mpc_relaxed_ = 0;
+  obs::MetricsRegistry::Id id_mpc_infeasible_ = 0;
+  obs::MetricsRegistry::Id id_lp_allocations_ = 0;
 };
 
 }  // namespace ps360::sim

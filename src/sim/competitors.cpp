@@ -3,16 +3,15 @@
 // the session seed — the LP greedy iterates tiles in row-major index order
 // with strict-> tie-breaking, tile byte noise is read from the video's keyed
 // size-noise table (role 7, salted by tile id), and no unordered
-// containers or wall-clock reads appear anywhere. attach_observer only adds
-// counters, so hook wiring never changes decisions (pinned by
-// tests/tournament_test.cpp).
+// containers or wall-clock reads appear anywhere. plan() emits nothing: its
+// SolveRecord says it ran one allocation, which the client counts as
+// lp.allocations when it publishes the plan.
 #include "sim/competitors.h"
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "obs/observer.h"
 #include "predict/visibility.h"
 #include "qoe/qo_model.h"
 #include "sim/scheme_base.h"
@@ -83,12 +82,6 @@ class GhoshScheme : public SchemeBase {
   GhoshScheme(SchemeKind kind, const SchemeEnv& env, bool robust)
       : SchemeBase(kind, env), robust_(robust) {}
 
-  void attach_observer(obs::Observer* observer, std::uint32_t /*session*/) override {
-    observer_ = observer;
-    if (observer_ != nullptr && observer_->metrics != nullptr)
-      id_allocations_ = observer_->metrics->counter("lp.allocations");
-  }
-
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double /*prev_qo*/) const override {
@@ -158,7 +151,6 @@ class GhoshScheme : public SchemeBase {
 
     const LpAllocation alloc =
         lp_allocate(weights, tile_bytes, tile_utility, util::Bytes(budget));
-    obs::add(observer_, id_allocations_);
 
     // Collapse the per-tile levels into the session-level plan: the
     // weight-averaged FoV level (deterministic round-half-up) plus the
@@ -197,6 +189,7 @@ class GhoshScheme : public SchemeBase {
     plan.option.profile = power::DecodeProfile::kCtile;
     plan.frame_ratio = 1.0;
     plan.mpc_feasible = alloc.feasible && bg_bytes <= total_budget;
+    plan.solve.solver = PlanSolver::kLp;
     plan.hq_region = hq;
     return plan;
   }
@@ -214,8 +207,6 @@ class GhoshScheme : public SchemeBase {
   }
 
   bool robust_;
-  obs::Observer* observer_ = nullptr;
-  obs::MetricsRegistry::Id id_allocations_{};
 };
 
 }  // namespace

@@ -193,24 +193,24 @@ class MpcScheme : public SchemeBase {
   MpcScheme(SchemeKind kind, const SchemeEnv& env, core::MpcObjective objective)
       : SchemeBase(kind, env), controller_(env.mpc, *env.device, objective) {}
 
-  void attach_observer(obs::Observer* observer, std::uint32_t session) override {
-    controller_.set_observer(observer, session);
-  }
-
  protected:
   // Build the horizon [k, horizon_end(k)), solve it, and return the plan's
-  // option, frame ratio and feasibility; the caller fills in the rest.
+  // option, frame ratio, feasibility and solve record; the caller fills in
+  // the rest.
   DownloadPlan solve(std::size_t k, const HorizonBytes& bytes, bool frame_options,
                      double predicted_sfov, power::DecodeProfile profile,
                      util::BytesPerSec bandwidth, util::Seconds buffer,
                      double prev_qo) const {
-    const core::MpcDecision decision = controller_.decide(
-        build_horizon(k, bytes, frame_options, predicted_sfov, profile), bandwidth,
-        buffer, prev_qo);
+    const std::vector<core::SegmentChoices> horizon =
+        build_horizon(k, bytes, frame_options, predicted_sfov, profile);
+    const core::MpcDecision decision =
+        controller_.decide(horizon, bandwidth, buffer, prev_qo);
     DownloadPlan plan;
     plan.option = decision.choice;
     plan.frame_ratio = frame_ladder_.ratio(decision.choice.frame_index);
     plan.mpc_feasible = decision.feasible;
+    plan.solve = {PlanSolver::kMpc, horizon.size(), decision.objective,
+                  decision.relaxed};
     return plan;
   }
 

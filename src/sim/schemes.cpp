@@ -1,11 +1,11 @@
 // The MPC schemes (the Section V five plus Pano) and the controller
 // registry. Each plan() is a pure function of (segment, prediction,
-// bandwidth, buffer, prev_qo) — no hidden state — so scheme comparisons are
-// reproducible decision-for-decision. The registry at the bottom is the
-// single source of truth for scheme identity: scheme_name / all_schemes /
-// registered_schemes / make_scheme all derive from it, so a controller
-// cannot exist without a stable name and a factory (no config-dependent
-// kind(), no hand-maintained enum lists).
+// bandwidth, buffer, prev_qo) — no hidden state, no emissions — so scheme
+// comparisons are reproducible decision-for-decision. The registry at the
+// bottom is the single source of truth for scheme identity: scheme_name /
+// all_schemes / registered_schemes / make_scheme all derive from it, so a
+// controller cannot exist without a stable name and a factory (no
+// config-dependent kind(), no hand-maintained enum lists).
 #include "sim/schemes.h"
 
 #include <algorithm>
@@ -255,11 +255,6 @@ class PtileScheme : public MpcScheme {
         builder_(env.workload->config().ptile),
         fallback_(SchemeKind::kCtile, env, /*frame_options=*/false) {}
 
-  void attach_observer(obs::Observer* observer, std::uint32_t session) override {
-    MpcScheme::attach_observer(observer, session);
-    fallback_.attach_observer(observer, session);  // fallback solves count too
-  }
-
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
@@ -335,8 +330,9 @@ const std::array<ControllerEntry, kSchemeCount>& registry() {
         {{SchemeKind::kNontile, "Nontile", /*in_paper=*/true}, &make_nontile},
         {{SchemeKind::kPtile, "Ptile", /*in_paper=*/true}, &make_ptile_fixed},
         {{SchemeKind::kOurs, "Ours", /*in_paper=*/true}, &make_ours},
-        {{SchemeKind::kGhoshLp, "GhoshLP", /*in_paper=*/false}, &make_ghosh_lp},
-        {{SchemeKind::kGhoshRobust, "GhoshRobust", /*in_paper=*/false},
+        {{SchemeKind::kGhoshLp, "GhoshLP", /*in_paper=*/false, PlanSolver::kLp},
+         &make_ghosh_lp},
+        {{SchemeKind::kGhoshRobust, "GhoshRobust", /*in_paper=*/false, PlanSolver::kLp},
          &make_ghosh_robust},
         {{SchemeKind::kPano, "Pano", /*in_paper=*/false}, &make_pano},
     }};

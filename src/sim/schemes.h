@@ -41,6 +41,7 @@
 // exactly as Section IV-B prescribes.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -73,6 +74,10 @@ inline constexpr std::size_t kPaperSchemeCount = 5;
 static_assert(static_cast<std::size_t>(SchemeKind::kPano) + 1 == kSchemeCount,
               "kSchemeCount must cover every SchemeKind enumerator");
 
+// The solver a controller plans with: the Section IV-C MPC+DP, or the Ghosh
+// LP allocation. kNone marks a plan that ran no solve.
+enum class PlanSolver : std::uint8_t { kNone, kMpc, kLp };
+
 // One registry row: the stable identity of a controller. The name is fixed
 // at registration and independent of any configuration knob (a Ptile
 // controller is "Ptile" whether or not frame adaptation is wired — results
@@ -81,6 +86,9 @@ struct ControllerInfo {
   SchemeKind kind = SchemeKind::kCtile;
   std::string_view name;
   bool in_paper = false;  // member of the Section V comparison set
+  // What each plan() solves, and so which solver metrics an observed
+  // session registers (StreamingClient::attach_observer).
+  PlanSolver solver = PlanSolver::kMpc;
 };
 
 // Registry lookups. All bound-checked: an out-of-range kind or unknown name
@@ -111,12 +119,25 @@ struct SchemeEnv {
   double tile_overlap_threshold = 0.25;
 };
 
+// What a plan's one solve did. plan() emits nothing: it returns this with
+// the plan, and StreamingClient::publish_plan reports it on the thread that
+// owns the observer. Feasibility is DownloadPlan::mpc_feasible.
+struct SolveRecord {
+  PlanSolver solver = PlanSolver::kNone;  // kLp: one LP allocation
+  // kMpc only: the horizon length, the DP objective, and whether the
+  // strict pass failed and the relaxed one ran.
+  std::size_t horizon = 0;
+  double objective = 0.0;
+  bool relaxed = false;
+};
+
 // What the scheme decided to download for one segment.
 struct DownloadPlan {
   core::QualityOption option;   // (v, f) plus bytes / Qo / decode profile
   double frame_ratio = 1.0;     // f / fm
   bool used_ptile = false;      // Ptile/Ours: a Ptile covered the prediction
   bool mpc_feasible = true;     // false if the MPC had to relax constraints
+  SolveRecord solve;
   // High-quality region for coverage evaluation:
   geometry::EquirectRect hq_region;                    // Ctile/Nontile/Ptile
   const ptile::FtileLayout* ftile_layout = nullptr;    // Ftile only
@@ -134,15 +155,12 @@ class Scheme {
   SchemeKind kind() const { return kind_; }
   const std::string& name() const { return scheme_name(kind_); }
 
-  // Forward a nullable observer to the scheme's internal MPC controller(s)
-  // so strict-vs-relaxed solve outcomes are attributable to `session`.
-  // Observation is write-only; planning decisions are unaffected.
-  virtual void attach_observer(obs::Observer* observer, std::uint32_t session) = 0;
-
   // Plan segment k's download. `predicted` is the viewport prediction for
   // the segment's playback time, `predicted_sfov` the recent switching speed
   // (deg/s), `bandwidth` the estimated throughput, `buffer` B_k, and
-  // `prev_qo` the previous segment's planned Qo.
+  // `prev_qo` the previous segment's planned Qo. A pure function of its
+  // arguments and the SchemeEnv: it emits nothing (the plan's SolveRecord
+  // says what its solve did), so any thread may run it.
   virtual DownloadPlan plan(std::size_t k, const geometry::Viewport& predicted,
                             double predicted_sfov, util::BytesPerSec bandwidth,
                             util::Seconds buffer, double prev_qo) const = 0;

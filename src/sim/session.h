@@ -103,10 +103,10 @@ struct SessionResult {
 // config.seed (it keys the fault and retry streams). The network trace is
 // consumed from t = 0 (it loops if shorter than the session), and enabled
 // faults run through the engine's fault state machine. The nullable
-// metrics/trace observer (obs/observer.h) sees the client, the accountant,
-// the scheme's MPC and the engine's fleet.* counters; results are
-// bit-identical without it — observation is write-only (pinned by the obs
-// differential test).
+// metrics/trace observer (obs/observer.h) sees the client (which publishes
+// each plan's solve record: mpc.* or lp.allocations), the accountant and the
+// engine's fleet.* counters; results are bit-identical without it —
+// observation is write-only (pinned by the obs differential test).
 SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
                                SchemeKind scheme, const trace::NetworkTrace& network,
                                const SessionConfig& config,

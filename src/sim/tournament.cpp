@@ -12,6 +12,7 @@
 #include "sim/tournament.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <sstream>
 
@@ -96,7 +97,10 @@ TournamentReport run_tournament(const TournamentConfig& config) {
   PS360_CHECK(!config.trace_ids.empty());
   PS360_CHECK(!config.fleet_sizes.empty());
   PS360_CHECK(config.video_index < trace::test_videos().size());
-  PS360_CHECK(config.video_duration_s > 0.0 && config.trace_duration_s > 0.0);
+  PS360_CHECK_MSG(std::isfinite(config.video_duration_s) && config.video_duration_s > 0.0,
+                  "video_duration_s must be finite and > 0");
+  PS360_CHECK_MSG(std::isfinite(config.trace_duration_s) && config.trace_duration_s > 0.0,
+                  "trace_duration_s must be finite and > 0");
   for (const int id : config.trace_ids) PS360_CHECK(id == 1 || id == 2);
   for (const std::size_t size : config.fleet_sizes) PS360_CHECK(size >= 1);
 

@@ -55,7 +55,8 @@ EquirectPoint AttractorPath::at(double t) const {
 
 HeadTraceSynthesizer::HeadTraceSynthesizer(HeadSynthConfig config)
     : config_(config) {
-  PS360_CHECK(config_.sample_rate_hz > 0.0);
+  PS360_CHECK_MSG(std::isfinite(config_.sample_rate_hz) && config_.sample_rate_hz > 0.0,
+                  "sample_rate_hz must be finite and > 0");
   PS360_CHECK(config_.pursuit_gain > 0.0);
 }
 
@@ -103,7 +104,7 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
 
   const double dt = 1.0 / config_.sample_rate_hz;
   const std::size_t n_samples =
-      static_cast<std::size_t>(std::ceil(video.duration_s * config_.sample_rate_hz)) + 1;
+      ceil_count(video.duration_s * config_.sample_rate_hz, "duration_s") + 1;
 
   // Attention state machine.
   bool exploring = false;

@@ -142,11 +142,11 @@ NetworkTrace NetworkTrace::scaled(double factor) const {
 }
 
 NetworkTrace synthesize_network_trace(const NetworkSynthConfig& config) {
-  PS360_CHECK(config.duration_s > 0.0 && config.step_s > 0.0);
+  PS360_CHECK(config.step_s > 0.0);
   PS360_CHECK(config.min_mbps > 0.0 && config.min_mbps < config.max_mbps);
   PS360_CHECK(config.mean_mbps > config.min_mbps && config.mean_mbps < config.max_mbps);
+  const std::size_t n = ceil_count(config.duration_s / config.step_s, "duration_s");
   util::Rng rng(util::derive_seed(config.seed, 0x4E7770ULL));
-  const std::size_t n = static_cast<std::size_t>(std::ceil(config.duration_s / config.step_s));
   std::vector<ThroughputSample> samples;
   samples.reserve(n);
   double rate = config.mean_mbps;

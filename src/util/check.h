@@ -7,6 +7,8 @@
 // from loud failure.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -51,5 +53,17 @@ namespace detail {
   do {                                                                       \
     if (!(expr)) ::ps360::detail::throw_assert_failure(#expr, __FILE__, __LINE__, (msg)); \
   } while (0)
+
+// ceil(x) as a count of steps, where x is a duration over its step (or times
+// a rate). Checks the precondition a static_cast leaves undefined: x must be
+// finite and > 0 and its ceiling must fit std::size_t; otherwise throws
+// std::invalid_argument naming `field`, the duration x came from.
+inline std::size_t ceil_count(double x, const char* field) {
+  const double count = std::ceil(x);
+  PS360_CHECK_MSG(count > 0.0 && count < 0x1p64,
+                  std::string(field) +
+                      " must be finite and > 0, with a step count that fits std::size_t");
+  return static_cast<std::size_t>(count);
+}
 
 }  // namespace ps360

@@ -11,7 +11,7 @@ namespace ps360::video {
 
 std::size_t segment_count(const trace::VideoInfo& video, double segment_seconds) {
   PS360_CHECK(segment_seconds > 0.0);
-  return static_cast<std::size_t>(std::ceil(video.duration_s / segment_seconds));
+  return ceil_count(video.duration_s / segment_seconds, "duration_s");
 }
 
 ContentFeatures segment_features(const trace::VideoInfo& video,

@@ -40,11 +40,13 @@ struct ClientFixture {
   std::unique_ptr<Scheme> scheme;
 };
 
-// Plans the next segment as the fleet engine does: the Eq. 6 wait, then the
-// solve.
+// Plans the next segment as the fleet engine does: the Eq. 6 wait, the
+// solve, then the publish.
 ClientRequest plan(StreamingClient& client) {
   client.begin_plan();
-  return client.finish_plan();
+  ClientRequest request = client.finish_plan();
+  client.publish_plan();
+  return request;
 }
 
 TEST(StreamingClientTest, WalksEverySegmentExactlyOnce) {

@@ -189,8 +189,8 @@ void run_battery(std::uint64_t seed_base, int count) {
       expect_bit_identical(serial, sharded, label + " shards hw");
     }
     if (iteration % 4 == 2 && config.sessions <= 64) {
-      // Observer arm: observed solves run on workers too, their emissions
-      // staged and replayed at the flow start, so emission order — not just
+      // Observer arm: observed plans run on workers too and the coordinator
+      // publishes each at its flow start, so emission order — not just
       // aggregate values — must survive sharding byte-for-byte.
       const auto observed = [&](std::size_t shards) {
         obs::MetricsRegistry metrics;
@@ -417,11 +417,11 @@ ObservedRun run_observed(const trace::NetworkTrace& link, FleetConfig config) {
   return run;
 }
 
-// Observed fleets speculate like unobserved ones: a solve on a worker
-// stages its client, MPC and LP emissions, and the coordinator replays them
-// at the flow start. Every registered scheme (the battery draws only four)
-// and both the clean and the hostile path must reproduce the serial run's
-// results, metrics JSON and trace JSONL byte for byte.
+// Observed fleets speculate like unobserved ones: a plan on a worker emits
+// nothing, and the coordinator publishes its solve record and the client's
+// records at the flow start. Every registered scheme (the battery draws only
+// four) and both the clean and the hostile path must reproduce the serial
+// run's results, metrics JSON and trace JSONL byte for byte.
 TEST(FleetShardTest, ObservedSpeculationIsByteIdenticalForEveryScheme) {
   const auto traces = trace::make_paper_traces(/*seed=*/26, util::Seconds(300.0));
   FleetConfig clean;
@@ -462,12 +462,12 @@ TEST(FleetShardTest, ObservedSpeculationIsByteIdenticalForEveryScheme) {
       EXPECT_EQ(serial.metrics_json, sharded.metrics_json);
       EXPECT_EQ(serial.trace_jsonl, sharded.trace_jsonl);
 
-      // The staged emitters were live: every solve decided, and sessions
+      // The published records were live: every solve decided, and sessions
       // waited, so the sharded arm solved on workers. Under the 6 Mbps cap
       // Ctile, Ftile, Pano, GhoshLP and GhoshRobust spend about their whole
       // bandwidth estimate and do not rise above β in an 8 s video, so
       // their hostile arms solve every plan on the coordinator and their
-      // clean arms cover their staged emissions; Ours, Ptile and Nontile
+      // clean arms cover their worker-solved plans; Ours, Ptile and Nontile
       // wait in both.
       const bool lp = scheme == sim::SchemeKind::kGhoshLp ||
                       scheme == sim::SchemeKind::kGhoshRobust;

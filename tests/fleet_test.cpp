@@ -828,9 +828,11 @@ void append_observer_lines(const std::string& name, const obs::MetricsRegistry& 
 // uncapped; a binding access cap; hostile faults with the server tier (a
 // starved edge cache and a short deadline, so misses, evictions, origin
 // flows and aborts on both links all happen); an observer attached at
-// shards = 4; the hostile fleet observed at shards = 3; and one clean
-// four-session fleet per other registered scheme, so a change to any
-// controller's plans moves a line here, not only the default scheme's.
+// shards = 4; the hostile fleet observed at shards = 3; GhoshLP's hostile
+// fleet and a Ctile fleet observed at shards = 3, so every solver kind's
+// records are pinned; and one clean four-session fleet per other registered
+// scheme, so a change to any controller's plans moves a line here, not only
+// the default scheme's.
 std::vector<std::string> golden_lines() {
   const FleetFixture fixture;
   const auto traces = trace::make_paper_traces(/*seed=*/17, util::Seconds(300.0));
@@ -885,6 +887,23 @@ std::vector<std::string> golden_lines() {
   observed_hostile.seed = 105;
   observed_hostile.shards = 3;
   run_observed("observed_hostile_shards3", observed_hostile);
+
+  // One observed config per solver kind beside Ours' energy MPC: the LP
+  // allocator on the hostile path (its plans, degraded replans and faults),
+  // and the max-QoE MPC with arrivals spread over 20 s, so early sessions
+  // have the link to themselves, rise above β and wait.
+  FleetConfig observed_lp = hostile;
+  observed_lp.scheme = sim::SchemeKind::kGhoshLp;
+  observed_lp.seed = 114;
+  observed_lp.shards = 3;
+  run_observed("observed_ghoshlp_hostile_shards3", observed_lp);
+
+  FleetConfig observed_ctile = clean;
+  observed_ctile.scheme = sim::SchemeKind::kCtile;
+  observed_ctile.seed = 115;
+  observed_ctile.start_spread_s = 20.0;
+  observed_ctile.shards = 3;
+  run_observed("observed_ctile_shards3", observed_ctile);
 
   for (const sim::SchemeKind scheme : sim::registered_schemes()) {
     if (scheme == clean.scheme) continue;

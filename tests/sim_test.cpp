@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -184,7 +185,6 @@ class NoiseTableProbe : public SchemeBase {
  public:
   using SchemeBase::SchemeBase;
   const SizeNoiseTable* table() const { return noise_; }
-  void attach_observer(obs::Observer*, std::uint32_t) override {}
   DownloadPlan plan(std::size_t, const geometry::Viewport&, double, util::BytesPerSec,
                     util::Seconds, double) const override {
     return {};
@@ -276,6 +276,24 @@ TEST(WorkloadTest, ConfigValidation) {
   WorkloadConfig bad;
   bad.n_training_users = 48;  // no test users left
   EXPECT_THROW(VideoWorkload(trace::test_videos()[5], bad), std::invalid_argument);
+}
+
+// A video duration no segment or head-sample count can come from (+inf,
+// NaN, one whose count overflows std::size_t) is rejected by name, never
+// cast to a count.
+TEST(WorkloadTest, RejectsNonFiniteVideoDuration) {
+  for (const double duration : {std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    trace::VideoInfo video = trace::test_videos()[5];
+    video.duration_s = duration;
+    try {
+      VideoWorkload workload(video, WorkloadConfig{});
+      ADD_FAILURE() << "accepted duration_s = " << duration;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("duration_s must be finite"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ----------------------------------------------------------------- Schemes
@@ -465,7 +483,6 @@ class PerOptionReference : public Scheme {
         energy_(env.mpc, *env.device, core::MpcObjective::kMinEnergyQoEConstrained),
         builder_(env.workload->config().ptile) {}
 
-  void attach_observer(obs::Observer*, std::uint32_t) override {}
 
   DownloadPlan plan(std::size_t k, const geometry::Viewport& predicted,
                     double predicted_sfov, util::BytesPerSec bandwidth,

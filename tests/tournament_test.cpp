@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -264,19 +265,22 @@ TEST(HookForwardingTest, ObserverIsInertForEveryScheme) {
     ASSERT_FALSE(plain.segments.empty());
     const std::vector<double> expected = fingerprint(plain);
 
-    // Observer arm: bit-identical results, and the controller's solve
-    // counters actually arrive — attach_observer forwarding is wired for
-    // every registry entry, not just the MPC-based ones.
+    // Observer arm: bit-identical results, and the solve counters the
+    // client publishes actually arrive for every registry entry, under
+    // exactly the names of the scheme's solver: the six MPC schemes register
+    // the three mpc.* counters and no lp.allocations, the two Ghosh
+    // allocators the reverse.
     obs::MetricsRegistry metrics;
     obs::Observer observer{&metrics, nullptr};
     const SessionResult observed = simulate_session(tiny_workload(), 0, kind,
                                                     paper_trace1(), config, &observer);
     EXPECT_EQ(fingerprint(observed), expected);
-    if (kind == SchemeKind::kGhoshLp || kind == SchemeKind::kGhoshRobust) {
-      EXPECT_GT(metrics.value("lp.allocations"), 0.0);
-    } else {
-      EXPECT_GT(metrics.value("mpc.decides"), 0.0);
-    }
+    const bool lp = kind == SchemeKind::kGhoshLp || kind == SchemeKind::kGhoshRobust;
+    EXPECT_EQ(metrics.has("lp.allocations"), lp);
+    for (const char* name : {"mpc.decides", "mpc.relaxed_fallbacks", "mpc.infeasible"})
+      EXPECT_EQ(metrics.has(name), !lp) << name;
+    const double segments = static_cast<double>(plain.segments.size());
+    EXPECT_EQ(metrics.value(lp ? "lp.allocations" : "mpc.decides"), segments);
   }
 }
 
@@ -377,6 +381,25 @@ TEST(TournamentTest, CellFailureReachesTheCaller) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("mpc.buffer_quantum_s"), std::string::npos)
         << e.what();
+  }
+}
+
+// A non-finite video or trace duration is rejected naming its field, before
+// any workload or trace is built from it.
+TEST(TournamentTest, RejectsNonFiniteDurations) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    for (const std::string field : {"video_duration_s", "trace_duration_s"}) {
+      TournamentConfig config = tiny_tournament();
+      (field == "video_duration_s" ? config.video_duration_s : config.trace_duration_s) = bad;
+      try {
+        run_tournament(config);
+        ADD_FAILURE() << "accepted " << field << " = " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field + " must be finite"), std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 

@@ -510,6 +510,31 @@ TEST(NetworkTraceTest, SynthesizerIsDeterministic) {
   EXPECT_DOUBLE_EQ(a.samples()[100].mbps, b.samples()[100].mbps);
 }
 
+// A duration no sample count can come from (+inf, NaN, one whose count
+// overflows std::size_t, zero) is rejected by name before any allocation,
+// never cast to a count.
+TEST(NetworkTraceTest, SynthesisRejectsNonFiniteDuration) {
+  for (const double duration : {std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(), 1e300, 0.0}) {
+    NetworkSynthConfig config;
+    config.duration_s = duration;
+    expect_throw_naming<std::invalid_argument>(
+        [&] { synthesize_network_trace(config); }, "duration_s must be finite");
+  }
+}
+
+// A non-finite or zero rate is rejected naming sample_rate_hz, before the
+// sample count could report it as a bad duration_s.
+TEST(HeadTraceTest, SynthesizerRejectsNonFiniteSampleRate) {
+  for (const double rate : {std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    HeadSynthConfig config;
+    config.sample_rate_hz = rate;
+    expect_throw_naming<std::invalid_argument>([&] { HeadTraceSynthesizer{config}; },
+                                               "sample_rate_hz must be finite");
+  }
+}
+
 TEST(NetworkTraceTest, CsvRoundTrip) {
   const NetworkTrace trace({{0.0, 4.0}, {1.0, 8.0}});
   const auto path = std::filesystem::temp_directory_path() / "ps360_net.csv";
