@@ -160,16 +160,8 @@ void BM_SchemePlan(benchmark::State& state, sim::SchemeKind kind) {
   encoding_config.seed = config.seed;
   const video::EncodingModel encoding(encoding_config);
   const qoe::QoModel qo_model(config.qo_params, config.qoe_bitrate_scale);
-  sim::SchemeEnv env;
-  env.workload = &workload;
-  env.encoding = &encoding;
-  env.qo_model = &qo_model;
-  env.device = &power::device_model(config.device);
-  env.mpc = config.mpc;
-  env.mpc_horizon = config.mpc_horizon;
-  env.ptile_min_coverage = config.ptile_min_coverage;
-  env.tile_overlap_threshold = config.tile_overlap_threshold;
-  const auto scheme = sim::make_scheme(kind, env);
+  const auto scheme =
+      sim::make_scheme(kind, sim::SchemeEnv{&workload, &encoding, &qo_model, &config});
 
   const std::size_t n = workload.segment_count();
   std::vector<geometry::Viewport> viewports;

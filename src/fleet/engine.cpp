@@ -190,9 +190,9 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     SessionRuntime& rt = sessions[i];
     const std::size_t test_user = test_user_of(i);
     // Under fault injection each session gets a private fault schedule and a
-    // private recovery (jitter) seed, both keyed off (fleet seed, session) so
-    // replications and sessions decorrelate. The config copy is only made on
-    // the fault path — the fault-free path is byte-for-byte today's engine.
+    // private recovery (jitter) stream index, both keyed off (fleet seed,
+    // session) so replications and sessions decorrelate; the client folds the
+    // index with the session seed.
     sim::SessionConfig session_config = config.session;
     if (faults_on) {
       session_config.recovery.seed =
@@ -204,8 +204,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     rt.accountant = std::make_unique<sim::SessionAccountant>(
         workload, test_user, config.scheme, session_config);
     rt.client = std::make_unique<sim::StreamingClient>(
-        rt.accountant->client_config(), workload, rt.accountant->scheme(),
-        workload.test_trace(test_user));
+        session_config, workload, rt.accountant->scheme(), workload.test_trace(test_user));
   }
 
   // Speculation moves only wall-clock time (the fleet_shard differential

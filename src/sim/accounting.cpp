@@ -1,6 +1,7 @@
-// Per-session QoE/energy bookkeeping (Eq. 2 terms + Table I energy).
-// Deterministic: every figure is a pure function of the recorded requests,
-// so replaying the same session byte-for-byte reproduces the result.
+// Per-session QoE/energy bookkeeping (Eq. 2 terms + Table I energy), and
+// validated(), the one SessionConfig check. Deterministic: every figure is a
+// pure function of the recorded requests, so replaying the same session
+// byte-for-byte reproduces the result.
 #include "sim/accounting.h"
 
 #include <algorithm>
@@ -8,43 +9,12 @@
 
 #include "core/buffer.h"
 #include "util/check.h"
-#include "util/rng.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace ps360::sim {
 
-namespace {
-
-// Stream tag folding SessionConfig.seed with RecoveryConfig.seed (used as a
-// per-session stream index by the fleet engine) into the jitter seed the
-// client actually runs with.
-constexpr std::uint64_t kRecoverySeedStream = 0x4EC0FE4ULL;
-
-SchemeEnv make_env(const VideoWorkload& workload, const video::EncodingModel& encoding,
-                   const qoe::QoModel& qo_model, const power::DeviceModel& device,
-                   const SessionConfig& config) {
-  SchemeEnv env;
-  env.workload = &workload;
-  env.encoding = &encoding;
-  env.qo_model = &qo_model;
-  env.device = &device;
-  env.mpc = config.mpc;
-  env.mpc_horizon = config.mpc_horizon;
-  env.ptile_min_coverage = config.ptile_min_coverage;
-  env.tile_overlap_threshold = config.tile_overlap_threshold;
-  return env;
-}
-
-// Reject SessionConfig values that would be absorbed silently (a coverage
-// floor above 1 disables Ptile, an infinite QoE weight makes the session's
-// QoE NaN, an infinite bitrate scale saturates every Qo) or fail far from
-// their cause (an infinite buffer threshold throws from a vector resize, a
-// tiny buffer quantum from the DP's allocation, an infinite stall penalty or
-// an infinite encoding rate or size-noise sigma from the MPC's internal
-// assert, a NaN or negative FoV padding from the viewport at the client's
-// first plan). Runs before any member is built from the config, so
-// run_fleet, and with it simulate_session, rejects it with the field's name.
-const SessionConfig& validated(const SessionConfig& config) {
+const SessionConfig& validated(const SessionConfig& config, const VideoWorkload& workload) {
   const auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
   const auto finite_non_negative = [](double v) { return std::isfinite(v) && v >= 0.0; };
   PS360_CHECK_MSG(config.ptile_min_coverage >= 0.0 && config.ptile_min_coverage <= 1.0,
@@ -52,12 +22,19 @@ const SessionConfig& validated(const SessionConfig& config) {
   PS360_CHECK_MSG(
       config.tile_overlap_threshold >= 0.0 && config.tile_overlap_threshold < 1.0,
       "tile_overlap_threshold must be in [0, 1)");
+  PS360_CHECK_MSG(config.mpc_horizon >= 1, "mpc_horizon must be >= 1");
+  PS360_CHECK_MSG(config.bandwidth_window >= 1, "bandwidth_window must be >= 1");
   PS360_CHECK_MSG(finite_positive(config.initial_bandwidth_bytes_per_s),
                   "initial_bandwidth_bytes_per_s must be finite and > 0");
   PS360_CHECK_MSG(finite_positive(config.mpc.buffer_threshold_s),
                   "mpc.buffer_threshold_s must be finite and > 0");
   PS360_CHECK_MSG(finite_positive(config.mpc.segment_seconds),
                   "mpc.segment_seconds must be finite and > 0");
+  const double workload_segment_s = workload.config().segment_seconds;
+  PS360_CHECK_MSG(config.mpc.segment_seconds == workload_segment_s,
+                  util::strfmt("mpc.segment_seconds (%.17g) must equal the workload's "
+                               "WorkloadConfig::segment_seconds (%.17g)",
+                               config.mpc.segment_seconds, workload_segment_s));
   PS360_CHECK_MSG(finite_non_negative(config.mpc.stall_penalty_per_s),
                   "mpc.stall_penalty_per_s must be finite and >= 0");
   PS360_CHECK_MSG(finite_non_negative(config.mpc.weights.variation),
@@ -78,8 +55,24 @@ const SessionConfig& validated(const SessionConfig& config) {
                        config.mpc.buffer_quantum_s;
   PS360_CHECK_MSG(steps < core::kMaxBufferStates - 0.5,
                   "mpc.buffer_quantum_s gives the MPC more than 4096 buffer states");
+
+  const RecoveryConfig& rc = config.recovery;
+  PS360_CHECK_MSG(rc.max_attempts >= 1, "recovery.max_attempts must be >= 1");
+  PS360_CHECK_MSG(finite_positive(rc.timeout_s),
+                  "recovery.timeout_s must be finite and > 0");
+  PS360_CHECK_MSG(finite_non_negative(rc.backoff_base_s),
+                  "recovery.backoff_base_s must be finite and >= 0");
+  PS360_CHECK_MSG(std::isfinite(rc.backoff_max_s) && rc.backoff_max_s >= rc.backoff_base_s,
+                  "recovery.backoff_max_s must be finite and >= recovery.backoff_base_s");
+  PS360_CHECK_MSG(rc.backoff_jitter >= 0.0 && rc.backoff_jitter < 1.0,
+                  "recovery.backoff_jitter must be in [0, 1)");
+  PS360_CHECK_MSG(rc.degrade_after >= 1, "recovery.degrade_after must be >= 1");
+  PS360_CHECK_MSG(rc.degrade_bandwidth_factor > 0.0 && rc.degrade_bandwidth_factor < 1.0,
+                  "recovery.degrade_bandwidth_factor must be in (0, 1)");
   return config;
 }
+
+namespace {
 
 video::EncodingConfig seeded_encoding(const SessionConfig& config) {
   video::EncodingConfig enc_cfg = config.encoding;
@@ -94,33 +87,15 @@ SessionAccountant::SessionAccountant(const VideoWorkload& workload,
                                      const SessionConfig& config)
     : workload_(&workload),
       test_user_(test_user),
-      config_(validated(config)),
+      config_(validated(config, workload)),
       encoding_(seeded_encoding(config)),
       qo_model_(config.qo_params, config.qoe_bitrate_scale),
       qoe_model_(config.mpc.weights),
-      scheme_(make_scheme(scheme,
-                          make_env(workload, encoding_, qo_model_,
-                                   power::device_model(config.device), config))),
-      device_(&power::device_model(config.device)) {
+      scheme_(make_scheme(scheme, SchemeEnv{&workload, &encoding_, &qo_model_, &config_})) {
   PS360_CHECK(test_user < workload.test_user_count());
   result_.scheme = scheme;
   result_.segments.reserve(workload.segment_count());
   qoe_segments_.reserve(workload.segment_count());
-}
-
-ClientConfig SessionAccountant::client_config() const {
-  ClientConfig client_config;
-  client_config.mpc = config_.mpc;
-  client_config.bandwidth_window = config_.bandwidth_window;
-  client_config.initial_bandwidth_bytes_per_s = config_.initial_bandwidth_bytes_per_s;
-  client_config.download_fov_padding_deg = config_.download_fov_padding_deg;
-  client_config.predictor = config_.predictor;
-  client_config.predictor_kind = config_.predictor_kind;
-  client_config.bandwidth_kind = config_.bandwidth_kind;
-  client_config.recovery = config_.recovery;
-  client_config.recovery.seed =
-      util::derive_seed(config_.seed, kRecoverySeedStream, config_.recovery.seed);
-  return client_config;
 }
 
 void SessionAccountant::attach_observer(obs::Observer* observer,
@@ -186,7 +161,7 @@ void SessionAccountant::record(const ClientRequest& request,
   qoe_segments_.push_back(seg_qoe);
 
   const power::SegmentEnergy energy =
-      power::segment_energy(*device_, plan.option.profile,
+      power::segment_energy(power::device_model(config_.device), plan.option.profile,
                             util::Seconds(download_s), plan.option.fps,
                             util::Seconds(L));
 

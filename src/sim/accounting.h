@@ -4,11 +4,12 @@
 // simulate_session is its fleet of one) supplies the download times. This
 // class owns everything else: the per-session models (encoding, Qo, QoE,
 // device), the scheme instance, and the delivered-QoE/energy bookkeeping of
-// Section V. Tools that replay a recorded session construct it directly for
-// the scheme and client config.
+// Section V. It validates the session's SessionConfig (validated()) and keeps
+// the one copy its scheme reads.
 //
-// Protocol: construct, drive the client with client_config()/scheme(), call
-// record() once per completed segment in order, then finish() exactly once.
+// Protocol: construct, build the client from the same SessionConfig against
+// scheme(), call record() once per completed segment in order, then finish()
+// exactly once.
 #pragma once
 
 #include <memory>
@@ -26,12 +27,17 @@ class SessionAccountant {
   // users (see VideoWorkload::test_trace).
   SessionAccountant(const VideoWorkload& workload, std::size_t test_user,
                     SchemeKind scheme, const SessionConfig& config);
+  // The scheme keeps the addresses of the config and models, so the
+  // accountant never moves.
+  SessionAccountant(const SessionAccountant&) = delete;
+  SessionAccountant& operator=(const SessionAccountant&) = delete;
 
   // The scheme instance the client should plan against.
   const Scheme& scheme() const { return *scheme_; }
 
-  // The ClientConfig matching this session's SessionConfig.
-  ClientConfig client_config() const;
+  // The validated SessionConfig, unchanged (perfbench's replay builds its
+  // client from it).
+  const SessionConfig& client_config() const { return config_; }
 
   // Attach a nullable metrics/trace observer, labelling records `session`.
   // record() then emits the per-segment delivered choice (Ptile vs
@@ -58,7 +64,6 @@ class SessionAccountant {
   qoe::QoModel qo_model_;
   qoe::QoEModel qoe_model_;
   std::unique_ptr<Scheme> scheme_;
-  const power::DeviceModel* device_;
 
   SessionResult result_;
   std::vector<qoe::SegmentQoE> qoe_segments_;

@@ -14,15 +14,20 @@ namespace ps360::sim {
 
 namespace {
 
+// Stream tag folding SessionConfig::seed with RecoveryConfig::seed (a stream
+// index, which the fleet engine sets per session) into the jitter seed.
+constexpr std::uint64_t kRecoverySeedStream = 0x4EC0FE4ULL;
+
 // Stream tag for backoff jitter: one independent stream per (recovery seed,
 // segment, attempt) so retry schedules are reproducible and order-invariant.
 constexpr std::uint64_t kBackoffStream = 0xBAC0FFULL;
 
 }  // namespace
 
-StreamingClient::StreamingClient(ClientConfig config, const VideoWorkload& workload,
-                                 const Scheme& scheme, const trace::HeadTrace& head)
-    : config_(std::move(config)),
+StreamingClient::StreamingClient(const SessionConfig& config,
+                                 const VideoWorkload& workload, const Scheme& scheme,
+                                 const trace::HeadTrace& head)
+    : config_(validated(config, workload)),
       workload_(&workload),
       scheme_(&scheme),
       head_(&head),
@@ -31,27 +36,8 @@ StreamingClient::StreamingClient(ClientConfig config, const VideoWorkload& workl
       bandwidth_(predict::make_bandwidth_estimator(
           config_.bandwidth_kind, config_.bandwidth_window,
           util::BytesPerSec(config_.initial_bandwidth_bytes_per_s))) {
-  PS360_CHECK(config_.mpc.segment_seconds > 0.0);
-  PS360_CHECK(config_.mpc.buffer_threshold_s > 0.0);
-  PS360_CHECK_MSG(config_.recovery.max_attempts >= 1,
-                  "recovery needs at least one attempt");
-  PS360_CHECK_MSG(std::isfinite(config_.recovery.timeout_s) &&
-                      config_.recovery.timeout_s > 0.0,
-                  "timeout_s must be finite and > 0");
-  PS360_CHECK_MSG(std::isfinite(config_.recovery.backoff_base_s) &&
-                      config_.recovery.backoff_base_s >= 0.0,
-                  "backoff_base_s must be finite and >= 0");
-  PS360_CHECK_MSG(std::isfinite(config_.recovery.backoff_max_s) &&
-                      config_.recovery.backoff_max_s >= config_.recovery.backoff_base_s,
-                  "backoff_max_s must be finite and >= backoff_base_s");
-  PS360_CHECK_MSG(
-      config_.recovery.backoff_jitter >= 0.0 && config_.recovery.backoff_jitter < 1.0,
-      "backoff jitter must be in [0, 1)");
-  PS360_CHECK_MSG(config_.recovery.degrade_after >= 1,
-                  "degrade_after must be >= 1");
-  PS360_CHECK_MSG(config_.recovery.degrade_bandwidth_factor > 0.0 &&
-                      config_.recovery.degrade_bandwidth_factor < 1.0,
-                  "degrade factor must be in (0, 1)");
+  config_.recovery.seed =
+      util::derive_seed(config_.seed, kRecoverySeedStream, config_.recovery.seed);
 }
 
 void StreamingClient::attach_observer(obs::Observer* observer, std::uint32_t session,

@@ -7,7 +7,8 @@
 // rates), solve the horizon, and emit a download decision. The caller then
 // performs the download however it likes (a simulator integrates a
 // throughput trace; a real client would issue an HTTP request) and reports
-// how long it took; the client advances the Eq. 6 buffer state.
+// how long it took; the client advances the Eq. 6 buffer state. It reads
+// its knobs from the session's one SessionConfig (sim/session_config.h).
 //
 // fleet::run_fleet is the one session driver (sim::simulate_session is a
 // fleet of one): it times downloads on a shared link, injects faults,
@@ -21,38 +22,10 @@
 #include "predict/bandwidth_estimators.h"
 #include "predict/predictors.h"
 #include "sim/schemes.h"
+#include "sim/session_config.h"
 #include "util/units.h"
 
 namespace ps360::sim {
-
-// Bounded recovery policy for failed downloads: capped exponential backoff
-// with seeded jitter, and a degradation ladder that re-plans the segment
-// against a pessimistic bandwidth so repeated failures fetch less, not more.
-// The final attempt (attempts() + 1 == max_attempts) is the caller's
-// guaranteed-delivery path, so the loop always terminates.
-struct RecoveryConfig {
-  std::size_t max_attempts = 6;     // hard ceiling, >= 1; last attempt succeeds
-  double timeout_s = 4.0;           // per-attempt deadline (seconds, finite, > 0)
-  double backoff_base_s = 0.25;     // first retry delay (finite)
-  double backoff_max_s = 4.0;       // backoff cap (finite)
-  double backoff_jitter = 0.25;     // +/- fraction of jitter on each backoff
-  std::size_t degrade_after = 2;    // degrade every this many failures (>= 1)
-  std::size_t max_degrade_steps = 3;
-  double degrade_bandwidth_factor = 0.5;  // bandwidth haircut per degrade step
-  std::uint64_t seed = 0;           // jitter stream (derive per session)
-};
-
-struct ClientConfig {
-  core::MpcConfig mpc;                // L, β, quantum, ε, weights
-  std::size_t bandwidth_window = 5;   // harmonic-mean window
-  double initial_bandwidth_bytes_per_s = 500e3;  // estimator prior
-  double download_fov_padding_deg = 10.0;
-  predict::ViewportPredictorConfig predictor;
-  predict::PredictorKind predictor_kind = predict::PredictorKind::kRidge;
-  predict::BandwidthEstimatorKind bandwidth_kind =
-      predict::BandwidthEstimatorKind::kHarmonic;
-  RecoveryConfig recovery;
-};
 
 // Why a download attempt failed, for per-reason counters.
 enum class FailureReason {
@@ -81,10 +54,12 @@ struct ClientRequest {
 
 class StreamingClient {
  public:
-  // `scheme` and `head` must outlive the client. `head` is the viewer's
-  // head trace, consumed causally (only samples up to the playhead are used
-  // for prediction).
-  StreamingClient(ClientConfig config, const VideoWorkload& workload,
+  // `workload`, `scheme` and `head` must outlive the client. `head` is the
+  // viewer's head trace, consumed causally (only samples up to the playhead
+  // are used for prediction). Throws std::invalid_argument, naming the
+  // field, unless validated(config, workload) passes. The backoff jitter
+  // runs on config.seed folded with config.recovery.seed.
+  StreamingClient(const SessionConfig& config, const VideoWorkload& workload,
                   const Scheme& scheme, const trace::HeadTrace& head);
 
   // Two-phase planning of the next segment's download. begin_plan()
@@ -158,7 +133,7 @@ class StreamingClient {
   bool finished() const { return next_segment_ >= workload_->segment_count(); }
 
  private:
-  ClientConfig config_;
+  SessionConfig config_;
   const VideoWorkload* workload_;
   const Scheme* scheme_;
   const trace::HeadTrace* head_;

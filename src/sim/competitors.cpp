@@ -87,7 +87,7 @@ class GhoshScheme : public SchemeBase {
                     double /*prev_qo*/) const override {
     const auto& feat = env_.workload->features(k);
     const SizeNoiseRow noise = noise_->row(k);
-    const double L = env_.mpc.segment_seconds;
+    const double L = env_.session->mpc.segment_seconds;
 
     // Candidate (allocated) tiles and their weights.
     std::vector<TileIndex> candidates;
@@ -113,7 +113,7 @@ class GhoshScheme : public SchemeBase {
       // Plain variant (and the robust degenerate case): the predicted-FoV
       // tiles, equally weighted — prediction taken at face value.
       const auto rect =
-          grid_.covering_rect(predicted.area(), env_.tile_overlap_threshold);
+          grid_.covering_rect(predicted.area(), env_.session->tile_overlap_threshold);
       candidates = grid_.tiles_in(rect);
       weights.assign(candidates.size(), 1.0);
     }

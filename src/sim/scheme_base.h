@@ -76,7 +76,7 @@ class SchemeBase : public Scheme {
   // One past the last segment of the MPC horizon [k, k+H-1] clipped to the
   // video end.
   std::size_t horizon_end(std::size_t k) const {
-    return std::min(k + env_.mpc_horizon, env_.workload->segment_count());
+    return std::min(k + env_.session->mpc_horizon, env_.workload->segment_count());
   }
 
   // Build the MPC horizon [k, horizon_end(k)). Each term is evaluated at
@@ -177,8 +177,8 @@ class SchemeBase : public Scheme {
 
   static const SchemeEnv& checked(const SchemeEnv& env) {
     PS360_CHECK(env.workload != nullptr && env.encoding != nullptr &&
-                env.qo_model != nullptr && env.device != nullptr);
-    PS360_CHECK(env.mpc_horizon >= 1);
+                env.qo_model != nullptr && env.session != nullptr);
+    validated(*env.session, *env.workload);
     return env;
   }
 };
@@ -191,7 +191,9 @@ class SchemeBase : public Scheme {
 class MpcScheme : public SchemeBase {
  public:
   MpcScheme(SchemeKind kind, const SchemeEnv& env, core::MpcObjective objective)
-      : SchemeBase(kind, env), controller_(env.mpc, *env.device, objective) {}
+      : SchemeBase(kind, env),
+        controller_(env.session->mpc, power::device_model(env.session->device),
+                    objective) {}
 
  protected:
   // Build the horizon [k, horizon_end(k)), solve it, and return the plan's

@@ -92,13 +92,13 @@ class CtileScheme : public MpcScheme {
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
     const auto rect =
-        grid_.covering_rect(predicted.area(), env_.tile_overlap_threshold);
+        grid_.covering_rect(predicted.area(), env_.session->tile_overlap_threshold);
     const EquirectRect hq = grid_.rect_area(rect);
     const double hq_area = hq.area_fraction();
     const std::size_t n_hq = rect.tile_count();
     const std::size_t n_bg = grid_.tile_count() - n_hq;
     const double bg_area = std::max(1.0 - hq_area, 0.0);
-    const double L = env_.mpc.segment_seconds;
+    const double L = env_.session->mpc.segment_seconds;
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kCtileHq;
@@ -153,7 +153,7 @@ class FtileScheme : public MpcScheme {
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
-    const double L = env_.mpc.segment_seconds;
+    const double L = env_.session->mpc.segment_seconds;
 
     // The FoV tile set is computed against each lookahead segment's own
     // layout (layouts are per-segment server-side artifacts). It depends on
@@ -220,7 +220,7 @@ class NontileScheme : public MpcScheme {
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
-    const double L = env_.mpc.segment_seconds;
+    const double L = env_.session->mpc.segment_seconds;
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kNontile;
@@ -260,14 +260,14 @@ class PtileScheme : public MpcScheme {
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
     const ptile::Ptile* ptile =
-        workload.ptiles(k).covering(predicted, env_.ptile_min_coverage);
+        workload.ptiles(k).covering(predicted, env_.session->ptile_min_coverage);
     if (ptile == nullptr) {
       // Section IV-B: no covering Ptile -> conventional tiles at the best
       // possible quality for this segment (used_ptile stays false).
       return fallback_.plan(k, predicted, predicted_sfov, bandwidth, buffer, prev_qo);
     }
 
-    const double L = env_.mpc.segment_seconds;
+    const double L = env_.session->mpc.segment_seconds;
     const double ptile_area = ptile->area.area_fraction();
     const std::vector<double> bg_areas = builder_.background_block_areas(*ptile);
 

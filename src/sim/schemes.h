@@ -39,6 +39,9 @@
 // When the predicted viewport is not covered by any Ptile, Ptile/Ours fall
 // back to conventional tiles at the best possible quality for that segment,
 // exactly as Section IV-B prescribes.
+//
+// A scheme reads its knobs (H, L, β, ε, the coverage and tile rules, the
+// device) from the session's one SessionConfig, SchemeEnv::session.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +51,7 @@
 #include <vector>
 
 #include "core/mpc.h"
+#include "sim/session_config.h"
 #include "sim/workload.h"
 #include "video/encoding.h"
 #include "util/units.h"
@@ -104,19 +108,13 @@ std::vector<SchemeKind> all_schemes();
 // the tournament default.
 std::vector<SchemeKind> registered_schemes();
 
-// Shared, non-owning environment a scheme plans against.
+// Shared, non-owning environment a scheme plans against; each pointee must
+// outlive the scheme, which checks validated(*session, *workload).
 struct SchemeEnv {
   const VideoWorkload* workload = nullptr;
   const video::EncodingModel* encoding = nullptr;
   const qoe::QoModel* qo_model = nullptr;
-  const power::DeviceModel* device = nullptr;
-  core::MpcConfig mpc;            // L, β, quantum, ε, weights, stall penalty
-  std::size_t mpc_horizon = 5;    // H
-  double ptile_min_coverage = 0.9;  // predicted-FoV coverage to pick a Ptile
-  // Minimum fraction of a boundary tile the FoV must overlap before the
-  // client downloads it at high quality (how the paper's "nine FoV tiles"
-  // arise from a 100° FoV on a 45° grid).
-  double tile_overlap_threshold = 0.25;
+  const SessionConfig* session = nullptr;
 };
 
 // What a plan's one solve did. plan() emits nothing: it returns this with

@@ -7,7 +7,9 @@
 // run the scheme's MPC, download over the variable-rate trace, and evolve
 // the buffer by Eq. 6 (wait above the β threshold, stall when the download
 // outlasts the buffer). The session runs as a fleet of one through
-// fleet::run_fleet, the one session driver.
+// fleet::run_fleet, the one session driver. Its parameters are the one
+// SessionConfig (sim/session_config.h, re-included here), which the client,
+// the accountant and the scheme all read.
 //
 // Per segment it accounts:
 //  * energy (Eq. 1, Table I models — radio for the download time, decoder
@@ -19,53 +21,13 @@
 #pragma once
 
 #include "power/energy.h"
-#include "predict/bandwidth_estimators.h"
-#include "predict/predictors.h"
 #include "qoe/qoe_model.h"
 #include "sim/client.h"
 #include "sim/schemes.h"
-#include "trace/fault_schedule.h"
+#include "sim/session_config.h"
 #include "trace/network_trace.h"
 
 namespace ps360::sim {
-
-struct SessionConfig {
-  std::uint64_t seed = 42;
-  power::Device device = power::Device::kPixel3;
-
-  // Maps the encoding model's FoV Mbps into the b units of the Table II fit
-  // (our synthetic encodes live at lower absolute rates than the fit's b
-  // axis; see DESIGN.md §6).
-  double qoe_bitrate_scale = 4.0;
-
-  core::MpcConfig mpc;                 // L, β, quantum, ε, (ω_v, ω_r)
-  std::size_t mpc_horizon = 5;         // H
-  std::size_t bandwidth_window = 5;    // harmonic-mean window (segments)
-  double initial_bandwidth_bytes_per_s = 500e3;  // estimator prior
-  double ptile_min_coverage = 0.85;
-  double tile_overlap_threshold = 0.25;  // FoV-tile selection rule
-  // Clients fetch the predicted FoV plus a safety margin on every side so
-  // that small prediction errors stay inside the high-quality region (Flare
-  // and Rubiks do the same).
-  double download_fov_padding_deg = 10.0;
-
-  predict::ViewportPredictorConfig predictor;
-  // Which estimators drive the client (the paper's choices by default;
-  // the alternatives exist for the ablation study).
-  predict::PredictorKind predictor_kind = predict::PredictorKind::kRidge;
-  predict::BandwidthEstimatorKind bandwidth_kind =
-      predict::BandwidthEstimatorKind::kHarmonic;
-  video::EncodingConfig encoding;
-  qoe::QoParams qo_params;
-
-  // Fault injection and the client's bounded recovery policy, run by the
-  // fleet engine (simulate_session included). Off by default, and inert then
-  // (pinned by the fault differential tests). RecoveryConfig::seed is a
-  // stream index: the accountant folds it with `seed` above, and the fleet
-  // engine sets it per session.
-  trace::FaultConfig faults;
-  RecoveryConfig recovery;
-};
 
 struct SegmentRecord {
   std::size_t index = 0;

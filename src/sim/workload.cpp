@@ -88,7 +88,9 @@ VideoWorkload::VideoWorkload(const trace::VideoInfo& video, WorkloadConfig confi
   centers_.reserve(n_segments);
   ptiles_.reserve(n_segments);
 
-  const ptile::PtileBuilder builder(config_.ptile);
+  ptile::PtileBuildConfig ptile_cfg = config_.ptile;
+  ptile_cfg.fov_deg = config_.fov_deg;
+  const ptile::PtileBuilder builder(ptile_cfg);
   for (std::size_t k = 0; k < n_segments; ++k) {
     features_.push_back(video::segment_features(video_, k, config_.seed));
 

@@ -125,6 +125,8 @@ struct WorkloadConfig {
   double segment_seconds = 1.0;
   std::size_t n_users = trace::kDatasetUsers;            // 48
   std::size_t n_training_users = trace::kTrainingUsers;  // 40
+  // The viewport size; it overrides ptile.fov_deg and ftile.fov_deg, so the
+  // Ptile members and Ftile views are as large as the viewports played.
   double fov_deg = 100.0;
   trace::HeadSynthConfig head;          // head-trace synthesis knobs
   ptile::PtileBuildConfig ptile;        // Algorithm 1 / builder knobs

@@ -103,8 +103,9 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
   const double offset_y = rng.normal(0.0, offset_sigma * 0.7);
 
   const double dt = 1.0 / config_.sample_rate_hz;
-  const std::size_t n_samples =
-      ceil_count(video.duration_s * config_.sample_rate_hz, "duration_s") + 1;
+  ceil_count(video.duration_s, "duration_s");  // alone first, then times the rate
+  const std::size_t n_samples = 1 + ceil_count(video.duration_s * config_.sample_rate_hz,
+                                               "duration_s * sample_rate_hz");
 
   // Attention state machine.
   bool exploring = false;

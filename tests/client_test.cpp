@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/observer.h"
@@ -22,20 +24,22 @@ struct ClientFixture {
     }();
     static const VideoWorkload shared_workload(video, WorkloadConfig{});
     workload = &shared_workload;
+    session.ptile_min_coverage = 0.9;  // the coverage floor these tests were written for
     env.workload = workload;
     env.encoding = &encoding;
     env.qo_model = &qo_model;
-    env.device = &power::device_model(power::Device::kPixel3);
+    env.session = &session;
     scheme = make_scheme(SchemeKind::kOurs, env);
   }
 
-  StreamingClient make_client(ClientConfig config = {}) const {
-    return StreamingClient(config, *workload, *scheme, workload->test_trace(0));
+  StreamingClient make_client() const {
+    return StreamingClient(session, *workload, *scheme, workload->test_trace(0));
   }
 
   const VideoWorkload* workload;
   video::EncodingModel encoding;
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
+  SessionConfig session;
   SchemeEnv env;
   std::unique_ptr<Scheme> scheme;
 };
@@ -167,6 +171,22 @@ TEST(StreamingClientTest, RejectsNonFiniteDownloadTime) {
   EXPECT_THROW(client.complete_download(util::Seconds(std::numeric_limits<double>::quiet_NaN())),
                std::invalid_argument);
   EXPECT_NO_THROW(client.complete_download(util::Seconds(0.5)));
+}
+
+// The client validates its SessionConfig itself, so a client built without
+// an accountant rejects a bad recovery policy too, naming the field.
+TEST(StreamingClientTest, RejectsAnInvalidConfigWithoutAnAccountant) {
+  const ClientFixture fixture;
+  SessionConfig config = fixture.session;
+  config.recovery.timeout_s = std::numeric_limits<double>::quiet_NaN();
+  try {
+    const StreamingClient client(config, *fixture.workload, *fixture.scheme,
+                                 fixture.workload->test_trace(0));
+    ADD_FAILURE() << "accepted recovery.timeout_s = NaN";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("recovery.timeout_s"), std::string::npos)
+        << e.what();
+  }
 }
 
 // Rejected calls must also be invisible to an attached observer: a misuse

@@ -168,21 +168,22 @@ TEST(FaultScheduleTest, ValidatesConfig) {
 struct ClientFixture {
   ClientFixture() {
     workload = &test_workload();
+    session.ptile_min_coverage = 0.9;  // the coverage floor these tests were written for
     env.workload = workload;
     env.encoding = &encoding;
     env.qo_model = &qo_model;
-    env.device = &power::device_model(power::Device::kPixel3);
+    env.session = &session;
     scheme = make_scheme(sim::SchemeKind::kOurs, env);
   }
 
-  sim::StreamingClient make_client(sim::ClientConfig config = {}) const {
-    return sim::StreamingClient(config, *workload, *scheme,
-                                workload->test_trace(0));
+  sim::StreamingClient make_client(const sim::SessionConfig& config) const {
+    return sim::StreamingClient(config, *workload, *scheme, workload->test_trace(0));
   }
 
   const sim::VideoWorkload* workload;
   video::EncodingModel encoding;
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
+  sim::SessionConfig session;
   sim::SchemeEnv env;
   std::unique_ptr<sim::Scheme> scheme;
 };
@@ -196,7 +197,7 @@ sim::ClientRequest plan(sim::StreamingClient& client) {
 
 TEST(RecoveryTest, BackoffSequenceIsCappedAndSeededDeterministic) {
   const ClientFixture fixture;
-  sim::ClientConfig config;
+  sim::SessionConfig config = fixture.session;
   config.recovery.max_attempts = 16;
   config.recovery.seed = 7;
   const auto collect = [&] {
@@ -231,7 +232,7 @@ TEST(RecoveryTest, BackoffSequenceIsCappedAndSeededDeterministic) {
 
 TEST(RecoveryTest, TimeoutAdvancesWallClockExactlyByDeadlinePlusBackoff) {
   const ClientFixture fixture;
-  sim::ClientConfig config;
+  sim::SessionConfig config = fixture.session;
   config.recovery.backoff_jitter = 0.0;  // exact arithmetic
   auto client = fixture.make_client(config);
   plan(client);
@@ -247,7 +248,7 @@ TEST(RecoveryTest, TimeoutAdvancesWallClockExactlyByDeadlinePlusBackoff) {
 
 TEST(RecoveryTest, DegradationLadderShrinksRequestsAndTerminates) {
   const ClientFixture fixture;
-  sim::ClientConfig config;
+  sim::SessionConfig config = fixture.session;
   config.recovery.max_attempts = 32;  // plenty of room to exhaust the ladder
   auto client = fixture.make_client(config);
   const sim::ClientRequest request = plan(client);
@@ -284,7 +285,7 @@ TEST(RecoveryTest, DegradationLadderShrinksRequestsAndTerminates) {
 
 TEST(RecoveryTest, MisuseThrowsWithoutCorruptingState) {
   const ClientFixture fixture;
-  auto client = fixture.make_client();
+  auto client = fixture.make_client(fixture.session);
 
   // Reporting a failure (or degrading) with no download in flight throws…
   EXPECT_THROW(client.report_download_failure(util::Seconds(1.0), sim::FailureReason::kLost),

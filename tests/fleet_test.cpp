@@ -515,7 +515,7 @@ TEST(FleetEngineTest, SimulateSessionReplaysTheRequestedUser) {
                 .total_bytes);
 
   const sim::SessionAccountant accountant(workload, user, scheme, session_config);
-  sim::StreamingClient client(accountant.client_config(), workload, accountant.scheme(),
+  sim::StreamingClient client(session_config, workload, accountant.scheme(),
                               workload.test_trace(user));
   ASSERT_EQ(result.segments.size(), workload.segment_count());
   for (const sim::SegmentRecord& segment : result.segments) {
@@ -662,8 +662,9 @@ INSTANTIATE_TEST_SUITE_P(
 // plans; an infinite QoE weight makes the session QoE NaN) or fails far from
 // its cause (an infinite buffer threshold throws from a vector resize, a tiny
 // buffer quantum from the DP's allocation, an infinite stall penalty or
-// encoding rate or size-noise sigma from the MPC's internal assert). The session accountant, which the fleet engine
-// builds for every session, rejects each with a message naming the field.
+// encoding rate or size-noise sigma from the MPC's internal assert). The
+// session accountant, which the fleet engine builds for every session,
+// rejects each through validated() with a message naming the field.
 struct InvalidSessionField {
   const char* field;
   void (*set)(sim::SessionConfig&);
@@ -728,10 +729,31 @@ INSTANTIATE_TEST_SUITE_P(
         InvalidSessionField{"encoding.size_noise_sigma_log",
                             [](sim::SessionConfig& c) {
                               c.encoding.size_noise_sigma_log = kInf;
+                            }},
+        // Zero leaves the MPC an empty horizon, or the estimator no window.
+        InvalidSessionField{"mpc_horizon", [](sim::SessionConfig& c) { c.mpc_horizon = 0; }},
+        InvalidSessionField{"bandwidth_window",
+                            [](sim::SessionConfig& c) { c.bandwidth_window = 0; }},
+        // An L other than the workload's misaligns every segment's bytes,
+        // energy and playback time.
+        InvalidSessionField{"WorkloadConfig::segment_seconds",
+                            [](sim::SessionConfig& c) { c.mpc.segment_seconds = 2.0; }},
+        // The recovery policy, checked for every session whether or not
+        // faults are on.
+        InvalidSessionField{"recovery.max_attempts",
+                            [](sim::SessionConfig& c) { c.recovery.max_attempts = 0; }},
+        InvalidSessionField{"recovery.backoff_jitter",
+                            [](sim::SessionConfig& c) { c.recovery.backoff_jitter = 1.0; }},
+        InvalidSessionField{"recovery.degrade_after",
+                            [](sim::SessionConfig& c) { c.recovery.degrade_after = 0; }},
+        InvalidSessionField{"recovery.degrade_bandwidth_factor",
+                            [](sim::SessionConfig& c) {
+                              c.recovery.degrade_bandwidth_factor = 1.0;
                             }}),
     [](const ::testing::TestParamInfo<InvalidSessionField>& param) {
       std::string name = param.param.field;
-      std::replace(name.begin(), name.end(), '.', '_');
+      std::replace_if(
+          name.begin(), name.end(), [](char ch) { return ch == '.' || ch == ':'; }, '_');
       return name;
     });
 

@@ -204,13 +204,10 @@ TEST(WorkloadTest, SchemesWithEqualSeedAndSigmaShareOneTable) {
   video::EncodingConfig config_c = config_a;
   config_c.seed = 1235;
   const video::EncodingModel a(config_a), b(config_b), c(config_c);
+  const SessionConfig session;
   const auto probe = [&](const video::EncodingModel& encoding) {
-    SchemeEnv env;
-    env.workload = &w;
-    env.encoding = &encoding;
-    env.qo_model = &qo_model;
-    env.device = &power::device_model(power::Device::kPixel3);
-    return NoiseTableProbe(SchemeKind::kCtile, env).table();
+    return NoiseTableProbe(SchemeKind::kCtile, SchemeEnv{&w, &encoding, &qo_model, &session})
+        .table();
   };
   EXPECT_EQ(probe(a), probe(b));
   EXPECT_EQ(probe(a), &w.size_noise_table(a));
@@ -278,6 +275,34 @@ TEST(WorkloadTest, ConfigValidation) {
   EXPECT_THROW(VideoWorkload(trace::test_videos()[5], bad), std::invalid_argument);
 }
 
+// WorkloadConfig::fov_deg sizes the Ptile members as well as the viewports,
+// the way it already sizes the Ftile views.
+TEST(WorkloadTest, FovSizesThePtileMembers) {
+  trace::VideoInfo video = trace::test_videos()[1];
+  video.duration_s = 10.0;
+  WorkloadConfig alone;
+  alone.fov_deg = 60.0;
+  WorkloadConfig both = alone;
+  both.ptile.fov_deg = 60.0;
+  const VideoWorkload a(video, alone), b(video, both);
+  ASSERT_EQ(a.segment_count(), b.segment_count());
+  for (std::size_t k = 0; k < a.segment_count(); ++k) {
+    const ptile::SegmentPtiles& got = a.ptiles(k);
+    const ptile::SegmentPtiles& want = b.ptiles(k);
+    ASSERT_EQ(got.ptiles.size(), want.ptiles.size()) << "segment " << k;
+    EXPECT_EQ(got.uncovered_users, want.uncovered_users) << "segment " << k;
+    for (std::size_t i = 0; i < got.ptiles.size(); ++i) {
+      const geometry::EquirectRect& g = got.ptiles[i].area;
+      const geometry::EquirectRect& w = want.ptiles[i].area;
+      EXPECT_EQ(got.ptiles[i].users, want.ptiles[i].users) << "segment " << k;
+      EXPECT_EQ(bits(g.lon.lo), bits(w.lon.lo)) << "segment " << k;
+      EXPECT_EQ(bits(g.lon.width), bits(w.lon.width)) << "segment " << k;
+      EXPECT_EQ(bits(g.y_lo), bits(w.y_lo)) << "segment " << k;
+      EXPECT_EQ(bits(g.y_hi), bits(w.y_hi)) << "segment " << k;
+    }
+  }
+}
+
 // A video duration no segment or head-sample count can come from (+inf,
 // NaN, one whose count overflows std::size_t) is rejected by name, never
 // cast to a count.
@@ -300,10 +325,11 @@ TEST(WorkloadTest, RejectsNonFiniteVideoDuration) {
 
 struct PlannerFixture {
   PlannerFixture() {
+    session.ptile_min_coverage = 0.9;  // the coverage floor these tests were written for
     env.workload = &football_workload();
     env.encoding = &encoding;
     env.qo_model = &qo_model;
-    env.device = &power::device_model(power::Device::kPixel3);
+    env.session = &session;
   }
 
   DownloadPlan plan(SchemeKind kind, std::size_t segment = 10,
@@ -318,6 +344,7 @@ struct PlannerFixture {
 
   video::EncodingModel encoding;
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
+  SessionConfig session;
   SchemeEnv env;
 };
 
@@ -479,8 +506,10 @@ class PerOptionReference : public Scheme {
       : Scheme(kind),
         env_(env),
         ladder_(env.workload->video().fps),
-        qoe_(env.mpc, *env.device, core::MpcObjective::kMaxQoE),
-        energy_(env.mpc, *env.device, core::MpcObjective::kMinEnergyQoEConstrained),
+        qoe_(env.session->mpc, power::device_model(env.session->device),
+             core::MpcObjective::kMaxQoE),
+        energy_(env.session->mpc, power::device_model(env.session->device),
+                core::MpcObjective::kMinEnergyQoEConstrained),
         builder_(env.workload->config().ptile) {}
 
 
@@ -547,7 +576,7 @@ class PerOptionReference : public Scheme {
                      const OptionBytesFn& bytes, bool frame_options, bool perceptual,
                      power::DecodeProfile profile) const {
     const std::size_t end =
-        std::min(in.k + env_.mpc_horizon, env_.workload->segment_count());
+        std::min(in.k + env_.session->mpc_horizon, env_.workload->segment_count());
     std::vector<core::SegmentChoices> horizon;
     for (std::size_t i = in.k; i < end; ++i) {
       core::SegmentChoices choices;
@@ -581,13 +610,13 @@ class PerOptionReference : public Scheme {
   DownloadPlan ctile(const Inputs& in, bool frame_options, bool perceptual) const {
     const auto& workload = *env_.workload;
     const auto rect =
-        grid_.covering_rect(in.predicted.area(), env_.tile_overlap_threshold);
+        grid_.covering_rect(in.predicted.area(), env_.session->tile_overlap_threshold);
     const geometry::EquirectRect hq = grid_.rect_area(rect);
     const double hq_area = hq.area_fraction();
     const std::size_t n_hq = rect.tile_count();
     const std::size_t n_bg = grid_.tile_count() - n_hq;
     const double bg_area = std::max(1.0 - hq_area, 0.0);
-    const double L = env_.mpc.segment_seconds;
+    const double L = env_.session->mpc.segment_seconds;
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
       double total = env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L,
                                                  ratio, draw(i, v, fi, NoiseRole::kCtileHq));
@@ -605,7 +634,7 @@ class PerOptionReference : public Scheme {
 
   DownloadPlan nontile(const Inputs& in) const {
     const auto& workload = *env_.workload;
-    const double L = env_.mpc.segment_seconds;
+    const double L = env_.session->mpc.segment_seconds;
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
       return env_.encoding->region_bytes(1.0, 1, v, workload.features(i), L, ratio,
                                          draw(i, v, fi, NoiseRole::kNontile));
@@ -620,7 +649,7 @@ class PerOptionReference : public Scheme {
 
   DownloadPlan ftile(const Inputs& in) const {
     const auto& workload = *env_.workload;
-    const double L = env_.mpc.segment_seconds;
+    const double L = env_.session->mpc.segment_seconds;
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
       const auto& layout = workload.ftile(i);
       const auto selected = layout.tiles_overlapping(in.predicted);
@@ -651,9 +680,9 @@ class PerOptionReference : public Scheme {
   DownloadPlan ptile(const Inputs& in, bool frame_adaptation) const {
     const auto& workload = *env_.workload;
     const ptile::Ptile* ptile =
-        workload.ptiles(in.k).covering(in.predicted, env_.ptile_min_coverage);
+        workload.ptiles(in.k).covering(in.predicted, env_.session->ptile_min_coverage);
     if (ptile == nullptr) return ctile(in, /*frame_options=*/false, /*perceptual=*/false);
-    const double L = env_.mpc.segment_seconds;
+    const double L = env_.session->mpc.segment_seconds;
     const double ptile_area = ptile->area.area_fraction();
     const std::vector<double> bg_areas = builder_.background_block_areas(*ptile);
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {

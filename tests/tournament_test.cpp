@@ -56,11 +56,12 @@ struct RegistryFixture {
     env.workload = &tiny_workload();
     env.encoding = &encoding;
     env.qo_model = &qo_model;
-    env.device = &power::device_model(power::Device::kPixel3);
+    env.session = &session;
   }
 
   video::EncodingModel encoding;
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
+  SessionConfig session;
   SchemeEnv env;
 };
 

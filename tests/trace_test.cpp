@@ -533,6 +533,13 @@ TEST(HeadTraceTest, SynthesizerRejectsNonFiniteSampleRate) {
     expect_throw_naming<std::invalid_argument>([&] { HeadTraceSynthesizer{config}; },
                                                "sample_rate_hz must be finite");
   }
+  // A finite rate whose sample count overflows with a sound duration is
+  // blamed on the product, naming the rate.
+  HeadSynthConfig config;
+  config.sample_rate_hz = 1e300;
+  const HeadTraceSynthesizer synth(config);
+  expect_throw_naming<std::invalid_argument>(
+      [&] { synth.synthesize(test_videos()[1], 0); }, "duration_s * sample_rate_hz");
 }
 
 TEST(NetworkTraceTest, CsvRoundTrip) {
