@@ -1,14 +1,14 @@
 // google-benchmark microbenchmarks for the hot algorithmic pieces: the MPC
 // dynamic program (O(H V F) per decision, Section IV-C), Algorithm 1
-// clustering, the ridge-regression viewport predictor, the Eq. 5 switching
-// speed, the encoding model and its size-noise table, and one whole
-// Scheme::plan per registered scheme.
+// clustering, the Ftile layout and its k-means, the ridge-regression
+// viewport predictor, the Eq. 5 switching speed, the encoding model and its
+// size-noise table, and one whole Scheme::plan per registered scheme.
 //
-// The MPC, predictor, switching-speed, scheme-plan and size-noise-row rows
-// are the repo's tracked perf trajectory: CI (and any local run) emits
-// machine-readable results with
+// The MPC, predictor, switching-speed, scheme-plan, size-noise-row, Ftile
+// layout and k-means rows are the repo's tracked perf trajectory: CI (and
+// any local run) emits machine-readable results with
 //   bench_micro_solver
-//     --benchmark_filter='BM_Mpc|BM_ViewportPredict|BM_SwitchingSpeedWindow|BM_SchemePlan|BM_SizeNoiseRow'
+//     --benchmark_filter='BM_Mpc|BM_ViewportPredict|BM_SwitchingSpeedWindow|BM_SchemePlan|BM_SizeNoiseRow|BM_FtileLayout|BM_KMeans'
 //     --benchmark_min_time=0.05
 //     --benchmark_out=BENCH_mpc.json --benchmark_out_format=json
 // and tools/bench_report.py renders the summary/speedup table against the
@@ -23,6 +23,8 @@
 #include "power/device_models.h"
 #include "predict/viewport_predictor.h"
 #include "ptile/clusterer.h"
+#include "ptile/ftile.h"
+#include "ptile/kmeans.h"
 #include "qoe/qo_model.h"
 #include "sim/schemes.h"
 #include "sim/session.h"
@@ -109,6 +111,44 @@ void BM_Clustering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Clustering)->Arg(40)->Arg(200)->Arg(1000);
+
+// One Ftile layout (Section V-A's baseline): count each of 450 blocks'
+// viewers among a real segment's 40 training centers, then k-means the
+// blocks into 10 tiles. VideoWorkload::ftile builds one per segment on its
+// first call.
+void BM_FtileLayout(benchmark::State& state) {
+  trace::VideoInfo video = trace::test_videos()[7];
+  video.duration_s = 20.0;
+  const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
+  const auto& centers = workload.training_centers(10);
+  ptile::FtileLayoutConfig config = workload.config().ftile;
+  config.seed = workload.config().seed;
+  config.fov_deg = workload.config().fov_deg;
+  for (auto _ : state) {
+    const ptile::FtileLayout layout(centers, config);
+    benchmark::DoNotOptimize(layout.tile_count());
+  }
+}
+BENCHMARK(BM_FtileLayout);
+
+// Weighted k-means of 450 random points into range(0) clusters, k-means++
+// seeding included.
+void BM_KMeans(benchmark::State& state) {
+  util::Rng draw(13);
+  std::vector<geometry::EquirectPoint> points;
+  std::vector<double> weights;
+  for (int i = 0; i < 450; ++i) {
+    points.push_back(geometry::EquirectPoint::make(geometry::Degrees(draw.uniform(0.0, 360.0)),
+                                                   geometry::Degrees(draw.uniform(0.0, 180.0))));
+    weights.push_back(1.0 + static_cast<double>(draw.uniform_index(40)));
+  }
+  const auto k = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    util::Rng rng(17);
+    benchmark::DoNotOptimize(ptile::kmeans(points, weights, k, rng));
+  }
+}
+BENCHMARK(BM_KMeans)->Arg(2)->Arg(10);
 
 // One prediction over a 1 s window, on a trace of range(0) seconds. The
 // window is binary-searched, so the cost must not grow with trace length.

@@ -11,21 +11,13 @@ namespace ps360::ptile {
 using geometry::Degrees;
 using geometry::EquirectPoint;
 using geometry::EquirectRect;
-using geometry::TileGrid;
 using geometry::TileIndex;
 using geometry::Viewport;
 
 namespace {
 
-EquirectPoint block_center(const TileGrid& blocks, TileIndex idx) {
-  const auto area = blocks.tile_area(idx);
-  return EquirectPoint{
-      geometry::wrap360(Degrees(area.lon.lo + area.lon.width / 2.0)).value(),
-      (area.y_lo + area.y_hi) / 2.0};
-}
-
-// Which blocks have their center inside `area`. A block center's longitude
-// depends only on its column and its colatitude only on its row, and
+// Which blocks have their center inside `area`, from each block column's
+// center longitude and each block row's center colatitude.
 // EquirectRect::contains is a longitude test AND a colatitude test, so
 // block (r, c) is in view exactly when in_col[c] && in_row[r]: cols + rows
 // containment tests instead of cols x rows.
@@ -34,18 +26,15 @@ struct BlocksInView {
   std::vector<char> in_row;
 };
 
-BlocksInView blocks_in_view(const TileGrid& blocks, const EquirectRect& area) {
+BlocksInView blocks_in_view(const std::vector<double>& col_lon,
+                            const std::vector<double>& row_colat,
+                            const EquirectRect& area) {
   BlocksInView view;
-  view.in_col.reserve(blocks.cols());
-  for (std::size_t c = 0; c < blocks.cols(); ++c) {
-    const EquirectPoint center = block_center(blocks, TileIndex{0, c});
-    view.in_col.push_back(area.lon.contains(center.lon()));
-  }
-  view.in_row.reserve(blocks.rows());
-  for (std::size_t r = 0; r < blocks.rows(); ++r) {
-    const EquirectPoint center = block_center(blocks, TileIndex{r, 0});
-    view.in_row.push_back(area.contains_colat(center.colat()));
-  }
+  view.in_col.reserve(col_lon.size());
+  for (const double lon : col_lon) view.in_col.push_back(area.lon.contains(Degrees(lon)));
+  view.in_row.reserve(row_colat.size());
+  for (const double colat : row_colat)
+    view.in_row.push_back(area.contains_colat(Degrees(colat)));
   return view;
 }
 
@@ -58,29 +47,45 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   const std::size_t n_blocks = blocks_.tile_count();
   PS360_CHECK(config.tile_count <= n_blocks);
 
-  std::vector<EquirectRect> user_views;
-  user_views.reserve(centers.size());
-  for (const auto& user_center : centers)
-    user_views.push_back(
-        Viewport(user_center, Degrees(config.fov_deg), Degrees(config.fov_deg)).area());
+  check_points(centers, "centers");
 
-  // Block centers and view-density weights.
+  col_lon_.reserve(blocks_.cols());
+  for (std::size_t c = 0; c < blocks_.cols(); ++c) {
+    const auto area = blocks_.tile_area(TileIndex{0, c});
+    col_lon_.push_back(geometry::wrap360(Degrees(area.lon.lo + area.lon.width / 2.0)).value());
+  }
+  row_colat_.reserve(blocks_.rows());
+  for (std::size_t r = 0; r < blocks_.rows(); ++r) {
+    const auto area = blocks_.tile_area(TileIndex{r, 0});
+    row_colat_.push_back((area.y_lo + area.y_hi) / 2.0);
+  }
+
+  // How many training views hold each block's center, counted one view at
+  // a time by rows and columns (blocks_in_view).
+  std::vector<std::size_t> views(n_blocks, 0);
+  for (const auto& user_center : centers) {
+    const BlocksInView view = blocks_in_view(
+        col_lon_, row_colat_,
+        Viewport(user_center, Degrees(config.fov_deg), Degrees(config.fov_deg)).area());
+    for (std::size_t r = 0; r < blocks_.rows(); ++r) {
+      if (!view.in_row[r]) continue;
+      for (std::size_t c = 0; c < blocks_.cols(); ++c) {
+        if (view.in_col[c]) ++views[r * blocks_.cols() + c];
+      }
+    }
+  }
+
+  // Block centers and view-density weights. +1 keeps unwatched blocks
+  // clusterable; view-dense blocks dominate centroid placement so the hot
+  // region gets fine tiles.
   std::vector<EquirectPoint> block_centers;
   std::vector<double> weights;
   block_centers.reserve(n_blocks);
   weights.reserve(n_blocks);
-  for (std::size_t r = 0; r < blocks_.rows(); ++r) {
-    for (std::size_t c = 0; c < blocks_.cols(); ++c) {
-      const EquirectPoint center = block_center(blocks_, TileIndex{r, c});
-      block_centers.push_back(center);
-      double views = 0.0;
-      for (const auto& view : user_views) {
-        if (view.contains(center)) views += 1.0;
-      }
-      // +1 keeps unwatched blocks clusterable; view-dense blocks dominate
-      // centroid placement so the hot region gets fine tiles.
-      weights.push_back(1.0 + views);
-    }
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    block_centers.push_back(
+        EquirectPoint{col_lon_[b % blocks_.cols()], row_colat_[b / blocks_.cols()]});
+    weights.push_back(1.0 + static_cast<double>(views[b]));
   }
 
   util::Rng rng(util::derive_seed(config.seed, 0xF71E5ULL));
@@ -118,7 +123,7 @@ std::vector<std::size_t> FtileLayout::tiles_overlapping(
     const Viewport& viewport, double min_block_fraction) const {
   PS360_CHECK(min_block_fraction >= 0.0 && min_block_fraction <= 1.0);
   std::vector<std::size_t> hits(tile_blocks_.size(), 0);
-  const BlocksInView view = blocks_in_view(blocks_, viewport.area());
+  const BlocksInView view = blocks_in_view(col_lon_, row_colat_, viewport.area());
   for (std::size_t r = 0; r < blocks_.rows(); ++r) {
     if (!view.in_row[r]) continue;
     for (std::size_t c = 0; c < blocks_.cols(); ++c) {
@@ -142,7 +147,7 @@ double FtileLayout::coverage(const Viewport& viewport,
     PS360_CHECK(t < tile_blocks_.size());
     selected[t] = true;
   }
-  const BlocksInView view = blocks_in_view(blocks_, viewport.area());
+  const BlocksInView view = blocks_in_view(col_lon_, row_colat_, viewport.area());
   std::size_t in_view = 0, covered = 0;
   for (std::size_t r = 0; r < blocks_.rows(); ++r) {
     if (!view.in_row[r]) continue;

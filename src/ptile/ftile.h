@@ -27,7 +27,8 @@ struct FtileLayoutConfig {
 class FtileLayout {
  public:
   // Build the layout for one segment from the training users' viewing
-  // centers.
+  // centers. Throws, naming the index, for a center with a non-finite
+  // coordinate or a colatitude outside [0, 180].
   FtileLayout(const std::vector<geometry::EquirectPoint>& centers,
               const FtileLayoutConfig& config);
 
@@ -54,6 +55,11 @@ class FtileLayout {
 
  private:
   geometry::TileGrid blocks_;
+  // Each block column's center longitude and each block row's center
+  // colatitude: a block center's longitude depends only on its column and
+  // its colatitude only on its row.
+  std::vector<double> col_lon_;
+  std::vector<double> row_colat_;
   std::vector<std::vector<geometry::TileIndex>> tile_blocks_;
   std::vector<double> tile_areas_;
   // block (row-major) -> owning tile id

@@ -8,7 +8,9 @@
 //                      used by Algorithm 1 to split an oversized cluster.
 //
 // Centroids use the circular mean on x and the plain mean on y; distances
-// are geometry::wrapped_distance.
+// are geometry::wrapped_distance. Every entry point rejects a point with a
+// non-finite coordinate or a colatitude outside [0, 180], and a negative or
+// non-finite weight, naming its index.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +31,8 @@ struct KMeansResult {
 };
 
 // Weighted k-means. `weights` may be empty (all ones) or match points'
-// size with non-negative entries (at least k strictly positive). Requires
-// 1 <= k <= #points.
+// size with finite non-negative entries, at least k of them strictly
+// positive. Requires 1 <= k <= #points.
 KMeansResult kmeans(const std::vector<geometry::EquirectPoint>& points,
                     const std::vector<double>& weights, std::size_t k,
                     util::Rng& rng, std::size_t max_iterations = 100);
@@ -44,5 +46,9 @@ KMeansResult kmeans_split2(const std::vector<geometry::EquirectPoint>& points,
 geometry::EquirectPoint centroid(const std::vector<geometry::EquirectPoint>& points,
                                  const std::vector<std::size_t>& member_indices,
                                  const std::vector<double>& weights);
+
+// Throws std::invalid_argument naming `name`[i] for the first point with a
+// non-finite coordinate or a colatitude outside [0, 180].
+void check_points(const std::vector<geometry::EquirectPoint>& points, const char* name);
 
 }  // namespace ps360::ptile

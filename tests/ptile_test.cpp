@@ -5,8 +5,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "ptile/clusterer.h"
 #include "ptile/ftile.h"
@@ -103,6 +107,58 @@ TEST(KMeansTest, ValidatesArguments) {
   EXPECT_THROW(kmeans(points, {}, 4, rng), std::invalid_argument);
   EXPECT_THROW(kmeans(points, {1.0, 1.0}, 2, rng), std::invalid_argument);
   EXPECT_THROW(kmeans_split2({EquirectPoint::make(geometry::Degrees(0.0), geometry::Degrees(90.0))}), std::invalid_argument);
+}
+
+void expect_throw_naming(const std::function<void()>& run, const std::string& expected) {
+  try {
+    run();
+    ADD_FAILURE() << "accepted invalid input; expected: " << expected;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+  }
+}
+
+// Unchecked, a negative weight ran to a negative inertia, an infinite one
+// to NaN centroids, and a NaN point or a colatitude of 500 was clustered;
+// each is now rejected at entry, naming its index.
+TEST(KMeansTest, RejectsBadWeightsNamingTheIndex) {
+  const auto points = blob(10.0, 90.0, 20.0, 4, 21);
+  util::Rng rng(22);
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_throw_naming([&] { kmeans(points, {1.0, -5.0, 1.0, 1.0}, 2, rng); }, "weights[1]");
+  expect_throw_naming([&] { kmeans(points, {1.0, 1.0, inf, 1.0}, 2, rng); }, "weights[2]");
+  expect_throw_naming([&] { kmeans(points, {1.0, 1.0, 1.0, std::nan("")}, 2, rng); },
+                      "weights[3]");
+  expect_throw_naming([&] { centroid(points, {0, 1}, {1.0, -5.0, 1.0, 1.0}); },
+                      "weights[1]");
+  expect_throw_naming([&] { centroid(points, {0, 2}, {1.0, 1.0, inf, 1.0}); }, "weights[2]");
+}
+
+TEST(KMeansTest, RejectsBadPointsNamingTheIndex) {
+  auto nan_point = blob(10.0, 90.0, 20.0, 4, 23);
+  nan_point[2].x = std::nan("");
+  auto far_colat = blob(10.0, 90.0, 20.0, 4, 24);
+  far_colat[3].y = 500.0;
+  auto inf_colat = blob(10.0, 90.0, 20.0, 4, 25);
+  inf_colat[1].y = std::numeric_limits<double>::infinity();
+  util::Rng rng(26);
+  expect_throw_naming([&] { kmeans(nan_point, {}, 2, rng); }, "points[2]");
+  expect_throw_naming([&] { kmeans(far_colat, {}, 2, rng); }, "points[3]");
+  expect_throw_naming([&] { kmeans(inf_colat, {}, 2, rng); }, "points[1]");
+  expect_throw_naming([&] { kmeans_split2(nan_point); }, "points[2]");
+  expect_throw_naming([&] { kmeans_split2(far_colat); }, "points[3]");
+  expect_throw_naming([&] { centroid(nan_point, {0, 2}, {}); }, "points[2]");
+  expect_throw_naming([&] { centroid(far_colat, {3}, {}); }, "points[3]");
+}
+
+// Fewer positive weights than clusters used to fail deep inside, as a
+// zero-weight centroid.
+TEST(KMeansTest, RequiresKPositiveWeights) {
+  const auto points = blob(10.0, 90.0, 20.0, 4, 27);
+  util::Rng rng(28);
+  expect_throw_naming([&] { kmeans(points, {0.0, 2.0, 0.0, 0.0}, 2, rng); }, "k = 2");
+  expect_throw_naming([&] { kmeans(points, {0.0, 0.0, 0.0, 0.0}, 1, rng); }, "k = 1");
+  EXPECT_NO_THROW(kmeans(points, {0.0, 2.0, 0.0, 1.0}, 2, rng));
 }
 
 TEST(KMeansTest, KEqualsNPinsEachPoint) {
@@ -578,6 +634,17 @@ TEST(ViewHeatmapTest, RenderShapeAndOverlay) {
   EXPECT_NE(art.find('['), std::string::npos);
   EXPECT_NE(art.find(']'), std::string::npos);
   EXPECT_NE(art.find('@'), std::string::npos);  // the hot cell
+}
+
+// A NaN center used to build ten tiles around a view that holds no block.
+TEST(FtileLayoutTest, RejectsBadCentersNamingTheIndex) {
+  auto centers = blob(120.0, 90.0, 8.0, 10, 36);
+  centers[4].y = std::nan("");
+  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}); }, "centers[4]");
+  centers[4].y = -1.0;
+  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}); }, "centers[4]");
+  centers[4] = EquirectPoint{std::numeric_limits<double>::infinity(), 90.0};
+  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}); }, "centers[4]");
 }
 
 TEST(FtileLayoutTest, CoverageRejectsBadTileId) {
