@@ -18,12 +18,6 @@ Vec3 EquirectPoint::orientation() const {
   return orientation_vector(Degrees(x), Degrees(y));
 }
 
-double wrapped_distance(const EquirectPoint& a, const EquirectPoint& b) {
-  const double dx = circular_distance(Degrees(a.x), Degrees(b.x)).value();
-  const double dy = a.y - b.y;
-  return std::sqrt(dx * dx + dy * dy);
-}
-
 Degrees angular_distance(const EquirectPoint& a, const EquirectPoint& b) {
   return angular_distance(a.orientation(), b.orientation());
 }
