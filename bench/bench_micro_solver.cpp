@@ -1,14 +1,15 @@
 // google-benchmark microbenchmarks for the hot algorithmic pieces: the MPC
 // dynamic program (O(H V F) per decision, Section IV-C), Algorithm 1
-// clustering, the Ftile layout and its k-means, the ridge-regression
-// viewport predictor, the Eq. 5 switching speed, the encoding model and its
-// size-noise table, and one whole Scheme::plan per registered scheme.
+// clustering, the Ftile layout and its k-means, VideoWorkload construction,
+// the ridge-regression viewport predictor, the Eq. 5 switching speed, the
+// encoding model and its size-noise table, and one whole Scheme::plan per
+// registered scheme.
 //
 // The MPC, predictor, switching-speed, scheme-plan, size-noise-row, Ftile
-// layout and k-means rows are the repo's tracked perf trajectory: CI (and
-// any local run) emits machine-readable results with
+// layout, k-means and workload-construction rows are the repo's tracked perf
+// trajectory: CI (and any local run) emits machine-readable results with
 //   bench_micro_solver
-//     --benchmark_filter='BM_Mpc|BM_ViewportPredict|BM_SwitchingSpeedWindow|BM_SchemePlan|BM_SizeNoiseRow|BM_FtileLayout|BM_KMeans'
+//     --benchmark_filter='BM_Mpc|BM_ViewportPredict|BM_SwitchingSpeedWindow|BM_SchemePlan|BM_SizeNoiseRow|BM_FtileLayout|BM_KMeans|BM_VideoWorkload'
 //     --benchmark_min_time=0.05
 //     --benchmark_out=BENCH_mpc.json --benchmark_out_format=json
 // and tools/bench_report.py renders the summary/speedup table against the
@@ -149,6 +150,20 @@ void BM_KMeans(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeans)->Arg(2)->Arg(10);
+
+// One VideoWorkload construction: video 2 cut to range(0) seconds, its 48
+// head traces, and every segment's features, 40 training centers and
+// Ptiles (the Ftile layouts stay lazy). Wall time, since the users and the
+// segments run on the worker pool.
+void BM_VideoWorkload(benchmark::State& state) {
+  trace::VideoInfo video = trace::test_videos()[1];
+  video.duration_s = static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
+    benchmark::DoNotOptimize(workload.ptiles(0).ptiles.size());
+  }
+}
+BENCHMARK(BM_VideoWorkload)->Arg(20)->Arg(60)->UseRealTime();
 
 // One prediction over a 1 s window, on a trace of range(0) seconds. The
 // window is binary-searched, so the cost must not grow with trace length.

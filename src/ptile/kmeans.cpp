@@ -119,11 +119,12 @@ KMeansResult lloyd_iterate(const std::vector<EquirectPoint>& points,
     }
     if (!changed && iter > 0) break;
 
-    // Recompute centroids; an emptied cluster keeps its previous centroid.
+    // Recompute centroids; a cluster emptied, or left with members of zero
+    // total weight, keeps its previous centroid.
     std::fill(sums.begin(), sums.end(), CentroidSums{});
     for (std::size_t i = 0; i < n; ++i) sums[result.assignment[i]].add(i, terms[i]);
     for (std::size_t c = 0; c < k; ++c) {
-      if (sums[c].members > 0) centroids[c] = sums[c].mean(points);
+      if (sums[c].w_sum > 0.0) centroids[c] = sums[c].mean(points);
     }
   }
 
@@ -160,6 +161,7 @@ KMeansResult kmeans(const std::vector<EquirectPoint>& points,
                     const std::vector<double>& weights, std::size_t k,
                     util::Rng& rng, std::size_t max_iterations) {
   PS360_CHECK(k >= 1 && k <= points.size());
+  PS360_CHECK_MSG(max_iterations >= 1, "kmeans needs max_iterations >= 1");
   PS360_CHECK(weights.empty() || weights.size() == points.size());
   check_points(points, "points");
   double w_total = 0.0;
@@ -224,6 +226,7 @@ KMeansResult kmeans(const std::vector<EquirectPoint>& points,
 KMeansResult kmeans_split2(const std::vector<EquirectPoint>& points,
                            std::size_t max_iterations) {
   PS360_CHECK(points.size() >= 2);
+  PS360_CHECK_MSG(max_iterations >= 1, "kmeans_split2 needs max_iterations >= 1");
   check_points(points, "points");
   // Farthest pair as deterministic seeds (O(n^2); Algorithm 1 clusters are
   // small).

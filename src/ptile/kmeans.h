@@ -32,13 +32,14 @@ struct KMeansResult {
 
 // Weighted k-means. `weights` may be empty (all ones) or match points'
 // size with finite non-negative entries, at least k of them strictly
-// positive. Requires 1 <= k <= #points.
+// positive. Requires 1 <= k <= #points and max_iterations >= 1. A cluster
+// whose members all weigh zero keeps its seed or previous centroid.
 KMeansResult kmeans(const std::vector<geometry::EquirectPoint>& points,
                     const std::vector<double>& weights, std::size_t k,
                     util::Rng& rng, std::size_t max_iterations = 100);
 
 // Deterministic 2-means seeded with the two mutually farthest points.
-// Requires at least 2 points.
+// Requires at least 2 points and max_iterations >= 1.
 KMeansResult kmeans_split2(const std::vector<geometry::EquirectPoint>& points,
                            std::size_t max_iterations = 100);
 

@@ -22,6 +22,8 @@ PtileBuilder::PtileBuilder(PtileBuildConfig config)
     : config_(config), grid_(config.grid_rows, config.grid_cols) {
   PS360_CHECK(config_.min_users >= 1);
   PS360_CHECK(config_.fov_deg > 0.0 && config_.fov_deg <= 180.0);
+  PS360_CHECK_MSG(config_.tile_overlap_threshold >= 0.0 && config_.tile_overlap_threshold < 1.0,
+                  "tile_overlap_threshold must be in [0, 1)");
 }
 
 SegmentPtiles PtileBuilder::build(const std::vector<EquirectPoint>& centers) const {

@@ -24,7 +24,9 @@ struct PtileBuildConfig {
   std::size_t min_users = 5;    // 10% of the 48-user dataset, as in Sec. V-B
   double fov_deg = 100.0;       // member viewing areas are FoV-sized
   // Boundary tiles overlapped by less than this fraction of their area are
-  // not merged into the Ptile (same rule the client uses for FoV tiles).
+  // not merged into the Ptile, in [0, 1). The schemes read the workload's
+  // value for their FoV tiles too (how the paper's "nine FoV tiles" arise
+  // from a 100° FoV on a 45° grid), so one rule covers both.
   double tile_overlap_threshold = 0.25;
 };
 

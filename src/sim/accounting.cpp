@@ -19,15 +19,6 @@ const SessionConfig& validated(const SessionConfig& config, const VideoWorkload&
   const auto finite_non_negative = [](double v) { return std::isfinite(v) && v >= 0.0; };
   PS360_CHECK_MSG(config.ptile_min_coverage >= 0.0 && config.ptile_min_coverage <= 1.0,
                   "ptile_min_coverage must be in [0, 1]");
-  PS360_CHECK_MSG(
-      config.tile_overlap_threshold >= 0.0 && config.tile_overlap_threshold < 1.0,
-      "tile_overlap_threshold must be in [0, 1)");
-  // One FoV-tile rule per session: the workload built its Ptiles with its own.
-  const double workload_overlap = workload.config().ptile.tile_overlap_threshold;
-  PS360_CHECK_MSG(config.tile_overlap_threshold == workload_overlap,
-                  util::strfmt("tile_overlap_threshold (%.17g) must equal the workload's "
-                               "WorkloadConfig::ptile.tile_overlap_threshold (%.17g)",
-                               config.tile_overlap_threshold, workload_overlap));
   PS360_CHECK_MSG(config.mpc_horizon >= 1, "mpc_horizon must be >= 1");
   PS360_CHECK_MSG(config.bandwidth_window >= 1, "bandwidth_window must be >= 1");
   PS360_CHECK_MSG(finite_positive(config.initial_bandwidth_bytes_per_s),

@@ -112,8 +112,8 @@ class GhoshScheme : public SchemeBase {
     if (candidates.empty()) {
       // Plain variant (and the robust degenerate case): the predicted-FoV
       // tiles, equally weighted — prediction taken at face value.
-      const auto rect =
-          grid_.covering_rect(predicted.area(), env_.session->tile_overlap_threshold);
+      const auto rect = grid_.covering_rect(
+          predicted.area(), env_.workload->config().ptile.tile_overlap_threshold);
       candidates = grid_.tiles_in(rect);
       weights.assign(candidates.size(), 1.0);
     }

@@ -91,8 +91,8 @@ class CtileScheme : public MpcScheme {
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
-    const auto rect =
-        grid_.covering_rect(predicted.area(), env_.session->tile_overlap_threshold);
+    const auto rect = grid_.covering_rect(
+        predicted.area(), workload.config().ptile.tile_overlap_threshold);
     const EquirectRect hq = grid_.rect_area(rect);
     const double hq_area = hq.area_fraction();
     const std::size_t n_hq = rect.tile_count();

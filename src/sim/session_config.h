@@ -51,12 +51,6 @@ struct SessionConfig {
   std::size_t bandwidth_window = 5;    // harmonic-mean window (segments)
   double initial_bandwidth_bytes_per_s = 500e3;  // estimator prior
   double ptile_min_coverage = 0.85;    // predicted-FoV coverage to pick a Ptile
-  // Minimum fraction of a boundary tile the FoV must overlap before the
-  // client downloads it at high quality (how the paper's "nine FoV tiles"
-  // arise from a 100° FoV on a 45° grid). validated() requires it to equal
-  // the workload's WorkloadConfig::ptile.tile_overlap_threshold, the rule
-  // its Ptiles were built with.
-  double tile_overlap_threshold = 0.25;
   // Clients fetch the predicted FoV plus a safety margin on every side so
   // that small prediction errors stay inside the high-quality region (Flare
   // and Rubiks do the same).

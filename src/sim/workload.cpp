@@ -8,6 +8,7 @@
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace ps360::sim {
 
@@ -76,6 +77,10 @@ VideoWorkload::VideoWorkload(const trace::VideoInfo& video, WorkloadConfig confi
   PS360_CHECK(config_.n_users > config_.n_training_users);
   PS360_CHECK(config_.segment_seconds > 0.0);
 
+  ptile::PtileBuildConfig ptile_cfg = config_.ptile;
+  ptile_cfg.fov_deg = config_.fov_deg;
+  const ptile::PtileBuilder builder(ptile_cfg);
+
   // Propagate the workload seed into the synthesizer so one seed controls
   // the whole universe.
   trace::HeadSynthConfig head = config_.head;
@@ -83,26 +88,23 @@ VideoWorkload::VideoWorkload(const trace::VideoInfo& video, WorkloadConfig confi
   const trace::HeadTraceSynthesizer synth(head);
   traces_ = synth.synthesize_all(video_, config_.n_users);
 
+  // Segment k reads only the traces and the const builder and writes only
+  // slot k, so the segments run on the pool in any order.
   const std::size_t n_segments = video::segment_count(video_, config_.segment_seconds);
-  features_.reserve(n_segments);
-  centers_.reserve(n_segments);
-  ptiles_.reserve(n_segments);
-
-  ptile::PtileBuildConfig ptile_cfg = config_.ptile;
-  ptile_cfg.fov_deg = config_.fov_deg;
-  const ptile::PtileBuilder builder(ptile_cfg);
-  for (std::size_t k = 0; k < n_segments; ++k) {
-    features_.push_back(video::segment_features(video_, k, config_.seed));
+  features_.resize(n_segments);
+  centers_.resize(n_segments);
+  ptiles_.resize(n_segments);
+  util::for_each_slot(n_segments, 0, [&](std::size_t k) {
+    features_[k] = video::segment_features(video_, k, config_.seed);
 
     const double t0 = static_cast<double>(k) * config_.segment_seconds;
     const double t1 = std::min(t0 + config_.segment_seconds, video_.duration_s);
-    std::vector<EquirectPoint> centers;
+    std::vector<EquirectPoint>& centers = centers_[k];
     centers.reserve(config_.n_training_users);
     for (std::size_t u = 0; u < config_.n_training_users; ++u)
       centers.push_back(traces_[u].mean_center(t0, t1));
-    ptiles_.push_back(builder.build(centers));
-    centers_.push_back(std::move(centers));
-  }
+    ptiles_[k] = builder.build(centers);
+  });
 }
 
 const video::ContentFeatures& VideoWorkload::features(std::size_t segment) const {

@@ -7,11 +7,13 @@
 //  * per-segment content features (SI/TI),
 //  * per-segment training viewing centers (mean center over the segment),
 //  * per-segment Ptiles (Algorithm 1 + builder),
-//  * per-segment Ftile layouts (built lazily — they are only needed when the
-//    Ftile baseline runs: building every segment's layout, k-means over 450
-//    blocks each, still costs about two thirds of the rest of this
-//    constructor (DESIGN.md §17), which workloads that never run Ftile,
-//    such as every fleet of Ours sessions, would pay for nothing),
+//  * per-segment Ftile layouts (built lazily and serially — they are only
+//    needed when the Ftile baseline runs, and workloads that never run
+//    Ftile, such as every fleet of Ours sessions, would pay for them for
+//    nothing; a variant that built them on the pool too moved no end-to-end
+//    row on a 4-vCPU host: the tournament read 220.8k segments/s with it and
+//    221.0k without (4 of 6 pairs), and paper-grid won 4 of 6 pairs
+//    (DESIGN.md §17)),
 //  * per-encoding size-noise tables (the second lazy artifact): every
 //    encode's lognormal size factor, keyed by the encoding's (seed, σ), the
 //    only two fields EncodingModel::size_noise reads. The first scheme built
@@ -136,6 +138,11 @@ struct WorkloadConfig {
 
 class VideoWorkload {
  public:
+  // Builds the traces, features, centers and Ptiles on the worker pool
+  // (util::for_each_slot): the users, then the segments, each writing only
+  // its own slot, so every thread count builds the same bits. Throws
+  // std::invalid_argument for a bad config, e.g. a
+  // ptile.tile_overlap_threshold outside [0, 1).
   VideoWorkload(const trace::VideoInfo& video, WorkloadConfig config);
 
   const trace::VideoInfo& video() const { return video_; }

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace ps360::trace {
 
@@ -84,8 +86,40 @@ std::size_t pick_attractor(const std::vector<AttractorPath>& paths, util::Rng& r
 
 }  // namespace
 
+// What every user of one video shares: its attractor paths, the sample times
+// t = i * dt for i < n_samples, and each path's position at each of them.
+struct HeadTraceSynthesizer::VideoPaths {
+  std::vector<AttractorPath> paths;
+  double dt = 0.0;
+  std::size_t n_samples = 0;
+  // Attractor-major: entry a * n_samples + i is paths[a].at(i * dt), the call
+  // the sample loop made for that sample, so the same doubles.
+  std::vector<EquirectPoint> positions;
+};
+
+HeadTraceSynthesizer::VideoPaths HeadTraceSynthesizer::tabulate(
+    const VideoInfo& video) const {
+  VideoPaths shared;
+  shared.paths = attractors(video);
+  shared.dt = 1.0 / config_.sample_rate_hz;
+  ceil_count(video.duration_s, "duration_s");  // alone first, then times the rate
+  shared.n_samples = 1 + ceil_count(video.duration_s * config_.sample_rate_hz,
+                                    "duration_s * sample_rate_hz");
+  shared.positions.reserve(shared.paths.size() * shared.n_samples);
+  for (const AttractorPath& path : shared.paths) {
+    for (std::size_t i = 0; i < shared.n_samples; ++i)
+      shared.positions.push_back(path.at(static_cast<double>(i) * shared.dt));
+  }
+  return shared;
+}
+
 HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) const {
-  const auto paths = attractors(video);
+  return synthesize(video, user_id, tabulate(video));
+}
+
+HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id,
+                                           const VideoPaths& shared) const {
+  const std::vector<AttractorPath>& paths = shared.paths;
   util::Rng rng(util::derive_seed(config_.seed,
                                   static_cast<std::uint64_t>(video.id) * 977 + 13,
                                   0x5EEDULL + static_cast<std::uint64_t>(user_id)));
@@ -102,10 +136,8 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
   const double offset_x = rng.normal(0.0, offset_sigma);
   const double offset_y = rng.normal(0.0, offset_sigma * 0.7);
 
-  const double dt = 1.0 / config_.sample_rate_hz;
-  ceil_count(video.duration_s, "duration_s");  // alone first, then times the rate
-  const std::size_t n_samples = 1 + ceil_count(video.duration_s * config_.sample_rate_hz,
-                                               "duration_s * sample_rate_hz");
+  const double dt = shared.dt;
+  const std::size_t n_samples = shared.n_samples;
 
   // Attention state machine.
   bool exploring = false;
@@ -114,7 +146,7 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
   double next_decision_t = rng.exponential(dwell_mean);
 
   // Gaze state: start on the initial target.
-  EquirectPoint pos = paths[target_attractor].at(0.0);
+  EquirectPoint pos = shared.positions[target_attractor * n_samples];
   pos.x = geometry::wrap360(geometry::Degrees(pos.x + offset_x)).value();
   pos.y = std::clamp(pos.y + offset_y, 0.0, 180.0);
 
@@ -141,7 +173,7 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
     if (exploring) {
       target = explore_target;
     } else {
-      target = paths[target_attractor].at(t);
+      target = shared.positions[target_attractor * n_samples + i];
       target.x = geometry::wrap360(geometry::Degrees(target.x + offset_x)).value();
       target.y = std::clamp(target.y + offset_y, 0.0, 180.0);
     }
@@ -174,10 +206,16 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
 
 std::vector<HeadTrace> HeadTraceSynthesizer::synthesize_all(const VideoInfo& video,
                                                             std::size_t n_users) const {
+  const VideoPaths shared = tabulate(video);
+  // Each user draws from its own (seed, video, user) stream and writes only
+  // its own slot, so the users run on the pool in any order.
+  std::vector<std::optional<HeadTrace>> slots(n_users);
+  util::for_each_slot(n_users, 0, [&](std::size_t u) {
+    slots[u].emplace(synthesize(video, static_cast<int>(u), shared));
+  });
   std::vector<HeadTrace> traces;
   traces.reserve(n_users);
-  for (std::size_t u = 0; u < n_users; ++u)
-    traces.push_back(synthesize(video, static_cast<int>(u)));
+  for (auto& slot : slots) traces.push_back(std::move(*slot));
   return traces;
 }
 

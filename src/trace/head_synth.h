@@ -98,11 +98,17 @@ class HeadTraceSynthesizer {
   // One user's head trace over the full video duration.
   HeadTrace synthesize(const VideoInfo& video, int user_id) const;
 
-  // Traces for users [0, n_users).
+  // Traces for users [0, n_users), synthesize(video, u) for each u. The
+  // attractor paths are tabulated once at every sample time for all users,
+  // who then run on the worker pool (util::for_each_slot).
   std::vector<HeadTrace> synthesize_all(const VideoInfo& video,
                                         std::size_t n_users) const;
 
  private:
+  struct VideoPaths;  // head_synth.cpp
+  VideoPaths tabulate(const VideoInfo& video) const;
+  HeadTrace synthesize(const VideoInfo& video, int user_id, const VideoPaths& shared) const;
+
   HeadSynthConfig config_;
 };
 

@@ -1,10 +1,11 @@
 // The one worker pool: the evaluation grid, the fleet runner's replications,
-// the tournament's cells and the fleet engine's speculative MPC solves run on
-// it. Its resolve_thread_count(0) - 1 workers start at the first call that
-// can use a second thread; they and one calling thread are the thread budget,
-// which PS360_THREADS set later caps per call but never resizes. Idle workers
-// block. Joins are caller-runs, so a thread only waits on a task another
-// thread runs: nested work neither deadlocks nor exceeds the budget.
+// the tournament's cells, the fleet engine's speculative MPC solves and
+// VideoWorkload construction run on it. Its resolve_thread_count(0) - 1
+// workers start at the first call that can use a second thread; they and one
+// calling thread are the thread budget, which PS360_THREADS set later caps per
+// call but never resizes. Idle workers block. Joins are caller-runs, so a
+// thread only waits on a task another thread runs: nested work neither
+// deadlocks nor exceeds the budget.
 #pragma once
 
 #include <atomic>

@@ -692,8 +692,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         InvalidSessionField{"ptile_min_coverage",
                             [](sim::SessionConfig& c) { c.ptile_min_coverage = 2.0; }},
-        InvalidSessionField{"tile_overlap_threshold",
-                            [](sim::SessionConfig& c) { c.tile_overlap_threshold = kNaN; }},
         InvalidSessionField{"initial_bandwidth_bytes_per_s",
                             [](sim::SessionConfig& c) {
                               c.initial_bandwidth_bytes_per_s = kInf;
@@ -738,10 +736,6 @@ INSTANTIATE_TEST_SUITE_P(
         // energy and playback time.
         InvalidSessionField{"WorkloadConfig::segment_seconds",
                             [](sim::SessionConfig& c) { c.mpc.segment_seconds = 2.0; }},
-        // A FoV-tile rule other than the one the workload built its Ptiles
-        // with would pick Ctile and fallback tiles by another rule.
-        InvalidSessionField{"WorkloadConfig::ptile.tile_overlap_threshold",
-                            [](sim::SessionConfig& c) { c.tile_overlap_threshold = 0.5; }},
         // The recovery policy, checked for every session whether or not
         // faults are on.
         InvalidSessionField{"recovery.max_attempts",

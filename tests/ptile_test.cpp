@@ -161,6 +161,50 @@ TEST(KMeansTest, RequiresKPositiveWeights) {
   EXPECT_NO_THROW(kmeans(points, {0.0, 2.0, 0.0, 1.0}, 2, rng));
 }
 
+// With no iteration to run, both entry points returned every point in
+// cluster 0 and an inertia against centroid 0 alone (two pairs 180 degrees
+// apart gave assignment 0 0 0 0); zero iterations are rejected by name.
+TEST(KMeansTest, RejectsZeroMaxIterations) {
+  const std::vector<EquirectPoint> points = {{0.0, 90.0}, {1.0, 90.0}, {180.0, 90.0},
+                                             {181.0, 90.0}};
+  util::Rng rng(29);
+  expect_throw_naming([&] { kmeans(points, {}, 2, rng, 0); }, "max_iterations");
+  expect_throw_naming([&] { kmeans_split2(points, 0); }, "max_iterations");
+  const KMeansResult one = kmeans_split2(points, 1);
+  EXPECT_EQ(one.assignment[0], one.assignment[1]);
+  EXPECT_NE(one.assignment[0], one.assignment[2]);
+  EXPECT_EQ(one.assignment[2], one.assignment[3]);
+}
+
+// k-means++ can seed a zero-weight point once every positive weight sits on
+// a seed, leaving it a cluster whose members weigh nothing. That cluster
+// keeps its seed, as an emptied one does, instead of throwing "centroid of
+// zero-weight members" (it threw for 5 of these 20 seeds). centroid() itself
+// still rejects members that all weigh zero.
+TEST(KMeansTest, ZeroWeightClusterKeepsItsCentroid) {
+  const std::vector<EquirectPoint> points = {{0.0, 90.0}, {0.0, 90.0}, {180.0, 90.0}};
+  const std::vector<double> weights = {1.0, 1.0, 0.0};
+  std::size_t alone = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    const KMeansResult result = kmeans(points, weights, 2, rng);
+    ASSERT_EQ(result.centroids.size(), 2u);
+    EXPECT_EQ(result.assignment[0], result.assignment[1]) << "seed " << seed;
+    const EquirectPoint& main = result.centroids[result.assignment[0]];
+    EXPECT_EQ(main.x, 0.0) << "seed " << seed;
+    EXPECT_EQ(main.y, 90.0) << "seed " << seed;
+    EXPECT_EQ(result.inertia, 0.0) << "seed " << seed;
+    if (result.assignment[2] != result.assignment[0]) {
+      ++alone;
+      const EquirectPoint& kept = result.centroids[result.assignment[2]];
+      EXPECT_EQ(kept.x, 180.0) << "seed " << seed;
+      EXPECT_EQ(kept.y, 90.0) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(alone, 0u);
+  expect_throw_naming([&] { centroid(points, {2}, weights); }, "zero-weight");
+}
+
 TEST(KMeansTest, KEqualsNPinsEachPoint) {
   const auto points = blob(50.0, 90.0, 30.0, 6, 77);
   util::Rng rng(78);

@@ -275,6 +275,80 @@ TEST(WorkloadTest, ConfigValidation) {
   EXPECT_THROW(VideoWorkload(trace::test_videos()[5], bad), std::invalid_argument);
 }
 
+// The Ptile builder and the schemes' FoV tiles read one threshold, the
+// workload's, which must lie in [0, 1); the workload rejects any other value
+// by name.
+TEST(WorkloadTest, RejectsATileOverlapThresholdOutsideTheUnitInterval) {
+  trace::VideoInfo video = trace::test_videos()[5];
+  video.duration_s = 4.0;
+  for (const double threshold : {-0.25, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    WorkloadConfig config;
+    config.ptile.tile_overlap_threshold = threshold;
+    try {
+      const VideoWorkload workload(video, config);
+      ADD_FAILURE() << "accepted tile_overlap_threshold = " << threshold;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("tile_overlap_threshold"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The users and the segments run on the worker pool; a one-thread budget
+// runs them in order on the caller. Both build the same workload, bit for
+// bit: every user's samples, every segment's features, training centers
+// and Ptiles.
+TEST(WorkloadTest, ConstructionIsThreadCountInvariant) {
+  trace::VideoInfo video = trace::test_videos()[4];  // three attractors, exploratory
+  video.duration_s = 40.0;
+  ::setenv("PS360_THREADS", "1", /*overwrite=*/1);
+  const VideoWorkload serial(video, WorkloadConfig{});
+  ::unsetenv("PS360_THREADS");
+  const VideoWorkload pooled(video, WorkloadConfig{});
+
+  for (std::size_t u = 0; u < WorkloadConfig{}.n_users; ++u) {
+    const auto& want = serial.user_trace(u).samples();
+    const auto& got = pooled.user_trace(u).samples();
+    ASSERT_EQ(got.size(), want.size()) << "user " << u;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(bits(got[i].t), bits(want[i].t)) << "user " << u << " sample " << i;
+      ASSERT_EQ(bits(got[i].center.x), bits(want[i].center.x))
+          << "user " << u << " sample " << i;
+      ASSERT_EQ(bits(got[i].center.y), bits(want[i].center.y))
+          << "user " << u << " sample " << i;
+    }
+  }
+  ASSERT_EQ(pooled.segment_count(), serial.segment_count());
+  for (std::size_t k = 0; k < pooled.segment_count(); ++k) {
+    EXPECT_EQ(bits(pooled.features(k).si), bits(serial.features(k).si)) << "segment " << k;
+    EXPECT_EQ(bits(pooled.features(k).ti), bits(serial.features(k).ti)) << "segment " << k;
+    const auto& got_centers = pooled.training_centers(k);
+    const auto& want_centers = serial.training_centers(k);
+    ASSERT_EQ(got_centers.size(), want_centers.size()) << "segment " << k;
+    for (std::size_t u = 0; u < got_centers.size(); ++u) {
+      EXPECT_EQ(bits(got_centers[u].x), bits(want_centers[u].x)) << "segment " << k;
+      EXPECT_EQ(bits(got_centers[u].y), bits(want_centers[u].y)) << "segment " << k;
+    }
+    const ptile::SegmentPtiles& got = pooled.ptiles(k);
+    const ptile::SegmentPtiles& want = serial.ptiles(k);
+    ASSERT_EQ(got.ptiles.size(), want.ptiles.size()) << "segment " << k;
+    EXPECT_EQ(got.uncovered_users, want.uncovered_users) << "segment " << k;
+    for (std::size_t i = 0; i < got.ptiles.size(); ++i) {
+      const ptile::Ptile& g = got.ptiles[i];
+      const ptile::Ptile& w = want.ptiles[i];
+      EXPECT_EQ(g.rect.row_lo, w.rect.row_lo) << "segment " << k;
+      EXPECT_EQ(g.rect.row_count, w.rect.row_count) << "segment " << k;
+      EXPECT_EQ(g.rect.col_lo, w.rect.col_lo) << "segment " << k;
+      EXPECT_EQ(g.rect.col_count, w.rect.col_count) << "segment " << k;
+      EXPECT_EQ(bits(g.area.lon.lo), bits(w.area.lon.lo)) << "segment " << k;
+      EXPECT_EQ(bits(g.area.lon.width), bits(w.area.lon.width)) << "segment " << k;
+      EXPECT_EQ(bits(g.area.y_lo), bits(w.area.y_lo)) << "segment " << k;
+      EXPECT_EQ(bits(g.area.y_hi), bits(w.area.y_hi)) << "segment " << k;
+      EXPECT_EQ(g.users, w.users) << "segment " << k;
+    }
+  }
+}
+
 // WorkloadConfig::fov_deg sizes the Ptile members as well as the viewports,
 // the way it already sizes the Ftile views.
 TEST(WorkloadTest, FovSizesThePtileMembers) {
@@ -609,8 +683,8 @@ class PerOptionReference : public Scheme {
 
   DownloadPlan ctile(const Inputs& in, bool frame_options, bool perceptual) const {
     const auto& workload = *env_.workload;
-    const auto rect =
-        grid_.covering_rect(in.predicted.area(), env_.session->tile_overlap_threshold);
+    const auto rect = grid_.covering_rect(
+        in.predicted.area(), workload.config().ptile.tile_overlap_threshold);
     const geometry::EquirectRect hq = grid_.rect_area(rect);
     const double hq_area = hq.area_fraction();
     const std::size_t n_hq = rect.tile_count();

@@ -12,12 +12,14 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "trace/dataset.h"
 #include "trace/head_synth.h"
 #include "trace/head_trace.h"
 #include "trace/network_trace.h"
 #include "trace/video_catalog.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/worker_pool.h"
@@ -431,6 +433,147 @@ TEST(HeadSynthTest, AttractorPathsAreSmoothAndDeterministic) {
     EXPECT_LT(d / 0.1, 2.5 * test_videos()[0].attractor_speed + 5.0);
   }
   EXPECT_DOUBLE_EQ(path.at(12.3).x, synth.attractors(test_videos()[0])[0].at(12.3).x);
+}
+
+// The synthesizer as it was before the attractor table: every user calls
+// paths[a].at(t) at every sample. Kept verbatim as the reference the table
+// and the pooled users must reproduce bit for bit.
+namespace reference {
+
+std::size_t pick_attractor(const std::vector<AttractorPath>& paths, util::Rng& rng) {
+  double total = 0.0;
+  for (const auto& p : paths) total += p.weight();
+  double u = rng.uniform() * total;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    u -= paths[i].weight();
+    if (u <= 0.0) return i;
+  }
+  return paths.size() - 1;
+}
+
+HeadTrace synthesize(const HeadTraceSynthesizer& synth, const VideoInfo& video,
+                     int user_id) {
+  const HeadSynthConfig& config = synth.config();
+  const auto paths = synth.attractors(video);
+  util::Rng rng(util::derive_seed(config.seed,
+                                  static_cast<std::uint64_t>(video.id) * 977 + 13,
+                                  0x5EEDULL + static_cast<std::uint64_t>(user_id)));
+
+  const double offset_sigma =
+      video.focused ? config.offset_sigma_focused : config.offset_sigma_free;
+  const double dwell_mean =
+      video.focused ? config.dwell_mean_focused : config.dwell_mean_free;
+  const double explore_prob =
+      video.focused ? config.explore_prob_focused : config.explore_prob_free;
+
+  const double offset_x = rng.normal(0.0, offset_sigma);
+  const double offset_y = rng.normal(0.0, offset_sigma * 0.7);
+
+  const double dt = 1.0 / config.sample_rate_hz;
+  const std::size_t n_samples =
+      1 + ceil_count(video.duration_s * config.sample_rate_hz, "duration_s * sample_rate_hz");
+
+  bool exploring = false;
+  std::size_t target_attractor = pick_attractor(paths, rng);
+  geometry::EquirectPoint explore_target{0.0, 90.0};
+  double next_decision_t = rng.exponential(dwell_mean);
+
+  geometry::EquirectPoint pos = paths[target_attractor].at(0.0);
+  pos.x = geometry::wrap360(geometry::Degrees(pos.x + offset_x)).value();
+  pos.y = std::clamp(pos.y + offset_y, 0.0, 180.0);
+
+  std::vector<HeadSample> samples;
+  samples.reserve(n_samples);
+  for (std::size_t i = 0; i < n_samples; ++i) {
+    const double t = static_cast<double>(i) * dt;
+    if (t >= next_decision_t) {
+      if (!exploring && rng.bernoulli(explore_prob)) {
+        exploring = true;
+        explore_target = geometry::EquirectPoint{
+            rng.uniform(0.0, 360.0), std::clamp(rng.normal(90.0, 25.0), 10.0, 170.0)};
+        next_decision_t = t + rng.exponential(config.explore_mean_s);
+      } else {
+        exploring = false;
+        target_attractor = pick_attractor(paths, rng);
+        next_decision_t = t + rng.exponential(dwell_mean);
+      }
+    }
+    geometry::EquirectPoint target;
+    if (exploring) {
+      target = explore_target;
+    } else {
+      target = paths[target_attractor].at(t);
+      target.x = geometry::wrap360(geometry::Degrees(target.x + offset_x)).value();
+      target.y = std::clamp(target.y + offset_y, 0.0, 180.0);
+    }
+    const double err_x =
+        geometry::wrap_delta(geometry::Degrees(target.x), geometry::Degrees(pos.x)).value();
+    const double err_y = target.y - pos.y;
+    const double vx = std::clamp(config.pursuit_gain * err_x, -config.max_speed_x,
+                                 config.max_speed_x) +
+                      rng.normal(0.0, config.velocity_noise);
+    const double vy = std::clamp(config.pursuit_gain * err_y, -config.max_speed_y,
+                                 config.max_speed_y) +
+                      rng.normal(0.0, config.velocity_noise);
+    pos.x = geometry::wrap360(geometry::Degrees(pos.x + vx * dt)).value();
+    pos.y = std::clamp(pos.y + vy * dt, 0.0, 180.0);
+    const geometry::EquirectPoint recorded{
+        geometry::wrap360(geometry::Degrees(pos.x + rng.normal(0.0, config.sensor_jitter)))
+            .value(),
+        std::clamp(pos.y + rng.normal(0.0, config.sensor_jitter), 0.0, 180.0)};
+    samples.push_back(HeadSample{t, recorded});
+  }
+  return HeadTrace(video.id, user_id, std::move(samples));
+}
+
+}  // namespace reference
+
+// Every sample's time and center, bit for bit; stops at the first mismatch.
+void expect_same_samples(const HeadTrace& got, const HeadTrace& want,
+                         const std::string& label) {
+  ASSERT_EQ(got.samples().size(), want.samples().size()) << label;
+  for (std::size_t i = 0; i < got.samples().size(); ++i) {
+    const HeadSample& g = got.samples()[i];
+    const HeadSample& w = want.samples()[i];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(g.t), std::bit_cast<std::uint64_t>(w.t))
+        << label << " sample " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(g.center.x), std::bit_cast<std::uint64_t>(w.center.x))
+        << label << " sample " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(g.center.y), std::bit_cast<std::uint64_t>(w.center.y))
+        << label << " sample " << i;
+  }
+}
+
+// The attractor table holds paths[a].at(i * dt) for every sample i, the call
+// the per-sample loop made, so every user's samples keep their bits: at every
+// extended video's full length and at two cuts (one off the sample grid),
+// at the dataset's 50 Hz and two other rates (one whose dt is inexact).
+// synthesize_all, whose users share one table and run on the pool, returns
+// synthesize's traces.
+TEST(HeadSynthTest, TabulatedAttractorsMatchPerSampleReference) {
+  for (const double rate : {50.0, 30.0, 7.3}) {
+    HeadSynthConfig config;
+    config.sample_rate_hz = rate;
+    const HeadTraceSynthesizer synth(config);
+    for (const VideoInfo& full : extended_videos()) {
+      for (const double duration : {20.0, 60.37, full.duration_s}) {
+        VideoInfo video = full;
+        video.duration_s = duration;
+        const std::string label = "video " + std::to_string(video.id) + " duration " +
+                                  std::to_string(duration) + " rate " + std::to_string(rate);
+        const std::vector<HeadTrace> all =
+            duration == 20.0 ? synth.synthesize_all(video, 48) : std::vector<HeadTrace>{};
+        for (const int user : {0, 23, 47}) {
+          const HeadTrace fast = synth.synthesize(video, user);
+          expect_same_samples(fast, reference::synthesize(synth, video, user),
+                              label + " user " + std::to_string(user));
+          if (!all.empty())
+            expect_same_samples(all[static_cast<std::size_t>(user)], fast,
+                                label + " synthesize_all user " + std::to_string(user));
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ NetworkTrace
