@@ -97,6 +97,22 @@ void BM_MpcDecideQoeMax(benchmark::State& state) {
 }
 BENCHMARK(BM_MpcDecideQoeMax)->Arg(5)->Arg(10);
 
+// The same max-QoE solve over Pano's ladder: 20 options per segment (5
+// qualities x 4 frame rates), so up to 21 prev-option states per buffer
+// bucket, at the paper's H = 5.
+void BM_MpcDecideQoeMax20(benchmark::State& state) {
+  const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 20);
+  core::MpcConfig config;
+  const core::MpcController controller(config,
+                                       power::device_model(power::Device::kPixel3),
+                                       core::MpcObjective::kMaxQoE);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5),
+                                         50.0));
+  }
+}
+BENCHMARK(BM_MpcDecideQoeMax20)->Arg(5);
+
 void BM_Clustering(benchmark::State& state) {
   util::Rng rng(11);
   std::vector<geometry::EquirectPoint> centers;

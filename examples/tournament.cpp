@@ -18,8 +18,8 @@
 //                   The cells themselves run on the same pool, one thread
 //                   per core (PS360_THREADS=1 runs them one after another),
 //                   so no N runs more threads than that
-//   --schemes A,B   enter only the named schemes (registry names, e.g.
-//                   Ours,Ctile,GhoshLP)
+//   --schemes A,B   enter only the named schemes, each once (registry names,
+//                   e.g. Ours,Ctile,GhoshLP)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

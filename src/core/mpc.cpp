@@ -54,7 +54,8 @@ std::size_t MpcScratch::capacity_bytes() const {
           next_stall.capacity()) *
              sizeof(unsigned char) +
          (row_next.capacity() + frontier_root.capacity() + next_root.capacity()) *
-             sizeof(std::int32_t);
+             sizeof(std::int32_t) +
+         live.capacity() * sizeof(LiveState);
 }
 
 const QualityOption& reference_option(const SegmentChoices& choices,
@@ -156,7 +157,14 @@ void MpcController::reference_qualities(const std::vector<SegmentChoices>& horiz
 // no candidate root of a live state is negative. kMaxQoE keeps a per-state
 // alive check too (dead prev-option slots would index past the previous
 // segment's ladder); its states are bucket-major, so one row serves every
-// live prev-option slot of a bucket.
+// live prev-option slot of a bucket. Those slots all send option oi to the
+// same next state, so kMaxQoE first folds each option's candidates over the
+// bucket's live slots, in slot order and by relax's own rule, and scatters
+// only the winner: one read-modify-write per (bucket, option) instead of
+// per (state, option). relax keeps the earliest lexicographic (cost, root)
+// minimum of a target's candidates, a NaN cost never wins, and the
+// candidates still reach each target in (bucket, slot) order, so the
+// regrouped fold picks the same candidate, with the same stall flag.
 //
 // Ties on the optimal objective are broken toward the smallest horizon[0]
 // option index — (cost, root choice) propagates lexicographically through
@@ -207,6 +215,7 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   grow(scratch.at_request_s, buckets, scratch.grow_events);
   grow(scratch.row_next, max_options, scratch.grow_events);
   grow(scratch.row_stall, max_options, scratch.grow_events);
+  if (!energy_mode) grow(scratch.live, prev_stride, scratch.grow_events);
 
   // ε-constraint reference quality per segment (energy mode).
   if (energy_mode) reference_qualities(horizon, bandwidth, scratch.q_ref);
@@ -329,40 +338,51 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
           }
         }
       } else {
+        MpcScratch::LiveState* const live = scratch.live.data();
         for (std::size_t b = 0; b < buckets; ++b) {
-          bool row_ready = false;
+          // The bucket's live prev-option states, in slot order. Dead slots
+          // must be skipped: their slot index can exceed the previous
+          // segment's ladder, so the qo_prev read is only defined for
+          // reachable states.
+          std::size_t n_live = 0;
           for (std::size_t prev_slot = 0; prev_slot < prev_stride; ++prev_slot) {
             const std::size_t state = b * prev_stride + prev_slot;
             const double node_cost = scratch.frontier_cost[state];
-            // Dead prev-option slots must be skipped: their slot index can
-            // exceed the previous segment's ladder, so the qo_prev read
-            // below is only defined for reachable states.
             if (node_cost == kInf) continue;
-            any_alive = true;  // alive state ⇒ finite candidates land below
-            if (!row_ready) {
-              fill_row(i, b);
-              row_ready = true;
-            }
             // Slot 0 is the virtual pre-horizon state; negative prev_qo then
             // means "no previous segment": no variation penalty on the first
             // decision of a session.
-            const double qo_prev =
-                prev_slot == 0 ? prev_qo : horizon[i - 1].options[prev_slot - 1].qo;
-            const std::int32_t node_root = scratch.frontier_root[state];
-            const unsigned char node_stall = scratch.frontier_stall[state];
-            for (std::size_t oi = 0; oi < n_options; ++oi) {
-              const double stall = row_stall[oi];
+            live[n_live++] = {node_cost,
+                              prev_slot == 0 ? prev_qo
+                                             : horizon[i - 1].options[prev_slot - 1].qo,
+                              scratch.frontier_root[state], scratch.frontier_stall[state]};
+          }
+          if (n_live == 0) continue;
+          any_alive = true;  // alive state ⇒ finite candidates land below
+          fill_row(i, b);
+          // Option oi's candidates all target one next state: fold them in
+          // slot order by relax's rule, then scatter the winner.
+          for (std::size_t oi = 0; oi < n_options; ++oi) {
+            const double stall = row_stall[oi];
+            double best_cost = kInf;
+            std::int32_t best_root = -1;
+            unsigned char best_stall = 0;
+            for (std::size_t s = 0; s < n_live; ++s) {
+              const MpcScratch::LiveState& node = live[s];
               const double variation =
-                  qo_prev >= 0.0 ? std::fabs(step_cost[oi] - qo_prev) : 0.0;
+                  node.qo_prev >= 0.0 ? std::fabs(step_cost[oi] - node.qo_prev) : 0.0;
               const double q = step_cost[oi] - config_.weights.variation * variation -
                                config_.stall_penalty_per_s * stall;
-              const std::size_t next_state =
-                  static_cast<std::size_t>(row_next[oi]) * prev_stride + oi + 1;
-              const std::int32_t root =
-                  i == 0 ? static_cast<std::int32_t>(oi) : node_root;
-              const unsigned char had = (node_stall != 0 || stall > 0.0) ? 1 : 0;
-              relax(next_state, node_cost - q, root, had);
+              const double total = node.cost - q;
+              const std::int32_t root = i == 0 ? static_cast<std::int32_t>(oi) : node.root;
+              const bool better =
+                  total < best_cost || (total == best_cost && root < best_root);
+              best_cost = better ? total : best_cost;
+              best_root = better ? root : best_root;
+              best_stall = better ? ((node.stall != 0 || stall > 0.0) ? 1 : 0) : best_stall;
             }
+            relax(static_cast<std::size_t>(row_next[oi]) * prev_stride + oi + 1, best_cost,
+                  best_root, best_stall);
           }
         }
       }

@@ -78,6 +78,7 @@ struct MpcDecision {
 // Layouts (all flattened, row-major):
 //   per (segment, option):  [segment * option_stride + option]
 //   per option:             [option]  (one live bucket's Eq. 6 row)
+//   per prev-option slot:   [slot]    (one bucket's live kMaxQoE states)
 //   DP frontier:            [bucket * prev_stride + prev_option + 1]
 // In kMinEnergyQoEConstrained mode the step cost does not depend on the
 // previous option, so prev_stride collapses to 1 and the frontier shrinks by
@@ -98,6 +99,16 @@ struct MpcScratch {
   // options, so buckets no DP state occupies cost nothing.
   std::vector<std::int32_t> row_next;
   std::vector<double> row_stall;
+  // kMaxQoE: the live prev-option states of the bucket being expanded, in
+  // slot order, whose candidates decide() folds per option before it
+  // scatters one of them. Sized prev_stride; unused in energy mode.
+  struct LiveState {
+    double cost;
+    double qo_prev;
+    std::int32_t root;
+    unsigned char stall;
+  };
+  std::vector<LiveState> live;
   // Dense DP frontier tables (double-buffered, structure-of-arrays): the
   // minimal cost to reach each state, the option chosen at horizon[0] on
   // that minimal path, and whether that path stalled.

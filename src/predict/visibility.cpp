@@ -39,38 +39,39 @@ std::vector<double> tile_visibility(const geometry::TileGrid& grid,
                                            switching_speed.value() * horizon.value(),
                config.max_sigma_deg);
 
-  std::vector<double> visibility;
-  visibility.reserve(grid.tile_count());
+  // A tile's longitude extent depends on its column alone and its
+  // colatitude extent on its row alone, so p_lon is evaluated once per
+  // column and p_colat once per row; a tile's probability is their product.
+  //
+  // The viewport overlaps the tile iff its center falls inside the tile
+  // dilated by half the FoV on each side. Longitude works in coordinates
+  // centered on the predicted longitude (wrap-safe); a dilated width >= 360
+  // means every longitude qualifies.
+  std::vector<double> p_lon(grid.cols(), 1.0);
+  for (std::size_t col = 0; col < grid.cols(); ++col) {
+    const geometry::LonInterval lon = grid.tile_area({0, col}).lon;
+    const double lon_width = std::min(lon.width + fov_h.value(), 360.0);
+    if (lon_width >= 360.0) continue;
+    const double tile_center_lon = lon.lo + lon.width / 2.0;
+    const double offset =
+        geometry::wrap_delta(geometry::Degrees(tile_center_lon), predicted_center.lon())
+            .value();
+    p_lon[col] = interval_probability(offset - lon_width / 2.0, offset + lon_width / 2.0,
+                                      sigma_deg);
+  }
+
+  std::vector<double> visibility(grid.tile_count());
   for (std::size_t row = 0; row < grid.rows(); ++row) {
-    for (std::size_t col = 0; col < grid.cols(); ++col) {
-      const geometry::EquirectRect tile = grid.tile_area({row, col});
-
-      // The viewport overlaps the tile iff its center falls inside the tile
-      // dilated by half the FoV on each side. Longitude works in coordinates
-      // centered on the predicted longitude (wrap-safe); a dilated width
-      // >= 360 means every longitude qualifies.
-      const double lon_width = std::min(tile.lon.width + fov_h.value(), 360.0);
-      double p_lon = 1.0;
-      if (lon_width < 360.0) {
-        const double tile_center_lon = tile.lon.lo + tile.lon.width / 2.0;
-        const double offset =
-            geometry::wrap_delta(geometry::Degrees(tile_center_lon),
-                                 predicted_center.lon())
-                .value();
-        p_lon = interval_probability(offset - lon_width / 2.0,
-                                     offset + lon_width / 2.0, sigma_deg);
-      }
-
-      // Overlap iff the center colat lands within fov_v/2 of the tile span;
-      // no clamping here — a viewport clipped at a pole still overlaps any
-      // tile whose dilated span contains the center.
-      const double y_lo = tile.y_lo - fov_v.value() / 2.0;
-      const double y_hi = tile.y_hi + fov_v.value() / 2.0;
-      const double p_colat = interval_probability(y_lo - predicted_center.y,
-                                                  y_hi - predicted_center.y, sigma_deg);
-
-      visibility.push_back(p_lon * p_colat);
-    }
+    // Overlap iff the center colat lands within fov_v/2 of the tile span;
+    // no clamping here — a viewport clipped at a pole still overlaps any
+    // tile whose dilated span contains the center.
+    const geometry::EquirectRect tile = grid.tile_area({row, 0});
+    const double y_lo = tile.y_lo - fov_v.value() / 2.0;
+    const double y_hi = tile.y_hi + fov_v.value() / 2.0;
+    const double p_colat = interval_probability(y_lo - predicted_center.y,
+                                                y_hi - predicted_center.y, sigma_deg);
+    for (std::size_t col = 0; col < grid.cols(); ++col)
+      visibility[row * grid.cols() + col] = p_lon[col] * p_colat;
   }
   return visibility;
 }

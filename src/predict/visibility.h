@@ -8,6 +8,9 @@
 // longitude and colatitude whose spread grows with switching speed times
 // lookahead horizon — the empirical shape of head-motion prediction error —
 // and integrate it in closed form (erf) over each tile's FoV-dilated extent.
+// The two axes are independent and a tile's longitude extent is its
+// column's, its colatitude extent its row's, so each is integrated once per
+// column or row and a tile's probability is their product.
 // Deterministic: a pure function of its arguments, no sampling.
 #pragma once
 

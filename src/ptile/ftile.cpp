@@ -14,32 +14,6 @@ using geometry::EquirectRect;
 using geometry::TileIndex;
 using geometry::Viewport;
 
-namespace {
-
-// Which blocks have their center inside `area`, from each block column's
-// center longitude and each block row's center colatitude.
-// EquirectRect::contains is a longitude test AND a colatitude test, so
-// block (r, c) is in view exactly when in_col[c] && in_row[r]: cols + rows
-// containment tests instead of cols x rows.
-struct BlocksInView {
-  std::vector<char> in_col;
-  std::vector<char> in_row;
-};
-
-BlocksInView blocks_in_view(const std::vector<double>& col_lon,
-                            const std::vector<double>& row_colat,
-                            const EquirectRect& area) {
-  BlocksInView view;
-  view.in_col.reserve(col_lon.size());
-  for (const double lon : col_lon) view.in_col.push_back(area.lon.contains(Degrees(lon)));
-  view.in_row.reserve(row_colat.size());
-  for (const double colat : row_colat)
-    view.in_row.push_back(area.contains_colat(Degrees(colat)));
-  return view;
-}
-
-}  // namespace
-
 FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
                          const FtileLayoutConfig& config)
     : blocks_(config.block_rows, config.block_cols) {
@@ -64,14 +38,10 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   // a time by rows and columns (blocks_in_view).
   std::vector<std::size_t> views(n_blocks, 0);
   for (const auto& user_center : centers) {
-    const BlocksInView view = blocks_in_view(
-        col_lon_, row_colat_,
-        Viewport(user_center, Degrees(config.fov_deg), Degrees(config.fov_deg)).area());
-    for (std::size_t r = 0; r < blocks_.rows(); ++r) {
-      if (!view.in_row[r]) continue;
-      for (std::size_t c = 0; c < blocks_.cols(); ++c) {
-        if (view.in_col[c]) ++views[r * blocks_.cols() + c];
-      }
+    const BlocksInView view =
+        blocks_in_view(Viewport(user_center, Degrees(config.fov_deg), Degrees(config.fov_deg)));
+    for (const std::size_t r : view.rows) {
+      for (const std::size_t c : view.cols) ++views[r * blocks_.cols() + c];
     }
   }
 
@@ -119,23 +89,67 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   tile_areas_ = std::move(kept_areas);
 }
 
+FtileLayout::BlocksInView FtileLayout::blocks_in_view(const Viewport& viewport) const {
+  const EquirectRect area = viewport.area();
+  BlocksInView view{blocks_.rows(), blocks_.cols(), {}, {}};
+  view.rows.reserve(row_colat_.size());
+  for (std::size_t r = 0; r < row_colat_.size(); ++r) {
+    if (area.contains_colat(Degrees(row_colat_[r]))) view.rows.push_back(r);
+  }
+  view.cols.reserve(col_lon_.size());
+  for (std::size_t c = 0; c < col_lon_.size(); ++c) {
+    if (area.lon.contains(Degrees(col_lon_[c]))) view.cols.push_back(c);
+  }
+  return view;
+}
+
+std::vector<std::size_t> FtileLayout::view_hits(const BlocksInView& view) const {
+  PS360_CHECK_MSG(view.block_rows == blocks_.rows() && view.block_cols == blocks_.cols(),
+                  "BlocksInView of another block grid");
+  std::vector<std::size_t> hits(tile_blocks_.size(), 0);
+  for (const std::size_t r : view.rows) {
+    const std::size_t* owner = block_owner_.data() + r * blocks_.cols();
+    for (const std::size_t c : view.cols) ++hits[owner[c]];
+  }
+  return hits;
+}
+
+bool FtileLayout::selected(std::size_t t, std::size_t hits,
+                           double min_block_fraction) const {
+  return hits != 0 && static_cast<double>(hits) /
+                              static_cast<double>(tile_blocks_[t].size()) >=
+                          min_block_fraction;
+}
+
 std::vector<std::size_t> FtileLayout::tiles_overlapping(
     const Viewport& viewport, double min_block_fraction) const {
+  return tiles_overlapping(blocks_in_view(viewport), min_block_fraction);
+}
+
+std::vector<std::size_t> FtileLayout::tiles_overlapping(
+    const BlocksInView& view, double min_block_fraction) const {
   PS360_CHECK(min_block_fraction >= 0.0 && min_block_fraction <= 1.0);
-  std::vector<std::size_t> hits(tile_blocks_.size(), 0);
-  const BlocksInView view = blocks_in_view(col_lon_, row_colat_, viewport.area());
-  for (std::size_t r = 0; r < blocks_.rows(); ++r) {
-    if (!view.in_row[r]) continue;
-    for (std::size_t c = 0; c < blocks_.cols(); ++c) {
-      if (view.in_col[c]) ++hits[block_owner_[r * blocks_.cols() + c]];
-    }
-  }
+  const std::vector<std::size_t> hits = view_hits(view);
   std::vector<std::size_t> out;
   for (std::size_t t = 0; t < hits.size(); ++t) {
-    if (hits[t] == 0) continue;
-    const double fraction =
-        static_cast<double>(hits[t]) / static_cast<double>(tile_blocks_[t].size());
-    if (fraction >= min_block_fraction) out.push_back(t);
+    if (selected(t, hits[t], min_block_fraction)) out.push_back(t);
+  }
+  return out;
+}
+
+FtileLayout::TileSplit FtileLayout::split(const BlocksInView& view,
+                                          double min_block_fraction) const {
+  PS360_CHECK(min_block_fraction >= 0.0 && min_block_fraction <= 1.0);
+  const std::vector<std::size_t> hits = view_hits(view);
+  TileSplit out;
+  for (std::size_t t = 0; t < hits.size(); ++t) {
+    if (selected(t, hits[t], min_block_fraction)) {
+      ++out.selected_tiles;
+      out.selected_area += tile_areas_[t];
+    } else {
+      ++out.other_tiles;
+      out.other_area += tile_areas_[t];
+    }
   }
   return out;
 }
@@ -147,15 +161,12 @@ double FtileLayout::coverage(const Viewport& viewport,
     PS360_CHECK(t < tile_blocks_.size());
     selected[t] = true;
   }
-  const BlocksInView view = blocks_in_view(col_lon_, row_colat_, viewport.area());
-  std::size_t in_view = 0, covered = 0;
-  for (std::size_t r = 0; r < blocks_.rows(); ++r) {
-    if (!view.in_row[r]) continue;
-    for (std::size_t c = 0; c < blocks_.cols(); ++c) {
-      if (!view.in_col[c]) continue;
-      ++in_view;
-      if (selected[block_owner_[r * blocks_.cols() + c]]) ++covered;
-    }
+  const BlocksInView view = blocks_in_view(viewport);
+  const std::size_t in_view = view.rows.size() * view.cols.size();
+  std::size_t covered = 0;
+  for (const std::size_t r : view.rows) {
+    const std::size_t* owner = block_owner_.data() + r * blocks_.cols();
+    for (const std::size_t c : view.cols) covered += selected[owner[c]] ? 1 : 0;
   }
   if (in_view == 0) return 1.0;
   return static_cast<double>(covered) / static_cast<double>(in_view);

@@ -42,18 +42,52 @@ class FtileLayout {
     return tile_blocks_;
   }
 
+  // The blocks whose center a viewport holds. EquirectRect::contains is a
+  // longitude test AND a colatitude test, so block (r, c) is in view exactly
+  // when its column and its row are: the blocks in view are the listed rows
+  // x the listed columns. Block centers depend on the block grid alone, so
+  // one view serves every layout of the same block_rows x block_cols (the
+  // Ftile planner takes one per plan for its whole horizon).
+  struct BlocksInView {
+    std::size_t block_rows = 0;
+    std::size_t block_cols = 0;
+    std::vector<std::size_t> rows;  // ascending
+    std::vector<std::size_t> cols;  // ascending
+  };
+  BlocksInView blocks_in_view(const geometry::Viewport& viewport) const;
+
   // Tiles the client downloads at high quality for this viewport: a tile
   // qualifies when at least `min_block_fraction` of its own blocks fall in
   // the viewport (a large background tile merely grazed by the FoV corner is
   // not worth fetching at high quality).
   std::vector<std::size_t> tiles_overlapping(const geometry::Viewport& viewport,
                                              double min_block_fraction = 0.2) const;
+  std::vector<std::size_t> tiles_overlapping(const BlocksInView& view,
+                                             double min_block_fraction = 0.2) const;
+
+  // The tiles tiles_overlapping() selects and the rest, each side as a tile
+  // count and an area fraction summed in tile order (the order
+  // EncodingModel::tiled_full_rate_bytes sums a tile list in).
+  struct TileSplit {
+    std::size_t selected_tiles = 0;
+    double selected_area = 0.0;
+    std::size_t other_tiles = 0;
+    double other_area = 0.0;
+  };
+  TileSplit split(const BlocksInView& view, double min_block_fraction = 0.2) const;
 
   // Fraction of the viewport's blocks that the given tile set covers.
   double coverage(const geometry::Viewport& viewport,
                   const std::vector<std::size_t>& tile_ids) const;
 
  private:
+  // How many of each tile's blocks are in view. Throws unless the view is
+  // of this layout's block grid.
+  std::vector<std::size_t> view_hits(const BlocksInView& view) const;
+  // Whether tile t, with `hits` blocks in view, is one tiles_overlapping()
+  // selects.
+  bool selected(std::size_t t, std::size_t hits, double min_block_fraction) const;
+
   geometry::TileGrid blocks_;
   // Each block column's center longitude and each block row's center
   // colatitude: a block center's longitude depends only on its column and

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/schemes.h"
@@ -30,25 +31,30 @@ namespace ps360::sim {
 
 // Result of the budgeted per-tile quality assignment.
 struct LpAllocation {
-  std::vector<int> level;  // per tile: chosen index into its level vectors
+  std::vector<int> level;  // per tile: chosen level, an index into its ladder
   double utility = 0.0;    // total weighted utility at the chosen levels
   double spent = 0.0;      // bytes spent at the chosen levels
   bool feasible = true;    // the floor (all tiles at level 0) fit the budget
 };
 
-// Allocate `budget` bytes across tiles: tile i at level l costs
-// tile_bytes[i][l] and yields weights[i] * tile_utility[i][l]. Every tile
-// starts at level 0 (the floor; if even that exceeds the budget the
-// allocation is marked infeasible and stays at the floor). Upgrades are
+// Allocate `budget` bytes across tiles of `levels` quality levels each, over
+// flat ladders: tile i at level l costs tile_bytes[i * levels + l] and
+// yields weights[i] * utility[i * levels + l] — or weights[i] * utility[l]
+// when `utility` holds one ladder of `levels` values that every tile shares.
+// Every tile starts at level 0 (the floor; if even that exceeds the budget
+// the allocation is marked infeasible and stays at the floor). Upgrades are
 // applied greedily by maximum weighted marginal utility per marginal byte —
 // free-or-negative-cost upgrades with positive gain first — with ties broken
-// toward the lower tile index. For utilities concave in bytes (per tile,
-// increasing levels) the greedy solution is exactly the LP/knapsack-
-// relaxation optimum rounded down to integral levels. Deterministic.
-LpAllocation lp_allocate(const std::vector<double>& weights,
-                         const std::vector<std::vector<double>>& tile_bytes,
-                         const std::vector<std::vector<double>>& tile_utility,
-                         util::Bytes budget);
+// toward the lower tile index; an upgrade that gains nothing is never taken,
+// and neither is any above it. Each upgrade's cost, gain and ratio are
+// computed once, when its tile reaches the level below it, and the greedy
+// takes the same upgrade at every step as a rescan that re-prices them
+// would. For utilities concave in bytes (per tile, increasing levels) the
+// greedy solution is exactly the LP/knapsack-relaxation optimum rounded down
+// to integral levels. Deterministic.
+LpAllocation lp_allocate(std::span<const double> weights, std::size_t levels,
+                         std::span<const double> tile_bytes,
+                         std::span<const double> utility, util::Bytes budget);
 
 // Registry factories (rows in sim/schemes.cpp's controller registry).
 std::unique_ptr<Scheme> make_ghosh_lp(const SchemeEnv& env);

@@ -157,48 +157,43 @@ class FtileScheme : public MpcScheme {
 
     // The FoV tile set is computed against each lookahead segment's own
     // layout (layouts are per-segment server-side artifacts). It depends on
-    // the segment alone, so it is selected once per segment, not once per
-    // (quality, frame) option.
-    struct SegmentTiles {
-      std::vector<std::size_t> selected;
-      std::vector<double> hq_areas, bg_areas;
-    };
+    // the segment alone, so each segment's split into FoV and background
+    // tiles — their counts, and their areas summed in tile order as
+    // tiled_full_rate_bytes sums a tile list — is taken once per segment,
+    // not once per (quality, frame) option. Which blocks the prediction
+    // holds depends on the block grid alone, which every segment's layout
+    // shares, so it is found once per plan.
+    const ptile::FtileLayout& layout = workload.ftile(k);
+    const ptile::FtileLayout::BlocksInView view = layout.blocks_in_view(predicted);
     const std::size_t end = horizon_end(k);
-    std::vector<SegmentTiles> tiles;
-    tiles.reserve(end - k);
-    for (std::size_t i = k; i < end; ++i) {
-      const auto& layout = workload.ftile(i);
-      SegmentTiles& seg = tiles.emplace_back();
-      seg.selected = layout.tiles_overlapping(predicted);
-      for (std::size_t t = 0; t < layout.tile_count(); ++t) {
-        const bool is_hq =
-            std::find(seg.selected.begin(), seg.selected.end(), t) != seg.selected.end();
-        (is_hq ? seg.hq_areas : seg.bg_areas).push_back(layout.tile_areas()[t]);
-      }
-    }
+    std::vector<ptile::FtileLayout::TileSplit> splits;
+    splits.reserve(end - k);
+    for (std::size_t i = k; i < end; ++i) splits.push_back(workload.ftile(i).split(view));
 
-    // A segment whose layout puts every tile on one side has no region on
-    // the other, which costs 0 bytes.
+    // tiled_full_rate_bytes of a side's tiles: their summed area, capped at
+    // the whole frame, as `tiles` tiles. A segment whose layout puts every
+    // tile on one side has no region on the other, which costs 0 bytes.
+    const auto side_bytes = [&](std::size_t tiles, double area, std::size_t i, int v) {
+      return tiles == 0 ? 0.0
+                        : env_.encoding->full_rate_bytes(std::min(area, 1.0), tiles, v,
+                                                         workload.features(i), L);
+    };
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kFtileHq;
     bytes.served = [&](std::size_t i, int v) {
-      const std::vector<double>& areas = tiles[i - k].hq_areas;
-      return areas.empty() ? 0.0
-                           : env_.encoding->tiled_full_rate_bytes(areas, v,
-                                                                  workload.features(i), L);
+      const ptile::FtileLayout::TileSplit& split = splits[i - k];
+      return side_bytes(split.selected_tiles, split.selected_area, i, v);
     };
     bytes.background_role = NoiseRole::kFtileBackground;
     bytes.background = [&](std::size_t i, int v) {
-      const std::vector<double>& areas = tiles[i - k].bg_areas;
-      return areas.empty() ? 0.0
-                           : env_.encoding->tiled_full_rate_bytes(areas, v,
-                                                                  workload.features(i), L);
+      const ptile::FtileLayout::TileSplit& split = splits[i - k];
+      return side_bytes(split.other_tiles, split.other_area, i, v);
     };
 
     DownloadPlan plan = solve(k, bytes, /*frame_options=*/false, predicted_sfov,
                               power::DecodeProfile::kFtile, bandwidth, buffer, prev_qo);
-    plan.ftile_layout = &workload.ftile(k);
-    plan.ftile_tiles = std::move(tiles.front().selected);
+    plan.ftile_layout = &layout;
+    plan.ftile_tiles = layout.tiles_overlapping(view);
     return plan;
   }
 

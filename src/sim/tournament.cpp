@@ -94,6 +94,12 @@ TournamentReport run_tournament(const TournamentConfig& config) {
       config.fault_profiles.empty() ? default_fault_profiles()
                                     : config.fault_profiles;
   PS360_CHECK(!schemes.empty());
+  // A scheme entered twice would rank against itself: identical cells,
+  // different ranks.
+  for (auto it = schemes.begin(); it != schemes.end(); ++it) {
+    PS360_CHECK_MSG(std::find(schemes.begin(), it, *it) == it,
+                    "TournamentConfig::schemes lists " + scheme_name(*it) + " twice");
+  }
   PS360_CHECK(!config.trace_ids.empty());
   PS360_CHECK(!config.fleet_sizes.empty());
   PS360_CHECK(config.video_index < trace::test_videos().size());

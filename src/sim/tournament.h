@@ -43,7 +43,8 @@ std::vector<TournamentFaultProfile> default_fault_profiles();
 
 struct TournamentConfig {
   std::uint64_t seed = 42;
-  // Schemes to enter; empty -> registered_schemes() (the full zoo).
+  // Schemes to enter, each at most once; empty -> registered_schemes() (the
+  // full zoo).
   std::vector<SchemeKind> schemes;
   // Paper traces to run (1 = the 7.8 Mbps-mean trace, 2 = the 3.9 Mbps one).
   std::vector<int> trace_ids = {1, 2};

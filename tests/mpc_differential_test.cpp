@@ -475,6 +475,67 @@ TEST_P(SolverBitIdentity, DecideMatchesTableDpReference) {
 
 INSTANTIATE_TEST_SUITE_P(BothObjectives, SolverBitIdentity, ::testing::Bool());
 
+// The max-QoE DP folds each live bucket's prev-option states per option
+// before it scatters; pinned to the table DP's per-state scatter over ladders
+// of 1 to 24 options (Pano's 20 among them, and per-segment ladders of
+// different lengths), coarse Qo ladders with equal-Qo copies (exact
+// objective ties between roots and between prev-option states), variation
+// weights and stall penalties from 0 up, and three (quantum, β) grids.
+TEST(MaxQoeBitIdentity, FoldedBucketsMatchTableDpOverVariedLadders) {
+  const power::DeviceModel& device = power::device_model(Device::kPixel3);
+  util::Rng rng(0xF01Du);
+  std::size_t cases = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    MpcConfig config;
+    const double grids[][2] = {{0.5, 3.0}, {0.3, 2.9}, {0.7, 3.0}};
+    const std::size_t grid = rng.uniform_index(3);
+    config.buffer_quantum_s = grids[grid][0];
+    config.buffer_threshold_s = grids[grid][1];
+    const double weights[] = {0.0, 1.0, 0.5, 3.0};
+    config.weights.variation =
+        rng.bernoulli(0.75) ? weights[rng.uniform_index(4)] : rng.uniform(0.0, 4.0);
+    const double penalties[] = {0.0, 150.0, 1.0};
+    config.stall_penalty_per_s =
+        rng.bernoulli(0.75) ? penalties[rng.uniform_index(3)] : rng.uniform(0.0, 400.0);
+    const MpcController controller(config, device, MpcObjective::kMaxQoE);
+
+    const std::size_t h = 1 + rng.uniform_index(6);
+    const double bandwidths[] = {524288.0, 131072.0, 1024.0};
+    const double bandwidth = bandwidths[rng.uniform_index(3)];
+    std::vector<SegmentChoices> horizon;
+    const std::size_t fixed_options = rng.bernoulli(0.3) ? 20 : 1 + rng.uniform_index(24);
+    for (std::size_t i = 0; i < h; ++i) {
+      const std::size_t n_options =
+          rng.bernoulli(0.2) ? 1 + rng.uniform_index(24) : fixed_options;
+      const auto segment = bit_identity_horizon(rng, 1, n_options, bandwidth);
+      horizon.push_back(segment.front());
+    }
+    const double buffer =
+        rng.bernoulli(0.5)
+            ? config.buffer_quantum_s *
+                  static_cast<double>(rng.uniform_index(
+                      static_cast<std::uint64_t>(config.buffer_threshold_s /
+                                                 config.buffer_quantum_s) +
+                      2))
+            : rng.uniform(0.0, config.buffer_threshold_s + 1.0);
+    const double prev_qo =
+        rng.bernoulli(0.25) ? -1.0 : 10.0 * static_cast<double>(rng.uniform_index(10));
+    const MpcDecision got = controller.decide(horizon, util::BytesPerSec(bandwidth),
+                                              util::Seconds(buffer), prev_qo);
+    const TableDpResult want = table_dp_reference(config, device, MpcObjective::kMaxQoE,
+                                                  horizon, bandwidth, buffer, prev_qo);
+    const std::string where = "trial " + std::to_string(trial);
+    ASSERT_EQ(got.choice.quality, want.decision.choice.quality) << where;
+    ASSERT_EQ(got.choice.frame_index, want.decision.choice.frame_index) << where;
+    ASSERT_EQ(bits_of(got.choice.bytes), bits_of(want.decision.choice.bytes)) << where;
+    ASSERT_EQ(bits_of(got.choice.qo), bits_of(want.decision.choice.qo)) << where;
+    ASSERT_EQ(bits_of(got.objective), bits_of(want.decision.objective)) << where;
+    ASSERT_EQ(got.feasible, want.decision.feasible) << where;
+    ++cases;
+  }
+  EXPECT_EQ(cases, 3000u);
+}
+
 // ------------------------------------------------- Scratch arena contract
 
 std::vector<SegmentChoices> fixed_horizon(std::size_t h, std::size_t options_n,
@@ -532,9 +593,10 @@ INSTANTIATE_TEST_SUITE_P(BothObjectives, ScratchReuse, ::testing::Bool());
 
 TEST(ScratchGrowAccounting, FirstDecideCountsEveryVectorThatGrows) {
   // Each vector that grows within one decide() is its own growth event. The
-  // arena has 13 vectors on both paths (5 per-option/per-bucket invariants,
-  // the 2 Eq. 6 row buffers of the live bucket being expanded, and 6
-  // frontier), all growing from empty on the first call — so the first-call
+  // energy path uses 13 vectors (5 per-option/per-bucket invariants, the 2
+  // Eq. 6 row buffers of the live bucket being expanded, and 6 frontier);
+  // kMaxQoE adds a 14th, the live prev-option states of the bucket being
+  // expanded. All grow from empty on the first call — so the first-call
   // count is pinned exactly, not just "positive". A lumped per-call counter
   // would report 1 here.
   const MpcConfig config;
@@ -548,7 +610,7 @@ TEST(ScratchGrowAccounting, FirstDecideCountsEveryVectorThatGrows) {
 
   const MpcController qoe(config, device, MpcObjective::kMaxQoE);
   (void)qoe.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
-  EXPECT_EQ(qoe.scratch_grow_events(), 13u);
+  EXPECT_EQ(qoe.scratch_grow_events(), 14u);
 }
 
 TEST(ScratchGrowAccounting, SteadyStateIsZeroAndDeeperHorizonGrowsPerSegmentVectors) {

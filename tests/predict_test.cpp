@@ -23,6 +23,8 @@
 #include "util/rng.h"
 #include "util/stats.h"
 
+#include "ghosh_reference.h"
+
 namespace ps360::predict {
 namespace {
 
@@ -655,6 +657,56 @@ TEST(VisibilityTest, LongitudeWrapInvariance) {
       EXPECT_NEAR(a[row * grid.cols() + col], b[shifted], 1e-12);
     }
   }
+}
+
+// tile_visibility evaluates p_lon once per column and p_colat once per row;
+// pinned bit for bit to the per-tile loop (tests/ghosh_reference.h) over
+// seeded centers (the seam, tile edges and both poles among them), FoVs up
+// to the full circle, speeds and horizons from zero to huge, and grids
+// besides the paper's 4x8.
+TEST(VisibilityTest, MatchesPerTileReference) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  util::Rng rng(0x715u);
+  const double fixed_lons[] = {0.0, 360.0, 359.9999999, 1e-12, 180.0, 45.0, 22.5, -45.0};
+  const double fixed_colats[] = {0.0, 180.0, 90.0, 45.0, 1e-12, 179.9999999};
+  const double speeds[] = {0.0, 1e-9, 12.0, 200.0, 1e6, 1e300};
+  const double horizons[] = {0.0, 0.5, 3.0, 1e300};
+  const double fovs_h[] = {100.0, 360.0, 315.0, 1e-3, 250.0};
+  const double fovs_v[] = {100.0, 180.0, 1e-3, 60.0};
+  std::size_t cases = 0;
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{4, 8},
+                                   {1, 1}, {3, 7}, {15, 30}}) {
+    const geometry::TileGrid grid(rows, cols);
+    for (int trial = 0; trial < 400; ++trial) {
+      const double lon = rng.bernoulli(0.3) ? fixed_lons[rng.uniform_index(8)]
+                                            : rng.uniform(-720.0, 720.0);
+      const double colat = rng.bernoulli(0.3) ? fixed_colats[rng.uniform_index(6)]
+                                              : rng.uniform(0.0, 180.0);
+      const auto center =
+          geometry::EquirectPoint::make(geometry::Degrees(lon), geometry::Degrees(colat));
+      const util::Degrees fov_h(fovs_h[rng.uniform_index(5)]);
+      const util::Degrees fov_v(fovs_v[rng.uniform_index(4)]);
+      const util::DegPerSec speed(speeds[rng.uniform_index(6)]);
+      const util::Seconds horizon(horizons[rng.uniform_index(4)]);
+      VisibilityConfig config;
+      if (rng.bernoulli(0.25)) {
+        config.base_sigma_deg = rng.uniform(0.01, 40.0);
+        config.speed_sigma_factor = rng.uniform(0.0, 2.0);
+        config.max_sigma_deg = config.base_sigma_deg + rng.uniform(0.0, 100.0);
+      }
+      const std::vector<double> got =
+          tile_visibility(grid, center, fov_h, fov_v, speed, horizon, config);
+      const std::vector<double> want =
+          reference::tile_visibility(grid, center, fov_h, fov_v, speed, horizon, config);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t t = 0; t < got.size(); ++t) {
+        ASSERT_EQ(bits(got[t]), bits(want[t]))
+            << "grid " << rows << "x" << cols << " trial " << trial << " tile " << t;
+      }
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 1600u);
 }
 
 TEST(VisibilityTest, ValidatesArguments) {

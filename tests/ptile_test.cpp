@@ -635,6 +635,60 @@ TEST(FtileLayoutTest, RowColumnContainmentMatchesPerBlockReference) {
   EXPECT_GE(viewports, 500u);
 }
 
+// split() is tiles_overlapping()'s selection as two (count, area) sides,
+// each area summed in tile order: the Ftile planner reads it instead of
+// building both tile lists per lookahead segment. A BlocksInView is only
+// read by layouts of its own block grid.
+TEST(FtileLayoutTest, SplitSumsTheSelectedAndOtherTilesInTileOrder) {
+  const trace::HeadTraceSynthesizer synth;
+  util::Rng rng(2025);
+  trace::VideoInfo info = trace::test_videos()[3];
+  info.duration_s = 4.0;
+  const auto traces = synth.synthesize_all(info, trace::kTrainingUsers);
+  std::size_t both_sides = 0;
+  for (const double t0 : {0.0, 2.0}) {
+    std::vector<EquirectPoint> centers;
+    for (const auto& trace : traces) centers.push_back(trace.mean_center(t0, t0 + 1.0));
+    const FtileLayout layout(centers, FtileLayoutConfig{});
+    for (int i = 0; i < 200; ++i) {
+      const Viewport vp = draw_viewport(rng);
+      for (const double fraction : {0.0, 0.2, 1.0}) {
+        const std::vector<std::size_t> selected = layout.tiles_overlapping(vp, fraction);
+        FtileLayout::TileSplit want;
+        for (std::size_t t = 0; t < layout.tile_count(); ++t) {
+          if (std::find(selected.begin(), selected.end(), t) != selected.end()) {
+            ++want.selected_tiles;
+            want.selected_area += layout.tile_areas()[t];
+          } else {
+            ++want.other_tiles;
+            want.other_area += layout.tile_areas()[t];
+          }
+        }
+        const FtileLayout::TileSplit got = layout.split(layout.blocks_in_view(vp), fraction);
+        ASSERT_EQ(got.selected_tiles, want.selected_tiles) << "viewport " << i;
+        ASSERT_EQ(got.other_tiles, want.other_tiles) << "viewport " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.selected_area),
+                  std::bit_cast<std::uint64_t>(want.selected_area));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.other_area),
+                  std::bit_cast<std::uint64_t>(want.other_area));
+        both_sides += got.selected_tiles > 0 && got.other_tiles > 0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(both_sides, 100u);
+  const auto centers = blob(120.0, 90.0, 8.0, 10, 37);
+  const FtileLayout layout(centers, FtileLayoutConfig{});
+  const Viewport vp(EquirectPoint::make(geometry::Degrees(0.0), geometry::Degrees(90.0)));
+  EXPECT_THROW(layout.split(layout.blocks_in_view(vp), 1.5), std::invalid_argument);
+  // A view of another block grid is rejected, not misread.
+  FtileLayoutConfig coarse;
+  coarse.block_rows = 5;
+  coarse.block_cols = 10;
+  const FtileLayout other(centers, coarse);
+  EXPECT_THROW(layout.split(other.blocks_in_view(vp)), std::invalid_argument);
+  EXPECT_THROW(layout.tiles_overlapping(other.blocks_in_view(vp)), std::invalid_argument);
+}
+
 // ----------------------------------------------------------------- Heatmap
 
 TEST(ViewHeatmapTest, CentersAndTotals) {

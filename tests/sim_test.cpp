@@ -15,10 +15,13 @@
 #include <utility>
 #include <vector>
 
+#include "sim/competitors.h"
 #include "sim/experiment.h"
 #include "sim/scheme_base.h"
 #include "sim/session.h"
 #include "util/worker_pool.h"
+
+#include "ghosh_reference.h"
 
 namespace ps360::sim {
 namespace {
@@ -904,6 +907,179 @@ TEST(SchemeTest, NontilePlanMatchesPerOptionReference) {
 
 TEST(SchemeTest, PtilePlanMatchesPerOptionReference) {
   expect_plans_match_reference(SchemeKind::kPtile);
+}
+
+// GhoshLP's and GhoshRobust's plan as it was before each term was computed
+// once: a candidate list, per candidate a nested cost ladder of region_bytes
+// calls that each rebuild the tile's rect and draw the tile's own size noise
+// (EncodingModel::size_noise(noise_key(..., kGhoshTile, tile id))), a
+// per-candidate copy of the utility ladder, the per-tile visibility loop
+// and the rescanning greedy (tests/ghosh_reference.h).
+DownloadPlan ghosh_per_tile_reference(const SchemeEnv& env, bool robust, std::size_t k,
+                                      const geometry::Viewport& predicted,
+                                      double predicted_sfov, util::BytesPerSec bandwidth,
+                                      util::Seconds buffer) {
+  using geometry::EquirectRect;
+  using geometry::TileIndex;
+  using video::QualityLadder;
+  const geometry::TileGrid grid(4, 8);
+  const auto& feat = env.workload->features(k);
+  const double L = env.session->mpc.segment_seconds;
+  const auto tile_id = [&](const TileIndex& t) { return t.row * grid.cols() + t.col; };
+  const auto tile_level_bytes = [&](const TileIndex& t, int quality) {
+    return env.encoding->region_bytes(
+        grid.tile_area(t).area_fraction(), 1, quality, feat, L, 1.0,
+        env.encoding->size_noise(noise_key(*env.workload, k, quality,
+                                           video::FrameRateLadder::kOptions,
+                                           NoiseRole::kGhoshTile, tile_id(t))));
+  };
+
+  std::vector<TileIndex> candidates;
+  std::vector<double> weights;
+  if (robust) {
+    const std::vector<double> visibility = reference::tile_visibility(
+        grid, predicted.center(), predicted.fov_h(), predicted.fov_v(),
+        util::DegPerSec(predicted_sfov), util::Seconds(std::max(buffer.value(), 0.0)));
+    for (std::size_t row = 0; row < grid.rows(); ++row) {
+      for (std::size_t col = 0; col < grid.cols(); ++col) {
+        const double p = visibility[row * grid.cols() + col];
+        if (p < 0.05) continue;
+        candidates.push_back({row, col});
+        weights.push_back(p);
+      }
+    }
+  }
+  if (candidates.empty()) {
+    const auto rect = grid.covering_rect(
+        predicted.area(), env.workload->config().ptile.tile_overlap_threshold);
+    candidates = grid.tiles_in(rect);
+    weights.assign(candidates.size(), 1.0);
+  }
+
+  std::vector<char> is_candidate(grid.tile_count(), 0);
+  for (const TileIndex& t : candidates) is_candidate[tile_id(t)] = 1;
+  double bg_bytes = 0.0;
+  for (std::size_t id = 0; id < grid.tile_count(); ++id) {
+    if (is_candidate[id]) continue;
+    bg_bytes += tile_level_bytes({id / grid.cols(), id % grid.cols()}, QualityLadder::kMinLevel);
+  }
+  const double total_budget = bandwidth.value() * L;
+  const double budget = std::max(total_budget - bg_bytes, 0.0);
+
+  std::vector<std::vector<double>> tile_bytes(candidates.size());
+  std::vector<std::vector<double>> tile_utility(candidates.size());
+  std::vector<double> level_utility;
+  for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
+    level_utility.push_back(env.qo_model->qo(
+        feat.si, feat.ti, util::Mbps(env.encoding->fov_bitrate_mbps(v, feat))));
+  }
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v)
+      tile_bytes[i].push_back(tile_level_bytes(candidates[i], v));
+    tile_utility[i] = level_utility;
+  }
+  const LpAllocation alloc =
+      reference::lp_allocate(weights, tile_bytes, tile_utility, util::Bytes(budget));
+
+  double level_sum = 0.0;
+  double weight_sum = 0.0;
+  bool any_upgraded = false;
+  EquirectRect hq;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    level_sum += weights[i] * (alloc.level[i] + QualityLadder::kMinLevel);
+    weight_sum += weights[i];
+    if (alloc.level[i] > 0) {
+      const EquirectRect area = grid.tile_area(candidates[i]);
+      hq = any_upgraded ? hq.united(area) : area;
+      any_upgraded = true;
+    }
+  }
+  const int quality = std::clamp(
+      static_cast<int>(std::floor(level_sum / std::max(weight_sum, 1e-12) + 0.5)),
+      QualityLadder::kMinLevel, QualityLadder::kMaxLevel);
+  if (!any_upgraded) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const EquirectRect area = grid.tile_area(candidates[i]);
+      hq = i == 0 ? area : hq.united(area);
+    }
+  }
+
+  const video::FrameRateLadder ladder(env.workload->video().fps);
+  DownloadPlan plan;
+  plan.option.quality = quality;
+  plan.option.frame_index = video::FrameRateLadder::kOptions;
+  plan.option.fps = ladder.fps(video::FrameRateLadder::kOptions);
+  plan.option.bytes = bg_bytes + alloc.spent;
+  plan.option.qo = level_utility[static_cast<std::size_t>(quality - QualityLadder::kMinLevel)];
+  plan.option.profile = power::DecodeProfile::kCtile;
+  plan.frame_ratio = 1.0;
+  plan.mpc_feasible = alloc.feasible && bg_bytes <= total_budget;
+  plan.hq_region = hq;
+  return plan;
+}
+
+// GhoshLP and GhoshRobust against the per-tile reference, over segments,
+// predicted viewports (a test user's, one off to the side and one at a
+// pole, wrapping the seam), switching speeds, bandwidths from a floor that
+// does not fit to one that upgrades every tile, and buffer levels (the
+// robust variant's lookahead).
+void expect_ghosh_plans_match_reference(SchemeKind kind) {
+  const PlannerFixture fixture;
+  const auto& workload = football_workload();
+  const auto scheme = make_scheme(kind, fixture.env);
+  const bool robust = kind == SchemeKind::kGhoshRobust;
+  const std::size_t n = workload.segment_count();
+  std::vector<std::size_t> segments;
+  for (std::size_t k = 0; k < n; k += 6) segments.push_back(k);
+  for (std::size_t k = n - 2; k < n; ++k) segments.push_back(k);
+  std::size_t infeasible = 0, upgraded = 0, plans = 0;
+  for (const std::size_t k : segments) {
+    const auto& trace = workload.test_trace(k % workload.test_user_count());
+    const geometry::EquirectPoint center = trace.center_at(static_cast<double>(k));
+    const geometry::Viewport on_view(center, geometry::Degrees(110.0),
+                                     geometry::Degrees(100.0));
+    const geometry::Viewport aside(
+        geometry::EquirectPoint::make(geometry::Degrees(center.lon().value() + 150.0),
+                                      geometry::Degrees(60.0)),
+        geometry::Degrees(100.0), geometry::Degrees(100.0));
+    const geometry::Viewport pole(
+        geometry::EquirectPoint::make(geometry::Degrees(359.0), geometry::Degrees(178.0)),
+        geometry::Degrees(100.0), geometry::Degrees(90.0));
+    for (const geometry::Viewport* predicted : {&on_view, &aside, &pole}) {
+      for (const double sfov : {0.0, 8.0, 45.0, 400.0}) {
+        for (const double bandwidth : {1e4, 150e3, 600e3, 3e6, 5e7}) {
+          for (const double buffer : {0.0, 0.5, 3.0, 30.0}) {
+            const util::BytesPerSec rate(bandwidth);
+            const util::Seconds level(buffer);
+            const DownloadPlan got = scheme->plan(k, *predicted, sfov, rate, level, 50.0);
+            const DownloadPlan want = ghosh_per_tile_reference(fixture.env, robust, k,
+                                                               *predicted, sfov, rate, level);
+            expect_same_plan(got, want,
+                             scheme_name(kind) + " segment " + std::to_string(k) +
+                                 " sfov " + std::to_string(sfov) + " bandwidth " +
+                                 std::to_string(bandwidth) + " buffer " +
+                                 std::to_string(buffer));
+            if (::testing::Test::HasFatalFailure()) return;
+            infeasible += got.mpc_feasible ? 0 : 1;
+            upgraded += got.option.quality > video::QualityLadder::kMinLevel ? 1 : 0;
+            ++plans;
+          }
+        }
+      }
+    }
+  }
+  // Both an unaffordable floor and upgraded tiles were reached.
+  EXPECT_GT(infeasible, 0u);
+  EXPECT_GT(upgraded, 0u);
+  EXPECT_LT(upgraded, plans);
+}
+
+TEST(SchemeTest, GhoshLPPlanMatchesPerTileReference) {
+  expect_ghosh_plans_match_reference(SchemeKind::kGhoshLp);
+}
+
+TEST(SchemeTest, GhoshRobustPlanMatchesPerTileReference) {
+  expect_ghosh_plans_match_reference(SchemeKind::kGhoshRobust);
 }
 
 TEST(SchemeTest, OursUsesReducedFramesUnderFastSwitching) {

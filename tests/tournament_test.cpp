@@ -6,7 +6,8 @@
 //    out-of-range kinds / unknown names throw instead of misindexing.
 //  * lp_allocate: hand-computed fixtures plus an exhaustive-search sweep
 //    (concave utilities, budget ramp) pin the Ghosh allocator's optimality,
-//    floor handling, and lower-tile-index tie-breaking.
+//    floor handling, and lower-tile-index tie-breaking; a seeded battery pins
+//    it bit for bit to the rescanning greedy it replaced.
 //  * Hook forwarding audit: for every registered controller, observer-on is
 //    bit-identical to observer-off (the observer inertness guarantee), and
 //    the attached observer actually receives the controller's solve
@@ -15,9 +16,19 @@
 //    across PS360_THREADS in {1, 2, 8, hw} and shards in {0, 1, 4}; report
 //    shape, rank permutation, and borda arithmetic hold, and a cell's
 //    failure reaches the caller from the cell pool.
+//  * Tournament golden: every cell's FleetMetrics and every standing of the
+//    default report (the --quick matrix in unoptimized builds) pinned bit
+//    for bit in tests/data/tournament_golden.csv.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -30,7 +41,10 @@
 #include "sim/session.h"
 #include "sim/tournament.h"
 #include "trace/video_catalog.h"
+#include "util/rng.h"
 #include "util/worker_pool.h"
+
+#include "ghosh_reference.h"
 
 namespace ps360::sim {
 namespace {
@@ -174,6 +188,21 @@ double exhaustive_best_utility(const std::vector<double>& weights,
   return best;
 }
 
+std::vector<double> flatten(const std::vector<std::vector<double>>& ladders) {
+  std::vector<double> flat;
+  for (const std::vector<double>& ladder : ladders)
+    flat.insert(flat.end(), ladder.begin(), ladder.end());
+  return flat;
+}
+
+// lp_allocate on the fixtures' nested per-tile ladders, flattened.
+LpAllocation allocate(const std::vector<double>& weights,
+                      const std::vector<std::vector<double>>& bytes,
+                      const std::vector<std::vector<double>>& utility, double budget) {
+  return lp_allocate(weights, bytes.front().size(), flatten(bytes), flatten(utility),
+                     util::Bytes(budget));
+}
+
 TEST(LpAllocateTest, HandComputedFixture) {
   // Three identical tiles (levels cost 1/3/6 bytes for utility 0/10/16),
   // weights 1.0/2.0/0.5, budget 10. Floor costs 3; the weighted gain/byte
@@ -183,7 +212,7 @@ TEST(LpAllocateTest, HandComputedFixture) {
   const std::vector<double> weights = {1.0, 2.0, 0.5};
   const std::vector<std::vector<double>> bytes = {{1, 3, 6}, {1, 3, 6}, {1, 3, 6}};
   const std::vector<std::vector<double>> utility = {{0, 10, 16}, {0, 10, 16}, {0, 10, 16}};
-  const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(10.0));
+  const LpAllocation alloc = allocate(weights, bytes, utility, 10.0);
   EXPECT_TRUE(alloc.feasible);
   EXPECT_EQ(alloc.level, (std::vector<int>{1, 2, 0}));
   EXPECT_DOUBLE_EQ(alloc.utility, 1.0 * 10 + 2.0 * 16 + 0.5 * 0);
@@ -199,7 +228,7 @@ TEST(LpAllocateTest, MatchesExhaustiveSearchAcrossBudgets) {
   const std::vector<std::vector<double>> utility = {
       {0, 9, 15, 18}, {0, 8, 13, 15}, {0, 10, 17, 21}};
   for (double budget = 6.0; budget <= 62.0; budget += 1.0) {
-    const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(budget));
+    const LpAllocation alloc = allocate(weights, bytes, utility, budget);
     ASSERT_TRUE(alloc.feasible) << "budget " << budget;
     const double best = exhaustive_best_utility(weights, bytes, utility, budget);
     EXPECT_NEAR(alloc.utility, best, 1e-9) << "budget " << budget;
@@ -211,7 +240,7 @@ TEST(LpAllocateTest, InfeasibleFloorStaysAtFloor) {
   const std::vector<double> weights = {1.0, 1.0};
   const std::vector<std::vector<double>> bytes = {{5, 9}, {5, 9}};
   const std::vector<std::vector<double>> utility = {{0, 4}, {0, 4}};
-  const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(7.0));
+  const LpAllocation alloc = allocate(weights, bytes, utility, 7.0);
   EXPECT_FALSE(alloc.feasible);
   EXPECT_EQ(alloc.level, (std::vector<int>{0, 0}));
   EXPECT_DOUBLE_EQ(alloc.spent, 10.0);
@@ -222,7 +251,7 @@ TEST(LpAllocateTest, TiesBreakTowardLowerTileIndex) {
   const std::vector<double> weights = {1.0, 1.0};
   const std::vector<std::vector<double>> bytes = {{1, 3}, {1, 3}};
   const std::vector<std::vector<double>> utility = {{0, 5}, {0, 5}};
-  const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(4.0));
+  const LpAllocation alloc = allocate(weights, bytes, utility, 4.0);
   EXPECT_EQ(alloc.level, (std::vector<int>{1, 0}));
 }
 
@@ -232,9 +261,116 @@ TEST(LpAllocateTest, FreeUpgradesAlwaysTaken) {
   const std::vector<double> weights = {1.0};
   const std::vector<std::vector<double>> bytes = {{4, 3}};
   const std::vector<std::vector<double>> utility = {{0, 2}};
-  const LpAllocation alloc = lp_allocate(weights, bytes, utility, util::Bytes(4.0));
+  const LpAllocation alloc = allocate(weights, bytes, utility, 4.0);
   EXPECT_EQ(alloc.level, (std::vector<int>{1}));
   EXPECT_DOUBLE_EQ(alloc.spent, 3.0);
+}
+
+TEST(LpAllocateTest, SharedUtilityLadderMatchesPerTileCopies) {
+  const std::vector<double> weights = {1.0, 1.7, 0.6};
+  const std::vector<std::vector<double>> bytes = {
+      {2, 5, 11, 20}, {1, 4, 9, 17}, {3, 7, 14, 24}};
+  const std::vector<double> ladder = {0, 9, 15, 18};
+  for (double budget = 6.0; budget <= 62.0; budget += 1.0) {
+    const LpAllocation shared =
+        lp_allocate(weights, 4, flatten(bytes), ladder, util::Bytes(budget));
+    const LpAllocation copies = allocate(weights, bytes, {ladder, ladder, ladder}, budget);
+    EXPECT_EQ(shared.level, copies.level) << "budget " << budget;
+    EXPECT_EQ(shared.spent, copies.spent) << "budget " << budget;
+    EXPECT_EQ(shared.utility, copies.utility) << "budget " << budget;
+  }
+}
+
+TEST(LpAllocateTest, RejectsMismatchedLadders) {
+  const std::vector<double> weights = {1.0, 1.0};
+  const std::vector<double> bytes = {1, 3, 1, 3};
+  EXPECT_THROW(lp_allocate(weights, 3, bytes, std::vector<double>{0, 5, 6},
+                           util::Bytes(4.0)),
+               std::invalid_argument);
+  EXPECT_THROW(lp_allocate(weights, 2, bytes, std::vector<double>{0, 5, 6},
+                           util::Bytes(4.0)),
+               std::invalid_argument);
+  EXPECT_THROW(lp_allocate(weights, 0, std::vector<double>{}, std::vector<double>{},
+                           util::Bytes(4.0)),
+               std::invalid_argument);
+}
+
+// lp_allocate prices each upgrade once and drops closed tiles from its
+// scan; pinned bit for bit (level, spent, utility, feasible) to the
+// nested-vector greedy that re-priced every upgrade on each rescan
+// (tests/ghosh_reference.h). The seeded battery mixes shared and per-tile
+// utility ladders, negative- and zero-cost upgrades, non-positive gains,
+// equal ratios from coarse integer ladders, zero weights, infeasible floors
+// and budgets equal to partial sums of the ladders.
+TEST(LpAllocateTest, MatchesRescanningReferenceBitForBit) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  util::Rng rng(0x1A5Bu);
+  std::size_t upgraded = 0, infeasible = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t n = rng.uniform_index(34);
+    const std::size_t levels = 1 + rng.uniform_index(6);
+    const bool coarse = rng.bernoulli(0.5);  // integer ladders: equal ratios
+    const auto step = [&](double lo, double hi) {
+      return coarse ? std::floor(rng.uniform(lo, hi)) : rng.uniform(lo, hi);
+    };
+    std::vector<double> weights(n);
+    std::vector<std::vector<double>> bytes(n), utility(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      weights[i] = rng.bernoulli(0.1) ? 0.0 : rng.bernoulli(0.3) ? 1.0 : step(0.0, 3.0);
+      double b = step(0.0, 20.0), u = step(0.0, 10.0);
+      for (std::size_t l = 0; l < levels; ++l) {
+        bytes[i].push_back(b);
+        utility[i].push_back(u);
+        // Mostly costlier and better; sometimes free, cheaper or no better.
+        b += rng.bernoulli(0.15) ? -step(0.0, 6.0) : rng.bernoulli(0.1) ? 0.0 : step(0.0, 30.0);
+        u += rng.bernoulli(0.15) ? -step(0.0, 4.0) : rng.bernoulli(0.1) ? 0.0 : step(0.0, 12.0);
+      }
+    }
+    const bool shared = n > 0 && rng.bernoulli(0.5);
+    if (shared) {
+      for (std::size_t i = 1; i < n; ++i) utility[i] = utility[0];
+    }
+    // The floor, a partial sum of ladder costs, a draw, or below the floor.
+    double floor = 0.0;
+    for (std::size_t i = 0; i < n; ++i) floor += bytes[i][0];
+    double budget = 0.0;
+    switch (rng.uniform_index(4)) {
+      case 0:
+        budget = floor;
+        break;
+      case 1: {
+        budget = floor;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t top = rng.uniform_index(levels);
+          budget += bytes[i][top] - bytes[i][0];
+        }
+        break;
+      }
+      case 2:
+        budget = rng.uniform(0.0, 2.0 * floor + 100.0);
+        break;
+      default:
+        budget = floor - step(1.0, 10.0);
+        break;
+    }
+    budget = std::max(budget, 0.0);
+
+    const std::vector<double> flat_utility = shared ? utility.front() : flatten(utility);
+    const LpAllocation got =
+        lp_allocate(weights, levels, flatten(bytes), flat_utility, util::Bytes(budget));
+    const LpAllocation want =
+        reference::lp_allocate(weights, bytes, utility, util::Bytes(budget));
+    const std::string where = "trial " + std::to_string(trial);
+    ASSERT_EQ(got.level, want.level) << where;
+    ASSERT_EQ(bits(got.spent), bits(want.spent)) << where;
+    ASSERT_EQ(bits(got.utility), bits(want.utility)) << where;
+    ASSERT_EQ(got.feasible, want.feasible) << where;
+    for (const int level : got.level) upgraded += level > 0 ? 1 : 0;
+    infeasible += got.feasible ? 0 : 1;
+  }
+  // The battery reached both outcomes.
+  EXPECT_GT(upgraded, 1000u);
+  EXPECT_GT(infeasible, 100u);
 }
 
 // ------------------------------------------------- Hook-forwarding audit
@@ -433,6 +569,19 @@ TEST(TournamentTest, GroupSeedsAreSchemeInvariant) {
   }
 }
 
+// A scheme entered twice would rank against itself: identical play, two
+// different ranks.
+TEST(TournamentTest, RejectsADuplicateScheme) {
+  TournamentConfig config = tiny_tournament();
+  config.schemes = {SchemeKind::kOurs, SchemeKind::kOurs, SchemeKind::kCtile};
+  try {
+    run_tournament(config);
+    ADD_FAILURE() << "run_tournament accepted Ours twice";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("Ours"), std::string::npos) << e.what();
+  }
+}
+
 TEST(TournamentTest, ValidatesConfig) {
   TournamentConfig config = tiny_tournament();
   config.trace_ids = {3};
@@ -443,6 +592,115 @@ TEST(TournamentTest, ValidatesConfig) {
   config = tiny_tournament();
   config.video_index = 99;
   EXPECT_THROW(run_tournament(config), std::invalid_argument);
+}
+
+// ------------------------------------------------------ Tournament golden
+
+// Pins the tournament report across commits: TournamentTest compares runs of
+// one build, so it cannot see a change that moves every run alike.
+// tests/data/tournament_golden.csv holds one `config,key,value` line per
+// number, precision-17 (exact round trip): every cell's FleetMetrics and
+// every standing, in report order. An optimized build runs the default
+// config (examples/tournament); an unoptimized one (Debug, sanitizers,
+// coverage) runs the --quick matrix. To regenerate deliberately, run
+// tournament_test --gtest_filter='TournamentGoldenTest.*' in an optimized
+// build with PS360_TOURNAMENT_GOLDEN_OUT=tests/data/tournament_golden.csv
+// (it writes both configs' rows) and review the diff: any moved line is an
+// output change.
+#if defined(__OPTIMIZE__)
+constexpr bool kFullTournament = true;
+#else
+constexpr bool kFullTournament = false;
+#endif
+
+std::string golden_number(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+std::vector<std::string> tournament_golden_lines(bool quick) {
+  TournamentConfig config;
+  if (quick) {  // examples/tournament --quick
+    config.fleet_sizes = {2, 3};
+    config.video_duration_s = 10.0;
+  }
+  const TournamentReport report = run_tournament(config);
+  const std::string mode = quick ? "quick" : "full";
+  std::vector<std::string> lines;
+  const auto add = [&](const std::string& key, const std::string& value) {
+    lines.push_back(mode + "," + key + "," + value);
+  };
+  for (std::size_t i = 0; i < report.cells.size(); ++i) {
+    const TournamentCell& cell = report.cells[i];
+    const fleet::FleetMetrics& m = cell.metrics;
+    const std::string key = "cell." + std::to_string(i) + "." + scheme_name(cell.scheme) +
+                            ".t" + std::to_string(cell.trace_id) + "." +
+                            cell.fault_profile + ".n" + std::to_string(cell.sessions) + ".";
+    add(key + "sessions", std::to_string(m.sessions));
+    add(key + "energy_per_session_mj", golden_number(m.energy_per_session_mj));
+    add(key + "p50_energy_mj", golden_number(m.p50_energy_mj));
+    add(key + "p95_energy_mj", golden_number(m.p95_energy_mj));
+    add(key + "mean_qoe", golden_number(m.mean_qoe));
+    add(key + "p50_qoe", golden_number(m.p50_qoe));
+    add(key + "p95_qoe", golden_number(m.p95_qoe));
+    add(key + "stall_ratio", golden_number(m.stall_ratio));
+    add(key + "link_utilization", golden_number(m.link_utilization));
+    add(key + "mean_download_s", golden_number(m.mean_download_s));
+    add(key + "cache_hit_rate", golden_number(m.cache_hit_rate));
+    add(key + "origin_bytes", golden_number(m.origin_bytes.value()));
+  }
+  for (const TournamentStanding& s : report.standings) {
+    const std::string key =
+        "standing." + std::to_string(s.rank) + "." + scheme_name(s.scheme) + ".";
+    add(key + "borda", golden_number(s.borda));
+    add(key + "energy_rank", golden_number(s.energy_rank));
+    add(key + "qoe_rank", golden_number(s.qoe_rank));
+    add(key + "stall_rank", golden_number(s.stall_rank));
+    add(key + "mean_energy_mj", golden_number(s.mean_energy_mj));
+    add(key + "mean_qoe", golden_number(s.mean_qoe));
+    add(key + "mean_stall_ratio", golden_number(s.mean_stall_ratio));
+  }
+  return lines;
+}
+
+TEST(TournamentGoldenTest, ReportMatchesCheckedInGolden) {
+  const std::string mode = kFullTournament ? "full," : "quick,";
+  std::vector<std::string> actual;
+  if (const char* out = std::getenv("PS360_TOURNAMENT_GOLDEN_OUT")) {
+    // Writes both configs' rows; only this build's config is compared below.
+    std::vector<std::string> all = tournament_golden_lines(/*quick=*/false);
+    const std::vector<std::string> quick = tournament_golden_lines(/*quick=*/true);
+    all.insert(all.end(), quick.begin(), quick.end());
+    std::ofstream file(out);
+    file << "config,key,value\n";
+    for (const std::string& line : all) {
+      file << line << "\n";
+      if (line.rfind(mode, 0) == 0) actual.push_back(line);
+    }
+  } else {
+    actual = tournament_golden_lines(/*quick=*/!kFullTournament);
+  }
+
+  const std::filesystem::path golden_path =
+      std::filesystem::path(PS360_TEST_DATA_DIR) / "tournament_golden.csv";
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "cannot open " << golden_path;
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header, "config,key,value");
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(mode, 0) == 0) expected.push_back(line);
+  }
+
+  // Line by line, so a drift names the cell or standing and both values.
+  const std::size_t common = std::min(expected.size(), actual.size());
+  for (std::size_t i = 0; i < common; ++i)
+    EXPECT_EQ(actual[i], expected[i]) << "tournament drift at " << mode << " row " << i;
+  EXPECT_EQ(actual.size(), expected.size())
+      << "row count changed (golden " << expected.size() << " " << mode << " rows, actual "
+      << actual.size() << ")";
 }
 
 }  // namespace
