@@ -25,9 +25,8 @@ namespace {
 // quality 3 plus the background at quality 1 — under both encodings. The
 // radio energy is proportional to bytes at a fixed link rate.
 void fig2a(const bench::BenchOptions& options) {
-  video::EncodingConfig config;
-  config.seed = options.seed;
-  const video::EncodingModel model(config);
+  const video::EncodingConfig config;
+  const video::EncodingModel model(options.seed, config);
   const video::ContentFeatures content{50.0, 25.0};
 
   const double fov_area = 9.0 * config.ref_tile_area_fraction;

@@ -19,9 +19,7 @@ int main(int argc, char** argv) {
                       "18 videos)",
                       options);
 
-  trace::HeadSynthConfig config;
-  config.seed = options.seed;
-  const trace::HeadTraceSynthesizer synth(config);
+  const trace::HeadTraceSynthesizer synth(options.seed);
 
   const std::size_t users = options.quick ? 6 : 48;
   std::vector<double> speeds;

@@ -76,11 +76,11 @@ int main(int argc, char** argv) {
   uncapped.clustering.sigma = 360.0;
   uncapped.clustering.delta = 11.25;
   report("Fig. 6(a) — delta-linkage only (sigma disabled): the Ptile grows too large",
-         ptile::PtileBuilder(uncapped), centers);
+         ptile::PtileBuilder(geometry::Degrees(100.0), uncapped), centers);
 
   // Fig. 6(b): the paper's sigma = one tile width.
   report("Fig. 6(b) — with the sigma cap (45 deg): split into compact Ptiles",
-         ptile::PtileBuilder(), centers);
+         ptile::PtileBuilder(geometry::Degrees(100.0)), centers);
 
   std::printf("\nWith the cap, each served user downloads a much smaller "
               "high-quality footprint — the energy argument of Section IV-A.\n");

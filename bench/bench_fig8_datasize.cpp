@@ -22,9 +22,7 @@ void video_cdf(const trace::VideoInfo& video, const bench::BenchOptions& options
   wconfig.seed = options.seed;
   const sim::VideoWorkload workload(video, wconfig);
 
-  video::EncodingConfig econfig;
-  econfig.seed = options.seed;
-  const video::EncodingModel model(econfig);
+  const video::EncodingModel model(options.seed);
 
   std::printf("\nFig. 8 — video %d (%s)\n", video.id, video.name.c_str());
   util::TextTable table({"quality", "p10", "p25", "median", "p75", "p90",

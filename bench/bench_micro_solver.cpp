@@ -57,8 +57,7 @@ std::vector<core::SegmentChoices> make_horizon(std::size_t h, std::size_t option
 
 void BM_MpcDecide(benchmark::State& state) {
   const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 20);
-  core::MpcConfig config;
-  const core::MpcController controller(config,
+  const core::MpcController controller(util::Seconds(1.0), core::MpcConfig{},
                                        power::device_model(power::Device::kPixel3),
                                        core::MpcObjective::kMinEnergyQoEConstrained);
   for (auto _ : state) {
@@ -73,10 +72,10 @@ BENCHMARK(BM_MpcDecide)->Arg(3)->Arg(5)->Arg(10)->Arg(20);
 // zero-allocation reuse buys.
 void BM_MpcDecideColdScratch(benchmark::State& state) {
   const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 20);
-  core::MpcConfig config;
+  const core::MpcConfig config;
   const auto& device = power::device_model(power::Device::kPixel3);
   for (auto _ : state) {
-    const core::MpcController controller(config, device,
+    const core::MpcController controller(util::Seconds(1.0), config, device,
                                          core::MpcObjective::kMinEnergyQoEConstrained);
     benchmark::DoNotOptimize(controller.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5),
                                          50.0));
@@ -86,8 +85,7 @@ BENCHMARK(BM_MpcDecideColdScratch)->Arg(10)->Arg(20);
 
 void BM_MpcDecideQoeMax(benchmark::State& state) {
   const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 5);
-  core::MpcConfig config;
-  const core::MpcController controller(config,
+  const core::MpcController controller(util::Seconds(1.0), core::MpcConfig{},
                                        power::device_model(power::Device::kPixel3),
                                        core::MpcObjective::kMaxQoE);
   for (auto _ : state) {
@@ -102,8 +100,7 @@ BENCHMARK(BM_MpcDecideQoeMax)->Arg(5)->Arg(10);
 // bucket, at the paper's H = 5.
 void BM_MpcDecideQoeMax20(benchmark::State& state) {
   const auto horizon = make_horizon(static_cast<std::size_t>(state.range(0)), 20);
-  core::MpcConfig config;
-  const core::MpcController controller(config,
+  const core::MpcController controller(util::Seconds(1.0), core::MpcConfig{},
                                        power::device_model(power::Device::kPixel3),
                                        core::MpcObjective::kMaxQoE);
   for (auto _ : state) {
@@ -138,11 +135,10 @@ void BM_FtileLayout(benchmark::State& state) {
   video.duration_s = 20.0;
   const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
   const auto& centers = workload.training_centers(10);
-  ptile::FtileLayoutConfig config = workload.config().ftile;
-  config.seed = workload.config().seed;
-  config.fov_deg = workload.config().fov_deg;
+  const sim::WorkloadConfig& config = workload.config();
   for (auto _ : state) {
-    const ptile::FtileLayout layout(centers, config);
+    const ptile::FtileLayout layout(centers, config.ftile, util::Degrees(config.fov_deg),
+                                    config.seed);
     benchmark::DoNotOptimize(layout.tile_count());
   }
 }
@@ -186,7 +182,7 @@ BENCHMARK(BM_VideoWorkload)->Arg(20)->Arg(60)->UseRealTime();
 void BM_ViewportPredict(benchmark::State& state) {
   trace::VideoInfo video = trace::test_videos()[7];
   video.duration_s = static_cast<double>(state.range(0));
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(42);
   const trace::HeadTrace head = synth.synthesize(video, 0);
   const predict::ViewportPredictor predictor;
   double t = 2.0;
@@ -206,7 +202,7 @@ BENCHMARK(BM_ViewportPredict)->Arg(20)->Arg(60)->Arg(300);
 void BM_SwitchingSpeedWindow(benchmark::State& state) {
   trace::VideoInfo video = trace::test_videos()[7];
   video.duration_s = static_cast<double>(state.range(0));
-  const trace::HeadTrace head = trace::HeadTraceSynthesizer().synthesize(video, 0);
+  const trace::HeadTrace head = trace::HeadTraceSynthesizer(42).synthesize(video, 0);
   benchmark::DoNotOptimize(head.switching_speed(1.0, 2.0));
   double t = 2.0;
   for (auto _ : state) {
@@ -227,9 +223,7 @@ void BM_SchemePlan(benchmark::State& state, sim::SchemeKind kind) {
   const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
   benchmark::DoNotOptimize(workload.ftile(0));
   const sim::SessionConfig config;
-  video::EncodingConfig encoding_config = config.encoding;
-  encoding_config.seed = config.seed;
-  const video::EncodingModel encoding(encoding_config);
+  const video::EncodingModel encoding(config.seed, config.encoding);
   const qoe::QoModel qo_model(config.qo_params, config.qoe_bitrate_scale);
   const auto scheme =
       sim::make_scheme(kind, sim::SchemeEnv{&workload, &encoding, &qo_model, &config});
@@ -268,7 +262,7 @@ void BM_SizeNoiseRow(benchmark::State& state) {
   trace::VideoInfo video = trace::test_videos()[7];
   video.duration_s = 1.0;  // one segment
   const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
-  const video::EncodingModel encoding;
+  const video::EncodingModel encoding(42);
   for (auto _ : state) {
     const sim::SizeNoiseTable table(workload, encoding);
     double factor = table.row(0).ghosh_tile(sim::SizeNoiseTable::kGhoshTiles - 1,
@@ -280,7 +274,7 @@ void BM_SizeNoiseRow(benchmark::State& state) {
 BENCHMARK(BM_SizeNoiseRow);
 
 void BM_EncodingBytes(benchmark::State& state) {
-  const video::EncodingModel model;
+  const video::EncodingModel model(42);
   const video::ContentFeatures content{55.0, 35.0};
   std::uint64_t key = 1;
   for (auto _ : state) {
@@ -291,7 +285,7 @@ void BM_EncodingBytes(benchmark::State& state) {
 BENCHMARK(BM_EncodingBytes);
 
 void BM_SwitchingSpeedSeries(benchmark::State& state) {
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(42);
   const trace::HeadTrace head = synth.synthesize(trace::test_videos()[5], 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(head.switching_speed_series());

@@ -16,15 +16,16 @@ using EvalGrid = sim::EvaluationGrid;
 inline EvalGrid run_eval_grid(power::Device device, const BenchOptions& options,
                               bool verbose_progress = true) {
   sim::EvaluationOptions eval;
-  eval.seed = options.seed;
   eval.max_videos = options.quick ? 3 : 8;
-  eval.threads = 0;  // use all cores
   if (verbose_progress) {
     eval.progress = [](int video_id, int trace_id) {
       std::fprintf(stderr, "  [grid] video %d trace %d done\n", video_id, trace_id);
     };
   }
-  return sim::run_evaluation_grid(device, eval);
+  sim::SessionConfig session;
+  session.seed = options.seed;
+  session.device = device;
+  return sim::run_evaluation_grid(eval, session);
 }
 
 }  // namespace ps360::bench

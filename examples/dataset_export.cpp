@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) video_ids.push_back(std::atoi(argv[i]));
   if (video_ids.empty()) video_ids = {2, 8};  // one focused, one free video
 
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(42);
   std::size_t files = 0;
   for (int id : video_ids) {
     const trace::VideoInfo& video = trace::video_by_id(id);

@@ -227,8 +227,7 @@ int main(int argc, char** argv) {
 
   // Bottleneck provisioned for ~16 concurrent trace-2 clients.
   fleet::FleetRunOptions options;
-  options.replications = 2;
-  options.threads = 0;  // all cores (PS360_THREADS overrides)
+  options.replications = 2;  // on all cores (PS360_THREADS caps them)
   options.link.duration_s = 400.0;
   options.link.mean_mbps *= 16.0;
   options.link.min_mbps *= 16.0;

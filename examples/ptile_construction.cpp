@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   std::printf("video %d (%s), segment %zu\n", video.id, video.name.c_str(), segment);
 
   // Training users' viewing centers during this segment.
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(42);
   std::vector<geometry::EquirectPoint> centers;
   for (std::size_t u = 0; u < trace::kTrainingUsers; ++u) {
     const auto head = synth.synthesize(video, static_cast<int>(u));
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   }
 
   // Full Ptile construction (min-user rule, grid snapping, background).
-  const ptile::PtileBuilder builder;
+  const ptile::PtileBuilder builder(geometry::Degrees(100.0));  // the paper's FoV
   const auto ptiles = builder.build(centers);
   std::printf("\nPtiles (clusters with >= %zu users):\n",
               builder.config().min_users);
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
                 p, ptile.users.size(), ptile.rect.row_count, ptile.rect.col_count,
                 ptile.area.lon.lo, ptile.area.lon.width, ptile.area.y_lo,
                 ptile.area.y_hi, ptile.area.area_fraction() * 100.0);
-    const auto blocks = builder.background_block_areas(ptile);
+    const auto blocks = ptile::background_block_areas(ptile);
     std::printf("            background: %zu low-quality blocks covering %.1f%% "
                 "of the frame\n",
                 blocks.size(),
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
 
   // What the Ptile saves, per the encoding model.
   if (serving != nullptr) {
-    const video::EncodingModel encoding;
+    const video::EncodingModel encoding(42);
     const auto features = video::segment_features(video, segment);
     std::printf("\nencoded size of the served region at each quality "
                 "(Ptile vs %zu conventional tiles):\n",

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   std::printf("viewport prediction on video %d (%s), users 40..47 (held out)\n",
               video.id, video.name.c_str());
 
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(42);
   const predict::ViewportPredictor predictor;
 
   util::TextTable table({"horizon (s)", "mean error (deg)", "p90 error (deg)",

@@ -22,9 +22,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kStallPenaltyMjPerS = 1e7;
 
 // Eq. 6 buffer dynamics on the paper's 500 ms DP grid.
-BufferModel buffer_model_of(const MpcConfig& config) {
-  return BufferModel(util::Seconds(config.segment_seconds),
-                     util::Seconds(config.buffer_threshold_s),
+BufferModel buffer_model_of(util::Seconds segment, const MpcConfig& config) {
+  return BufferModel(segment, util::Seconds(config.buffer_threshold_s),
                      util::Seconds(config.buffer_quantum_s));
 }
 
@@ -88,20 +87,20 @@ const QualityOption& reference_option(const SegmentChoices& choices,
   return best != nullptr ? *best : *cheapest;
 }
 
-MpcController::MpcController(MpcConfig config, const power::DeviceModel& device,
-                             MpcObjective objective)
-    : config_(config), device_(&device), objective_(objective) {
+MpcController::MpcController(util::Seconds segment, MpcConfig config,
+                             const power::DeviceModel& device, MpcObjective objective)
+    : segment_(segment), config_(config), device_(&device), objective_(objective) {
   // Finite, and at most kMaxBufferStates grid states (decide() sizes its
   // frontier by the grid and rounds bucket quotients as int32s).
-  PS360_CHECK_MSG(std::isfinite(config_.segment_seconds) && config_.segment_seconds > 0.0,
-                  "MpcConfig.segment_seconds must be finite and > 0");
+  PS360_CHECK_MSG(std::isfinite(segment_.value()) && segment_.value() > 0.0,
+                  "MpcController segment length must be finite and > 0");
   PS360_CHECK_MSG(
       std::isfinite(config_.buffer_threshold_s) && config_.buffer_threshold_s > 0.0,
       "MpcConfig.buffer_threshold_s must be finite and > 0");
   PS360_CHECK_MSG(config_.buffer_quantum_s > 0.0 &&
                       config_.buffer_quantum_s <= config_.buffer_threshold_s,
                   "MpcConfig.buffer_quantum_s must be in (0, buffer_threshold_s]");
-  PS360_CHECK_MSG((config_.buffer_threshold_s + config_.segment_seconds) /
+  PS360_CHECK_MSG((config_.buffer_threshold_s + segment_.value()) /
                           config_.buffer_quantum_s <
                       kMaxBufferStates - 0.5,
                   "MpcConfig.buffer_quantum_s gives the MPC more than 4096 buffer states");
@@ -119,17 +118,14 @@ power::SegmentEnergy MpcController::option_energy(const QualityOption& option,
   PS360_CHECK(bandwidth_bytes_per_s > 0.0);
   return power::segment_energy(
       *device_, option.profile,
-      util::Seconds(option.bytes / bandwidth_bytes_per_s), option.fps,
-      util::Seconds(config_.segment_seconds));
+      util::Seconds(option.bytes / bandwidth_bytes_per_s), option.fps, segment_);
 }
 
 void MpcController::reference_qualities(const std::vector<SegmentChoices>& horizon,
                                         util::BytesPerSec bandwidth,
                                         std::vector<double>& q_ref) const {
   for (std::size_t i = 0; i < horizon.size(); ++i) {
-    q_ref[i] = reference_option(horizon[i], bandwidth,
-                                util::Seconds(config_.segment_seconds))
-                   .qo;
+    q_ref[i] = reference_option(horizon[i], bandwidth, segment_).qo;
   }
 }
 
@@ -199,7 +195,7 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
   const bool energy_mode = objective_ == MpcObjective::kMinEnergyQoEConstrained;
   const std::size_t h = horizon.size();
 
-  const BufferModel buffers = buffer_model_of(config_);
+  const BufferModel buffers = buffer_model_of(segment_, config_);
 
   const std::size_t buckets = buffers.bucket_count();
   // Frontier stride over the prev-option dimension: slot 0 is the virtual
@@ -262,7 +258,7 @@ MpcDecision MpcController::decide(const std::vector<SegmentChoices>& horizon,
     const double at_request = scratch.at_request_s[b];
     for (std::size_t oi = 0; oi < n_options; ++oi) {
       const double d = download_s[oi];
-      const double raw_next = std::max(at_request - d, 0.0) + config_.segment_seconds;
+      const double raw_next = std::max(at_request - d, 0.0) + segment_.value();
       scratch.row_stall[oi] = std::max(d - at_request, 0.0);
       scratch.row_next[oi] = round_bucket(std::min(raw_next, cap) / quantum);
     }
@@ -447,7 +443,7 @@ MpcDecision MpcController::decide_exhaustive(const std::vector<SegmentChoices>& 
     int root = -1;
     bool stalled = false;
   };
-  const BufferModel buffers = buffer_model_of(config_);
+  const BufferModel buffers = buffer_model_of(segment_, config_);
 
   auto search = [&](bool strict) {
     Best best;

@@ -56,7 +56,6 @@ struct SegmentChoices {
 enum class MpcObjective { kMaxQoE, kMinEnergyQoEConstrained };
 
 struct MpcConfig {
-  double segment_seconds = 1.0;    // L
   double buffer_threshold_s = 3.0; // β
   double buffer_quantum_s = 0.5;   // DP discretisation (paper: 500 ms)
   double epsilon = 0.05;           // QoE loss tolerance of constraint (8c)
@@ -129,7 +128,9 @@ struct MpcScratch {
 
 class MpcController {
  public:
-  MpcController(MpcConfig config, const power::DeviceModel& device,
+  // `segment` is the segment length L of Eq. 1 and Eq. 6 (the schemes pass
+  // their workload's WorkloadConfig::segment_seconds).
+  MpcController(util::Seconds segment, MpcConfig config, const power::DeviceModel& device,
                 MpcObjective objective);
 
   const MpcConfig& config() const { return config_; }
@@ -169,6 +170,7 @@ class MpcController {
                            util::BytesPerSec bandwidth,
                            std::vector<double>& q_ref) const;
 
+  util::Seconds segment_;  // L
   MpcConfig config_;
   const power::DeviceModel* device_;
   MpcObjective objective_;

@@ -42,7 +42,7 @@ std::vector<FleetResult> run_fleet_replications(const sim::VideoWorkload& worklo
   std::vector<std::unique_ptr<obs::EventTracer>> rep_tracers(n_reps);
   std::vector<obs::Observer> rep_observers(n_reps);
 
-  util::for_each_slot(n_reps, options.threads, [&](std::size_t r) {
+  util::for_each_slot(n_reps, [&](std::size_t r) {
     const std::uint64_t rep_seed = util::derive_seed(config.seed, kReplicationStream, r);
     trace::NetworkSynthConfig link_cfg = options.link;
     link_cfg.seed = rep_seed;
@@ -115,7 +115,7 @@ FleetAggregate run_fleet_aggregate(const sim::VideoWorkload& workload,
                                    const FleetConfig& config,
                                    const FleetRunOptions& options) {
   return aggregate_fleet(run_fleet_replications(workload, config, options),
-                         config.session.mpc.segment_seconds);
+                         workload.config().segment_seconds);
 }
 
 std::vector<FleetSweepPoint> sweep_fleet_sizes(const sim::VideoWorkload& workload,

@@ -5,15 +5,15 @@
 // Each replication r synthesizes its own bottleneck trace and start stagger
 // from seeds derived off (base seed, r) — the same (seed, stream) discipline
 // as the evaluation grid — and lands in result slot r, so aggregates are
-// bit-identical for any thread count (PS360_THREADS respected via
-// util::resolve_thread_count).
+// bit-identical for any thread budget (PS360_THREADS, or the hardware
+// concurrency; util/worker_pool.h).
 //
 // This runner parallelizes ACROSS replications (each slot runs a whole
 // run_fleet call), while FleetConfig::shards sends the speculative MPC
 // solves WITHIN one replication to the same pool (DESIGN.md §15). Both are
-// result-invariant, so any mix of `threads` × `shards` is bit-identical to
-// fully serial, and both draw on one thread budget (util/worker_pool.h), so
-// no mix runs more threads than the budget.
+// result-invariant, so any budget × `shards` is bit-identical to fully
+// serial, and both draw on the one thread budget, so no mix runs more
+// threads than the budget.
 #pragma once
 
 #include <vector>
@@ -23,11 +23,7 @@
 namespace ps360::fleet {
 
 struct FleetRunOptions {
-  std::size_t replications = 3;
-  // Threads over replications on the worker pool, capped by its thread
-  // budget; 0 = hardware concurrency. The PS360_THREADS environment
-  // variable overrides (util::resolve_thread_count).
-  std::size_t threads = 1;
+  std::size_t replications = 3;  // run on the worker pool, one slot each
   // Bottleneck trace synthesis per replication (seed field is overridden
   // with the derived per-replication seed). Scale mean/min/max to provision
   // the link for the fleet size under study.
@@ -53,7 +49,7 @@ std::vector<FleetResult> run_fleet_replications(const sim::VideoWorkload& worklo
 FleetAggregate aggregate_fleet(const std::vector<FleetResult>& results,
                                double segment_seconds);
 
-// Convenience: replications + aggregation in one call.
+// Convenience: replications + aggregation (at the workload's L) in one call.
 FleetAggregate run_fleet_aggregate(const sim::VideoWorkload& workload,
                                    const FleetConfig& config,
                                    const FleetRunOptions& options);

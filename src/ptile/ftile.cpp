@@ -15,7 +15,7 @@ using geometry::TileIndex;
 using geometry::Viewport;
 
 FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
-                         const FtileLayoutConfig& config)
+                         const FtileLayoutConfig& config, Degrees fov, std::uint64_t seed)
     : blocks_(config.block_rows, config.block_cols) {
   PS360_CHECK(config.tile_count >= 1);
   const std::size_t n_blocks = blocks_.tile_count();
@@ -38,8 +38,7 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   // a time by rows and columns (blocks_in_view).
   std::vector<std::size_t> views(n_blocks, 0);
   for (const auto& user_center : centers) {
-    const BlocksInView view =
-        blocks_in_view(Viewport(user_center, Degrees(config.fov_deg), Degrees(config.fov_deg)));
+    const BlocksInView view = blocks_in_view(Viewport(user_center, fov, fov));
     for (const std::size_t r : view.rows) {
       for (const std::size_t c : view.cols) ++views[r * blocks_.cols() + c];
     }
@@ -58,7 +57,7 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
     weights.push_back(1.0 + static_cast<double>(views[b]));
   }
 
-  util::Rng rng(util::derive_seed(config.seed, 0xF71E5ULL));
+  util::Rng rng(util::derive_seed(seed, 0xF71E5ULL));
   const KMeansResult clustering =
       kmeans(block_centers, weights, config.tile_count, rng);
 

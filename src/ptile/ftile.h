@@ -20,17 +20,17 @@ struct FtileLayoutConfig {
   std::size_t block_rows = 15;
   std::size_t block_cols = 30;
   std::size_t tile_count = 10;
-  std::uint64_t seed = 42;
-  double fov_deg = 100.0;  // FoV used when counting views per block
 };
 
 class FtileLayout {
  public:
   // Build the layout for one segment from the training users' viewing
-  // centers. Throws, naming the index, for a center with a non-finite
-  // coordinate or a colatitude outside [0, 180].
+  // centers, counting each user's views with an `fov` x `fov` viewport and
+  // seeding k-means from `seed` (the workload passes its WorkloadConfig
+  // fov_deg and seed). Throws, naming the index, for a center with a
+  // non-finite coordinate or a colatitude outside [0, 180].
   FtileLayout(const std::vector<geometry::EquirectPoint>& centers,
-              const FtileLayoutConfig& config);
+              const FtileLayoutConfig& config, geometry::Degrees fov, std::uint64_t seed);
 
   std::size_t tile_count() const { return tile_blocks_.size(); }
 

@@ -18,10 +18,11 @@ const Ptile* SegmentPtiles::covering(const Viewport& viewport,
   return nullptr;
 }
 
-PtileBuilder::PtileBuilder(PtileBuildConfig config)
-    : config_(config), grid_(config.grid_rows, config.grid_cols) {
+PtileBuilder::PtileBuilder(geometry::Degrees fov, PtileBuildConfig config)
+    : fov_(fov), config_(config), grid_(config.grid_rows, config.grid_cols) {
   PS360_CHECK(config_.min_users >= 1);
-  PS360_CHECK(config_.fov_deg > 0.0 && config_.fov_deg <= 180.0);
+  PS360_CHECK_MSG(fov_.value() > 0.0 && fov_.value() <= 180.0,
+                  "PtileBuilder's fov must be in (0, 180] degrees");
   PS360_CHECK_MSG(config_.tile_overlap_threshold >= 0.0 && config_.tile_overlap_threshold < 1.0,
                   "tile_overlap_threshold must be in [0, 1)");
 }
@@ -38,16 +39,9 @@ SegmentPtiles PtileBuilder::build(const std::vector<EquirectPoint>& centers) con
     // Footprint: union of the member users' FoV viewing areas, snapped
     // outward to conventional-tile boundaries ("encoding the conventional
     // tiles that cover the viewing areas of users in this cluster").
-    EquirectRect footprint =
-        Viewport(centers[group.front()], geometry::Degrees(config_.fov_deg),
-                 geometry::Degrees(config_.fov_deg))
-            .area();
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      footprint = footprint.united(
-          Viewport(centers[group[i]], geometry::Degrees(config_.fov_deg),
-                   geometry::Degrees(config_.fov_deg))
-              .area());
-    }
+    EquirectRect footprint = Viewport(centers[group.front()], fov_, fov_).area();
+    for (std::size_t i = 1; i < group.size(); ++i)
+      footprint = footprint.united(Viewport(centers[group[i]], fov_, fov_).area());
     Ptile ptile;
     ptile.rect = grid_.covering_rect(footprint, config_.tile_overlap_threshold);
     ptile.area = grid_.rect_area(ptile.rect);
@@ -64,7 +58,7 @@ SegmentPtiles PtileBuilder::build(const std::vector<EquirectPoint>& centers) con
   return out;
 }
 
-std::vector<double> PtileBuilder::background_block_areas(const Ptile& ptile) const {
+std::vector<double> background_block_areas(const Ptile& ptile) {
   // The frame splits into: a full-width strip above the Ptile, a full-width
   // strip below it, and — unless the Ptile spans all columns — the ring of
   // the Ptile's own rows outside the Ptile, kept as one wraparound block

@@ -22,7 +22,6 @@ struct PtileBuildConfig {
   std::size_t grid_cols = 8;
   ClustererConfig clustering;   // σ = tile width, δ = σ/4 by default
   std::size_t min_users = 5;    // 10% of the 48-user dataset, as in Sec. V-B
-  double fov_deg = 100.0;       // member viewing areas are FoV-sized
   // Boundary tiles overlapped by less than this fraction of their area are
   // not merged into the Ptile, in [0, 1). The schemes read the workload's
   // value for their FoV tiles too (how the paper's "nine FoV tiles" arise
@@ -48,7 +47,9 @@ struct SegmentPtiles {
 
 class PtileBuilder {
  public:
-  explicit PtileBuilder(PtileBuildConfig config = {});
+  // Member viewing areas are `fov` x `fov` viewports (the workload passes
+  // its WorkloadConfig::fov_deg), in (0, 180].
+  explicit PtileBuilder(geometry::Degrees fov, PtileBuildConfig config = {});
 
   const PtileBuildConfig& config() const { return config_; }
   const geometry::TileGrid& grid() const { return grid_; }
@@ -57,14 +58,15 @@ class PtileBuilder {
   // centers (index in `centers` == user index).
   SegmentPtiles build(const std::vector<geometry::EquirectPoint>& centers) const;
 
-  // Area fractions of the low-quality background blocks accompanying a
-  // Ptile: a strip above, a strip below, and the remaining ring at the
-  // Ptile's own rows (absent pieces omitted). Sums with the Ptile to 1.
-  std::vector<double> background_block_areas(const Ptile& ptile) const;
-
  private:
+  geometry::Degrees fov_;
   PtileBuildConfig config_;
   geometry::TileGrid grid_;
 };
+
+// Area fractions of the low-quality background blocks accompanying a
+// Ptile: a strip above, a strip below, and the remaining ring at the
+// Ptile's own rows (absent pieces omitted). Sums with the Ptile to 1.
+std::vector<double> background_block_areas(const Ptile& ptile);
 
 }  // namespace ps360::ptile

@@ -25,13 +25,6 @@ const SessionConfig& validated(const SessionConfig& config, const VideoWorkload&
                   "initial_bandwidth_bytes_per_s must be finite and > 0");
   PS360_CHECK_MSG(finite_positive(config.mpc.buffer_threshold_s),
                   "mpc.buffer_threshold_s must be finite and > 0");
-  PS360_CHECK_MSG(finite_positive(config.mpc.segment_seconds),
-                  "mpc.segment_seconds must be finite and > 0");
-  const double workload_segment_s = workload.config().segment_seconds;
-  PS360_CHECK_MSG(config.mpc.segment_seconds == workload_segment_s,
-                  util::strfmt("mpc.segment_seconds (%.17g) must equal the workload's "
-                               "WorkloadConfig::segment_seconds (%.17g)",
-                               config.mpc.segment_seconds, workload_segment_s));
   PS360_CHECK_MSG(finite_non_negative(config.mpc.stall_penalty_per_s),
                   "mpc.stall_penalty_per_s must be finite and >= 0");
   PS360_CHECK_MSG(finite_non_negative(config.mpc.weights.variation),
@@ -46,10 +39,30 @@ const SessionConfig& validated(const SessionConfig& config, const VideoWorkload&
                   "encoding.full_frame_mbps_best must be finite and > 0");
   PS360_CHECK_MSG(finite_non_negative(config.encoding.size_noise_sigma_log),
                   "encoding.size_noise_sigma_log must be finite and >= 0");
+  // Eq. 3's content factor, intercept + si_slope * SI + ti_slope * TI, then
+  // stays positive for every SI, TI >= 0.
+  PS360_CHECK_MSG(finite_positive(config.encoding.content_intercept),
+                  "encoding.content_intercept must be finite and > 0");
+  PS360_CHECK_MSG(finite_non_negative(config.encoding.content_si_slope),
+                  "encoding.content_si_slope must be finite and >= 0");
+  PS360_CHECK_MSG(finite_non_negative(config.encoding.content_ti_slope),
+                  "encoding.content_ti_slope must be finite and >= 0");
+  PS360_CHECK_MSG(std::isfinite(config.qo_params.c1), "qo_params.c1 must be finite");
+  PS360_CHECK_MSG(std::isfinite(config.qo_params.c2), "qo_params.c2 must be finite");
+  PS360_CHECK_MSG(std::isfinite(config.qo_params.c3), "qo_params.c3 must be finite");
+  PS360_CHECK_MSG(std::isfinite(config.qo_params.c4), "qo_params.c4 must be finite");
+  PS360_CHECK_MSG(finite_positive(config.predictor.history_seconds),
+                  "predictor.history_seconds must be finite and > 0");
+  PS360_CHECK_MSG(finite_non_negative(config.predictor.lambda),
+                  "predictor.lambda must be finite and >= 0");
+  PS360_CHECK_MSG(finite_positive(config.predictor.max_horizon_s),
+                  "predictor.max_horizon_s must be finite and > 0");
   // lround(steps) + 1 <= kMaxBufferStates, tested before lround could see a
-  // ratio too large for a long. NaN fails it too.
-  const double steps = (config.mpc.buffer_threshold_s + config.mpc.segment_seconds) /
-                       config.mpc.buffer_quantum_s;
+  // ratio too large for a long. NaN fails it too. The workload has checked
+  // its segment length.
+  const double steps =
+      (config.mpc.buffer_threshold_s + workload.config().segment_seconds) /
+      config.mpc.buffer_quantum_s;
   PS360_CHECK_MSG(steps < core::kMaxBufferStates - 0.5,
                   "mpc.buffer_quantum_s gives the MPC more than 4096 buffer states");
 
@@ -69,30 +82,19 @@ const SessionConfig& validated(const SessionConfig& config, const VideoWorkload&
   return config;
 }
 
-namespace {
-
-video::EncodingConfig seeded_encoding(const SessionConfig& config) {
-  video::EncodingConfig enc_cfg = config.encoding;
-  enc_cfg.seed = config.seed;
-  return enc_cfg;
-}
-
-}  // namespace
-
 SessionAccountant::SessionAccountant(const VideoWorkload& workload,
                                      std::size_t test_user, SchemeKind scheme,
                                      const SessionConfig& config)
     : workload_(&workload),
       test_user_(test_user),
       config_(validated(config, workload)),
-      encoding_(seeded_encoding(config)),
-      qo_model_(config.qo_params, config.qoe_bitrate_scale),
-      qoe_model_(config.mpc.weights),
+      encoding_(config_.seed, config_.encoding),
+      qo_model_(config_.qo_params, config_.qoe_bitrate_scale),
+      qoe_model_(config_.mpc.weights),
       scheme_(make_scheme(scheme, SchemeEnv{&workload, &encoding_, &qo_model_, &config_})) {
   PS360_CHECK(test_user < workload.test_user_count());
   result_.scheme = scheme;
   result_.segments.reserve(workload.segment_count());
-  qoe_segments_.reserve(workload.segment_count());
 }
 
 void SessionAccountant::attach_observer(obs::Observer* observer,
@@ -123,7 +125,7 @@ void SessionAccountant::record(const ClientRequest& request,
 
   const std::size_t k = request.segment;
   const DownloadPlan& plan = request.plan;
-  const double L = config_.mpc.segment_seconds;
+  const double L = workload_->config().segment_seconds;
   const double beta = config_.mpc.buffer_threshold_s;
 
   // Delivered quality against the ground-truth viewport.
@@ -155,7 +157,6 @@ void SessionAccountant::record(const ClientRequest& request,
              : qoe_model_.segment(qo_eff, prev_actual_qo_,
                                   util::Seconds(download_s),
                                   util::Seconds(request.buffer_at_request_s));
-  qoe_segments_.push_back(seg_qoe);
 
   const power::SegmentEnergy energy =
       power::segment_energy(power::device_model(config_.device), plan.option.profile,
@@ -178,15 +179,6 @@ void SessionAccountant::record(const ClientRequest& request,
   record.energy = energy;
   result_.segments.push_back(record);
 
-  result_.energy += energy;
-  result_.total_stall_s += stall_s;
-  if (stall_s > 0.0) ++result_.rebuffer_events;
-  result_.mean_quality += static_cast<double>(plan.option.quality);
-  result_.mean_fps += plan.option.fps;
-  result_.mean_coverage += cov;
-  result_.ptile_usage += plan.used_ptile ? 1.0 : 0.0;
-  result_.total_bytes += plan.option.bytes;
-
   prev_actual_qo_ = qo_eff;
 
   if (observer_ != nullptr) {
@@ -208,14 +200,11 @@ void SessionAccountant::record(const ClientRequest& request,
 
 SessionResult SessionAccountant::finish() {
   PS360_CHECK_MSG(!finished_, "finish() called twice");
+  PS360_CHECK_MSG(result_.segments.size() == workload_->segment_count(),
+                  util::strfmt("finish() after %zu of the session's %zu segments",
+                               result_.segments.size(), workload_->segment_count()));
   finished_ = true;
-  const double n = static_cast<double>(
-      std::max<std::size_t>(workload_->segment_count(), 1));
-  result_.mean_quality /= n;
-  result_.mean_fps /= n;
-  result_.mean_coverage /= n;
-  result_.ptile_usage /= n;
-  result_.qoe = qoe::SessionQoE::aggregate(qoe_segments_);
+  aggregate_segments(result_);
   return std::move(result_);
 }
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "sim/client.h"
 #include "sim/session.h"
@@ -52,8 +51,9 @@ class SessionAccountant {
   void record(const ClientRequest& request, util::Seconds download,
               util::Seconds stall);
 
-  // Aggregate into the SessionResult (Eq. 2 session QoE, means). Call once,
-  // after the final record().
+  // Aggregate the records into the SessionResult (aggregate_segments: Eq. 2
+  // session QoE, sums, means). Call once, after the session's last segment
+  // is recorded; throws if any segment is missing.
   SessionResult finish();
 
  private:
@@ -66,7 +66,6 @@ class SessionAccountant {
   std::unique_ptr<Scheme> scheme_;
 
   SessionResult result_;
-  std::vector<qoe::SegmentQoE> qoe_segments_;
   double prev_actual_qo_ = -1.0;
   bool finished_ = false;
 

@@ -81,7 +81,7 @@ void StreamingClient::attach_observer(obs::Observer* observer, std::uint32_t ses
 }
 
 double StreamingClient::playhead_s() const {
-  const double L = config_.mpc.segment_seconds;
+  const double L = workload_->config().segment_seconds;
   return std::clamp(static_cast<double>(next_segment_) * L - buffer_s_, 0.0,
                     head_->duration());
 }
@@ -110,7 +110,7 @@ ClientRequest StreamingClient::finish_plan() {
   PS360_CHECK_MSG(planning_, "finish_plan without a begin_plan");
   planning_ = false;
 
-  const double L = config_.mpc.segment_seconds;
+  const double L = workload_->config().segment_seconds;
   const std::size_t k = next_segment_;
   ClientRequest request = current_request_;
 
@@ -300,7 +300,7 @@ double StreamingClient::complete_download(util::Seconds download) {
   wall_t_ += download_s;
 
   // Eq. 6 (the wait already happened in begin_plan, so no further Δt here).
-  const core::BufferModel buffers(util::Seconds(config_.mpc.segment_seconds),
+  const core::BufferModel buffers(util::Seconds(workload_->config().segment_seconds),
                                   util::Seconds(config_.mpc.buffer_threshold_s),
                                   util::Seconds(config_.mpc.buffer_quantum_s));
   const core::BufferStep step =

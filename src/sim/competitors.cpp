@@ -116,7 +116,7 @@ class GhoshScheme : public SchemeBase {
     using video::QualityLadder;
     const auto& feat = env_.workload->features(k);
     const SizeNoiseRow noise = noise_->row(k);
-    const double L = env_.session->mpc.segment_seconds;
+    const double L = env_.workload->config().segment_seconds;
 
     // Candidate (allocated) tiles, as row-major tile ids in allocation
     // order, and their weights.

@@ -49,17 +49,12 @@ double EvaluationGrid::qoe_metric(const EvaluationCell& cell) {
   return cell.result.qoe.mean_q;
 }
 
-EvaluationGrid run_evaluation_grid(power::Device device,
-                                   const EvaluationOptions& options,
-                                   SessionConfig session) {
+EvaluationGrid run_evaluation_grid(const EvaluationOptions& options,
+                                   const SessionConfig& session) {
   PS360_CHECK(options.max_videos >= 1);
   EvaluationGrid grid;
   const auto traces =
-      trace::make_paper_traces(options.seed,
-                               util::Seconds(options.network_duration_s));
-
-  session.seed = options.seed;
-  session.device = device;
+      trace::make_paper_traces(session.seed, util::Seconds(options.network_duration_s));
 
   const auto& videos = trace::test_videos();
   const std::size_t n_videos = std::min(options.max_videos, videos.size());
@@ -71,9 +66,9 @@ EvaluationGrid run_evaluation_grid(power::Device device,
   // the per-video slots, so contention here cannot reorder results.
   std::mutex progress_mutex;
 
-  util::for_each_slot(n_videos, options.threads, [&](std::size_t vi) {
+  util::for_each_slot(n_videos, [&](std::size_t vi) {
     WorkloadConfig wconfig;
-    wconfig.seed = options.seed;
+    wconfig.seed = session.seed;
     const VideoWorkload workload(videos[vi], wconfig);
     for (int trace_id = 1; trace_id <= 2; ++trace_id) {
       const trace::NetworkTrace& net = trace_id == 1 ? traces.first : traces.second;

@@ -39,24 +39,19 @@ struct EvaluationGrid {
 };
 
 struct EvaluationOptions {
-  std::uint64_t seed = 42;
   std::size_t max_videos = 8;          // trim for quick runs
   double network_duration_s = 700.0;   // synthesized trace length
-  // Threads over videos on the worker pool, within its thread budget (cells
-  // are independent and all randomness is seed-keyed, so the result is
-  // identical for any thread count; 0 = hardware concurrency). PS360_THREADS,
-  // when set, overrides this — see util::resolve_thread_count().
-  std::size_t threads = 1;
   // Called after each (video, trace) block completes, for progress display.
-  // With threads > 1 calls may arrive out of video order (but never
-  // concurrently).
+  // The videos run on the worker pool, so calls may arrive out of video
+  // order (but never concurrently).
   std::function<void(int video_id, int trace_id)> progress;
 };
 
-// Run the grid for one device. `session` parametrises every cell (its seed
-// and device are overridden per the options/device arguments).
-EvaluationGrid run_evaluation_grid(power::Device device,
-                                   const EvaluationOptions& options = {},
-                                   SessionConfig session = {});
+// Run the grid on `session.device`, every cell with `session`, whose seed
+// also keys the paper traces and every video's workload. The videos run on
+// the worker pool (cells are independent and all randomness is seed-keyed,
+// so the grid is identical for any thread budget).
+EvaluationGrid run_evaluation_grid(const EvaluationOptions& options = {},
+                                   const SessionConfig& session = {});
 
 }  // namespace ps360::sim

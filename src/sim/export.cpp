@@ -35,7 +35,6 @@ SessionResult import_segments_csv(const std::filesystem::path& path) {
   PS360_CHECK_MSG(!path.empty(), "import path must be non-empty");
   const util::CsvTable table = util::read_csv_file(path, /*has_header=*/true);
   SessionResult result;
-  std::vector<qoe::SegmentQoE> qoe_segments;
   auto col = [&table](const char* name) { return table.column(name); };
   const std::size_t c_index = col("segment"), c_quality = col("quality"),
                     c_frame = col("frame_index"), c_fps = col("fps"),
@@ -65,24 +64,9 @@ SessionResult import_segments_csv(const std::filesystem::path& path) {
     seg.energy.transmit_mj = row[c_et];
     seg.energy.decode_mj = row[c_ed];
     seg.energy.render_mj = row[c_er];
-
-    result.energy += seg.energy;
-    result.total_stall_s += seg.stall_s;
-    if (seg.stall_s > 0.0) ++result.rebuffer_events;
-    result.mean_quality += static_cast<double>(seg.quality);
-    result.mean_fps += seg.fps;
-    result.mean_coverage += seg.coverage;
-    result.ptile_usage += seg.used_ptile ? 1.0 : 0.0;
-    result.total_bytes += seg.bytes;
-    qoe_segments.push_back(seg.qoe);
     result.segments.push_back(std::move(seg));
   }
-  const double n = static_cast<double>(std::max<std::size_t>(result.segments.size(), 1));
-  result.mean_quality /= n;
-  result.mean_fps /= n;
-  result.mean_coverage /= n;
-  result.ptile_usage /= n;
-  result.qoe = qoe::SessionQoE::aggregate(qoe_segments);
+  aggregate_segments(result);
   return result;
 }
 

@@ -192,8 +192,8 @@ class MpcScheme : public SchemeBase {
  public:
   MpcScheme(SchemeKind kind, const SchemeEnv& env, core::MpcObjective objective)
       : SchemeBase(kind, env),
-        controller_(env.session->mpc, power::device_model(env.session->device),
-                    objective) {}
+        controller_(util::Seconds(env.workload->config().segment_seconds), env.session->mpc,
+                    power::device_model(env.session->device), objective) {}
 
  protected:
   // Build the horizon [k, horizon_end(k)), solve it, and return the plan's

@@ -98,7 +98,7 @@ class CtileScheme : public MpcScheme {
     const std::size_t n_hq = rect.tile_count();
     const std::size_t n_bg = grid_.tile_count() - n_hq;
     const double bg_area = std::max(1.0 - hq_area, 0.0);
-    const double L = env_.session->mpc.segment_seconds;
+    const double L = workload.config().segment_seconds;
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kCtileHq;
@@ -153,7 +153,7 @@ class FtileScheme : public MpcScheme {
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
-    const double L = env_.session->mpc.segment_seconds;
+    const double L = workload.config().segment_seconds;
 
     // The FoV tile set is computed against each lookahead segment's own
     // layout (layouts are per-segment server-side artifacts). It depends on
@@ -215,7 +215,7 @@ class NontileScheme : public MpcScheme {
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
     const auto& workload = *env_.workload;
-    const double L = env_.session->mpc.segment_seconds;
+    const double L = workload.config().segment_seconds;
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kNontile;
@@ -247,7 +247,6 @@ class PtileScheme : public MpcScheme {
   PtileScheme(SchemeKind kind, const SchemeEnv& env, bool frame_adaptation)
       : MpcScheme(kind, env, core::MpcObjective::kMinEnergyQoEConstrained),
         frame_adaptation_(frame_adaptation),
-        builder_(env.workload->config().ptile),
         fallback_(SchemeKind::kCtile, env, /*frame_options=*/false) {}
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
@@ -262,9 +261,9 @@ class PtileScheme : public MpcScheme {
       return fallback_.plan(k, predicted, predicted_sfov, bandwidth, buffer, prev_qo);
     }
 
-    const double L = env_.session->mpc.segment_seconds;
+    const double L = workload.config().segment_seconds;
     const double ptile_area = ptile->area.area_fraction();
-    const std::vector<double> bg_areas = builder_.background_block_areas(*ptile);
+    const std::vector<double> bg_areas = ptile::background_block_areas(*ptile);
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kPtile;
@@ -287,7 +286,6 @@ class PtileScheme : public MpcScheme {
 
  private:
   bool frame_adaptation_;
-  ptile::PtileBuilder builder_;
   CtileScheme fallback_;
 };
 

@@ -4,10 +4,43 @@
 // step reads a real clock.
 #include "sim/session.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "fleet/engine.h"
 #include "util/check.h"
 
 namespace ps360::sim {
+
+void aggregate_segments(SessionResult& result) {
+  power::SegmentEnergy energy;
+  double total_stall_s = 0.0;
+  std::size_t rebuffer_events = 0;
+  double quality = 0.0, fps = 0.0, coverage = 0.0, ptile = 0.0, bytes = 0.0;
+  std::vector<qoe::SegmentQoE> qoe;
+  qoe.reserve(result.segments.size());
+  for (const SegmentRecord& seg : result.segments) {
+    energy += seg.energy;
+    total_stall_s += seg.stall_s;
+    if (seg.stall_s > 0.0) ++rebuffer_events;
+    quality += static_cast<double>(seg.quality);
+    fps += seg.fps;
+    coverage += seg.coverage;
+    ptile += seg.used_ptile ? 1.0 : 0.0;
+    bytes += seg.bytes;
+    qoe.push_back(seg.qoe);
+  }
+  const double n = static_cast<double>(std::max<std::size_t>(result.segments.size(), 1));
+  result.energy = energy;
+  result.total_stall_s = total_stall_s;
+  result.rebuffer_events = rebuffer_events;
+  result.mean_quality = quality / n;
+  result.mean_fps = fps / n;
+  result.mean_coverage = coverage / n;
+  result.ptile_usage = ptile / n;
+  result.total_bytes = bytes;
+  result.qoe = qoe::SessionQoE::aggregate(qoe);
+}
 
 SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
                                SchemeKind scheme_kind,

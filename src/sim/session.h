@@ -60,6 +60,14 @@ struct SessionResult {
   double total_bytes = 0.0;
 };
 
+// Sets every aggregate of `result` from its segment records, summed in
+// segment order: energy, stall time, rebuffer events and bytes as totals;
+// quality, fps, coverage and Ptile usage as means over the records; the
+// Eq. 2 means through qoe::SessionQoE::aggregate. The one aggregation of a
+// session: SessionAccountant::finish and import_segments_csv both call it,
+// so an imported session's aggregates equal the simulated ones bit for bit.
+void aggregate_segments(SessionResult& result);
+
 // Simulate one session: fleet::run_fleet with one session replaying
 // `test_user`, no start stagger, one engine thread and the fleet seed set to
 // config.seed (it keys the fault and retry streams). The network trace is

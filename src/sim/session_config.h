@@ -1,8 +1,9 @@
 // The one parameter set of a streaming session (Section IV): the MPC's H,
-// L, β and ε, the estimators, the coverage and tile rules, the encoding and
+// β and ε, the estimators, the coverage and tile rules, the encoding and
 // QoE models, and the fault and recovery policies. The accountant, the
 // client and every scheme read this one struct, and validated() (defined in
-// accounting.cpp) is its one check. Declarations only.
+// accounting.cpp) is its one check. L is WorkloadConfig::segment_seconds.
+// Declarations only.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +47,7 @@ struct SessionConfig {
   // axis; see DESIGN.md §6).
   double qoe_bitrate_scale = 4.0;
 
-  core::MpcConfig mpc;                 // L, β, quantum, ε, (ω_v, ω_r)
+  core::MpcConfig mpc;                 // β, quantum, ε, (ω_v, ω_r)
   std::size_t mpc_horizon = 5;         // H
   std::size_t bandwidth_window = 5;    // harmonic-mean window (segments)
   double initial_bandwidth_bytes_per_s = 500e3;  // estimator prior
@@ -76,9 +77,10 @@ struct SessionConfig {
 // `config`, or throws std::invalid_argument naming the first bad field. The
 // accountant, the client and every scheme call it before they build anything
 // from the config. Each rejected value would otherwise be absorbed silently
-// (a coverage floor above 1 disables Ptile, an L other than the workload's
-// misaligns every segment) or fail far from its cause (an infinite stall
-// penalty in the MPC's internal assert, a NaN FoV padding at the first plan).
+// (a coverage floor above 1 disables Ptile, an infinite ridge penalty moves
+// every prediction) or fail far from its cause (an infinite stall penalty in
+// the MPC's internal assert, a NaN FoV padding at the first plan, a NaN
+// content intercept in the encoding model's assert).
 const SessionConfig& validated(const SessionConfig& config, const VideoWorkload& workload);
 
 }  // namespace ps360::sim

@@ -147,7 +147,7 @@ TournamentReport run_tournament(const TournamentConfig& config) {
                      return fleet_size(a) > fleet_size(b);
                    });
 
-  util::for_each_slot(claim_order.size(), 0, [&](std::size_t slot) {
+  util::for_each_slot(claim_order.size(), [&](std::size_t slot) {
     const std::size_t c = claim_order[slot];
     const std::size_t g = c / n, s = c % n;
     const std::size_t si = g % n_sizes;
@@ -172,7 +172,7 @@ TournamentReport run_tournament(const TournamentConfig& config) {
     cell.trace_id = config.trace_ids[ti];
     cell.fault_profile = profiles[fi].name;
     cell.sessions = fc.sessions;
-    cell.metrics = result.metrics(fc.session.mpc.segment_seconds);
+    cell.metrics = result.metrics(workload.config().segment_seconds);
   });
 
   // Rank after the join, group by group in grid order, so every sum adds

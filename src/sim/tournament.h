@@ -11,7 +11,7 @@
 // Determinism contract: run_tournament is a pure function of its config.
 // Each cell runs through fleet::run_fleet, which is bit-identical for any
 // shard count and any PS360_THREADS (DESIGN.md §15). The cells run on the
-// worker pool through util::for_each_slot(cells, 0, …), largest fleets
+// worker pool through util::for_each_slot(cells, …), largest fleets
 // first, each into its own report slot (PS360_THREADS=1 runs them
 // serially). Ranking happens after the join in grid order, and it and the
 // to_json() serialization are branch-free over ordered containers with

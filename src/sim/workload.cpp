@@ -5,6 +5,7 @@
 #include "sim/workload.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -40,7 +41,7 @@ SizeNoiseTable::SizeNoiseTable(const VideoWorkload& workload,
       values_(workload.segment_count() * kRowSize) {}
 
 bool SizeNoiseTable::draws_like(const video::EncodingModel& encoding) const {
-  return encoding.config().seed == encoding_.config().seed &&
+  return encoding.seed() == encoding_.seed() &&
          encoding.config().size_noise_sigma_log == encoding_.config().size_noise_sigma_log;
 }
 
@@ -73,19 +74,16 @@ SizeNoiseRow SizeNoiseTable::row(std::size_t segment) const {
 
 VideoWorkload::VideoWorkload(const trace::VideoInfo& video, WorkloadConfig config)
     : video_(video), config_(config) {
+  PS360_CHECK_MSG(std::isfinite(config_.segment_seconds) && config_.segment_seconds > 0.0,
+                  "WorkloadConfig::segment_seconds must be finite and > 0");
+  PS360_CHECK_MSG(config_.fov_deg > 0.0 && config_.fov_deg <= 180.0,
+                  "WorkloadConfig::fov_deg must be in (0, 180]");
   PS360_CHECK(config_.n_training_users >= 1);
   PS360_CHECK(config_.n_users > config_.n_training_users);
-  PS360_CHECK(config_.segment_seconds > 0.0);
 
-  ptile::PtileBuildConfig ptile_cfg = config_.ptile;
-  ptile_cfg.fov_deg = config_.fov_deg;
-  const ptile::PtileBuilder builder(ptile_cfg);
-
-  // Propagate the workload seed into the synthesizer so one seed controls
-  // the whole universe.
-  trace::HeadSynthConfig head = config_.head;
-  head.seed = config_.seed;
-  const trace::HeadTraceSynthesizer synth(head);
+  // The one seed and the one FoV reach every builder from here.
+  const ptile::PtileBuilder builder(util::Degrees(config_.fov_deg), config_.ptile);
+  const trace::HeadTraceSynthesizer synth(config_.seed, config_.head);
   traces_ = synth.synthesize_all(video_, config_.n_users);
 
   // Segment k reads only the traces and the const builder and writes only
@@ -94,7 +92,7 @@ VideoWorkload::VideoWorkload(const trace::VideoInfo& video, WorkloadConfig confi
   features_.resize(n_segments);
   centers_.resize(n_segments);
   ptiles_.resize(n_segments);
-  util::for_each_slot(n_segments, 0, [&](std::size_t k) {
+  util::for_each_slot(n_segments, [&](std::size_t k) {
     features_[k] = video::segment_features(video_, k, config_.seed);
 
     const double t0 = static_cast<double>(k) * config_.segment_seconds;
@@ -126,12 +124,11 @@ const ptile::SegmentPtiles& VideoWorkload::ptiles(std::size_t segment) const {
 const ptile::FtileLayout& VideoWorkload::ftile(std::size_t segment) const {
   PS360_CHECK(segment < centers_.size());
   std::call_once(ftiles_built_, [this] {
-    ptile::FtileLayoutConfig cfg = config_.ftile;
-    cfg.seed = config_.seed;
-    cfg.fov_deg = config_.fov_deg;
     std::vector<ptile::FtileLayout> layouts;
     layouts.reserve(centers_.size());
-    for (const auto& centers : centers_) layouts.emplace_back(centers, cfg);
+    for (const auto& centers : centers_)
+      layouts.emplace_back(centers, config_.ftile, util::Degrees(config_.fov_deg),
+                           config_.seed);
     ftiles_ = std::move(layouts);
   });
   return ftiles_[segment];

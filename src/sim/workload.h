@@ -16,7 +16,7 @@
 //    (DESIGN.md §17)),
 //  * per-encoding size-noise tables (the second lazy artifact): every
 //    encode's lognormal size factor, keyed by the encoding's (seed, σ), the
-//    only two fields EncodingModel::size_noise reads. The first scheme built
+//    only two values EncodingModel::size_noise reads. The first scheme built
 //    for a pair creates its table under a mutex; each segment's row is drawn
 //    at its first plan under its own std::call_once, never in the
 //    constructor. Every session, fleet and grid cell that plans over the
@@ -128,8 +128,8 @@ struct WorkloadConfig {
   double segment_seconds = 1.0;
   std::size_t n_users = trace::kDatasetUsers;            // 48
   std::size_t n_training_users = trace::kTrainingUsers;  // 40
-  // The viewport size; it overrides ptile.fov_deg and ftile.fov_deg, so the
-  // Ptile members and Ftile views are as large as the viewports played.
+  // The viewport size, in (0, 180]: the Ptile members, the Ftile views and
+  // the viewports played are all this large.
   double fov_deg = 100.0;
   trace::HeadSynthConfig head;          // head-trace synthesis knobs
   ptile::PtileBuildConfig ptile;        // Algorithm 1 / builder knobs
@@ -140,9 +140,11 @@ class VideoWorkload {
  public:
   // Builds the traces, features, centers and Ptiles on the worker pool
   // (util::for_each_slot): the users, then the segments, each writing only
-  // its own slot, so every thread count builds the same bits. Throws
-  // std::invalid_argument for a bad config, e.g. a
-  // ptile.tile_overlap_threshold outside [0, 1).
+  // its own slot, so every thread count builds the same bits. Its seed,
+  // fov_deg and segment_seconds have no other copy: the builders take them
+  // as arguments. Throws std::invalid_argument naming a bad field, e.g. a
+  // segment_seconds that is not finite and > 0 or an fov_deg outside
+  // (0, 180].
   VideoWorkload(const trace::VideoInfo& video, WorkloadConfig config);
 
   const trace::VideoInfo& video() const { return video_; }

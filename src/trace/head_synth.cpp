@@ -55,8 +55,8 @@ EquirectPoint AttractorPath::at(double t) const {
   return EquirectPoint{geometry::wrap360(geometry::Degrees(lon)).value(), y};
 }
 
-HeadTraceSynthesizer::HeadTraceSynthesizer(HeadSynthConfig config)
-    : config_(config) {
+HeadTraceSynthesizer::HeadTraceSynthesizer(std::uint64_t seed, HeadSynthConfig config)
+    : seed_(seed), config_(config) {
   PS360_CHECK_MSG(std::isfinite(config_.sample_rate_hz) && config_.sample_rate_hz > 0.0,
                   "sample_rate_hz must be finite and > 0");
   PS360_CHECK(config_.pursuit_gain > 0.0);
@@ -66,7 +66,7 @@ std::vector<AttractorPath> HeadTraceSynthesizer::attractors(const VideoInfo& vid
   std::vector<AttractorPath> paths;
   paths.reserve(video.n_attractors);
   for (std::size_t i = 0; i < video.n_attractors; ++i)
-    paths.emplace_back(video, i, config_.seed);
+    paths.emplace_back(video, i, seed_);
   return paths;
 }
 
@@ -120,7 +120,7 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id) 
 HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id,
                                            const VideoPaths& shared) const {
   const std::vector<AttractorPath>& paths = shared.paths;
-  util::Rng rng(util::derive_seed(config_.seed,
+  util::Rng rng(util::derive_seed(seed_,
                                   static_cast<std::uint64_t>(video.id) * 977 + 13,
                                   0x5EEDULL + static_cast<std::uint64_t>(user_id)));
 
@@ -210,7 +210,7 @@ std::vector<HeadTrace> HeadTraceSynthesizer::synthesize_all(const VideoInfo& vid
   // Each user draws from its own (seed, video, user) stream and writes only
   // its own slot, so the users run on the pool in any order.
   std::vector<std::optional<HeadTrace>> slots(n_users);
-  util::for_each_slot(n_users, 0, [&](std::size_t u) {
+  util::for_each_slot(n_users, [&](std::size_t u) {
     slots[u].emplace(synthesize(video, static_cast<int>(u), shared));
   });
   std::vector<HeadTrace> traces;

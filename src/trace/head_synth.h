@@ -33,7 +33,6 @@
 namespace ps360::trace {
 
 struct HeadSynthConfig {
-  std::uint64_t seed = 42;
   double sample_rate_hz = 50.0;
 
   // Smooth-pursuit gain (1/s): how aggressively the gaze closes on the
@@ -88,8 +87,11 @@ class AttractorPath {
 
 class HeadTraceSynthesizer {
  public:
-  explicit HeadTraceSynthesizer(HeadSynthConfig config = {});
+  // Every draw is keyed on `seed` (the workload passes its
+  // WorkloadConfig::seed).
+  explicit HeadTraceSynthesizer(std::uint64_t seed, HeadSynthConfig config = {});
 
+  std::uint64_t seed() const { return seed_; }
   const HeadSynthConfig& config() const { return config_; }
 
   // Attractor paths for a video (shared by all users watching it).
@@ -109,6 +111,7 @@ class HeadTraceSynthesizer {
   VideoPaths tabulate(const VideoInfo& video) const;
   HeadTrace synthesize(const VideoInfo& video, int user_id, const VideoPaths& shared) const;
 
+  std::uint64_t seed_;
   HeadSynthConfig config_;
 };
 

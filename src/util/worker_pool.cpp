@@ -21,7 +21,7 @@ struct WorkerPool {
   };
 
   static WorkerPool& instance() {
-    static WorkerPool pool(resolve_thread_count(0) - 1);
+    static WorkerPool pool(resolve_thread_count() - 1);
     return pool;
   }
 
@@ -92,19 +92,18 @@ struct WorkerPool {
   std::vector<std::jthread> threads;
 };
 
-std::size_t resolve_thread_count(std::size_t requested) {
+std::size_t resolve_thread_count() {
   if (const char* env = std::getenv("PS360_THREADS")) {
     char* end = nullptr;
     const unsigned long long value = std::strtoull(env, &end, 10);
     if (end != env && *end == '\0' && value > 0)
       return static_cast<std::size_t>(value);
   }
-  return requested != 0 ? requested
-                        : std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
 }
 
 std::size_t pool_workers() {
-  return resolve_thread_count(0) > 1 ? WorkerPool::instance().threads.size() : 0;
+  return resolve_thread_count() > 1 ? WorkerPool::instance().threads.size() : 0;
 }
 
 TaskGroup::TaskGroup(std::size_t size, std::function<void(std::size_t)> run)
@@ -172,8 +171,7 @@ bool TaskGroup::outstanding(std::size_t task) const {
   return tasks_[task].state != State::kIdle;
 }
 
-void for_each_slot(std::size_t n, std::size_t threads,
-                   const std::function<void(std::size_t)>& fn) {
+void for_each_slot(std::size_t n, const std::function<void(std::size_t)>& fn) {
   // Threads claim slots with fetch_add, so each slot is claimed once and slot
   // writes never race; a failing fn moves it to n.
   std::atomic<std::size_t> next_slot{0};
@@ -191,7 +189,7 @@ void for_each_slot(std::size_t n, std::size_t threads,
   };
   // Helpers claim slots like the caller, which joins them all before it
   // returns; one no worker took runs here and finds no slot left.
-  const std::size_t wanted = std::min(resolve_thread_count(threads), n);
+  const std::size_t wanted = std::min(resolve_thread_count(), n);
   const std::size_t helpers = wanted > 1 ? std::min(wanted - 1, pool_workers()) : 0;
   TaskGroup group(helpers, claim_slots);
   for (std::size_t h = 0; h < helpers; ++h) group.release(h);

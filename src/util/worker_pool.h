@@ -1,6 +1,6 @@
 // The one worker pool: the evaluation grid, the fleet runner's replications,
 // the tournament's cells, the fleet engine's speculative MPC solves and
-// VideoWorkload construction run on it. Its resolve_thread_count(0) - 1
+// VideoWorkload construction run on it. Its resolve_thread_count() - 1
 // workers start at the first call that can use a second thread; they and one
 // calling thread are the thread budget, which PS360_THREADS set later caps per
 // call but never resizes. Idle workers block. Joins are caller-runs, so a
@@ -18,9 +18,9 @@
 
 namespace ps360::util {
 
-// Threads a call asking for `requested` may use: a positive PS360_THREADS
-// (1 is the serial path), else `requested`, 0 meaning hardware concurrency.
-std::size_t resolve_thread_count(std::size_t requested);
+// The thread budget: a positive PS360_THREADS (1 is the serial path), else
+// the hardware concurrency.
+std::size_t resolve_thread_count();
 
 // Workers a call may use beside its own thread: 0 on a one-thread budget,
 // which never starts the pool; else all of them, starting them if need be.
@@ -70,12 +70,11 @@ class TaskGroup {
 };
 
 // Runs fn(i) once for every slot i in [0, n) on at most
-// min(resolve_thread_count(threads), pool_workers() + 1, n) threads, the
-// caller included, which claim slots in ascending order; returns when the
-// last claimed slot ends. fn(i) writes only slot i's state (anything else
-// needs its own lock). After a throw no further slot starts, and the first
+// min(resolve_thread_count(), pool_workers() + 1, n) threads, the caller
+// included, which claim slots in ascending order; returns when the last
+// claimed slot ends. fn(i) writes only slot i's state (anything else needs
+// its own lock). After a throw no further slot starts, and the first
 // exception thrown reaches the caller once the running slots end.
-void for_each_slot(std::size_t n, std::size_t threads,
-                   const std::function<void(std::size_t)>& fn);
+void for_each_slot(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace ps360::util

@@ -8,7 +8,8 @@
 
 namespace ps360::video {
 
-EncodingModel::EncodingModel(EncodingConfig config) : config_(config) {
+EncodingModel::EncodingModel(std::uint64_t seed, EncodingConfig config)
+    : seed_(seed), config_(config) {
   PS360_CHECK(std::isfinite(config_.full_frame_mbps_best) &&
               config_.full_frame_mbps_best > 0.0);
   PS360_CHECK(config_.framerate_size_exponent > 0.0 &&
@@ -51,7 +52,7 @@ double EncodingModel::tile_overhead_mbps(int quality,
 
 SizeNoise EncodingModel::size_noise(std::uint64_t noise_key) const {
   if (noise_key == 0 || config_.size_noise_sigma_log == 0.0) return {};
-  util::Rng rng(util::derive_seed(config_.seed, 0x517EULL, noise_key));
+  util::Rng rng(util::derive_seed(seed_, 0x517EULL, noise_key));
   return {rng.lognormal_median(1.0, config_.size_noise_sigma_log)};
 }
 

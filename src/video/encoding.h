@@ -52,8 +52,6 @@
 namespace ps360::video {
 
 struct EncodingConfig {
-  std::uint64_t seed = 42;
-
   // Full 360° frame bitrate at quality 5 (CRF 18) for reference content
   // (SI = 50, TI = 25), in Mbps. Chosen so the evaluation's LTE traces
   // (3.9 / 7.8 Mbps average) land where the paper's do: the tile schemes
@@ -95,8 +93,11 @@ struct SizeNoise {
 
 class EncodingModel {
  public:
-  explicit EncodingModel(EncodingConfig config = {});
+  // `seed` keys the size noise (the session accountant passes its
+  // SessionConfig::seed).
+  explicit EncodingModel(std::uint64_t seed, EncodingConfig config = {});
 
+  std::uint64_t seed() const { return seed_; }
   const EncodingConfig& config() const { return config_; }
 
   // Full-frame-equivalent rate in Mbps at the given quality for content.
@@ -107,9 +108,9 @@ class EncodingModel {
   double tile_overhead_mbps(int quality, const ContentFeatures& features) const;
 
   // The deterministic lognormal size jitter of `noise_key` (median 1); key 0
-  // or σ = 0 gives exactly 1. It reads only config().seed and
+  // or σ = 0 gives exactly 1. It reads only seed() and
   // config().size_noise_sigma_log, so two models that agree on those two
-  // fields draw the same factor for every key.
+  // values draw the same factor for every key.
   SizeNoise size_noise(std::uint64_t noise_key) const;
 
   // Bytes for a region of `area_fraction` of the frame encoded as `n_tiles`
@@ -144,6 +145,7 @@ class EncodingModel {
   double fov_bitrate_mbps(int quality, const ContentFeatures& features) const;
 
  private:
+  std::uint64_t seed_;
   EncodingConfig config_;
 };
 

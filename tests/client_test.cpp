@@ -37,7 +37,7 @@ struct ClientFixture {
   }
 
   const VideoWorkload* workload;
-  video::EncodingModel encoding;
+  video::EncodingModel encoding{42};
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   SessionConfig session;
   SchemeEnv env;

@@ -19,9 +19,11 @@ namespace {
 using power::DecodeProfile;
 using power::Device;
 
+// The segment length L every controller here plans with.
+constexpr util::Seconds kSegment{1.0};
+
 MpcConfig default_config() {
   MpcConfig config;
-  config.segment_seconds = 1.0;
   config.buffer_threshold_s = 3.0;
   config.buffer_quantum_s = 0.5;
   config.epsilon = 0.05;
@@ -124,7 +126,7 @@ TEST(ReferenceOptionTest, PrefersHigherFrameRateAtSameQuality) {
 // --------------------------------------------------------------- Energy
 
 TEST(MpcEnergyTest, OptionEnergyMatchesEq1) {
-  const MpcController controller(default_config(), power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, default_config(), power::device_model(Device::kPixel3),
                                  MpcObjective::kMinEnergyQoEConstrained);
   QualityOption option;
   option.bytes = 1e6;
@@ -145,7 +147,7 @@ TEST_P(DpEquivalence, DpMatchesExhaustive) {
   const MpcObjective objective = energy_mode
                                      ? MpcObjective::kMinEnergyQoEConstrained
                                      : MpcObjective::kMaxQoE;
-  const MpcController controller(default_config(),
+  const MpcController controller(kSegment, default_config(),
                                  power::device_model(Device::kPixel3), objective);
 
   // Random small horizons keep the exhaustive search tractable while
@@ -187,7 +189,7 @@ INSTANTIATE_TEST_SUITE_P(RandomHorizons, DpEquivalence,
 // --------------------------------------------------------- QoE-max mode
 
 TEST(MpcQoeTest, PicksHighestQualityWhenBandwidthIsAmple) {
-  const MpcController controller(default_config(), power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, default_config(), power::device_model(Device::kPixel3),
                                  MpcObjective::kMaxQoE);
   std::vector<SegmentChoices> horizon(3, make_choices(1e6, DecodeProfile::kCtile));
   const MpcDecision decision = controller.decide(horizon, util::BytesPerSec(1e7), util::Seconds(3.0), -1.0);
@@ -196,7 +198,7 @@ TEST(MpcQoeTest, PicksHighestQualityWhenBandwidthIsAmple) {
 }
 
 TEST(MpcQoeTest, ThrottlesWhenBandwidthIsScarce) {
-  const MpcController controller(default_config(), power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, default_config(), power::device_model(Device::kPixel3),
                                  MpcObjective::kMaxQoE);
   std::vector<SegmentChoices> horizon(3, make_choices(1e6, DecodeProfile::kCtile));
   // 1e5 B/s: quality 5 (1e6 bytes) would take 10 s per 1 s segment.
@@ -207,7 +209,7 @@ TEST(MpcQoeTest, ThrottlesWhenBandwidthIsScarce) {
 TEST(MpcQoeTest, VariationPenaltyDiscouragesOscillation) {
   MpcConfig config = default_config();
   config.weights.variation = 5.0;  // make oscillation very costly
-  const MpcController controller(config, power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, config, power::device_model(Device::kPixel3),
                                  MpcObjective::kMaxQoE);
   std::vector<SegmentChoices> horizon(3, make_choices(1e6, DecodeProfile::kCtile));
   // Previous segment was low quality: with a huge variation weight the
@@ -216,7 +218,7 @@ TEST(MpcQoeTest, VariationPenaltyDiscouragesOscillation) {
   const MpcDecision jumpy = controller.decide(horizon, util::BytesPerSec(1e7), util::Seconds(3.0), prev_qo);
   MpcConfig no_penalty = default_config();
   no_penalty.weights.variation = 0.0;
-  const MpcController free_controller(no_penalty, power::device_model(Device::kPixel3),
+  const MpcController free_controller(kSegment, no_penalty, power::device_model(Device::kPixel3),
                                       MpcObjective::kMaxQoE);
   const MpcDecision free_jump = free_controller.decide(horizon, util::BytesPerSec(1e7), util::Seconds(3.0), prev_qo);
   EXPECT_LE(jumpy.choice.quality, free_jump.choice.quality);
@@ -226,7 +228,7 @@ TEST(MpcQoeTest, VariationPenaltyDiscouragesOscillation) {
 
 TEST(MpcEnergyModeTest, EpsilonConstraintKeepsQoNearReference) {
   const MpcConfig config = default_config();
-  const MpcController controller(config, power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, config, power::device_model(Device::kPixel3),
                                  MpcObjective::kMinEnergyQoEConstrained);
   std::vector<SegmentChoices> horizon(3, make_choices(1e6, DecodeProfile::kPtile, true));
   const double bandwidth = 1e6;
@@ -240,7 +242,7 @@ TEST(MpcEnergyModeTest, EpsilonConstraintKeepsQoNearReference) {
 TEST(MpcEnergyModeTest, MinimisesEnergyAmongFeasible) {
   // Among options satisfying the constraint, the cheapest-energy one wins.
   const MpcConfig config = default_config();
-  const MpcController controller(config, power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, config, power::device_model(Device::kPixel3),
                                  MpcObjective::kMinEnergyQoEConstrained);
   SegmentChoices choices;
   // Two options with identical qo; the second costs fewer bytes and fps.
@@ -255,7 +257,7 @@ TEST(MpcEnergyModeTest, FrameRateDropUsedWhenQoeAllows) {
   // If reduced-frame options barely dent qo (fast view switching), the
   // energy-min controller takes them.
   const MpcConfig config = default_config();
-  const MpcController controller(config, power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, config, power::device_model(Device::kPixel3),
                                  MpcObjective::kMinEnergyQoEConstrained);
   SegmentChoices choices;
   for (std::size_t fi = 1; fi <= 4; ++fi) {
@@ -273,7 +275,7 @@ TEST(MpcEnergyModeTest, FrameRateDropUsedWhenQoeAllows) {
 }
 
 TEST(MpcEnergyModeTest, InfeasibleBandwidthFallsBackGracefully) {
-  const MpcController controller(default_config(), power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, default_config(), power::device_model(Device::kPixel3),
                                  MpcObjective::kMinEnergyQoEConstrained);
   std::vector<SegmentChoices> horizon(3, make_choices(1e8, DecodeProfile::kPtile));
   // Hopeless bandwidth: every option stalls. Must still return a choice.
@@ -288,9 +290,9 @@ TEST(MpcEnergyModeTest, EnergyNeverExceedsQoeMaxEnergy) {
   // Sanity: on the same horizon, the energy-min controller spends no more
   // energy on its head choice than the QoE-max controller.
   const MpcConfig config = default_config();
-  const MpcController energy_controller(config, power::device_model(Device::kPixel3),
+  const MpcController energy_controller(kSegment, config, power::device_model(Device::kPixel3),
                                         MpcObjective::kMinEnergyQoEConstrained);
-  const MpcController qoe_controller(config, power::device_model(Device::kPixel3),
+  const MpcController qoe_controller(kSegment, config, power::device_model(Device::kPixel3),
                                      MpcObjective::kMaxQoE);
   std::vector<SegmentChoices> horizon(4, make_choices(1e6, DecodeProfile::kPtile, true));
   const double bandwidth = 8e5;
@@ -305,7 +307,7 @@ TEST(MpcScalingTest, LongHorizonsStayFastAndConsistent) {
   // growing the horizon can only improve (not worsen) the relaxed objective
   // prefix-wise semantics are hard to compare, so we just assert it solves
   // and the head choice stays a valid option.
-  const MpcController controller(default_config(), power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, default_config(), power::device_model(Device::kPixel3),
                                  MpcObjective::kMinEnergyQoEConstrained);
   std::vector<SegmentChoices> horizon(50, make_choices(1e6, DecodeProfile::kPtile, true));
   const MpcDecision decision = controller.decide(horizon, util::BytesPerSec(8e5), util::Seconds(3.0), -1.0);
@@ -315,7 +317,7 @@ TEST(MpcScalingTest, LongHorizonsStayFastAndConsistent) {
 }
 
 TEST(MpcScalingTest, SingleOptionHorizonIsForced) {
-  const MpcController controller(default_config(), power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, default_config(), power::device_model(Device::kPixel3),
                                  MpcObjective::kMaxQoE);
   SegmentChoices only;
   QualityOption option;
@@ -333,20 +335,20 @@ TEST(MpcScalingTest, SingleOptionHorizonIsForced) {
 TEST(MpcEnergyModeTest, ZeroEpsilonPinsTheReference) {
   MpcConfig config = default_config();
   config.epsilon = 0.0;
-  const MpcController controller(config, power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, config, power::device_model(Device::kPixel3),
                                  MpcObjective::kMinEnergyQoEConstrained);
   std::vector<SegmentChoices> horizon(3, make_choices(1e6, DecodeProfile::kPtile, true));
   const double bandwidth = 1e6;
   const MpcDecision decision = controller.decide(horizon, util::BytesPerSec(bandwidth), util::Seconds(3.0), -1.0);
   const double q_ref =
-      reference_option(horizon[0], util::BytesPerSec(bandwidth), util::Seconds(config.segment_seconds)).qo;
+      reference_option(horizon[0], util::BytesPerSec(bandwidth), kSegment).qo;
   EXPECT_GE(decision.choice.qo, q_ref - 1e-9);
 }
 
 // ------------------------------------------------------------- Validation
 
 TEST(MpcValidationTest, RejectsBadInputs) {
-  const MpcController controller(default_config(), power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, default_config(), power::device_model(Device::kPixel3),
                                  MpcObjective::kMaxQoE);
   EXPECT_THROW(controller.decide({}, util::BytesPerSec(1e6), util::Seconds(3.0), -1.0), std::invalid_argument);
   std::vector<SegmentChoices> horizon(1);
@@ -363,7 +365,7 @@ TEST(MpcValidationTest, RejectsBadInputs) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const MpcObjective objective :
        {MpcObjective::kMaxQoE, MpcObjective::kMinEnergyQoEConstrained}) {
-    const MpcController solver(default_config(), power::device_model(Device::kPixel3),
+    const MpcController solver(kSegment, default_config(), power::device_model(Device::kPixel3),
                                objective);
     const auto expect_rejected = [&](bool bad_bytes, double value) {
       std::vector<SegmentChoices> bad(3, make_choices(1e6, DecodeProfile::kPtile, true));
@@ -396,7 +398,7 @@ TEST(MpcValidationTest, RejectsBadInputs) {
        {TinyBandwidth{MpcObjective::kMinEnergyQoEConstrained, 1e-300, "1e-300"},
         TinyBandwidth{MpcObjective::kMinEnergyQoEConstrained, 1e-310, "1e-310"},
         TinyBandwidth{MpcObjective::kMaxQoE, 1e-310, "1e-310"}}) {
-    const MpcController solver(default_config(), power::device_model(Device::kPixel3),
+    const MpcController solver(kSegment, default_config(), power::device_model(Device::kPixel3),
                                tiny.objective);
     for (const std::size_t h : {std::size_t{1}, std::size_t{3}}) {
       const std::vector<SegmentChoices> tiny_horizon(h, make_choices(1e6, DecodeProfile::kPtile));
@@ -416,11 +418,12 @@ TEST(MpcValidationTest, RejectsBadInputs) {
   }
 }
 
-// Constructs a controller and expects the config to be rejected with a
-// message naming `field`.
-void expect_config_rejected(const MpcConfig& config, const std::string& field) {
+// Constructs a controller and expects the config or the segment length to
+// be rejected with a message naming `field`.
+void expect_config_rejected(util::Seconds segment, const MpcConfig& config,
+                            const std::string& field) {
   try {
-    const MpcController controller(config, power::device_model(Device::kPixel3),
+    const MpcController controller(segment, config, power::device_model(Device::kPixel3),
                                    MpcObjective::kMaxQoE);
     ADD_FAILURE() << "accepted a bad " << field;
   } catch (const std::invalid_argument& e) {
@@ -432,12 +435,12 @@ void expect_config_rejected(const MpcConfig& config, const std::string& field) {
 TEST(MpcValidationTest, ConfigValidation) {
   MpcConfig config = default_config();
   config.buffer_quantum_s = 0.0;
-  EXPECT_THROW(MpcController(config, power::device_model(Device::kPixel3),
+  EXPECT_THROW(MpcController(kSegment, config, power::device_model(Device::kPixel3),
                              MpcObjective::kMaxQoE),
                std::invalid_argument);
   config = default_config();
   config.epsilon = 1.0;
-  EXPECT_THROW(MpcController(config, power::device_model(Device::kPixel3),
+  EXPECT_THROW(MpcController(kSegment, config, power::device_model(Device::kPixel3),
                              MpcObjective::kMaxQoE),
                std::invalid_argument);
 
@@ -446,20 +449,18 @@ TEST(MpcValidationTest, ConfigValidation) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const double bad : {kInf, kNaN}) {
-    config = default_config();
-    config.segment_seconds = bad;
-    expect_config_rejected(config, "segment_seconds");
+    expect_config_rejected(util::Seconds(bad), default_config(), "segment length");
     config = default_config();
     config.buffer_threshold_s = bad;
-    expect_config_rejected(config, "buffer_threshold_s");
+    expect_config_rejected(kSegment, config, "buffer_threshold_s");
     config = default_config();
     config.buffer_quantum_s = bad;
-    expect_config_rejected(config, "buffer_quantum_s");
+    expect_config_rejected(kSegment, config, "buffer_quantum_s");
   }
   // (3 + 1) / 5e-4 = 8000 steps: 8001 states, past kMaxBufferStates.
   config = default_config();
   config.buffer_quantum_s = 5e-4;
-  expect_config_rejected(config, "buffer_quantum_s");
+  expect_config_rejected(kSegment, config, "buffer_quantum_s");
 }
 
 }  // namespace

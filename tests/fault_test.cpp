@@ -26,6 +26,8 @@
 #include "trace/video_catalog.h"
 #include "util/rng.h"
 
+#include "test_support.h"
+
 namespace ps360 {
 namespace {
 
@@ -39,22 +41,7 @@ const sim::VideoWorkload& test_workload() {
   return workload;
 }
 
-void expect_bit_identical(const sim::SessionResult& a, const sim::SessionResult& b) {
-  ASSERT_EQ(a.segments.size(), b.segments.size());
-  for (std::size_t k = 0; k < a.segments.size(); ++k) {
-    EXPECT_EQ(a.segments[k].quality, b.segments[k].quality);
-    EXPECT_EQ(a.segments[k].frame_index, b.segments[k].frame_index);
-    EXPECT_EQ(a.segments[k].bytes, b.segments[k].bytes);
-    EXPECT_EQ(a.segments[k].download_s, b.segments[k].download_s);
-    EXPECT_EQ(a.segments[k].stall_s, b.segments[k].stall_s);
-    EXPECT_EQ(a.segments[k].buffer_before_s, b.segments[k].buffer_before_s);
-  }
-  EXPECT_EQ(a.energy.total_mj(), b.energy.total_mj());
-  EXPECT_EQ(a.qoe.mean_q, b.qoe.mean_q);
-  EXPECT_EQ(a.total_stall_s, b.total_stall_s);
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-  EXPECT_EQ(a.rebuffer_events, b.rebuffer_events);
-}
+using test::expect_bit_identical;
 
 trace::FaultConfig hostile_faults() {
   trace::FaultConfig faults;
@@ -181,7 +168,7 @@ struct ClientFixture {
   }
 
   const sim::VideoWorkload* workload;
-  video::EncodingModel encoding;
+  video::EncodingModel encoding{42};
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   sim::SessionConfig session;
   sim::SchemeEnv env;
@@ -537,7 +524,7 @@ TEST(FaultFleetTest, FinalAttemptOutageWaitClosesSessionTime) {
   config.session.faults.outage_mean_s = 1.0;
   config.session.recovery.max_attempts = 1;  // every attempt is the final one
   const core::MpcConfig& mpc = config.session.mpc;
-  const core::BufferModel buffers(util::Seconds(mpc.segment_seconds),
+  const core::BufferModel buffers(util::Seconds(workload.config().segment_seconds),
                                   util::Seconds(mpc.buffer_threshold_s),
                                   util::Seconds(mpc.buffer_quantum_s));
 
@@ -580,23 +567,22 @@ TEST(FaultFleetTest, ReplicationsAreThreadCountInvariantWithFaultsOn) {
   options.replications = 4;
   options.link.duration_s = 300.0;
 
-  const auto run_observed = [&](std::size_t threads,
-                                obs::MetricsRegistry& metrics,
+  // PS360_THREADS=1, then the default budget.
+  const auto run_observed = [&](const char* threads, obs::MetricsRegistry& metrics,
                                 obs::EventTracer& tracer) {
+    const test::ScopedThreadsEnv env(threads);
     obs::Observer observer{&metrics, &tracer};
     fleet::FleetConfig observed = config;
     observed.observer = &observer;
-    fleet::FleetRunOptions opts = options;
-    opts.threads = threads;
-    return fleet::run_fleet_replications(workload, observed, opts);
+    return fleet::run_fleet_replications(workload, observed, options);
   };
 
   obs::MetricsRegistry metrics_1t, metrics_4t;
   obs::EventTracer tracer_1t(1 << 16), tracer_4t(1 << 16);
   const std::vector<fleet::FleetResult> serial =
-      run_observed(1, metrics_1t, tracer_1t);
+      run_observed("1", metrics_1t, tracer_1t);
   const std::vector<fleet::FleetResult> parallel =
-      run_observed(4, metrics_4t, tracer_4t);
+      run_observed(nullptr, metrics_4t, tracer_4t);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t r = 0; r < serial.size(); ++r)

@@ -39,6 +39,8 @@
 #include "util/units.h"
 #include "util/worker_pool.h"
 
+#include "test_support.h"
+
 namespace ps360::fleet {
 namespace {
 
@@ -355,13 +357,12 @@ TEST(FleetShardTest, Ps360ThreadsOverrideIsResultInvariant) {
 
   config.shards = 0;
   for (const char* threads : {"1", "3", "7"}) {
-    ::setenv("PS360_THREADS", threads, /*overwrite=*/1);
+    const test::ScopedThreadsEnv env(threads);
     const FleetResult sharded =
         run_fleet(battery_workload(), traces.second, config);
     expect_bit_identical(serial, sharded,
                          std::string("PS360_THREADS=") + threads);
   }
-  ::unsetenv("PS360_THREADS");
 }
 
 TEST(FleetShardTest, OneThreadBudgetLeavesThePoolUnsized) {
@@ -372,10 +373,12 @@ TEST(FleetShardTest, OneThreadBudgetLeavesThePoolUnsized) {
   const auto traces = trace::make_paper_traces(/*seed=*/23, util::Seconds(300.0));
   FleetConfig config = small_fleet_config();
   config.shards = 4;
-  ::setenv("PS360_THREADS", "1", /*overwrite=*/1);
-  const FleetResult serial = run_fleet(battery_workload(), traces.second, config);
-  ::unsetenv("PS360_THREADS");
-  EXPECT_EQ(util::pool_workers(), util::resolve_thread_count(0) - 1);
+  const FleetResult serial = [&] {
+    const test::ScopedThreadsEnv env("1");
+    return run_fleet(battery_workload(), traces.second, config);
+  }();
+  const test::ScopedThreadsEnv unset(nullptr);
+  EXPECT_EQ(util::pool_workers(), util::resolve_thread_count() - 1);
   const FleetResult sharded = run_fleet(battery_workload(), traces.second, config);
   expect_bit_identical(serial, sharded, "PS360_THREADS=1 then unset");
 }

@@ -35,6 +35,8 @@
 #include "trace/video_catalog.h"
 #include "util/rng.h"
 
+#include "test_support.h"
+
 namespace ps360::fleet {
 namespace {
 
@@ -414,50 +416,6 @@ struct FleetFixture {
   const sim::VideoWorkload* workload;
 };
 
-// Every SegmentRecord field and every session aggregate, compared exactly.
-void expect_same_session(const sim::SessionResult& a, const sim::SessionResult& b) {
-  EXPECT_EQ(a.scheme, b.scheme);
-  ASSERT_EQ(a.segments.size(), b.segments.size());
-  for (std::size_t k = 0; k < a.segments.size(); ++k) {
-    SCOPED_TRACE("segment " + std::to_string(k));
-    const sim::SegmentRecord& x = a.segments[k];
-    const sim::SegmentRecord& y = b.segments[k];
-    EXPECT_EQ(x.index, y.index);
-    EXPECT_EQ(x.quality, y.quality);
-    EXPECT_EQ(x.frame_index, y.frame_index);
-    EXPECT_EQ(x.fps, y.fps);
-    EXPECT_EQ(x.bytes, y.bytes);
-    EXPECT_EQ(x.download_s, y.download_s);
-    EXPECT_EQ(x.stall_s, y.stall_s);
-    EXPECT_EQ(x.buffer_before_s, y.buffer_before_s);
-    EXPECT_EQ(x.coverage, y.coverage);
-    EXPECT_EQ(x.used_ptile, y.used_ptile);
-    EXPECT_EQ(x.mpc_feasible, y.mpc_feasible);
-    EXPECT_EQ(x.qoe.qo, y.qoe.qo);
-    EXPECT_EQ(x.qoe.variation, y.qoe.variation);
-    EXPECT_EQ(x.qoe.rebuffer, y.qoe.rebuffer);
-    EXPECT_EQ(x.qoe.q, y.qoe.q);
-    EXPECT_EQ(x.energy.transmit_mj, y.energy.transmit_mj);
-    EXPECT_EQ(x.energy.decode_mj, y.energy.decode_mj);
-    EXPECT_EQ(x.energy.render_mj, y.energy.render_mj);
-  }
-  EXPECT_EQ(a.qoe.mean_qo, b.qoe.mean_qo);
-  EXPECT_EQ(a.qoe.mean_variation, b.qoe.mean_variation);
-  EXPECT_EQ(a.qoe.mean_rebuffer, b.qoe.mean_rebuffer);
-  EXPECT_EQ(a.qoe.mean_q, b.qoe.mean_q);
-  EXPECT_EQ(a.qoe.segments, b.qoe.segments);
-  EXPECT_EQ(a.energy.transmit_mj, b.energy.transmit_mj);
-  EXPECT_EQ(a.energy.decode_mj, b.energy.decode_mj);
-  EXPECT_EQ(a.energy.render_mj, b.energy.render_mj);
-  EXPECT_EQ(a.total_stall_s, b.total_stall_s);
-  EXPECT_EQ(a.rebuffer_events, b.rebuffer_events);
-  EXPECT_EQ(a.mean_quality, b.mean_quality);
-  EXPECT_EQ(a.mean_fps, b.mean_fps);
-  EXPECT_EQ(a.mean_coverage, b.mean_coverage);
-  EXPECT_EQ(a.ptile_usage, b.ptile_usage);
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-}
-
 // simulate_session is a fleet of one, so run_fleet's lone session
 // reproduces it bitwise: one driver, one integrator.
 TEST(FleetEngineTest, FleetOfOneReproducesSimulateSession) {
@@ -490,7 +448,7 @@ TEST(FleetEngineTest, FleetOfOneReproducesSimulateSession) {
         const FleetResult fleet = run_fleet(*workload, *network, config);
 
         ASSERT_EQ(fleet.sessions.size(), 1u);
-        expect_same_session(fleet.sessions[0].result, solo);
+        test::expect_bit_identical(fleet.sessions[0].result, solo);
       }
     }
   }
@@ -571,13 +529,11 @@ TEST(FleetEngineTest, ContentionStretchesDownloadsAndStalls) {
   FleetConfig config;
   config.start_spread_s = 0.5;
   config.sessions = 1;
-  const FleetMetrics alone =
-      run_fleet(*fixture.workload, network, config)
-          .metrics(config.session.mpc.segment_seconds);
+  const double segment_s = fixture.workload->config().segment_seconds;
+  const FleetMetrics alone = run_fleet(*fixture.workload, network, config).metrics(segment_s);
   config.sessions = 8;
   const FleetMetrics crowded =
-      run_fleet(*fixture.workload, network, config)
-          .metrics(config.session.mpc.segment_seconds);
+      run_fleet(*fixture.workload, network, config).metrics(segment_s);
 
   // Eight MPC clients on the same 3.9 Mbps bottleneck each see a fraction of
   // the link: downloads stretch and the stall ratio cannot improve.
@@ -698,8 +654,6 @@ INSTANTIATE_TEST_SUITE_P(
                             }},
         InvalidSessionField{"mpc.buffer_threshold_s",
                             [](sim::SessionConfig& c) { c.mpc.buffer_threshold_s = kInf; }},
-        InvalidSessionField{"mpc.segment_seconds",
-                            [](sim::SessionConfig& c) { c.mpc.segment_seconds = kInf; }},
         // Passes 0 < q <= β, but asks the DP for ~4e9 buffer states.
         InvalidSessionField{"mpc.buffer_quantum_s",
                             [](sim::SessionConfig& c) { c.mpc.buffer_quantum_s = 1e-9; }},
@@ -728,14 +682,33 @@ INSTANTIATE_TEST_SUITE_P(
                             [](sim::SessionConfig& c) {
                               c.encoding.size_noise_sigma_log = kInf;
                             }},
+        // NaN reaches the encoding model's "content factor must stay
+        // positive" assert at the first plan; a negative slope makes the
+        // factor negative for high enough SI or TI.
+        InvalidSessionField{"encoding.content_intercept",
+                            [](sim::SessionConfig& c) { c.encoding.content_intercept = kNaN; }},
+        InvalidSessionField{"encoding.content_si_slope",
+                            [](sim::SessionConfig& c) { c.encoding.content_si_slope = -0.01; }},
+        InvalidSessionField{"encoding.content_ti_slope",
+                            [](sim::SessionConfig& c) { c.encoding.content_ti_slope = kInf; }},
+        // NaN reaches the MPC's per-option check, which names an option, not
+        // the field.
+        InvalidSessionField{"qo_params.c1", [](sim::SessionConfig& c) { c.qo_params.c1 = kNaN; }},
+        InvalidSessionField{"qo_params.c2", [](sim::SessionConfig& c) { c.qo_params.c2 = kInf; }},
+        InvalidSessionField{"qo_params.c3", [](sim::SessionConfig& c) { c.qo_params.c3 = kNaN; }},
+        InvalidSessionField{"qo_params.c4", [](sim::SessionConfig& c) { c.qo_params.c4 = kInf; }},
+        // Each passes the predictor's > 0 or >= 0 check and runs: an infinite
+        // ridge penalty or history window moves every prediction.
+        InvalidSessionField{"predictor.history_seconds",
+                            [](sim::SessionConfig& c) { c.predictor.history_seconds = kInf; }},
+        InvalidSessionField{"predictor.lambda",
+                            [](sim::SessionConfig& c) { c.predictor.lambda = kInf; }},
+        InvalidSessionField{"predictor.max_horizon_s",
+                            [](sim::SessionConfig& c) { c.predictor.max_horizon_s = kInf; }},
         // Zero leaves the MPC an empty horizon, or the estimator no window.
         InvalidSessionField{"mpc_horizon", [](sim::SessionConfig& c) { c.mpc_horizon = 0; }},
         InvalidSessionField{"bandwidth_window",
                             [](sim::SessionConfig& c) { c.bandwidth_window = 0; }},
-        // An L other than the workload's misaligns every segment's bytes,
-        // energy and playback time.
-        InvalidSessionField{"WorkloadConfig::segment_seconds",
-                            [](sim::SessionConfig& c) { c.mpc.segment_seconds = 2.0; }},
         // The recovery policy, checked for every session whether or not
         // faults are on.
         InvalidSessionField{"recovery.max_attempts",
@@ -763,6 +736,34 @@ TEST(InvalidSessionConfigFleetTest, RunFleetThrowsNamingTheField) {
   config.session.ptile_min_coverage = kNaN;
   expect_throw_naming([&] { run_fleet(*fixture.workload, traces.second, config); },
                       "ptile_min_coverage");
+}
+
+// finish() aggregates the records (sim::aggregate_segments), so it needs
+// every segment: fed a session's own download times it reproduces the
+// session bit for bit, and one segment short it throws instead of dividing
+// the sums by the workload's segment count.
+TEST(SessionAccountantTest, FinishRequiresEverySegment) {
+  const FleetFixture fixture;
+  const sim::VideoWorkload& workload = *fixture.workload;
+  const auto traces = trace::make_paper_traces(/*seed=*/7, util::Seconds(300.0));
+  const sim::SessionConfig config;
+  const sim::SessionResult session =
+      sim::simulate_session(workload, 0, sim::SchemeKind::kOurs, traces.second, config);
+  const auto replay = [&](std::size_t segments) {
+    sim::SessionAccountant accountant(workload, 0, sim::SchemeKind::kOurs, config);
+    sim::StreamingClient client(config, workload, accountant.scheme(), workload.test_trace(0));
+    for (std::size_t k = 0; k < segments; ++k) {
+      client.begin_plan();
+      const sim::ClientRequest request = client.finish_plan();
+      const util::Seconds download(session.segments[k].download_s);
+      const double stall = client.complete_download(download);
+      accountant.record(request, download, util::Seconds(stall));
+    }
+    return accountant.finish();
+  };
+  test::expect_bit_identical(replay(workload.segment_count()), session);
+  expect_throw_naming([&] { replay(workload.segment_count() - 1); },
+                      "finish() after 19 of the session's 20 segments");
 }
 
 // ------------------------------------------------------------ Fleet golden
@@ -975,10 +976,11 @@ TEST(FleetRunnerTest, ThreadCountInvariance) {
   options.replications = 4;
   options.link.duration_s = 300.0;
 
-  options.threads = 1;
-  const std::vector<FleetResult> serial =
-      run_fleet_replications(*fixture.workload, config, options);
-  options.threads = 4;
+  const std::vector<FleetResult> serial = [&] {
+    const test::ScopedThreadsEnv env("1");
+    return run_fleet_replications(*fixture.workload, config, options);
+  }();
+  const test::ScopedThreadsEnv unset(nullptr);
   const std::vector<FleetResult> parallel =
       run_fleet_replications(*fixture.workload, config, options);
 
@@ -995,10 +997,9 @@ TEST(FleetRunnerTest, ThreadCountInvariance) {
     }
   }
 
-  const FleetAggregate agg_serial =
-      aggregate_fleet(serial, config.session.mpc.segment_seconds);
-  const FleetAggregate agg_parallel =
-      aggregate_fleet(parallel, config.session.mpc.segment_seconds);
+  const double segment_s = fixture.workload->config().segment_seconds;
+  const FleetAggregate agg_serial = aggregate_fleet(serial, segment_s);
+  const FleetAggregate agg_parallel = aggregate_fleet(parallel, segment_s);
   EXPECT_EQ(agg_serial.metrics.energy_per_session_mj,
             agg_parallel.metrics.energy_per_session_mj);
   EXPECT_EQ(agg_serial.metrics.mean_qoe, agg_parallel.metrics.mean_qoe);

@@ -182,13 +182,11 @@ struct Layout {
 };
 
 Layout ftile_layout(const std::vector<EquirectPoint>& centers,
-                    const FtileLayoutConfig& config) {
+                    const FtileLayoutConfig& config, Degrees fov, std::uint64_t seed) {
   const geometry::TileGrid blocks(config.block_rows, config.block_cols);
   std::vector<geometry::EquirectRect> user_views;
   for (const auto& user_center : centers)
-    user_views.push_back(
-        geometry::Viewport(user_center, Degrees(config.fov_deg), Degrees(config.fov_deg))
-            .area());
+    user_views.push_back(geometry::Viewport(user_center, fov, fov).area());
   std::vector<EquirectPoint> block_centers;
   std::vector<double> weights;
   for (std::size_t r = 0; r < blocks.rows(); ++r) {
@@ -205,7 +203,7 @@ Layout ftile_layout(const std::vector<EquirectPoint>& centers,
       weights.push_back(1.0 + views);
     }
   }
-  util::Rng rng(util::derive_seed(config.seed, 0xF71E5ULL));
+  util::Rng rng(util::derive_seed(seed, 0xF71E5ULL));
   const KMeansResult clustering = kmeans(block_centers, weights, config.tile_count, rng, 100);
 
   Layout layout;
@@ -423,13 +421,12 @@ TEST(FtileBitIdentity, EveryPaperSegmentMatchesReference) {
   for (trace::VideoInfo video : trace::test_videos()) {
     video.duration_s = std::min(video.duration_s, kMaxSeconds);
     const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
-    FtileLayoutConfig config = workload.config().ftile;
-    config.seed = workload.config().seed;
-    config.fov_deg = workload.config().fov_deg;
+    const sim::WorkloadConfig& config = workload.config();
     for (std::size_t k = 0; k < workload.segment_count(); ++k, ++layouts) {
       const FtileLayout& layout = workload.ftile(k);
       const reference::Layout want =
-          reference::ftile_layout(workload.training_centers(k), config);
+          reference::ftile_layout(workload.training_centers(k), config.ftile,
+                                  Degrees(config.fov_deg), config.seed);
       ASSERT_EQ(layout.tile_blocks(), want.tile_blocks)
           << "video " << video.id << " segment " << k;
       ASSERT_EQ(layout.tile_areas().size(), want.tile_areas.size());

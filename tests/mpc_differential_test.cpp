@@ -28,6 +28,9 @@ namespace {
 using power::DecodeProfile;
 using power::Device;
 
+// The segment length L every controller and reference here plans with.
+constexpr util::Seconds kSegment{1.0};
+
 std::vector<SegmentChoices> random_horizon(util::Rng& rng, std::size_t h,
                                            std::size_t max_options) {
   std::vector<SegmentChoices> horizon(h);
@@ -83,7 +86,6 @@ TEST_P(SolverDifferential, DecideMatchesExhaustive) {
                                      : MpcObjective::kMaxQoE;
 
   MpcConfig config;
-  config.segment_seconds = 1.0;
   config.buffer_threshold_s = 3.0;
   // Exercise grid-aligned and non-aligned quanta (cap = 4 s): 0.6 and 0.75
   // make the cap round up to an extra bucket.
@@ -92,7 +94,7 @@ TEST_P(SolverDifferential, DecideMatchesExhaustive) {
   const double epsilons[] = {0.0, 0.05, 0.2};
   config.epsilon = epsilons[rng.uniform_index(3)];
 
-  const MpcController controller(config, power::device_model(Device::kPixel3),
+  const MpcController controller(kSegment, config, power::device_model(Device::kPixel3),
                                  objective);
 
   const std::size_t h = 1 + rng.uniform_index(4);            // 1..4
@@ -126,7 +128,7 @@ class ReusedControllerDifferential : public ::testing::TestWithParam<bool> {};
 TEST_P(ReusedControllerDifferential, EverySeededCallMatchesExhaustive) {
   const bool energy_mode = GetParam();
   util::Rng rng(util::derive_seed(0x2E05Eu, 0, energy_mode ? 1 : 0));
-  MpcController controller(MpcConfig{}, power::device_model(Device::kPixel3),
+  MpcController controller(kSegment, MpcConfig{}, power::device_model(Device::kPixel3),
                            energy_mode ? MpcObjective::kMinEnergyQoEConstrained
                                        : MpcObjective::kMaxQoE);
   int decides = 0;
@@ -185,7 +187,7 @@ TableDpResult table_dp_reference(const MpcConfig& config,
   constexpr double kStallPenaltyMjPerS = 1e7;
   const bool energy_mode = objective == MpcObjective::kMinEnergyQoEConstrained;
   const std::size_t h = horizon.size();
-  const BufferModel buffers(util::Seconds(config.segment_seconds),
+  const BufferModel buffers(kSegment,
                             util::Seconds(config.buffer_threshold_s),
                             util::Seconds(config.buffer_quantum_s));
   std::size_t max_options = 0;
@@ -197,7 +199,7 @@ TableDpResult table_dp_reference(const MpcConfig& config,
   if (energy_mode) {
     for (std::size_t i = 0; i < h; ++i)
       q_ref[i] = reference_option(horizon[i], util::BytesPerSec(bandwidth),
-                                  util::Seconds(config.segment_seconds))
+                                  kSegment)
                      .qo;
   }
   std::vector<double> step_cost(h * max_options), download_s(h * max_options);
@@ -212,7 +214,7 @@ TableDpResult table_dp_reference(const MpcConfig& config,
         step_cost[flat] =
             power::segment_energy(device, option.profile,
                                   util::Seconds(option.bytes / bandwidth), option.fps,
-                                  util::Seconds(config.segment_seconds))
+                                  kSegment)
                 .total_mj();
         eps_ok[flat] = option.qo >= (1.0 - config.epsilon) * q_ref[i] ? 1 : 0;
       } else {
@@ -236,7 +238,7 @@ TableDpResult table_dp_reference(const MpcConfig& config,
       for (std::size_t oi = 0; oi < horizon[i].options.size(); ++oi) {
         const double d = download_s[i * max_options + oi];
         const double raw_next =
-            std::max(at_request_s[b] - d, 0.0) + config.segment_seconds;
+            std::max(at_request_s[b] - d, 0.0) + kSegment.value();
         stall_s[row + oi] = std::max(d - at_request_s[b], 0.0);
         next_bucket[row + oi] =
             static_cast<std::int32_t>(std::lround(std::min(raw_next, cap) / quantum));
@@ -428,7 +430,7 @@ TEST_P(SolverBitIdentity, DecideMatchesTableDpReference) {
     config.buffer_quantum_s = grid.quantum;
     config.buffer_threshold_s = grid.beta;
     config.epsilon = 0.1;
-    const MpcController controller(config, device, objective);
+    const MpcController controller(kSegment, config, device, objective);
     util::Rng rng(util::derive_seed(0xB17Eu, static_cast<std::uint64_t>(grid.quantum * 10),
                                     energy_mode ? 1 : 0));
     for (const std::size_t h : {1u, 5u, 10u}) {
@@ -497,7 +499,7 @@ TEST(MaxQoeBitIdentity, FoldedBucketsMatchTableDpOverVariedLadders) {
     const double penalties[] = {0.0, 150.0, 1.0};
     config.stall_penalty_per_s =
         rng.bernoulli(0.75) ? penalties[rng.uniform_index(3)] : rng.uniform(0.0, 400.0);
-    const MpcController controller(config, device, MpcObjective::kMaxQoE);
+    const MpcController controller(kSegment, config, device, MpcObjective::kMaxQoE);
 
     const std::size_t h = 1 + rng.uniform_index(6);
     const double bandwidths[] = {524288.0, 131072.0, 1024.0};
@@ -563,7 +565,7 @@ TEST_P(ScratchReuse, SteadyStateDecideDoesNotReallocate) {
   const bool energy_mode = GetParam();
   MpcConfig config;
   const MpcController controller(
-      config, power::device_model(Device::kPixel3),
+      kSegment, config, power::device_model(Device::kPixel3),
       energy_mode ? MpcObjective::kMinEnergyQoEConstrained
                   : MpcObjective::kMaxQoE);
 
@@ -603,12 +605,12 @@ TEST(ScratchGrowAccounting, FirstDecideCountsEveryVectorThatGrows) {
   const power::DeviceModel& device = power::device_model(Device::kPixel3);
   const auto horizon = fixed_horizon(5, 8, 3);
 
-  const MpcController energy(config, device,
+  const MpcController energy(kSegment, config, device,
                              MpcObjective::kMinEnergyQoEConstrained);
   (void)energy.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
   EXPECT_EQ(energy.scratch_grow_events(), 13u);
 
-  const MpcController qoe(config, device, MpcObjective::kMaxQoE);
+  const MpcController qoe(kSegment, config, device, MpcObjective::kMaxQoE);
   (void)qoe.decide(horizon, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);
   EXPECT_EQ(qoe.scratch_grow_events(), 14u);
 }
@@ -616,7 +618,7 @@ TEST(ScratchGrowAccounting, FirstDecideCountsEveryVectorThatGrows) {
 TEST(ScratchGrowAccounting, SteadyStateIsZeroAndDeeperHorizonGrowsPerSegmentVectors) {
   const MpcConfig config;
   const power::DeviceModel& device = power::device_model(Device::kPixel3);
-  const MpcController controller(config, device,
+  const MpcController controller(kSegment, config, device,
                                  MpcObjective::kMinEnergyQoEConstrained);
   const auto h5 = fixed_horizon(5, 8, 3);
   (void)controller.decide(h5, util::BytesPerSec(5e5), util::Seconds(2.5), 50.0);

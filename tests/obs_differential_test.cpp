@@ -18,6 +18,8 @@
 #include "sim/workload.h"
 #include "trace/video_catalog.h"
 
+#include "test_support.h"
+
 namespace ps360 {
 namespace {
 
@@ -31,22 +33,7 @@ const sim::VideoWorkload& test_workload() {
   return workload;
 }
 
-void expect_bit_identical(const sim::SessionResult& a, const sim::SessionResult& b) {
-  ASSERT_EQ(a.segments.size(), b.segments.size());
-  for (std::size_t k = 0; k < a.segments.size(); ++k) {
-    EXPECT_EQ(a.segments[k].quality, b.segments[k].quality);
-    EXPECT_EQ(a.segments[k].frame_index, b.segments[k].frame_index);
-    EXPECT_EQ(a.segments[k].bytes, b.segments[k].bytes);
-    EXPECT_EQ(a.segments[k].download_s, b.segments[k].download_s);
-    EXPECT_EQ(a.segments[k].stall_s, b.segments[k].stall_s);
-    EXPECT_EQ(a.segments[k].buffer_before_s, b.segments[k].buffer_before_s);
-  }
-  EXPECT_EQ(a.energy.total_mj(), b.energy.total_mj());
-  EXPECT_EQ(a.qoe.mean_q, b.qoe.mean_q);
-  EXPECT_EQ(a.total_stall_s, b.total_stall_s);
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-  EXPECT_EQ(a.rebuffer_events, b.rebuffer_events);
-}
+using test::expect_bit_identical;
 
 // ------------------------------------------------------- simulate_session
 
@@ -161,21 +148,21 @@ TEST(ObsDifferentialTest, ReplicationMergeIsThreadCountInvariant) {
   options.replications = 4;
   options.link.duration_s = 300.0;
 
-  const auto run_observed = [&](std::size_t threads, obs::MetricsRegistry& metrics,
+  // PS360_THREADS=1, then the default budget.
+  const auto run_observed = [&](const char* threads, obs::MetricsRegistry& metrics,
                                 obs::EventTracer& tracer) {
+    const test::ScopedThreadsEnv env(threads);
     obs::Observer observer{&metrics, &tracer};
     fleet::FleetConfig observed = config;
     observed.observer = &observer;
-    fleet::FleetRunOptions opts = options;
-    opts.threads = threads;
-    return fleet::run_fleet_replications(workload, observed, opts);
+    return fleet::run_fleet_replications(workload, observed, options);
   };
 
   obs::MetricsRegistry metrics_1t, metrics_4t;
   obs::EventTracer tracer_1t(1 << 16), tracer_4t(1 << 16);
-  const std::vector<fleet::FleetResult> serial = run_observed(1, metrics_1t, tracer_1t);
+  const std::vector<fleet::FleetResult> serial = run_observed("1", metrics_1t, tracer_1t);
   const std::vector<fleet::FleetResult> parallel =
-      run_observed(4, metrics_4t, tracer_4t);
+      run_observed(nullptr, metrics_4t, tracer_4t);
 
   // Simulation results stay bit-identical with the observer attached…
   ASSERT_EQ(serial.size(), parallel.size());

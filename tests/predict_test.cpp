@@ -93,7 +93,7 @@ TEST(ViewportPredictorTest, RejectsBackwardTarget) {
 TEST(ViewportPredictorTest, ShortHorizonBeatsLongHorizonOnRealTraces) {
   // The paper's rationale for a small buffer: near-future predictions are
   // far more accurate. Verify on synthetic head traces.
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(42);
   const ViewportPredictor predictor;
   double err_short = 0.0, err_long = 0.0;
   int count = 0;
@@ -161,7 +161,7 @@ TEST(ViewportPredictorTest, WindowMatchesFullScanReference) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   trace::VideoInfo video = trace::test_videos()[4];
   video.duration_s = 20.0;
-  const HeadTrace dense = trace::HeadTraceSynthesizer().synthesize(video, 2);
+  const HeadTrace dense = trace::HeadTraceSynthesizer(42).synthesize(video, 2);
   const HeadTrace sparse = sparse_dyadic_trace(5);
   util::Rng rng(31);
   for (const HeadTrace* trace : {&dense, &sparse}) {
@@ -330,7 +330,7 @@ TEST(ViewportPredictorTest, MatchesAllocatingRidgeReference) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   trace::VideoInfo video = trace::test_videos()[4];
   video.duration_s = 20.0;
-  const HeadTrace dense = trace::HeadTraceSynthesizer().synthesize(video, 2);
+  const HeadTrace dense = trace::HeadTraceSynthesizer(42).synthesize(video, 2);
   const HeadTrace sparse = sparse_dyadic_trace(5);
   const HeadTrace poles = pole_trace();
   util::Rng rng(47);
@@ -519,7 +519,7 @@ TEST(PredictorKindTest, LinearTracksRampHoldDoesNot) {
 TEST(PredictorKindTest, RidgeCompetitiveOnRealTraces) {
   // On noisy synthetic head traces ridge should not lose badly to either
   // baseline at a 1-second horizon (the paper's motivation for ridge).
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(42);
   double ridge = 0.0, linear = 0.0, hold = 0.0;
   for (int u = 0; u < 3; ++u) {
     const auto head = synth.synthesize(trace::test_videos()[7], u);
@@ -533,7 +533,7 @@ TEST(PredictorKindTest, RidgeCompetitiveOnRealTraces) {
 
 TEST(PredictorKindTest, OracleIsExactAndBeatsEveryone) {
   EXPECT_EQ(predictor_name(PredictorKind::kOracle), "oracle");
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(42);
   const auto head = synth.synthesize(trace::test_videos()[7], 1);
   EXPECT_NEAR(mean_prediction_error(PredictorKind::kOracle, head, util::Seconds(1.0), util::Seconds(2.0)), 0.0,
               1e-9);

@@ -26,6 +26,10 @@ namespace {
 using geometry::EquirectPoint;
 using geometry::Viewport;
 
+// The paper's FoV and the default seed, which a workload would pass.
+constexpr geometry::Degrees kFov{100.0};
+constexpr std::uint64_t kSeed = 42;
+
 std::vector<EquirectPoint> blob(double cx, double cy, double radius, std::size_t n,
                                 std::uint64_t seed) {
   util::Rng rng(seed);
@@ -363,7 +367,7 @@ TEST(ClustererPropertyTest, RandomizedInvariantsHoldAcrossSeeds) {
 // ------------------------------------------------------------ PtileBuilder
 
 TEST(PtileBuilderTest, PopularClusterBecomesPtile) {
-  const PtileBuilder builder;
+  const PtileBuilder builder(kFov);
   const auto centers = blob(120.0, 90.0, 6.0, 12, 21);
   const auto result = builder.build(centers);
   ASSERT_EQ(result.ptiles.size(), 1u);
@@ -379,7 +383,7 @@ TEST(PtileBuilderTest, PopularClusterBecomesPtile) {
   // With trimming disabled the cover is exact.
   PtileBuildConfig untrimmed;
   untrimmed.tile_overlap_threshold = 0.0;
-  const PtileBuilder full_builder(untrimmed);
+  const PtileBuilder full_builder(kFov, untrimmed);
   const auto full = full_builder.build(centers);
   ASSERT_EQ(full.ptiles.size(), 1u);
   for (const auto& center : centers) {
@@ -390,7 +394,7 @@ TEST(PtileBuilderTest, PopularClusterBecomesPtile) {
 
 TEST(PtileBuilderTest, MinUserRuleFiltersSmallClusters) {
   // 4 users < min_users (5): no Ptile, everyone uncovered.
-  const PtileBuilder builder;
+  const PtileBuilder builder(kFov);
   const auto centers = blob(120.0, 90.0, 4.0, 4, 22);
   const auto result = builder.build(centers);
   EXPECT_TRUE(result.ptiles.empty());
@@ -401,7 +405,7 @@ TEST(PtileBuilderTest, PtilesSortedByPopularity) {
   auto centers = blob(60.0, 90.0, 4.0, 20, 23);
   const auto minor = blob(250.0, 90.0, 4.0, 7, 24);
   centers.insert(centers.end(), minor.begin(), minor.end());
-  const PtileBuilder builder;
+  const PtileBuilder builder(kFov);
   const auto result = builder.build(centers);
   ASSERT_EQ(result.ptiles.size(), 2u);
   EXPECT_GE(result.ptiles[0].users.size(), result.ptiles[1].users.size());
@@ -409,7 +413,7 @@ TEST(PtileBuilderTest, PtilesSortedByPopularity) {
 }
 
 TEST(PtileBuilderTest, PtileIsGridAligned) {
-  const PtileBuilder builder;
+  const PtileBuilder builder(kFov);
   const auto centers = blob(100.0, 95.0, 3.0, 8, 25);
   const auto result = builder.build(centers);
   ASSERT_EQ(result.ptiles.size(), 1u);
@@ -420,7 +424,7 @@ TEST(PtileBuilderTest, PtileIsGridAligned) {
 }
 
 TEST(PtileBuilderTest, CoveringQueryFindsPtile) {
-  const PtileBuilder builder;
+  const PtileBuilder builder(kFov);
   const auto centers = blob(120.0, 95.0, 3.0, 10, 26);
   const auto result = builder.build(centers);
   ASSERT_FALSE(result.ptiles.empty());
@@ -429,11 +433,11 @@ TEST(PtileBuilderTest, CoveringQueryFindsPtile) {
 }
 
 TEST(PtileBuilderTest, BackgroundBlocksTileTheComplement) {
-  const PtileBuilder builder;
+  const PtileBuilder builder(kFov);
   const auto centers = blob(120.0, 95.0, 3.0, 10, 27);
   const auto result = builder.build(centers);
   ASSERT_FALSE(result.ptiles.empty());
-  const auto blocks = builder.background_block_areas(result.ptiles[0]);
+  const auto blocks = background_block_areas(result.ptiles[0]);
   EXPECT_GE(blocks.size(), 1u);
   EXPECT_LE(blocks.size(), 3u);
   double total = result.ptiles[0].area.area_fraction();
@@ -451,12 +455,12 @@ TEST(PtileBuilderTest, FullWidthPtileHasNoRingBlock) {
   config.min_users = 2;
   config.clustering.sigma = 360.0;
   config.clustering.delta = 90.0;
-  const PtileBuilder builder(config);
+  const PtileBuilder builder(kFov, config);
   std::vector<EquirectPoint> centers;
   for (int i = 0; i < 8; ++i) centers.push_back(EquirectPoint::make(geometry::Degrees(i * 45.0), geometry::Degrees(90.0)));
   const auto result = builder.build(centers);
   ASSERT_EQ(result.ptiles.size(), 1u);
-  const auto blocks = builder.background_block_areas(result.ptiles[0]);
+  const auto blocks = background_block_areas(result.ptiles[0]);
   double total = result.ptiles[0].area.area_fraction();
   for (double b : blocks) total += b;
   EXPECT_NEAR(total, 1.0, 1e-9);
@@ -467,7 +471,7 @@ TEST(PtileBuilderTest, FullWidthPtileHasNoRingBlock) {
 
 TEST(FtileLayoutTest, PartitionsAllBlocksIntoTenTiles) {
   const auto centers = blob(120.0, 90.0, 10.0, 30, 31);
-  const FtileLayout layout(centers, FtileLayoutConfig{});
+  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
   EXPECT_LE(layout.tile_count(), 10u);
   EXPECT_GE(layout.tile_count(), 2u);
   double total = 0.0;
@@ -484,7 +488,7 @@ TEST(FtileLayoutTest, ViewportOverlapsFewTiles) {
   // View-aligned tiling: the FoV of the popular region intersects a small
   // subset of the ten tiles.
   const auto centers = blob(120.0, 90.0, 8.0, 30, 32);
-  const FtileLayout layout(centers, FtileLayoutConfig{});
+  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
   const auto selected = layout.tiles_overlapping(Viewport(EquirectPoint::make(geometry::Degrees(120.0), geometry::Degrees(90.0))));
   EXPECT_GE(selected.size(), 1u);
   EXPECT_LT(selected.size(), layout.tile_count());
@@ -492,7 +496,7 @@ TEST(FtileLayoutTest, ViewportOverlapsFewTiles) {
 
 TEST(FtileLayoutTest, SelectedTilesCoverTheViewport) {
   const auto centers = blob(200.0, 100.0, 8.0, 30, 33);
-  const FtileLayout layout(centers, FtileLayoutConfig{});
+  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
   const Viewport vp(EquirectPoint::make(geometry::Degrees(200.0), geometry::Degrees(100.0)));
   // Default selection skips tiles the FoV merely grazes, so coverage is
   // high but can fall short of exact; a zero threshold covers exactly.
@@ -505,8 +509,8 @@ TEST(FtileLayoutTest, SelectedTilesCoverTheViewport) {
 
 TEST(FtileLayoutTest, DeterministicForSeed) {
   const auto centers = blob(120.0, 90.0, 8.0, 30, 34);
-  const FtileLayout a(centers, FtileLayoutConfig{});
-  const FtileLayout b(centers, FtileLayoutConfig{});
+  const FtileLayout a(centers, FtileLayoutConfig{}, kFov, kSeed);
+  const FtileLayout b(centers, FtileLayoutConfig{}, kFov, kSeed);
   ASSERT_EQ(a.tile_count(), b.tile_count());
   EXPECT_EQ(a.tile_areas(), b.tile_areas());
 }
@@ -600,7 +604,7 @@ Viewport draw_viewport(util::Rng& rng) {
 }
 
 TEST(FtileLayoutTest, RowColumnContainmentMatchesPerBlockReference) {
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(kSeed);
   const FtileLayoutConfig config;
   util::Rng rng(2024);
   std::size_t viewports = 0;
@@ -611,7 +615,7 @@ TEST(FtileLayoutTest, RowColumnContainmentMatchesPerBlockReference) {
     for (const double t0 : {0.0, 3.0, 5.0}) {
       std::vector<EquirectPoint> centers;
       for (const auto& trace : traces) centers.push_back(trace.mean_center(t0, t0 + 1.0));
-      const FtileLayout layout(centers, config);
+      const FtileLayout layout(centers, config, kFov, kSeed);
       const PerBlockReference reference(layout, config);
       for (int i = 0; i < 100; ++i, ++viewports) {
         const Viewport vp = draw_viewport(rng);
@@ -640,7 +644,7 @@ TEST(FtileLayoutTest, RowColumnContainmentMatchesPerBlockReference) {
 // building both tile lists per lookahead segment. A BlocksInView is only
 // read by layouts of its own block grid.
 TEST(FtileLayoutTest, SplitSumsTheSelectedAndOtherTilesInTileOrder) {
-  const trace::HeadTraceSynthesizer synth;
+  const trace::HeadTraceSynthesizer synth(kSeed);
   util::Rng rng(2025);
   trace::VideoInfo info = trace::test_videos()[3];
   info.duration_s = 4.0;
@@ -649,7 +653,7 @@ TEST(FtileLayoutTest, SplitSumsTheSelectedAndOtherTilesInTileOrder) {
   for (const double t0 : {0.0, 2.0}) {
     std::vector<EquirectPoint> centers;
     for (const auto& trace : traces) centers.push_back(trace.mean_center(t0, t0 + 1.0));
-    const FtileLayout layout(centers, FtileLayoutConfig{});
+    const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
     for (int i = 0; i < 200; ++i) {
       const Viewport vp = draw_viewport(rng);
       for (const double fraction : {0.0, 0.2, 1.0}) {
@@ -677,14 +681,14 @@ TEST(FtileLayoutTest, SplitSumsTheSelectedAndOtherTilesInTileOrder) {
   }
   EXPECT_GT(both_sides, 100u);
   const auto centers = blob(120.0, 90.0, 8.0, 10, 37);
-  const FtileLayout layout(centers, FtileLayoutConfig{});
+  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
   const Viewport vp(EquirectPoint::make(geometry::Degrees(0.0), geometry::Degrees(90.0)));
   EXPECT_THROW(layout.split(layout.blocks_in_view(vp), 1.5), std::invalid_argument);
   // A view of another block grid is rejected, not misread.
   FtileLayoutConfig coarse;
   coarse.block_rows = 5;
   coarse.block_cols = 10;
-  const FtileLayout other(centers, coarse);
+  const FtileLayout other(centers, coarse, kFov, kSeed);
   EXPECT_THROW(layout.split(other.blocks_in_view(vp)), std::invalid_argument);
   EXPECT_THROW(layout.tiles_overlapping(other.blocks_in_view(vp)), std::invalid_argument);
 }
@@ -738,16 +742,19 @@ TEST(ViewHeatmapTest, RenderShapeAndOverlay) {
 TEST(FtileLayoutTest, RejectsBadCentersNamingTheIndex) {
   auto centers = blob(120.0, 90.0, 8.0, 10, 36);
   centers[4].y = std::nan("");
-  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}); }, "centers[4]");
+  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}, kFov, kSeed); },
+                      "centers[4]");
   centers[4].y = -1.0;
-  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}); }, "centers[4]");
+  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}, kFov, kSeed); },
+                      "centers[4]");
   centers[4] = EquirectPoint{std::numeric_limits<double>::infinity(), 90.0};
-  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}); }, "centers[4]");
+  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}, kFov, kSeed); },
+                      "centers[4]");
 }
 
 TEST(FtileLayoutTest, CoverageRejectsBadTileId) {
   const auto centers = blob(120.0, 90.0, 8.0, 10, 35);
-  const FtileLayout layout(centers, FtileLayoutConfig{});
+  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
   EXPECT_THROW(layout.coverage(Viewport(EquirectPoint::make(geometry::Degrees(0.0), geometry::Degrees(90.0))), {999}),
                std::invalid_argument);
 }

@@ -25,6 +25,8 @@
 #include "util/rng.h"
 #include "util/units.h"
 
+#include "test_support.h"
+
 namespace ps360::server {
 namespace {
 
@@ -386,13 +388,13 @@ TEST(FleetServerTest, ReplicatedServerFleetsAreThreadCountInvariant) {
   options.replications = 4;
   options.link.duration_s = 300.0;
 
-  const auto run = [&](std::size_t threads) {
-    FleetRunOptions opts = options;
-    opts.threads = threads;
-    return run_fleet_replications(test_workload(), config, opts);
-  };
-  const std::vector<FleetResult> serial = run(1);
-  const std::vector<FleetResult> parallel = run(4);
+  const std::vector<FleetResult> serial = [&] {
+    const test::ScopedThreadsEnv env("1");
+    return run_fleet_replications(test_workload(), config, options);
+  }();
+  const test::ScopedThreadsEnv unset(nullptr);
+  const std::vector<FleetResult> parallel =
+      run_fleet_replications(test_workload(), config, options);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t r = 0; r < serial.size(); ++r) {

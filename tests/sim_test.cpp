@@ -22,6 +22,7 @@
 #include "util/worker_pool.h"
 
 #include "ghosh_reference.h"
+#include "test_support.h"
 
 namespace ps360::sim {
 namespace {
@@ -113,7 +114,7 @@ TEST(WorkloadTest, FtileFirstUseIsThreadSafe) {
   video.duration_s = 8.0;
   const VideoWorkload w(video, WorkloadConfig{});
   std::vector<const ptile::FtileLayout*> first(8, nullptr);
-  util::for_each_slot(8, 8, [&](std::size_t i) { first[i] = &w.ftile(i % 4); });
+  util::for_each_slot(8, [&](std::size_t i) { first[i] = &w.ftile(i % 4); });
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_EQ(first[i], &w.ftile(i % 4)) << "slot " << i;
 }
@@ -166,9 +167,7 @@ std::vector<double> per_key_draws(const VideoWorkload& w, const video::EncodingM
 TEST(WorkloadTest, SizeNoiseTableMatchesPerKeyDraws) {
   const auto& w = football_workload();
   for (const std::uint64_t seed : {42ULL, 7ULL}) {
-    video::EncodingConfig config;
-    config.seed = seed;
-    const video::EncodingModel model(config);
+    const video::EncodingModel model(seed);
     const SizeNoiseTable& table = w.size_noise_table(model);
     for (std::size_t k = 0; k < w.segment_count(); ++k)
       ASSERT_EQ(row_values(table.row(k)), per_key_draws(w, model, k)) << "segment " << k;
@@ -176,7 +175,7 @@ TEST(WorkloadTest, SizeNoiseTableMatchesPerKeyDraws) {
   // σ = 0 draws no noise: every factor is exactly 1.
   video::EncodingConfig flat;
   flat.size_noise_sigma_log = 0.0;
-  const SizeNoiseTable& table = w.size_noise_table(video::EncodingModel(flat));
+  const SizeNoiseTable& table = w.size_noise_table(video::EncodingModel(42, flat));
   for (std::size_t k = 0; k < w.segment_count(); ++k) {
     for (const double factor : row_values(table.row(k))) ASSERT_EQ(factor, 1.0);
   }
@@ -199,14 +198,10 @@ TEST(WorkloadTest, SchemesWithEqualSeedAndSigmaShareOneTable) {
   const qoe::QoModel qo_model(qoe::QoParams{}, 4.0);
   // Two encodings that differ in everything but (seed, σ), and a third
   // with another seed.
-  video::EncodingConfig config_a;
-  config_a.seed = 1234;
-  video::EncodingConfig config_b = config_a;
+  video::EncodingConfig config_b;
   config_b.full_frame_mbps_best = 20.0;
   config_b.framerate_size_exponent = 0.7;
-  video::EncodingConfig config_c = config_a;
-  config_c.seed = 1235;
-  const video::EncodingModel a(config_a), b(config_b), c(config_c);
+  const video::EncodingModel a(1234), b(1234, config_b), c(1235);
   const SessionConfig session;
   const auto probe = [&](const video::EncodingModel& encoding) {
     return NoiseTableProbe(SchemeKind::kCtile, SchemeEnv{&w, &encoding, &qo_model, &session})
@@ -226,10 +221,7 @@ TEST(WorkloadTest, SizeNoiseFirstUseIsThreadSafe) {
   trace::VideoInfo video = trace::test_videos()[5];
   video.duration_s = 8.0;
   const VideoWorkload w(video, WorkloadConfig{});
-  video::EncodingConfig config_a, config_b;
-  config_a.seed = 11;
-  config_b.seed = 12;
-  const video::EncodingModel a(config_a), b(config_b);
+  const video::EncodingModel a(11), b(12);
   const auto read_all = [&](const SizeNoiseTable& table, std::vector<double>& out) {
     for (std::size_t k = 0; k < w.segment_count(); ++k) {
       for (const double factor : row_values(table.row(k))) out.push_back(factor);
@@ -241,7 +233,7 @@ TEST(WorkloadTest, SizeNoiseFirstUseIsThreadSafe) {
     std::vector<double> values;
   };
   std::vector<Seen> seen(8);
-  util::for_each_slot(8, 8, [&](std::size_t i) {
+  util::for_each_slot(8, [&](std::size_t i) {
     // Half the slots look the two seeds up in the other order.
     if (i % 2 == 0) {
       seen[i].a = &w.size_noise_table(a);
@@ -272,10 +264,39 @@ TEST(WorkloadTest, SizeNoiseFirstUseIsThreadSafe) {
   }
 }
 
+// The workload is the one home of the segment length and the FoV, so it
+// rejects a segment_seconds that is not finite and > 0, and an fov_deg
+// outside (0, 180], itself, by name, before a builder or a segment count
+// could blame another value.
 TEST(WorkloadTest, ConfigValidation) {
   WorkloadConfig bad;
   bad.n_training_users = 48;  // no test users left
   EXPECT_THROW(VideoWorkload(trace::test_videos()[5], bad), std::invalid_argument);
+
+  trace::VideoInfo video = trace::test_videos()[5];
+  video.duration_s = 4.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [&](const WorkloadConfig& config, const std::string& field,
+                                   double value) {
+    try {
+      const VideoWorkload workload(video, config);
+      ADD_FAILURE() << "accepted " << field << " = " << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << field << " = " << value << ": " << e.what();
+    }
+  };
+  for (const double seconds : {kInf, kNaN, 0.0, -1.0}) {
+    WorkloadConfig config;
+    config.segment_seconds = seconds;
+    expect_rejected(config, "WorkloadConfig::segment_seconds", seconds);
+  }
+  for (const double fov : {kNaN, 0.0, 200.0, -10.0, kInf}) {
+    WorkloadConfig config;
+    config.fov_deg = fov;
+    expect_rejected(config, "WorkloadConfig::fov_deg", fov);
+  }
 }
 
 // The Ptile builder and the schemes' FoV tiles read one threshold, the
@@ -304,9 +325,11 @@ TEST(WorkloadTest, RejectsATileOverlapThresholdOutsideTheUnitInterval) {
 TEST(WorkloadTest, ConstructionIsThreadCountInvariant) {
   trace::VideoInfo video = trace::test_videos()[4];  // three attractors, exploratory
   video.duration_s = 40.0;
-  ::setenv("PS360_THREADS", "1", /*overwrite=*/1);
-  const VideoWorkload serial(video, WorkloadConfig{});
-  ::unsetenv("PS360_THREADS");
+  const VideoWorkload serial = [&] {
+    const test::ScopedThreadsEnv env("1");
+    return VideoWorkload(video, WorkloadConfig{});
+  }();
+  const test::ScopedThreadsEnv unset(nullptr);
   const VideoWorkload pooled(video, WorkloadConfig{});
 
   for (std::size_t u = 0; u < WorkloadConfig{}.n_users; ++u) {
@@ -352,32 +375,40 @@ TEST(WorkloadTest, ConstructionIsThreadCountInvariant) {
   }
 }
 
-// WorkloadConfig::fov_deg sizes the Ptile members as well as the viewports,
-// the way it already sizes the Ftile views.
+// The Ptiles of one segment, compared bit for bit.
+bool same_ptiles(const ptile::SegmentPtiles& a, const ptile::SegmentPtiles& b) {
+  if (a.ptiles.size() != b.ptiles.size() || a.uncovered_users != b.uncovered_users)
+    return false;
+  for (std::size_t i = 0; i < a.ptiles.size(); ++i) {
+    const geometry::EquirectRect& x = a.ptiles[i].area;
+    const geometry::EquirectRect& y = b.ptiles[i].area;
+    if (a.ptiles[i].users != b.ptiles[i].users || bits(x.lon.lo) != bits(y.lon.lo) ||
+        bits(x.lon.width) != bits(y.lon.width) || bits(x.y_lo) != bits(y.y_lo) ||
+        bits(x.y_hi) != bits(y.y_hi))
+      return false;
+  }
+  return true;
+}
+
+// WorkloadConfig::fov_deg sizes the Ptile members as well as the viewports:
+// a 60° workload builds, segment by segment, what a standalone 60°
+// PtileBuilder builds from the same training centers, and on some segment
+// that is not what a 100° builder builds.
 TEST(WorkloadTest, FovSizesThePtileMembers) {
   trace::VideoInfo video = trace::test_videos()[1];
   video.duration_s = 10.0;
-  WorkloadConfig alone;
-  alone.fov_deg = 60.0;
-  WorkloadConfig both = alone;
-  both.ptile.fov_deg = 60.0;
-  const VideoWorkload a(video, alone), b(video, both);
-  ASSERT_EQ(a.segment_count(), b.segment_count());
-  for (std::size_t k = 0; k < a.segment_count(); ++k) {
-    const ptile::SegmentPtiles& got = a.ptiles(k);
-    const ptile::SegmentPtiles& want = b.ptiles(k);
-    ASSERT_EQ(got.ptiles.size(), want.ptiles.size()) << "segment " << k;
-    EXPECT_EQ(got.uncovered_users, want.uncovered_users) << "segment " << k;
-    for (std::size_t i = 0; i < got.ptiles.size(); ++i) {
-      const geometry::EquirectRect& g = got.ptiles[i].area;
-      const geometry::EquirectRect& w = want.ptiles[i].area;
-      EXPECT_EQ(got.ptiles[i].users, want.ptiles[i].users) << "segment " << k;
-      EXPECT_EQ(bits(g.lon.lo), bits(w.lon.lo)) << "segment " << k;
-      EXPECT_EQ(bits(g.lon.width), bits(w.lon.width)) << "segment " << k;
-      EXPECT_EQ(bits(g.y_lo), bits(w.y_lo)) << "segment " << k;
-      EXPECT_EQ(bits(g.y_hi), bits(w.y_hi)) << "segment " << k;
-    }
+  WorkloadConfig config;
+  config.fov_deg = 60.0;
+  const VideoWorkload w(video, config);
+  const ptile::PtileBuilder narrow(geometry::Degrees(60.0), config.ptile);
+  const ptile::PtileBuilder wide(geometry::Degrees(100.0), config.ptile);
+  std::size_t differs_from_wide = 0;
+  for (std::size_t k = 0; k < w.segment_count(); ++k) {
+    const ptile::SegmentPtiles want = narrow.build(w.training_centers(k));
+    EXPECT_TRUE(same_ptiles(w.ptiles(k), want)) << "segment " << k;
+    if (!same_ptiles(wide.build(w.training_centers(k)), want)) ++differs_from_wide;
   }
+  EXPECT_GT(differs_from_wide, 0u);
 }
 
 // A video duration no segment or head-sample count can come from (+inf,
@@ -419,7 +450,7 @@ struct PlannerFixture {
     return scheme->plan(segment, predicted, 10.0, util::BytesPerSec(bandwidth), util::Seconds(buffer), -1.0);
   }
 
-  video::EncodingModel encoding;
+  video::EncodingModel encoding{42};
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   SessionConfig session;
   SchemeEnv env;
@@ -583,11 +614,11 @@ class PerOptionReference : public Scheme {
       : Scheme(kind),
         env_(env),
         ladder_(env.workload->video().fps),
-        qoe_(env.session->mpc, power::device_model(env.session->device),
-             core::MpcObjective::kMaxQoE),
-        energy_(env.session->mpc, power::device_model(env.session->device),
-                core::MpcObjective::kMinEnergyQoEConstrained),
-        builder_(env.workload->config().ptile) {}
+        qoe_(util::Seconds(env.workload->config().segment_seconds), env.session->mpc,
+             power::device_model(env.session->device), core::MpcObjective::kMaxQoE),
+        energy_(util::Seconds(env.workload->config().segment_seconds), env.session->mpc,
+                power::device_model(env.session->device),
+                core::MpcObjective::kMinEnergyQoEConstrained) {}
 
 
   DownloadPlan plan(std::size_t k, const geometry::Viewport& predicted,
@@ -693,7 +724,7 @@ class PerOptionReference : public Scheme {
     const std::size_t n_hq = rect.tile_count();
     const std::size_t n_bg = grid_.tile_count() - n_hq;
     const double bg_area = std::max(1.0 - hq_area, 0.0);
-    const double L = env_.session->mpc.segment_seconds;
+    const double L = workload.config().segment_seconds;
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
       double total = env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L,
                                                  ratio, draw(i, v, fi, NoiseRole::kCtileHq));
@@ -711,7 +742,7 @@ class PerOptionReference : public Scheme {
 
   DownloadPlan nontile(const Inputs& in) const {
     const auto& workload = *env_.workload;
-    const double L = env_.session->mpc.segment_seconds;
+    const double L = workload.config().segment_seconds;
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
       return env_.encoding->region_bytes(1.0, 1, v, workload.features(i), L, ratio,
                                          draw(i, v, fi, NoiseRole::kNontile));
@@ -726,7 +757,7 @@ class PerOptionReference : public Scheme {
 
   DownloadPlan ftile(const Inputs& in) const {
     const auto& workload = *env_.workload;
-    const double L = env_.session->mpc.segment_seconds;
+    const double L = workload.config().segment_seconds;
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
       const auto& layout = workload.ftile(i);
       const auto selected = layout.tiles_overlapping(in.predicted);
@@ -759,9 +790,9 @@ class PerOptionReference : public Scheme {
     const ptile::Ptile* ptile =
         workload.ptiles(in.k).covering(in.predicted, env_.session->ptile_min_coverage);
     if (ptile == nullptr) return ctile(in, /*frame_options=*/false, /*perceptual=*/false);
-    const double L = env_.session->mpc.segment_seconds;
+    const double L = workload.config().segment_seconds;
     const double ptile_area = ptile->area.area_fraction();
-    const std::vector<double> bg_areas = builder_.background_block_areas(*ptile);
+    const std::vector<double> bg_areas = ptile::background_block_areas(*ptile);
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
       double total = env_.encoding->region_bytes(ptile_area, 1, v, workload.features(i), L,
                                                  ratio, draw(i, v, fi, NoiseRole::kPtile));
@@ -783,7 +814,6 @@ class PerOptionReference : public Scheme {
   const video::FrameRateLadder ladder_;
   core::MpcController qoe_;
   core::MpcController energy_;
-  ptile::PtileBuilder builder_;
 };
 
 // Every field a plan carries, compared bit for bit.
@@ -924,7 +954,7 @@ DownloadPlan ghosh_per_tile_reference(const SchemeEnv& env, bool robust, std::si
   using video::QualityLadder;
   const geometry::TileGrid grid(4, 8);
   const auto& feat = env.workload->features(k);
-  const double L = env.session->mpc.segment_seconds;
+  const double L = env.workload->config().segment_seconds;
   const auto tile_id = [&](const TileIndex& t) { return t.row * grid.cols() + t.col; };
   const auto tile_level_bytes = [&](const TileIndex& t, int quality) {
     return env.encoding->region_bytes(

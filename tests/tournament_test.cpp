@@ -45,6 +45,7 @@
 #include "util/worker_pool.h"
 
 #include "ghosh_reference.h"
+#include "test_support.h"
 
 namespace ps360::sim {
 namespace {
@@ -73,38 +74,13 @@ struct RegistryFixture {
     env.session = &session;
   }
 
-  video::EncodingModel encoding;
+  video::EncodingModel encoding{42};
   qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   SessionConfig session;
   SchemeEnv env;
 };
 
-// RAII PS360_THREADS override so determinism arms can't leak into other
-// tests.
-class ScopedThreadsEnv {
- public:
-  explicit ScopedThreadsEnv(const char* value) {
-    const char* old = std::getenv("PS360_THREADS");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv("PS360_THREADS", value, 1);
-    } else {
-      ::unsetenv("PS360_THREADS");
-    }
-  }
-  ~ScopedThreadsEnv() {
-    if (had_old_) {
-      ::setenv("PS360_THREADS", old_.c_str(), 1);
-    } else {
-      ::unsetenv("PS360_THREADS");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
+using test::ScopedThreadsEnv;
 
 // ------------------------------------------------------------ Registry
 
@@ -499,7 +475,7 @@ TEST(TournamentTest, ByteIdenticalAcrossThreadAndShardCounts) {
                               " shards=" + std::to_string(shards);
       EXPECT_EQ(run_tournament(config).to_json(), baseline) << arm;
       // A threaded arm ran on workers, not on a pool a serial arm sized.
-      if (util::resolve_thread_count(0) > 1) {
+      if (util::resolve_thread_count() > 1) {
         EXPECT_GT(util::pool_workers(), 0u) << arm;
       }
     }

@@ -296,7 +296,7 @@ HeadTrace irregular_trace(std::uint64_t seed) {
 TEST(HeadTraceTest, WindowsMatchFullScanReference) {
   VideoInfo video = test_videos()[2];
   video.duration_s = 20.0;
-  const HeadTrace synthesized = HeadTraceSynthesizer().synthesize(video, 5);
+  const HeadTrace synthesized = HeadTraceSynthesizer(42).synthesize(video, 5);
   const HeadTrace irregular = irregular_trace(77);
   for (const HeadTrace* trace : {&synthesized, &irregular}) {
     for (const auto& [t0, t1] : seeded_windows(*trace, 99)) {
@@ -323,15 +323,15 @@ TEST(HeadTraceTest, PairPathsFirstUseIsThreadSafe) {
   // thread's windows must read what a serial walk of a fresh trace reads.
   VideoInfo video = test_videos()[3];
   video.duration_s = 30.0;
-  const HeadTrace shared = HeadTraceSynthesizer().synthesize(video, 6);
-  const HeadTrace serial = HeadTraceSynthesizer().synthesize(video, 6);
+  const HeadTrace shared = HeadTraceSynthesizer(42).synthesize(video, 6);
+  const HeadTrace serial = HeadTraceSynthesizer(42).synthesize(video, 6);
   constexpr std::size_t kSlots = 8, kWindows = 200;
   const auto window = [&](std::size_t slot, std::size_t w) {
     const double t1 = 1.0 + 0.0137 * static_cast<double>(slot * kWindows + w);
     return std::pair{t1 - 1.0, t1};
   };
   std::vector<std::vector<double>> speeds(kSlots);
-  util::for_each_slot(kSlots, kSlots, [&](std::size_t slot) {
+  util::for_each_slot(kSlots, [&](std::size_t slot) {
     for (std::size_t w = 0; w < kWindows; ++w) {
       const auto [t0, t1] = window(slot, w);
       speeds[slot].push_back(shared.switching_speed(t0, t1));
@@ -349,7 +349,7 @@ TEST(HeadTraceTest, PairPathsFirstUseIsThreadSafe) {
 // -------------------------------------------------------- HeadSynthesizer
 
 TEST(HeadSynthTest, DeterministicPerSeedAndUser) {
-  const HeadTraceSynthesizer synth;
+  const HeadTraceSynthesizer synth(42);
   const auto& video = test_videos()[1];
   const HeadTrace a = synth.synthesize(video, 3);
   const HeadTrace b = synth.synthesize(video, 3);
@@ -360,7 +360,7 @@ TEST(HeadSynthTest, DeterministicPerSeedAndUser) {
 }
 
 TEST(HeadSynthTest, CoversVideoDurationAtSampleRate) {
-  const HeadTraceSynthesizer synth;
+  const HeadTraceSynthesizer synth(42);
   const auto& video = test_videos()[5];  // 164 s
   const HeadTrace trace = synth.synthesize(video, 0);
   EXPECT_GE(trace.duration(), video.duration_s - 0.1);
@@ -372,7 +372,7 @@ TEST(HeadSynthTest, CoversVideoDurationAtSampleRate) {
 TEST(HeadSynthTest, SwitchingSpeedDistributionMatchesFig5) {
   // Fig. 5 calibration: users exceed 10 deg/s for >30% of samples across
   // the dataset (the paper reports "more than 30%").
-  const HeadTraceSynthesizer synth;
+  const HeadTraceSynthesizer synth(42);
   std::vector<double> speeds;
   for (const auto& video : extended_videos()) {
     for (int u = 0; u < 3; ++u) {
@@ -391,7 +391,7 @@ TEST(HeadSynthTest, SwitchingSpeedDistributionMatchesFig5) {
 TEST(HeadSynthTest, FocusedUsersClusterTighterThanFreeUsers) {
   // The premise of Ptile construction: viewers of a focused video look at
   // nearly the same place.
-  const HeadTraceSynthesizer synth;
+  const HeadTraceSynthesizer synth(42);
   auto spread = [&](const VideoInfo& video) {
     const auto traces = synth.synthesize_all(video, 20);
     double total = 0.0;
@@ -411,7 +411,7 @@ TEST(HeadSynthTest, FocusedUsersClusterTighterThanFreeUsers) {
 }
 
 TEST(HeadSynthTest, SamplesStayOnTheSphere) {
-  const HeadTraceSynthesizer synth;
+  const HeadTraceSynthesizer synth(42);
   const auto trace = synth.synthesize(test_videos()[7], 11);
   for (const auto& s : trace.samples()) {
     EXPECT_GE(s.center.x, 0.0);
@@ -422,7 +422,7 @@ TEST(HeadSynthTest, SamplesStayOnTheSphere) {
 }
 
 TEST(HeadSynthTest, AttractorPathsAreSmoothAndDeterministic) {
-  const HeadTraceSynthesizer synth;
+  const HeadTraceSynthesizer synth(42);
   const auto paths = synth.attractors(test_videos()[0]);
   ASSERT_EQ(paths.size(), 1u);
   // The attractor's own speed stays within ~2.5x the genre speed (sinusoid
@@ -455,7 +455,7 @@ HeadTrace synthesize(const HeadTraceSynthesizer& synth, const VideoInfo& video,
                      int user_id) {
   const HeadSynthConfig& config = synth.config();
   const auto paths = synth.attractors(video);
-  util::Rng rng(util::derive_seed(config.seed,
+  util::Rng rng(util::derive_seed(synth.seed(),
                                   static_cast<std::uint64_t>(video.id) * 977 + 13,
                                   0x5EEDULL + static_cast<std::uint64_t>(user_id)));
 
@@ -554,7 +554,7 @@ TEST(HeadSynthTest, TabulatedAttractorsMatchPerSampleReference) {
   for (const double rate : {50.0, 30.0, 7.3}) {
     HeadSynthConfig config;
     config.sample_rate_hz = rate;
-    const HeadTraceSynthesizer synth(config);
+    const HeadTraceSynthesizer synth(42, config);
     for (const VideoInfo& full : extended_videos()) {
       for (const double duration : {20.0, 60.37, full.duration_s}) {
         VideoInfo video = full;
@@ -673,14 +673,14 @@ TEST(HeadTraceTest, SynthesizerRejectsNonFiniteSampleRate) {
                             std::numeric_limits<double>::quiet_NaN(), 0.0}) {
     HeadSynthConfig config;
     config.sample_rate_hz = rate;
-    expect_throw_naming<std::invalid_argument>([&] { HeadTraceSynthesizer{config}; },
+    expect_throw_naming<std::invalid_argument>([&] { HeadTraceSynthesizer(42, config); },
                                                "sample_rate_hz must be finite");
   }
   // A finite rate whose sample count overflows with a sound duration is
   // blamed on the product, naming the rate.
   HeadSynthConfig config;
   config.sample_rate_hz = 1e300;
-  const HeadTraceSynthesizer synth(config);
+  const HeadTraceSynthesizer synth(42, config);
   expect_throw_naming<std::invalid_argument>(
       [&] { synth.synthesize(test_videos()[1], 0); }, "duration_s * sample_rate_hz");
 }
@@ -773,7 +773,7 @@ TEST(NetworkTraceTest, LoadRejectsMalformedCsv) {
 
 TEST(HeadSynthTest, AttractorPopularityIsSkewed) {
   // The first attractor carries the crowd (why one Ptile usually suffices).
-  const HeadTraceSynthesizer synth;
+  const HeadTraceSynthesizer synth(42);
   const auto paths = synth.attractors(test_videos()[7]);  // 3 attractors
   ASSERT_EQ(paths.size(), 3u);
   EXPECT_GT(paths[0].weight(), paths[1].weight());
@@ -781,7 +781,7 @@ TEST(HeadSynthTest, AttractorPopularityIsSkewed) {
 }
 
 TEST(HeadSynthTest, FocusedUsersRarelyLeaveTheMainAttractor) {
-  const HeadTraceSynthesizer synth;
+  const HeadTraceSynthesizer synth(42);
   const auto& video = test_videos()[2];  // Festival Gala, focused
   const auto paths = synth.attractors(video);
   const auto trace = synth.synthesize(video, 5);
@@ -808,7 +808,7 @@ TEST(DatasetTest, ExportLoadRoundTrip) {
   // Export a few synthetic users of a shortened video.
   VideoInfo video = test_videos()[5];
   video.duration_s = 10.0;
-  const HeadTraceSynthesizer synth;
+  const HeadTraceSynthesizer synth(42);
   const auto traces = synth.synthesize_all(video, 3);
   export_video_traces(root, traces);
 

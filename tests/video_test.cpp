@@ -103,7 +103,7 @@ TEST(EncodingModelTest, Fig8RatiosReproducedExactly) {
   // The calibration anchor: a 9-reference-tile region encoded as one Ptile
   // versus as 9 conventional tiles must have exactly the Fig. 8 median
   // ratios (62/57/47/35/27% for quality 5..1), with noise disabled.
-  const EncodingModel model;
+  const EncodingModel model(42);
   const auto& cfg = model.config();
   const double anchor_area =
       static_cast<double>(cfg.anchor_tile_count) * cfg.ref_tile_area_fraction;
@@ -117,7 +117,7 @@ TEST(EncodingModelTest, Fig8RatiosReproducedExactly) {
 
 TEST(EncodingModelTest, SavingsGrowAsQualityDrops) {
   // Fig. 8's headline: tiling overhead hurts relatively more at low rates.
-  const EncodingModel model;
+  const EncodingModel model(42);
   const auto& cfg = model.config();
   double prev_ratio = 0.0;
   for (int v = 1; v <= 5; ++v) {
@@ -128,7 +128,7 @@ TEST(EncodingModelTest, SavingsGrowAsQualityDrops) {
 }
 
 TEST(EncodingModelTest, MoreTilesMoreBytes) {
-  const EncodingModel model;
+  const EncodingModel model(42);
   for (int v : {1, 3, 5}) {
     double prev = 0.0;
     for (std::size_t n : {1u, 4u, 9u, 16u}) {
@@ -140,7 +140,7 @@ TEST(EncodingModelTest, MoreTilesMoreBytes) {
 }
 
 TEST(EncodingModelTest, BytesScaleWithAreaQualityAndDuration) {
-  const EncodingModel model;
+  const EncodingModel model(42);
   const double base = model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0);
   EXPECT_GT(model.region_bytes(0.4, 1, 3, kReferenceContent, 1.0), base);
   EXPECT_GT(model.region_bytes(0.2, 1, 4, kReferenceContent, 1.0), base);
@@ -148,14 +148,14 @@ TEST(EncodingModelTest, BytesScaleWithAreaQualityAndDuration) {
 }
 
 TEST(EncodingModelTest, ContentComplexityRaisesRate) {
-  const EncodingModel model;
+  const EncodingModel model(42);
   const ContentFeatures simple{20.0, 5.0};
   const ContentFeatures complex{80.0, 60.0};
   EXPECT_GT(model.area_rate_mbps(3, complex), model.area_rate_mbps(3, simple));
 }
 
 TEST(EncodingModelTest, FrameRateReductionSavesSublinearly) {
-  const EncodingModel model;
+  const EncodingModel model(42);
   const double full = model.region_bytes(0.2, 1, 4, kReferenceContent, 1.0, 1.0);
   const double reduced = model.region_bytes(0.2, 1, 4, kReferenceContent, 1.0, 0.7);
   // Dropping 30% of frames saves bytes, but less than 30%.
@@ -164,7 +164,7 @@ TEST(EncodingModelTest, FrameRateReductionSavesSublinearly) {
 }
 
 TEST(EncodingModelTest, NoiseIsDeterministicAndMedianCentred) {
-  const EncodingModel model;
+  const EncodingModel model(42);
   const double clean =
       model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, model.size_noise(0));
   EXPECT_EQ(clean, model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0));
@@ -183,7 +183,7 @@ TEST(EncodingModelTest, NoiseIsDeterministicAndMedianCentred) {
 }
 
 TEST(EncodingModelTest, TiledBytesMatchesEqualSplit) {
-  const EncodingModel model;
+  const EncodingModel model(42);
   const std::vector<double> equal_tiles(4, 0.05);
   const double a = model.tiled_bytes(equal_tiles, 3, kReferenceContent, 1.0);
   const double b = model.region_bytes(0.2, 4, 3, kReferenceContent, 1.0);
@@ -191,7 +191,7 @@ TEST(EncodingModelTest, TiledBytesMatchesEqualSplit) {
 }
 
 TEST(EncodingModelTest, FovBitrateTracksQuality) {
-  const EncodingModel model;
+  const EncodingModel model(42);
   double prev = 0.0;
   for (int v = 1; v <= 5; ++v) {
     const double b = model.fov_bitrate_mbps(v, kReferenceContent);
@@ -207,14 +207,14 @@ TEST(EncodingModelTest, FovBitrateTracksQuality) {
 TEST(EncodingModelTest, WholeFrameSingleTileIsEfficient) {
   // Nontile pays only one per-tile overhead: its per-area cost must be well
   // below the same frame cut into the 4x8 grid.
-  const EncodingModel model;
+  const EncodingModel model(42);
   const double nontile = model.region_bytes(1.0, 1, 3, kReferenceContent, 1.0);
   const double grid = model.region_bytes(1.0, 32, 3, kReferenceContent, 1.0);
   EXPECT_LT(nontile, 0.6 * grid);
 }
 
 TEST(EncodingModelTest, RejectsInvalidArguments) {
-  const EncodingModel model;
+  const EncodingModel model(42);
   EXPECT_THROW(model.region_bytes(0.0, 1, 3, kReferenceContent, 1.0),
                std::invalid_argument);
   EXPECT_THROW(model.region_bytes(0.2, 0, 3, kReferenceContent, 1.0),
@@ -230,17 +230,17 @@ TEST(EncodingModelTest, RejectsInvalidArguments) {
 TEST(EncodingModelTest, ConfigValidation) {
   EncodingConfig config;
   config.fov_size_ratio[0] = 0.05;  // below the representable 1/9 bound
-  EXPECT_THROW(EncodingModel{config}, std::invalid_argument);
+  EXPECT_THROW(EncodingModel(42, config), std::invalid_argument);
   EncodingConfig negative;
   negative.full_frame_mbps_best = -1.0;
-  EXPECT_THROW(EncodingModel{negative}, std::invalid_argument);
+  EXPECT_THROW(EncodingModel(42, negative), std::invalid_argument);
   // +inf passes a bare > 0 or >= 0 test; the model rejects it too.
   EncodingConfig infinite_rate;
   infinite_rate.full_frame_mbps_best = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(EncodingModel{infinite_rate}, std::invalid_argument);
+  EXPECT_THROW(EncodingModel(42, infinite_rate), std::invalid_argument);
   EncodingConfig infinite_sigma;
   infinite_sigma.size_noise_sigma_log = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(EncodingModel{infinite_sigma}, std::invalid_argument);
+  EXPECT_THROW(EncodingModel(42, infinite_sigma), std::invalid_argument);
 }
 
 // Parameterized sweep: the Fig. 8 ratio property holds for every quality
@@ -250,7 +250,7 @@ class EncodingRatioSweep
 
 TEST_P(EncodingRatioSweep, RatioIndependentOfContent) {
   const auto [quality, si, ti] = GetParam();
-  const EncodingModel model;
+  const EncodingModel model(42);
   const ContentFeatures feat{si, ti};
   const auto& cfg = model.config();
   const double anchor_area =

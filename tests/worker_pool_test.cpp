@@ -10,54 +10,63 @@
 #include <cstdlib>
 #include <latch>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/worker_pool.h"
 
+#include "test_support.h"
+
 namespace ps360::util {
 namespace {
 
+using test::ScopedThreadsEnv;
+
 TEST(ExperimentTest, ResolveThreadCountHonorsEnvOverride) {
-  // PS360_THREADS pins the thread count for reproducible perf runs; invalid
-  // or unset values fall back to the request.
-  unsetenv("PS360_THREADS");
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  EXPECT_GE(resolve_thread_count(0), 1u);  // hardware concurrency
-
-  setenv("PS360_THREADS", "2", 1);
-  EXPECT_EQ(resolve_thread_count(3), 2u);
-  EXPECT_EQ(resolve_thread_count(0), 2u);
-
-  setenv("PS360_THREADS", "0", 1);  // invalid: must be positive
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  setenv("PS360_THREADS", "not-a-number", 1);
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  setenv("PS360_THREADS", "2x", 1);  // trailing garbage
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  unsetenv("PS360_THREADS");
+  // PS360_THREADS pins the thread budget for reproducible perf runs; invalid
+  // or unset values fall back to the hardware concurrency.
+  const std::size_t hardware = [] {
+    const ScopedThreadsEnv unset(nullptr);
+    return resolve_thread_count();
+  }();
+  EXPECT_GE(hardware, 1u);
+  for (const char* value : {"2", "3"}) {
+    const ScopedThreadsEnv env(value);
+    EXPECT_EQ(resolve_thread_count(), std::stoul(value)) << value;
+  }
+  // Not positive, not a number, trailing garbage.
+  for (const char* invalid : {"0", "not-a-number", "2x"}) {
+    const ScopedThreadsEnv env(invalid);
+    EXPECT_EQ(resolve_thread_count(), hardware) << invalid;
+  }
 }
 
 TEST(ForEachSlotTest, EverySlotRunsExactlyOnce) {
   // fn(i) writes only slot i: a slot claimed twice counts 2 (and races under
-  // TSan), a skipped one 0. n + 5 threads are capped at n and the budget.
-  const std::size_t n = 37;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, n + 5}) {
-    std::vector<int> runs(n, 0);
-    for_each_slot(n, threads, [&runs](std::size_t i) { ++runs[i]; });
-    EXPECT_EQ(runs, std::vector<int>(n, 1)) << "threads " << threads;
+  // TSan), a skipped one 0. The threads are capped at n and the budget:
+  // the hardware concurrency (unset), one, or three.
+  for (const char* budget : {static_cast<const char*>(nullptr), "1", "3"}) {
+    const ScopedThreadsEnv env(budget);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{37}}) {
+      std::vector<int> runs(n, 0);
+      for_each_slot(n, [&runs](std::size_t i) { ++runs[i]; });
+      EXPECT_EQ(runs, std::vector<int>(n, 1))
+          << "PS360_THREADS " << (budget != nullptr ? budget : "unset") << ", n " << n;
+    }
   }
 }
 
 TEST(ForEachSlotTest, ExceptionReachesTheCaller) {
-  // A failing slot throws from every thread count, never std::terminate.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    EXPECT_THROW(for_each_slot(8, threads,
+  // A failing slot throws on every thread budget, never std::terminate.
+  for (const char* budget : {"1", static_cast<const char*>(nullptr)}) {
+    const ScopedThreadsEnv env(budget);
+    EXPECT_THROW(for_each_slot(8,
                                [](std::size_t i) {
                                  if (i == 5) throw std::invalid_argument("slot 5");
                                }),
                  std::invalid_argument)
-        << "threads " << threads;
+        << "PS360_THREADS " << (budget != nullptr ? budget : "unset");
   }
   // Of two failing slots, the first to throw reaches the caller, whichever
   // thread ran it: the slot on the calling thread throws only after the
@@ -67,7 +76,7 @@ TEST(ForEachSlotTest, ExceptionReachesTheCaller) {
   std::atomic<int> arrived{0};
   std::atomic<bool> helper_threw{false};
   try {
-    for_each_slot(2, 2, [&](std::size_t) {
+    for_each_slot(2, [&](std::size_t) {
       // Meet, so that both slots run at once; one alone goes on after 1 s.
       arrived.fetch_add(1);
       const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(1);
@@ -133,16 +142,16 @@ TEST(WorkerPoolTest, JoinRunsAnUnclaimedTaskOnTheJoiningThread) {
 }
 
 TEST(WorkerPoolTest, NestedSlotsStayWithinTheThreadBudget) {
-  // Four slots, each running four slots, all at the default thread count:
-  // with one pool no more than resolve_thread_count(0) threads run inner
-  // slots at once, where per-call threads would run up to 16.
-  unsetenv("PS360_THREADS");
-  const std::size_t budget = resolve_thread_count(0);
+  // Four slots, each running four slots, all on the default budget: with one
+  // pool no more than resolve_thread_count() threads run inner slots at
+  // once, where threads started per call would run up to 16.
+  const ScopedThreadsEnv unset(nullptr);
+  const std::size_t budget = resolve_thread_count();
   // Inner slots running now, and the most seen at once.
   std::atomic<std::size_t> running{0};
   std::atomic<std::size_t> peak{0};
-  for_each_slot(4, 0, [&](std::size_t) {
-    for_each_slot(4, 0, [&](std::size_t) {
+  for_each_slot(4, [&](std::size_t) {
+    for_each_slot(4, [&](std::size_t) {
       const std::size_t now = running.fetch_add(1) + 1;
       std::size_t seen = peak.load();
       while (now > seen && !peak.compare_exchange_weak(seen, now)) {
@@ -204,7 +213,7 @@ TEST(WorkerPoolTest, ForEachSlotReturnsWithoutItsQueuedHelpers) {
     // Destroyed when for_each_slot has returned: a helper that ran fn later
     // would write into freed memory (ASan).
     std::vector<int> runs(8, 0);
-    for_each_slot(8, 0, [&](std::size_t i) {
+    for_each_slot(8, [&](std::size_t i) {
       ++runs[i];
       calls.fetch_add(1);
       if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
