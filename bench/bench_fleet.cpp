@@ -51,13 +51,12 @@ const sim::VideoWorkload& bench_workload() {
 // per-session regime (contention shape, not starvation, is what varies).
 trace::NetworkTrace bench_link(std::size_t sessions) {
   trace::NetworkSynthConfig config;
-  config.seed = 77;
   config.duration_s = 300.0;
   const double scale = static_cast<double>(sessions);
   config.mean_mbps *= scale;
   config.min_mbps *= scale;
   config.max_mbps *= scale;
-  return trace::synthesize_network_trace(config);
+  return trace::synthesize_network_trace(77, config);
 }
 
 // (sessions, shards): shards=1 is the serial engine; 0 sends speculative
@@ -169,7 +168,6 @@ void BM_FleetEdgeCache(benchmark::State& state) {
   config.server.enabled = true;
   config.server.catalog = {/*videos=*/16, alpha};
   config.server.cache_capacity = util::mebibytes(cache_mib);
-  config.server.policy = server::EvictionPolicy::kLru;
   // Comfortably above worst-case total miss demand (every session at the
   // 2 Mbps cap), so the miss cost is the origin latency, never origin
   // queueing.

@@ -145,7 +145,7 @@ class MpcController {
   // option's bytes must be finite and >= 0 and its qo finite; a bad option
   // is rejected naming its segment and option index. decide() emits no
   // metric or trace record: the decision says what ran (`relaxed`), and
-  // the streaming client reports it (sim::StreamingClient::publish_plan).
+  // the fleet engine reports it on the coordinator (fleet::run_fleet).
   MpcDecision decide(const std::vector<SegmentChoices>& horizon,
                      util::BytesPerSec bandwidth, util::Seconds buffer,
                      double prev_qo) const;

@@ -1,14 +1,15 @@
 // Fleet engine implementation: one event loop drives N StreamingClients
 // against one SharedLink. The coordinator thread owns every shared resource
-// (links, caches, observability sinks, the event heap) and processes events
-// in (t, session, seq) order; the worker pool only runs speculative
-// per-session plans during nonzero Eq. 6 waits. A plan emits nothing, and
-// the coordinator publishes it at the flow start. Only the earliest
-// completion is ever scheduled; stale predictions are discarded by
-// generation tag.
+// (links, caches, the event heap, and the one Reporter that writes every
+// metric and trace record) and processes events in (t, session, seq) order;
+// the worker pool only runs speculative per-session plans during nonzero
+// Eq. 6 waits. A plan emits nothing; the reporter writes its solve at the
+// flow start. Only the earliest completion is ever scheduled; stale
+// predictions are discarded by generation tag.
 #include "fleet/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -38,6 +39,264 @@ constexpr std::uint64_t kRetrySeedStream = 0x4E74BAC0FFULL;
 // trace would repeat every second and flood the queue with breakpoints).
 constexpr double kOriginTraceHorizonS = 1e9;
 
+// Why a download attempt failed; picks the per-reason failure counter.
+enum class FailureReason {
+  kTimeout = 0,  // deadline expired mid-transfer
+  kLost = 1,     // request vanished (no bytes ever arrived)
+  kOutage = 2,   // link was blacked out when the request was issued
+};
+
+// Every metric of a run, as an index into the reporter's id table.
+enum Metric : std::size_t {
+  kPlanned, kWaitSeconds, kBytesRequested, kStalls, kStallSeconds,
+  kDownloadSeconds, kSegmentBytes, kRetries, kTimeouts, kLosses, kOutages,
+  kDegradations, kRecoverySeconds,                        // client.*
+  kMpcDecides, kMpcRelaxed, kMpcInfeasible,               // the MPC's
+  kLpAllocations,                                         // the LP's
+  kSegments, kPtileSegments, kFallbackSegments, kReducedFrameSegments,
+  kEnergyMj, kQoeQSum, kSegmentEnergyMj,                  // session.*
+  kEvents, kStaleCompletions, kCapacityChanges, kRuns, kReallocations,
+  kFlowAborts, kDeliveredBytes, kQueueGrowEvents, kQueuePeak,
+  kMakespan,                                              // fleet.*
+  kCacheHits, kCacheMisses, kCacheEvictions, kOriginFlows, kOriginBytes,
+  kCacheEntries, kCacheResidentBytes,                     // server.*
+  kMetricCount,
+};
+
+struct MetricName {
+  const char* name;
+  obs::MetricKind kind;
+  double first_bound;  // histograms: log-spaced, growth 2, 24 buckets
+};
+
+// Indexed by Metric. Histogram ranges (top finite bound): downloads 1 ms …
+// ~2.3 h (startup hiccups through congestion collapse), sizes 1 KB … ~8 GB,
+// per-segment Eq. 1 energy 1 mJ … ~8 kJ.
+constexpr MetricName kMetricNames[kMetricCount] = {
+    {"client.segments_planned", obs::MetricKind::kCounter, 0.0},
+    {"client.wait_seconds", obs::MetricKind::kCounter, 0.0},
+    {"client.bytes_requested", obs::MetricKind::kCounter, 0.0},
+    {"client.stalls", obs::MetricKind::kCounter, 0.0},
+    {"client.stall_seconds", obs::MetricKind::kCounter, 0.0},
+    {"client.download_seconds", obs::MetricKind::kHistogram, 1e-3},
+    {"client.segment_bytes", obs::MetricKind::kHistogram, 1e3},
+    {"client.retries", obs::MetricKind::kCounter, 0.0},
+    {"client.timeouts", obs::MetricKind::kCounter, 0.0},
+    {"client.losses", obs::MetricKind::kCounter, 0.0},
+    {"client.outage_failures", obs::MetricKind::kCounter, 0.0},
+    {"client.degradations", obs::MetricKind::kCounter, 0.0},
+    {"client.recovery_seconds", obs::MetricKind::kCounter, 0.0},
+    {"mpc.decides", obs::MetricKind::kCounter, 0.0},
+    {"mpc.relaxed_fallbacks", obs::MetricKind::kCounter, 0.0},
+    {"mpc.infeasible", obs::MetricKind::kCounter, 0.0},
+    {"lp.allocations", obs::MetricKind::kCounter, 0.0},
+    {"session.segments", obs::MetricKind::kCounter, 0.0},
+    {"session.ptile_segments", obs::MetricKind::kCounter, 0.0},
+    {"session.fallback_segments", obs::MetricKind::kCounter, 0.0},
+    {"session.reduced_frame_segments", obs::MetricKind::kCounter, 0.0},
+    {"session.energy_mj", obs::MetricKind::kCounter, 0.0},
+    {"session.qoe_q_sum", obs::MetricKind::kCounter, 0.0},
+    {"session.segment_energy_mj", obs::MetricKind::kHistogram, 1.0},
+    {"fleet.events", obs::MetricKind::kCounter, 0.0},
+    {"fleet.stale_completions", obs::MetricKind::kCounter, 0.0},
+    {"fleet.capacity_changes", obs::MetricKind::kCounter, 0.0},
+    {"fleet.runs", obs::MetricKind::kCounter, 0.0},
+    {"fleet.reallocations", obs::MetricKind::kCounter, 0.0},
+    {"fleet.flow_aborts", obs::MetricKind::kCounter, 0.0},
+    {"fleet.delivered_bytes", obs::MetricKind::kCounter, 0.0},
+    {"fleet.queue_grow_events", obs::MetricKind::kCounter, 0.0},
+    {"fleet.queue_peak", obs::MetricKind::kGauge, 0.0},
+    {"fleet.makespan_s", obs::MetricKind::kGauge, 0.0},
+    {"server.cache_hits", obs::MetricKind::kCounter, 0.0},
+    {"server.cache_misses", obs::MetricKind::kCounter, 0.0},
+    {"server.cache_evictions", obs::MetricKind::kCounter, 0.0},
+    {"server.origin_flows", obs::MetricKind::kCounter, 0.0},
+    {"server.origin_bytes", obs::MetricKind::kCounter, 0.0},
+    {"server.cache_entries", obs::MetricKind::kGauge, 0.0},
+    {"server.cache_resident_bytes", obs::MetricKind::kGauge, 0.0},
+};
+
+// Labels link-wide trace records.
+constexpr std::uint32_t kLinkTraceSession = 0xFFFFFFFFu;
+
+// The one writer of a run's observations. run_fleet calls it on the
+// coordinator, in event order, with what the clients and accountants
+// return; nothing else holds the observer. It registers every metric name
+// of the run once, at construction (the solver's names by the scheme's
+// ControllerInfo::solver, server.* only with the server tier on), so
+// recording is an index-add. Each record carries the time its caller
+// passes: the event time, or a session's own clock (start stagger plus
+// client wall clock). A null observer or sink records nothing.
+class Reporter {
+ public:
+  Reporter(obs::Observer* observer, sim::PlanSolver solver, bool server_on)
+      : server_on_(server_on) {
+    if (observer == nullptr) return;
+    metrics_ = observer->metrics;
+    tracer_ = observer->tracer;
+    if (metrics_ == nullptr) return;
+    for (std::size_t m = 0; m < kMetricCount; ++m) {
+      const bool skip =
+          (m >= kMpcDecides && m <= kMpcInfeasible && solver != sim::PlanSolver::kMpc) ||
+          (m == kLpAllocations && solver != sim::PlanSolver::kLp) ||
+          (m >= kCacheHits && !server_on);
+      if (skip) continue;
+      const MetricName& spec = kMetricNames[m];
+      switch (spec.kind) {
+        case obs::MetricKind::kCounter: ids_[m] = metrics_->counter(spec.name); break;
+        case obs::MetricKind::kGauge: ids_[m] = metrics_->gauge(spec.name); break;
+        case obs::MetricKind::kHistogram:
+          ids_[m] = metrics_->histogram(spec.name, {spec.first_bound, 2.0, 24});
+          break;
+      }
+    }
+  }
+
+  void event() { add(kEvents); }
+  void stale_completion() { add(kStaleCompletions); }
+
+  // A plan in hand at its first flow start: its solve, then the request.
+  void plan(std::size_t session, double t, const sim::ClientRequest& request) {
+    solve(session, t, request.plan);
+    add(kPlanned);
+    add(kWaitSeconds, request.wait_s);
+    add(kBytesRequested, request.plan.option.bytes);
+    observe(kSegmentBytes, request.plan.option.bytes);
+    trace(t, session, obs::TraceEventKind::kSegmentPlanned,
+          static_cast<std::int64_t>(request.segment), request.bandwidth_estimate_bps,
+          request.buffer_at_request_s);
+  }
+
+  void download_start(std::size_t session, double t, const sim::ClientRequest& request) {
+    trace(t, session, obs::TraceEventKind::kDownloadStart,
+          static_cast<std::int64_t>(request.segment), request.plan.option.bytes);
+  }
+
+  // A failed attempt (`attempt` counts the segment's failures so far) and
+  // the backoff the client chose.
+  void failure(std::size_t session, double t, FailureReason reason, std::size_t segment,
+               double elapsed_s, double backoff_s, std::size_t attempt) {
+    add(kRetries);
+    switch (reason) {
+      case FailureReason::kTimeout: add(kTimeouts); break;
+      case FailureReason::kLost: add(kLosses); break;
+      case FailureReason::kOutage: add(kOutages); break;
+    }
+    add(kRecoverySeconds, elapsed_s + backoff_s);
+    const auto a = static_cast<std::int64_t>(segment);
+    const auto attempts = static_cast<double>(attempt);
+    trace(t, session, obs::TraceEventKind::kDownloadTimeout, a, elapsed_s, attempts);
+    trace(t, session, obs::TraceEventKind::kDownloadRetry, a, backoff_s, attempts);
+  }
+
+  // A re-plan one degradation step down: its solve, then the step.
+  void degraded(std::size_t session, double t, const sim::ClientRequest& request,
+                std::size_t level) {
+    solve(session, t, request.plan);
+    add(kDegradations);
+    trace(t, session, obs::TraceEventKind::kDownloadDegraded,
+          static_cast<std::int64_t>(request.segment), static_cast<double>(level),
+          request.bandwidth_estimate_bps);
+  }
+
+  // A completed download at `t`; a stall ran over its tail, from t - stall.
+  void download_complete(std::size_t session, double t, std::size_t segment,
+                         double download_s, double stall_s) {
+    observe(kDownloadSeconds, download_s);
+    const auto a = static_cast<std::int64_t>(segment);
+    if (stall_s > 0.0) {
+      add(kStalls);
+      add(kStallSeconds, stall_s);
+      trace(t - stall_s, session, obs::TraceEventKind::kStallBegin, a);
+      trace(t, session, obs::TraceEventKind::kStallEnd, a, stall_s);
+    }
+    trace(t, session, obs::TraceEventKind::kDownloadComplete, a, download_s, stall_s);
+  }
+
+  // The accountant's record of a delivered segment: the Ptile-or-fallback
+  // and frame-rate choice, its energy and QoE.
+  void segment(std::size_t session, double t, const sim::SegmentRecord& record,
+               double frame_ratio) {
+    add(kSegments);
+    add(record.used_ptile ? kPtileSegments : kFallbackSegments);
+    if (frame_ratio < 1.0) add(kReducedFrameSegments);
+    add(kEnergyMj, record.energy.total_mj());
+    add(kQoeQSum, record.qoe.q);
+    observe(kSegmentEnergyMj, record.energy.total_mj());
+    trace(t, session, obs::TraceEventKind::kPtileChoice, record.quality, record.fps,
+          record.used_ptile ? 1.0 : 0.0);
+  }
+
+  // A breakpoint of the link trace: the flows sharing the link and its new
+  // capacity.
+  void capacity_change(double t, const SharedLink& link) {
+    add(kCapacityChanges);
+    if (tracer_ != nullptr)
+      trace(t, kLinkTraceSession, obs::TraceEventKind::kLinkRateChange,
+            static_cast<std::int64_t>(link.active_flows()), link.capacity_bytes_per_s(t));
+  }
+
+  // End-of-run engine aggregates: counters add and gauges take max across
+  // replications, so the runner's slot-order merge reproduces the pooled
+  // FleetStats no matter how many worker threads ran.
+  void run_end(const FleetStats& stats) {
+    if (metrics_ == nullptr) return;
+    add(kRuns);
+    add(kReallocations, static_cast<double>(stats.reallocations));
+    add(kFlowAborts, static_cast<double>(stats.flow_aborts));
+    add(kDeliveredBytes, stats.delivered_bytes.value());
+    add(kQueueGrowEvents, static_cast<double>(stats.queue_grow_events));
+    metrics_->set_max(ids_[kQueuePeak], static_cast<double>(stats.queue_peak));
+    metrics_->set_max(ids_[kMakespan], stats.makespan_s);
+    if (!server_on_) return;
+    add(kCacheHits, static_cast<double>(stats.cache_hits));
+    add(kCacheMisses, static_cast<double>(stats.cache_misses));
+    add(kCacheEvictions, static_cast<double>(stats.cache_evictions));
+    add(kOriginFlows, static_cast<double>(stats.origin_flows));
+    add(kOriginBytes, stats.origin_bytes.value());
+    metrics_->set_max(ids_[kCacheEntries], static_cast<double>(stats.cache_entries));
+    metrics_->set_max(ids_[kCacheResidentBytes], stats.cache_resident.value());
+  }
+
+ private:
+  void solve(std::size_t session, double t, const sim::DownloadPlan& plan) {
+    const sim::SolveRecord& solve = plan.solve;
+    switch (solve.solver) {
+      case sim::PlanSolver::kMpc:
+        add(kMpcDecides);
+        if (solve.relaxed) add(kMpcRelaxed);
+        if (!plan.mpc_feasible) add(kMpcInfeasible);
+        trace(t, session,
+              solve.relaxed ? obs::TraceEventKind::kMpcRelaxed
+                            : obs::TraceEventKind::kMpcStrict,
+              static_cast<std::int64_t>(solve.horizon), solve.objective);
+        break;
+      case sim::PlanSolver::kLp:
+        add(kLpAllocations);
+        break;
+      case sim::PlanSolver::kNone:
+        break;
+    }
+  }
+
+  void add(Metric m, double delta = 1.0) {
+    if (metrics_ != nullptr) metrics_->add(ids_[m], delta);
+  }
+  void observe(Metric m, double value) {
+    if (metrics_ != nullptr) metrics_->observe(ids_[m], value);
+  }
+  void trace(double t, std::size_t session, obs::TraceEventKind kind, std::int64_t a = 0,
+             double v0 = 0.0, double v1 = 0.0) {
+    if (tracer_ != nullptr)
+      tracer_->record(t, static_cast<std::uint32_t>(session), kind, a, v0, v1);
+  }
+
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::EventTracer* tracer_ = nullptr;
+  bool server_on_;
+  std::array<obs::MetricsRegistry::Id, kMetricCount> ids_{};
+};
+
 // One session's live state inside the engine.
 struct SessionRuntime {
   std::unique_ptr<sim::SessionAccountant> accountant;
@@ -59,7 +318,7 @@ struct SessionRuntime {
   double attempt_elapsed = 0.0;   // radio-on seconds of failed attempts
   bool in_flight = false;         // a link flow exists for this session
   bool origin_in_flight = false;  // an origin-link flow exists (server tier)
-  sim::FailureReason fail_reason = sim::FailureReason::kTimeout;
+  FailureReason fail_reason = FailureReason::kTimeout;
 };
 
 }  // namespace
@@ -162,12 +421,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
                         config.server.origin_latency_s >= 0.0,
                     "origin_latency_s must be finite and >= 0");
     popularity.emplace(config.server.catalog);
-    server::EdgeCacheConfig cache_config;
-    cache_config.capacity = config.server.cache_capacity;
-    cache_config.policy = config.server.policy;
-    cache_config.max_entries = config.server.cache_max_entries;
-    cache_config.video_weights = popularity->weights();
-    edge_cache.emplace(std::move(cache_config));
+    edge_cache.emplace(config.server.cache_capacity);
     origin_trace.emplace(std::vector<trace::ThroughputSample>{
         {0.0, config.server.origin_mbps},
         {kOriginTraceHorizonS, config.server.origin_mbps}});
@@ -217,8 +471,9 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   // finish_plan() is a pure function of session-local state frozen at
   // begin_plan() time that emits nothing, so a pool worker may run it during
   // the session's Eq. 6 wait — bit-identical results either way. The
-  // coordinator publishes the plan at the flow start.
-  obs::Observer* const observer = config.observer;
+  // reporter writes the plan's records at the flow start.
+  Reporter reporter(config.observer, sim::controller_info(config.scheme).solver,
+                    server_on);
   std::optional<util::TaskGroup> solves;
   if (speculate)
     solves.emplace(n, [&sessions](std::size_t i) {
@@ -231,26 +486,15 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     rt.start_s =
         config.start_spread_s > 0.0 ? rng.uniform(0.0, config.start_spread_s) : 0.0;
     loop.schedule(rt.start_s, i, EventKind::kSessionStart);
-    if (observer != nullptr) {
-      rt.accountant->attach_observer(observer, static_cast<std::uint32_t>(i));
-      // The client's private wall clock starts at its staggered entry, so
-      // offsetting by start_s makes its trace timestamps engine-time.
-      rt.client->attach_observer(observer, static_cast<std::uint32_t>(i),
-                                 util::Seconds(rt.start_s));
-    }
   }
   loop.schedule(link_trace.next_rate_change_after(0.0), kLinkSession,
                 EventKind::kCapacityChange);
 
-  // Engine-level metric ids, registered once so the event loop below only
-  // performs index-adds. kLinkTraceSession labels link-wide trace records.
-  obs::MetricsRegistry::Id id_events = 0, id_stale = 0, id_rate_changes = 0;
-  if (observer != nullptr && observer->metrics != nullptr) {
-    id_events = observer->metrics->counter("fleet.events");
-    id_stale = observer->metrics->counter("fleet.stale_completions");
-    id_rate_changes = observer->metrics->counter("fleet.capacity_changes");
-  }
-  constexpr std::uint32_t kLinkTraceSession = 0xFFFFFFFFu;
+  // A session's own clock: its client's private wall clock starts at the
+  // staggered entry, so offsetting by start_s makes it engine time.
+  const auto session_clock = [&](std::size_t i) {
+    return sessions[i].start_s + sessions[i].client->wall_time_s();
+  };
 
   // Consume the session's Eq. 6 wait (begin_plan advances the client through
   // it) and schedule the flow start; the plan itself is solved later — by a
@@ -281,15 +525,13 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
                               plan_word};
   };
 
-  // Start the pending download on the device-side (edge) link.
-  const auto start_edge_flow = [&](std::size_t i) {
+  // Start the pending download on the device-side (edge) link; its
+  // download_start record is stamped `stamp_t`.
+  const auto start_edge_flow = [&](std::size_t i, double stamp_t) {
     SessionRuntime& rt = sessions[i];
     rt.in_flight = true;
     link.start(i, util::Bytes(rt.pending->plan.option.bytes));
-    obs::trace(observer, static_cast<std::uint32_t>(i),
-               obs::TraceEventKind::kDownloadStart,
-               static_cast<std::int64_t>(rt.pending->segment),
-               rt.pending->plan.option.bytes);
+    reporter.download_start(i, stamp_t, *rt.pending);
   };
 
   // Put the pending download onto the device-side link — or, with the
@@ -297,13 +539,13 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   // fetch through the origin first. flow_started_at stays at issue time, so
   // the device-perceived download (and any stall it causes) includes the
   // full miss cost: origin latency + origin transfer + edge transfer.
-  const auto admit_flow = [&](std::size_t i, double t) {
+  const auto admit_flow = [&](std::size_t i, double t, double stamp_t) {
     if (server_on && !edge_cache->lookup(segment_key(i))) {
       loop.schedule(t + config.server.origin_latency_s, i,
                     EventKind::kOriginStart, sessions[i].attempt_seq);
       return;
     }
-    start_edge_flow(i);
+    start_edge_flow(i, stamp_t);
   };
 
   // Whenever a link's rates moved since its last prediction, schedule its
@@ -329,10 +571,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     ++stats.events;
     link.advance_to(event.t);
     if (server_on) origin_link->advance_to(event.t);
-    if (observer != nullptr) {
-      observer->now_s = event.t;
-      if (observer->metrics != nullptr) observer->metrics->add(id_events);
-    }
+    reporter.event();
 
     switch (event.kind) {
       case EventKind::kSessionStart:
@@ -341,14 +580,17 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
 
       case EventKind::kFlowStart: {
         SessionRuntime& rt = sessions[event.session];
+        // The download_start record below carries the event time, unless
+        // this start reports a plan.
+        double stamp_t = event.t;
         if (!rt.pending.has_value()) {
           // First start of this attempt cycle: collect the plan — released
           // during the wait (the join runs it here if no worker did), or
-          // solved right here — and publish it. Retries re-enter with
-          // `pending` set and skip. Publishing moves the observer's clock to
-          // the session's planning clock, so the download_start record below
-          // carries it, not the event time (they can differ in the last
-          // bit); the fleet golden pins these stamps.
+          // solved right here — and report it. Retries re-enter with
+          // `pending` set and skip. The plan's records carry the session's
+          // planning clock, and so does a download_start that follows in
+          // this event: it can differ from the event time in the last bit,
+          // and the fleet golden pins these stamps.
           if (solves && solves->outstanding(event.session)) {
             solves->join(event.session);
             rt.pending = std::move(rt.speculative);
@@ -356,7 +598,8 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
           } else {
             rt.pending = rt.client->finish_plan();
           }
-          rt.client->publish_plan();
+          stamp_t = session_clock(event.session);
+          reporter.plan(event.session, stamp_t, *rt.pending);
         }
         PS360_ASSERT(rt.pending.has_value());
         // Download time runs from issue, so it includes any spike, outage
@@ -383,9 +626,9 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
             const trace::AttemptFault fault =
                 outage ? trace::AttemptFault{}
                        : rt.faults->attempt_fault(rt.pending->segment, attempt);
-            rt.fail_reason = outage       ? sim::FailureReason::kOutage
-                             : fault.lost ? sim::FailureReason::kLost
-                                          : sim::FailureReason::kTimeout;
+            rt.fail_reason = outage       ? FailureReason::kOutage
+                             : fault.lost ? FailureReason::kLost
+                                          : FailureReason::kTimeout;
             const double deadline_s =
                 outage ? std::min(outage->end - event.t, rc.timeout_s) : rc.timeout_s;
             loop.schedule(event.t + deadline_s, event.session,
@@ -401,7 +644,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
             }
           }
         }
-        admit_flow(event.session, event.t);
+        admit_flow(event.session, event.t, stamp_t);
         break;
       }
 
@@ -409,7 +652,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         SessionRuntime& rt = sessions[event.session];
         if (!rt.pending.has_value() || event.generation != rt.attempt_seq)
           break;  // attempt already failed (deadline beat the spike)
-        admit_flow(event.session, event.t);
+        admit_flow(event.session, event.t, event.t);
         break;
       }
 
@@ -427,8 +670,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
       case EventKind::kOriginCompletion: {
         if (event.generation != origin_link->generation()) {
           ++stats.stale_completions;  // origin rates moved since predicted
-          if (observer != nullptr && observer->metrics != nullptr)
-            observer->metrics->add(id_stale);
+          reporter.stale_completion();
           break;
         }
         SessionRuntime& rt = sessions[event.session];
@@ -438,7 +680,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         // device-side flow.
         edge_cache->admit(segment_key(event.session),
                           util::Bytes(rt.pending->plan.option.bytes));
-        start_edge_flow(event.session);
+        start_edge_flow(event.session, event.t);
         break;
       }
 
@@ -460,9 +702,15 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         const double elapsed = event.t - rt.flow_started_at;
         rt.attempt_elapsed += elapsed;
         const sim::FailureAction action =
-            rt.client->report_download_failure(util::Seconds(elapsed),
-                                               rt.fail_reason);
-        if (action.degrade) rt.pending = rt.client->replan_degraded();
+            rt.client->report_download_failure(util::Seconds(elapsed));
+        const double client_t = session_clock(event.session);
+        reporter.failure(event.session, client_t, rt.fail_reason, rt.pending->segment,
+                         elapsed, action.backoff_s, rt.client->attempts());
+        if (action.degrade) {
+          rt.pending = rt.client->replan_degraded();
+          reporter.degraded(event.session, client_t, *rt.pending,
+                            rt.client->degrade_level());
+        }
         loop.schedule(event.t + action.backoff_s, event.session,
                       EventKind::kFlowStart);
         break;
@@ -471,8 +719,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
       case EventKind::kFlowCompletion: {
         if (event.generation != link.generation()) {
           ++stats.stale_completions;  // rates changed since this prediction
-          if (observer != nullptr && observer->metrics != nullptr)
-            observer->metrics->add(id_stale);
+          reporter.stale_completion();
           break;
         }
         SessionRuntime& rt = sessions[event.session];
@@ -482,16 +729,19 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         const double download_s = event.t - rt.flow_started_at;
         const double stall =
             rt.client->complete_download(util::Seconds(download_s));
-        rt.accountant->record(
+        const double client_t = session_clock(event.session);
+        reporter.download_complete(event.session, client_t, rt.pending->segment,
+                                   download_s, stall);
+        const sim::SegmentRecord& record = rt.accountant->record(
             *rt.pending, util::Seconds(rt.attempt_elapsed + download_s),
             util::Seconds(stall));
+        reporter.segment(event.session, client_t, record, rt.pending->plan.frame_ratio);
         rt.attempt_elapsed = 0.0;
         rt.pending.reset();
         if (rt.client->finished()) {
           // Per-session time closes: the engine clock at the last completion
           // equals the start stagger plus the client's own wall clock (Eq. 6
           // waits, failed attempts, backoffs and downloads).
-          const double client_t = rt.start_s + rt.client->wall_time_s();
           PS360_ASSERT_MSG(std::abs(event.t - client_t) <= 1e-9 * event.t,
                            "session time does not close: engine and client "
                            "clocks disagree");
@@ -508,13 +758,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
         // breakpoint events coming.
         loop.schedule(link_trace.next_rate_change_after(event.t), kLinkSession,
                       EventKind::kCapacityChange);
-        if (observer != nullptr) {
-          if (observer->metrics != nullptr) observer->metrics->add(id_rate_changes);
-          obs::trace(observer, kLinkTraceSession,
-                     obs::TraceEventKind::kLinkRateChange,
-                     static_cast<std::int64_t>(link.active_flows()),
-                     link.capacity_bytes_per_s(event.t));
-        }
+        reporter.capacity_change(event.t, link);
         break;
     }
 
@@ -556,42 +800,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   }
   result.stats = stats;
 
-  // End-of-run engine aggregates: counters add and gauges take max across
-  // replications, so the runner's slot-order merge reproduces the pooled
-  // FleetStats no matter how many worker threads ran.
-  if (observer != nullptr && observer->metrics != nullptr) {
-    obs::MetricsRegistry& metrics = *observer->metrics;
-    metrics.add(metrics.counter("fleet.runs"));
-    metrics.add(metrics.counter("fleet.reallocations"),
-                static_cast<double>(stats.reallocations));
-    metrics.add(metrics.counter("fleet.flow_aborts"),
-                static_cast<double>(stats.flow_aborts));
-    metrics.add(metrics.counter("fleet.delivered_bytes"),
-                stats.delivered_bytes.value());
-    metrics.add(metrics.counter("fleet.queue_grow_events"),
-                static_cast<double>(stats.queue_grow_events));
-    metrics.set_max(metrics.gauge("fleet.queue_peak"),
-                    static_cast<double>(stats.queue_peak));
-    metrics.set_max(metrics.gauge("fleet.makespan_s"), stats.makespan_s);
-    // Server metrics are registered only when the tier is on, so a disabled
-    // run's metrics output is byte-identical to the pre-server engine.
-    if (server_on) {
-      metrics.add(metrics.counter("server.cache_hits"),
-                  static_cast<double>(stats.cache_hits));
-      metrics.add(metrics.counter("server.cache_misses"),
-                  static_cast<double>(stats.cache_misses));
-      metrics.add(metrics.counter("server.cache_evictions"),
-                  static_cast<double>(stats.cache_evictions));
-      metrics.add(metrics.counter("server.origin_flows"),
-                  static_cast<double>(stats.origin_flows));
-      metrics.add(metrics.counter("server.origin_bytes"),
-                  stats.origin_bytes.value());
-      metrics.set_max(metrics.gauge("server.cache_entries"),
-                      static_cast<double>(stats.cache_entries));
-      metrics.set_max(metrics.gauge("server.cache_resident_bytes"),
-                      stats.cache_resident.value());
-    }
-  }
+  reporter.run_end(stats);
   return result;
 }
 

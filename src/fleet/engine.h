@@ -16,13 +16,12 @@
 // stagger, keyed off (seed, session_id). Results are bit-identical for any
 // shard count and any PS360_THREADS (enforced by the differential battery in
 // tests/fleet_shard_test.cpp): every shared-resource mutation — link rate
-// updates, cache admissions, event scheduling, observability — runs on the
-// coordinator thread in event order, and the only work that leaves it for
-// the worker pool (util/worker_pool.h) is the per-session plan, a pure
-// function of session-local state frozen when its Eq. 6 wait began that
-// emits nothing; the coordinator publishes it (see
-// sim::StreamingClient::begin_plan / finish_plan / publish_plan and
-// DESIGN.md §15).
+// updates, cache admissions, event scheduling, every metric and trace
+// record — runs on the coordinator thread in event order, and the only work
+// that leaves it for the worker pool (util/worker_pool.h) is the per-session
+// plan, a pure function of session-local state frozen when its Eq. 6 wait
+// began that emits nothing; the coordinator reports it at the flow start
+// (see sim::StreamingClient::begin_plan / finish_plan and DESIGN.md §15).
 // fleet::FleetRunner fans independent replications out on the same pool,
 // within the same thread budget.
 #pragma once
@@ -31,6 +30,7 @@
 
 #include "fleet/event_loop.h"
 #include "fleet/shared_link.h"
+#include "obs/observer.h"
 #include "server/edge_cache.h"
 #include "server/popularity.h"
 #include "sim/accounting.h"
@@ -49,10 +49,8 @@ struct FleetServerConfig {
   // Catalog popularity. Sessions draw their video id via
   // derive_seed(fleet seed, server::kVideoPopularityStream, session).
   server::ZipfConfig catalog{/*videos=*/16, /*alpha=*/0.8};
-  // Edge cache sizing and eviction policy.
+  // Edge cache byte budget (LRU eviction).
   util::Bytes cache_capacity{64.0 * 1024.0 * 1024.0};
-  server::EvictionPolicy policy = server::EvictionPolicy::kLru;
-  std::size_t cache_max_entries = 4096;
   // Origin link: capacity shared equally by every concurrent miss fetch
   // (finite and > 0 when enabled), plus a finite per-miss edge→origin
   // latency.
@@ -74,16 +72,17 @@ struct FleetConfig {
   // Per-session template (device, MPC knobs, estimators). The session seed
   // is shared — every client streams the same CDN-encoded files.
   sim::SessionConfig session;
-  // Nullable metrics/trace observer (obs/observer.h). The engine records
-  // link-level events into it and attaches every session's client and
-  // accountant to it; trace records are stamped with engine event time
-  // (client clocks are offset by the start stagger so the timelines line
-  // up). Attaching one never changes which code runs: plans still go to the
-  // pool, they emit nothing, and the coordinator publishes each one at its
-  // flow start. The sinks must only be fed from one thread: when
-  // FleetRunner fans replications out, it gives each replication a private
-  // observer and merges them in slot order, so aggregates stay
-  // thread-count invariant.
+  // Nullable metrics/trace observer (obs/observer.h). The engine is its one
+  // writer: on the coordinator, in event order, it records link-level
+  // events and what every session's client and accountant return, stamped
+  // with the event time or the session's own clock (client wall clock
+  // offset by the start stagger, so the timelines line up). The client and
+  // the accountant hold no observer, so attaching one never changes which
+  // code runs: plans still go to the pool, they emit nothing, and the
+  // engine reports each one at its flow start. The sinks must only be fed
+  // from one thread: when FleetRunner fans replications out, it gives each
+  // replication a private observer and merges them in slot order, so
+  // aggregates stay thread-count invariant.
   obs::Observer* observer = nullptr;
   // Server/CDN tier (edge cache + origin link): one catalog/cache/origin
   // link per run_fleet call — FleetRunner gives each replication its own

@@ -44,9 +44,8 @@ std::vector<FleetResult> run_fleet_replications(const sim::VideoWorkload& worklo
 
   util::for_each_slot(n_reps, [&](std::size_t r) {
     const std::uint64_t rep_seed = util::derive_seed(config.seed, kReplicationStream, r);
-    trace::NetworkSynthConfig link_cfg = options.link;
-    link_cfg.seed = rep_seed;
-    const trace::NetworkTrace link_trace = trace::synthesize_network_trace(link_cfg);
+    const trace::NetworkTrace link_trace =
+        trace::synthesize_network_trace(rep_seed, options.link);
     FleetConfig rep_config = config;
     rep_config.seed = rep_seed;
     if (caller_obs != nullptr) {
@@ -116,25 +115,6 @@ FleetAggregate run_fleet_aggregate(const sim::VideoWorkload& workload,
                                    const FleetRunOptions& options) {
   return aggregate_fleet(run_fleet_replications(workload, config, options),
                          workload.config().segment_seconds);
-}
-
-std::vector<FleetSweepPoint> sweep_fleet_sizes(const sim::VideoWorkload& workload,
-                                               const FleetConfig& base,
-                                               const std::vector<std::size_t>& sizes,
-                                               const FleetRunOptions& options) {
-  PS360_CHECK(!sizes.empty());
-  std::vector<FleetSweepPoint> points;
-  points.reserve(sizes.size());
-  for (const std::size_t size : sizes) {
-    PS360_CHECK(size >= 1);
-    FleetConfig config = base;
-    config.sessions = size;
-    FleetSweepPoint point;
-    point.sessions = size;
-    point.aggregate = run_fleet_aggregate(workload, config, options);
-    points.push_back(std::move(point));
-  }
-  return points;
 }
 
 }  // namespace ps360::fleet

@@ -1,6 +1,5 @@
 // FleetRunner: independent fleet replications fanned out over the worker
-// pool, aggregated into fleet-level metrics, plus the fleet-size sweep used
-// to map where Ptile's energy advantage survives contention.
+// pool, aggregated into fleet-level metrics.
 //
 // Each replication r synthesizes its own bottleneck trace and start stagger
 // from seeds derived off (base seed, r) — the same (seed, stream) discipline
@@ -24,9 +23,9 @@ namespace ps360::fleet {
 
 struct FleetRunOptions {
   std::size_t replications = 3;  // run on the worker pool, one slot each
-  // Bottleneck trace synthesis per replication (seed field is overridden
-  // with the derived per-replication seed). Scale mean/min/max to provision
-  // the link for the fleet size under study.
+  // Bottleneck trace synthesis per replication, seeded with the derived
+  // per-replication seed. Scale mean/min/max to provision the link for the
+  // fleet size under study.
   trace::NetworkSynthConfig link;
 };
 
@@ -53,17 +52,5 @@ FleetAggregate aggregate_fleet(const std::vector<FleetResult>& results,
 FleetAggregate run_fleet_aggregate(const sim::VideoWorkload& workload,
                                    const FleetConfig& config,
                                    const FleetRunOptions& options);
-
-struct FleetSweepPoint {
-  std::size_t sessions = 0;
-  FleetAggregate aggregate;
-};
-
-// Sweep fleet sizes (e.g. 1 → 256) over a fixed link provisioning: the
-// contention story in one call. `sizes` must be non-empty and positive.
-std::vector<FleetSweepPoint> sweep_fleet_sizes(const sim::VideoWorkload& workload,
-                                               const FleetConfig& base,
-                                               const std::vector<std::size_t>& sizes,
-                                               const FleetRunOptions& options);
 
 }  // namespace ps360::fleet

@@ -54,9 +54,4 @@ double QoModel::perceptual_sensitivity(util::DegPerSec s_fov, double si, double 
   return std::clamp(speed_term * detail_term * motion_term, 0.05, 1.0);
 }
 
-double QoModel::qo_with_frame_rate(double si, double ti, util::Mbps bitrate,
-                                   util::DegPerSec s_fov, double frame_ratio) const {
-  return qo(si, ti, bitrate) * frame_rate_factor(alpha(s_fov, ti), frame_ratio);
-}
-
 }  // namespace ps360::qoe

@@ -66,10 +66,6 @@ class QoModel {
   // is perceptible; delivered-QoE accounting stays on the unweighted Eq. 3.
   static double perceptual_sensitivity(util::DegPerSec s_fov, double si, double ti);
 
-  // Qo adjusted for a reduced frame rate.
-  double qo_with_frame_rate(double si, double ti, util::Mbps bitrate,
-                            util::DegPerSec s_fov, double frame_ratio) const;
-
  private:
   QoParams params_;
   double bitrate_scale_;

@@ -1,10 +1,8 @@
 // EdgeCache implementation: preallocated slot pool + open-addressing index
-// (linear probing with backward-shift deletion) + intrusive LRU chains.
+// (linear probing with backward-shift deletion) + an intrusive LRU chain.
 // Everything is index-based over flat vectors: no per-operation allocation,
 // no pointer or hash-container iteration order anywhere near the results.
 #include "server/edge_cache.h"
-
-#include <algorithm>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -19,70 +17,53 @@ std::uint64_t hash_key(const SegmentKey& key) {
   return util::derive_seed(key.plan_word, key.video, key.segment);
 }
 
-std::size_t next_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
+// Index table size: a power of two at load factor <= 0.5, so the probe
+// sequences stay short and backward-shift deletion cheap even with every
+// slot resident.
+constexpr std::size_t kIndexSize = 2 * EdgeCache::kMaxEntries;
+static_assert((kIndexSize & (kIndexSize - 1)) == 0, "index size must be a power of two");
+constexpr std::size_t kIndexMask = kIndexSize - 1;
 
 }  // namespace
 
-EdgeCache::EdgeCache(EdgeCacheConfig config) : config_(std::move(config)) {
-  PS360_CHECK(config_.capacity.value() >= 0.0);
-  PS360_CHECK(config_.max_entries >= 1);
-  PS360_CHECK(config_.max_entries < kNil);
-  track_videos_ = config_.policy == EvictionPolicy::kPopularityWeighted;
-  if (track_videos_) {
-    PS360_CHECK_MSG(!config_.video_weights.empty(),
-                    "kPopularityWeighted needs per-video weights");
-  }
-  slots_.resize(config_.max_entries);
-  free_.reserve(config_.max_entries);
-  for (std::size_t i = config_.max_entries; i-- > 0;)
+EdgeCache::EdgeCache(util::Bytes capacity) : capacity_(capacity) {
+  PS360_CHECK(capacity_.value() >= 0.0);
+  slots_.resize(kMaxEntries);
+  free_.reserve(kMaxEntries);
+  for (std::size_t i = kMaxEntries; i-- > 0;)
     free_.push_back(static_cast<std::uint32_t>(i));
-  // Load factor <= 0.5: the probe sequences stay short and backward-shift
-  // deletion cheap even with every slot resident.
-  const std::size_t table = next_pow2(std::max<std::size_t>(
-      config_.max_entries * 2, 16));
-  index_.assign(table, kNil);
-  index_mask_ = table - 1;
-  if (track_videos_) {
-    const std::size_t videos = config_.video_weights.size();
-    video_head_.assign(videos, kNil);
-    video_tail_.assign(videos, kNil);
-    video_count_.assign(videos, 0);
-  }
+  index_.assign(kIndexSize, kNil);
 }
 
 std::uint32_t EdgeCache::find_slot(const SegmentKey& key) const {
-  std::size_t pos = hash_key(key) & index_mask_;
+  std::size_t pos = hash_key(key) & kIndexMask;
   while (index_[pos] != kNil) {
     if (slots_[index_[pos]].key == key) return index_[pos];
-    pos = (pos + 1) & index_mask_;
+    pos = (pos + 1) & kIndexMask;
   }
   return kNil;
 }
 
 void EdgeCache::index_insert(const SegmentKey& key, std::uint32_t slot) {
-  std::size_t pos = hash_key(key) & index_mask_;
-  while (index_[pos] != kNil) pos = (pos + 1) & index_mask_;
+  std::size_t pos = hash_key(key) & kIndexMask;
+  while (index_[pos] != kNil) pos = (pos + 1) & kIndexMask;
   index_[pos] = slot;
 }
 
 void EdgeCache::index_erase(const SegmentKey& key) {
-  std::size_t pos = hash_key(key) & index_mask_;
+  std::size_t pos = hash_key(key) & kIndexMask;
   while (index_[pos] != kNil && !(slots_[index_[pos]].key == key))
-    pos = (pos + 1) & index_mask_;
+    pos = (pos + 1) & kIndexMask;
   PS360_ASSERT_MSG(index_[pos] != kNil, "erasing a key that is not indexed");
   // Backward-shift deletion: pull every displaced follower into the hole so
   // probe chains never need tombstones.
   std::size_t hole = pos;
   std::size_t i = pos;
   for (;;) {
-    i = (i + 1) & index_mask_;
+    i = (i + 1) & kIndexMask;
     if (index_[i] == kNil) break;
-    const std::size_t home = hash_key(slots_[index_[i]].key) & index_mask_;
-    if (((i - home) & index_mask_) >= ((i - hole) & index_mask_)) {
+    const std::size_t home = hash_key(slots_[index_[i]].key) & kIndexMask;
+    if (((i - home) & kIndexMask) >= ((i - hole) & kIndexMask)) {
       index_[hole] = index_[i];
       hole = i;
     }
@@ -108,68 +89,17 @@ void EdgeCache::list_push_front(std::uint32_t slot) {
   if (tail_ == kNil) tail_ = slot;
 }
 
-void EdgeCache::video_unlink(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  const std::size_t v = s.key.video;
-  if (s.vprev != kNil) slots_[s.vprev].vnext = s.vnext;
-  else video_head_[v] = s.vnext;
-  if (s.vnext != kNil) slots_[s.vnext].vprev = s.vprev;
-  else video_tail_[v] = s.vprev;
-  s.vprev = s.vnext = kNil;
-}
-
-void EdgeCache::video_push_front(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  const std::size_t v = s.key.video;
-  s.vprev = kNil;
-  s.vnext = video_head_[v];
-  if (video_head_[v] != kNil) slots_[video_head_[v]].vprev = slot;
-  video_head_[v] = slot;
-  if (video_tail_[v] == kNil) video_tail_[v] = slot;
-}
-
 void EdgeCache::touch(std::uint32_t slot) {
   list_unlink(slot);
   list_push_front(slot);
-  if (track_videos_) {
-    video_unlink(slot);
-    video_push_front(slot);
-  }
-}
-
-bool EdgeCache::worse_video(std::size_t a, std::size_t b) const {
-  const double wa = config_.video_weights[a];
-  const double wb = config_.video_weights[b];
-  if (wa != wb) return wa < wb;
-  return a > b;
 }
 
 void EdgeCache::evict_one() {
-  std::uint32_t victim = kNil;
-  if (track_videos_) {
-    PS360_ASSERT(worst_video_ != kNoVideo);
-    victim = video_tail_[worst_video_];
-  } else {
-    victim = tail_;
-  }
+  const std::uint32_t victim = tail_;
   PS360_ASSERT_MSG(victim != kNil, "eviction requested from an empty cache");
   Slot& s = slots_[victim];
   index_erase(s.key);
   list_unlink(victim);
-  if (track_videos_) {
-    const std::size_t v = s.key.video;
-    video_unlink(victim);
-    if (--video_count_[v] == 0 && v == worst_video_) {
-      // The least-popular video just emptied: rescan for the new worst
-      // resident. O(catalog) but only on this transition, never per request.
-      worst_video_ = kNoVideo;
-      for (std::size_t cand = 0; cand < video_count_.size(); ++cand) {
-        if (video_count_[cand] == 0) continue;
-        if (worst_video_ == kNoVideo || worse_video(cand, worst_video_))
-          worst_video_ = cand;
-      }
-    }
-  }
   stats_.resident -= util::Bytes(s.size_bytes);
   --stats_.entries;
   ++stats_.evictions;
@@ -194,10 +124,7 @@ bool EdgeCache::contains(const SegmentKey& key) const {
 
 bool EdgeCache::admit(const SegmentKey& key, util::Bytes size) {
   PS360_CHECK(size.value() > 0.0);
-  if (track_videos_)
-    PS360_CHECK_MSG(key.video < config_.video_weights.size(),
-                    "video id outside the popularity catalog");
-  if (size > config_.capacity) {
+  if (size > capacity_) {
     ++stats_.bypasses;
     return false;
   }
@@ -207,8 +134,7 @@ bool EdgeCache::admit(const SegmentKey& key, util::Bytes size) {
     touch(existing);
     return true;
   }
-  while (stats_.resident + size > config_.capacity ||
-         stats_.entries >= config_.max_entries) {
+  while (stats_.resident + size > capacity_ || stats_.entries >= kMaxEntries) {
     evict_one();
   }
   const std::uint32_t slot = free_.back();
@@ -218,14 +144,6 @@ bool EdgeCache::admit(const SegmentKey& key, util::Bytes size) {
   s.size_bytes = size.value();
   index_insert(key, slot);
   list_push_front(slot);
-  if (track_videos_) {
-    video_push_front(slot);
-    const std::size_t v = key.video;
-    if (video_count_[v]++ == 0) {
-      if (worst_video_ == kNoVideo || worse_video(v, worst_video_))
-        worst_video_ = v;
-    }
-  }
   stats_.resident += size;
   ++stats_.entries;
   ++stats_.insertions;
@@ -235,11 +153,7 @@ bool EdgeCache::admit(const SegmentKey& key, util::Bytes size) {
 std::size_t EdgeCache::footprint_bytes() const {
   return slots_.capacity() * sizeof(Slot) +
          free_.capacity() * sizeof(std::uint32_t) +
-         index_.capacity() * sizeof(std::uint32_t) +
-         video_head_.capacity() * sizeof(std::uint32_t) +
-         video_tail_.capacity() * sizeof(std::uint32_t) +
-         video_count_.capacity() * sizeof(std::size_t) +
-         config_.video_weights.capacity() * sizeof(double);
+         index_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace ps360::server

@@ -97,25 +97,9 @@ SessionAccountant::SessionAccountant(const VideoWorkload& workload,
   result_.segments.reserve(workload.segment_count());
 }
 
-void SessionAccountant::attach_observer(obs::Observer* observer,
-                                        std::uint32_t session) {
-  observer_ = observer;
-  obs_session_ = session;
-  if (observer_ != nullptr && observer_->metrics != nullptr) {
-    obs::MetricsRegistry& metrics = *observer_->metrics;
-    id_segments_ = metrics.counter("session.segments");
-    id_ptile_segments_ = metrics.counter("session.ptile_segments");
-    id_fallback_segments_ = metrics.counter("session.fallback_segments");
-    id_reduced_frame_segments_ = metrics.counter("session.reduced_frame_segments");
-    id_energy_mj_ = metrics.counter("session.energy_mj");
-    id_qoe_q_ = metrics.counter("session.qoe_q_sum");
-    // Per-segment Eq. 1 energy: 1 mJ … ~16 J log-spaced.
-    id_energy_hist_ = metrics.histogram("session.segment_energy_mj", {1.0, 2.0, 24});
-  }
-}
-
-void SessionAccountant::record(const ClientRequest& request,
-                               util::Seconds download, util::Seconds stall) {
+const SegmentRecord& SessionAccountant::record(const ClientRequest& request,
+                                              util::Seconds download,
+                                              util::Seconds stall) {
   const double download_s = download.value();
   const double stall_s = stall.value();
   PS360_CHECK_MSG(!finished_, "record() after finish()");
@@ -180,22 +164,7 @@ void SessionAccountant::record(const ClientRequest& request,
   result_.segments.push_back(record);
 
   prev_actual_qo_ = qo_eff;
-
-  if (observer_ != nullptr) {
-    if (observer_->metrics != nullptr) {
-      obs::MetricsRegistry& metrics = *observer_->metrics;
-      metrics.add(id_segments_);
-      metrics.add(plan.used_ptile ? id_ptile_segments_ : id_fallback_segments_);
-      if (plan.frame_ratio < 1.0) metrics.add(id_reduced_frame_segments_);
-      metrics.add(id_energy_mj_, energy.total_mj());
-      metrics.add(id_qoe_q_, seg_qoe.q);
-      metrics.observe(id_energy_hist_, energy.total_mj());
-    }
-    // The delivered (v, f) choice: the paper's frame-rate ladder in action.
-    obs::trace(observer_, obs_session_, obs::TraceEventKind::kPtileChoice,
-               plan.option.quality, plan.option.fps,
-               plan.used_ptile ? 1.0 : 0.0);
-  }
+  return result_.segments.back();
 }
 
 SessionResult SessionAccountant::finish() {

@@ -38,18 +38,12 @@ class SessionAccountant {
   // client from it).
   const SessionConfig& client_config() const { return config_; }
 
-  // Attach a nullable metrics/trace observer, labelling records `session`.
-  // record() then emits the per-segment delivered choice (Ptile vs
-  // fallback, frame rate) and energy/QoE counters. Write-only: accounting
-  // is unchanged. The scheme's solves are reported by the client
-  // (StreamingClient::publish_plan).
-  void attach_observer(obs::Observer* observer, std::uint32_t session);
-
   // Account segment `request.segment`: delivered QoE against the user's
-  // ground-truth viewport, Eq. 1 energy, and the per-segment record.
-  // Segments must arrive in order, each exactly once.
-  void record(const ClientRequest& request, util::Seconds download,
-              util::Seconds stall);
+  // ground-truth viewport, Eq. 1 energy, and the per-segment record, which
+  // it returns (valid until the next record() or finish()). Segments must
+  // arrive in order, each exactly once.
+  const SegmentRecord& record(const ClientRequest& request, util::Seconds download,
+                              util::Seconds stall);
 
   // Aggregate the records into the SessionResult (aggregate_segments: Eq. 2
   // session QoE, sums, means). Call once, after the session's last segment
@@ -68,17 +62,6 @@ class SessionAccountant {
   SessionResult result_;
   double prev_actual_qo_ = -1.0;
   bool finished_ = false;
-
-  // Observability (nullable; ids cached at attach).
-  obs::Observer* observer_ = nullptr;
-  std::uint32_t obs_session_ = 0;
-  obs::MetricsRegistry::Id id_segments_ = 0;
-  obs::MetricsRegistry::Id id_ptile_segments_ = 0;
-  obs::MetricsRegistry::Id id_fallback_segments_ = 0;
-  obs::MetricsRegistry::Id id_reduced_frame_segments_ = 0;
-  obs::MetricsRegistry::Id id_energy_mj_ = 0;
-  obs::MetricsRegistry::Id id_qoe_q_ = 0;
-  obs::MetricsRegistry::Id id_energy_hist_ = 0;
 };
 
 }  // namespace ps360::sim

@@ -40,46 +40,6 @@ StreamingClient::StreamingClient(const SessionConfig& config,
       util::derive_seed(config_.seed, kRecoverySeedStream, config_.recovery.seed);
 }
 
-void StreamingClient::attach_observer(obs::Observer* observer, std::uint32_t session,
-                                      util::Seconds clock_offset) {
-  const double clock_offset_s = clock_offset.value();
-  observer_ = observer;
-  obs_session_ = session;
-  obs_clock_offset_s_ = clock_offset_s;
-  if (observer_ != nullptr && observer_->metrics != nullptr) {
-    obs::MetricsRegistry& metrics = *observer_->metrics;
-    id_planned_ = metrics.counter("client.segments_planned");
-    id_wait_s_ = metrics.counter("client.wait_seconds");
-    id_bytes_ = metrics.counter("client.bytes_requested");
-    id_stalls_ = metrics.counter("client.stalls");
-    id_stall_s_ = metrics.counter("client.stall_seconds");
-    // Log-spaced 1 ms … ~2.3 h covers startup hiccups through congestion
-    // collapse; sizes 1 KiB-ish … ~8 GB.
-    id_download_hist_ =
-        metrics.histogram("client.download_seconds", {1e-3, 2.0, 24});
-    id_bytes_hist_ = metrics.histogram("client.segment_bytes", {1e3, 2.0, 24});
-    id_retries_ = metrics.counter("client.retries");
-    id_timeouts_ = metrics.counter("client.timeouts");
-    id_losses_ = metrics.counter("client.losses");
-    id_outages_ = metrics.counter("client.outage_failures");
-    id_degradations_ = metrics.counter("client.degradations");
-    id_recovery_s_ = metrics.counter("client.recovery_seconds");
-    // The scheme's solver metrics: the client reports its solves.
-    switch (controller_info(scheme_->kind()).solver) {
-      case PlanSolver::kMpc:
-        id_mpc_decides_ = metrics.counter("mpc.decides");
-        id_mpc_relaxed_ = metrics.counter("mpc.relaxed_fallbacks");
-        id_mpc_infeasible_ = metrics.counter("mpc.infeasible");
-        break;
-      case PlanSolver::kLp:
-        id_lp_allocations_ = metrics.counter("lp.allocations");
-        break;
-      case PlanSolver::kNone:
-        break;
-    }
-  }
-}
-
 double StreamingClient::playhead_s() const {
   const double L = workload_->config().segment_seconds;
   return std::clamp(static_cast<double>(next_segment_) * L - buffer_s_, 0.0,
@@ -147,55 +107,11 @@ ClientRequest StreamingClient::finish_plan() {
   prev_plan_qo_ = request.plan.option.qo;
   pending_bytes_ = request.plan.option.bytes;
   awaiting_download_ = true;
-  current_request_ = request;  // kept for degraded re-planning and publishing
+  current_request_ = request;  // kept for degraded re-planning
   return request;
 }
 
-void StreamingClient::emit_solve(const DownloadPlan& plan) {
-  const SolveRecord& solve = plan.solve;
-  obs::MetricsRegistry* const metrics = observer_->metrics;
-  switch (solve.solver) {
-    case PlanSolver::kMpc:
-      if (metrics != nullptr) {
-        metrics->add(id_mpc_decides_);
-        if (solve.relaxed) metrics->add(id_mpc_relaxed_);
-        if (!plan.mpc_feasible) metrics->add(id_mpc_infeasible_);
-      }
-      obs::trace(observer_, obs_session_,
-                 solve.relaxed ? obs::TraceEventKind::kMpcRelaxed
-                               : obs::TraceEventKind::kMpcStrict,
-                 static_cast<std::int64_t>(solve.horizon), solve.objective);
-      break;
-    case PlanSolver::kLp:
-      if (metrics != nullptr) metrics->add(id_lp_allocations_);
-      break;
-    case PlanSolver::kNone:
-      break;
-  }
-}
-
-void StreamingClient::publish_plan() {
-  PS360_CHECK_MSG(awaiting_download_, "publish_plan without a planned download");
-  if (observer_ == nullptr) return;
-  // Everything below is stamped with the post-wait request time; finish_plan
-  // did not move the clock, so it is the time the plan was made.
-  observer_->now_s = obs_clock_offset_s_ + wall_t_;
-  const ClientRequest& request = current_request_;
-  emit_solve(request.plan);
-  if (observer_->metrics != nullptr) {
-    obs::MetricsRegistry& metrics = *observer_->metrics;
-    metrics.add(id_planned_);
-    metrics.add(id_wait_s_, request.wait_s);
-    metrics.add(id_bytes_, pending_bytes_);
-    metrics.observe(id_bytes_hist_, pending_bytes_);
-  }
-  obs::trace(observer_, obs_session_, obs::TraceEventKind::kSegmentPlanned,
-             static_cast<std::int64_t>(request.segment), request.bandwidth_estimate_bps,
-             request.buffer_at_request_s);
-}
-
-FailureAction StreamingClient::report_download_failure(util::Seconds elapsed,
-                                                       FailureReason reason) {
+FailureAction StreamingClient::report_download_failure(util::Seconds elapsed) {
   PS360_CHECK_MSG(awaiting_download_, "no download in flight");
   const double elapsed_s = elapsed.value();
   PS360_CHECK(elapsed_s >= 0.0);
@@ -232,24 +148,6 @@ FailureAction StreamingClient::report_download_failure(util::Seconds elapsed,
 
   action.degrade =
       attempt_ % rc.degrade_after == 0 && degrade_level_ < rc.max_degrade_steps;
-
-  if (observer_ != nullptr) {
-    observer_->now_s = obs_clock_offset_s_ + wall_t_;
-    const auto segment = static_cast<std::int64_t>(next_segment_);
-    if (observer_->metrics != nullptr) {
-      observer_->metrics->add(id_retries_);
-      switch (reason) {
-        case FailureReason::kTimeout: observer_->metrics->add(id_timeouts_); break;
-        case FailureReason::kLost: observer_->metrics->add(id_losses_); break;
-        case FailureReason::kOutage: observer_->metrics->add(id_outages_); break;
-      }
-      observer_->metrics->add(id_recovery_s_, dt);
-    }
-    obs::trace(observer_, obs_session_, obs::TraceEventKind::kDownloadTimeout,
-               segment, elapsed_s, static_cast<double>(attempt_));
-    obs::trace(observer_, obs_session_, obs::TraceEventKind::kDownloadRetry,
-               segment, backoff, static_cast<double>(attempt_));
-  }
   return action;
 }
 
@@ -278,16 +176,6 @@ ClientRequest StreamingClient::replan_degraded() {
   current_request_.bandwidth_estimate_bps = degraded_bps;
   prev_plan_qo_ = current_request_.plan.option.qo;
   pending_bytes_ = current_request_.plan.option.bytes;
-
-  if (observer_ != nullptr) {
-    observer_->now_s = obs_clock_offset_s_ + wall_t_;
-    emit_solve(current_request_.plan);
-    if (observer_->metrics != nullptr)
-      observer_->metrics->add(id_degradations_);
-    obs::trace(observer_, obs_session_, obs::TraceEventKind::kDownloadDegraded,
-               static_cast<std::int64_t>(next_segment_),
-               static_cast<double>(degrade_level_), degraded_bps);
-  }
   return current_request_;
 }
 
@@ -316,32 +204,6 @@ double StreamingClient::complete_download(util::Seconds download) {
   degrade_level_ = 0;
   fault_stall_s_ = 0.0;
   ++next_segment_;
-
-  if (observer_ != nullptr) {
-    const double t_done = obs_clock_offset_s_ + wall_t_;
-    observer_->now_s = t_done;
-    const auto segment = static_cast<std::int64_t>(next_segment_ - 1);
-    if (observer_->metrics != nullptr) {
-      observer_->metrics->observe(id_download_hist_, download_s);
-      if (stall > 0.0) {
-        observer_->metrics->add(id_stalls_);
-        observer_->metrics->add(id_stall_s_, stall);
-      }
-    }
-    if (observer_->tracer != nullptr) {
-      // The stall happened over the tail of the download: playback drained
-      // the buffer at t_done - stall and resumed at completion.
-      if (stall > 0.0) {
-        observer_->tracer->record(t_done - stall, obs_session_,
-                                  obs::TraceEventKind::kStallBegin, segment);
-        observer_->tracer->record(t_done, obs_session_,
-                                  obs::TraceEventKind::kStallEnd, segment, stall);
-      }
-      observer_->tracer->record(t_done, obs_session_,
-                                obs::TraceEventKind::kDownloadComplete, segment,
-                                download_s, stall);
-    }
-  }
   return stall;
 }
 

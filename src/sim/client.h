@@ -12,13 +12,14 @@
 //
 // fleet::run_fleet is the one session driver (sim::simulate_session is a
 // fleet of one): it times downloads on a shared link, injects faults,
-// reports failures (report_download_failure) and issues the guaranteed
-// final attempt. Tests drive it directly with hand-crafted download times.
+// reports failures (report_download_failure), issues the guaranteed final
+// attempt and writes every metric and trace record of the session from what
+// these calls return. Tests drive it directly with hand-crafted download
+// times.
 #pragma once
 
 #include <memory>
 
-#include "obs/observer.h"
 #include "predict/bandwidth_estimators.h"
 #include "predict/predictors.h"
 #include "sim/schemes.h"
@@ -26,13 +27,6 @@
 #include "util/units.h"
 
 namespace ps360::sim {
-
-// Why a download attempt failed, for per-reason counters.
-enum class FailureReason {
-  kTimeout = 0,  // deadline expired mid-transfer
-  kLost = 1,     // request vanished (no bytes ever arrived)
-  kOutage = 2,   // link was blacked out when the request was issued
-};
 
 // What the client decided after a failure was reported.
 struct FailureAction {
@@ -67,24 +61,16 @@ class StreamingClient {
   // buffer — and returns that wait. finish_plan() then runs prediction,
   // bandwidth estimation, and the scheme's solve, and returns the request.
   // finish_plan() reads only client-local state frozen at begin_plan() time
-  // and emits nothing, so the engine may run it just-in-time when the
-  // flow-start event fires or speculatively on a worker thread — the two
-  // executions are bit-identical. begin_plan() throws past the last segment
-  // (finished()) and before the previous download completed; one
-  // finish_plan() must follow each begin_plan() before any other state
-  // transition, and the request must be completed by complete_download().
+  // and writes nothing outside the client, so the engine may run it
+  // just-in-time when the flow-start event fires or speculatively on a
+  // worker thread — the two executions are bit-identical. The request
+  // carries the solve's outcome (DownloadPlan::solve) for the engine to
+  // report. begin_plan() throws past the last segment (finished()) and
+  // before the previous download completed; one finish_plan() must follow
+  // each begin_plan() before any other state transition, and the request
+  // must be completed by complete_download().
   double begin_plan();
   ClientRequest finish_plan();
-
-  // Report the plan finish_plan() made to the attached observer, on the
-  // thread that owns it: the solve's records (mpc.decides,
-  // mpc.relaxed_fallbacks, mpc.infeasible and an mpc_strict/mpc_relaxed
-  // record, or lp.allocations), then client.segments_planned,
-  // client.wait_seconds, client.bytes_requested, client.segment_bytes and a
-  // segment_planned record, all stamped with the planning clock, which
-  // becomes the observer's clock. Call it once per finish_plan(), before the
-  // download starts; without an observer it does nothing.
-  void publish_plan();
 
   // Report how long the planned download took (seconds, > 0). Returns the
   // stall time this download caused (0 for the startup segment). Any buffer
@@ -96,34 +82,21 @@ class StreamingClient {
   // (>= 0). Advances the wall clock by elapsed_s plus a capped, seeded-jitter
   // exponential backoff, drains the buffer accordingly, and returns what to
   // do next. Throws if no download is in flight — state is untouched then.
-  FailureAction report_download_failure(util::Seconds elapsed,
-                                        FailureReason reason);
+  FailureAction report_download_failure(util::Seconds elapsed);
 
   // Re-plan the pending segment one degradation step down: the scheme is
   // re-run against a bandwidth haircut of degrade_bandwidth_factor^level, so
   // repeated failures shrink the request (lower version / fewer tiles / lower
   // frame rate) instead of retrying the same doomed bytes. Returns the
-  // updated request, and reports the new solve and the degradation itself
-  // to the observer. Requires an in-flight download and a non-exhausted
-  // ladder (FailureAction.degrade said so).
+  // updated request, its bandwidth_estimate_bps the degraded estimate.
+  // Requires an in-flight download and a non-exhausted ladder
+  // (FailureAction.degrade said so).
   ClientRequest replan_degraded();
 
   // Recovery state.
   const RecoveryConfig& recovery() const { return config_.recovery; }
   std::size_t attempts() const { return attempt_; }
   std::size_t degrade_level() const { return degrade_level_; }
-
-  // Attach a nullable metrics/trace observer. `session` labels this client's
-  // records; `clock_offset_s` maps the client's private wall clock onto the
-  // caller's simulated timeline (the fleet engine passes the session's start
-  // stagger so client records line up with link-level events). The client
-  // becomes the observer's clock owner while it reports: it stamps
-  // observer->now_s when it publishes a plan, reports a failure or a
-  // degraded re-plan, and completes a download. It also registers the
-  // metrics of the scheme's solver (ControllerInfo::solver), since the
-  // client reports the scheme's solves. Pass nullptr to detach.
-  void attach_observer(obs::Observer* observer, std::uint32_t session,
-                       util::Seconds clock_offset = util::Seconds(0.0));
 
   // Current state.
   double buffer_s() const { return buffer_s_; }
@@ -154,32 +127,6 @@ class StreamingClient {
   std::size_t degrade_level_ = 0;  // degradation steps taken for this segment
   double fault_stall_s_ = 0.0;     // stall accrued by failed attempts
   ClientRequest current_request_;  // last plan, for degraded re-planning
-
-  // Emit the solve record of `plan` (publish_plan, replan_degraded).
-  void emit_solve(const DownloadPlan& plan);
-
-  // Observability (nullable; ids cached at attach so the hot path is an
-  // index-add). Observation is write-only: no client state depends on it.
-  obs::Observer* observer_ = nullptr;
-  std::uint32_t obs_session_ = 0;
-  double obs_clock_offset_s_ = 0.0;
-  obs::MetricsRegistry::Id id_planned_ = 0;
-  obs::MetricsRegistry::Id id_wait_s_ = 0;
-  obs::MetricsRegistry::Id id_bytes_ = 0;
-  obs::MetricsRegistry::Id id_stalls_ = 0;
-  obs::MetricsRegistry::Id id_stall_s_ = 0;
-  obs::MetricsRegistry::Id id_download_hist_ = 0;
-  obs::MetricsRegistry::Id id_bytes_hist_ = 0;
-  obs::MetricsRegistry::Id id_retries_ = 0;
-  obs::MetricsRegistry::Id id_timeouts_ = 0;
-  obs::MetricsRegistry::Id id_losses_ = 0;
-  obs::MetricsRegistry::Id id_outages_ = 0;
-  obs::MetricsRegistry::Id id_degradations_ = 0;
-  obs::MetricsRegistry::Id id_recovery_s_ = 0;
-  obs::MetricsRegistry::Id id_mpc_decides_ = 0;
-  obs::MetricsRegistry::Id id_mpc_relaxed_ = 0;
-  obs::MetricsRegistry::Id id_mpc_infeasible_ = 0;
-  obs::MetricsRegistry::Id id_lp_allocations_ = 0;
 };
 
 }  // namespace ps360::sim

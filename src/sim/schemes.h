@@ -91,7 +91,7 @@ struct ControllerInfo {
   std::string_view name;
   bool in_paper = false;  // member of the Section V comparison set
   // What each plan() solves, and so which solver metrics an observed
-  // session registers (StreamingClient::attach_observer).
+  // fleet registers (fleet::run_fleet's reporter).
   PlanSolver solver = PlanSolver::kMpc;
 };
 
@@ -118,8 +118,8 @@ struct SchemeEnv {
 };
 
 // What a plan's one solve did. plan() emits nothing: it returns this with
-// the plan, and StreamingClient::publish_plan reports it on the thread that
-// owns the observer. Feasibility is DownloadPlan::mpc_feasible.
+// the plan, and the fleet engine reports it on the coordinator when the
+// download is issued. Feasibility is DownloadPlan::mpc_feasible.
 struct SolveRecord {
   PlanSolver solver = PlanSolver::kNone;  // kLp: one LP allocation
   // kMpc only: the horizon length, the DP objective, and whether the

@@ -20,6 +20,7 @@
 //    switching speed.
 #pragma once
 
+#include "obs/observer.h"
 #include "power/energy.h"
 #include "qoe/qoe_model.h"
 #include "sim/client.h"
@@ -73,10 +74,11 @@ void aggregate_segments(SessionResult& result);
 // config.seed (it keys the fault and retry streams). The network trace is
 // consumed from t = 0 (it loops if shorter than the session), and enabled
 // faults run through the engine's fault state machine. The nullable
-// metrics/trace observer (obs/observer.h) sees the client (which publishes
-// each plan's solve record: mpc.* or lp.allocations), the accountant and the
-// engine's fleet.* counters; results are bit-identical without it —
-// observation is write-only (pinned by the obs differential test).
+// metrics/trace observer (obs/observer.h) receives what the engine's one
+// reporter writes: the client.*, session.* and fleet.* metrics, the
+// solver's (mpc.* or lp.allocations) and the session's trace records;
+// results are bit-identical without it — observation is write-only (pinned
+// by the obs differential test).
 SessionResult simulate_session(const VideoWorkload& workload, std::size_t test_user,
                                SchemeKind scheme, const trace::NetworkTrace& network,
                                const SessionConfig& config,

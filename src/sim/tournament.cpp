@@ -107,6 +107,11 @@ TournamentReport run_tournament(const TournamentConfig& config) {
                   "video_duration_s must be finite and > 0");
   PS360_CHECK_MSG(std::isfinite(config.trace_duration_s) && config.trace_duration_s > 0.0,
                   "trace_duration_s must be finite and > 0");
+  // Each cell runs under its fault profile's FaultConfig, so a fault setting
+  // on the session template would never reach a cell.
+  PS360_CHECK_MSG(!config.session.faults.enabled,
+                  "TournamentConfig::session.faults.enabled must be false; set the fault "
+                  "environments through fault_profiles");
   for (const int id : config.trace_ids) PS360_CHECK(id == 1 || id == 2);
   for (const std::size_t size : config.fleet_sizes) PS360_CHECK(size >= 1);
 

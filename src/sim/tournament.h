@@ -65,7 +65,8 @@ struct TournamentConfig {
   double video_duration_s = 20.0;
   double trace_duration_s = 300.0;
   double start_spread_s = 2.0;
-  // Per-session template; faults are overwritten per profile.
+  // Per-session template. Its faults must stay disabled (run_tournament
+  // throws otherwise): each cell runs under its fault profile's FaultConfig.
   SessionConfig session;
 };
 

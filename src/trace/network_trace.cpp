@@ -141,12 +141,12 @@ NetworkTrace NetworkTrace::scaled(double factor) const {
   return NetworkTrace(std::move(scaled_samples));
 }
 
-NetworkTrace synthesize_network_trace(const NetworkSynthConfig& config) {
+NetworkTrace synthesize_network_trace(std::uint64_t seed, const NetworkSynthConfig& config) {
   PS360_CHECK(config.step_s > 0.0);
   PS360_CHECK(config.min_mbps > 0.0 && config.min_mbps < config.max_mbps);
   PS360_CHECK(config.mean_mbps > config.min_mbps && config.mean_mbps < config.max_mbps);
   const std::size_t n = ceil_count(config.duration_s / config.step_s, "duration_s");
-  util::Rng rng(util::derive_seed(config.seed, 0x4E7770ULL));
+  util::Rng rng(util::derive_seed(seed, 0x4E7770ULL));
   std::vector<ThroughputSample> samples;
   samples.reserve(n);
   double rate = config.mean_mbps;
@@ -167,9 +167,8 @@ std::pair<NetworkTrace, NetworkTrace> make_paper_traces(std::uint64_t seed,
                                                         util::Seconds duration) {
   const double duration_s = duration.value();
   NetworkSynthConfig config;
-  config.seed = seed;
   config.duration_s = duration_s;
-  NetworkTrace trace2 = synthesize_network_trace(config);
+  NetworkTrace trace2 = synthesize_network_trace(seed, config);
   NetworkTrace trace1 = trace2.scaled(2.0);
   return {std::move(trace1), std::move(trace2)};
 }

@@ -79,7 +79,6 @@ class NetworkTrace {
 };
 
 struct NetworkSynthConfig {
-  std::uint64_t seed = 7;
   double duration_s = 600.0;
   double step_s = 1.0;       // sample spacing
   double mean_mbps = 3.9;    // long-run mean (trace 2 of the paper)
@@ -89,8 +88,9 @@ struct NetworkSynthConfig {
   double volatility = 0.85;  // per-step innovation std-dev (Mbps)
 };
 
-// Bounded mean-reverting walk reproducing the paper's trace-2 statistics.
-NetworkTrace synthesize_network_trace(const NetworkSynthConfig& config);
+// Bounded mean-reverting walk reproducing the paper's trace-2 statistics,
+// deterministic in (seed, config).
+NetworkTrace synthesize_network_trace(std::uint64_t seed, const NetworkSynthConfig& config);
 
 // The two evaluation conditions of Section V: first element is trace 1
 // (2x bandwidth), second is trace 2.

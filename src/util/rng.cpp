@@ -117,14 +117,4 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-std::vector<std::size_t> Rng::permutation(std::size_t n) {
-  std::vector<std::size_t> p(n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = i;
-  for (std::size_t i = n; i > 1; --i) {
-    const std::size_t j = static_cast<std::size_t>(uniform_index(i));
-    std::swap(p[i - 1], p[j]);
-  }
-  return p;
-}
-
 }  // namespace ps360::util

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace ps360::util {
 
@@ -54,9 +53,6 @@ class Rng {
 
   // Exponential with the given mean (> 0).
   double exponential(double mean);
-
-  // Fisher-Yates shuffle of indices [0, n); returns the permutation.
-  std::vector<std::size_t> permutation(std::size_t n);
 
  private:
   std::array<std::uint64_t, 4> state_;

@@ -24,16 +24,6 @@ double variance(const std::vector<double>& values) {
 
 double stddev(const std::vector<double>& values) { return std::sqrt(variance(values)); }
 
-double harmonic_mean(const std::vector<double>& values) {
-  PS360_CHECK(!values.empty());
-  double sum = 0.0;
-  for (double v : values) {
-    PS360_CHECK_MSG(v > 0.0, "harmonic mean requires positive values");
-    sum += 1.0 / v;
-  }
-  return static_cast<double>(values.size()) / sum;
-}
-
 double percentile(std::vector<double> values, double p) {
   PS360_CHECK(!values.empty());
   PS360_CHECK(p >= 0.0 && p <= 100.0);
@@ -102,42 +92,6 @@ double EmpiricalCdf::quantile(double q) const {
   const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::mean() const {
-  PS360_CHECK(count_ > 0);
-  return mean_;
-}
-
-double RunningStats::variance() const {
-  PS360_CHECK(count_ >= 2);
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-  PS360_CHECK(count_ > 0);
-  return min_;
-}
-
-double RunningStats::max() const {
-  PS360_CHECK(count_ > 0);
-  return max_;
 }
 
 }  // namespace ps360::util

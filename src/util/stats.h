@@ -1,6 +1,6 @@
-// Descriptive statistics used throughout the evaluation pipeline:
-// harmonic-mean bandwidth estimation, CDFs for Fig. 8, Pearson correlation
-// for the QoE fit quality (Table II), percentile summaries for traces.
+// Descriptive statistics used throughout the evaluation pipeline: CDFs for
+// Fig. 8, Pearson correlation for the QoE fit quality (Table II), percentile
+// summaries for traces and fleets.
 #pragma once
 
 #include <cstddef>
@@ -16,11 +16,6 @@ double variance(const std::vector<double>& values);
 
 // Sample standard deviation.
 double stddev(const std::vector<double>& values);
-
-// Harmonic mean; requires non-empty input of strictly positive values.
-// This is the estimator the paper uses for throughput prediction: it damps
-// the influence of transient spikes relative to the arithmetic mean.
-double harmonic_mean(const std::vector<double>& values);
 
 // Linear-interpolated percentile, p in [0, 100]; requires non-empty input.
 // Does not assume sorted input.
@@ -53,31 +48,8 @@ class EmpiricalCdf {
   // Inverse CDF (quantile), q in [0, 1].
   double quantile(double q) const;
 
-  const std::vector<double>& sorted_samples() const { return sorted_; }
-
  private:
   std::vector<double> sorted_;
-};
-
-// Streaming accumulator for count/mean/min/max/variance (Welford).
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return count_; }
-  double mean() const;
-  double variance() const;  // sample variance; requires count >= 2
-  double stddev() const;
-  double min() const;
-  double max() const;
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 }  // namespace ps360::util

@@ -127,27 +127,6 @@ constexpr Watts operator/(Joules e, Seconds t) {
 constexpr Watts milliwatts(double mw) { return Watts(mw * 1e-3); }
 constexpr Joules millijoules(double mj) { return Joules(mj * 1e-3); }
 
-// Bandwidth <-> transfer time: `bits / rate = time`.
-constexpr Seconds transfer_time(double bits, Mbps rate) {
-  return Seconds(bits / (rate.value() * 1e6));
-}
-
-// Wire-rate conversions: 1 Mbps = 1e6 bits/s = 1.25e5 bytes/s.
-constexpr BytesPerSec to_bytes_per_sec(Mbps rate) {
-  return BytesPerSec(rate.value() * (1e6 / 8.0));
-}
-constexpr Mbps to_mbps(BytesPerSec rate) {
-  return Mbps(rate.value() * (8.0 / 1e6));
-}
-
-// Rate × time = bytes moved; bytes / rate = transfer time.
-constexpr double bytes_in(BytesPerSec rate, Seconds t) {
-  return rate.value() * t.value();
-}
-constexpr Seconds transfer_time_bytes(double bytes, BytesPerSec rate) {
-  return Seconds(bytes / rate.value());
-}
-
 // Typed rate/volume algebra: rate × time = volume, volume / rate = time,
 // volume / time = rate.
 constexpr Bytes operator*(BytesPerSec rate, Seconds t) {

@@ -6,9 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/metrics.h"
-#include "obs/observer.h"
-#include "obs/tracer.h"
 #include "sim/client.h"
 #include "sim/session.h"
 
@@ -44,13 +41,11 @@ struct ClientFixture {
   std::unique_ptr<Scheme> scheme;
 };
 
-// Plans the next segment as the fleet engine does: the Eq. 6 wait, the
-// solve, then the publish.
+// Plans the next segment as the fleet engine does: the Eq. 6 wait, then
+// the solve.
 ClientRequest plan(StreamingClient& client) {
   client.begin_plan();
-  ClientRequest request = client.finish_plan();
-  client.publish_plan();
-  return request;
+  return client.finish_plan();
 }
 
 TEST(StreamingClientTest, WalksEverySegmentExactlyOnce) {
@@ -187,28 +182,6 @@ TEST(StreamingClientTest, RejectsAnInvalidConfigWithoutAnAccountant) {
     EXPECT_NE(std::string(e.what()).find("recovery.timeout_s"), std::string::npos)
         << e.what();
   }
-}
-
-// Rejected calls must also be invisible to an attached observer: a misuse
-// that throws emits no metric and no trace record, so dashboards built on
-// the observability layer never count work that did not happen.
-TEST(StreamingClientTest, MisuseEmitsNoObservation) {
-  const ClientFixture fixture;
-  auto client = fixture.make_client();
-  obs::MetricsRegistry metrics;
-  obs::EventTracer tracer(256);
-  obs::Observer observer{&metrics, &tracer};
-  client.attach_observer(&observer, /*session=*/0);
-
-  EXPECT_THROW(client.complete_download(util::Seconds(0.5)), std::invalid_argument);
-  plan(client);
-  const double planned = metrics.value("client.segments_planned");
-  const std::uint64_t recorded = tracer.recorded();
-
-  EXPECT_THROW(plan(client), std::invalid_argument);
-  EXPECT_THROW(client.complete_download(util::Seconds(-1.0)), std::invalid_argument);
-  EXPECT_EQ(metrics.value("client.segments_planned"), planned);
-  EXPECT_EQ(tracer.recorded(), recorded);
 }
 
 // After the last segment, the protocol is over: planning past it and

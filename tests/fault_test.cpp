@@ -192,9 +192,7 @@ TEST(RecoveryTest, BackoffSequenceIsCappedAndSeededDeterministic) {
     plan(client);
     std::vector<double> backoffs;
     for (int i = 0; i < 10; ++i)
-      backoffs.push_back(
-          client.report_download_failure(util::Seconds(0.1), sim::FailureReason::kTimeout)
-              .backoff_s);
+      backoffs.push_back(client.report_download_failure(util::Seconds(0.1)).backoff_s);
     return backoffs;
   };
   const std::vector<double> a = collect(), b = collect();
@@ -224,9 +222,8 @@ TEST(RecoveryTest, TimeoutAdvancesWallClockExactlyByDeadlinePlusBackoff) {
   auto client = fixture.make_client(config);
   plan(client);
   const double t0 = client.wall_time_s();
-  const auto action = client.report_download_failure(
-      util::Seconds(config.recovery.timeout_s),
-      sim::FailureReason::kTimeout);
+  const auto action =
+      client.report_download_failure(util::Seconds(config.recovery.timeout_s));
   EXPECT_DOUBLE_EQ(action.backoff_s, config.recovery.backoff_base_s);
   EXPECT_DOUBLE_EQ(client.wall_time_s(),
                    t0 + config.recovery.timeout_s + action.backoff_s);
@@ -245,8 +242,7 @@ TEST(RecoveryTest, DegradationLadderShrinksRequestsAndTerminates) {
   double last_bytes = original_bytes;
   double last_estimate = request.bandwidth_estimate_bps;
   for (int i = 0; i < 20; ++i) {
-    const auto action =
-        client.report_download_failure(util::Seconds(0.5), sim::FailureReason::kLost);
+    const auto action = client.report_download_failure(util::Seconds(0.5));
     if (action.degrade) {
       const sim::ClientRequest degraded = client.replan_degraded();
       // Each step plans against a strictly smaller bandwidth estimate and
@@ -275,15 +271,14 @@ TEST(RecoveryTest, MisuseThrowsWithoutCorruptingState) {
   auto client = fixture.make_client(fixture.session);
 
   // Reporting a failure (or degrading) with no download in flight throws…
-  EXPECT_THROW(client.report_download_failure(util::Seconds(1.0), sim::FailureReason::kLost),
-               std::invalid_argument);
+  EXPECT_THROW(client.report_download_failure(util::Seconds(1.0)), std::invalid_argument);
   EXPECT_THROW(client.replan_degraded(), std::invalid_argument);
 
   // …and the client still runs a full clean session afterwards.
   std::size_t planned = 0;
   while (!client.finished()) {
     plan(client);
-    EXPECT_THROW(client.report_download_failure(util::Seconds(-1.0), sim::FailureReason::kLost),
+    EXPECT_THROW(client.report_download_failure(util::Seconds(-1.0)),
                  std::invalid_argument);  // negative elapsed rejected
     client.complete_download(util::Seconds(0.4));
     ++planned;

@@ -145,9 +145,9 @@ FleetConfig random_config(util::Rng& rng, std::uint64_t seed) {
     // Sometimes starve the cache so evictions and repeat misses happen.
     config.server.cache_capacity = util::Bytes(
         rng.bernoulli(0.5) ? 256.0 * 1024.0 : 16.0 * 1024.0 * 1024.0);
-    config.server.policy = rng.bernoulli(0.5)
-                               ? server::EvictionPolicy::kLru
-                               : server::EvictionPolicy::kPopularityWeighted;
+    // Formerly the eviction policy; the draw stays so later configs do not
+    // shift.
+    (void)rng.bernoulli(0.5);
   }
   // Formerly a config toggle; the draw stays so later configs do not shift.
   (void)rng.bernoulli(0.25);

@@ -738,6 +738,25 @@ TEST(InvalidSessionConfigFleetTest, RunFleetThrowsNamingTheField) {
                       "ptile_min_coverage");
 }
 
+// Rejected calls are invisible to an attached observer: run_fleet writes
+// every metric and trace record, and only after every session is built, so
+// a config it rejects leaves the registry and the tracer empty — dashboards
+// built on them never count work that did not happen.
+TEST(FleetEngineTest, MisuseEmitsNoObservation) {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/9, util::Seconds(300.0));
+  obs::MetricsRegistry metrics;
+  obs::EventTracer tracer(256);
+  obs::Observer observer{&metrics, &tracer};
+  FleetConfig config;
+  config.sessions = 2;
+  config.observer = &observer;
+  config.session.recovery.timeout_s = kNaN;
+  EXPECT_THROW(run_fleet(*fixture.workload, traces.second, config), std::invalid_argument);
+  EXPECT_EQ(metrics.size(), 0u);
+  EXPECT_EQ(tracer.recorded(), 0u);
+}
+
 // finish() aggregates the records (sim::aggregate_segments), so it needs
 // every segment: fed a session's own download times it reproduces the
 // session bit for bit, and one segment short it throws instead of dividing
@@ -1005,25 +1024,6 @@ TEST(FleetRunnerTest, ThreadCountInvariance) {
   EXPECT_EQ(agg_serial.metrics.mean_qoe, agg_parallel.metrics.mean_qoe);
   EXPECT_EQ(agg_serial.metrics.stall_ratio, agg_parallel.metrics.stall_ratio);
   EXPECT_EQ(agg_serial.metrics.p95_energy_mj, agg_parallel.metrics.p95_energy_mj);
-}
-
-TEST(FleetRunnerTest, SweepCoversRequestedSizes) {
-  const FleetFixture fixture;
-
-  FleetConfig config;
-  config.seed = 5;
-  FleetRunOptions options;
-  options.replications = 1;
-  options.link.duration_s = 300.0;
-
-  const std::vector<std::size_t> sizes = {1, 2, 4};
-  const auto points = sweep_fleet_sizes(*fixture.workload, config, sizes, options);
-  ASSERT_EQ(points.size(), sizes.size());
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    EXPECT_EQ(points[i].sessions, sizes[i]);
-    EXPECT_EQ(points[i].aggregate.sessions, sizes[i]);
-    EXPECT_GT(points[i].aggregate.metrics.energy_per_session_mj, 0.0);
-  }
 }
 
 }  // namespace

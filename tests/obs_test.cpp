@@ -1,8 +1,7 @@
 // Unit tests for the observability layer: MetricsRegistry (ids, counter /
 // gauge / histogram semantics, exact log-spaced bucket boundaries, merge
-// determinism across simulated thread counts), EventTracer (ring
-// wraparound, drop accounting, JSONL export, slot-order merge), and the
-// Observer's trace helper.
+// determinism across simulated thread counts) and EventTracer (ring
+// wraparound, drop accounting, JSONL export, slot-order merge).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/observer.h"
 #include "obs/tracer.h"
 
 namespace ps360::obs {
@@ -245,33 +243,6 @@ TEST(EventTracerTest, EveryKindHasAWireName) {
     ASSERT_NE(name, nullptr);
     EXPECT_GT(std::string(name).size(), 0u);
   }
-}
-
-// ---------------------------------------------------------------- Observer
-
-TEST(ObserverTest, TraceHelperIsNullSafe) {
-  trace(nullptr, 0, TraceEventKind::kStallBegin);  // must not crash
-  Observer observer;  // both sinks null
-  trace(&observer, 0, TraceEventKind::kStallBegin);
-
-  EventTracer tracer(4);
-  observer.tracer = &tracer;
-  observer.now_s = 2.5;
-  trace(&observer, 3, TraceEventKind::kDownloadComplete, 9, 0.5, 0.0);
-  const std::vector<TraceRecord> records = tracer.snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_DOUBLE_EQ(records[0].t, 2.5);
-  EXPECT_EQ(records[0].session, 3u);
-}
-
-// The one emit helper left is obs::trace; on a metrics-only observer (the
-// shape perfbench's fleet-hostile attaches) it records nothing and leaves
-// the registry untouched.
-TEST(ObserverTest, MetricHelpersAreNullSafe) {
-  MetricsRegistry metrics;
-  Observer observer{&metrics, nullptr};
-  trace(&observer, 0, TraceEventKind::kStallBegin);
-  EXPECT_EQ(metrics.size(), 0u);
 }
 
 }  // namespace

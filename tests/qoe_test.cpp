@@ -117,14 +117,6 @@ TEST_P(FrameFactorProperty, MonotoneInAlphaAndBounded) {
 INSTANTIATE_TEST_SUITE_P(Ratios, FrameFactorProperty,
                          ::testing::Values(0.5, 0.7, 0.8, 0.9, 0.99));
 
-TEST(QoModelTest, QoWithFrameRateComposes) {
-  const QoModel model;
-  const double base = model.qo(50.0, 25.0, util::Mbps(4.0));
-  const double adjusted = model.qo_with_frame_rate(50.0, 25.0, util::Mbps(4.0), util::DegPerSec(30.0), 0.7);
-  const double factor = QoModel::frame_rate_factor(QoModel::alpha(util::DegPerSec(30.0), 25.0), 0.7);
-  EXPECT_NEAR(adjusted, base * factor, 1e-9);
-}
-
 TEST(QoModelTest, PerceptualSensitivityRangeAndMonotonicity) {
   // In range for a broad sweep of inputs.
   for (const double s : {0.0, 30.0, 120.0, 720.0}) {

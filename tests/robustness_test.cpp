@@ -128,9 +128,8 @@ TEST_P(SeedSweep, SessionInvariantsHoldForAnySeed) {
   wconfig.seed = GetParam();
   const VideoWorkload workload(tiny_video(), wconfig);
   trace::NetworkSynthConfig nconfig;
-  nconfig.seed = GetParam();
   nconfig.duration_s = 120.0;
-  const trace::NetworkTrace net = trace::synthesize_network_trace(nconfig);
+  const trace::NetworkTrace net = trace::synthesize_network_trace(GetParam(), nconfig);
 
   SessionConfig config;
   config.seed = GetParam();

@@ -1,8 +1,7 @@
 // Tests for the server/CDN layer (DESIGN.md §14): the seeded Zipf
 // popularity model (normalized, rank-monotone, bit-identical draws), the
-// edge segment cache (hit/miss/eviction accounting, LRU vs
-// popularity-weighted eviction differential with hand-computed hit counts,
-// bypass and slot-pool bounds, flat heap footprint), and the fleet-level
+// edge segment cache (hit/miss/eviction accounting, LRU eviction, bypass
+// and slot-pool bounds, flat heap footprint), and the fleet-level
 // wiring (capacity-0 origin accounting, monotone origin traffic vs cache
 // size, seed-discipline video assignment, determinism and thread-count
 // invariance, inertness when disabled).
@@ -101,9 +100,7 @@ SegmentKey key_of(std::uint32_t video, std::uint32_t segment,
 }
 
 TEST(EdgeCacheTest, MissThenAdmitThenHit) {
-  EdgeCacheConfig config;
-  config.capacity = util::Bytes(1000.0);
-  EdgeCache cache(config);
+  EdgeCache cache(util::Bytes(1000.0));
 
   const SegmentKey k = key_of(0, 0);
   EXPECT_FALSE(cache.lookup(k));
@@ -121,9 +118,7 @@ TEST(EdgeCacheTest, MissThenAdmitThenHit) {
 }
 
 TEST(EdgeCacheTest, LruEvictsLeastRecentlyTouched) {
-  EdgeCacheConfig config;
-  config.capacity = util::Bytes(300.0);  // three 100-byte objects
-  EdgeCache cache(config);
+  EdgeCache cache(util::Bytes(300.0));  // three 100-byte objects
 
   const SegmentKey a = key_of(0, 0), b = key_of(0, 1), c = key_of(0, 2),
                    d = key_of(0, 3);
@@ -140,64 +135,8 @@ TEST(EdgeCacheTest, LruEvictsLeastRecentlyTouched) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(EdgeCacheTest, PopularityWeightedEvictsLeastPopularVideoTiesToHigherId) {
-  EdgeCacheConfig config;
-  config.capacity = util::Bytes(200.0);
-  config.policy = EvictionPolicy::kPopularityWeighted;
-  config.video_weights = {0.5, 0.25, 0.25};  // videos 1 and 2 tie
-  EdgeCache cache(config);
-
-  cache.admit(key_of(1, 0), util::Bytes(100.0));
-  cache.admit(key_of(2, 0), util::Bytes(100.0));
-  // Full. The next admit must evict from the tied-worst resident video with
-  // the higher id — video 2 — never the head title.
-  cache.admit(key_of(0, 0), util::Bytes(100.0));
-  EXPECT_TRUE(cache.contains(key_of(0, 0)));
-  EXPECT_TRUE(cache.contains(key_of(1, 0)));
-  EXPECT_FALSE(cache.contains(key_of(2, 0)));
-}
-
-// The crafted-stream differential of the two policies, hand-computed.
-// Capacity = two 100-byte objects; weights Zipf(3, α=1): video 0 ≈ 6/11,
-// video 1 ≈ 3/11, video 2 ≈ 2/11. Request stream (lookup; admit on miss):
-//   A=(v0,s0), B=(v2,s0), C=(v1,s0), A, B
-// LRU: A,B admitted; C evicts A; A misses and evicts B; B misses and evicts
-//   C — 0 hits, 5 misses, 3 evictions.
-// Popularity-weighted: A,B admitted; C evicts B (worst resident video 2);
-//   A HITS (protected head title); B misses and evicts C (worst resident
-//   video 1) — 1 hit, 4 misses, 2 evictions.
-TEST(EdgeCacheTest, PolicyDifferentialOnCraftedStream) {
-  const ZipfPopularity zipf(ZipfConfig{/*videos=*/3, /*alpha=*/1.0});
-  const std::vector<SegmentKey> stream = {key_of(0, 0), key_of(2, 0),
-                                          key_of(1, 0), key_of(0, 0),
-                                          key_of(2, 0)};
-
-  const auto run = [&](EvictionPolicy policy) {
-    EdgeCacheConfig config;
-    config.capacity = util::Bytes(200.0);
-    config.policy = policy;
-    config.video_weights = zipf.weights();
-    EdgeCache cache(config);
-    for (const SegmentKey& k : stream)
-      if (!cache.lookup(k)) cache.admit(k, util::Bytes(100.0));
-    return cache.stats();
-  };
-
-  const EdgeCacheStats lru = run(EvictionPolicy::kLru);
-  EXPECT_EQ(lru.hits, 0u);
-  EXPECT_EQ(lru.misses, 5u);
-  EXPECT_EQ(lru.evictions, 3u);
-
-  const EdgeCacheStats pop = run(EvictionPolicy::kPopularityWeighted);
-  EXPECT_EQ(pop.hits, 1u);
-  EXPECT_EQ(pop.misses, 4u);
-  EXPECT_EQ(pop.evictions, 2u);
-}
-
 TEST(EdgeCacheTest, ObjectsLargerThanCapacityBypass) {
-  EdgeCacheConfig config;
-  config.capacity = util::Bytes(100.0);
-  EdgeCache cache(config);
+  EdgeCache cache(util::Bytes(100.0));
   EXPECT_FALSE(cache.admit(key_of(0, 0), util::Bytes(150.0)));
   EXPECT_EQ(cache.stats().bypasses, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
@@ -205,22 +144,20 @@ TEST(EdgeCacheTest, ObjectsLargerThanCapacityBypass) {
 }
 
 TEST(EdgeCacheTest, SlotPoolBoundsResidencyEvenUnderByteHeadroom) {
-  EdgeCacheConfig config;
-  config.capacity = util::Bytes(1e9);
-  config.max_entries = 2;
-  EdgeCache cache(config);
-  cache.admit(key_of(0, 0), util::Bytes(10.0));
-  cache.admit(key_of(0, 1), util::Bytes(10.0));
-  cache.admit(key_of(0, 2), util::Bytes(10.0));  // pool full: evicts the LRU
-  EXPECT_EQ(cache.stats().entries, 2u);
+  EdgeCache cache(util::Bytes(1e9));
+  const auto pool = static_cast<std::uint32_t>(EdgeCache::kMaxEntries);
+  for (std::uint32_t segment = 0; segment < pool; ++segment)
+    cache.admit(key_of(0, segment), util::Bytes(10.0));
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  cache.admit(key_of(0, pool), util::Bytes(10.0));  // pool full: evicts the LRU
+  EXPECT_EQ(cache.stats().entries, EdgeCache::kMaxEntries);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_FALSE(cache.contains(key_of(0, 0)));
+  EXPECT_TRUE(cache.contains(key_of(0, pool)));
 }
 
 TEST(EdgeCacheTest, AdmittingResidentKeyRefreshesInsteadOfDuplicating) {
-  EdgeCacheConfig config;
-  config.capacity = util::Bytes(1000.0);
-  EdgeCache cache(config);
+  EdgeCache cache(util::Bytes(1000.0));
   EXPECT_TRUE(cache.admit(key_of(0, 0), util::Bytes(100.0)));
   EXPECT_TRUE(cache.admit(key_of(0, 0), util::Bytes(100.0)));  // raced fetch
   EXPECT_EQ(cache.stats().insertions, 1u);
@@ -229,9 +166,7 @@ TEST(EdgeCacheTest, AdmittingResidentKeyRefreshesInsteadOfDuplicating) {
 }
 
 TEST(EdgeCacheTest, ContainsIsSideEffectFree) {
-  EdgeCacheConfig config;
-  config.capacity = util::Bytes(1000.0);
-  EdgeCache cache(config);
+  EdgeCache cache(util::Bytes(1000.0));
   cache.admit(key_of(0, 0), util::Bytes(10.0));
   (void)cache.contains(key_of(0, 0));
   (void)cache.contains(key_of(9, 9));
@@ -240,13 +175,7 @@ TEST(EdgeCacheTest, ContainsIsSideEffectFree) {
 }
 
 TEST(EdgeCacheTest, HeapFootprintIsFlatAcrossAWorkload) {
-  EdgeCacheConfig config;
-  config.capacity = util::Bytes(50.0 * 100.0);
-  config.policy = EvictionPolicy::kPopularityWeighted;
-  config.max_entries = 64;
-  const ZipfPopularity zipf(ZipfConfig{/*videos=*/8, /*alpha=*/0.8});
-  config.video_weights = zipf.weights();
-  EdgeCache cache(config);
+  EdgeCache cache(util::Bytes(50.0 * 100.0));
 
   const std::size_t footprint = cache.footprint_bytes();
   EXPECT_GT(footprint, 0u);
@@ -474,25 +403,17 @@ void expect_same_cache_outcome(const FleetResult& a, const FleetResult& b) {
 
 TEST(FleetServerShardTest, CacheTelemetryIsShardCountInvariant) {
   const auto traces = trace::make_paper_traces(/*seed=*/17, util::Seconds(300.0));
-  for (const server::EvictionPolicy policy :
-       {server::EvictionPolicy::kLru,
-        server::EvictionPolicy::kPopularityWeighted}) {
-    // Starve the cache so admissions continually evict: the eviction victim
-    // choice is where an order bug would surface first.
-    FleetConfig config = server_config(util::Bytes(512.0 * 1024.0));
-    config.sessions = 16;
-    config.server.policy = policy;
-    const FleetResult serial = run_fleet(test_workload(), traces.second, config);
-    EXPECT_GT(serial.stats.cache_evictions, 0u);
-    for (const std::size_t shards :
-         {std::size_t{2}, std::size_t{4}, std::size_t{16}}) {
-      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)) +
-                   " shards " + std::to_string(shards));
-      config.shards = shards;
-      const FleetResult sharded =
-          run_fleet(test_workload(), traces.second, config);
-      expect_same_cache_outcome(serial, sharded);
-    }
+  // Starve the cache so admissions continually evict: the eviction victim
+  // choice is where an order bug would surface first.
+  FleetConfig config = server_config(util::Bytes(512.0 * 1024.0));
+  config.sessions = 16;
+  const FleetResult serial = run_fleet(test_workload(), traces.second, config);
+  EXPECT_GT(serial.stats.cache_evictions, 0u);
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{16}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    config.shards = shards;
+    const FleetResult sharded = run_fleet(test_workload(), traces.second, config);
+    expect_same_cache_outcome(serial, sharded);
   }
 }
 

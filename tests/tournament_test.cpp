@@ -558,6 +558,22 @@ TEST(TournamentTest, RejectsADuplicateScheme) {
   }
 }
 
+// The fault environment comes from fault_profiles alone: a fault setting on
+// the session template would be replaced in every cell, so it is rejected
+// by name instead of running "clean" cells clean anyway.
+TEST(TournamentTest, RejectsFaultsOnTheSessionTemplate) {
+  TournamentConfig config = tiny_tournament();
+  config.session.faults.enabled = true;
+  try {
+    run_tournament(config);
+    ADD_FAILURE() << "accepted session.faults.enabled";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("session.faults.enabled"), std::string::npos) << what;
+    EXPECT_NE(what.find("fault_profiles"), std::string::npos) << what;
+  }
+}
+
 TEST(TournamentTest, ValidatesConfig) {
   TournamentConfig config = tiny_tournament();
   config.trace_ids = {3};

@@ -645,10 +645,9 @@ TEST(NetworkTraceTest, SynthesizedTraceMatchesPaperStatistics) {
 }
 
 TEST(NetworkTraceTest, SynthesizerIsDeterministic) {
-  NetworkSynthConfig config;
-  config.seed = 99;
-  const auto a = synthesize_network_trace(config);
-  const auto b = synthesize_network_trace(config);
+  const NetworkSynthConfig config;
+  const auto a = synthesize_network_trace(99, config);
+  const auto b = synthesize_network_trace(99, config);
   ASSERT_EQ(a.samples().size(), b.samples().size());
   EXPECT_DOUBLE_EQ(a.samples()[100].mbps, b.samples()[100].mbps);
 }
@@ -662,7 +661,7 @@ TEST(NetworkTraceTest, SynthesisRejectsNonFiniteDuration) {
     NetworkSynthConfig config;
     config.duration_s = duration;
     expect_throw_naming<std::invalid_argument>(
-        [&] { synthesize_network_trace(config); }, "duration_s must be finite");
+        [&] { synthesize_network_trace(7, config); }, "duration_s must be finite");
   }
 }
 

@@ -83,11 +83,6 @@ TEST(UnitsTest, MilliHelpers) {
   EXPECT_DOUBLE_EQ(millijoules(250.0).value(), 0.25);
 }
 
-TEST(UnitsTest, TransferTime) {
-  // 10 megabits at 5 Mbps takes 2 seconds.
-  EXPECT_DOUBLE_EQ(transfer_time(10e6, Mbps(5.0)).value(), 2.0);
-}
-
 // ---------------------------------------------------------------- Literals
 
 TEST(UnitsTest, Literals) {
