@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       if (ptiles.ptiles.size() <= 2) ++two;
       ++sampled;
       // Coverage over all 48 dataset users, as the paper evaluates.
-      for (std::size_t u = 0; u < config.n_users; ++u) {
+      for (std::size_t u = 0; u < trace::kDatasetUsers; ++u) {
         const auto viewport = workload.user_trace(u).viewport_at(
             (static_cast<double>(k) + 0.5) * config.segment_seconds,
             util::Degrees(config.fov_deg));

@@ -27,6 +27,7 @@
 #include "ptile/ftile.h"
 #include "ptile/kmeans.h"
 #include "qoe/qo_model.h"
+#include "sim/accounting.h"
 #include "sim/schemes.h"
 #include "sim/session.h"
 #include "sim/workload.h"
@@ -137,8 +138,7 @@ void BM_FtileLayout(benchmark::State& state) {
   const auto& centers = workload.training_centers(10);
   const sim::WorkloadConfig& config = workload.config();
   for (auto _ : state) {
-    const ptile::FtileLayout layout(centers, config.ftile, util::Degrees(config.fov_deg),
-                                    config.seed);
+    const ptile::FtileLayout layout(centers, util::Degrees(config.fov_deg), config.seed);
     benchmark::DoNotOptimize(layout.tile_count());
   }
 }
@@ -223,8 +223,8 @@ void BM_SchemePlan(benchmark::State& state, sim::SchemeKind kind) {
   const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
   benchmark::DoNotOptimize(workload.ftile(0));
   const sim::SessionConfig config;
-  const video::EncodingModel encoding(config.seed, config.encoding);
-  const qoe::QoModel qo_model(config.qo_params, config.qoe_bitrate_scale);
+  const video::EncodingModel encoding(config.seed);
+  const qoe::QoModel qo_model(qoe::QoParams{}, sim::kQoeBitrateScale);
   const auto scheme =
       sim::make_scheme(kind, sim::SchemeEnv{&workload, &encoding, &qo_model, &config});
 

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const auto samples = qoe::synthesize_vmaf_dataset(config, trace::extended_videos());
   std::printf("\nassessment dataset: %zu samples (18 videos x %zu segments x %zu "
               "bitrates)\n",
-              samples.size(), config.segments_per_video, config.bitrates.size());
+              samples.size(), qoe::kVmafSegmentsPerVideo, qoe::kVmafBitrates.size());
 
   const qoe::QoFitResult fit = qoe::fit_qo_params(samples);
 

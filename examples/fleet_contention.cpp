@@ -164,7 +164,7 @@ int run_edge_cached(const sim::VideoWorkload& workload,
               "origin %.0f Mbps + %.0f ms\n\n",
               zipf_alpha, config.server.catalog.videos,
               config.server.origin_mbps,
-              config.server.origin_latency_s * 1e3);
+              fleet::kOriginLatencyS * 1e3);
   for (int arm = 0; arm < 2; ++arm) {
     const fleet::FleetStats& s = agg[arm].stats;
     const double requests = static_cast<double>(s.cache_hits + s.cache_misses);

@@ -417,9 +417,6 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     PS360_CHECK_MSG(std::isfinite(config.server.origin_mbps) &&
                         config.server.origin_mbps > 0.0,
                     "origin_mbps must be finite and > 0");
-    PS360_CHECK_MSG(std::isfinite(config.server.origin_latency_s) &&
-                        config.server.origin_latency_s >= 0.0,
-                    "origin_latency_s must be finite and >= 0");
     popularity.emplace(config.server.catalog);
     edge_cache.emplace(config.server.cache_capacity);
     origin_trace.emplace(std::vector<trace::ThroughputSample>{
@@ -541,7 +538,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   // full miss cost: origin latency + origin transfer + edge transfer.
   const auto admit_flow = [&](std::size_t i, double t, double stamp_t) {
     if (server_on && !edge_cache->lookup(segment_key(i))) {
-      loop.schedule(t + config.server.origin_latency_s, i,
+      loop.schedule(t + kOriginLatencyS, i,
                     EventKind::kOriginStart, sessions[i].attempt_seq);
       return;
     }

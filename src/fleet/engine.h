@@ -37,13 +37,18 @@
 
 namespace ps360::fleet {
 
-// Server/CDN tier for the fleet (ROADMAP item 2): a Zipf(α) catalog assigns
+// The fixed edge→origin latency every cache miss pays before its origin
+// fetch starts (seconds).
+inline constexpr double kOriginLatencyS = 0.05;
+static_assert(kOriginLatencyS >= 0.0);
+
+// Server/CDN tier for the fleet (DESIGN.md §14): a Zipf(α) catalog assigns
 // each session a video id at spawn, an edge cache of encoded Ptile segments
 // absorbs repeat requests, and cache misses fetch through a shared origin
-// link (its own capacity, plus a fixed edge→origin latency) before the
-// device-side flow starts — so a miss costs real time and origin bytes.
-// Disabled (the default) the engine takes the exact pre-server code path:
-// no cache, no origin link, no extra events, bit-identical output.
+// link (its own capacity, plus kOriginLatencyS) before the device-side flow
+// starts — so a miss costs real time and origin bytes. Disabled (the
+// default) the engine takes the exact pre-server code path: no cache, no
+// origin link, no extra events, bit-identical output.
 struct FleetServerConfig {
   bool enabled = false;
   // Catalog popularity. Sessions draw their video id via
@@ -52,10 +57,8 @@ struct FleetServerConfig {
   // Edge cache byte budget (LRU eviction).
   util::Bytes cache_capacity{64.0 * 1024.0 * 1024.0};
   // Origin link: capacity shared equally by every concurrent miss fetch
-  // (finite and > 0 when enabled), plus a finite per-miss edge→origin
-  // latency.
+  // (finite and > 0 when enabled).
   double origin_mbps = 200.0;
-  double origin_latency_s = 0.05;
 };
 
 struct FleetConfig {

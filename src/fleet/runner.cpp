@@ -75,7 +75,9 @@ FleetAggregate aggregate_fleet(const std::vector<FleetResult>& results,
                                double segment_seconds) {
   PS360_CHECK(!results.empty());
   // Pool every replication's sessions into one FleetResult, then reuse the
-  // single-fleet metrics; engine stats are summed.
+  // single-fleet metrics. Engine stats are summed, except the peaks and
+  // end-of-run levels (queue_peak, makespan_s, cache_entries,
+  // cache_resident), which take the max, as the metrics merge does.
   FleetResult pooled;
   FleetAggregate agg;
   agg.replications = results.size();
@@ -95,8 +97,8 @@ FleetAggregate aggregate_fleet(const std::vector<FleetResult>& results,
     pooled.stats.cache_misses += r.stats.cache_misses;
     pooled.stats.cache_evictions += r.stats.cache_evictions;
     pooled.stats.cache_insertions += r.stats.cache_insertions;
-    pooled.stats.cache_entries += r.stats.cache_entries;
-    pooled.stats.cache_resident += r.stats.cache_resident;
+    pooled.stats.cache_entries = std::max(pooled.stats.cache_entries, r.stats.cache_entries);
+    pooled.stats.cache_resident = std::max(pooled.stats.cache_resident, r.stats.cache_resident);
     pooled.stats.origin_flows += r.stats.origin_flows;
     pooled.stats.origin_bytes += r.stats.origin_bytes;
   }

@@ -34,7 +34,10 @@ struct FleetAggregate {
   std::size_t sessions = 0;
   std::size_t replications = 0;
   FleetMetrics metrics;     // percentiles over all replications' sessions
-  FleetStats stats;         // summed engine stats
+  // Engine stats summed over replications, but for the max of queue_peak,
+  // makespan_s, cache_entries and cache_resident (one replication's peak or
+  // end-of-run level).
+  FleetStats stats;
   double events_per_session = 0.0;
 };
 

@@ -13,6 +13,12 @@
 
 namespace ps360::geometry {
 
+// The paper's conventional tiling: 4 rows x 8 columns of 45° x 45° tiles.
+// Ptiles are merged from its tiles, every scheme plans over it, and the
+// Ghosh allocators' size noise is drawn per tile of it.
+inline constexpr std::size_t kPaperGridRows = 4;
+inline constexpr std::size_t kPaperGridCols = 8;
+
 // Identifies one tile: row in [0, rows), col in [0, cols).
 struct TileIndex {
   std::size_t row = 0;

@@ -6,7 +6,9 @@
 // grows superlinearly (context switches, more cores lit up). The paper's
 // Pixel 3 endpoints: 1 decoder = 1.3 s @ 241 mW, 9 decoders = 0.5 s @
 // 846 mW; the Ptile pipeline decodes the same content as one tile in 0.24 s
-// @ 287 mW.
+// @ 287 mW. The model's constants (decoder_model.cpp) reproduce them:
+//   time(n)  = 0.47 + (1.3 - 0.47) * n^-1.2 s,
+//   power(n) = 241 * n^0.57 mW.
 //
 // Processing *energy* per segment additionally pays the playback pipeline's
 // base power for as long as the decode runs, which is why an intermediate
@@ -19,35 +21,8 @@
 
 namespace ps360::power {
 
-struct DecoderModelConfig {
-  // time(n) = time_floor_s + (time_1dec_s - time_floor_s) * n^(-time_exponent)
-  double time_1dec_s = 1.3;
-  double time_floor_s = 0.47;
-  double time_exponent = 1.2;
-
-  // power(n) = power_1dec_mw * n^power_exponent
-  double power_1dec_mw = 241.0;
-  double power_exponent = 0.57;
-
-  // The single-decoder Ptile pipeline (decodes one large tile).
-  double ptile_time_s = 0.24;
-  double ptile_power_mw = 287.0;
-
-  // Active playback-pipeline base power while decoding (buffers, codec
-  // service, wakelocks) — charged per second of decode in the energy view.
-  double pipeline_base_mw = 350.0;
-
-  // Render (view generation) energy per one-second segment, mJ. Matches the
-  // Pixel 3 P_r(30) of Table I.
-  double render_mj_per_segment = 183.5;
-};
-
 class DecoderConcurrencyModel {
  public:
-  explicit DecoderConcurrencyModel(DecoderModelConfig config = {});
-
-  const DecoderModelConfig& config() const { return config_; }
-
   // Time to decode one segment's FoV tiles with n concurrent decoders (s).
   double decode_time_s(std::size_t n_decoders) const;
 
@@ -62,16 +37,13 @@ class DecoderConcurrencyModel {
   double processing_energy_mj(std::size_t n_decoders) const;
 
   // Same three quantities for the Ptile pipeline.
-  double ptile_decode_time_s() const { return config_.ptile_time_s; }
-  double ptile_decode_power_mw() const { return config_.ptile_power_mw; }
+  double ptile_decode_time_s() const;
+  double ptile_decode_power_mw() const;
   double ptile_decode_energy_mj() const;
   double ptile_processing_energy_mj() const;
 
   // The decoder count with minimal processing energy in [1, max_n].
   std::size_t best_decoder_count(std::size_t max_n = 9) const;
-
- private:
-  DecoderModelConfig config_;
 };
 
 }  // namespace ps360::power

@@ -1,11 +1,23 @@
 #include "power/measurement.h"
 
+#include <array>
 #include <cmath>
 
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace ps360::power {
+
+namespace {
+
+// Frame rates to sweep, as in the measurement protocol (reduced-rate Ptile
+// variants give the low end of the sweep).
+constexpr std::array<double, 6> kFpsSweep = {15.0, 18.0, 21.0, 24.0, 27.0, 30.0};
+constexpr std::size_t kRepetitions = 20;  // monitor sessions per operating point
+constexpr double kNoiseSigmaMw = 12.0;    // Monsoon session-to-session spread
+static_assert(kRepetitions >= 1 && kNoiseSigmaMw >= 0.0);
+
+}  // namespace
 
 LinearFit fit_linear(const std::vector<PowerSample>& samples) {
   PS360_CHECK(samples.size() >= 2);
@@ -39,22 +51,17 @@ LinearFit fit_linear(const std::vector<PowerSample>& samples) {
   return fit;
 }
 
-MeasurementSimulator::MeasurementSimulator(MeasurementConfig config)
-    : config_(std::move(config)) {
-  PS360_CHECK(!config_.fps_sweep.empty());
-  PS360_CHECK(config_.repetitions >= 1);
-  PS360_CHECK(config_.noise_sigma_mw >= 0.0);
-}
+MeasurementSimulator::MeasurementSimulator(MeasurementConfig config) : config_(config) {}
 
 std::vector<PowerSample> MeasurementSimulator::sample_linear(
     double base, double slope, std::uint64_t stream) const {
   util::Rng rng(util::derive_seed(config_.seed, 0x90E77ULL, stream));
   std::vector<PowerSample> samples;
-  samples.reserve(config_.fps_sweep.size() * config_.repetitions);
-  for (double fps : config_.fps_sweep) {
-    for (std::size_t rep = 0; rep < config_.repetitions; ++rep) {
+  samples.reserve(kFpsSweep.size() * kRepetitions);
+  for (const double fps : kFpsSweep) {
+    for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
       const double truth = base + slope * fps;
-      samples.push_back(PowerSample{fps, truth + rng.normal(0.0, config_.noise_sigma_mw)});
+      samples.push_back(PowerSample{fps, truth + rng.normal(0.0, kNoiseSigmaMw)});
     }
   }
   return samples;
@@ -81,10 +88,10 @@ std::vector<PowerSample> MeasurementSimulator::measure_transmit(Device device) c
   // The wget-daemon experiment: the radio draws a constant power; sessions
   // differ by monitor noise. The published +- term in Table I is this spread.
   std::vector<PowerSample> samples;
-  samples.reserve(config_.repetitions * config_.fps_sweep.size());
+  samples.reserve(kRepetitions * kFpsSweep.size());
   const double truth = device_model(device).transmit_mw;
-  for (std::size_t rep = 0; rep < config_.repetitions * config_.fps_sweep.size(); ++rep)
-    samples.push_back(PowerSample{0.0, truth + rng.normal(0.0, config_.noise_sigma_mw * 2.0)});
+  for (std::size_t rep = 0; rep < kRepetitions * kFpsSweep.size(); ++rep)
+    samples.push_back(PowerSample{0.0, truth + rng.normal(0.0, kNoiseSigmaMw * 2.0)});
   return samples;
 }
 

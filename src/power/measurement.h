@@ -33,13 +33,11 @@ struct LinearFit {
 // x values.
 LinearFit fit_linear(const std::vector<PowerSample>& samples);
 
+// The simulated protocol (measurement.cpp) sweeps 15-30 fps in 3 fps steps,
+// 20 monitor sessions per operating point, with a 12 mW session-to-session
+// spread.
 struct MeasurementConfig {
   std::uint64_t seed = 42;
-  // Frame rates to sweep, as in the measurement protocol (reduced-rate Ptile
-  // variants give the low end of the sweep).
-  std::vector<double> fps_sweep = {15.0, 18.0, 21.0, 24.0, 27.0, 30.0};
-  std::size_t repetitions = 20;   // monitor sessions per operating point
-  double noise_sigma_mw = 12.0;   // Monsoon session-to-session spread
 };
 
 class MeasurementSimulator {

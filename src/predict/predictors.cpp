@@ -18,23 +18,16 @@ const std::string& predictor_name(PredictorKind kind) {
 ViewportPredictorConfig make_predictor_config(PredictorKind kind,
                                               ViewportPredictorConfig base) {
   switch (kind) {
-    case PredictorKind::kHold:
-      // Degree-1 basis with an overwhelming trend penalty: the fit collapses
-      // to the window mean, and the prediction holds it. (A true "last
-      // sample" hold is handled in predict_with below; this config is what
-      // a hold looks like inside the shared machinery.)
-      base.poly_degree = 1;
-      base.lambda = 1e9;
-      return base;
     case PredictorKind::kLinear:
       base.poly_degree = 1;
       base.lambda = 0.0;
       return base;
+    // Hold and the oracle bypass the regression (see predict_with); their
+    // config only reaches recent_switching_speed, which reads
+    // history_seconds alone.
+    case PredictorKind::kHold:
     case PredictorKind::kRidge:
-      return base;
     case PredictorKind::kOracle:
-      // The oracle bypasses the regression entirely (see predict_with); the
-      // config only matters for recent_switching_speed, so keep the base.
       return base;
   }
   throw std::invalid_argument("unknown predictor kind");

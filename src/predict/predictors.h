@@ -28,9 +28,9 @@ inline constexpr std::size_t kPredictorKindCount = 4;
 
 const std::string& predictor_name(PredictorKind kind);
 
-// Build the predictor config realising `kind` on top of `base` (the hold
-// predictor is expressed as a degree-0-like setup; linear as degree 1 with
-// zero penalty; ridge as the base config itself).
+// Build the predictor config realising `kind` on top of `base`: linear as
+// degree 1 with zero penalty; ridge, hold and the oracle as the base config
+// itself (hold and the oracle never run the regression).
 ViewportPredictorConfig make_predictor_config(PredictorKind kind,
                                               ViewportPredictorConfig base = {});
 

@@ -16,6 +16,8 @@ namespace {
 // The constructor caps poly_degree at 4, so a fit has at most 5 terms.
 constexpr std::size_t kMaxTerms = 5;
 
+static_assert(kMaxHorizonS > 0.0);
+
 }  // namespace
 
 ViewportPredictor::ViewportPredictor(ViewportPredictorConfig config)
@@ -23,13 +25,12 @@ ViewportPredictor::ViewportPredictor(ViewportPredictorConfig config)
   PS360_CHECK(config_.history_seconds > 0.0);
   PS360_CHECK(config_.poly_degree >= 1 && config_.poly_degree <= 4);
   PS360_CHECK(config_.lambda >= 0.0);
-  PS360_CHECK(config_.max_horizon_s > 0.0);
 }
 
 EquirectPoint ViewportPredictor::predict(const trace::HeadTrace& trace, double now_t,
                                          double target_t) const {
   PS360_CHECK(target_t >= now_t);
-  const double horizon = std::min(target_t - now_t, config_.max_horizon_s);
+  const double horizon = std::min(target_t - now_t, kMaxHorizonS);
   const auto window = trace.samples_in(now_t - config_.history_seconds, now_t);
   const std::size_t n = window.size();
   const std::size_t p = config_.poly_degree + 1;

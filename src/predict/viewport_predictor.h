@@ -12,11 +12,13 @@
 
 namespace ps360::predict {
 
+// Extrapolation horizon cap (seconds): predict() clamps absurd targets.
+inline constexpr double kMaxHorizonS = 4.0;
+
 struct ViewportPredictorConfig {
   double history_seconds = 1.0;  // regression window
   std::size_t poly_degree = 2;   // 1 + t + t^2 basis
   double lambda = 0.1;           // ridge penalty
-  double max_horizon_s = 4.0;    // clamp absurd extrapolation targets
 };
 
 class ViewportPredictor {

@@ -48,8 +48,7 @@ std::vector<std::vector<std::size_t>> ViewClusterer::cluster(
   std::vector<bool> clustered(n, false);
   std::size_t remaining = n;
 
-  // Recursive σ-enforcement (a single level reproduces the paper's literal
-  // pseudocode when recursive_split is off).
+  // Recursive σ-enforcement: each half is re-checked and split again.
   auto split_until_small = [&](auto&& self, std::vector<std::size_t> group)
       -> std::vector<std::vector<std::size_t>> {
     if (group.size() <= 1 || diameter(points, group) <= config_.sigma)
@@ -63,7 +62,6 @@ std::vector<std::vector<std::size_t>> ViewClusterer::cluster(
       (split.assignment[i] == 0 ? lo : hi).push_back(group[i]);
     }
     if (lo.empty() || hi.empty()) return {std::move(group)};  // cannot split further
-    if (!config_.recursive_split) return {std::move(lo), std::move(hi)};
     auto result = self(self, std::move(lo));
     auto more = self(self, std::move(hi));
     result.insert(result.end(), std::make_move_iterator(more.begin()),

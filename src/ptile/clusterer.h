@@ -17,8 +17,7 @@
 //    rounds. We implement the evident intent: only still-unclustered nodes
 //    join a cluster.
 //  * The paper splits an oversized cluster once; a half can still violate σ.
-//    By default we re-check and split recursively so the σ bound is a real
-//    invariant (single_split mode reproduces the literal pseudocode).
+//    We re-check and split recursively so the σ bound is a real invariant.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +30,6 @@ namespace ps360::ptile {
 struct ClustererConfig {
   double delta = 45.0 / 4.0;  // neighbour threshold δ (degrees); σ/4 default
   double sigma = 45.0;        // diameter cap σ (degrees); one tile width
-  bool recursive_split = true;  // enforce σ by recursive 2-means splitting
 };
 
 class ViewClusterer {

@@ -14,12 +14,13 @@ using geometry::EquirectRect;
 using geometry::TileIndex;
 using geometry::Viewport;
 
-FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
-                         const FtileLayoutConfig& config, Degrees fov, std::uint64_t seed)
-    : blocks_(config.block_rows, config.block_cols) {
-  PS360_CHECK(config.tile_count >= 1);
+static_assert(FtileLayout::kTileCount >= 1 &&
+              FtileLayout::kTileCount <= FtileLayout::kBlockRows * FtileLayout::kBlockCols);
+
+FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers, Degrees fov,
+                         std::uint64_t seed)
+    : blocks_(kBlockRows, kBlockCols) {
   const std::size_t n_blocks = blocks_.tile_count();
-  PS360_CHECK(config.tile_count <= n_blocks);
 
   check_points(centers, "centers");
 
@@ -59,12 +60,12 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
 
   util::Rng rng(util::derive_seed(seed, 0xF71E5ULL));
   const KMeansResult clustering =
-      kmeans(block_centers, weights, config.tile_count, rng);
+      kmeans(block_centers, weights, kTileCount, rng);
 
-  tile_blocks_.assign(config.tile_count, {});
+  tile_blocks_.assign(kTileCount, {});
   block_owner_.assign(n_blocks, 0);
   const double block_area = 1.0 / static_cast<double>(n_blocks);
-  std::vector<double> areas(config.tile_count, 0.0);
+  std::vector<double> areas(kTileCount, 0.0);
   for (std::size_t b = 0; b < n_blocks; ++b) {
     const std::size_t tile = clustering.assignment[b];
     block_owner_[b] = tile;
@@ -76,8 +77,8 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
   // Drop tiles that received no blocks (k-means can empty a cluster).
   std::vector<std::vector<TileIndex>> kept_blocks;
   std::vector<double> kept_areas;
-  std::vector<std::size_t> remap(config.tile_count, 0);
-  for (std::size_t t = 0; t < config.tile_count; ++t) {
+  std::vector<std::size_t> remap(kTileCount, 0);
+  for (std::size_t t = 0; t < kTileCount; ++t) {
     if (tile_blocks_[t].empty()) continue;
     remap[t] = kept_blocks.size();
     kept_blocks.push_back(std::move(tile_blocks_[t]));
@@ -90,7 +91,7 @@ FtileLayout::FtileLayout(const std::vector<EquirectPoint>& centers,
 
 FtileLayout::BlocksInView FtileLayout::blocks_in_view(const Viewport& viewport) const {
   const EquirectRect area = viewport.area();
-  BlocksInView view{blocks_.rows(), blocks_.cols(), {}, {}};
+  BlocksInView view;
   view.rows.reserve(row_colat_.size());
   for (std::size_t r = 0; r < row_colat_.size(); ++r) {
     if (area.contains_colat(Degrees(row_colat_[r]))) view.rows.push_back(r);
@@ -103,8 +104,6 @@ FtileLayout::BlocksInView FtileLayout::blocks_in_view(const Viewport& viewport) 
 }
 
 std::vector<std::size_t> FtileLayout::view_hits(const BlocksInView& view) const {
-  PS360_CHECK_MSG(view.block_rows == blocks_.rows() && view.block_cols == blocks_.cols(),
-                  "BlocksInView of another block grid");
   std::vector<std::size_t> hits(tile_blocks_.size(), 0);
   for (const std::size_t r : view.rows) {
     const std::size_t* owner = block_owner_.data() + r * blocks_.cols();

@@ -16,21 +16,20 @@
 
 namespace ps360::ptile {
 
-struct FtileLayoutConfig {
-  std::size_t block_rows = 15;
-  std::size_t block_cols = 30;
-  std::size_t tile_count = 10;
-};
-
 class FtileLayout {
  public:
+  // The paper's layout: 15 x 30 blocks clustered into 10 tiles.
+  static constexpr std::size_t kBlockRows = 15;
+  static constexpr std::size_t kBlockCols = 30;
+  static constexpr std::size_t kTileCount = 10;
+
   // Build the layout for one segment from the training users' viewing
   // centers, counting each user's views with an `fov` x `fov` viewport and
   // seeding k-means from `seed` (the workload passes its WorkloadConfig
   // fov_deg and seed). Throws, naming the index, for a center with a
   // non-finite coordinate or a colatitude outside [0, 180].
-  FtileLayout(const std::vector<geometry::EquirectPoint>& centers,
-              const FtileLayoutConfig& config, geometry::Degrees fov, std::uint64_t seed);
+  FtileLayout(const std::vector<geometry::EquirectPoint>& centers, geometry::Degrees fov,
+              std::uint64_t seed);
 
   std::size_t tile_count() const { return tile_blocks_.size(); }
 
@@ -45,12 +44,10 @@ class FtileLayout {
   // The blocks whose center a viewport holds. EquirectRect::contains is a
   // longitude test AND a colatitude test, so block (r, c) is in view exactly
   // when its column and its row are: the blocks in view are the listed rows
-  // x the listed columns. Block centers depend on the block grid alone, so
-  // one view serves every layout of the same block_rows x block_cols (the
-  // Ftile planner takes one per plan for its whole horizon).
+  // x the listed columns. Block centers depend on the block grid alone,
+  // which every layout shares, so one view serves every layout (the Ftile
+  // planner takes one per plan for its whole horizon).
   struct BlocksInView {
-    std::size_t block_rows = 0;
-    std::size_t block_cols = 0;
     std::vector<std::size_t> rows;  // ascending
     std::vector<std::size_t> cols;  // ascending
   };
@@ -81,8 +78,7 @@ class FtileLayout {
                   const std::vector<std::size_t>& tile_ids) const;
 
  private:
-  // How many of each tile's blocks are in view. Throws unless the view is
-  // of this layout's block grid.
+  // How many of each tile's blocks are in view.
   std::vector<std::size_t> view_hits(const BlocksInView& view) const;
   // Whether tile t, with `hits` blocks in view, is one tiles_overlapping()
   // selects.

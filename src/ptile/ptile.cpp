@@ -19,7 +19,9 @@ const Ptile* SegmentPtiles::covering(const Viewport& viewport,
 }
 
 PtileBuilder::PtileBuilder(geometry::Degrees fov, PtileBuildConfig config)
-    : fov_(fov), config_(config), grid_(config.grid_rows, config.grid_cols) {
+    : fov_(fov),
+      config_(config),
+      grid_(geometry::kPaperGridRows, geometry::kPaperGridCols) {
   PS360_CHECK(config_.min_users >= 1);
   PS360_CHECK_MSG(fov_.value() > 0.0 && fov_.value() <= 180.0,
                   "PtileBuilder's fov must be in (0, 180] degrees");

@@ -17,9 +17,9 @@
 
 namespace ps360::ptile {
 
+// Ptiles are merged from the paper's 4x8 grid (geometry::kPaperGridRows x
+// kPaperGridCols), the grid every scheme's tiles use.
 struct PtileBuildConfig {
-  std::size_t grid_rows = 4;
-  std::size_t grid_cols = 8;
   ClustererConfig clustering;   // σ = tile width, δ = σ/4 by default
   std::size_t min_users = 5;    // 10% of the 48-user dataset, as in Sec. V-B
   // Boundary tiles overlapped by less than this fraction of their area are

@@ -11,31 +11,29 @@ namespace ps360::qoe {
 
 std::vector<VmafSample> synthesize_vmaf_dataset(
     const VmafSynthConfig& config, const std::vector<trace::VideoInfo>& videos) {
+  static_assert(kVmafSegmentsPerVideo >= 1);
   PS360_CHECK(!videos.empty());
-  PS360_CHECK(config.segments_per_video >= 1);
-  PS360_CHECK(!config.bitrates.empty());
   PS360_CHECK(config.score_noise_sigma >= 0.0);
 
   const QoModel truth(config.truth);
   util::Rng rng(util::derive_seed(config.seed, 0x37AFULL));
 
   std::vector<VmafSample> samples;
-  samples.reserve(videos.size() * config.segments_per_video * config.bitrates.size());
+  samples.reserve(videos.size() * kVmafSegmentsPerVideo * kVmafBitrates.size());
 
   for (const auto& video : videos) {
     const std::size_t n_segments = video::segment_count(video, 1.0);
     // "ten of which are uniformly selected": sample segment indices evenly.
-    for (std::size_t pick = 0; pick < config.segments_per_video; ++pick) {
+    for (std::size_t pick = 0; pick < kVmafSegmentsPerVideo; ++pick) {
       const std::size_t seg =
-          pick * std::max<std::size_t>(n_segments / config.segments_per_video, 1) %
-          n_segments;
+          pick * std::max<std::size_t>(n_segments / kVmafSegmentsPerVideo, 1) % n_segments;
       const video::ContentFeatures features =
           video::segment_features(video, seg, config.seed);
       // A per-(video,segment) idiosyncratic offset: real VMAF deviates from
       // any parametric surface consistently for a given clip, not iid per
       // data point. This is what bounds the achievable Pearson correlation.
       const double clip_offset = rng.normal(0.0, config.score_noise_sigma);
-      for (double b : config.bitrates) {
+      for (const double b : kVmafBitrates) {
         VmafSample s;
         s.si = features.si;
         s.ti = features.ti;

@@ -11,6 +11,8 @@
 // correlation.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -26,17 +28,19 @@ struct VmafSample {
   double vmaf = 0.0;   // 0..100
 };
 
+// Segments assessed per video, as in the paper.
+inline constexpr std::size_t kVmafSegmentsPerVideo = 10;
+// Bitrate sweep per segment, normalized units (spans the quality ladder).
+inline constexpr std::array<double, 7> kVmafBitrates = {0.3, 0.8, 1.5, 2.5, 4.0, 6.0, 9.0};
+
 struct VmafSynthConfig {
   std::uint64_t seed = 42;
   QoParams truth;               // ground-truth coefficients (Table II)
   double score_noise_sigma = 6.0;  // per-sample VMAF deviation from the logistic
-  std::size_t segments_per_video = 10;  // as in the paper
-  // Bitrate sweep per segment, normalized units (spans the quality ladder).
-  std::vector<double> bitrates = {0.3, 0.8, 1.5, 2.5, 4.0, 6.0, 9.0};
 };
 
-// Assessment dataset over the given videos (defaults: the extended
-// 18-video catalog, ten uniformly chosen segments each, the bitrate sweep).
+// Assessment dataset over the given videos: kVmafSegmentsPerVideo uniformly
+// chosen segments of each, at every kVmafBitrates rate.
 std::vector<VmafSample> synthesize_vmaf_dataset(const VmafSynthConfig& config,
                                                 const std::vector<trace::VideoInfo>& videos);
 

@@ -44,10 +44,6 @@ class ZipfPopularity {
   // One inverse-CDF draw: a video id in [0, videos()).
   std::size_t sample(util::Rng& rng) const;
 
-  // The full normalized weight vector, most popular first — the input the
-  // popularity-weighted eviction policy keys on.
-  const std::vector<double>& weights() const { return prob_; }
-
  private:
   ZipfConfig config_;
   std::vector<double> prob_;  // prob_[r] = p(rank r)

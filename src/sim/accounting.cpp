@@ -20,7 +20,6 @@ const SessionConfig& validated(const SessionConfig& config, const VideoWorkload&
   PS360_CHECK_MSG(config.ptile_min_coverage >= 0.0 && config.ptile_min_coverage <= 1.0,
                   "ptile_min_coverage must be in [0, 1]");
   PS360_CHECK_MSG(config.mpc_horizon >= 1, "mpc_horizon must be >= 1");
-  PS360_CHECK_MSG(config.bandwidth_window >= 1, "bandwidth_window must be >= 1");
   PS360_CHECK_MSG(finite_positive(config.initial_bandwidth_bytes_per_s),
                   "initial_bandwidth_bytes_per_s must be finite and > 0");
   PS360_CHECK_MSG(finite_positive(config.mpc.buffer_threshold_s),
@@ -31,32 +30,10 @@ const SessionConfig& validated(const SessionConfig& config, const VideoWorkload&
                   "mpc.weights.variation must be finite and >= 0");
   PS360_CHECK_MSG(finite_non_negative(config.mpc.weights.rebuffer),
                   "mpc.weights.rebuffer must be finite and >= 0");
-  PS360_CHECK_MSG(finite_positive(config.qoe_bitrate_scale),
-                  "qoe_bitrate_scale must be finite and > 0");
-  PS360_CHECK_MSG(finite_non_negative(config.download_fov_padding_deg),
-                  "download_fov_padding_deg must be finite and >= 0");
-  PS360_CHECK_MSG(finite_positive(config.encoding.full_frame_mbps_best),
-                  "encoding.full_frame_mbps_best must be finite and > 0");
-  PS360_CHECK_MSG(finite_non_negative(config.encoding.size_noise_sigma_log),
-                  "encoding.size_noise_sigma_log must be finite and >= 0");
-  // Eq. 3's content factor, intercept + si_slope * SI + ti_slope * TI, then
-  // stays positive for every SI, TI >= 0.
-  PS360_CHECK_MSG(finite_positive(config.encoding.content_intercept),
-                  "encoding.content_intercept must be finite and > 0");
-  PS360_CHECK_MSG(finite_non_negative(config.encoding.content_si_slope),
-                  "encoding.content_si_slope must be finite and >= 0");
-  PS360_CHECK_MSG(finite_non_negative(config.encoding.content_ti_slope),
-                  "encoding.content_ti_slope must be finite and >= 0");
-  PS360_CHECK_MSG(std::isfinite(config.qo_params.c1), "qo_params.c1 must be finite");
-  PS360_CHECK_MSG(std::isfinite(config.qo_params.c2), "qo_params.c2 must be finite");
-  PS360_CHECK_MSG(std::isfinite(config.qo_params.c3), "qo_params.c3 must be finite");
-  PS360_CHECK_MSG(std::isfinite(config.qo_params.c4), "qo_params.c4 must be finite");
   PS360_CHECK_MSG(finite_positive(config.predictor.history_seconds),
                   "predictor.history_seconds must be finite and > 0");
   PS360_CHECK_MSG(finite_non_negative(config.predictor.lambda),
                   "predictor.lambda must be finite and >= 0");
-  PS360_CHECK_MSG(finite_positive(config.predictor.max_horizon_s),
-                  "predictor.max_horizon_s must be finite and > 0");
   // lround(steps) + 1 <= kMaxBufferStates, tested before lround could see a
   // ratio too large for a long. NaN fails it too. The workload has checked
   // its segment length.
@@ -70,15 +47,10 @@ const SessionConfig& validated(const SessionConfig& config, const VideoWorkload&
   PS360_CHECK_MSG(rc.max_attempts >= 1, "recovery.max_attempts must be >= 1");
   PS360_CHECK_MSG(finite_positive(rc.timeout_s),
                   "recovery.timeout_s must be finite and > 0");
-  PS360_CHECK_MSG(finite_non_negative(rc.backoff_base_s),
-                  "recovery.backoff_base_s must be finite and >= 0");
-  PS360_CHECK_MSG(std::isfinite(rc.backoff_max_s) && rc.backoff_max_s >= rc.backoff_base_s,
-                  "recovery.backoff_max_s must be finite and >= recovery.backoff_base_s");
+  PS360_CHECK_MSG(rc.backoff_base_s >= 0.0 && rc.backoff_base_s <= kBackoffMaxS,
+                  "recovery.backoff_base_s must be finite and in [0, 4] s (the backoff cap)");
   PS360_CHECK_MSG(rc.backoff_jitter >= 0.0 && rc.backoff_jitter < 1.0,
                   "recovery.backoff_jitter must be in [0, 1)");
-  PS360_CHECK_MSG(rc.degrade_after >= 1, "recovery.degrade_after must be >= 1");
-  PS360_CHECK_MSG(rc.degrade_bandwidth_factor > 0.0 && rc.degrade_bandwidth_factor < 1.0,
-                  "recovery.degrade_bandwidth_factor must be in (0, 1)");
   return config;
 }
 
@@ -88,8 +60,8 @@ SessionAccountant::SessionAccountant(const VideoWorkload& workload,
     : workload_(&workload),
       test_user_(test_user),
       config_(validated(config, workload)),
-      encoding_(config_.seed, config_.encoding),
-      qo_model_(config_.qo_params, config_.qoe_bitrate_scale),
+      encoding_(config_.seed),
+      qo_model_(qoe::QoParams{}, kQoeBitrateScale),
       qoe_model_(config_.mpc.weights),
       scheme_(make_scheme(scheme, SchemeEnv{&workload, &encoding_, &qo_model_, &config_})) {
   PS360_CHECK(test_user < workload.test_user_count());

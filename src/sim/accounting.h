@@ -20,6 +20,11 @@
 
 namespace ps360::sim {
 
+// Maps the encoding model's FoV Mbps into the b units of Table II's fit (our
+// synthetic encodes live at lower absolute rates than the fit's b axis; see
+// DESIGN.md §6).
+inline constexpr double kQoeBitrateScale = 4.0;
+
 class SessionAccountant {
  public:
   // `workload` must outlive the accountant; `test_user` indexes the held-out

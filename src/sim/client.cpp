@@ -22,6 +22,21 @@ constexpr std::uint64_t kRecoverySeedStream = 0x4EC0FE4ULL;
 // segment, attempt) so retry schedules are reproducible and order-invariant.
 constexpr std::uint64_t kBackoffStream = 0xBAC0FFULL;
 
+// The degradation ladder: a step every kDegradeAfter failures of a segment,
+// each halving the bandwidth the re-plan sees.
+constexpr std::size_t kDegradeAfter = 2;
+constexpr double kDegradeBandwidthFactor = 0.5;
+static_assert(kDegradeAfter >= 1);
+static_assert(kDegradeBandwidthFactor > 0.0 && kDegradeBandwidthFactor < 1.0);
+
+// Harmonic-mean window of the bandwidth estimator (segments).
+constexpr std::size_t kBandwidthWindow = 5;
+
+// Clients fetch the predicted FoV plus this margin on every side so that
+// small prediction errors stay inside the high-quality region (Flare and
+// Rubiks do the same).
+constexpr double kDownloadFovPaddingDeg = 10.0;
+
 }  // namespace
 
 StreamingClient::StreamingClient(const SessionConfig& config,
@@ -34,7 +49,7 @@ StreamingClient::StreamingClient(const SessionConfig& config,
       predictor_(predict::make_predictor_config(config_.predictor_kind,
                                                 config_.predictor)),
       bandwidth_(predict::make_bandwidth_estimator(
-          config_.bandwidth_kind, config_.bandwidth_window,
+          config_.bandwidth_kind, kBandwidthWindow,
           util::BytesPerSec(config_.initial_bandwidth_bytes_per_s))) {
   config_.recovery.seed =
       util::derive_seed(config_.seed, kRecoverySeedStream, config_.recovery.seed);
@@ -91,7 +106,7 @@ ClientRequest StreamingClient::finish_plan() {
       center = predictor_.predict(*head_, playhead, std::max(target, playhead));
   }
   const double download_fov = std::min(
-      workload_->config().fov_deg + 2.0 * config_.download_fov_padding_deg, 180.0);
+      workload_->config().fov_deg + 2.0 * kDownloadFovPaddingDeg, 180.0);
   request.predicted = geometry::Viewport(center, geometry::Degrees(download_fov),
                                          geometry::Degrees(download_fov));
   request.predicted_sfov = predictor_.recent_switching_speed(*head_, playhead);
@@ -124,9 +139,8 @@ FailureAction StreamingClient::report_download_failure(util::Seconds elapsed) {
   // pure function of (recovery seed, segment, attempt), so schedules are
   // bit-reproducible regardless of thread count or call order elsewhere.
   double backoff = rc.backoff_base_s;
-  for (std::size_t i = 1; i < attempt_ && backoff < rc.backoff_max_s; ++i)
-    backoff *= 2.0;
-  backoff = std::min(backoff, rc.backoff_max_s);
+  for (std::size_t i = 1; i < attempt_ && backoff < kBackoffMaxS; ++i) backoff *= 2.0;
+  backoff = std::min(backoff, kBackoffMaxS);
   if (rc.backoff_jitter > 0.0 && backoff > 0.0) {
     util::Rng rng(util::derive_seed(
         util::derive_seed(rc.seed, kBackoffStream, next_segment_), attempt_));
@@ -146,24 +160,22 @@ FailureAction StreamingClient::report_download_failure(util::Seconds elapsed) {
     buffer_s_ -= drained;
   }
 
-  action.degrade =
-      attempt_ % rc.degrade_after == 0 && degrade_level_ < rc.max_degrade_steps;
+  action.degrade = attempt_ % kDegradeAfter == 0 && degrade_level_ < kMaxDegradeSteps;
   return action;
 }
 
 ClientRequest StreamingClient::replan_degraded() {
   PS360_CHECK_MSG(awaiting_download_, "no download in flight");
-  PS360_CHECK_MSG(degrade_level_ < config_.recovery.max_degrade_steps,
-                  "degradation ladder exhausted");
+  PS360_CHECK_MSG(degrade_level_ < kMaxDegradeSteps, "degradation ladder exhausted");
   ++degrade_level_;
 
-  // Re-run the scheme against a pessimistic bandwidth: each step halves (by
-  // default) the estimate the plan sees, so the MPC picks a cheaper version /
+  // Re-run the scheme against a pessimistic bandwidth: each step halves the
+  // estimate the plan sees, so the MPC picks a cheaper version /
   // frame rate / tile set. Prediction context stays as planned — the head
   // trace hasn't advanced (playback is stalled or draining, not consuming
   // new segments).
-  const double haircut = std::pow(config_.recovery.degrade_bandwidth_factor,
-                                  static_cast<double>(degrade_level_));
+  const double haircut =
+      std::pow(kDegradeBandwidthFactor, static_cast<double>(degrade_level_));
   const double degraded_bps = current_request_.bandwidth_estimate_bps * haircut;
 
   current_request_.plan = scheme_->plan(

@@ -28,6 +28,13 @@
 
 namespace ps360::sim {
 
+// The recovery policy's fixed shape (RecoveryConfig holds the settable
+// part): the backoff doubles from recovery.backoff_base_s up to
+// kBackoffMaxS, and every second failure of a segment re-plans it one step
+// down the degradation ladder, at most kMaxDegradeSteps steps.
+inline constexpr double kBackoffMaxS = 4.0;
+inline constexpr std::size_t kMaxDegradeSteps = 3;
+
 // What the client decided after a failure was reported.
 struct FailureAction {
   double backoff_s = 0.0;  // delay before the next attempt (already applied)
@@ -85,7 +92,7 @@ class StreamingClient {
   FailureAction report_download_failure(util::Seconds elapsed);
 
   // Re-plan the pending segment one degradation step down: the scheme is
-  // re-run against a bandwidth haircut of degrade_bandwidth_factor^level, so
+  // re-run against a bandwidth haircut of 0.5^level, so
   // repeated failures shrink the request (lower version / fewer tiles / lower
   // frame rate) instead of retrying the same doomed bytes. Returns the
   // updated request, its bandwidth_estimate_bps the degraded estimate.

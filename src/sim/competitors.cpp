@@ -103,7 +103,6 @@ class GhoshScheme : public SchemeBase {
  public:
   GhoshScheme(SchemeKind kind, const SchemeEnv& env, bool robust)
       : SchemeBase(kind, env), robust_(robust) {
-    PS360_ASSERT(grid_.rows() == kRows && grid_.cols() == kCols);
     for (std::size_t id = 0; id < kTiles; ++id)
       tile_rect_[id] = grid_.tile_area({id / kCols, id % kCols});
     for (std::size_t row = 0; row < kRows; ++row)
@@ -239,8 +238,8 @@ class GhoshScheme : public SchemeBase {
   static constexpr double kVisibilityFloor = 0.05;  // robust candidate cutoff
   // The paper's 4x8 grid (SchemeBase::grid_), whose tiles key the size
   // noise's Ghosh role.
-  static constexpr std::size_t kRows = 4;
-  static constexpr std::size_t kCols = 8;
+  static constexpr std::size_t kRows = geometry::kPaperGridRows;
+  static constexpr std::size_t kCols = geometry::kPaperGridCols;
   static constexpr std::size_t kTiles = kRows * kCols;
   static_assert(kTiles == SizeNoiseTable::kGhoshTiles);
 

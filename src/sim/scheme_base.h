@@ -151,7 +151,7 @@ class SchemeBase : public Scheme {
   }
 
   const SchemeEnv env_;
-  const geometry::TileGrid grid_{4, 8};  // the paper's conventional tiling
+  const geometry::TileGrid grid_{geometry::kPaperGridRows, geometry::kPaperGridCols};
   const video::FrameRateLadder frame_ladder_;
   const SizeNoiseTable* const noise_;  // env_.workload's table for env_.encoding
 

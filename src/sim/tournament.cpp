@@ -90,9 +90,7 @@ std::vector<TournamentFaultProfile> default_fault_profiles() {
 TournamentReport run_tournament(const TournamentConfig& config) {
   const std::vector<SchemeKind> schemes =
       config.schemes.empty() ? registered_schemes() : config.schemes;
-  const std::vector<TournamentFaultProfile> profiles =
-      config.fault_profiles.empty() ? default_fault_profiles()
-                                    : config.fault_profiles;
+  const std::vector<TournamentFaultProfile> profiles = default_fault_profiles();
   PS360_CHECK(!schemes.empty());
   // A scheme entered twice would rank against itself: identical cells,
   // different ranks.
@@ -110,8 +108,8 @@ TournamentReport run_tournament(const TournamentConfig& config) {
   // Each cell runs under its fault profile's FaultConfig, so a fault setting
   // on the session template would never reach a cell.
   PS360_CHECK_MSG(!config.session.faults.enabled,
-                  "TournamentConfig::session.faults.enabled must be false; set the fault "
-                  "environments through fault_profiles");
+                  "TournamentConfig::session.faults.enabled must be false; every cell "
+                  "runs under its default_fault_profiles() environment");
   for (const int id : config.trace_ids) PS360_CHECK(id == 1 || id == 2);
   for (const std::size_t size : config.fleet_sizes) PS360_CHECK(size >= 1);
 

@@ -1,6 +1,6 @@
 // The tournament harness: every registered controller × the paper's LTE
-// traces × fault profiles × fleet sizes, ranked into one deterministic
-// energy/QoE/stall report.
+// traces × the default fault profiles × fleet sizes, ranked into one
+// deterministic energy/QoE/stall report.
 //
 // Fairness contract: within one (trace, fault profile, fleet size) group,
 // every scheme runs the *same* fleet — same seed, same staggered arrivals,
@@ -37,8 +37,9 @@ struct TournamentFaultProfile {
   trace::FaultConfig faults;
 };
 
-// "clean" (faults off) and "hostile" (the fleet_contention --faults setup:
-// outages every ~20 s, 10% request loss, 20% latency spikes).
+// The fault environments every tournament runs: "clean" (faults off) and
+// "hostile" (the fleet_contention --faults setup: outages every ~20 s, 10%
+// request loss, 20% latency spikes).
 std::vector<TournamentFaultProfile> default_fault_profiles();
 
 struct TournamentConfig {
@@ -48,8 +49,6 @@ struct TournamentConfig {
   std::vector<SchemeKind> schemes;
   // Paper traces to run (1 = the 7.8 Mbps-mean trace, 2 = the 3.9 Mbps one).
   std::vector<int> trace_ids = {1, 2};
-  // Fault environments; empty -> default_fault_profiles().
-  std::vector<TournamentFaultProfile> fault_profiles;
   // Concurrent sessions per fleet; the link is provisioned at one
   // trace-share per session (trace.scaled(sessions)), so every size runs at
   // the same nominal contention level and size sweeps probe burstiness, not
@@ -66,7 +65,8 @@ struct TournamentConfig {
   double trace_duration_s = 300.0;
   double start_spread_s = 2.0;
   // Per-session template. Its faults must stay disabled (run_tournament
-  // throws otherwise): each cell runs under its fault profile's FaultConfig.
+  // throws otherwise): each cell runs under its default_fault_profiles()
+  // entry's FaultConfig.
   SessionConfig session;
 };
 

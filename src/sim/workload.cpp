@@ -41,8 +41,7 @@ SizeNoiseTable::SizeNoiseTable(const VideoWorkload& workload,
       values_(workload.segment_count() * kRowSize) {}
 
 bool SizeNoiseTable::draws_like(const video::EncodingModel& encoding) const {
-  return encoding.seed() == encoding_.seed() &&
-         encoding.config().size_noise_sigma_log == encoding_.config().size_noise_sigma_log;
+  return encoding.seed() == encoding_.seed();
 }
 
 SizeNoiseRow SizeNoiseTable::row(std::size_t segment) const {
@@ -79,12 +78,12 @@ VideoWorkload::VideoWorkload(const trace::VideoInfo& video, WorkloadConfig confi
   PS360_CHECK_MSG(config_.fov_deg > 0.0 && config_.fov_deg <= 180.0,
                   "WorkloadConfig::fov_deg must be in (0, 180]");
   PS360_CHECK(config_.n_training_users >= 1);
-  PS360_CHECK(config_.n_users > config_.n_training_users);
+  PS360_CHECK(trace::kDatasetUsers > config_.n_training_users);
 
   // The one seed and the one FoV reach every builder from here.
   const ptile::PtileBuilder builder(util::Degrees(config_.fov_deg), config_.ptile);
-  const trace::HeadTraceSynthesizer synth(config_.seed, config_.head);
-  traces_ = synth.synthesize_all(video_, config_.n_users);
+  const trace::HeadTraceSynthesizer synth(config_.seed);
+  traces_ = synth.synthesize_all(video_, trace::kDatasetUsers);
 
   // Segment k reads only the traces and the const builder and writes only
   // slot k, so the segments run on the pool in any order.
@@ -127,8 +126,7 @@ const ptile::FtileLayout& VideoWorkload::ftile(std::size_t segment) const {
     std::vector<ptile::FtileLayout> layouts;
     layouts.reserve(centers_.size());
     for (const auto& centers : centers_)
-      layouts.emplace_back(centers, config_.ftile, util::Degrees(config_.fov_deg),
-                           config_.seed);
+      layouts.emplace_back(centers, util::Degrees(config_.fov_deg), config_.seed);
     ftiles_ = std::move(layouts);
   });
   return ftiles_[segment];

@@ -15,9 +15,9 @@
 //    221.0k without (4 of 6 pairs), and paper-grid won 4 of 6 pairs
 //    (DESIGN.md §17)),
 //  * per-encoding size-noise tables (the second lazy artifact): every
-//    encode's lognormal size factor, keyed by the encoding's (seed, σ), the
-//    only two values EncodingModel::size_noise reads. The first scheme built
-//    for a pair creates its table under a mutex; each segment's row is drawn
+//    encode's lognormal size factor, keyed by the encoding's seed, the only
+//    value EncodingModel::size_noise reads. The first scheme built for a
+//    seed creates its table under a mutex; each segment's row is drawn
 //    at its first plan under its own std::call_once, never in the
 //    constructor. Every session, fleet and grid cell that plans over the
 //    video with that encoding reads the same draws.
@@ -61,8 +61,8 @@ class SizeNoiseRow {
  public:
   // Roles 0-6: the factor of (role, quality, frame index).
   video::SizeNoise at(NoiseRole role, int quality, std::size_t frame_index) const;
-  // Role 7: the factor of Ghosh tile `tile` (row-major on the 4x8 grid) at
-  // `quality`.
+  // Role 7: the factor of Ghosh tile `tile` (row-major on the paper's 4x8
+  // grid) at `quality`.
   video::SizeNoise ghosh_tile(std::size_t tile, int quality) const;
 
  private:
@@ -72,7 +72,7 @@ class SizeNoiseRow {
   const double* values_;
 };
 
-// Every encode's size-noise factor for one (video, encoding (seed, σ)):
+// Every encode's size-noise factor for one (video, encoding seed):
 // entry = EncodingModel::size_noise(noise_key(...)) for roles 0-6 × 5
 // qualities × 4 frame indices plus 32 Ghosh tiles × 5 qualities, 300
 // factors per segment. Obtained from VideoWorkload::size_noise_table.
@@ -81,7 +81,8 @@ class SizeNoiseTable {
   static constexpr std::size_t kMpcRoles = 7;  // roles 0-6
   static constexpr std::size_t kRoleEntries =
       kMpcRoles * video::QualityLadder::kLevels * video::FrameRateLadder::kOptions;
-  static constexpr std::size_t kGhoshTiles = 4 * 8;  // the paper's 4x8 grid
+  static constexpr std::size_t kGhoshTiles =
+      geometry::kPaperGridRows * geometry::kPaperGridCols;
   static constexpr std::size_t kRowSize =
       kRoleEntries + kGhoshTiles * video::QualityLadder::kLevels;
 
@@ -90,7 +91,8 @@ class SizeNoiseTable {
   SizeNoiseTable(const SizeNoiseTable&) = delete;
   SizeNoiseTable& operator=(const SizeNoiseTable&) = delete;
 
-  // True when `encoding` draws exactly this table's factors.
+  // True when `encoding` draws exactly this table's factors (it has this
+  // table's seed).
   bool draws_like(const video::EncodingModel& encoding) const;
 
   // The segment's factors, drawn on the first call for the segment under a
@@ -123,17 +125,17 @@ inline video::SizeNoise SizeNoiseRow::ghosh_tile(std::size_t tile, int quality) 
   return {values_[SizeNoiseTable::kRoleEntries + tile * video::QualityLadder::kLevels + q]};
 }
 
+// The workload synthesizes trace::kDatasetUsers (48) head traces at the
+// synthesizer's default sample rate; the Ftile layouts use
+// ptile::FtileLayout's fixed 15 x 30 blocks and 10 tiles.
 struct WorkloadConfig {
   std::uint64_t seed = 42;
   double segment_seconds = 1.0;
-  std::size_t n_users = trace::kDatasetUsers;            // 48
   std::size_t n_training_users = trace::kTrainingUsers;  // 40
   // The viewport size, in (0, 180]: the Ptile members, the Ftile views and
   // the viewports played are all this large.
   double fov_deg = 100.0;
-  trace::HeadSynthConfig head;          // head-trace synthesis knobs
   ptile::PtileBuildConfig ptile;        // Algorithm 1 / builder knobs
-  ptile::FtileLayoutConfig ftile;       // Ftile baseline knobs
 };
 
 class VideoWorkload {
@@ -151,7 +153,7 @@ class VideoWorkload {
   const WorkloadConfig& config() const { return config_; }
   std::size_t segment_count() const { return features_.size(); }
   std::size_t test_user_count() const {
-    return config_.n_users - config_.n_training_users;
+    return trace::kDatasetUsers - config_.n_training_users;
   }
 
   const video::ContentFeatures& features(std::size_t segment) const;
@@ -168,8 +170,8 @@ class VideoWorkload {
   // move afterwards.
   const ptile::FtileLayout& ftile(std::size_t segment) const;
 
-  // The size-noise table of `encoding`'s (seed, σ) over this video. The
-  // first call for a pair creates it; every later call, from any thread,
+  // The size-noise table of `encoding`'s seed over this video. The first
+  // call for a seed creates it; every later call, from any thread,
   // returns the same table, which never moves. Its rows are drawn on first
   // use (SizeNoiseTable::row).
   const SizeNoiseTable& size_noise_table(const video::EncodingModel& encoding) const;
@@ -177,7 +179,7 @@ class VideoWorkload {
   // Head trace of a held-out test user (0-based among the test users).
   const trace::HeadTrace& test_trace(std::size_t test_user) const;
 
-  // Head trace of any dataset user (0..n_users).
+  // Head trace of any dataset user (0..trace::kDatasetUsers).
   const trace::HeadTrace& user_trace(std::size_t user) const;
 
   // The test user's ground-truth viewport at the segment's midpoint.
@@ -196,7 +198,7 @@ class VideoWorkload {
   mutable std::once_flag ftiles_built_;
   mutable std::vector<ptile::FtileLayout> ftiles_;  // lazy, see ftile()
   // Guards noise_tables_, which only grows: a table is appended once per
-  // (seed, σ) and never moved or removed. Which thread appends it changes no
+  // seed and never moved or removed. Which thread appends it changes no
   // factor, since each is a pure function of its key.
   mutable std::mutex noise_mutex_;
   mutable std::vector<std::unique_ptr<SizeNoiseTable>> noise_tables_;

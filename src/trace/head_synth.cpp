@@ -16,6 +16,8 @@ namespace ps360::trace {
 
 using geometry::EquirectPoint;
 
+static_assert(kPursuitGain > 0.0);
+
 AttractorPath::AttractorPath(const VideoInfo& video, std::size_t index,
                              std::uint64_t seed) {
   PS360_CHECK(index < video.n_attractors);
@@ -59,7 +61,6 @@ HeadTraceSynthesizer::HeadTraceSynthesizer(std::uint64_t seed, HeadSynthConfig c
     : seed_(seed), config_(config) {
   PS360_CHECK_MSG(std::isfinite(config_.sample_rate_hz) && config_.sample_rate_hz > 0.0,
                   "sample_rate_hz must be finite and > 0");
-  PS360_CHECK(config_.pursuit_gain > 0.0);
 }
 
 std::vector<AttractorPath> HeadTraceSynthesizer::attractors(const VideoInfo& video) const {
@@ -124,12 +125,9 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id,
                                   static_cast<std::uint64_t>(video.id) * 977 + 13,
                                   0x5EEDULL + static_cast<std::uint64_t>(user_id)));
 
-  const double offset_sigma =
-      video.focused ? config_.offset_sigma_focused : config_.offset_sigma_free;
-  const double dwell_mean =
-      video.focused ? config_.dwell_mean_focused : config_.dwell_mean_free;
-  const double explore_prob =
-      video.focused ? config_.explore_prob_focused : config_.explore_prob_free;
+  const double offset_sigma = video.focused ? kOffsetSigmaFocused : kOffsetSigmaFree;
+  const double dwell_mean = video.focused ? kDwellMeanFocused : kDwellMeanFree;
+  const double explore_prob = video.focused ? kExploreProbFocused : kExploreProbFree;
 
   // Stable personal gaze offset: users in the same cluster look at nearby
   // but distinct points.
@@ -161,7 +159,7 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id,
         exploring = true;
         explore_target = EquirectPoint{rng.uniform(0.0, 360.0),
                                        std::clamp(rng.normal(90.0, 25.0), 10.0, 170.0)};
-        next_decision_t = t + rng.exponential(config_.explore_mean_s);
+        next_decision_t = t + rng.exponential(kExploreMeanS);
       } else {
         exploring = false;
         target_attractor = pick_attractor(paths, rng);
@@ -183,21 +181,19 @@ HeadTrace HeadTraceSynthesizer::synthesize(const VideoInfo& video, int user_id,
                                               geometry::Degrees(pos.x))
                              .value();
     const double err_y = target.y - pos.y;
-    const double vx = std::clamp(config_.pursuit_gain * err_x, -config_.max_speed_x,
-                                 config_.max_speed_x) +
-                      rng.normal(0.0, config_.velocity_noise);
-    const double vy = std::clamp(config_.pursuit_gain * err_y, -config_.max_speed_y,
-                                 config_.max_speed_y) +
-                      rng.normal(0.0, config_.velocity_noise);
+    const double vx = std::clamp(kPursuitGain * err_x, -kMaxSpeedX, kMaxSpeedX) +
+                      rng.normal(0.0, kVelocityNoise);
+    const double vy = std::clamp(kPursuitGain * err_y, -kMaxSpeedY, kMaxSpeedY) +
+                      rng.normal(0.0, kVelocityNoise);
     pos.x = geometry::wrap360(geometry::Degrees(pos.x + vx * dt)).value();
     pos.y = std::clamp(pos.y + vy * dt, 0.0, 180.0);
 
     // Recorded sample = true gaze + sensor jitter.
     EquirectPoint recorded{
         geometry::wrap360(
-            geometry::Degrees(pos.x + rng.normal(0.0, config_.sensor_jitter)))
+            geometry::Degrees(pos.x + rng.normal(0.0, kSensorJitter)))
             .value(),
-        std::clamp(pos.y + rng.normal(0.0, config_.sensor_jitter), 0.0, 180.0)};
+        std::clamp(pos.y + rng.normal(0.0, kSensorJitter), 0.0, 180.0)};
     samples.push_back(HeadSample{t, recorded});
   }
 

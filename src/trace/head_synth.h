@@ -32,38 +32,41 @@
 
 namespace ps360::trace {
 
+// The head-motion model's constants (the per-sample reference in the trace
+// tests reads them too).
+
+// Smooth-pursuit gain (1/s): how aggressively the gaze closes on the
+// target. Larger -> faster saccades on attractor switches.
+inline constexpr double kPursuitGain = 1.8;
+
+// Velocity caps (deg/s) for the horizontal/vertical axes; human saccades
+// peak far higher, but headset yaw is what we model.
+inline constexpr double kMaxSpeedX = 120.0;
+inline constexpr double kMaxSpeedY = 60.0;
+
+// Std-dev of white velocity noise (deg/s) during pursuit.
+inline constexpr double kVelocityNoise = 2.5;
+
+// Std-dev of per-sample sensor jitter (degrees).
+inline constexpr double kSensorJitter = 0.07;
+
+// Personal gaze-offset spread (degrees) for focused / exploratory videos.
+inline constexpr double kOffsetSigmaFocused = 7.0;
+inline constexpr double kOffsetSigmaFree = 9.0;
+
+// Mean dwell on one target (seconds) before re-deciding.
+inline constexpr double kDwellMeanFocused = 18.0;
+inline constexpr double kDwellMeanFree = 11.0;
+
+// Probability that a re-decision starts a free-exploration episode.
+inline constexpr double kExploreProbFocused = 0.06;
+inline constexpr double kExploreProbFree = 0.20;
+
+// Mean duration of a free-exploration episode (seconds).
+inline constexpr double kExploreMeanS = 3.0;
+
 struct HeadSynthConfig {
   double sample_rate_hz = 50.0;
-
-  // Smooth-pursuit gain (1/s): how aggressively the gaze closes on the
-  // target. Larger -> faster saccades on attractor switches.
-  double pursuit_gain = 1.8;
-
-  // Velocity caps (deg/s) for the horizontal/vertical axes; human saccades
-  // peak far higher, but headset yaw is what we model.
-  double max_speed_x = 120.0;
-  double max_speed_y = 60.0;
-
-  // Std-dev of white velocity noise (deg/s) during pursuit.
-  double velocity_noise = 2.5;
-
-  // Std-dev of per-sample sensor jitter (degrees).
-  double sensor_jitter = 0.07;
-
-  // Personal gaze-offset spread (degrees) for focused / exploratory videos.
-  double offset_sigma_focused = 7.0;
-  double offset_sigma_free = 9.0;
-
-  // Mean dwell on one target (seconds) before re-deciding.
-  double dwell_mean_focused = 18.0;
-  double dwell_mean_free = 11.0;
-
-  // Probability that a re-decision starts a free-exploration episode.
-  double explore_prob_focused = 0.06;
-  double explore_prob_free = 0.20;
-
-  // Mean duration of a free-exploration episode (seconds).
-  double explore_mean_s = 3.0;
 };
 
 // Deterministic path of one point of interest.

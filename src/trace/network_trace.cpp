@@ -141,19 +141,29 @@ NetworkTrace NetworkTrace::scaled(double factor) const {
   return NetworkTrace(std::move(scaled_samples));
 }
 
+namespace {
+
+// The synthesized walk's shape: sample spacing (s), mean-reversion strength
+// per step, and per-step innovation std-dev (Mbps).
+constexpr double kStepS = 1.0;
+constexpr double kReversion = 0.25;
+constexpr double kVolatility = 0.85;
+static_assert(kStepS > 0.0);
+
+}  // namespace
+
 NetworkTrace synthesize_network_trace(std::uint64_t seed, const NetworkSynthConfig& config) {
-  PS360_CHECK(config.step_s > 0.0);
   PS360_CHECK(config.min_mbps > 0.0 && config.min_mbps < config.max_mbps);
   PS360_CHECK(config.mean_mbps > config.min_mbps && config.mean_mbps < config.max_mbps);
-  const std::size_t n = ceil_count(config.duration_s / config.step_s, "duration_s");
+  const std::size_t n = ceil_count(config.duration_s / kStepS, "duration_s");
   util::Rng rng(util::derive_seed(seed, 0x4E7770ULL));
   std::vector<ThroughputSample> samples;
   samples.reserve(n);
   double rate = config.mean_mbps;
   for (std::size_t i = 0; i < n; ++i) {
-    samples.push_back(ThroughputSample{static_cast<double>(i) * config.step_s, rate});
-    const double innovation = rng.normal(0.0, config.volatility);
-    rate += config.reversion * (config.mean_mbps - rate) + innovation;
+    samples.push_back(ThroughputSample{static_cast<double>(i) * kStepS, rate});
+    const double innovation = rng.normal(0.0, kVolatility);
+    rate += kReversion * (config.mean_mbps - rate) + innovation;
     // Reflect at the bounds rather than clamping, so the walk does not stick
     // to the floor/ceiling (LTE traces show excursions, not saturation).
     if (rate < config.min_mbps) rate = config.min_mbps + (config.min_mbps - rate);

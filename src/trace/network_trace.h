@@ -80,16 +80,14 @@ class NetworkTrace {
 
 struct NetworkSynthConfig {
   double duration_s = 600.0;
-  double step_s = 1.0;       // sample spacing
   double mean_mbps = 3.9;    // long-run mean (trace 2 of the paper)
   double min_mbps = 2.3;     // hard floor
   double max_mbps = 8.4;     // hard ceiling
-  double reversion = 0.25;   // mean-reversion strength per step
-  double volatility = 0.85;  // per-step innovation std-dev (Mbps)
 };
 
 // Bounded mean-reverting walk reproducing the paper's trace-2 statistics,
-// deterministic in (seed, config).
+// deterministic in (seed, config): one sample a second, each step reverting
+// a quarter of the way to the mean plus a 0.85 Mbps normal innovation.
 NetworkTrace synthesize_network_trace(std::uint64_t seed, const NetworkSynthConfig& config);
 
 // The two evaluation conditions of Section V: first element is trace 1

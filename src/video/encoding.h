@@ -43,6 +43,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -51,39 +52,15 @@
 
 namespace ps360::video {
 
-struct EncodingConfig {
-  // Full 360° frame bitrate at quality 5 (CRF 18) for reference content
-  // (SI = 50, TI = 25), in Mbps. Chosen so the evaluation's LTE traces
-  // (3.9 / 7.8 Mbps average) land where the paper's do: the tile schemes
-  // sustain mid-to-high quality on trace 1 and are bandwidth-squeezed on
-  // trace 2 (see DESIGN.md §6).
-  double full_frame_mbps_best = 14.0;
-
-  // Content scaling: multiplier = intercept + si_slope*SI + ti_slope*TI,
-  // equal to 1.0 at the reference content point.
-  double content_intercept = 0.45;
-  double content_si_slope = 0.0055;
-  double content_ti_slope = 0.022;
-
-  // Fig. 8 median Ptile/Ctile size ratios for quality 1..5. These calibrate
-  // the per-tile overhead exactly at the paper's 9-tile FoV anchor.
-  std::array<double, QualityLadder::kLevels> fov_size_ratio = {0.27, 0.35, 0.47,
-                                                               0.57, 0.62};
-
-  // Frame-rate size exponent γ: bytes ∝ (f/fm)^γ.
-  double framerate_size_exponent = 0.55;
-
-  // Log-space std-dev of the per-region lognormal size noise.
-  double size_noise_sigma_log = 0.10;
-
-  // Geometry anchors: the reference tile is one 4x8-grid tile (45°x45°); the
-  // Fig. 8 anchor splits a 3x3-tile Ptile into 9 such tiles.
-  double ref_tile_area_fraction = (45.0 * 45.0) / (360.0 * 180.0);
-  std::size_t anchor_tile_count = 9;
-
-  // FoV area fraction used to express the QoE bitrate `b` (100°x100° FoV).
-  double fov_area_fraction = (100.0 * 100.0) / (360.0 * 180.0);
-};
+// The Fig. 8 calibration anchor: a Ptile of kAnchorTileCount reference
+// tiles, each one tile of the paper's 4x8 grid (45° x 45°), is
+// kFovSizeRatio[q - 1] of the size of the same area encoded as that many
+// conventional tiles, at quality q (the paper's medians, 62/57/47/35/27% at
+// quality 5/4/3/2/1).
+inline constexpr double kRefTileAreaFraction = (45.0 * 45.0) / (360.0 * 180.0);
+inline constexpr std::size_t kAnchorTileCount = 9;
+inline constexpr std::array<double, QualityLadder::kLevels> kFovSizeRatio = {
+    0.27, 0.35, 0.47, 0.57, 0.62};
 
 // A drawn size-noise factor (EncodingModel::size_noise). Its own type, so a
 // raw noise key cannot stand in for a drawn factor.
@@ -95,10 +72,9 @@ class EncodingModel {
  public:
   // `seed` keys the size noise (the session accountant passes its
   // SessionConfig::seed).
-  explicit EncodingModel(std::uint64_t seed, EncodingConfig config = {});
+  explicit EncodingModel(std::uint64_t seed) : seed_(seed) {}
 
   std::uint64_t seed() const { return seed_; }
-  const EncodingConfig& config() const { return config_; }
 
   // Full-frame-equivalent rate in Mbps at the given quality for content.
   double area_rate_mbps(int quality, const ContentFeatures& features) const;
@@ -108,9 +84,8 @@ class EncodingModel {
   double tile_overhead_mbps(int quality, const ContentFeatures& features) const;
 
   // The deterministic lognormal size jitter of `noise_key` (median 1); key 0
-  // or σ = 0 gives exactly 1. It reads only seed() and
-  // config().size_noise_sigma_log, so two models that agree on those two
-  // values draw the same factor for every key.
+  // gives exactly 1. It reads only seed(), so two models of one seed draw
+  // the same factor for every key.
   SizeNoise size_noise(std::uint64_t noise_key) const;
 
   // Bytes for a region of `area_fraction` of the frame encoded as `n_tiles`
@@ -138,15 +113,14 @@ class EncodingModel {
                                double seconds) const;
   double frame_size_factor(double frame_rate_ratio) const;
 
-  // Mbps of a FoV-sized patch at this quality — both the transfer-size
-  // proxy and, scaled by QoModel's bitrate_scale, the `b` fed to Eq. 3
-  // (perceived quality follows the encode's actual rate, as in the paper's
-  // VMAF-vs-bitrate fit).
+  // Mbps of a FoV-sized (100° x 100°) patch at this quality — both the
+  // transfer-size proxy and, scaled by QoModel's bitrate_scale, the `b` fed
+  // to Eq. 3 (perceived quality follows the encode's actual rate, as in the
+  // paper's VMAF-vs-bitrate fit).
   double fov_bitrate_mbps(int quality, const ContentFeatures& features) const;
 
  private:
   std::uint64_t seed_;
-  EncodingConfig config_;
 };
 
 }  // namespace ps360::video

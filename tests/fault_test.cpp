@@ -204,10 +204,10 @@ TEST(RecoveryTest, BackoffSequenceIsCappedAndSeededDeterministic) {
     // Within the jitter band around the capped exponential.
     EXPECT_GE(a[i], nominal * (1.0 - rc.backoff_jitter) - 1e-12);
     EXPECT_LE(a[i], nominal * (1.0 + rc.backoff_jitter) + 1e-12);
-    nominal = std::min(nominal * 2.0, rc.backoff_max_s);
+    nominal = std::min(nominal * 2.0, sim::kBackoffMaxS);
   }
-  // The tail is capped: nominal has saturated at backoff_max_s.
-  EXPECT_LE(a.back(), rc.backoff_max_s * (1.0 + rc.backoff_jitter) + 1e-12);
+  // The tail is capped: nominal has saturated at kBackoffMaxS.
+  EXPECT_LE(a.back(), sim::kBackoffMaxS * (1.0 + rc.backoff_jitter) + 1e-12);
 
   // A different seed produces a different jitter sequence.
   config.recovery.seed = 8;
@@ -255,10 +255,10 @@ TEST(RecoveryTest, DegradationLadderShrinksRequestsAndTerminates) {
       ++degrades;
     }
   }
-  // The ladder fired and then stopped at max_degrade_steps — never an
+  // The ladder fired and then stopped at kMaxDegradeSteps — never an
   // unbounded retry-and-degrade loop.
-  EXPECT_EQ(degrades, config.recovery.max_degrade_steps);
-  EXPECT_EQ(client.degrade_level(), config.recovery.max_degrade_steps);
+  EXPECT_EQ(degrades, sim::kMaxDegradeSteps);
+  EXPECT_EQ(client.degrade_level(), sim::kMaxDegradeSteps);
 
   // The degraded request still completes and resets the recovery state.
   client.complete_download(util::Seconds(0.5));

@@ -591,14 +591,10 @@ INSTANTIATE_TEST_SUITE_P(
         NonFiniteField{"start_spread_s", [](FleetConfig& c) { c.start_spread_s = kInf; }},
         NonFiniteField{"access_cap_mbps", [](FleetConfig& c) { c.access_cap_mbps = kNaN; }},
         NonFiniteField{"origin_mbps", [](FleetConfig& c) { c.server.origin_mbps = kInf; }},
-        NonFiniteField{"origin_latency_s",
-                       [](FleetConfig& c) { c.server.origin_latency_s = kInf; }},
         NonFiniteField{"timeout_s",
                        [](FleetConfig& c) { c.session.recovery.timeout_s = kInf; }},
         NonFiniteField{"backoff_base_s",
                        [](FleetConfig& c) { c.session.recovery.backoff_base_s = kInf; }},
-        NonFiniteField{"backoff_max_s",
-                       [](FleetConfig& c) { c.session.recovery.backoff_max_s = kInf; }},
         NonFiniteField{"outage_spacing_s",
                        [](FleetConfig& c) { c.session.faults.outage_spacing_s = kNaN; }},
         NonFiniteField{"outage_mean_s",
@@ -617,10 +613,10 @@ INSTANTIATE_TEST_SUITE_P(
 // means Ours never picks a Ptile; an infinite bandwidth prior changes the
 // plans; an infinite QoE weight makes the session QoE NaN) or fails far from
 // its cause (an infinite buffer threshold throws from a vector resize, a tiny
-// buffer quantum from the DP's allocation, an infinite stall penalty or
-// encoding rate or size-noise sigma from the MPC's internal assert). The
-// session accountant, which the fleet engine builds for every session,
-// rejects each through validated() with a message naming the field.
+// buffer quantum from the DP's allocation, an infinite stall penalty from the
+// MPC's internal assert). The session accountant, which the fleet engine
+// builds for every session, rejects each through validated() with a message
+// naming the field.
 struct InvalidSessionField {
   const char* field;
   void (*set)(sim::SessionConfig&);
@@ -664,63 +660,23 @@ INSTANTIATE_TEST_SUITE_P(
                             [](sim::SessionConfig& c) { c.mpc.weights.variation = kInf; }},
         InvalidSessionField{"mpc.weights.rebuffer",
                             [](sim::SessionConfig& c) { c.mpc.weights.rebuffer = kInf; }},
-        // Passes QoModel's > 0 check, then saturates every Eq. 3 Qo.
-        InvalidSessionField{"qoe_bitrate_scale",
-                            [](sim::SessionConfig& c) { c.qoe_bitrate_scale = kInf; }},
-        // Reaches the client's first plan as a NaN download FoV.
-        InvalidSessionField{"download_fov_padding_deg",
-                            [](sim::SessionConfig& c) {
-                              c.download_fov_padding_deg = kNaN;
-                            }},
-        // Each passes EncodingModel's > 0 or >= 0 check, then leaves the
-        // relaxed MPC without a plan.
-        InvalidSessionField{"encoding.full_frame_mbps_best",
-                            [](sim::SessionConfig& c) {
-                              c.encoding.full_frame_mbps_best = kInf;
-                            }},
-        InvalidSessionField{"encoding.size_noise_sigma_log",
-                            [](sim::SessionConfig& c) {
-                              c.encoding.size_noise_sigma_log = kInf;
-                            }},
-        // NaN reaches the encoding model's "content factor must stay
-        // positive" assert at the first plan; a negative slope makes the
-        // factor negative for high enough SI or TI.
-        InvalidSessionField{"encoding.content_intercept",
-                            [](sim::SessionConfig& c) { c.encoding.content_intercept = kNaN; }},
-        InvalidSessionField{"encoding.content_si_slope",
-                            [](sim::SessionConfig& c) { c.encoding.content_si_slope = -0.01; }},
-        InvalidSessionField{"encoding.content_ti_slope",
-                            [](sim::SessionConfig& c) { c.encoding.content_ti_slope = kInf; }},
-        // NaN reaches the MPC's per-option check, which names an option, not
-        // the field.
-        InvalidSessionField{"qo_params.c1", [](sim::SessionConfig& c) { c.qo_params.c1 = kNaN; }},
-        InvalidSessionField{"qo_params.c2", [](sim::SessionConfig& c) { c.qo_params.c2 = kInf; }},
-        InvalidSessionField{"qo_params.c3", [](sim::SessionConfig& c) { c.qo_params.c3 = kNaN; }},
-        InvalidSessionField{"qo_params.c4", [](sim::SessionConfig& c) { c.qo_params.c4 = kInf; }},
         // Each passes the predictor's > 0 or >= 0 check and runs: an infinite
         // ridge penalty or history window moves every prediction.
         InvalidSessionField{"predictor.history_seconds",
                             [](sim::SessionConfig& c) { c.predictor.history_seconds = kInf; }},
         InvalidSessionField{"predictor.lambda",
                             [](sim::SessionConfig& c) { c.predictor.lambda = kInf; }},
-        InvalidSessionField{"predictor.max_horizon_s",
-                            [](sim::SessionConfig& c) { c.predictor.max_horizon_s = kInf; }},
-        // Zero leaves the MPC an empty horizon, or the estimator no window.
+        // Zero leaves the MPC an empty horizon.
         InvalidSessionField{"mpc_horizon", [](sim::SessionConfig& c) { c.mpc_horizon = 0; }},
-        InvalidSessionField{"bandwidth_window",
-                            [](sim::SessionConfig& c) { c.bandwidth_window = 0; }},
         // The recovery policy, checked for every session whether or not
         // faults are on.
         InvalidSessionField{"recovery.max_attempts",
                             [](sim::SessionConfig& c) { c.recovery.max_attempts = 0; }},
+        // Above the 4 s cap, so no backoff could be as long as its base.
+        InvalidSessionField{"recovery.backoff_base_s",
+                            [](sim::SessionConfig& c) { c.recovery.backoff_base_s = 5.0; }},
         InvalidSessionField{"recovery.backoff_jitter",
-                            [](sim::SessionConfig& c) { c.recovery.backoff_jitter = 1.0; }},
-        InvalidSessionField{"recovery.degrade_after",
-                            [](sim::SessionConfig& c) { c.recovery.degrade_after = 0; }},
-        InvalidSessionField{"recovery.degrade_bandwidth_factor",
-                            [](sim::SessionConfig& c) {
-                              c.recovery.degrade_bandwidth_factor = 1.0;
-                            }}),
+                            [](sim::SessionConfig& c) { c.recovery.backoff_jitter = 1.0; }}),
     [](const ::testing::TestParamInfo<InvalidSessionField>& param) {
       std::string name = param.param.field;
       std::replace_if(
@@ -1024,6 +980,46 @@ TEST(FleetRunnerTest, ThreadCountInvariance) {
   EXPECT_EQ(agg_serial.metrics.mean_qoe, agg_parallel.metrics.mean_qoe);
   EXPECT_EQ(agg_serial.metrics.stall_ratio, agg_parallel.metrics.stall_ratio);
   EXPECT_EQ(agg_serial.metrics.p95_energy_mj, agg_parallel.metrics.p95_energy_mj);
+}
+
+// An observed run reports each engine figure twice: in the pooled FleetStats
+// and in the merged registry. Both add counters across replications and
+// take the max of peaks and end-of-run levels (queue_peak, makespan_s, cache
+// entries and resident bytes), so every fleet.* and server.* value with a
+// FleetStats counterpart equals the pooled field.
+TEST(FleetRunnerTest, PooledStatsMatchMergedMetrics) {
+  const FleetFixture fixture;
+  obs::MetricsRegistry metrics;
+  obs::Observer observer{&metrics, nullptr};
+  FleetConfig config;
+  config.sessions = 6;
+  config.seed = 77;
+  config.server.enabled = true;
+  config.observer = &observer;
+  FleetRunOptions options;
+  options.replications = 3;
+  options.link.duration_s = 300.0;
+  const FleetStats stats = run_fleet_aggregate(*fixture.workload, config, options).stats;
+  ASSERT_GT(stats.cache_entries, 0u);
+
+  const std::pair<const char*, double> pooled[] = {
+      {"fleet.events", static_cast<double>(stats.events)},
+      {"fleet.stale_completions", static_cast<double>(stats.stale_completions)},
+      {"fleet.reallocations", static_cast<double>(stats.reallocations)},
+      {"fleet.flow_aborts", static_cast<double>(stats.flow_aborts)},
+      {"fleet.delivered_bytes", stats.delivered_bytes.value()},
+      {"fleet.queue_grow_events", static_cast<double>(stats.queue_grow_events)},
+      {"fleet.queue_peak", static_cast<double>(stats.queue_peak)},
+      {"fleet.makespan_s", stats.makespan_s},
+      {"server.cache_hits", static_cast<double>(stats.cache_hits)},
+      {"server.cache_misses", static_cast<double>(stats.cache_misses)},
+      {"server.cache_evictions", static_cast<double>(stats.cache_evictions)},
+      {"server.origin_flows", static_cast<double>(stats.origin_flows)},
+      {"server.origin_bytes", stats.origin_bytes.value()},
+      {"server.cache_entries", static_cast<double>(stats.cache_entries)},
+      {"server.cache_resident_bytes", stats.cache_resident.value()},
+  };
+  for (const auto& [name, value] : pooled) EXPECT_EQ(metrics.value(name), value) << name;
 }
 
 }  // namespace

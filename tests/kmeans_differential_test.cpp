@@ -181,9 +181,9 @@ struct Layout {
   std::vector<double> tile_areas;
 };
 
-Layout ftile_layout(const std::vector<EquirectPoint>& centers,
-                    const FtileLayoutConfig& config, Degrees fov, std::uint64_t seed) {
-  const geometry::TileGrid blocks(config.block_rows, config.block_cols);
+Layout ftile_layout(const std::vector<EquirectPoint>& centers, Degrees fov,
+                    std::uint64_t seed) {
+  const geometry::TileGrid blocks(FtileLayout::kBlockRows, FtileLayout::kBlockCols);
   std::vector<geometry::EquirectRect> user_views;
   for (const auto& user_center : centers)
     user_views.push_back(geometry::Viewport(user_center, fov, fov).area());
@@ -204,18 +204,19 @@ Layout ftile_layout(const std::vector<EquirectPoint>& centers,
     }
   }
   util::Rng rng(util::derive_seed(seed, 0xF71E5ULL));
-  const KMeansResult clustering = kmeans(block_centers, weights, config.tile_count, rng, 100);
+  const KMeansResult clustering =
+      kmeans(block_centers, weights, FtileLayout::kTileCount, rng, 100);
 
   Layout layout;
-  std::vector<std::vector<geometry::TileIndex>> tiles(config.tile_count);
-  std::vector<double> areas(config.tile_count, 0.0);
+  std::vector<std::vector<geometry::TileIndex>> tiles(FtileLayout::kTileCount);
+  std::vector<double> areas(FtileLayout::kTileCount, 0.0);
   const std::size_t n_blocks = blocks.tile_count();
   for (std::size_t b = 0; b < n_blocks; ++b) {
     const std::size_t tile = clustering.assignment[b];
     tiles[tile].push_back(geometry::TileIndex{b / blocks.cols(), b % blocks.cols()});
     areas[tile] += 1.0 / static_cast<double>(n_blocks);
   }
-  for (std::size_t t = 0; t < config.tile_count; ++t) {
+  for (std::size_t t = 0; t < FtileLayout::kTileCount; ++t) {
     if (tiles[t].empty()) continue;
     layout.tile_blocks.push_back(std::move(tiles[t]));
     layout.tile_areas.push_back(areas[t]);
@@ -425,8 +426,8 @@ TEST(FtileBitIdentity, EveryPaperSegmentMatchesReference) {
     for (std::size_t k = 0; k < workload.segment_count(); ++k, ++layouts) {
       const FtileLayout& layout = workload.ftile(k);
       const reference::Layout want =
-          reference::ftile_layout(workload.training_centers(k), config.ftile,
-                                  Degrees(config.fov_deg), config.seed);
+          reference::ftile_layout(workload.training_centers(k), Degrees(config.fov_deg),
+                                  config.seed);
       ASSERT_EQ(layout.tile_blocks(), want.tile_blocks)
           << "video " << video.id << " segment " << k;
       ASSERT_EQ(layout.tile_areas().size(), want.tile_areas.size());

@@ -229,12 +229,6 @@ TEST(DecoderModelTest, RejectsZeroDecoders) {
   EXPECT_THROW(model.decode_time_s(0), std::invalid_argument);
 }
 
-TEST(DecoderModelTest, ConfigValidation) {
-  DecoderModelConfig config;
-  config.time_floor_s = 2.0;  // above time_1dec_s
-  EXPECT_THROW(DecoderConcurrencyModel{config}, std::invalid_argument);
-}
-
 // ----------------------------------------------------------------- Battery
 
 TEST(BatteryModelTest, CapacityAndPercentages) {

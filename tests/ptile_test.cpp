@@ -263,18 +263,6 @@ TEST(ClustererTest, DiameterCapEnforcedRecursively) {
   }
 }
 
-TEST(ClustererTest, LiteralSingleSplitModeMatchesPseudocode) {
-  std::vector<EquirectPoint> chain;
-  for (int i = 0; i < 30; ++i)
-    chain.push_back(EquirectPoint::make(geometry::Degrees(40.0 + 8.0 * i), geometry::Degrees(90.0)));
-  ClustererConfig config;
-  config.recursive_split = false;
-  const ViewClusterer clusterer(config);
-  const auto clusters = clusterer.cluster(chain);
-  // One BFS cluster split exactly once.
-  EXPECT_EQ(clusters.size(), 2u);
-}
-
 TEST(ClustererTest, SeamStraddlingBlobStaysTogether) {
   const auto points = blob(358.0, 90.0, 5.0, 14, 15);
   const ViewClusterer clusterer;
@@ -310,8 +298,8 @@ TEST(ClustererTest, ConfigValidation) {
 TEST(ClustererPropertyTest, RandomizedInvariantsHoldAcrossSeeds) {
   // Algorithm 1's contract, checked over 200 randomized point sets: the
   // output is a partition (every input index exactly once), every cluster
-  // respects the sigma diameter cap (recursive_split mode), and clustering
-  // is a pure function of its input (bit-identical on a second call).
+  // respects the sigma diameter cap, and clustering is a pure function of
+  // its input (bit-identical on a second call).
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     util::Rng rng(seed);
     std::vector<EquirectPoint> points;
@@ -353,7 +341,7 @@ TEST(ClustererPropertyTest, RandomizedInvariantsHoldAcrossSeeds) {
     }
     EXPECT_EQ(seen.size(), points.size()) << "seed " << seed;
 
-    // Diameter cap is a real invariant in recursive_split mode.
+    // Diameter cap is a real invariant.
     for (const auto& cluster : clusters) {
       EXPECT_LE(ViewClusterer::diameter(points, cluster), config.sigma + 1e-9)
           << "seed " << seed;
@@ -471,7 +459,7 @@ TEST(PtileBuilderTest, FullWidthPtileHasNoRingBlock) {
 
 TEST(FtileLayoutTest, PartitionsAllBlocksIntoTenTiles) {
   const auto centers = blob(120.0, 90.0, 10.0, 30, 31);
-  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
+  const FtileLayout layout(centers, kFov, kSeed);
   EXPECT_LE(layout.tile_count(), 10u);
   EXPECT_GE(layout.tile_count(), 2u);
   double total = 0.0;
@@ -488,7 +476,7 @@ TEST(FtileLayoutTest, ViewportOverlapsFewTiles) {
   // View-aligned tiling: the FoV of the popular region intersects a small
   // subset of the ten tiles.
   const auto centers = blob(120.0, 90.0, 8.0, 30, 32);
-  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
+  const FtileLayout layout(centers, kFov, kSeed);
   const auto selected = layout.tiles_overlapping(Viewport(EquirectPoint::make(geometry::Degrees(120.0), geometry::Degrees(90.0))));
   EXPECT_GE(selected.size(), 1u);
   EXPECT_LT(selected.size(), layout.tile_count());
@@ -496,7 +484,7 @@ TEST(FtileLayoutTest, ViewportOverlapsFewTiles) {
 
 TEST(FtileLayoutTest, SelectedTilesCoverTheViewport) {
   const auto centers = blob(200.0, 100.0, 8.0, 30, 33);
-  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
+  const FtileLayout layout(centers, kFov, kSeed);
   const Viewport vp(EquirectPoint::make(geometry::Degrees(200.0), geometry::Degrees(100.0)));
   // Default selection skips tiles the FoV merely grazes, so coverage is
   // high but can fall short of exact; a zero threshold covers exactly.
@@ -509,8 +497,8 @@ TEST(FtileLayoutTest, SelectedTilesCoverTheViewport) {
 
 TEST(FtileLayoutTest, DeterministicForSeed) {
   const auto centers = blob(120.0, 90.0, 8.0, 30, 34);
-  const FtileLayout a(centers, FtileLayoutConfig{}, kFov, kSeed);
-  const FtileLayout b(centers, FtileLayoutConfig{}, kFov, kSeed);
+  const FtileLayout a(centers, kFov, kSeed);
+  const FtileLayout b(centers, kFov, kSeed);
   ASSERT_EQ(a.tile_count(), b.tile_count());
   EXPECT_EQ(a.tile_areas(), b.tile_areas());
 }
@@ -523,8 +511,8 @@ struct PerBlockReference {
   geometry::TileGrid blocks;
   std::vector<std::size_t> block_owner;
 
-  PerBlockReference(const FtileLayout& layout, const FtileLayoutConfig& config)
-      : blocks(config.block_rows, config.block_cols),
+  explicit PerBlockReference(const FtileLayout& layout)
+      : blocks(FtileLayout::kBlockRows, FtileLayout::kBlockCols),
         block_owner(blocks.tile_count(), layout.tile_count()) {
     for (std::size_t t = 0; t < layout.tile_count(); ++t) {
       for (const auto& idx : layout.tile_blocks()[t])
@@ -605,7 +593,6 @@ Viewport draw_viewport(util::Rng& rng) {
 
 TEST(FtileLayoutTest, RowColumnContainmentMatchesPerBlockReference) {
   const trace::HeadTraceSynthesizer synth(kSeed);
-  const FtileLayoutConfig config;
   util::Rng rng(2024);
   std::size_t viewports = 0;
   for (const std::size_t video : {0u, 6u}) {
@@ -615,8 +602,8 @@ TEST(FtileLayoutTest, RowColumnContainmentMatchesPerBlockReference) {
     for (const double t0 : {0.0, 3.0, 5.0}) {
       std::vector<EquirectPoint> centers;
       for (const auto& trace : traces) centers.push_back(trace.mean_center(t0, t0 + 1.0));
-      const FtileLayout layout(centers, config, kFov, kSeed);
-      const PerBlockReference reference(layout, config);
+      const FtileLayout layout(centers, kFov, kSeed);
+      const PerBlockReference reference(layout);
       for (int i = 0; i < 100; ++i, ++viewports) {
         const Viewport vp = draw_viewport(rng);
         for (const double fraction : {0.0, 0.2, 1.0}) {
@@ -641,8 +628,7 @@ TEST(FtileLayoutTest, RowColumnContainmentMatchesPerBlockReference) {
 
 // split() is tiles_overlapping()'s selection as two (count, area) sides,
 // each area summed in tile order: the Ftile planner reads it instead of
-// building both tile lists per lookahead segment. A BlocksInView is only
-// read by layouts of its own block grid.
+// building both tile lists per lookahead segment.
 TEST(FtileLayoutTest, SplitSumsTheSelectedAndOtherTilesInTileOrder) {
   const trace::HeadTraceSynthesizer synth(kSeed);
   util::Rng rng(2025);
@@ -653,7 +639,7 @@ TEST(FtileLayoutTest, SplitSumsTheSelectedAndOtherTilesInTileOrder) {
   for (const double t0 : {0.0, 2.0}) {
     std::vector<EquirectPoint> centers;
     for (const auto& trace : traces) centers.push_back(trace.mean_center(t0, t0 + 1.0));
-    const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
+    const FtileLayout layout(centers, kFov, kSeed);
     for (int i = 0; i < 200; ++i) {
       const Viewport vp = draw_viewport(rng);
       for (const double fraction : {0.0, 0.2, 1.0}) {
@@ -681,16 +667,9 @@ TEST(FtileLayoutTest, SplitSumsTheSelectedAndOtherTilesInTileOrder) {
   }
   EXPECT_GT(both_sides, 100u);
   const auto centers = blob(120.0, 90.0, 8.0, 10, 37);
-  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
+  const FtileLayout layout(centers, kFov, kSeed);
   const Viewport vp(EquirectPoint::make(geometry::Degrees(0.0), geometry::Degrees(90.0)));
   EXPECT_THROW(layout.split(layout.blocks_in_view(vp), 1.5), std::invalid_argument);
-  // A view of another block grid is rejected, not misread.
-  FtileLayoutConfig coarse;
-  coarse.block_rows = 5;
-  coarse.block_cols = 10;
-  const FtileLayout other(centers, coarse, kFov, kSeed);
-  EXPECT_THROW(layout.split(other.blocks_in_view(vp)), std::invalid_argument);
-  EXPECT_THROW(layout.tiles_overlapping(other.blocks_in_view(vp)), std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- Heatmap
@@ -742,19 +721,16 @@ TEST(ViewHeatmapTest, RenderShapeAndOverlay) {
 TEST(FtileLayoutTest, RejectsBadCentersNamingTheIndex) {
   auto centers = blob(120.0, 90.0, 8.0, 10, 36);
   centers[4].y = std::nan("");
-  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}, kFov, kSeed); },
-                      "centers[4]");
+  expect_throw_naming([&] { FtileLayout(centers, kFov, kSeed); }, "centers[4]");
   centers[4].y = -1.0;
-  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}, kFov, kSeed); },
-                      "centers[4]");
+  expect_throw_naming([&] { FtileLayout(centers, kFov, kSeed); }, "centers[4]");
   centers[4] = EquirectPoint{std::numeric_limits<double>::infinity(), 90.0};
-  expect_throw_naming([&] { FtileLayout(centers, FtileLayoutConfig{}, kFov, kSeed); },
-                      "centers[4]");
+  expect_throw_naming([&] { FtileLayout(centers, kFov, kSeed); }, "centers[4]");
 }
 
 TEST(FtileLayoutTest, CoverageRejectsBadTileId) {
   const auto centers = blob(120.0, 90.0, 8.0, 10, 35);
-  const FtileLayout layout(centers, FtileLayoutConfig{}, kFov, kSeed);
+  const FtileLayout layout(centers, kFov, kSeed);
   EXPECT_THROW(layout.coverage(Viewport(EquirectPoint::make(geometry::Degrees(0.0), geometry::Degrees(90.0))), {999}),
                std::invalid_argument);
 }

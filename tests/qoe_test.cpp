@@ -198,10 +198,8 @@ TEST(QoEModelTest, RejectsOutOfRangeInputs) {
 
 TEST(VmafSynthTest, DatasetShapeMatchesProtocol) {
   // 18 videos x 10 segments x bitrate sweep, scores in [0, 100].
-  VmafSynthConfig config;
-  const auto samples = synthesize_vmaf_dataset(config, trace::extended_videos());
-  EXPECT_EQ(samples.size(),
-            18u * config.segments_per_video * config.bitrates.size());
+  const auto samples = synthesize_vmaf_dataset(VmafSynthConfig{}, trace::extended_videos());
+  EXPECT_EQ(samples.size(), 18u * kVmafSegmentsPerVideo * kVmafBitrates.size());
   for (const auto& s : samples) {
     EXPECT_GE(s.vmaf, 0.0);
     EXPECT_LE(s.vmaf, 100.0);

@@ -172,13 +172,7 @@ TEST(WorkloadTest, SizeNoiseTableMatchesPerKeyDraws) {
     for (std::size_t k = 0; k < w.segment_count(); ++k)
       ASSERT_EQ(row_values(table.row(k)), per_key_draws(w, model, k)) << "segment " << k;
   }
-  // σ = 0 draws no noise: every factor is exactly 1.
-  video::EncodingConfig flat;
-  flat.size_noise_sigma_log = 0.0;
-  const SizeNoiseTable& table = w.size_noise_table(video::EncodingModel(42, flat));
-  for (std::size_t k = 0; k < w.segment_count(); ++k) {
-    for (const double factor : row_values(table.row(k))) ASSERT_EQ(factor, 1.0);
-  }
+  const SizeNoiseTable& table = w.size_noise_table(video::EncodingModel(42));
   EXPECT_THROW(table.row(w.segment_count()), std::invalid_argument);
 }
 
@@ -196,12 +190,9 @@ class NoiseTableProbe : public SchemeBase {
 TEST(WorkloadTest, SchemesWithEqualSeedAndSigmaShareOneTable) {
   const auto& w = football_workload();
   const qoe::QoModel qo_model(qoe::QoParams{}, 4.0);
-  // Two encodings that differ in everything but (seed, σ), and a third
-  // with another seed.
-  video::EncodingConfig config_b;
-  config_b.full_frame_mbps_best = 20.0;
-  config_b.framerate_size_exponent = 0.7;
-  const video::EncodingModel a(1234), b(1234, config_b), c(1235);
+  // Two encodings of one seed (σ is a constant), and a third with another
+  // seed.
+  const video::EncodingModel a(1234), b(1234), c(1235);
   const SessionConfig session;
   const auto probe = [&](const video::EncodingModel& encoding) {
     return NoiseTableProbe(SchemeKind::kCtile, SchemeEnv{&w, &encoding, &qo_model, &session})
@@ -332,7 +323,7 @@ TEST(WorkloadTest, ConstructionIsThreadCountInvariant) {
   const test::ScopedThreadsEnv unset(nullptr);
   const VideoWorkload pooled(video, WorkloadConfig{});
 
-  for (std::size_t u = 0; u < WorkloadConfig{}.n_users; ++u) {
+  for (std::size_t u = 0; u < trace::kDatasetUsers; ++u) {
     const auto& want = serial.user_trace(u).samples();
     const auto& got = pooled.user_trace(u).samples();
     ASSERT_EQ(got.size(), want.size()) << "user " << u;

@@ -558,9 +558,9 @@ TEST(TournamentTest, RejectsADuplicateScheme) {
   }
 }
 
-// The fault environment comes from fault_profiles alone: a fault setting on
-// the session template would be replaced in every cell, so it is rejected
-// by name instead of running "clean" cells clean anyway.
+// The fault environment comes from default_fault_profiles() alone: a fault
+// setting on the session template would be replaced in every cell, so it is
+// rejected by name instead of running "clean" cells clean anyway.
 TEST(TournamentTest, RejectsFaultsOnTheSessionTemplate) {
   TournamentConfig config = tiny_tournament();
   config.session.faults.enabled = true;
@@ -570,7 +570,7 @@ TEST(TournamentTest, RejectsFaultsOnTheSessionTemplate) {
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("session.faults.enabled"), std::string::npos) << what;
-    EXPECT_NE(what.find("fault_profiles"), std::string::npos) << what;
+    EXPECT_NE(what.find("default_fault_profiles()"), std::string::npos) << what;
   }
 }
 

@@ -459,12 +459,9 @@ HeadTrace synthesize(const HeadTraceSynthesizer& synth, const VideoInfo& video,
                                   static_cast<std::uint64_t>(video.id) * 977 + 13,
                                   0x5EEDULL + static_cast<std::uint64_t>(user_id)));
 
-  const double offset_sigma =
-      video.focused ? config.offset_sigma_focused : config.offset_sigma_free;
-  const double dwell_mean =
-      video.focused ? config.dwell_mean_focused : config.dwell_mean_free;
-  const double explore_prob =
-      video.focused ? config.explore_prob_focused : config.explore_prob_free;
+  const double offset_sigma = video.focused ? kOffsetSigmaFocused : kOffsetSigmaFree;
+  const double dwell_mean = video.focused ? kDwellMeanFocused : kDwellMeanFree;
+  const double explore_prob = video.focused ? kExploreProbFocused : kExploreProbFree;
 
   const double offset_x = rng.normal(0.0, offset_sigma);
   const double offset_y = rng.normal(0.0, offset_sigma * 0.7);
@@ -491,7 +488,7 @@ HeadTrace synthesize(const HeadTraceSynthesizer& synth, const VideoInfo& video,
         exploring = true;
         explore_target = geometry::EquirectPoint{
             rng.uniform(0.0, 360.0), std::clamp(rng.normal(90.0, 25.0), 10.0, 170.0)};
-        next_decision_t = t + rng.exponential(config.explore_mean_s);
+        next_decision_t = t + rng.exponential(kExploreMeanS);
       } else {
         exploring = false;
         target_attractor = pick_attractor(paths, rng);
@@ -509,18 +506,15 @@ HeadTrace synthesize(const HeadTraceSynthesizer& synth, const VideoInfo& video,
     const double err_x =
         geometry::wrap_delta(geometry::Degrees(target.x), geometry::Degrees(pos.x)).value();
     const double err_y = target.y - pos.y;
-    const double vx = std::clamp(config.pursuit_gain * err_x, -config.max_speed_x,
-                                 config.max_speed_x) +
-                      rng.normal(0.0, config.velocity_noise);
-    const double vy = std::clamp(config.pursuit_gain * err_y, -config.max_speed_y,
-                                 config.max_speed_y) +
-                      rng.normal(0.0, config.velocity_noise);
+    const double vx = std::clamp(kPursuitGain * err_x, -kMaxSpeedX, kMaxSpeedX) +
+                      rng.normal(0.0, kVelocityNoise);
+    const double vy = std::clamp(kPursuitGain * err_y, -kMaxSpeedY, kMaxSpeedY) +
+                      rng.normal(0.0, kVelocityNoise);
     pos.x = geometry::wrap360(geometry::Degrees(pos.x + vx * dt)).value();
     pos.y = std::clamp(pos.y + vy * dt, 0.0, 180.0);
     const geometry::EquirectPoint recorded{
-        geometry::wrap360(geometry::Degrees(pos.x + rng.normal(0.0, config.sensor_jitter)))
-            .value(),
-        std::clamp(pos.y + rng.normal(0.0, config.sensor_jitter), 0.0, 180.0)};
+        geometry::wrap360(geometry::Degrees(pos.x + rng.normal(0.0, kSensorJitter))).value(),
+        std::clamp(pos.y + rng.normal(0.0, kSensorJitter), 0.0, 180.0)};
     samples.push_back(HeadSample{t, recorded});
   }
   return HeadTrace(video.id, user_id, std::move(samples));

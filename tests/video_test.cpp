@@ -3,8 +3,6 @@
 // calibration (Ptile/Ctile size ratios per quality level).
 #include <gtest/gtest.h>
 
-#include <limits>
-
 #include "trace/video_catalog.h"
 #include "video/content.h"
 #include "video/encoding.h"
@@ -104,24 +102,20 @@ TEST(EncodingModelTest, Fig8RatiosReproducedExactly) {
   // versus as 9 conventional tiles must have exactly the Fig. 8 median
   // ratios (62/57/47/35/27% for quality 5..1), with noise disabled.
   const EncodingModel model(42);
-  const auto& cfg = model.config();
-  const double anchor_area =
-      static_cast<double>(cfg.anchor_tile_count) * cfg.ref_tile_area_fraction;
+  const double anchor_area = static_cast<double>(kAnchorTileCount) * kRefTileAreaFraction;
   for (int v = 1; v <= 5; ++v) {
     const double one = model.region_bytes(anchor_area, 1, v, kReferenceContent, 1.0);
     const double nine =
-        model.region_bytes(anchor_area, cfg.anchor_tile_count, v, kReferenceContent, 1.0);
-    EXPECT_NEAR(one / nine, cfg.fov_size_ratio[v - 1], 1e-9) << "quality " << v;
+        model.region_bytes(anchor_area, kAnchorTileCount, v, kReferenceContent, 1.0);
+    EXPECT_NEAR(one / nine, kFovSizeRatio[v - 1], 1e-9) << "quality " << v;
   }
 }
 
 TEST(EncodingModelTest, SavingsGrowAsQualityDrops) {
   // Fig. 8's headline: tiling overhead hurts relatively more at low rates.
-  const EncodingModel model(42);
-  const auto& cfg = model.config();
   double prev_ratio = 0.0;
   for (int v = 1; v <= 5; ++v) {
-    const double ratio = cfg.fov_size_ratio[v - 1];
+    const double ratio = kFovSizeRatio[v - 1];
     EXPECT_GT(ratio, prev_ratio);
     prev_ratio = ratio;
   }
@@ -227,22 +221,6 @@ TEST(EncodingModelTest, RejectsInvalidArguments) {
                std::invalid_argument);
 }
 
-TEST(EncodingModelTest, ConfigValidation) {
-  EncodingConfig config;
-  config.fov_size_ratio[0] = 0.05;  // below the representable 1/9 bound
-  EXPECT_THROW(EncodingModel(42, config), std::invalid_argument);
-  EncodingConfig negative;
-  negative.full_frame_mbps_best = -1.0;
-  EXPECT_THROW(EncodingModel(42, negative), std::invalid_argument);
-  // +inf passes a bare > 0 or >= 0 test; the model rejects it too.
-  EncodingConfig infinite_rate;
-  infinite_rate.full_frame_mbps_best = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(EncodingModel(42, infinite_rate), std::invalid_argument);
-  EncodingConfig infinite_sigma;
-  infinite_sigma.size_noise_sigma_log = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(EncodingModel(42, infinite_sigma), std::invalid_argument);
-}
-
 // Parameterized sweep: the Fig. 8 ratio property holds for every quality
 // and for varied content.
 class EncodingRatioSweep
@@ -252,13 +230,10 @@ TEST_P(EncodingRatioSweep, RatioIndependentOfContent) {
   const auto [quality, si, ti] = GetParam();
   const EncodingModel model(42);
   const ContentFeatures feat{si, ti};
-  const auto& cfg = model.config();
-  const double anchor_area =
-      static_cast<double>(cfg.anchor_tile_count) * cfg.ref_tile_area_fraction;
+  const double anchor_area = static_cast<double>(kAnchorTileCount) * kRefTileAreaFraction;
   const double one = model.region_bytes(anchor_area, 1, quality, feat, 1.0);
-  const double nine =
-      model.region_bytes(anchor_area, cfg.anchor_tile_count, quality, feat, 1.0);
-  EXPECT_NEAR(one / nine, cfg.fov_size_ratio[quality - 1], 1e-9);
+  const double nine = model.region_bytes(anchor_area, kAnchorTileCount, quality, feat, 1.0);
+  EXPECT_NEAR(one / nine, kFovSizeRatio[quality - 1], 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
