@@ -12,9 +12,12 @@
 //   cmake -B build && cmake --build build
 //   ./build/examples/fleet_contention
 //
+// Every number comes from one run_fleet call per scheme and fleet size,
+// over one bottleneck trace synthesized from the fleet seed.
+//
 // With `--trace PATH` it instead runs one observed 16-session fleet and
-// writes the event trace to PATH as JSON-lines (plus the merged metrics
-// registry to PATH.metrics.json); render either with tools/trace_report.py.
+// writes the event trace to PATH as JSON-lines (plus the metrics registry
+// to PATH.metrics.json); render either with tools/trace_report.py.
 //
 // With `--faults` it instead runs one observed 16-session fleet under the
 // seeded fault model (outages, request loss, latency spikes) and prints the
@@ -28,10 +31,9 @@
 // `--zipf ALPHA` sets the catalog popularity skew (default 0.8).
 //
 // `--shards N` composes with every mode: any N other than 1 sends each
-// replication's MPC solves speculatively to the worker pool its
-// replications run on, within the same thread budget (PS360_THREADS=1
-// keeps every N serial; see DESIGN.md §15). Every number printed is
-// bit-identical for any N — only the wall clock moves.
+// fleet's MPC solves speculatively to the worker pool, within its thread
+// budget (PS360_THREADS=1 keeps every N serial; see DESIGN.md §15). Every
+// number printed is bit-identical for any N — only the wall clock moves.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,11 +41,12 @@
 #include <string>
 #include <vector>
 
-#include "fleet/runner.h"
+#include "fleet/engine.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/tracer.h"
 #include "sim/workload.h"
+#include "trace/network_trace.h"
 #include "trace/video_catalog.h"
 #include "util/units.h"
 
@@ -53,10 +56,8 @@ namespace {
 
 // One observed fleet run at the provisioning point; dumps the trace JSONL
 // and the metrics JSON for tools/trace_report.py.
-int run_traced(const sim::VideoWorkload& workload,
-               const fleet::FleetConfig& base,
-               const fleet::FleetRunOptions& base_options,
-               const std::string& path) {
+int run_traced(const sim::VideoWorkload& workload, const trace::NetworkTrace& link,
+               const fleet::FleetConfig& base, const std::string& path) {
   obs::MetricsRegistry metrics;
   obs::EventTracer tracer(1 << 18);
   obs::Observer observer{&metrics, &tracer};
@@ -64,10 +65,7 @@ int run_traced(const sim::VideoWorkload& workload,
   fleet::FleetConfig config = base;
   config.sessions = 16;
   config.observer = &observer;
-  fleet::FleetRunOptions options = base_options;
-  options.replications = 1;
-  const fleet::FleetAggregate agg =
-      fleet::run_fleet_aggregate(workload, config, options);
+  const fleet::FleetResult result = fleet::run_fleet(workload, link, config);
 
   std::ofstream jsonl(path);
   if (!jsonl.good()) {
@@ -83,7 +81,7 @@ int run_traced(const sim::VideoWorkload& workload,
   std::printf("traced %zu sessions: %llu events, %llu trace records "
               "(%llu dropped)\n",
               config.sessions,
-              static_cast<unsigned long long>(agg.stats.events),
+              static_cast<unsigned long long>(result.stats.events),
               static_cast<unsigned long long>(tracer.recorded()),
               static_cast<unsigned long long>(tracer.dropped()));
   std::printf("wrote %s and %s\n", path.c_str(), metrics_path.c_str());
@@ -94,9 +92,8 @@ int run_traced(const sim::VideoWorkload& workload,
 
 // One observed fleet under the seeded fault model; prints the recovery
 // counters the fault layer feeds through obs::Observer.
-int run_faulted(const sim::VideoWorkload& workload,
-                const fleet::FleetConfig& base,
-                const fleet::FleetRunOptions& base_options) {
+int run_faulted(const sim::VideoWorkload& workload, const trace::NetworkTrace& link,
+                const fleet::FleetConfig& base) {
   obs::MetricsRegistry metrics;
   obs::Observer observer{&metrics, nullptr};
 
@@ -110,10 +107,9 @@ int run_faulted(const sim::VideoWorkload& workload,
   // A tight deadline so slow fair-share downloads actually hit it and the
   // abort/retry path is visible in the counters below.
   config.session.recovery.timeout_s = 1.5;
-  fleet::FleetRunOptions options = base_options;
-  options.replications = 1;
-  const fleet::FleetAggregate agg =
-      fleet::run_fleet_aggregate(workload, config, options);
+  const fleet::FleetResult result = fleet::run_fleet(workload, link, config);
+  const fleet::FleetMetrics fleet_metrics =
+      result.metrics(workload.config().segment_seconds);
 
   std::printf("faulted fleet of %zu sessions (seed %llu): all sessions "
               "completed\n",
@@ -126,12 +122,12 @@ int run_faulted(const sim::VideoWorkload& workload,
   std::printf("  degradations:     %8.0f\n",
               metrics.value("client.degradations"));
   std::printf("  aborted flows:    %8llu\n",
-              static_cast<unsigned long long>(agg.stats.flow_aborts));
+              static_cast<unsigned long long>(result.stats.flow_aborts));
   std::printf("  backoff+retry:    %8.1f s radio-idle recovery time\n",
               metrics.value("client.recovery_seconds"));
   std::printf("  energy/session:   %8.0f mJ, QoE %.1f, stall %.1f%%\n",
-              agg.metrics.energy_per_session_mj, agg.metrics.mean_qoe,
-              agg.metrics.stall_ratio * 100.0);
+              fleet_metrics.energy_per_session_mj, fleet_metrics.mean_qoe,
+              fleet_metrics.stall_ratio * 100.0);
   std::printf("\nSame seed, same faults: rerun and every number above is "
               "bit-identical.\n");
   return 0;
@@ -142,22 +138,22 @@ int run_faulted(const sim::VideoWorkload& workload,
 // origin latency and occupies the origin link), then with a real one. The
 // Zipf catalog makes a modest cache absorb most of the request stream; the
 // origin-traffic and stall columns show what that buys.
-int run_edge_cached(const sim::VideoWorkload& workload,
-                    const fleet::FleetConfig& base,
-                    const fleet::FleetRunOptions& base_options,
-                    double cache_bytes, double zipf_alpha) {
-  fleet::FleetRunOptions options = base_options;
-  options.replications = 1;
-
+int run_edge_cached(const sim::VideoWorkload& workload, const trace::NetworkTrace& link,
+                    const fleet::FleetConfig& base, double cache_bytes,
+                    double zipf_alpha) {
   fleet::FleetConfig config = base;
   config.sessions = 16;
   config.server.enabled = true;
   config.server.catalog = {/*videos=*/8, zipf_alpha};
 
-  fleet::FleetAggregate agg[2];
+  const double segment_s = workload.config().segment_seconds;
+  fleet::FleetStats stats[2];
+  fleet::FleetMetrics metrics[2];
   for (int arm = 0; arm < 2; ++arm) {
     config.server.cache_capacity = util::Bytes(arm == 1 ? cache_bytes : 0.0);
-    agg[arm] = fleet::run_fleet_aggregate(workload, config, options);
+    const fleet::FleetResult result = fleet::run_fleet(workload, link, config);
+    stats[arm] = result.stats;
+    metrics[arm] = result.metrics(segment_s);
   }
 
   std::printf("edge-cache demo: 16 sessions, Zipf(%.2f) over %zu videos, "
@@ -166,7 +162,7 @@ int run_edge_cached(const sim::VideoWorkload& workload,
               config.server.origin_mbps,
               fleet::kOriginLatencyS * 1e3);
   for (int arm = 0; arm < 2; ++arm) {
-    const fleet::FleetStats& s = agg[arm].stats;
+    const fleet::FleetStats& s = stats[arm];
     const double requests = static_cast<double>(s.cache_hits + s.cache_misses);
     const double hit_rate =
         requests > 0.0 ? static_cast<double>(s.cache_hits) / requests : 0.0;
@@ -175,15 +171,14 @@ int run_edge_cached(const sim::VideoWorkload& workload,
                 arm == 1 ? cache_bytes / (1024.0 * 1024.0) : 0.0,
                 hit_rate * 100.0, s.origin_bytes.value() / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(s.origin_flows),
-                agg[arm].metrics.stall_ratio * 100.0);
+                metrics[arm].stall_ratio * 100.0);
   }
   const double origin_saved =
-      agg[0].stats.origin_bytes.value() - agg[1].stats.origin_bytes.value();
+      stats[0].origin_bytes.value() - stats[1].origin_bytes.value();
   std::printf("\n  the cache absorbed %.1f MiB of origin traffic; stall delta "
               "%+.2f points vs cache-off\n",
               origin_saved / (1024.0 * 1024.0),
-              (agg[0].metrics.stall_ratio - agg[1].metrics.stall_ratio) *
-                  100.0);
+              (metrics[0].stall_ratio - metrics[1].stall_ratio) * 100.0);
   std::printf("  same seed, same catalog draw: rerun and every number above "
               "is bit-identical.\n");
   return 0;
@@ -225,28 +220,29 @@ int main(int argc, char** argv) {
 
   const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
 
-  // Bottleneck provisioned for ~16 concurrent trace-2 clients.
-  fleet::FleetRunOptions options;
-  options.replications = 2;  // on all cores (PS360_THREADS caps them)
-  options.link.duration_s = 400.0;
-  options.link.mean_mbps *= 16.0;
-  options.link.min_mbps *= 16.0;
-  options.link.max_mbps *= 16.0;
-
   fleet::FleetConfig base;
   base.start_spread_s = 2.0;
   // Speculative solves on the worker pool (bit-identical; wall clock only).
   base.shards = shards;
 
-  if (!trace_path.empty()) return run_traced(workload, base, options, trace_path);
-  if (faults) return run_faulted(workload, base, options);
+  // Bottleneck provisioned for ~16 concurrent trace-2 clients, synthesized
+  // from the fleet seed.
+  trace::NetworkSynthConfig link_config;
+  link_config.duration_s = 400.0;
+  link_config.mean_mbps *= 16.0;
+  link_config.min_mbps *= 16.0;
+  link_config.max_mbps *= 16.0;
+  const trace::NetworkTrace link =
+      trace::synthesize_network_trace(base.seed, link_config);
+
+  if (!trace_path.empty()) return run_traced(workload, link, base, trace_path);
+  if (faults) return run_faulted(workload, link, base);
   if (edge_cache_bytes >= 0.0)
-    return run_edge_cached(workload, base, options, edge_cache_bytes,
-                           zipf_alpha);
+    return run_edge_cached(workload, link, base, edge_cache_bytes, zipf_alpha);
 
   const std::vector<std::size_t> sizes = {1, 4, 16, 64};
-  std::printf("link: %.0f Mbps mean, %zu replications per point\n\n",
-              options.link.mean_mbps, options.replications);
+  std::printf("link: %.0f Mbps mean, one fleet per point\n\n",
+              link_config.mean_mbps);
 
   std::printf("%7s | %26s | %26s\n", "", "Ours", "Ctile");
   std::printf("%7s | %8s %6s %5s %4s | %8s %6s %5s %4s\n", "fleet",
@@ -262,8 +258,8 @@ int main(int argc, char** argv) {
       fleet::FleetConfig config = base;
       config.sessions = size;
       config.scheme = schemes[i];
-      metrics[i] =
-          fleet::run_fleet_aggregate(workload, config, options).metrics;
+      metrics[i] = fleet::run_fleet(workload, link, config)
+                       .metrics(workload.config().segment_seconds);
     }
     std::printf("%7zu | %8.0f %6.1f %4.1f%% %3.0f%% | %8.0f %6.1f %4.1f%% "
                 "%3.0f%%\n",

@@ -152,9 +152,6 @@ class Reporter {
     }
   }
 
-  void event() { add(kEvents); }
-  void stale_completion() { add(kStaleCompletions); }
-
   // A plan in hand at its first flow start: its solve, then the request.
   void plan(std::size_t session, double t, const sim::ClientRequest& request) {
     solve(session, t, request.plan);
@@ -236,12 +233,14 @@ class Reporter {
             static_cast<std::int64_t>(link.active_flows()), link.capacity_bytes_per_s(t));
   }
 
-  // End-of-run engine aggregates: counters add and gauges take max across
-  // replications, so the runner's slot-order merge reproduces the pooled
-  // FleetStats no matter how many worker threads ran.
+  // End-of-run engine aggregates, each read from FleetStats. Counters add
+  // and gauges keep the highest value, so runs recorded into one registry
+  // one after another sum their counts and keep the highest peak.
   void run_end(const FleetStats& stats) {
     if (metrics_ == nullptr) return;
     add(kRuns);
+    add(kEvents, static_cast<double>(stats.events));
+    add(kStaleCompletions, static_cast<double>(stats.stale_completions));
     add(kReallocations, static_cast<double>(stats.reallocations));
     add(kFlowAborts, static_cast<double>(stats.flow_aborts));
     add(kDeliveredBytes, stats.delivered_bytes.value());
@@ -403,8 +402,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
   // the steady-state hot path performs no heap allocation (the zero-growth
   // regression test pins EventLoop growth to 0).
   const bool faults_on = config.session.faults.enabled;
-  // Server/CDN tier: per-run catalog, edge cache, and origin link (one per
-  // replication slot, see FleetServerConfig).
+  // Server/CDN tier: per-run catalog, edge cache, and origin link.
   // The origin trace is flat with its only breakpoint far past any makespan,
   // so the origin link never schedules capacity-change events.
   const bool server_on = config.server.enabled;
@@ -442,7 +440,7 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     const std::size_t test_user = test_user_of(i);
     // Under fault injection each session gets a private fault schedule and a
     // private recovery (jitter) stream index, both keyed off (fleet seed,
-    // session) so replications and sessions decorrelate; the client folds the
+    // session) so fleets and sessions decorrelate; the client folds the
     // index with the session seed.
     sim::SessionConfig session_config = config.session;
     if (faults_on) {
@@ -568,7 +566,6 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
     ++stats.events;
     link.advance_to(event.t);
     if (server_on) origin_link->advance_to(event.t);
-    reporter.event();
 
     switch (event.kind) {
       case EventKind::kSessionStart:
@@ -667,7 +664,6 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
       case EventKind::kOriginCompletion: {
         if (event.generation != origin_link->generation()) {
           ++stats.stale_completions;  // origin rates moved since predicted
-          reporter.stale_completion();
           break;
         }
         SessionRuntime& rt = sessions[event.session];
@@ -716,7 +712,6 @@ FleetResult run_fleet(const sim::VideoWorkload& workload,
       case EventKind::kFlowCompletion: {
         if (event.generation != link.generation()) {
           ++stats.stale_completions;  // rates changed since this prediction
-          reporter.stale_completion();
           break;
         }
         SessionRuntime& rt = sessions[event.session];

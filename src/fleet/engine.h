@@ -22,8 +22,6 @@
 // plan, a pure function of session-local state frozen when its Eq. 6 wait
 // began that emits nothing; the coordinator reports it at the flow start
 // (see sim::StreamingClient::begin_plan / finish_plan and DESIGN.md §15).
-// fleet::FleetRunner fans independent replications out on the same pool,
-// within the same thread budget.
 #pragma once
 
 #include <vector>
@@ -83,14 +81,11 @@ struct FleetConfig {
   // the accountant hold no observer, so attaching one never changes which
   // code runs: plans still go to the pool, they emit nothing, and the
   // engine reports each one at its flow start. The sinks must only be fed
-  // from one thread: when FleetRunner fans replications out, it gives each
-  // replication a private observer and merges them in slot order, so
-  // aggregates stay thread-count invariant.
+  // from one thread, so one observer serves one run_fleet call at a time.
   obs::Observer* observer = nullptr;
   // Server/CDN tier (edge cache + origin link): one catalog/cache/origin
-  // link per run_fleet call — FleetRunner gives each replication its own
-  // run_fleet call — so results stay bit-identical for any PS360_THREADS;
-  // provably inert when disabled.
+  // link per run_fleet call, touched only by the coordinator, so results
+  // stay bit-identical for any PS360_THREADS; provably inert when disabled.
   FleetServerConfig server;
   // Speculative solves (DESIGN.md §15). 1 (the default) is the serial
   // engine; any other value sends session i's MPC plan to the worker pool

@@ -13,7 +13,7 @@
 // per-flow byte clock V(t) (dV = r dt): a flow started at V_start completes
 // when V reaches V_start + bytes, so completions live in a (V_end, session)
 // min-heap with lazy per-flow tombstones — O(1) integration and O(log n)
-// per start/finish, which is what lets one replication scale to 100k–1M
+// per start/finish, which is what lets one fleet scale to 100k–1M
 // sessions (DESIGN.md §9). When the link drains empty it resets the virtual
 // clock, keeping V small.
 //

@@ -1,7 +1,7 @@
 // MetricsRegistry implementation. Registration is linear-scan get-or-create
 // (registries hold tens of metrics, registered once); recording is a vector
-// index; merging and export sort by name so every aggregate view is
-// independent of registration order.
+// index; export sorts by name so the JSON is independent of registration
+// order.
 #include "obs/metrics.h"
 
 #include <algorithm>
@@ -147,31 +147,6 @@ const std::vector<std::uint64_t>& MetricsRegistry::histogram_bins(
 const std::vector<double>& MetricsRegistry::histogram_bounds(
     const std::string& name) const {
   return find(name, MetricKind::kHistogram).bounds;
-}
-
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const Metric& theirs : other.metrics_) {
-    Id id;
-    switch (theirs.kind) {
-      case MetricKind::kCounter:
-        id = counter(theirs.name);
-        metrics_[id].value += theirs.value;
-        break;
-      case MetricKind::kGauge:
-        id = gauge(theirs.name);
-        metrics_[id].value = std::max(metrics_[id].value, theirs.value);
-        break;
-      case MetricKind::kHistogram: {
-        id = histogram(theirs.name, theirs.spec);
-        Metric& mine = metrics_[id];
-        PS360_CHECK_MSG(mine.bins.size() == theirs.bins.size(),
-                        "histogram '" + theirs.name + "' merged across shapes");
-        for (std::size_t i = 0; i < mine.bins.size(); ++i)
-          mine.bins[i] += theirs.bins[i];
-        break;
-      }
-    }
-  }
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {

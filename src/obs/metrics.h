@@ -7,15 +7,11 @@
 //  * Recording (`add()` / `set_max()` / `observe()`) is an index plus
 //    arithmetic on preallocated storage — no lookups, no allocation, no
 //    branches beyond the bucket search over a fixed boundary table.
-//  * A registry is single-threaded by design. Concurrent producers (fleet
-//    replications) each own a private registry; the owner merges them with
-//    `merge_from()` in a deterministic order (slot order, never completion
-//    order), so aggregate snapshots are bit-identical for any thread count.
-//
-// Merge semantics are associative and commutative per metric kind: counters
-// and histogram bins add, gauges take the max (every gauge in this codebase
-// is a high-water mark). That is what makes "merge in slot order" sufficient
-// for determinism.
+//  * A registry is single-threaded by design: one fleet run's coordinator
+//    feeds it (obs/observer.h). Counters and histogram bins add and gauges
+//    take the max (every gauge in this codebase is a high-water mark), so
+//    several runs recorded into one registry, one after another, sum their
+//    counters and keep the highest gauge.
 //
 // Histograms use log-spaced bucket boundaries (bound[i] = first * growth^i)
 // with explicit underflow/overflow bins, sized for latency/size style
@@ -65,12 +61,7 @@ class MetricsRegistry {
   // Finite upper bounds, length spec.buckets.
   const std::vector<double>& histogram_bounds(const std::string& name) const;
 
-  // --- aggregation / export ----------------------------------------------
-  // Fold `other` into this registry by metric name (creating names this
-  // registry has not seen). Kinds must agree per name; histogram shapes must
-  // agree. Counters/bins add, gauges max.
-  void merge_from(const MetricsRegistry& other);
-
+  // --- export -------------------------------------------------------------
   // One JSON object, metrics sorted by name — the stable wire format the
   // tools read and the determinism tests compare.
   std::string to_json() const;

@@ -14,11 +14,10 @@
 //    client's wall clock). Nothing in src/obs reads real time (tools/lint.py
 //    bans wall clocks here).
 //  * `metrics` and `tracer` are optional independently; either may be null.
-//  * A single Observer's sinks must only be fed from one thread. The fleet
-//    runner gives every replication a private Observer and merges in slot
-//    order; inside one replication only the coordinator writes (DESIGN.md
-//    §15), in global event order, so the metrics JSON and trace JSONL are
-//    byte-identical for any shard count (FleetShardTest, FleetGoldenTest).
+//  * A single Observer's sinks must only be fed from one thread. Inside a
+//    fleet run only the coordinator writes (DESIGN.md §15), in global event
+//    order, so the metrics JSON and trace JSONL are byte-identical for any
+//    shard count (FleetShardTest, FleetGoldenTest).
 #pragma once
 
 #include "obs/metrics.h"

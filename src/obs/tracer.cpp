@@ -25,23 +25,12 @@ EventTracer::EventTracer(std::size_t capacity) {
   ring_.resize(capacity);
 }
 
-void EventTracer::record(const TraceRecord& record) {
-  ring_[head_] = record;
+void EventTracer::record(double t, std::uint32_t session, TraceEventKind kind,
+                         std::int64_t a, double v0, double v1) {
+  ring_[head_] = TraceRecord{t, session, kind, a, v0, v1};
   head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
   if (count_ < ring_.size()) ++count_;
   ++recorded_;
-}
-
-void EventTracer::record(double t, std::uint32_t session, TraceEventKind kind,
-                         std::int64_t a, double v0, double v1) {
-  TraceRecord r;
-  r.t = t;
-  r.session = session;
-  r.kind = kind;
-  r.a = a;
-  r.v0 = v0;
-  r.v1 = v1;
-  record(r);
 }
 
 std::vector<TraceRecord> EventTracer::snapshot() const {
@@ -52,10 +41,6 @@ std::vector<TraceRecord> EventTracer::snapshot() const {
   for (std::size_t i = 0; i < count_; ++i)
     out.push_back(ring_[(start + i) % ring_.size()]);
   return out;
-}
-
-void EventTracer::merge_from(const EventTracer& other) {
-  for (const TraceRecord& r : other.snapshot()) record(r);
 }
 
 void EventTracer::clear() {

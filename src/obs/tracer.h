@@ -63,17 +63,11 @@ class EventTracer {
 
   // Append one record; O(1), never allocates. Overwrites the oldest record
   // once the ring is full.
-  void record(const TraceRecord& record);
   void record(double t, std::uint32_t session, TraceEventKind kind,
               std::int64_t a = 0, double v0 = 0.0, double v1 = 0.0);
 
   // Retained records, oldest first.
   std::vector<TraceRecord> snapshot() const;
-
-  // Append `other`'s retained records (oldest first) into this ring, as if
-  // they had been recorded here. Used by the fleet runner to fold
-  // per-replication tracers together in slot order.
-  void merge_from(const EventTracer& other);
 
   void clear();
 

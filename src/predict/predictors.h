@@ -34,7 +34,9 @@ const std::string& predictor_name(PredictorKind kind);
 ViewportPredictorConfig make_predictor_config(PredictorKind kind,
                                               ViewportPredictorConfig base = {});
 
-// Convenience: predict with a given kind.
+// Predict the center at `target_t` (>= now_t) with a given kind: hold reads
+// the trace at now_t, the oracle at target_t, linear and ridge fit. The one
+// dispatch on PredictorKind; sim::StreamingClient plans with it.
 geometry::EquirectPoint predict_with(PredictorKind kind, const trace::HeadTrace& trace,
                                      double now_t, double target_t,
                                      ViewportPredictorConfig base = {});

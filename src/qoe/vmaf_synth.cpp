@@ -15,7 +15,7 @@ std::vector<VmafSample> synthesize_vmaf_dataset(
   PS360_CHECK(!videos.empty());
   PS360_CHECK(config.score_noise_sigma >= 0.0);
 
-  const QoModel truth(config.truth);
+  const QoModel truth(QoParams{});  // Table II, the ground truth
   util::Rng rng(util::derive_seed(config.seed, 0x37AFULL));
 
   std::vector<VmafSample> samples;

@@ -35,12 +35,12 @@ inline constexpr std::array<double, 7> kVmafBitrates = {0.3, 0.8, 1.5, 2.5, 4.0,
 
 struct VmafSynthConfig {
   std::uint64_t seed = 42;
-  QoParams truth;               // ground-truth coefficients (Table II)
   double score_noise_sigma = 6.0;  // per-sample VMAF deviation from the logistic
 };
 
 // Assessment dataset over the given videos: kVmafSegmentsPerVideo uniformly
-// chosen segments of each, at every kVmafBitrates rate.
+// chosen segments of each, at every kVmafBitrates rate, scored by Table II's
+// logistic (QoParams{}) plus noise.
 std::vector<VmafSample> synthesize_vmaf_dataset(const VmafSynthConfig& config,
                                                 const std::vector<trace::VideoInfo>& videos);
 

@@ -14,7 +14,8 @@
 // a regression test can pin it flat across a workload. Determinism: plain
 // vectors and index order only — no unordered containers, no pointers as
 // keys, no wall clock — so fleet runs stay bit-identical for any
-// PS360_THREADS (one cache per replication slot).
+// PS360_THREADS (one cache per run_fleet call, touched by its coordinator
+// alone).
 #pragma once
 
 #include <cstddef>

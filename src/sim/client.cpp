@@ -94,17 +94,8 @@ ClientRequest StreamingClient::finish_plan() {
   const double playhead = playhead_s();
   const double target =
       std::min((static_cast<double>(k) + 0.5) * L, head_->duration());
-  geometry::EquirectPoint center;
-  switch (config_.predictor_kind) {
-    case predict::PredictorKind::kHold:
-      center = head_->center_at(playhead);
-      break;
-    case predict::PredictorKind::kOracle:
-      center = head_->center_at(target);  // upper-bound ablation
-      break;
-    default:
-      center = predictor_.predict(*head_, playhead, std::max(target, playhead));
-  }
+  const geometry::EquirectPoint center = predict::predict_with(
+      config_.predictor_kind, *head_, playhead, target, config_.predictor);
   const double download_fov = std::min(
       workload_->config().fov_deg + 2.0 * kDownloadFovPaddingDeg, 180.0);
   request.predicted = geometry::Viewport(center, geometry::Degrees(download_fov),

@@ -65,8 +65,7 @@ struct SessionResult {
 // segment order: energy, stall time, rebuffer events and bytes as totals;
 // quality, fps, coverage and Ptile usage as means over the records; the
 // Eq. 2 means through qoe::SessionQoE::aggregate. The one aggregation of a
-// session: SessionAccountant::finish and import_segments_csv both call it,
-// so an imported session's aggregates equal the simulated ones bit for bit.
+// session; SessionAccountant::finish calls it.
 void aggregate_segments(SessionResult& result);
 
 // Simulate one session: fleet::run_fleet with one session replaying

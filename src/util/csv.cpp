@@ -10,13 +10,16 @@ namespace ps360::util {
 
 namespace {
 
+// Every comma ends a cell, so a trailing comma leaves a final empty cell:
+// the row is then ragged against the header, or, under a header that ends
+// in a comma too, parse_double rejects the empty cell.
 std::vector<std::string> split_line(const std::string& line) {
   std::vector<std::string> cells;
-  std::string cell;
-  std::stringstream ss(line);
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  // Trailing comma produces a final empty cell that getline drops; the
-  // numeric parser below rejects empty cells anyway, so this is fine.
+  std::size_t begin = 0;
+  for (std::size_t comma; (comma = line.find(',', begin)) != std::string::npos;
+       begin = comma + 1)
+    cells.push_back(line.substr(begin, comma - begin));
+  cells.push_back(line.substr(begin));
   return cells;
 }
 

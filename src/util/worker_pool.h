@@ -1,6 +1,6 @@
-// The one worker pool: the evaluation grid, the fleet runner's replications,
-// the tournament's cells, the fleet engine's speculative MPC solves and
-// VideoWorkload construction run on it. Its resolve_thread_count() - 1
+// The one worker pool: the evaluation grid, the tournament's cells, the
+// fleet engine's speculative MPC solves and VideoWorkload construction run
+// on it. Its resolve_thread_count() - 1
 // workers start at the first call that can use a second thread; they and one
 // calling thread are the thread budget, which PS360_THREADS set later caps per
 // call but never resizes. Idle workers block. Joins are caller-runs, so a

@@ -2,9 +2,9 @@
 // fairness (differential-tested against a brute-force fluid simulation) and
 // its one-flow inversion of the trace integral, simulate_session as the
 // bitwise fleet of one for every registered scheme, replaying the test user
-// it is asked for, SessionConfig validation, thread-count invariance of the
-// replication runner, and the zero-allocation steady state of the event
-// queue.
+// it is asked for, SessionConfig validation, the observer's engine figures
+// against FleetStats under every thread budget, and the zero-allocation
+// steady state of the event queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 
 #include "fleet/engine.h"
 #include "fleet/event_loop.h"
-#include "fleet/runner.h"
 #include "fleet/shared_link.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
@@ -507,6 +506,58 @@ TEST(FleetEngineTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.stats.events, b.stats.events);
 }
 
+// An observed run reports each engine figure twice: in FleetStats and in the
+// metrics registry, which the reporter fills from FleetStats at run end. So
+// every fleet.* and server.* value with a FleetStats counterpart equals its
+// field, and a server-on fleet that speculates on the pool reproduces the
+// serial run (PS360_THREADS=1) bit for bit, metrics JSON included.
+TEST(FleetEngineTest, StatsMatchMetricsUnderEveryThreadBudget) {
+  const FleetFixture fixture;
+  const auto traces = trace::make_paper_traces(/*seed=*/11, util::Seconds(300.0));
+  FleetConfig config;
+  config.sessions = 6;
+  config.seed = 77;
+  config.server.enabled = true;
+  config.shards = 0;  // speculate whenever the budget has a worker
+
+  const auto run_observed = [&](const char* threads, obs::MetricsRegistry& metrics) {
+    const test::ScopedThreadsEnv env(threads);
+    obs::Observer observer{&metrics, nullptr};
+    FleetConfig observed = config;
+    observed.observer = &observer;
+    return run_fleet(*fixture.workload, traces.second, observed);
+  };
+  obs::MetricsRegistry serial_metrics, pool_metrics;
+  const FleetResult serial = run_observed("1", serial_metrics);
+  const FleetResult pool = run_observed(nullptr, pool_metrics);
+
+  ASSERT_EQ(serial.sessions.size(), pool.sessions.size());
+  for (std::size_t i = 0; i < serial.sessions.size(); ++i)
+    test::expect_bit_identical(serial.sessions[i].result, pool.sessions[i].result);
+  EXPECT_EQ(serial_metrics.to_json(), pool_metrics.to_json());
+
+  const FleetStats& stats = pool.stats;
+  ASSERT_GT(stats.cache_entries, 0u);
+  const std::pair<const char*, double> figures[] = {
+      {"fleet.events", static_cast<double>(stats.events)},
+      {"fleet.stale_completions", static_cast<double>(stats.stale_completions)},
+      {"fleet.reallocations", static_cast<double>(stats.reallocations)},
+      {"fleet.flow_aborts", static_cast<double>(stats.flow_aborts)},
+      {"fleet.delivered_bytes", stats.delivered_bytes.value()},
+      {"fleet.queue_grow_events", static_cast<double>(stats.queue_grow_events)},
+      {"fleet.queue_peak", static_cast<double>(stats.queue_peak)},
+      {"fleet.makespan_s", stats.makespan_s},
+      {"server.cache_hits", static_cast<double>(stats.cache_hits)},
+      {"server.cache_misses", static_cast<double>(stats.cache_misses)},
+      {"server.cache_evictions", static_cast<double>(stats.cache_evictions)},
+      {"server.origin_flows", static_cast<double>(stats.origin_flows)},
+      {"server.origin_bytes", stats.origin_bytes.value()},
+      {"server.cache_entries", static_cast<double>(stats.cache_entries)},
+      {"server.cache_resident_bytes", stats.cache_resident.value()},
+  };
+  for (const auto& [name, value] : figures) EXPECT_EQ(pool_metrics.value(name), value) << name;
+}
+
 TEST(FleetEngineTest, EventQueueDoesNotGrowAtSteadyState) {
   const FleetFixture fixture;
   const auto traces = trace::make_paper_traces(/*seed=*/3, util::Seconds(300.0));
@@ -937,89 +988,6 @@ TEST(FleetGoldenTest, OutputMatchesCheckedInGolden) {
   EXPECT_EQ(actual.size(), expected.size())
       << "row count changed (golden " << expected.size() << " rows, actual "
       << actual.size() << ")";
-}
-
-// ------------------------------------------------------------ FleetRunner
-
-TEST(FleetRunnerTest, ThreadCountInvariance) {
-  const FleetFixture fixture;
-
-  FleetConfig config;
-  config.sessions = 4;
-  config.seed = 2024;
-  FleetRunOptions options;
-  options.replications = 4;
-  options.link.duration_s = 300.0;
-
-  const std::vector<FleetResult> serial = [&] {
-    const test::ScopedThreadsEnv env("1");
-    return run_fleet_replications(*fixture.workload, config, options);
-  }();
-  const test::ScopedThreadsEnv unset(nullptr);
-  const std::vector<FleetResult> parallel =
-      run_fleet_replications(*fixture.workload, config, options);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t r = 0; r < serial.size(); ++r) {
-    ASSERT_EQ(serial[r].sessions.size(), parallel[r].sessions.size());
-    for (std::size_t i = 0; i < serial[r].sessions.size(); ++i) {
-      // Bit-identical, not merely close: determinism is a hard contract.
-      EXPECT_EQ(serial[r].sessions[i].result.energy.total_mj(),
-                parallel[r].sessions[i].result.energy.total_mj());
-      EXPECT_EQ(serial[r].sessions[i].result.qoe.mean_q,
-                parallel[r].sessions[i].result.qoe.mean_q);
-      EXPECT_EQ(serial[r].sessions[i].finish_s, parallel[r].sessions[i].finish_s);
-    }
-  }
-
-  const double segment_s = fixture.workload->config().segment_seconds;
-  const FleetAggregate agg_serial = aggregate_fleet(serial, segment_s);
-  const FleetAggregate agg_parallel = aggregate_fleet(parallel, segment_s);
-  EXPECT_EQ(agg_serial.metrics.energy_per_session_mj,
-            agg_parallel.metrics.energy_per_session_mj);
-  EXPECT_EQ(agg_serial.metrics.mean_qoe, agg_parallel.metrics.mean_qoe);
-  EXPECT_EQ(agg_serial.metrics.stall_ratio, agg_parallel.metrics.stall_ratio);
-  EXPECT_EQ(agg_serial.metrics.p95_energy_mj, agg_parallel.metrics.p95_energy_mj);
-}
-
-// An observed run reports each engine figure twice: in the pooled FleetStats
-// and in the merged registry. Both add counters across replications and
-// take the max of peaks and end-of-run levels (queue_peak, makespan_s, cache
-// entries and resident bytes), so every fleet.* and server.* value with a
-// FleetStats counterpart equals the pooled field.
-TEST(FleetRunnerTest, PooledStatsMatchMergedMetrics) {
-  const FleetFixture fixture;
-  obs::MetricsRegistry metrics;
-  obs::Observer observer{&metrics, nullptr};
-  FleetConfig config;
-  config.sessions = 6;
-  config.seed = 77;
-  config.server.enabled = true;
-  config.observer = &observer;
-  FleetRunOptions options;
-  options.replications = 3;
-  options.link.duration_s = 300.0;
-  const FleetStats stats = run_fleet_aggregate(*fixture.workload, config, options).stats;
-  ASSERT_GT(stats.cache_entries, 0u);
-
-  const std::pair<const char*, double> pooled[] = {
-      {"fleet.events", static_cast<double>(stats.events)},
-      {"fleet.stale_completions", static_cast<double>(stats.stale_completions)},
-      {"fleet.reallocations", static_cast<double>(stats.reallocations)},
-      {"fleet.flow_aborts", static_cast<double>(stats.flow_aborts)},
-      {"fleet.delivered_bytes", stats.delivered_bytes.value()},
-      {"fleet.queue_grow_events", static_cast<double>(stats.queue_grow_events)},
-      {"fleet.queue_peak", static_cast<double>(stats.queue_peak)},
-      {"fleet.makespan_s", stats.makespan_s},
-      {"server.cache_hits", static_cast<double>(stats.cache_hits)},
-      {"server.cache_misses", static_cast<double>(stats.cache_misses)},
-      {"server.cache_evictions", static_cast<double>(stats.cache_evictions)},
-      {"server.origin_flows", static_cast<double>(stats.origin_flows)},
-      {"server.origin_bytes", stats.origin_bytes.value()},
-      {"server.cache_entries", static_cast<double>(stats.cache_entries)},
-      {"server.cache_resident_bytes", stats.cache_resident.value()},
-  };
-  for (const auto& [name, value] : pooled) EXPECT_EQ(metrics.value(name), value) << name;
 }
 
 }  // namespace

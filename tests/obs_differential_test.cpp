@@ -1,16 +1,12 @@
 // Differential tests pinning the observability contract (DESIGN.md §10):
 // attaching an Observer must be provably inert — energy, QoE, stall, and
 // byte results are bit-identical with the observer on and off, for the
-// single-session simulator and the fleet engine alike — and the fleet
-// runner's per-replication registries must merge to the same snapshot for
-// any worker thread count.
+// single-session simulator and the fleet engine alike.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "fleet/engine.h"
-#include "fleet/runner.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/tracer.h"
@@ -134,62 +130,6 @@ TEST(ObsDifferentialTest, FleetResultsAreBitIdenticalObserverOnVsOff) {
             static_cast<double>(on.stats.stale_completions));
   EXPECT_EQ(metrics.value("fleet.makespan_s"), on.stats.makespan_s);
   EXPECT_EQ(metrics.value("fleet.delivered_bytes"), on.stats.delivered_bytes.value());
-}
-
-// ------------------------------------------------- run_fleet_replications
-
-TEST(ObsDifferentialTest, ReplicationMergeIsThreadCountInvariant) {
-  const sim::VideoWorkload& workload = test_workload();
-
-  fleet::FleetConfig config;
-  config.sessions = 4;
-  config.seed = 2024;
-  fleet::FleetRunOptions options;
-  options.replications = 4;
-  options.link.duration_s = 300.0;
-
-  // PS360_THREADS=1, then the default budget.
-  const auto run_observed = [&](const char* threads, obs::MetricsRegistry& metrics,
-                                obs::EventTracer& tracer) {
-    const test::ScopedThreadsEnv env(threads);
-    obs::Observer observer{&metrics, &tracer};
-    fleet::FleetConfig observed = config;
-    observed.observer = &observer;
-    return fleet::run_fleet_replications(workload, observed, options);
-  };
-
-  obs::MetricsRegistry metrics_1t, metrics_4t;
-  obs::EventTracer tracer_1t(1 << 16), tracer_4t(1 << 16);
-  const std::vector<fleet::FleetResult> serial = run_observed("1", metrics_1t, tracer_1t);
-  const std::vector<fleet::FleetResult> parallel =
-      run_observed(nullptr, metrics_4t, tracer_4t);
-
-  // Simulation results stay bit-identical with the observer attached…
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t r = 0; r < serial.size(); ++r)
-    for (std::size_t i = 0; i < serial[r].sessions.size(); ++i)
-      expect_bit_identical(serial[r].sessions[i].result,
-                           parallel[r].sessions[i].result);
-
-  // …and so do the merged observability snapshots: the slot-order fold makes
-  // the registry JSON and the trace JSONL byte-equal across thread counts.
-  EXPECT_EQ(metrics_1t.to_json(), metrics_4t.to_json());
-  std::ostringstream jsonl_1t, jsonl_4t;
-  tracer_1t.export_jsonl(jsonl_1t);
-  tracer_4t.export_jsonl(jsonl_4t);
-  EXPECT_EQ(jsonl_1t.str(), jsonl_4t.str());
-  EXPECT_GT(tracer_1t.size(), 0u);
-  EXPECT_EQ(metrics_1t.value("fleet.runs"),
-            static_cast<double>(options.replications));
-
-  // The observed replication run must also match the unobserved one.
-  const std::vector<fleet::FleetResult> plain =
-      fleet::run_fleet_replications(workload, config, options);
-  ASSERT_EQ(plain.size(), serial.size());
-  for (std::size_t r = 0; r < plain.size(); ++r)
-    for (std::size_t i = 0; i < plain[r].sessions.size(); ++i)
-      expect_bit_identical(plain[r].sessions[i].result,
-                           serial[r].sessions[i].result);
 }
 
 }  // namespace

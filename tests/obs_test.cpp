@@ -1,7 +1,6 @@
 // Unit tests for the observability layer: MetricsRegistry (ids, counter /
-// gauge / histogram semantics, exact log-spaced bucket boundaries, merge
-// determinism across simulated thread counts) and EventTracer (ring
-// wraparound, drop accounting, JSONL export, slot-order merge).
+// gauge / histogram semantics, exact log-spaced bucket boundaries, sorted
+// JSON) and EventTracer (ring wraparound, drop accounting, JSONL export).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -99,65 +98,6 @@ TEST(MetricsRegistryTest, RejectsDegenerateHistogramSpecs) {
                std::invalid_argument);
 }
 
-TEST(MetricsRegistryTest, MergeAddsCountersBinsAndMaxesGauges) {
-  MetricsRegistry a, b;
-  a.add(a.counter("n"), 2.0);
-  b.add(b.counter("n"), 3.0);
-  a.set_max(a.gauge("peak"), 5.0);
-  b.set_max(b.gauge("peak"), 9.0);
-  b.add(b.counter("only_in_b"), 1.0);
-  const auto ha = a.histogram("h", HistogramSpec{1.0, 2.0, 3});
-  const auto hb = b.histogram("h", HistogramSpec{1.0, 2.0, 3});
-  a.observe(ha, 0.5);
-  b.observe(hb, 0.5);
-  b.observe(hb, 100.0);
-
-  a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.value("n"), 5.0);
-  EXPECT_DOUBLE_EQ(a.value("peak"), 9.0);
-  EXPECT_DOUBLE_EQ(a.value("only_in_b"), 1.0);  // created by the merge
-  EXPECT_EQ(a.histogram_bins("h")[1], 2u);
-  EXPECT_EQ(a.histogram_bins("h").back(), 1u);
-  EXPECT_EQ(a.histogram_count("h"), 3u);
-}
-
-TEST(MetricsRegistryTest, MergeRejectsKindAndShapeMismatches) {
-  MetricsRegistry a, b;
-  a.counter("x");
-  b.gauge("x");
-  EXPECT_THROW(a.merge_from(b), std::invalid_argument);
-
-  MetricsRegistry c, d;
-  c.histogram("h", HistogramSpec{1.0, 2.0, 4});
-  d.histogram("h", HistogramSpec{1.0, 2.0, 8});
-  EXPECT_THROW(c.merge_from(d), std::invalid_argument);
-}
-
-// The property the fleet runner relies on: folding per-slot registries in
-// slot order yields the same snapshot no matter how the slots were *filled*
-// (by 1 worker or by many) — because filling order never enters the fold.
-TEST(MetricsRegistryTest, SlotOrderMergeIsThreadCountInvariant) {
-  const auto fill = [](MetricsRegistry& reg, std::uint64_t slot) {
-    reg.add(reg.counter("events"), static_cast<double>(slot + 1) * 0.1);
-    reg.set_max(reg.gauge("peak"), static_cast<double>((slot * 7) % 5));
-    const auto h = reg.histogram("lat", HistogramSpec{1e-3, 2.0, 8});
-    for (std::uint64_t i = 0; i < 16; ++i)
-      reg.observe(h, 1e-3 * static_cast<double>((slot + 1) * (i + 1)));
-  };
-
-  // "4 threads": slots filled in a scrambled claim order.
-  std::vector<MetricsRegistry> scrambled(6);
-  for (const std::uint64_t slot : {3u, 0u, 5u, 1u, 4u, 2u}) fill(scrambled[slot], slot);
-  // "1 thread": slots filled in order.
-  std::vector<MetricsRegistry> ordered(6);
-  for (std::uint64_t slot = 0; slot < 6; ++slot) fill(ordered[slot], slot);
-
-  MetricsRegistry merged_a, merged_b;
-  for (const MetricsRegistry& r : scrambled) merged_a.merge_from(r);
-  for (const MetricsRegistry& r : ordered) merged_b.merge_from(r);
-  EXPECT_EQ(merged_a.to_json(), merged_b.to_json());
-}
-
 TEST(MetricsRegistryTest, JsonIsSortedByNameAndStable) {
   MetricsRegistry reg;
   reg.add(reg.counter("zeta"), 1.0);
@@ -202,21 +142,6 @@ TEST(EventTracerTest, RingWrapsOverwritingOldestAndCountsDrops) {
 
 TEST(EventTracerTest, RejectsZeroCapacity) {
   EXPECT_THROW(EventTracer(0), std::invalid_argument);
-}
-
-TEST(EventTracerTest, MergeAppendsOldestFirst) {
-  EventTracer a(8), b(8);
-  a.record(1.0, 0, TraceEventKind::kStallBegin, 5);
-  b.record(0.2, 1, TraceEventKind::kStallEnd, 5, 0.3);
-  b.record(0.4, 1, TraceEventKind::kPtileChoice, 3, 30.0, 1.0);
-  a.merge_from(b);
-  const std::vector<TraceRecord> records = a.snapshot();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].kind, TraceEventKind::kStallBegin);
-  EXPECT_EQ(records[1].session, 1u);
-  EXPECT_DOUBLE_EQ(records[1].t, 0.2);
-  EXPECT_EQ(records[2].kind, TraceEventKind::kPtileChoice);
-  EXPECT_EQ(a.recorded(), 3u);
 }
 
 TEST(EventTracerTest, ClearEmptiesRetainedRecords) {

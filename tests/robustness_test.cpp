@@ -1,17 +1,14 @@
 // Robustness and failure-injection tests: the pipeline must degrade
 // gracefully — not crash, not violate invariants — under bandwidth
 // collapse, degenerate viewing behaviour, tiny videos, and across random
-// seeds. Also covers the session CSV export/import and the alternative
-// predictor/bandwidth configurations end-to-end.
+// seeds. Also covers the alternative predictor/bandwidth configurations
+// end-to-end.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "sim/experiment.h"
-#include "sim/export.h"
 #include "sim/session.h"
 
 #include "test_support.h"
@@ -234,36 +231,6 @@ TEST(EvaluationGridTest, AccessorsAndMetrics) {
   EXPECT_LT(
       grid.normalized_mean(2, SchemeKind::kOurs, EvaluationGrid::energy_metric),
       1.0);
-}
-
-// ------------------------------------------------------------- CSV export
-
-TEST(SessionExportTest, RoundTripPreservesRecordsAndAggregates) {
-  const trace::NetworkTrace net = trace::make_paper_traces(7, util::Seconds(200.0)).second;
-  const auto original =
-      simulate_session(tiny_workload(), 0, SchemeKind::kOurs, net, SessionConfig{});
-  const auto path = std::filesystem::temp_directory_path() / "ps360_session.csv";
-  export_segments_csv(path, original);
-  SessionResult loaded = import_segments_csv(path);
-  std::filesystem::remove(path);
-  // Every exported column of every record comes back bit for bit, and the
-  // records aggregate to the accountant's bits (one aggregate_segments).
-  // The scheme and mpc_feasible are not exported.
-  ASSERT_EQ(loaded.segments.size(), original.segments.size());
-  loaded.scheme = original.scheme;
-  for (std::size_t k = 0; k < loaded.segments.size(); ++k)
-    loaded.segments[k].mpc_feasible = original.segments[k].mpc_feasible;
-  test::expect_bit_identical(loaded, original);
-}
-
-TEST(SessionExportTest, ImportRejectsMalformed) {
-  const auto path = std::filesystem::temp_directory_path() / "ps360_bad.csv";
-  {
-    std::ofstream out(path);
-    out << "not,the,right,header\n1,2,3,4\n";
-  }
-  EXPECT_THROW(import_segments_csv(path), std::invalid_argument);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "fleet/engine.h"
-#include "fleet/runner.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/tracer.h"
@@ -306,43 +305,6 @@ TEST(FleetServerTest, ServerRunsAreDeterministicAcrossRuns) {
   EXPECT_EQ(a.stats.cache_evictions, b.stats.cache_evictions);
   EXPECT_EQ(a.stats.origin_flows, b.stats.origin_flows);
   EXPECT_EQ(a.stats.origin_bytes, b.stats.origin_bytes);
-}
-
-TEST(FleetServerTest, ReplicatedServerFleetsAreThreadCountInvariant) {
-  FleetConfig config = server_config(util::mebibytes(4.0));
-  config.sessions = 4;
-  FleetRunOptions options;
-  options.replications = 4;
-  options.link.duration_s = 300.0;
-
-  const std::vector<FleetResult> serial = [&] {
-    const test::ScopedThreadsEnv env("1");
-    return run_fleet_replications(test_workload(), config, options);
-  }();
-  const test::ScopedThreadsEnv unset(nullptr);
-  const std::vector<FleetResult> parallel =
-      run_fleet_replications(test_workload(), config, options);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t r = 0; r < serial.size(); ++r) {
-    ASSERT_EQ(serial[r].sessions.size(), parallel[r].sessions.size());
-    for (std::size_t i = 0; i < serial[r].sessions.size(); ++i) {
-      EXPECT_EQ(serial[r].sessions[i].video, parallel[r].sessions[i].video);
-      EXPECT_EQ(serial[r].sessions[i].finish_s, parallel[r].sessions[i].finish_s);
-      EXPECT_EQ(serial[r].sessions[i].result.total_bytes,
-                parallel[r].sessions[i].result.total_bytes);
-    }
-    EXPECT_EQ(serial[r].stats.cache_hits, parallel[r].stats.cache_hits);
-    EXPECT_EQ(serial[r].stats.cache_misses, parallel[r].stats.cache_misses);
-    EXPECT_EQ(serial[r].stats.origin_bytes, parallel[r].stats.origin_bytes);
-  }
-
-  // The pooled aggregate (what the sweep tooling reports) matches too.
-  const FleetAggregate agg_1t = aggregate_fleet(serial, 1.0);
-  const FleetAggregate agg_4t = aggregate_fleet(parallel, 1.0);
-  EXPECT_EQ(agg_1t.stats.cache_hits, agg_4t.stats.cache_hits);
-  EXPECT_EQ(agg_1t.stats.origin_bytes, agg_4t.stats.origin_bytes);
-  EXPECT_GT(agg_1t.stats.cache_hits + agg_1t.stats.cache_misses, 0u);
 }
 
 TEST(FleetServerTest, DisabledServerIsInertAndUnobservable) {

@@ -726,16 +726,19 @@ TEST(NetworkTraceTest, LoadRejectsMalformedCsv) {
     out << text;
   };
 
-  // Ragged row: line 3 has one column. The error names file and line.
+  // Ragged row: line 3 has one column, or a trailing comma gives it three.
+  // The error names file and line.
   const auto ragged = dir / "ps360_net_ragged.csv";
-  write_file(ragged, "t,mbps\n0,4\n1\n");
-  try {
-    load_network_trace(ragged);
-    FAIL() << "ragged CSV must throw";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("ps360_net_ragged.csv"), std::string::npos) << what;
-    EXPECT_NE(what.find("3"), std::string::npos) << what;
+  for (const char* text : {"t,mbps\n0,4\n1\n", "t,mbps\n0,4\n1,6,\n"}) {
+    write_file(ragged, text);
+    try {
+      load_network_trace(ragged);
+      ADD_FAILURE() << "ragged CSV must throw: " << text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ps360_net_ragged.csv"), std::string::npos) << what;
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    }
   }
   fs::remove(ragged);
 

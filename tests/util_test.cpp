@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "util/check.h"
 #include "util/csv.h"
@@ -310,6 +311,20 @@ TEST(CsvTest, MissingColumnThrows) {
 
 TEST(CsvTest, RaggedRowThrows) {
   EXPECT_THROW(parse_csv("a,b\n1,2\n3\n", true), std::invalid_argument);
+  // A trailing comma is one more, empty, cell: ragged against the header,
+  // or an empty cell under a header that ends in a comma too. Either error
+  // names the line.
+  const std::pair<const char*, const char*> cases[] = {
+      {"t,mbps\n0,5\n1,6,\n", "ragged CSV row at line 3"},
+      {"t,mbps,\n0,5,\n", "empty CSV cell at line 2"}};
+  for (const auto& [text, message] : cases) {
+    try {
+      parse_csv(text, true);
+      ADD_FAILURE() << "trailing comma accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(CsvTest, NonNumericCellThrows) {

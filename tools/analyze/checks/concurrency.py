@@ -2,9 +2,8 @@
 
 A file is "threaded" when it mentions std::thread / std::jthread (today
 only src/util/worker_pool.cpp: the one process-wide worker pool that the
-evaluation grid, the fleet replication runner, the tournament's cells,
-the fleet engine's speculative solves and VideoWorkload construction all
-run on, DESIGN.md §15). Inside
+evaluation grid, the tournament's cells, the fleet engine's speculative
+solves and VideoWorkload construction all run on, DESIGN.md §15). Inside
 threaded files:
 
   conc-sync-comment      every std::atomic / std::mutex /

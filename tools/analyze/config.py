@@ -22,7 +22,7 @@ RNG_EXEMPT = ("src/util/rng.h", "src/util/rng.cpp")
 # Deterministic subsystems: replayable simulations — bit-identical output
 # across reruns, schemes, and PS360_THREADS. The fleet engine, the
 # observability layer, the trace/fault synthesis layer, the server/CDN tier
-# (Zipf catalog + edge cache, one instance per replication slot), and the
+# (Zipf catalog + edge cache, one instance per run_fleet call), and the
 # simulation core are all inside the discipline (ROADMAP item 1 puts sharded
 # event-loop code here next). src/sim covers the controller registry and the
 # MPC schemes (schemes.cpp, Pano included), the Ghosh LP allocators
