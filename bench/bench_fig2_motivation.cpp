@@ -24,8 +24,7 @@ namespace {
 // Fig. 2(a): bytes downloaded for one segment at mid quality — FoV tiles at
 // quality 3 plus the background at quality 1 — under both encodings. The
 // radio energy is proportional to bytes at a fixed link rate.
-void fig2a(const bench::BenchOptions& options) {
-  const video::EncodingModel model(options.seed);
+void fig2a() {
   const video::ContentFeatures content{50.0, 25.0};
 
   const double fov_area = 9.0 * video::kRefTileAreaFraction;
@@ -35,11 +34,11 @@ void fig2a(const bench::BenchOptions& options) {
                          "Ptile/Ctile (FoV + background)"});
   double headline = 0.0;
   for (int v = 5; v >= 1; --v) {
-    const double fov_ptile = model.region_bytes(fov_area, 1, v, content, 1.0);
-    const double fov_ctile = model.region_bytes(fov_area, 9, v, content, 1.0);
+    const double fov_ptile = video::region_bytes(fov_area, 1, v, content, 1.0);
+    const double fov_ctile = video::region_bytes(fov_area, 9, v, content, 1.0);
     // Conventional: 23 background grid tiles; Ptile: 3 large blocks.
-    const double bg_ptile = model.region_bytes(bg_area, 3, 1, content, 1.0);
-    const double bg_ctile = model.region_bytes(bg_area, 23, 1, content, 1.0);
+    const double bg_ptile = video::region_bytes(bg_area, 3, 1, content, 1.0);
+    const double bg_ctile = video::region_bytes(bg_area, 23, 1, content, 1.0);
     const double with_bg = (fov_ptile + bg_ptile) / (fov_ctile + bg_ctile);
     if (v == 5) headline = fov_ptile / fov_ctile;
     table.add_row({util::strfmt("%d", v),
@@ -54,38 +53,38 @@ void fig2a(const bench::BenchOptions& options) {
               util::format_percent(1.0 - headline).c_str());
 }
 
-void fig2b(const power::DecoderConcurrencyModel& model) {
+void fig2b() {
   util::TextTable table({"decoders", "decode time (s)", "decode power (mW)"});
   for (std::size_t n = 1; n <= 9; ++n) {
-    table.add_row({util::strfmt("%zu", n), util::strfmt("%.2f", model.decode_time_s(n)),
-                   util::strfmt("%.0f", model.decode_power_mw(n))});
+    table.add_row({util::strfmt("%zu", n), util::strfmt("%.2f", power::decode_time_s(n)),
+                   util::strfmt("%.0f", power::decode_power_mw(n))});
   }
-  table.add_row({"Ptile", util::strfmt("%.2f", model.ptile_decode_time_s()),
-                 util::strfmt("%.0f", model.ptile_decode_power_mw())});
+  table.add_row({"Ptile", util::strfmt("%.2f", power::ptile_decode_time_s()),
+                 util::strfmt("%.0f", power::ptile_decode_power_mw())});
   std::printf("\nFig. 2(b) — decoding one segment's FoV tiles (Pixel 3)\n%s",
               table.render().c_str());
   std::printf("paper anchors: 1 dec = 1.3 s / 241 mW; 9 dec = 0.5 s / 846 mW; "
               "Ptile = 0.24 s / 287 mW\n");
 }
 
-void fig2c(const power::DecoderConcurrencyModel& model) {
-  const double base = model.processing_energy_mj(1);
+void fig2c() {
+  const double base = power::processing_energy_mj(1);
   util::TextTable table({"pipeline", "processing energy (mJ)", "normalized"});
   for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                         std::size_t{6}, std::size_t{9}}) {
     table.add_row({util::strfmt("Ctile, %zu decoders", n),
-                   util::strfmt("%.0f", model.processing_energy_mj(n)),
-                   util::format_ratio(model.processing_energy_mj(n) / base)});
+                   util::strfmt("%.0f", power::processing_energy_mj(n)),
+                   util::format_ratio(power::processing_energy_mj(n) / base)});
   }
   table.add_row({"Ptile, 1 decoder",
-                 util::strfmt("%.0f", model.ptile_processing_energy_mj()),
-                 util::format_ratio(model.ptile_processing_energy_mj() / base)});
+                 util::strfmt("%.0f", power::ptile_processing_energy_mj()),
+                 util::format_ratio(power::ptile_processing_energy_mj() / base)});
   std::printf("\nFig. 2(c) — processing energy per segment (decode + view "
               "generation)\n%s",
               table.render().c_str());
-  const std::size_t best = model.best_decoder_count(9);
+  const std::size_t best = power::best_decoder_count(9);
   const double saving =
-      1.0 - model.ptile_processing_energy_mj() / model.processing_energy_mj(best);
+      1.0 - power::ptile_processing_energy_mj() / power::processing_energy_mj(best);
   std::printf("best conventional decoder count: %zu (paper: 4)\n", best);
   std::printf("Ptile saving vs best conventional: %s (paper: ~41%%)\n",
               util::format_percent(saving).c_str());
@@ -98,9 +97,8 @@ int main(int argc, char** argv) {
   bench::print_header("bench_fig2_motivation",
                       "Fig. 2(a)-(c): energy inefficiency of tile-based streaming",
                       options);
-  fig2a(options);
-  const power::DecoderConcurrencyModel model;
-  fig2b(model);
-  fig2c(model);
+  fig2a();
+  fig2b();
+  fig2c();
   return 0;
 }

@@ -22,8 +22,6 @@ void video_cdf(const trace::VideoInfo& video, const bench::BenchOptions& options
   wconfig.seed = options.seed;
   const sim::VideoWorkload workload(video, wconfig);
 
-  const video::EncodingModel model(options.seed);
-
   std::printf("\nFig. 8 — video %d (%s)\n", video.id, video.name.c_str());
   util::TextTable table({"quality", "p10", "p25", "median", "p75", "p90",
                          "paper median"});
@@ -39,10 +37,10 @@ void video_cdf(const trace::VideoInfo& video, const bench::BenchOptions& options
       const auto& feat = workload.features(k);
       // Independent size noise per encoding, as two real encoder runs.
       const std::uint64_t key = k * 100 + static_cast<std::uint64_t>(v);
-      const double as_ptile =
-          model.region_bytes(area, 1, v, feat, 1.0, 1.0, model.size_noise(key));
-      const double as_tiles =
-          model.region_bytes(area, tiles, v, feat, 1.0, 1.0, model.size_noise(key + 50));
+      const double as_ptile = video::region_bytes(area, 1, v, feat, 1.0, 1.0,
+                                                  video::size_noise(options.seed, key));
+      const double as_tiles = video::region_bytes(area, tiles, v, feat, 1.0, 1.0,
+                                                  video::size_noise(options.seed, key + 50));
       ratios.push_back(as_ptile / as_tiles);
     }
     if (ratios.empty()) continue;

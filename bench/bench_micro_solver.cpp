@@ -26,8 +26,6 @@
 #include "ptile/clusterer.h"
 #include "ptile/ftile.h"
 #include "ptile/kmeans.h"
-#include "qoe/qo_model.h"
-#include "sim/accounting.h"
 #include "sim/schemes.h"
 #include "sim/session.h"
 #include "sim/workload.h"
@@ -223,10 +221,7 @@ void BM_SchemePlan(benchmark::State& state, sim::SchemeKind kind) {
   const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
   benchmark::DoNotOptimize(workload.ftile(0));
   const sim::SessionConfig config;
-  const video::EncodingModel encoding(config.seed);
-  const qoe::QoModel qo_model(qoe::QoParams{}, sim::kQoeBitrateScale);
-  const auto scheme =
-      sim::make_scheme(kind, sim::SchemeEnv{&workload, &encoding, &qo_model, &config});
+  const auto scheme = sim::make_scheme(kind, workload, config);
 
   const std::size_t n = workload.segment_count();
   std::vector<geometry::Viewport> viewports;
@@ -256,15 +251,14 @@ BENCHMARK_CAPTURE(BM_SchemePlan, Pano, sim::SchemeKind::kPano);
 // row of the video's SizeNoiseTable holds (roles 0-6 × 5 qualities × 4 frame
 // indices, plus 32 Ghosh tiles × 5 qualities), on a fresh table each
 // iteration. Every plan after the first reads the drawn row instead, so this
-// is the one-off cost per (video, encoding, segment) behind the
-// BM_SchemePlan rows.
+// is the one-off cost per (video, seed, segment) behind the BM_SchemePlan
+// rows.
 void BM_SizeNoiseRow(benchmark::State& state) {
   trace::VideoInfo video = trace::test_videos()[7];
   video.duration_s = 1.0;  // one segment
   const sim::VideoWorkload workload(video, sim::WorkloadConfig{});
-  const video::EncodingModel encoding(42);
   for (auto _ : state) {
-    const sim::SizeNoiseTable table(workload, encoding);
+    const sim::SizeNoiseTable table(workload, 42);
     double factor = table.row(0).ghosh_tile(sim::SizeNoiseTable::kGhoshTiles - 1,
                                             video::QualityLadder::kMaxLevel)
                         .factor;
@@ -274,12 +268,11 @@ void BM_SizeNoiseRow(benchmark::State& state) {
 BENCHMARK(BM_SizeNoiseRow);
 
 void BM_EncodingBytes(benchmark::State& state) {
-  const video::EncodingModel model(42);
   const video::ContentFeatures content{55.0, 35.0};
   std::uint64_t key = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        model.region_bytes(0.3, 9, 3, content, 1.0, 0.9, model.size_noise(++key)));
+        video::region_bytes(0.3, 9, 3, content, 1.0, 0.9, video::size_noise(42, ++key)));
   }
 }
 BENCHMARK(BM_EncodingBytes);

@@ -17,9 +17,7 @@ int main(int argc, char** argv) {
                       "Table I: power models for Nexus 5X / Pixel 3 / Galaxy S20",
                       options);
 
-  power::MeasurementConfig config;
-  config.seed = options.seed;
-  const power::MeasurementSimulator simulator(config);
+  const power::MeasurementSimulator simulator(options.seed);
 
   util::TextTable table({"device", "state", "fitted P(f) [mW]", "published P(f) [mW]",
                          "R^2"});

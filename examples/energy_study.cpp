@@ -24,8 +24,6 @@ int main(int argc, char** argv) {
   sim::VideoWorkload workload(video, sim::WorkloadConfig{});
   const auto traces = trace::make_paper_traces(7, util::Seconds(700.0));
 
-  const power::BatteryModel battery;  // 3000 mAh at 3.85 V nominal
-
   for (power::Device device : power::kAllDevices) {
     std::printf("\n=== %s ===\n", power::device_name(device).c_str());
     util::TextTable table({"scheme", "radio mJ/s", "decode mJ/s", "render mJ/s",
@@ -43,7 +41,7 @@ int main(int argc, char** argv) {
                      util::strfmt("%.0f", result.energy.render_mj / n),
                      util::strfmt("%.0f", total),
                      // total mJ per 1-second segment == average draw in mW.
-                     util::strfmt("%.1f", battery.percent_per_hour(total))});
+                     util::strfmt("%.1f", power::battery_percent_per_hour(total))});
     }
     std::printf("%s", table.render().c_str());
   }

@@ -45,6 +45,7 @@
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/tracer.h"
+#include "sim/tournament.h"
 #include "sim/workload.h"
 #include "trace/network_trace.h"
 #include "trace/video_catalog.h"
@@ -100,10 +101,11 @@ int run_faulted(const sim::VideoWorkload& workload, const trace::NetworkTrace& l
   fleet::FleetConfig config = base;
   config.sessions = 16;
   config.observer = &observer;
-  config.session.faults.enabled = true;
-  config.session.faults.outage_spacing_s = 20.0;
-  config.session.faults.loss_probability = 0.1;
-  config.session.faults.spike_probability = 0.2;
+  // The tournament's "hostile" environment: outages every ~20 s, 10% request
+  // loss, 20% latency spikes.
+  for (const sim::TournamentFaultProfile& profile : sim::default_fault_profiles()) {
+    if (profile.name == "hostile") config.session.faults = profile.faults;
+  }
   // A tight deadline so slow fair-share downloads actually hit it and the
   // abort/retry path is visible in the counters below.
   config.session.recovery.timeout_s = 1.5;

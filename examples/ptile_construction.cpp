@@ -90,17 +90,15 @@ int main(int argc, char** argv) {
 
   // What the Ptile saves, per the encoding model.
   if (serving != nullptr) {
-    const video::EncodingModel encoding(42);
     const auto features = video::segment_features(video, segment);
     std::printf("\nencoded size of the served region at each quality "
                 "(Ptile vs %zu conventional tiles):\n",
                 serving->rect.tile_count());
     for (int v = 5; v >= 1; --v) {
-      const double one = encoding.region_bytes(serving->area.area_fraction(), 1, v,
-                                               features, 1.0);
-      const double many = encoding.region_bytes(serving->area.area_fraction(),
-                                                serving->rect.tile_count(), v,
-                                                features, 1.0);
+      const double one =
+          video::region_bytes(serving->area.area_fraction(), 1, v, features, 1.0);
+      const double many = video::region_bytes(serving->area.area_fraction(),
+                                              serving->rect.tile_count(), v, features, 1.0);
       std::printf("  q%d: %7.0f vs %7.0f bytes  (%.0f%% saved)\n", v, one, many,
                   (1.0 - one / many) * 100.0);
     }

@@ -127,10 +127,6 @@ std::vector<TileIndex> TileGrid::tiles_in(const TileRect& rect) const {
   return tiles;
 }
 
-std::vector<TileIndex> TileGrid::tiles_covering(const Viewport& vp) const {
-  return tiles_in(covering_rect(vp.area()));
-}
-
 EquirectRect TileGrid::rect_area(const TileRect& rect) const {
   PS360_CHECK(rect.row_lo + rect.row_count <= rows_);
   PS360_CHECK(rect.col_count <= cols_ && rect.col_count >= 1 && rect.row_count >= 1);
@@ -142,10 +138,6 @@ EquirectRect TileGrid::rect_area(const TileRect& rect) const {
                         Degrees(std::min(width, 360.0))),
       Degrees(static_cast<double>(rect.row_lo) * h),
       Degrees(static_cast<double>(rect.row_lo + rect.row_count) * h));
-}
-
-EquirectRect TileGrid::snapped_area(const EquirectRect& area) const {
-  return rect_area(covering_rect(area));
 }
 
 }  // namespace ps360::geometry

@@ -69,14 +69,8 @@ class TileGrid {
   // The tiles of a tile rect, row-major, columns unwrapped modulo cols.
   std::vector<TileIndex> tiles_in(const TileRect& rect) const;
 
-  // Convenience: tiles covering a viewport.
-  std::vector<TileIndex> tiles_covering(const Viewport& vp) const;
-
   // Equirect area covered by a tile rect.
   EquirectRect rect_area(const TileRect& rect) const;
-
-  // Snap an arbitrary equirect rect outward to tile boundaries.
-  EquirectRect snapped_area(const EquirectRect& area) const;
 
  private:
   std::size_t rows_;

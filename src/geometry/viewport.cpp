@@ -53,28 +53,6 @@ LonInterval LonInterval::united(const LonInterval& other) const {
   return LonInterval{other.lo, std::min(w2, 360.0)};
 }
 
-LonInterval minimal_covering_arc(std::vector<Degrees> lons) {
-  if (lons.empty()) return LonInterval{0.0, 0.0};
-  std::vector<double> lons_deg;
-  lons_deg.reserve(lons.size());
-  for (const auto lon : lons) lons_deg.push_back(wrap360(lon).value());
-  std::sort(lons_deg.begin(), lons_deg.end());
-  const std::size_t n = lons_deg.size();
-  if (n == 1) return LonInterval{lons_deg[0], 0.0};
-  // The minimal covering arc is the complement of the largest gap between
-  // consecutive points (including the wrap gap from last back to first).
-  double best_gap = lons_deg[0] + 360.0 - lons_deg[n - 1];
-  std::size_t best_start = 0;  // arc starts at the point after the gap
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    const double gap = lons_deg[i + 1] - lons_deg[i];
-    if (gap > best_gap) {
-      best_gap = gap;
-      best_start = i + 1;
-    }
-  }
-  return LonInterval{lons_deg[best_start], 360.0 - best_gap};
-}
-
 EquirectRect EquirectRect::make(LonInterval lon, Degrees y_lo, Degrees y_hi) {
   PS360_CHECK(y_lo.value() >= 0.0 && y_hi.value() <= 180.0 && y_lo <= y_hi);
   return EquirectRect{lon, y_lo.value(), y_hi.value()};

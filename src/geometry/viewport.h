@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "geometry/angles.h"
 
@@ -66,11 +65,6 @@ struct LonInterval {
   // full-circle interval.
   LonInterval united(const LonInterval& other) const;
 };
-
-// Minimal arc (lo, width) covering all given longitudes. For an empty input
-// returns a zero-width arc at 0. Works by sorting and finding the largest
-// angular gap.
-LonInterval minimal_covering_arc(std::vector<Degrees> lons);
 
 // Rectangular viewing area on the equirect plane: a longitude interval that
 // may wrap, and a colatitude interval clamped to [0,180].

@@ -43,12 +43,6 @@ std::vector<TraceRecord> EventTracer::snapshot() const {
   return out;
 }
 
-void EventTracer::clear() {
-  head_ = 0;
-  count_ = 0;
-  recorded_ = 0;
-}
-
 void EventTracer::export_jsonl(std::ostream& out) const {
   out.precision(17);
   for (const TraceRecord& r : snapshot()) {

@@ -69,8 +69,6 @@ class EventTracer {
   // Retained records, oldest first.
   std::vector<TraceRecord> snapshot() const;
 
-  void clear();
-
   // One JSON object per line: {"t":..,"session":..,"kind":"..","a":..,
   // "v0":..,"v1":..}. Oldest record first.
   void export_jsonl(std::ostream& out) const;

@@ -4,31 +4,25 @@
 
 namespace ps360::power {
 
-BatteryModel::BatteryModel(double capacity_mah, double voltage_v)
-    : capacity_mah_(capacity_mah), voltage_v_(voltage_v) {
-  PS360_CHECK(capacity_mah > 0.0);
-  PS360_CHECK(voltage_v > 0.0);
-}
+static_assert(kBatteryCapacityMah > 0.0 && kBatteryVoltageV > 0.0);
 
-double BatteryModel::capacity_joules() const {
+double battery_capacity_joules() {
   // mAh * V = mWh; * 3.6 = J.
-  return capacity_mah_ * voltage_v_ * 3.6;
+  return kBatteryCapacityMah * kBatteryVoltageV * 3.6;
 }
 
-double BatteryModel::percent_for(double mw, double seconds) const {
+double battery_percent_for(double mw, double seconds) {
   PS360_CHECK(mw >= 0.0);
   PS360_CHECK(seconds >= 0.0);
   const double joules = mw / 1000.0 * seconds;
-  return joules / capacity_joules() * 100.0;
+  return joules / battery_capacity_joules() * 100.0;
 }
 
-double BatteryModel::percent_per_hour(double mw) const {
-  return percent_for(mw, 3600.0);
-}
+double battery_percent_per_hour(double mw) { return battery_percent_for(mw, 3600.0); }
 
-double BatteryModel::hours_at(double mw) const {
+double battery_hours_at(double mw) {
   PS360_CHECK(mw > 0.0);
-  return 100.0 / percent_per_hour(mw);
+  return 100.0 / battery_percent_per_hour(mw);
 }
 
 }  // namespace ps360::power

@@ -35,38 +35,38 @@ static_assert(kPower1DecMw > 0.0 && kPtileTimeS > 0.0 && kPtilePowerMw > 0.0 &&
 
 }  // namespace
 
-double DecoderConcurrencyModel::decode_time_s(std::size_t n_decoders) const {
+double decode_time_s(std::size_t n_decoders) {
   PS360_CHECK(n_decoders >= 1);
   const double n = static_cast<double>(n_decoders);
   return kTimeFloorS + (kTime1DecS - kTimeFloorS) * std::pow(n, -kTimeExponent);
 }
 
-double DecoderConcurrencyModel::decode_power_mw(std::size_t n_decoders) const {
+double decode_power_mw(std::size_t n_decoders) {
   PS360_CHECK(n_decoders >= 1);
   return kPower1DecMw * std::pow(static_cast<double>(n_decoders), kPowerExponent);
 }
 
-double DecoderConcurrencyModel::decode_energy_mj(std::size_t n_decoders) const {
+double decode_energy_mj(std::size_t n_decoders) {
   return (kPipelineBaseMw + decode_power_mw(n_decoders)) * decode_time_s(n_decoders);
 }
 
-double DecoderConcurrencyModel::processing_energy_mj(std::size_t n_decoders) const {
+double processing_energy_mj(std::size_t n_decoders) {
   return decode_energy_mj(n_decoders) + kRenderMjPerSegment;
 }
 
-double DecoderConcurrencyModel::ptile_decode_time_s() const { return kPtileTimeS; }
+double ptile_decode_time_s() { return kPtileTimeS; }
 
-double DecoderConcurrencyModel::ptile_decode_power_mw() const { return kPtilePowerMw; }
+double ptile_decode_power_mw() { return kPtilePowerMw; }
 
-double DecoderConcurrencyModel::ptile_decode_energy_mj() const {
+double ptile_decode_energy_mj() {
   return (kPipelineBaseMw + kPtilePowerMw) * kPtileTimeS;
 }
 
-double DecoderConcurrencyModel::ptile_processing_energy_mj() const {
+double ptile_processing_energy_mj() {
   return ptile_decode_energy_mj() + kRenderMjPerSegment;
 }
 
-std::size_t DecoderConcurrencyModel::best_decoder_count(std::size_t max_n) const {
+std::size_t best_decoder_count(std::size_t max_n) {
   PS360_CHECK(max_n >= 1);
   std::size_t best = 1;
   double best_energy = processing_energy_mj(1);

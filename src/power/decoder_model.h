@@ -15,35 +15,34 @@
 // decoder count (4 in the paper, Fig. 2(c)) minimises Ctile's energy: few
 // decoders keep the pipeline busy too long, many decoders burn too much
 // power.
+//
+// The model holds no state: each function reads only those constants.
 #pragma once
 
 #include <cstddef>
 
 namespace ps360::power {
 
-class DecoderConcurrencyModel {
- public:
-  // Time to decode one segment's FoV tiles with n concurrent decoders (s).
-  double decode_time_s(std::size_t n_decoders) const;
+// Time to decode one segment's FoV tiles with n concurrent decoders (s).
+double decode_time_s(std::size_t n_decoders);
 
-  // Power draw while those n decoders run (mW).
-  double decode_power_mw(std::size_t n_decoders) const;
+// Power draw while those n decoders run (mW).
+double decode_power_mw(std::size_t n_decoders);
 
-  // Energy to decode one segment with n decoders, including the pipeline
-  // base power over the decode window (mJ).
-  double decode_energy_mj(std::size_t n_decoders) const;
+// Energy to decode one segment with n decoders, including the pipeline base
+// power over the decode window (mJ).
+double decode_energy_mj(std::size_t n_decoders);
 
-  // Full processing energy (decode + view generation) per segment (mJ).
-  double processing_energy_mj(std::size_t n_decoders) const;
+// Full processing energy (decode + view generation) per segment (mJ).
+double processing_energy_mj(std::size_t n_decoders);
 
-  // Same three quantities for the Ptile pipeline.
-  double ptile_decode_time_s() const;
-  double ptile_decode_power_mw() const;
-  double ptile_decode_energy_mj() const;
-  double ptile_processing_energy_mj() const;
+// Same quantities for the Ptile pipeline.
+double ptile_decode_time_s();
+double ptile_decode_power_mw();
+double ptile_decode_energy_mj();
+double ptile_processing_energy_mj();
 
-  // The decoder count with minimal processing energy in [1, max_n].
-  std::size_t best_decoder_count(std::size_t max_n = 9) const;
-};
+// The decoder count with minimal processing energy in [1, max_n].
+std::size_t best_decoder_count(std::size_t max_n = 9);
 
 }  // namespace ps360::power

@@ -51,11 +51,9 @@ LinearFit fit_linear(const std::vector<PowerSample>& samples) {
   return fit;
 }
 
-MeasurementSimulator::MeasurementSimulator(MeasurementConfig config) : config_(config) {}
-
 std::vector<PowerSample> MeasurementSimulator::sample_linear(
     double base, double slope, std::uint64_t stream) const {
-  util::Rng rng(util::derive_seed(config_.seed, 0x90E77ULL, stream));
+  util::Rng rng(util::derive_seed(seed_, 0x90E77ULL, stream));
   std::vector<PowerSample> samples;
   samples.reserve(kFpsSweep.size() * kRepetitions);
   for (const double fps : kFpsSweep) {
@@ -83,7 +81,7 @@ std::vector<PowerSample> MeasurementSimulator::measure_render(Device device) con
 }
 
 std::vector<PowerSample> MeasurementSimulator::measure_transmit(Device device) const {
-  util::Rng rng(util::derive_seed(config_.seed, 0x90E77ULL,
+  util::Rng rng(util::derive_seed(seed_, 0x90E77ULL,
                                   300 + static_cast<std::uint64_t>(device)));
   // The wget-daemon experiment: the radio draws a constant power; sessions
   // differ by monitor noise. The published +- term in Table I is this spread.

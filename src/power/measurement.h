@@ -35,14 +35,10 @@ LinearFit fit_linear(const std::vector<PowerSample>& samples);
 
 // The simulated protocol (measurement.cpp) sweeps 15-30 fps in 3 fps steps,
 // 20 monitor sessions per operating point, with a 12 mW session-to-session
-// spread.
-struct MeasurementConfig {
-  std::uint64_t seed = 42;
-};
-
+// spread; `seed` keys the monitor noise.
 class MeasurementSimulator {
  public:
-  explicit MeasurementSimulator(MeasurementConfig config = {});
+  explicit MeasurementSimulator(std::uint64_t seed) : seed_(seed) {}
 
   // Noisy decode-power samples for a device/profile across the fps sweep.
   std::vector<PowerSample> measure_decode(Device device, DecodeProfile profile) const;
@@ -57,7 +53,7 @@ class MeasurementSimulator {
   std::vector<PowerSample> sample_linear(double base, double slope,
                                          std::uint64_t stream) const;
 
-  MeasurementConfig config_;
+  std::uint64_t seed_;
 };
 
 }  // namespace ps360::power

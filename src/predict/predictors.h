@@ -42,8 +42,8 @@ geometry::EquirectPoint predict_with(PredictorKind kind, const trace::HeadTrace&
                                      ViewportPredictorConfig base = {});
 
 // Mean angular prediction error (degrees) of a predictor over a trace at a
-// fixed horizon, sampled every `stride_s` seconds. Used by tests and the
-// ablation bench.
+// fixed horizon, sampled every `stride`. The predictor tests compare the
+// predictors with it.
 double mean_prediction_error(PredictorKind kind, const trace::HeadTrace& trace,
                              util::Seconds horizon,
                              util::Seconds stride = util::Seconds(1.0),

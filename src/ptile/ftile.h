@@ -64,7 +64,7 @@ class FtileLayout {
 
   // The tiles tiles_overlapping() selects and the rest, each side as a tile
   // count and an area fraction summed in tile order (the order
-  // EncodingModel::tiled_full_rate_bytes sums a tile list in).
+  // video::tiled_full_rate_bytes sums a tile list in).
   struct TileSplit {
     std::size_t selected_tiles = 0;
     double selected_area = 0.0;

@@ -48,18 +48,6 @@ double ViewHeatmap::total() const {
   return sum;
 }
 
-double ViewHeatmap::mass_in(const geometry::EquirectRect& rect) const {
-  const double all = total();
-  if (all <= 0.0) return 0.0;
-  double inside = 0.0;
-  for (std::size_t r = 0; r < rows(); ++r) {
-    for (std::size_t c = 0; c < cols(); ++c) {
-      if (rect.contains(cell_center(r, c))) inside += counts_[r * cols() + c];
-    }
-  }
-  return inside / all;
-}
-
 std::string ViewHeatmap::render(const std::vector<Ptile>& overlays) const {
   static const char kRamp[] = " .:-=+*#%@";
   const double max = std::max(max_value(), 1e-12);

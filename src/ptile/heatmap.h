@@ -32,10 +32,6 @@ class ViewHeatmap {
   double max_value() const;
   double total() const;
 
-  // Fraction of all counts inside the given rect (how much attention a
-  // Ptile captures).
-  double mass_in(const geometry::EquirectRect& rect) const;
-
   // Render as ASCII art (top row = colatitude 0): intensity ramp
   // " .:-=+*#%@", optionally overlaying the outlines of the given Ptiles
   // with '[' / ']' markers on their boundary cells.

@@ -60,10 +60,8 @@ SessionAccountant::SessionAccountant(const VideoWorkload& workload,
     : workload_(&workload),
       test_user_(test_user),
       config_(validated(config, workload)),
-      encoding_(config_.seed),
-      qo_model_(qoe::QoParams{}, kQoeBitrateScale),
       qoe_model_(config_.mpc.weights),
-      scheme_(make_scheme(scheme, SchemeEnv{&workload, &encoding_, &qo_model_, &config_})) {
+      scheme_(make_scheme(scheme, workload, config_)) {
   PS360_CHECK(test_user < workload.test_user_count());
   result_.scheme = scheme;
   result_.segments.reserve(workload.segment_count());
@@ -95,16 +93,13 @@ const SegmentRecord& SessionAccountant::record(const ClientRequest& request,
   const auto& feat = workload_->features(k);
   const double actual_sfov = workload_->actual_switching_speed(test_user_, k);
 
-  double qo_hq = qo_model_.qo(
-      feat.si, feat.ti,
-      util::Mbps(encoding_.fov_bitrate_mbps(plan.option.quality, feat)));
+  double qo_hq = segment_qo(feat, plan.option.quality);
   if (plan.frame_ratio < 1.0) {
     qo_hq *= qoe::QoModel::frame_rate_factor(
         qoe::QoModel::alpha(util::DegPerSec(actual_sfov), feat.ti),
         plan.frame_ratio);
   }
-  const double qo_bg = qo_model_.qo(
-      feat.si, feat.ti, util::Mbps(encoding_.fov_bitrate_mbps(1, feat)));
+  const double qo_bg = segment_qo(feat, video::QualityLadder::kMinLevel);
   const double qo_eff = cov_w * qo_hq + (1.0 - cov_w) * qo_bg;
 
   const qoe::SegmentQoE seg_qoe =

@@ -2,10 +2,11 @@
 //
 // The fleet engine (many clients contending for a shared link;
 // simulate_session is its fleet of one) supplies the download times. This
-// class owns everything else: the per-session models (encoding, Qo, QoE,
-// device), the scheme instance, and the delivered-QoE/energy bookkeeping of
-// Section V. It validates the session's SessionConfig (validated()) and keeps
-// the one copy its scheme reads.
+// class owns everything else: the Eq. 2 QoE model at the session's weights,
+// the scheme instance, and the delivered-QoE/energy bookkeeping of Section V
+// (Eq. 3 through segment_qo, Eq. 1 on the session's device). It validates the
+// session's SessionConfig (validated()) and keeps the one copy its scheme
+// reads.
 //
 // Protocol: construct, build the client from the same SessionConfig against
 // scheme(), call record() once per completed segment in order, then finish()
@@ -20,19 +21,14 @@
 
 namespace ps360::sim {
 
-// Maps the encoding model's FoV Mbps into the b units of Table II's fit (our
-// synthetic encodes live at lower absolute rates than the fit's b axis; see
-// DESIGN.md §6).
-inline constexpr double kQoeBitrateScale = 4.0;
-
 class SessionAccountant {
  public:
   // `workload` must outlive the accountant; `test_user` indexes the held-out
   // users (see VideoWorkload::test_trace).
   SessionAccountant(const VideoWorkload& workload, std::size_t test_user,
                     SchemeKind scheme, const SessionConfig& config);
-  // The scheme keeps the addresses of the config and models, so the
-  // accountant never moves.
+  // The scheme keeps the address of the config, so the accountant never
+  // moves.
   SessionAccountant(const SessionAccountant&) = delete;
   SessionAccountant& operator=(const SessionAccountant&) = delete;
 
@@ -59,8 +55,6 @@ class SessionAccountant {
   const VideoWorkload* workload_;
   std::size_t test_user_;
   SessionConfig config_;
-  video::EncodingModel encoding_;
-  qoe::QoModel qo_model_;
   qoe::QoEModel qoe_model_;
   std::unique_ptr<Scheme> scheme_;
 

@@ -1,6 +1,6 @@
 // Competitor LP allocators (GhoshLP / GhoshRobust). Deterministic
-// contract: plan() is a pure function of the SchemeEnv, segment state, and
-// the session seed — the LP greedy scans candidates in allocation order
+// contract: plan() is a pure function of the workload, the SessionConfig
+// (its seed keys the size noise) and the segment state — the LP greedy scans candidates in allocation order
 // with strict-> tie-breaking, tile byte noise is read from the video's keyed
 // size-noise table (role 7, salted by tile id), and no unordered
 // containers or wall-clock reads appear anywhere. plan() emits nothing: its
@@ -14,7 +14,6 @@
 #include <limits>
 
 #include "predict/visibility.h"
-#include "qoe/qo_model.h"
 #include "sim/scheme_base.h"
 #include "util/check.h"
 
@@ -101,8 +100,9 @@ namespace {
 
 class GhoshScheme : public SchemeBase {
  public:
-  GhoshScheme(SchemeKind kind, const SchemeEnv& env, bool robust)
-      : SchemeBase(kind, env), robust_(robust) {
+  GhoshScheme(SchemeKind kind, const VideoWorkload& workload, const SessionConfig& session,
+              bool robust)
+      : SchemeBase(kind, workload, session), robust_(robust) {
     for (std::size_t id = 0; id < kTiles; ++id)
       tile_rect_[id] = grid_.tile_area({id / kCols, id % kCols});
     for (std::size_t row = 0; row < kRows; ++row)
@@ -113,9 +113,9 @@ class GhoshScheme : public SchemeBase {
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double /*prev_qo*/) const override {
     using video::QualityLadder;
-    const auto& feat = env_.workload->features(k);
-    const SizeNoiseRow noise = noise_->row(k);
-    const double L = env_.workload->config().segment_seconds;
+    const auto& feat = workload_.features(k);
+    const SizeNoiseRow noise = noise_.row(k);
+    const double L = workload_.config().segment_seconds;
 
     // Candidate (allocated) tiles, as row-major tile ids in allocation
     // order, and their weights.
@@ -141,7 +141,7 @@ class GhoshScheme : public SchemeBase {
       // Plain variant (and the robust degenerate case): the predicted-FoV
       // tiles, equally weighted — prediction taken at face value.
       const auto rect = grid_.covering_rect(
-          predicted.area(), env_.workload->config().ptile.tile_overlap_threshold);
+          predicted.area(), workload_.config().ptile.tile_overlap_threshold);
       for (const TileIndex& t : grid_.tiles_in(rect)) {
         candidates[n] = t.row * kCols + t.col;
         weights[n] = 1.0;
@@ -157,7 +157,7 @@ class GhoshScheme : public SchemeBase {
     for (std::size_t row = 0; row < kRows; ++row) {
       for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
         row_bytes[row][level_index(v)] =
-            env_.encoding->full_rate_bytes(row_area_fraction_[row], 1, v, feat, L);
+            video::full_rate_bytes(row_area_fraction_[row], 1, v, feat, L);
       }
     }
     const auto tile_bytes = [&](std::size_t id, int v) {
@@ -250,12 +250,16 @@ class GhoshScheme : public SchemeBase {
 
 }  // namespace
 
-std::unique_ptr<Scheme> make_ghosh_lp(const SchemeEnv& env) {
-  return std::make_unique<GhoshScheme>(SchemeKind::kGhoshLp, env, /*robust=*/false);
+std::unique_ptr<Scheme> make_ghosh_lp(const VideoWorkload& workload,
+                                       const SessionConfig& session) {
+  return std::make_unique<GhoshScheme>(SchemeKind::kGhoshLp, workload, session,
+                                       /*robust=*/false);
 }
 
-std::unique_ptr<Scheme> make_ghosh_robust(const SchemeEnv& env) {
-  return std::make_unique<GhoshScheme>(SchemeKind::kGhoshRobust, env, /*robust=*/true);
+std::unique_ptr<Scheme> make_ghosh_robust(const VideoWorkload& workload,
+                                           const SessionConfig& session) {
+  return std::make_unique<GhoshScheme>(SchemeKind::kGhoshRobust, workload, session,
+                                       /*robust=*/true);
 }
 
 }  // namespace ps360::sim

@@ -57,7 +57,9 @@ LpAllocation lp_allocate(std::span<const double> weights, std::size_t levels,
                          std::span<const double> utility, util::Bytes budget);
 
 // Registry factories (rows in sim/schemes.cpp's controller registry).
-std::unique_ptr<Scheme> make_ghosh_lp(const SchemeEnv& env);
-std::unique_ptr<Scheme> make_ghosh_robust(const SchemeEnv& env);
+std::unique_ptr<Scheme> make_ghosh_lp(const VideoWorkload& workload,
+                                       const SessionConfig& session);
+std::unique_ptr<Scheme> make_ghosh_robust(const VideoWorkload& workload,
+                                           const SessionConfig& session);
 
 }  // namespace ps360::sim

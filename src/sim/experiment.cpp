@@ -6,7 +6,6 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "util/check.h"
 #include "util/worker_pool.h"
@@ -62,9 +61,6 @@ EvaluationGrid run_evaluation_grid(const EvaluationOptions& options,
   // One result slot per video keeps the output order deterministic no
   // matter how the workers interleave.
   std::vector<std::vector<EvaluationCell>> per_video(n_videos);
-  // Serializes progress callbacks only — result data is lock-free via
-  // the per-video slots, so contention here cannot reorder results.
-  std::mutex progress_mutex;
 
   util::for_each_slot(n_videos, [&](std::size_t vi) {
     WorkloadConfig wconfig;
@@ -80,10 +76,6 @@ EvaluationGrid run_evaluation_grid(const EvaluationOptions& options,
         cell.segments = workload.segment_count();
         cell.result = simulate_all_test_users(workload, scheme, net, session);
         per_video[vi].push_back(std::move(cell));
-      }
-      if (options.progress) {
-        const std::lock_guard<std::mutex> lock(progress_mutex);
-        options.progress(videos[vi].id, trace_id);
       }
     }
   });

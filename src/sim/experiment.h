@@ -41,10 +41,6 @@ struct EvaluationGrid {
 struct EvaluationOptions {
   std::size_t max_videos = 8;          // trim for quick runs
   double network_duration_s = 700.0;   // synthesized trace length
-  // Called after each (video, trace) block completes, for progress display.
-  // The videos run on the worker pool, so calls may arrive out of video
-  // order (but never concurrently).
-  std::function<void(int video_id, int trace_id)> progress;
 };
 
 // Run the grid on `session.device`, every cell with `session`, whose seed

@@ -1,13 +1,14 @@
 // Shared planning machinery behind every registered controller (internal to
 // sim/; the stable surface is sim/schemes.h). SchemeBase owns the pieces all
 // controllers need — the paper's 4x8 tile grid, the frame-rate ladder, the
-// video's size-noise table for this encoding, the Eq. 3 predicted Qo, the
-// MPC horizon builder and the high-quality-region coverage — and MpcScheme
-// owns the one Section IV-C MPC solve that every MPC controller (Ctile,
-// Ftile, Nontile, Ptile, Ours and Pano, all in schemes.cpp) plans through;
-// the Ghosh allocators (competitors.cpp) derive from SchemeBase alone.
-// Deterministic: every helper is a pure function of the SchemeEnv and its
-// arguments (size noise is read from the keyed table, never drawn here).
+// video's size-noise table for the session seed, the MPC horizon builder and
+// the high-quality-region coverage — and MpcScheme owns the one Section IV-C
+// MPC solve that every MPC controller (Ctile, Ftile, Nontile, Ptile, Ours and
+// Pano, all in schemes.cpp) plans through; the Ghosh allocators
+// (competitors.cpp) derive from SchemeBase alone.
+// Deterministic: every helper is a pure function of the workload, the
+// SessionConfig and its arguments (size noise is read from the keyed table,
+// never drawn here).
 #pragma once
 
 #include <algorithm>
@@ -18,7 +19,7 @@
 #include "core/mpc.h"
 #include "qoe/qo_model.h"
 #include "sim/schemes.h"
-#include "util/check.h"
+#include "video/encoding.h"
 #include "video/quality.h"
 
 namespace ps360::sim {
@@ -42,12 +43,13 @@ struct HorizonBytes {
 
 class SchemeBase : public Scheme {
  public:
-  SchemeBase(SchemeKind kind, const SchemeEnv& env)
+  SchemeBase(SchemeKind kind, const VideoWorkload& workload, const SessionConfig& session)
       : Scheme(kind),
-        env_(checked(env)),
-        frame_ladder_(env.workload->video().fps),
-        noise_(&env.workload->size_noise_table(*env.encoding)),
-        frame_terms_(frame_terms(frame_ladder_, *env.encoding)) {}
+        workload_(workload),
+        session_(validated(session, workload)),
+        frame_ladder_(workload.video().fps),
+        noise_(workload.size_noise_table(session.seed)),
+        frame_terms_(frame_terms(frame_ladder_)) {}
 
   // Fraction of the actual viewport inside the plan's high-quality region.
   // Ftile (per-segment tile layouts) and Nontile (the whole frame) override.
@@ -57,13 +59,6 @@ class SchemeBase : public Scheme {
   }
 
  protected:
-  // Eq. 3: predicted Qo of a segment with these features at `quality` and
-  // the original frame rate.
-  double segment_qo(const video::ContentFeatures& feat, int quality) const {
-    return env_.qo_model->qo(feat.si, feat.ti,
-                             util::Mbps(env_.encoding->fov_bitrate_mbps(quality, feat)));
-  }
-
   // The factor a planner scales each of the segment's predicted Qo values
   // by. 1 (exact, so the product keeps its bits) but for perceptual
   // controllers (Pano); delivered-QoE accounting always uses the unweighted
@@ -76,7 +71,7 @@ class SchemeBase : public Scheme {
   // One past the last segment of the MPC horizon [k, k+H-1] clipped to the
   // video end.
   std::size_t horizon_end(std::size_t k) const {
-    return std::min(k + env_.session->mpc_horizon, env_.workload->segment_count());
+    return std::min(k + session_.mpc_horizon, workload_.segment_count());
   }
 
   // Build the MPC horizon [k, horizon_end(k)). Each term is evaluated at
@@ -86,7 +81,7 @@ class SchemeBase : public Scheme {
   // frame-rate factor (with the *predicted* switching speed) and the noisy
   // background; per scheme the ladder's fps and size factors. Per option
   // only the products remain: served bytes × size factor × noise (the
-  // order of EncodingModel::region_bytes), and (Qo × frame factor) × weight.
+  // order of video::region_bytes), and (Qo × frame factor) × weight.
   std::vector<core::SegmentChoices> build_horizon(std::size_t k, const HorizonBytes& bytes,
                                                   bool frame_options,
                                                   double predicted_sfov,
@@ -97,8 +92,8 @@ class SchemeBase : public Scheme {
     const std::size_t first_frame = frame_options ? 1 : FrameRateLadder::kOptions;
     std::vector<core::SegmentChoices> horizon(end - k);
     for (std::size_t i = k; i < end; ++i) {
-      const video::ContentFeatures& feat = env_.workload->features(i);
-      const SizeNoiseRow noise = noise_->row(i);
+      const video::ContentFeatures& feat = workload_.features(i);
+      const SizeNoiseRow noise = noise_.row(i);
       std::array<double, QualityLadder::kLevels> qo{};
       std::array<double, QualityLadder::kLevels> served{};
       for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
@@ -150,10 +145,11 @@ class SchemeBase : public Scheme {
     return static_cast<std::size_t>(quality - video::QualityLadder::kMinLevel);
   }
 
-  const SchemeEnv env_;
+  const VideoWorkload& workload_;
+  const SessionConfig& session_;
   const geometry::TileGrid grid_{geometry::kPaperGridRows, geometry::kPaperGridCols};
   const video::FrameRateLadder frame_ladder_;
-  const SizeNoiseTable* const noise_;  // env_.workload's table for env_.encoding
+  const SizeNoiseTable& noise_;  // workload_'s table for session_.seed
 
  private:
   // The frame-rate ladder's per-index terms, slot fi - 1 for frame index fi:
@@ -162,25 +158,17 @@ class SchemeBase : public Scheme {
     std::array<double, video::FrameRateLadder::kOptions> fps{}, ratio{}, size_factor{};
   };
 
-  static FrameTerms frame_terms(const video::FrameRateLadder& ladder,
-                                const video::EncodingModel& encoding) {
+  static FrameTerms frame_terms(const video::FrameRateLadder& ladder) {
     FrameTerms terms;
     for (std::size_t fi = 1; fi <= video::FrameRateLadder::kOptions; ++fi) {
       terms.fps[fi - 1] = ladder.fps(fi);
       terms.ratio[fi - 1] = ladder.ratio(fi);
-      terms.size_factor[fi - 1] = encoding.frame_size_factor(ladder.ratio(fi));
+      terms.size_factor[fi - 1] = video::frame_size_factor(ladder.ratio(fi));
     }
     return terms;
   }
 
   const FrameTerms frame_terms_;
-
-  static const SchemeEnv& checked(const SchemeEnv& env) {
-    PS360_CHECK(env.workload != nullptr && env.encoding != nullptr &&
-                env.qo_model != nullptr && env.session != nullptr);
-    validated(*env.session, *env.workload);
-    return env;
-  }
 };
 
 // A controller that plans with the paper's Section IV-C MPC+DP solver: the
@@ -190,10 +178,11 @@ class SchemeBase : public Scheme {
 // served region.
 class MpcScheme : public SchemeBase {
  public:
-  MpcScheme(SchemeKind kind, const SchemeEnv& env, core::MpcObjective objective)
-      : SchemeBase(kind, env),
-        controller_(util::Seconds(env.workload->config().segment_seconds), env.session->mpc,
-                    power::device_model(env.session->device), objective) {}
+  MpcScheme(SchemeKind kind, const VideoWorkload& workload, const SessionConfig& session,
+            core::MpcObjective objective)
+      : SchemeBase(kind, workload, session),
+        controller_(util::Seconds(workload.config().segment_seconds), session.mpc,
+                    power::device_model(session.device), objective) {}
 
  protected:
   // Build the horizon [k, horizon_end(k)), solve it, and return the plan's

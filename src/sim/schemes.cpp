@@ -22,7 +22,7 @@ using geometry::Viewport;
 
 namespace {
 
-using SchemeFactory = std::unique_ptr<Scheme> (*)(const SchemeEnv&);
+using SchemeFactory = std::unique_ptr<Scheme> (*)(const VideoWorkload&, const SessionConfig&);
 
 struct ControllerEntry {
   ControllerInfo info;
@@ -74,6 +74,12 @@ std::vector<SchemeKind> registered_schemes() {
   return kinds;
 }
 
+double segment_qo(const video::ContentFeatures& features, int quality) {
+  static const qoe::QoModel model(qoe::QoParams{}, kQoeBitrateScale);
+  return model.qo(features.si, features.ti,
+                  util::Mbps(video::fov_bitrate_mbps(quality, features)));
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -83,32 +89,32 @@ class CtileScheme : public MpcScheme {
  public:
   // `frame_options` opens the frame-rate ladder to the planner (Pano); the
   // in-paper Ctile and the Ptile fallback plan at the original frame rate.
-  CtileScheme(SchemeKind kind, const SchemeEnv& env, bool frame_options)
-      : MpcScheme(kind, env, core::MpcObjective::kMaxQoE),
+  CtileScheme(SchemeKind kind, const VideoWorkload& workload, const SessionConfig& session,
+              bool frame_options)
+      : MpcScheme(kind, workload, session, core::MpcObjective::kMaxQoE),
         frame_options_(frame_options) {}
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
-    const auto& workload = *env_.workload;
     const auto rect = grid_.covering_rect(
-        predicted.area(), workload.config().ptile.tile_overlap_threshold);
+        predicted.area(), workload_.config().ptile.tile_overlap_threshold);
     const EquirectRect hq = grid_.rect_area(rect);
     const double hq_area = hq.area_fraction();
     const std::size_t n_hq = rect.tile_count();
     const std::size_t n_bg = grid_.tile_count() - n_hq;
     const double bg_area = std::max(1.0 - hq_area, 0.0);
-    const double L = workload.config().segment_seconds;
+    const double L = workload_.config().segment_seconds;
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kCtileHq;
     bytes.served = [&](std::size_t i, int v) {
-      return env_.encoding->full_rate_bytes(hq_area, n_hq, v, workload.features(i), L);
+      return video::full_rate_bytes(hq_area, n_hq, v, workload_.features(i), L);
     };
     if (n_bg > 0 && bg_area > 0.0) {
       bytes.background_role = NoiseRole::kCtileBackground;
       bytes.background = [&](std::size_t i, int v) {
-        return env_.encoding->full_rate_bytes(bg_area, n_bg, v, workload.features(i), L);
+        return video::full_rate_bytes(bg_area, n_bg, v, workload_.features(i), L);
       };
     }
 
@@ -127,8 +133,8 @@ class CtileScheme : public MpcScheme {
 // frame-rate) ladder, planned against a perceptually weighted Qo.
 class PanoScheme : public CtileScheme {
  public:
-  explicit PanoScheme(const SchemeEnv& env)
-      : CtileScheme(SchemeKind::kPano, env, /*frame_options=*/true) {}
+  PanoScheme(const VideoWorkload& workload, const SessionConfig& session)
+      : CtileScheme(SchemeKind::kPano, workload, session, /*frame_options=*/true) {}
 
  protected:
   // The planner's Qo is masked by what the viewer can perceive at this
@@ -146,14 +152,13 @@ class PanoScheme : public CtileScheme {
 
 class FtileScheme : public MpcScheme {
  public:
-  explicit FtileScheme(const SchemeEnv& env)
-      : MpcScheme(SchemeKind::kFtile, env, core::MpcObjective::kMaxQoE) {}
+  FtileScheme(const VideoWorkload& workload, const SessionConfig& session)
+      : MpcScheme(SchemeKind::kFtile, workload, session, core::MpcObjective::kMaxQoE) {}
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
-    const auto& workload = *env_.workload;
-    const double L = workload.config().segment_seconds;
+    const double L = workload_.config().segment_seconds;
 
     // The FoV tile set is computed against each lookahead segment's own
     // layout (layouts are per-segment server-side artifacts). It depends on
@@ -163,20 +168,20 @@ class FtileScheme : public MpcScheme {
     // not once per (quality, frame) option. Which blocks the prediction
     // holds depends on the block grid alone, which every segment's layout
     // shares, so it is found once per plan.
-    const ptile::FtileLayout& layout = workload.ftile(k);
+    const ptile::FtileLayout& layout = workload_.ftile(k);
     const ptile::FtileLayout::BlocksInView view = layout.blocks_in_view(predicted);
     const std::size_t end = horizon_end(k);
     std::vector<ptile::FtileLayout::TileSplit> splits;
     splits.reserve(end - k);
-    for (std::size_t i = k; i < end; ++i) splits.push_back(workload.ftile(i).split(view));
+    for (std::size_t i = k; i < end; ++i) splits.push_back(workload_.ftile(i).split(view));
 
     // tiled_full_rate_bytes of a side's tiles: their summed area, capped at
     // the whole frame, as `tiles` tiles. A segment whose layout puts every
     // tile on one side has no region on the other, which costs 0 bytes.
     const auto side_bytes = [&](std::size_t tiles, double area, std::size_t i, int v) {
       return tiles == 0 ? 0.0
-                        : env_.encoding->full_rate_bytes(std::min(area, 1.0), tiles, v,
-                                                         workload.features(i), L);
+                        : video::full_rate_bytes(std::min(area, 1.0), tiles, v,
+                                                 workload_.features(i), L);
     };
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kFtileHq;
@@ -208,19 +213,18 @@ class FtileScheme : public MpcScheme {
 
 class NontileScheme : public MpcScheme {
  public:
-  explicit NontileScheme(const SchemeEnv& env)
-      : MpcScheme(SchemeKind::kNontile, env, core::MpcObjective::kMaxQoE) {}
+  NontileScheme(const VideoWorkload& workload, const SessionConfig& session)
+      : MpcScheme(SchemeKind::kNontile, workload, session, core::MpcObjective::kMaxQoE) {}
 
   DownloadPlan plan(std::size_t k, const Viewport&, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
-    const auto& workload = *env_.workload;
-    const double L = workload.config().segment_seconds;
+    const double L = workload_.config().segment_seconds;
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kNontile;
     bytes.served = [&](std::size_t i, int v) {
-      return env_.encoding->full_rate_bytes(1.0, 1, v, workload.features(i), L);
+      return video::full_rate_bytes(1.0, 1, v, workload_.features(i), L);
     };
 
     DownloadPlan plan = solve(k, bytes, /*frame_options=*/false, predicted_sfov,
@@ -244,36 +248,36 @@ class PtileScheme : public MpcScheme {
  public:
   // `kind` is the registry identity (kPtile or kOurs) — passed explicitly by
   // the factory, never inferred from frame_adaptation (PR 10 bugfix).
-  PtileScheme(SchemeKind kind, const SchemeEnv& env, bool frame_adaptation)
-      : MpcScheme(kind, env, core::MpcObjective::kMinEnergyQoEConstrained),
+  PtileScheme(SchemeKind kind, const VideoWorkload& workload, const SessionConfig& session,
+              bool frame_adaptation)
+      : MpcScheme(kind, workload, session, core::MpcObjective::kMinEnergyQoEConstrained),
         frame_adaptation_(frame_adaptation),
-        fallback_(SchemeKind::kCtile, env, /*frame_options=*/false) {}
+        fallback_(SchemeKind::kCtile, workload, session, /*frame_options=*/false) {}
 
   DownloadPlan plan(std::size_t k, const Viewport& predicted, double predicted_sfov,
                     util::BytesPerSec bandwidth, util::Seconds buffer,
                     double prev_qo) const override {
-    const auto& workload = *env_.workload;
     const ptile::Ptile* ptile =
-        workload.ptiles(k).covering(predicted, env_.session->ptile_min_coverage);
+        workload_.ptiles(k).covering(predicted, session_.ptile_min_coverage);
     if (ptile == nullptr) {
       // Section IV-B: no covering Ptile -> conventional tiles at the best
       // possible quality for this segment (used_ptile stays false).
       return fallback_.plan(k, predicted, predicted_sfov, bandwidth, buffer, prev_qo);
     }
 
-    const double L = workload.config().segment_seconds;
+    const double L = workload_.config().segment_seconds;
     const double ptile_area = ptile->area.area_fraction();
     const std::vector<double> bg_areas = ptile::background_block_areas(*ptile);
 
     HorizonBytes bytes;
     bytes.served_role = NoiseRole::kPtile;
     bytes.served = [&](std::size_t i, int v) {
-      return env_.encoding->full_rate_bytes(ptile_area, 1, v, workload.features(i), L);
+      return video::full_rate_bytes(ptile_area, 1, v, workload_.features(i), L);
     };
     if (!bg_areas.empty()) {
       bytes.background_role = NoiseRole::kPtileBackground;
       bytes.background = [&](std::size_t i, int v) {
-        return env_.encoding->tiled_full_rate_bytes(bg_areas, v, workload.features(i), L);
+        return video::tiled_full_rate_bytes(bg_areas, v, workload_.features(i), L);
       };
     }
 
@@ -292,25 +296,32 @@ class PtileScheme : public MpcScheme {
 // ---------------------------------------------------------------------------
 // Registry
 
-std::unique_ptr<Scheme> make_ctile(const SchemeEnv& env) {
-  return std::make_unique<CtileScheme>(SchemeKind::kCtile, env, /*frame_options=*/false);
+std::unique_ptr<Scheme> make_ctile(const VideoWorkload& workload,
+                                   const SessionConfig& session) {
+  return std::make_unique<CtileScheme>(SchemeKind::kCtile, workload, session,
+                                       /*frame_options=*/false);
 }
-std::unique_ptr<Scheme> make_ftile(const SchemeEnv& env) {
-  return std::make_unique<FtileScheme>(env);
+std::unique_ptr<Scheme> make_ftile(const VideoWorkload& workload,
+                                   const SessionConfig& session) {
+  return std::make_unique<FtileScheme>(workload, session);
 }
-std::unique_ptr<Scheme> make_nontile(const SchemeEnv& env) {
-  return std::make_unique<NontileScheme>(env);
+std::unique_ptr<Scheme> make_nontile(const VideoWorkload& workload,
+                                     const SessionConfig& session) {
+  return std::make_unique<NontileScheme>(workload, session);
 }
-std::unique_ptr<Scheme> make_ptile_fixed(const SchemeEnv& env) {
-  return std::make_unique<PtileScheme>(SchemeKind::kPtile, env,
+std::unique_ptr<Scheme> make_ptile_fixed(const VideoWorkload& workload,
+                                         const SessionConfig& session) {
+  return std::make_unique<PtileScheme>(SchemeKind::kPtile, workload, session,
                                        /*frame_adaptation=*/false);
 }
-std::unique_ptr<Scheme> make_ours(const SchemeEnv& env) {
-  return std::make_unique<PtileScheme>(SchemeKind::kOurs, env,
+std::unique_ptr<Scheme> make_ours(const VideoWorkload& workload,
+                                  const SessionConfig& session) {
+  return std::make_unique<PtileScheme>(SchemeKind::kOurs, workload, session,
                                        /*frame_adaptation=*/true);
 }
-std::unique_ptr<Scheme> make_pano(const SchemeEnv& env) {
-  return std::make_unique<PanoScheme>(env);
+std::unique_ptr<Scheme> make_pano(const VideoWorkload& workload,
+                                  const SessionConfig& session) {
+  return std::make_unique<PanoScheme>(workload, session);
 }
 
 // Row i must register SchemeKind(i): every accessor indexes by enum value,
@@ -340,14 +351,16 @@ const std::array<ControllerEntry, kSchemeCount>& registry() {
 
 }  // namespace
 
-std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const SchemeEnv& env) {
+std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const VideoWorkload& workload,
+                                    const SessionConfig& session) {
   const auto index = static_cast<std::size_t>(kind);
   PS360_CHECK_MSG(index < kSchemeCount, "unknown scheme kind");
-  return registry()[index].factory(env);
+  return registry()[index].factory(workload, session);
 }
 
-std::unique_ptr<Scheme> make_scheme(std::string_view name, const SchemeEnv& env) {
-  return make_scheme(scheme_kind(name), env);
+std::unique_ptr<Scheme> make_scheme(std::string_view name, const VideoWorkload& workload,
+                                    const SessionConfig& session) {
+  return make_scheme(scheme_kind(name), workload, session);
 }
 
 }  // namespace ps360::sim

@@ -40,8 +40,9 @@
 // back to conventional tiles at the best possible quality for that segment,
 // exactly as Section IV-B prescribes.
 //
-// A scheme reads its knobs (H, L, β, ε, the coverage and tile rules, the
-// device) from the session's one SessionConfig, SchemeEnv::session.
+// A scheme plans over one VideoWorkload and reads its knobs (H, β, ε, the
+// coverage rule, the device, the size-noise seed) from the session's one
+// SessionConfig; L, the FoV and the tile rule are the workload's.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +54,8 @@
 #include "core/mpc.h"
 #include "sim/session_config.h"
 #include "sim/workload.h"
-#include "video/encoding.h"
 #include "util/units.h"
+#include "video/content.h"
 
 namespace ps360::sim {
 
@@ -108,14 +109,16 @@ std::vector<SchemeKind> all_schemes();
 // the tournament default.
 std::vector<SchemeKind> registered_schemes();
 
-// Shared, non-owning environment a scheme plans against; each pointee must
-// outlive the scheme, which checks validated(*session, *workload).
-struct SchemeEnv {
-  const VideoWorkload* workload = nullptr;
-  const video::EncodingModel* encoding = nullptr;
-  const qoe::QoModel* qo_model = nullptr;
-  const SessionConfig* session = nullptr;
-};
+// Maps the encoding model's FoV Mbps into the b units of Table II's fit (our
+// synthetic encodes live at lower absolute rates than the fit's b axis; see
+// DESIGN.md §6).
+inline constexpr double kQoeBitrateScale = 4.0;
+
+// Eq. 3: the session Qo of a segment with these features at `quality` and
+// the original frame rate — Table II's fit (qoe::QoParams{}) at the encoding
+// model's FoV bitrate scaled by kQoeBitrateScale. The one definition: the
+// schemes plan with it and the accountant scores delivered quality with it.
+double segment_qo(const video::ContentFeatures& features, int quality);
 
 // What a plan's one solve did. plan() emits nothing: it returns this with
 // the plan, and the fleet engine reports it on the coordinator when the
@@ -157,8 +160,8 @@ class Scheme {
   // the segment's playback time, `predicted_sfov` the recent switching speed
   // (deg/s), `bandwidth` the estimated throughput, `buffer` B_k, and
   // `prev_qo` the previous segment's planned Qo. A pure function of its
-  // arguments and the SchemeEnv: it emits nothing (the plan's SolveRecord
-  // says what its solve did), so any thread may run it.
+  // arguments, the workload and the SessionConfig: it emits nothing (the
+  // plan's SolveRecord says what its solve did), so any thread may run it.
   virtual DownloadPlan plan(std::size_t k, const geometry::Viewport& predicted,
                             double predicted_sfov, util::BytesPerSec bandwidth,
                             util::Seconds buffer, double prev_qo) const = 0;
@@ -173,7 +176,16 @@ class Scheme {
 
 // Factory: by registered kind, or by registered name ("Ctile", "GhoshLP",
 // ...). The returned scheme's kind()/name() round-trip through the registry.
-std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const SchemeEnv& env);
-std::unique_ptr<Scheme> make_scheme(std::string_view name, const SchemeEnv& env);
+// The scheme keeps references to `workload` and `session`, which must
+// outlive it, and checks validated(session, workload).
+std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const VideoWorkload& workload,
+                                    const SessionConfig& session);
+std::unique_ptr<Scheme> make_scheme(std::string_view name, const VideoWorkload& workload,
+                                    const SessionConfig& session);
+// A temporary SessionConfig would dangle in the scheme.
+std::unique_ptr<Scheme> make_scheme(SchemeKind, const VideoWorkload&,
+                                    const SessionConfig&&) = delete;
+std::unique_ptr<Scheme> make_scheme(std::string_view, const VideoWorkload&,
+                                    const SessionConfig&&) = delete;
 
 }  // namespace ps360::sim

@@ -38,8 +38,8 @@ struct TournamentFaultProfile {
 };
 
 // The fault environments every tournament runs: "clean" (faults off) and
-// "hostile" (the fleet_contention --faults setup: outages every ~20 s, 10%
-// request loss, 20% latency spikes).
+// "hostile" (outages every ~20 s, 10% request loss, 20% latency spikes;
+// fleet_contention --faults reads it from here).
 std::vector<TournamentFaultProfile> default_fault_profiles();
 
 struct TournamentConfig {

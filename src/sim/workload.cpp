@@ -33,16 +33,11 @@ std::uint64_t noise_key(const VideoWorkload& workload, std::size_t segment, int 
                            salt + 1, 0);
 }
 
-SizeNoiseTable::SizeNoiseTable(const VideoWorkload& workload,
-                               const video::EncodingModel& encoding)
+SizeNoiseTable::SizeNoiseTable(const VideoWorkload& workload, std::uint64_t seed)
     : workload_(workload),
-      encoding_(encoding),
+      seed_(seed),
       drawn_(std::make_unique<std::once_flag[]>(workload.segment_count())),
       values_(workload.segment_count() * kRowSize) {}
-
-bool SizeNoiseTable::draws_like(const video::EncodingModel& encoding) const {
-  return encoding.seed() == encoding_.seed();
-}
 
 SizeNoiseRow SizeNoiseTable::row(std::size_t segment) const {
   PS360_CHECK(segment < workload_.segment_count());
@@ -52,18 +47,17 @@ SizeNoiseRow SizeNoiseTable::row(std::size_t segment) const {
     for (std::size_t role = 0; role < kMpcRoles; ++role) {
       for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
         for (std::size_t fi = 1; fi <= FrameRateLadder::kOptions; ++fi) {
-          *out++ = encoding_
-                       .size_noise(noise_key(workload_, segment, v, fi,
-                                             static_cast<NoiseRole>(role)))
+          *out++ = video::size_noise(seed_, noise_key(workload_, segment, v, fi,
+                                                      static_cast<NoiseRole>(role)))
                        .factor;
         }
       }
     }
     for (std::size_t tile = 0; tile < kGhoshTiles; ++tile) {
       for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
-        *out++ = encoding_
-                     .size_noise(noise_key(workload_, segment, v, FrameRateLadder::kOptions,
-                                           NoiseRole::kGhoshTile, tile))
+        *out++ = video::size_noise(seed_, noise_key(workload_, segment, v,
+                                                    FrameRateLadder::kOptions,
+                                                    NoiseRole::kGhoshTile, tile))
                      .factor;
       }
     }
@@ -132,13 +126,12 @@ const ptile::FtileLayout& VideoWorkload::ftile(std::size_t segment) const {
   return ftiles_[segment];
 }
 
-const SizeNoiseTable& VideoWorkload::size_noise_table(
-    const video::EncodingModel& encoding) const {
+const SizeNoiseTable& VideoWorkload::size_noise_table(std::uint64_t seed) const {
   const std::lock_guard<std::mutex> lock(noise_mutex_);
   for (const auto& table : noise_tables_) {
-    if (table->draws_like(encoding)) return *table;
+    if (table->seed() == seed) return *table;
   }
-  return *noise_tables_.emplace_back(std::make_unique<SizeNoiseTable>(*this, encoding));
+  return *noise_tables_.emplace_back(std::make_unique<SizeNoiseTable>(*this, seed));
 }
 
 const trace::HeadTrace& VideoWorkload::test_trace(std::size_t test_user) const {

@@ -14,13 +14,13 @@
 //    row on a 4-vCPU host: the tournament read 220.8k segments/s with it and
 //    221.0k without (4 of 6 pairs), and paper-grid won 4 of 6 pairs
 //    (DESIGN.md §17)),
-//  * per-encoding size-noise tables (the second lazy artifact): every
-//    encode's lognormal size factor, keyed by the encoding's seed, the only
-//    value EncodingModel::size_noise reads. The first scheme built for a
-//    seed creates its table under a mutex; each segment's row is drawn
-//    at its first plan under its own std::call_once, never in the
-//    constructor. Every session, fleet and grid cell that plans over the
-//    video with that encoding reads the same draws.
+//  * per-seed size-noise tables (the second lazy artifact): every encode's
+//    lognormal size factor, video::size_noise under a session's
+//    SessionConfig::seed. The first scheme built for a seed creates its
+//    table under a mutex; each segment's row is drawn at its first plan
+//    under its own std::call_once, never in the constructor. Every session,
+//    fleet and grid cell that plans over the video with that seed reads the
+//    same draws.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +72,8 @@ class SizeNoiseRow {
   const double* values_;
 };
 
-// Every encode's size-noise factor for one (video, encoding seed):
-// entry = EncodingModel::size_noise(noise_key(...)) for roles 0-6 × 5
+// Every encode's size-noise factor for one (video, seed):
+// entry = video::size_noise(seed, noise_key(...)) for roles 0-6 × 5
 // qualities × 4 frame indices plus 32 Ghosh tiles × 5 qualities, 300
 // factors per segment. Obtained from VideoWorkload::size_noise_table.
 class SizeNoiseTable {
@@ -86,14 +86,13 @@ class SizeNoiseTable {
   static constexpr std::size_t kRowSize =
       kRoleEntries + kGhoshTiles * video::QualityLadder::kLevels;
 
-  SizeNoiseTable(const VideoWorkload& workload, const video::EncodingModel& encoding);
+  SizeNoiseTable(const VideoWorkload& workload, std::uint64_t seed);
   // Schemes keep the table's address, so it never moves.
   SizeNoiseTable(const SizeNoiseTable&) = delete;
   SizeNoiseTable& operator=(const SizeNoiseTable&) = delete;
 
-  // True when `encoding` draws exactly this table's factors (it has this
-  // table's seed).
-  bool draws_like(const video::EncodingModel& encoding) const;
+  // The seed every factor of the table is drawn under.
+  std::uint64_t seed() const { return seed_; }
 
   // The segment's factors, drawn on the first call for the segment under a
   // std::call_once, so any number of threads may make that call at once;
@@ -102,7 +101,7 @@ class SizeNoiseTable {
 
  private:
   const VideoWorkload& workload_;
-  const video::EncodingModel encoding_;
+  const std::uint64_t seed_;
   std::unique_ptr<std::once_flag[]> drawn_;  // one per segment
   mutable std::vector<double> values_;       // segment-major rows of kRowSize
 };
@@ -170,11 +169,11 @@ class VideoWorkload {
   // move afterwards.
   const ptile::FtileLayout& ftile(std::size_t segment) const;
 
-  // The size-noise table of `encoding`'s seed over this video. The first
-  // call for a seed creates it; every later call, from any thread,
-  // returns the same table, which never moves. Its rows are drawn on first
-  // use (SizeNoiseTable::row).
-  const SizeNoiseTable& size_noise_table(const video::EncodingModel& encoding) const;
+  // The size-noise table of a session seed (SessionConfig::seed) over this
+  // video. The first call for a seed creates it; every later call, from any
+  // thread, returns the same table, which never moves. Its rows are drawn on
+  // first use (SizeNoiseTable::row).
+  const SizeNoiseTable& size_noise_table(std::uint64_t seed) const;
 
   // Head trace of a held-out test user (0-based among the test users).
   const trace::HeadTrace& test_trace(std::size_t test_user) const;

@@ -122,11 +122,6 @@ double NetworkTrace::bytes_in(double t0, double t1) const {
   return bytes;
 }
 
-double NetworkTrace::mean_mbps(double t0, double t1) const {
-  PS360_CHECK(t1 > t0);
-  return bytes_in(t0, t1) * 8.0 / 1e6 / (t1 - t0);
-}
-
 std::vector<double> NetworkTrace::rates_mbps() const {
   std::vector<double> rates;
   rates.reserve(samples_.size());

@@ -52,9 +52,6 @@ class NetworkTrace {
   // Bytes deliverable in [t0, t1] (integrates the piecewise-constant rate).
   double bytes_in(double t0, double t1) const;
 
-  // Mean throughput over [t0, t1] in Mbps.
-  double mean_mbps(double t0, double t1) const;
-
   // All sample rates (for summary statistics).
   std::vector<double> rates_mbps() const;
 

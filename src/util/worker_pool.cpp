@@ -1,10 +1,13 @@
 #include "util/worker_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <mutex>
 #include <stop_token>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -93,13 +96,17 @@ struct WorkerPool {
 };
 
 std::size_t resolve_thread_count() {
-  if (const char* env = std::getenv("PS360_THREADS")) {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0)
-      return static_cast<std::size_t>(value);
-  }
-  return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  const char* env = std::getenv("PS360_THREADS");
+  if (env == nullptr) return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  // Digits only: from_chars takes no sign, space or prefix, and reports
+  // overflow.
+  const std::string_view text(env);
+  std::size_t value = 0;
+  const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+  PS360_CHECK_MSG(error == std::errc() && end == text.data() + text.size() && value > 0,
+                  "PS360_THREADS must be a positive decimal integer, got \"" +
+                      std::string(text) + "\"");
+  return value;
 }
 
 std::size_t pool_workers() {

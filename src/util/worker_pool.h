@@ -18,8 +18,9 @@
 
 namespace ps360::util {
 
-// The thread budget: a positive PS360_THREADS (1 is the serial path), else
-// the hardware concurrency.
+// The thread budget: PS360_THREADS when set (1 is the serial path), else the
+// hardware concurrency. Throws std::invalid_argument naming the variable and
+// its value when it is set to anything but a positive decimal integer.
 std::size_t resolve_thread_count();
 
 // Workers a call may use beside its own thread: 0 on a one-thread budget,

@@ -51,15 +51,14 @@ static_assert(ratios_representable(), "Fig. 8 ratio outside the representable ra
 
 }  // namespace
 
-double EncodingModel::area_rate_mbps(int quality, const ContentFeatures& features) const {
+double area_rate_mbps(int quality, const ContentFeatures& features) {
   const double content = kContentIntercept + kContentSiSlope * features.si +
                          kContentTiSlope * features.ti;
   PS360_ASSERT_MSG(content > 0.0, "content factor must stay positive");
   return kFullFrameMbpsBest * QualityLadder::rate_factor(quality) * content;
 }
 
-double EncodingModel::tile_overhead_mbps(int quality,
-                                         const ContentFeatures& features) const {
+double tile_overhead_mbps(int quality, const ContentFeatures& features) {
   // Calibrated at the Fig. 8 anchor: a region of kAnchorTileCount
   // reference tiles encoded as one tile (size A*r + K) versus as n tiles
   // (size A*r + n*K) must have the published size ratio:
@@ -72,31 +71,28 @@ double EncodingModel::tile_overhead_mbps(int quality,
   return anchor_area * rate * (1.0 - ratio) / (n * ratio - 1.0);
 }
 
-SizeNoise EncodingModel::size_noise(std::uint64_t noise_key) const {
+SizeNoise size_noise(std::uint64_t seed, std::uint64_t noise_key) {
   if (noise_key == 0) return {};
-  util::Rng rng(util::derive_seed(seed_, 0x517EULL, noise_key));
+  util::Rng rng(util::derive_seed(seed, 0x517EULL, noise_key));
   return {rng.lognormal_median(1.0, kSizeNoiseSigmaLog)};
 }
 
-double EncodingModel::region_bytes(double area_fraction, std::size_t n_tiles,
-                                   int quality, const ContentFeatures& features,
-                                   double seconds, double frame_rate_ratio,
-                                   SizeNoise noise) const {
+double region_bytes(double area_fraction, std::size_t n_tiles, int quality,
+                    const ContentFeatures& features, double seconds,
+                    double frame_rate_ratio, SizeNoise noise) {
   return full_rate_bytes(area_fraction, n_tiles, quality, features, seconds) *
          frame_size_factor(frame_rate_ratio) * noise.factor;
 }
 
-double EncodingModel::tiled_bytes(const std::vector<double>& tile_area_fractions,
-                                  int quality, const ContentFeatures& features,
-                                  double seconds, double frame_rate_ratio,
-                                  SizeNoise noise) const {
+double tiled_bytes(const std::vector<double>& tile_area_fractions, int quality,
+                   const ContentFeatures& features, double seconds,
+                   double frame_rate_ratio, SizeNoise noise) {
   return tiled_full_rate_bytes(tile_area_fractions, quality, features, seconds) *
          frame_size_factor(frame_rate_ratio) * noise.factor;
 }
 
-double EncodingModel::full_rate_bytes(double area_fraction, std::size_t n_tiles,
-                                      int quality, const ContentFeatures& features,
-                                      double seconds) const {
+double full_rate_bytes(double area_fraction, std::size_t n_tiles, int quality,
+                       const ContentFeatures& features, double seconds) {
   PS360_CHECK(area_fraction > 0.0 && area_fraction <= 1.0 + 1e-9);
   PS360_CHECK(n_tiles >= 1);
   PS360_CHECK(seconds > 0.0);
@@ -107,9 +103,8 @@ double EncodingModel::full_rate_bytes(double area_fraction, std::size_t n_tiles,
   return mbps * 1e6 / 8.0 * seconds;
 }
 
-double EncodingModel::tiled_full_rate_bytes(const std::vector<double>& tile_area_fractions,
-                                            int quality, const ContentFeatures& features,
-                                            double seconds) const {
+double tiled_full_rate_bytes(const std::vector<double>& tile_area_fractions, int quality,
+                             const ContentFeatures& features, double seconds) {
   PS360_CHECK(!tile_area_fractions.empty());
   double area = 0.0;
   for (double a : tile_area_fractions) {
@@ -120,12 +115,12 @@ double EncodingModel::tiled_full_rate_bytes(const std::vector<double>& tile_area
                          features, seconds);
 }
 
-double EncodingModel::frame_size_factor(double frame_rate_ratio) const {
+double frame_size_factor(double frame_rate_ratio) {
   PS360_CHECK(frame_rate_ratio > 0.0 && frame_rate_ratio <= 1.0);
   return std::pow(frame_rate_ratio, kFramerateSizeExponent);
 }
 
-double EncodingModel::fov_bitrate_mbps(int quality, const ContentFeatures& features) const {
+double fov_bitrate_mbps(int quality, const ContentFeatures& features) {
   return kFovAreaFraction * area_rate_mbps(quality, features);
 }
 

@@ -31,8 +31,8 @@
 //                      temporal gaps make the surviving frames cost more.
 //   noise            — per-(segment, region) lognormal variation reproducing
 //                      the CDF spread of Fig. 8. Keyed, deterministic: the
-//                      caller draws it with size_noise(key) and passes the
-//                      drawn factor (the schemes read theirs from the
+//                      caller draws it with size_noise(seed, key) and passes
+//                      the drawn factor (the schemes read theirs from the
 //                      video's SizeNoiseTable, sim/workload.h).
 //
 // The model also defines the `b` used by the QoE logistic (Eq. 3):
@@ -62,65 +62,55 @@ inline constexpr std::size_t kAnchorTileCount = 9;
 inline constexpr std::array<double, QualityLadder::kLevels> kFovSizeRatio = {
     0.27, 0.35, 0.47, 0.57, 0.62};
 
-// A drawn size-noise factor (EncodingModel::size_noise). Its own type, so a
-// raw noise key cannot stand in for a drawn factor.
+// A drawn size-noise factor (size_noise). Its own type, so a raw noise key
+// cannot stand in for a drawn factor.
 struct SizeNoise {
   double factor = 1.0;
 };
 
-class EncodingModel {
- public:
-  // `seed` keys the size noise (the session accountant passes its
-  // SessionConfig::seed).
-  explicit EncodingModel(std::uint64_t seed) : seed_(seed) {}
+// The model holds no state: its calibration is the constants of
+// encoding.cpp, and the caller's seed keys the size noise.
 
-  std::uint64_t seed() const { return seed_; }
+// Full-frame-equivalent rate in Mbps at the given quality for content.
+double area_rate_mbps(int quality, const ContentFeatures& features);
 
-  // Full-frame-equivalent rate in Mbps at the given quality for content.
-  double area_rate_mbps(int quality, const ContentFeatures& features) const;
+// Fragmentation overhead in Mbps of one independently decodable tile at the
+// given quality (fixed per tile; see file comment).
+double tile_overhead_mbps(int quality, const ContentFeatures& features);
 
-  // Fragmentation overhead in Mbps of one independently decodable tile at
-  // the given quality (fixed per tile; see file comment).
-  double tile_overhead_mbps(int quality, const ContentFeatures& features) const;
+// The deterministic lognormal size jitter of `noise_key` under `seed`
+// (median 1); key 0 gives exactly 1. A session draws under its
+// SessionConfig::seed.
+SizeNoise size_noise(std::uint64_t seed, std::uint64_t noise_key);
 
-  // The deterministic lognormal size jitter of `noise_key` (median 1); key 0
-  // gives exactly 1. It reads only seed(), so two models of one seed draw
-  // the same factor for every key.
-  SizeNoise size_noise(std::uint64_t noise_key) const;
+// Bytes for a region of `area_fraction` of the frame encoded as `n_tiles`
+// equal tiles at `quality`, `seconds` long, at a reduced frame-rate ratio
+// (f / fm in (0,1]), scaled by a drawn size-noise factor (the default
+// disables noise: exact medians, as the calibration tests use). Computed as
+// full_rate_bytes(...) * frame_size_factor(ratio) * noise.factor.
+double region_bytes(double area_fraction, std::size_t n_tiles, int quality,
+                    const ContentFeatures& features, double seconds,
+                    double frame_rate_ratio = 1.0, SizeNoise noise = {});
 
-  // Bytes for a region of `area_fraction` of the frame encoded as `n_tiles`
-  // equal tiles at `quality`, `seconds` long, at a reduced frame-rate ratio
-  // (f / fm in (0,1]), scaled by a drawn size-noise factor (the default
-  // disables noise: exact medians, as the calibration tests use). Computed
-  // as full_rate_bytes(...) * frame_size_factor(ratio) * noise.factor.
-  double region_bytes(double area_fraction, std::size_t n_tiles, int quality,
-                      const ContentFeatures& features, double seconds,
-                      double frame_rate_ratio = 1.0, SizeNoise noise = {}) const;
+// Bytes for a region made of tiles with the given individual area fractions
+// (for irregular layouts like Ftile), composed likewise.
+double tiled_bytes(const std::vector<double>& tile_area_fractions, int quality,
+                   const ContentFeatures& features, double seconds,
+                   double frame_rate_ratio = 1.0, SizeNoise noise = {});
 
-  // Bytes for a region made of tiles with the given individual area
-  // fractions (for irregular layouts like Ftile), composed likewise.
-  double tiled_bytes(const std::vector<double>& tile_area_fractions, int quality,
-                     const ContentFeatures& features, double seconds,
-                     double frame_rate_ratio = 1.0, SizeNoise noise = {}) const;
+// The factors of region_bytes / tiled_bytes, which a planner evaluates at
+// different granularities: noise-free bytes at the original frame rate, and
+// the frame-rate size factor frame_rate_ratio^γ.
+double full_rate_bytes(double area_fraction, std::size_t n_tiles, int quality,
+                       const ContentFeatures& features, double seconds);
+double tiled_full_rate_bytes(const std::vector<double>& tile_area_fractions, int quality,
+                             const ContentFeatures& features, double seconds);
+double frame_size_factor(double frame_rate_ratio);
 
-  // The factors of region_bytes / tiled_bytes, which a planner evaluates at
-  // different granularities: noise-free bytes at the original frame rate,
-  // and the frame-rate size factor frame_rate_ratio^γ.
-  double full_rate_bytes(double area_fraction, std::size_t n_tiles, int quality,
-                         const ContentFeatures& features, double seconds) const;
-  double tiled_full_rate_bytes(const std::vector<double>& tile_area_fractions,
-                               int quality, const ContentFeatures& features,
-                               double seconds) const;
-  double frame_size_factor(double frame_rate_ratio) const;
-
-  // Mbps of a FoV-sized (100° x 100°) patch at this quality — both the
-  // transfer-size proxy and, scaled by QoModel's bitrate_scale, the `b` fed
-  // to Eq. 3 (perceived quality follows the encode's actual rate, as in the
-  // paper's VMAF-vs-bitrate fit).
-  double fov_bitrate_mbps(int quality, const ContentFeatures& features) const;
-
- private:
-  std::uint64_t seed_;
-};
+// Mbps of a FoV-sized (100° x 100°) patch at this quality — both the
+// transfer-size proxy and, scaled by QoModel's bitrate_scale, the `b` fed to
+// Eq. 3 (perceived quality follows the encode's actual rate, as in the
+// paper's VMAF-vs-bitrate fit).
+double fov_bitrate_mbps(int quality, const ContentFeatures& features);
 
 }  // namespace ps360::video

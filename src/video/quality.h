@@ -37,8 +37,6 @@ class FrameRateLadder {
 
   static constexpr std::size_t kOptions = 4;
 
-  double original_fps() const { return original_fps_; }
-
   // index in [1, kOptions]; kOptions = the original rate, lower indexes are
   // the reduced versions (1 -> 30% reduction).
   double fps(std::size_t index) const;

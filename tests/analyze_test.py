@@ -5,8 +5,7 @@ Each fixture under tests/data/analyze_fixtures/<check-id>/ is a mini-repo
 containing exactly one deliberate violation of that check; the test proves
 the check catches it at the expected file. On top of that: suppression
 semantics (justified allow() silences, justification-less allow() does
-not), the baseline round-trip, the CLI exit-code contract, and the SARIF
-report shape.
+not), the CLI exit-code contract, and the SARIF report shape.
 
 Runs as ctest `lint.selftest`; stdlib-only on purpose.
 """
@@ -22,13 +21,12 @@ import unittest
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from analyze import baseline, cli  # noqa: E402
+from analyze import cli  # noqa: E402
 from analyze.engine import run_analysis  # noqa: E402
 from analyze.output import render_json, render_sarif, render_text  # noqa: E402
 from analyze.registry import all_checks  # noqa: E402
 
 FIXTURES = REPO / "tests" / "data" / "analyze_fixtures"
-NO_BASELINE = pathlib.Path("/nonexistent/baseline.json")
 
 # check id -> file its fixture violation lives in.
 EXPECTED_VIOLATION = {
@@ -63,7 +61,7 @@ class SeededViolationTest(unittest.TestCase):
     """Each check catches its fixture's single deliberate violation."""
 
     def _run(self, fixture: str):
-        return run_analysis(FIXTURES / fixture, None, NO_BASELINE)
+        return run_analysis(FIXTURES / fixture)
 
     def test_each_fixture_trips_exactly_its_check(self):
         for cid, rel in EXPECTED_VIOLATION.items():
@@ -88,31 +86,26 @@ class SeededViolationTest(unittest.TestCase):
 
 class SuppressionTest(unittest.TestCase):
     def test_justified_suppression_silences_the_finding(self):
-        report = run_analysis(FIXTURES / "suppressed-clean", None, NO_BASELINE)
+        report = run_analysis(FIXTURES / "suppressed-clean")
         self.assertTrue(report.clean, [f.message for f in report.findings])
         self.assertEqual(report.suppressions_honored, 1)
 
     def test_unjustified_suppression_keeps_finding_and_flags_comment(self):
-        report = run_analysis(
-            FIXTURES / "unjustified-suppression", None, NO_BASELINE
-        )
+        report = run_analysis(FIXTURES / "unjustified-suppression")
         by_check = {f.check_id for f in report.findings}
         self.assertIn("rng-policy", by_check)
         self.assertIn("suppression-hygiene", by_check)
         self.assertEqual(report.suppressions_honored, 0)
 
     def test_unused_suppression_is_flagged_as_stale(self):
-        report = run_analysis(
-            FIXTURES / "suppression-hygiene", None, NO_BASELINE
-        )
+        report = run_analysis(FIXTURES / "suppression-hygiene")
         [finding] = report.findings
         self.assertEqual(finding.check_id, "suppression-hygiene")
         self.assertIn("unused suppression", finding.message)
 
     def test_check_filter_restricts_reporting_not_analysis(self):
         report = run_analysis(
-            FIXTURES / "unjustified-suppression", ["suppression-hygiene"],
-            NO_BASELINE,
+            FIXTURES / "unjustified-suppression", ["suppression-hygiene"]
         )
         # Only the selected check is *reported* ...
         self.assertEqual({f.check_id for f in report.findings},
@@ -122,55 +115,12 @@ class SuppressionTest(unittest.TestCase):
 
     def test_unknown_check_id_is_a_usage_error(self):
         with self.assertRaises(ValueError):
-            run_analysis(FIXTURES / "rng-policy", ["no-such-check"],
-                         NO_BASELINE)
-
-
-class BaselineTest(unittest.TestCase):
-    def test_round_trip_grandfathers_existing_findings(self):
-        fixture = FIXTURES / "rng-policy"
-        first = run_analysis(fixture, None, NO_BASELINE)
-        self.assertEqual(len(first.findings), 1)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "baseline.json"
-            baseline.save(path, {f.fingerprint for f in first.findings})
-            second = run_analysis(fixture, None, path)
-            self.assertTrue(second.clean)
-            self.assertEqual(len(second.grandfathered), 1)
-            self.assertEqual(second.stale_baseline, set())
-
-    def test_stale_entries_are_reported(self):
-        fixture = FIXTURES / "rng-policy"
-        with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "baseline.json"
-            baseline.save(path, {"rng-policy:src/gone.cpp:000000000000:0"})
-            report = run_analysis(fixture, None, path)
-            self.assertEqual(len(report.stale_baseline), 1)
-
-    def test_save_load_round_trip(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "baseline.json"
-            fingerprints = {"a:b:c:0", "d:e:f:1"}
-            baseline.save(path, fingerprints)
-            self.assertEqual(baseline.load(path), fingerprints)
-
-    def test_version_mismatch_rejected(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "baseline.json"
-            path.write_text('{"version": 99, "findings": []}')
-            with self.assertRaises(ValueError):
-                baseline.load(path)
-
-    def test_committed_baseline_is_empty(self):
-        committed = baseline.load(REPO / "tools" / "analyze" / "baseline.json")
-        self.assertEqual(committed, set(),
-                         "the committed baseline must stay empty: fix or "
-                         "suppress findings instead of grandfathering them")
+            run_analysis(FIXTURES / "rng-policy", ["no-such-check"])
 
 
 class OutputFormatTest(unittest.TestCase):
     def setUp(self):
-        self.report = run_analysis(FIXTURES / "rng-policy", None, NO_BASELINE)
+        self.report = run_analysis(FIXTURES / "rng-policy")
 
     def test_text_names_check_file_and_line(self):
         text = render_text(self.report)
@@ -205,40 +155,23 @@ class OutputFormatTest(unittest.TestCase):
 class CliTest(unittest.TestCase):
     def test_exit_one_on_findings_zero_when_clean(self):
         fixture = str(FIXTURES / "rng-policy")
-        self.assertEqual(
-            cli.main(["--repo", fixture, "--baseline", str(NO_BASELINE)]), 1
-        )
+        self.assertEqual(cli.main(["--repo", fixture]), 1)
         clean = str(FIXTURES / "suppressed-clean")
-        self.assertEqual(
-            cli.main(["--repo", clean, "--baseline", str(NO_BASELINE)]), 0
-        )
+        self.assertEqual(cli.main(["--repo", clean]), 0)
 
     def test_exit_two_on_usage_errors(self):
         self.assertEqual(cli.main(["--repo", "/nonexistent"]), 2)
         self.assertEqual(
             cli.main(["--repo", str(FIXTURES / "rng-policy"),
-                      "--check", "no-such-check",
-                      "--baseline", str(NO_BASELINE)]), 2
+                      "--check", "no-such-check"]), 2
         )
-
-    def test_update_baseline_then_clean(self):
-        fixture = str(FIXTURES / "rng-policy")
-        with tempfile.TemporaryDirectory() as tmp:
-            path = str(pathlib.Path(tmp) / "baseline.json")
-            self.assertEqual(
-                cli.main(["--repo", fixture, "--baseline", path,
-                          "--update-baseline"]), 0
-            )
-            self.assertEqual(
-                cli.main(["--repo", fixture, "--baseline", path]), 0
-            )
 
     def test_sarif_out_file(self):
         fixture = str(FIXTURES / "rng-policy")
         with tempfile.TemporaryDirectory() as tmp:
             out = pathlib.Path(tmp) / "lint.sarif"
-            rc = cli.main(["--repo", fixture, "--baseline", str(NO_BASELINE),
-                           "--format", "sarif", "--out", str(out)])
+            rc = cli.main(["--repo", fixture, "--format", "sarif",
+                           "--out", str(out)])
             self.assertEqual(rc, 1)
             sarif = json.loads(out.read_text())
             self.assertEqual(sarif["version"], "2.1.0")
@@ -251,7 +184,6 @@ class RealRepoTest(unittest.TestCase):
             report.clean,
             "repo has lint findings:\n" + render_text(report),
         )
-        self.assertEqual(report.stale_baseline, set())
 
 
 if __name__ == "__main__":

@@ -22,11 +22,7 @@ struct ClientFixture {
     static const VideoWorkload shared_workload(video, WorkloadConfig{});
     workload = &shared_workload;
     session.ptile_min_coverage = 0.9;  // the coverage floor these tests were written for
-    env.workload = workload;
-    env.encoding = &encoding;
-    env.qo_model = &qo_model;
-    env.session = &session;
-    scheme = make_scheme(SchemeKind::kOurs, env);
+    scheme = make_scheme(SchemeKind::kOurs, *workload, session);
   }
 
   StreamingClient make_client() const {
@@ -34,10 +30,7 @@ struct ClientFixture {
   }
 
   const VideoWorkload* workload;
-  video::EncodingModel encoding{42};
-  qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   SessionConfig session;
-  SchemeEnv env;
   std::unique_ptr<Scheme> scheme;
 };
 

@@ -156,11 +156,7 @@ struct ClientFixture {
   ClientFixture() {
     workload = &test_workload();
     session.ptile_min_coverage = 0.9;  // the coverage floor these tests were written for
-    env.workload = workload;
-    env.encoding = &encoding;
-    env.qo_model = &qo_model;
-    env.session = &session;
-    scheme = make_scheme(sim::SchemeKind::kOurs, env);
+    scheme = make_scheme(sim::SchemeKind::kOurs, *workload, session);
   }
 
   sim::StreamingClient make_client(const sim::SessionConfig& config) const {
@@ -168,10 +164,7 @@ struct ClientFixture {
   }
 
   const sim::VideoWorkload* workload;
-  video::EncodingModel encoding{42};
-  qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
   sim::SessionConfig session;
-  sim::SchemeEnv env;
   std::unique_ptr<sim::Scheme> scheme;
 };
 

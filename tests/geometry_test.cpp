@@ -179,28 +179,6 @@ TEST(LonIntervalTest, UnitedPicksSmallestCover) {
   EXPECT_LE(u.width, 40.0 + 1e-9);
 }
 
-TEST(LonIntervalTest, MinimalCoveringArcEdgeCases) {
-  // Empty input: a zero-width arc.
-  const auto empty = minimal_covering_arc({});
-  EXPECT_DOUBLE_EQ(empty.width, 0.0);
-  // Identical points: still zero width.
-  const auto same = minimal_covering_arc({Degrees(90.0), Degrees(90.0), Degrees(90.0)});
-  EXPECT_DOUBLE_EQ(same.width, 0.0);
-  EXPECT_DOUBLE_EQ(same.lo, 90.0);
-  // Evenly spread points: the arc is 360 minus one gap.
-  const auto spread = minimal_covering_arc({Degrees(0.0), Degrees(90.0), Degrees(180.0), Degrees(270.0)});
-  EXPECT_NEAR(spread.width, 270.0, 1e-9);
-}
-
-TEST(LonIntervalTest, MinimalCoveringArc) {
-  const auto arc = minimal_covering_arc({Degrees(10.0), Degrees(20.0), Degrees(350.0)});
-  EXPECT_NEAR(arc.lo, 350.0, 1e-9);
-  EXPECT_NEAR(arc.width, 30.0, 1e-9);
-  const auto single = minimal_covering_arc({Degrees(42.0)});
-  EXPECT_NEAR(single.lo, 42.0, 1e-12);
-  EXPECT_DOUBLE_EQ(single.width, 0.0);
-}
-
 // ------------------------------------------------------------- EquirectRect
 
 TEST(EquirectRectTest, ContainsAcrossSeam) {
@@ -317,9 +295,9 @@ TEST(TileGridTest, FovCoversNineTilesWhenRowAligned) {
   // equator it grazes a fourth row: 40..140 touches rows 0..3.)
   const TileGrid grid(4, 8);
   const Viewport aligned(EquirectPoint::make(Degrees(112.5), Degrees(95.0)));  // y in [45, 145]
-  EXPECT_EQ(grid.tiles_covering(aligned).size(), 9u);
+  EXPECT_EQ(grid.tiles_in(grid.covering_rect(aligned.area())).size(), 9u);
   const Viewport centered(EquirectPoint::make(Degrees(112.5), Degrees(90.0)));  // y in [40, 140]
-  EXPECT_EQ(grid.tiles_covering(centered).size(), 12u);
+  EXPECT_EQ(grid.tiles_in(grid.covering_rect(centered.area())).size(), 12u);
 }
 
 TEST(TileGridTest, CoveringRectWrapsColumns) {
@@ -353,7 +331,7 @@ TEST(TileGridTest, CoveringRectExactTileBoundaries) {
 TEST(TileGridTest, SnappedAreaContainsOriginal) {
   const TileGrid grid(4, 8);
   const auto area = EquirectRect::make(LonInterval::make(Degrees(100.0), Degrees(80.0)), Degrees(50.0), Degrees(130.0));
-  const auto snapped = grid.snapped_area(area);
+  const auto snapped = grid.rect_area(grid.covering_rect(area));
   EXPECT_GE(snapped.coverage_of(area), 1.0 - 1e-9);
   EXPECT_GE(snapped.area_deg2(), area.area_deg2());
 }

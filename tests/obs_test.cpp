@@ -144,14 +144,6 @@ TEST(EventTracerTest, RejectsZeroCapacity) {
   EXPECT_THROW(EventTracer(0), std::invalid_argument);
 }
 
-TEST(EventTracerTest, ClearEmptiesRetainedRecords) {
-  EventTracer tracer(4);
-  tracer.record(1.0, 0, TraceEventKind::kMpcStrict, 5, -2.0);
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_TRUE(tracer.snapshot().empty());
-}
-
 TEST(EventTracerTest, ExportsStableJsonl) {
   EventTracer tracer(4);
   tracer.record(1.25, 7, TraceEventKind::kLinkRateChange, 3, 5e5);

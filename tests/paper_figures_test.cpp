@@ -82,8 +82,7 @@ std::vector<std::string> golden_lines(bool quick) {
   const std::string components = "components.v" + std::to_string(video) + ".t2.";
   std::vector<std::string> lines;
 
-  const EvaluationGrid pixel3 = bench::run_eval_grid(power::Device::kPixel3, options,
-                                                     /*verbose_progress=*/false);
+  const EvaluationGrid pixel3 = bench::run_eval_grid(power::Device::kPixel3, options);
   const std::string fig9 = mode + ".fig9";
   add_energy_figure(pixel3, fig9, lines);
   const EvaluationCell& ctile = pixel3.at(video, 2, SchemeKind::kCtile);
@@ -121,7 +120,7 @@ std::vector<std::string> golden_lines(bool quick) {
   const std::pair<power::Device, const char*> fig10_devices[] = {
       {power::Device::kNexus5X, "Nexus5X"}, {power::Device::kGalaxyS20, "GalaxyS20"}};
   for (const auto& [device, name] : fig10_devices) {
-    add_energy_figure(bench::run_eval_grid(device, options, /*verbose_progress=*/false),
+    add_energy_figure(bench::run_eval_grid(device, options),
                       mode + ".fig10." + name, lines);
   }
   return lines;

@@ -144,7 +144,7 @@ class TableOneRegeneration
 
 TEST_P(TableOneRegeneration, FitRecoversGroundTruth) {
   const auto [device, profile] = GetParam();
-  const MeasurementSimulator simulator;
+  const MeasurementSimulator simulator(42);
   const LinearFit fit = fit_linear(simulator.measure_decode(device, profile));
   const auto& truth =
       device_model(device).decode[static_cast<std::size_t>(profile)];
@@ -162,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          DecodeProfile::kPtile)));
 
 TEST(MeasurementTest, RenderAndTransmitRecovered) {
-  const MeasurementSimulator simulator;
+  const MeasurementSimulator simulator(42);
   for (Device device : kAllDevices) {
     const LinearFit render = fit_linear(simulator.measure_render(device));
     EXPECT_NEAR(render.intercept, device_model(device).render.base_mw, 15.0);
@@ -174,7 +174,7 @@ TEST(MeasurementTest, RenderAndTransmitRecovered) {
 }
 
 TEST(MeasurementTest, MeasurementsAreDeterministic) {
-  const MeasurementSimulator a, b;
+  const MeasurementSimulator a(42), b(42);
   const auto sa = a.measure_decode(Device::kPixel3, DecodeProfile::kPtile);
   const auto sb = b.measure_decode(Device::kPixel3, DecodeProfile::kPtile);
   ASSERT_EQ(sa.size(), sb.size());
@@ -184,77 +184,67 @@ TEST(MeasurementTest, MeasurementsAreDeterministic) {
 // ----------------------------------------------------- DecoderConcurrency
 
 TEST(DecoderModelTest, PaperEndpoints) {
-  const DecoderConcurrencyModel model;
   // Fig. 2(b), Pixel 3: 1 decoder 1.3 s @ 241 mW; 9 decoders ~0.5 s @ 846 mW.
-  EXPECT_NEAR(model.decode_time_s(1), 1.3, 1e-9);
-  EXPECT_NEAR(model.decode_power_mw(1), 241.0, 1e-9);
-  EXPECT_NEAR(model.decode_time_s(9), 0.5, 0.08);
-  EXPECT_NEAR(model.decode_power_mw(9), 846.0, 15.0);
-  EXPECT_DOUBLE_EQ(model.ptile_decode_time_s(), 0.24);
-  EXPECT_DOUBLE_EQ(model.ptile_decode_power_mw(), 287.0);
+  EXPECT_NEAR(decode_time_s(1), 1.3, 1e-9);
+  EXPECT_NEAR(decode_power_mw(1), 241.0, 1e-9);
+  EXPECT_NEAR(decode_time_s(9), 0.5, 0.08);
+  EXPECT_NEAR(decode_power_mw(9), 846.0, 15.0);
+  EXPECT_DOUBLE_EQ(ptile_decode_time_s(), 0.24);
+  EXPECT_DOUBLE_EQ(ptile_decode_power_mw(), 287.0);
 }
 
 TEST(DecoderModelTest, TimeShrinksPowerGrows) {
-  const DecoderConcurrencyModel model;
   for (std::size_t n = 2; n <= 9; ++n) {
-    EXPECT_LT(model.decode_time_s(n), model.decode_time_s(n - 1));
-    EXPECT_GT(model.decode_power_mw(n), model.decode_power_mw(n - 1));
+    EXPECT_LT(decode_time_s(n), decode_time_s(n - 1));
+    EXPECT_GT(decode_power_mw(n), decode_power_mw(n - 1));
   }
 }
 
 TEST(DecoderModelTest, IntermediateDecoderCountMinimisesEnergy) {
   // Fig. 2(c): an intermediate decoder count (4 in the paper) is the best
   // conventional configuration.
-  const DecoderConcurrencyModel model;
-  const std::size_t best = model.best_decoder_count(9);
+  const std::size_t best = best_decoder_count(9);
   EXPECT_GE(best, 3u);
   EXPECT_LE(best, 5u);
-  EXPECT_LT(model.processing_energy_mj(best), model.processing_energy_mj(1));
-  EXPECT_LT(model.processing_energy_mj(best), model.processing_energy_mj(9));
+  EXPECT_LT(processing_energy_mj(best), processing_energy_mj(1));
+  EXPECT_LT(processing_energy_mj(best), processing_energy_mj(9));
 }
 
 TEST(DecoderModelTest, PtileBeatsBestConventional) {
   // Fig. 2(c): the Ptile pipeline saves ~40-55% of processing energy versus
   // the best multi-decoder configuration.
-  const DecoderConcurrencyModel model;
-  const double best = model.processing_energy_mj(model.best_decoder_count(9));
-  const double ptile = model.ptile_processing_energy_mj();
+  const double best = processing_energy_mj(best_decoder_count(9));
+  const double ptile = ptile_processing_energy_mj();
   const double saving = 1.0 - ptile / best;
   EXPECT_GT(saving, 0.35);
   EXPECT_LT(saving, 0.65);
 }
 
 TEST(DecoderModelTest, RejectsZeroDecoders) {
-  const DecoderConcurrencyModel model;
-  EXPECT_THROW(model.decode_time_s(0), std::invalid_argument);
+  EXPECT_THROW(decode_time_s(0), std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- Battery
 
 TEST(BatteryModelTest, CapacityAndPercentages) {
-  const BatteryModel battery(3000.0, 3.85);
-  EXPECT_NEAR(battery.capacity_joules(), 3000.0 * 3.85 * 3.6, 1e-9);
+  // A 3000 mAh battery at 3.85 V nominal.
+  EXPECT_NEAR(battery_capacity_joules(), 3000.0 * 3.85 * 3.6, 1e-9);
   // Drawing 2 W for an hour: 7200 J of ~41.6 kJ ~ 17.3%.
-  EXPECT_NEAR(battery.percent_per_hour(2000.0), 7200.0 / 41580.0 * 100.0, 1e-9);
-  EXPECT_NEAR(battery.percent_for(2000.0, 1800.0),
-              battery.percent_per_hour(2000.0) / 2.0, 1e-12);
-  EXPECT_NEAR(battery.hours_at(2000.0), 100.0 / battery.percent_per_hour(2000.0),
+  EXPECT_NEAR(battery_percent_per_hour(2000.0), 7200.0 / 41580.0 * 100.0, 1e-9);
+  EXPECT_NEAR(battery_percent_for(2000.0, 1800.0), battery_percent_per_hour(2000.0) / 2.0,
               1e-12);
+  EXPECT_NEAR(battery_hours_at(2000.0), 100.0 / battery_percent_per_hour(2000.0), 1e-12);
 }
 
 TEST(BatteryModelTest, StreamingSavingsInBatteryTerms) {
   // The headline in user terms: at the Fig. 9 per-segment energies (~2.6 W
   // Ctile vs ~1.5 W Ours), the Ptile pipeline buys hours of extra playback.
-  const BatteryModel battery;
-  EXPECT_GT(battery.hours_at(1500.0), battery.hours_at(2600.0) * 1.5);
+  EXPECT_GT(battery_hours_at(1500.0), battery_hours_at(2600.0) * 1.5);
 }
 
 TEST(BatteryModelTest, Validation) {
-  EXPECT_THROW(BatteryModel(0.0, 3.85), std::invalid_argument);
-  EXPECT_THROW(BatteryModel(3000.0, 0.0), std::invalid_argument);
-  const BatteryModel battery;
-  EXPECT_THROW(battery.percent_for(-1.0, 10.0), std::invalid_argument);
-  EXPECT_THROW(battery.hours_at(0.0), std::invalid_argument);
+  EXPECT_THROW(battery_percent_for(-1.0, 10.0), std::invalid_argument);
+  EXPECT_THROW(battery_hours_at(0.0), std::invalid_argument);
 }
 
 }  // namespace

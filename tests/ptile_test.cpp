@@ -694,16 +694,6 @@ TEST(ViewHeatmapTest, ViewportAddsFovSizedMass) {
   EXPECT_DOUBLE_EQ(heatmap.max_value(), 1.0);
 }
 
-TEST(ViewHeatmapTest, MassInCapturesAttention) {
-  ViewHeatmap heatmap(18, 36);
-  for (int i = 0; i < 5; ++i)
-    heatmap.add_center(EquirectPoint::make(geometry::Degrees(100.0 + i), geometry::Degrees(90.0)));
-  heatmap.add_center(EquirectPoint::make(geometry::Degrees(300.0), geometry::Degrees(90.0)));
-  const auto hot =
-      geometry::EquirectRect::make(geometry::LonInterval::make(geometry::Degrees(90.0), geometry::Degrees(30.0)), geometry::Degrees(70.0), geometry::Degrees(110.0));
-  EXPECT_NEAR(heatmap.mass_in(hot), 5.0 / 6.0, 1e-9);
-}
-
 TEST(ViewHeatmapTest, RenderShapeAndOverlay) {
   ViewHeatmap heatmap(6, 12);
   heatmap.add_center(EquirectPoint::make(geometry::Degrees(95.0), geometry::Degrees(95.0)));

@@ -140,8 +140,7 @@ std::vector<double> row_values(const SizeNoiseRow& row) {
 static_assert(SizeNoiseTable::kRowSize == 7 * 5 * 4 + 32 * 5);
 
 // Segment k's fresh per-key draws, in row_values' order.
-std::vector<double> per_key_draws(const VideoWorkload& w, const video::EncodingModel& model,
-                                  std::size_t k) {
+std::vector<double> per_key_draws(const VideoWorkload& w, std::uint64_t seed, std::size_t k) {
   using video::FrameRateLadder;
   using video::QualityLadder;
   std::vector<double> values;
@@ -149,15 +148,15 @@ std::vector<double> per_key_draws(const VideoWorkload& w, const video::EncodingM
     for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
       for (std::size_t fi = 1; fi <= FrameRateLadder::kOptions; ++fi) {
         values.push_back(
-            model.size_noise(noise_key(w, k, v, fi, static_cast<NoiseRole>(role))).factor);
+            video::size_noise(seed, noise_key(w, k, v, fi, static_cast<NoiseRole>(role)))
+                .factor);
       }
     }
   }
   for (std::size_t tile = 0; tile < SizeNoiseTable::kGhoshTiles; ++tile) {
     for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
-      values.push_back(model
-                           .size_noise(noise_key(w, k, v, FrameRateLadder::kOptions,
-                                                 NoiseRole::kGhoshTile, tile))
+      values.push_back(video::size_noise(seed, noise_key(w, k, v, FrameRateLadder::kOptions,
+                                                         NoiseRole::kGhoshTile, tile))
                            .factor);
     }
   }
@@ -167,12 +166,11 @@ std::vector<double> per_key_draws(const VideoWorkload& w, const video::EncodingM
 TEST(WorkloadTest, SizeNoiseTableMatchesPerKeyDraws) {
   const auto& w = football_workload();
   for (const std::uint64_t seed : {42ULL, 7ULL}) {
-    const video::EncodingModel model(seed);
-    const SizeNoiseTable& table = w.size_noise_table(model);
+    const SizeNoiseTable& table = w.size_noise_table(seed);
     for (std::size_t k = 0; k < w.segment_count(); ++k)
-      ASSERT_EQ(row_values(table.row(k)), per_key_draws(w, model, k)) << "segment " << k;
+      ASSERT_EQ(row_values(table.row(k)), per_key_draws(w, seed, k)) << "segment " << k;
   }
-  const SizeNoiseTable& table = w.size_noise_table(video::EncodingModel(42));
+  const SizeNoiseTable& table = w.size_noise_table(42);
   EXPECT_THROW(table.row(w.segment_count()), std::invalid_argument);
 }
 
@@ -180,28 +178,26 @@ TEST(WorkloadTest, SizeNoiseTableMatchesPerKeyDraws) {
 class NoiseTableProbe : public SchemeBase {
  public:
   using SchemeBase::SchemeBase;
-  const SizeNoiseTable* table() const { return noise_; }
+  const SizeNoiseTable* table() const { return &noise_; }
   DownloadPlan plan(std::size_t, const geometry::Viewport&, double, util::BytesPerSec,
                     util::Seconds, double) const override {
     return {};
   }
 };
 
-TEST(WorkloadTest, SchemesWithEqualSeedAndSigmaShareOneTable) {
+TEST(WorkloadTest, SchemesWithEqualSeedShareOneTable) {
   const auto& w = football_workload();
-  const qoe::QoModel qo_model(qoe::QoParams{}, 4.0);
-  // Two encodings of one seed (σ is a constant), and a third with another
-  // seed.
-  const video::EncodingModel a(1234), b(1234), c(1235);
-  const SessionConfig session;
-  const auto probe = [&](const video::EncodingModel& encoding) {
-    return NoiseTableProbe(SchemeKind::kCtile, SchemeEnv{&w, &encoding, &qo_model, &session})
-        .table();
+  // Two sessions of one seed, and a third with another seed.
+  SessionConfig a, b, c;
+  a.seed = b.seed = 1234;
+  c.seed = 1235;
+  const auto probe = [&](const SessionConfig& session) {
+    return NoiseTableProbe(SchemeKind::kCtile, w, session).table();
   };
   EXPECT_EQ(probe(a), probe(b));
-  EXPECT_EQ(probe(a), &w.size_noise_table(a));
+  EXPECT_EQ(probe(a), &w.size_noise_table(1234));
   EXPECT_NE(probe(a), probe(c));
-  EXPECT_EQ(probe(c), &w.size_noise_table(c));
+  EXPECT_EQ(probe(c), &w.size_noise_table(1235));
 }
 
 TEST(WorkloadTest, SizeNoiseFirstUseIsThreadSafe) {
@@ -212,7 +208,7 @@ TEST(WorkloadTest, SizeNoiseFirstUseIsThreadSafe) {
   trace::VideoInfo video = trace::test_videos()[5];
   video.duration_s = 8.0;
   const VideoWorkload w(video, WorkloadConfig{});
-  const video::EncodingModel a(11), b(12);
+  const std::uint64_t a = 11, b = 12;
   const auto read_all = [&](const SizeNoiseTable& table, std::vector<double>& out) {
     for (std::size_t k = 0; k < w.segment_count(); ++k) {
       for (const double factor : row_values(table.row(k))) out.push_back(factor);
@@ -425,15 +421,15 @@ TEST(WorkloadTest, RejectsNonFiniteVideoDuration) {
 struct PlannerFixture {
   PlannerFixture() {
     session.ptile_min_coverage = 0.9;  // the coverage floor these tests were written for
-    env.workload = &football_workload();
-    env.encoding = &encoding;
-    env.qo_model = &qo_model;
-    env.session = &session;
+  }
+
+  std::unique_ptr<Scheme> make(SchemeKind kind) const {
+    return make_scheme(kind, workload, session);
   }
 
   DownloadPlan plan(SchemeKind kind, std::size_t segment = 10,
                     double bandwidth = 600e3, double buffer = 3.0) const {
-    const auto scheme = make_scheme(kind, env);
+    const auto scheme = make(kind);
     const auto center =
         football_workload().test_trace(0).center_at(static_cast<double>(segment));
     const geometry::Viewport predicted(center, geometry::Degrees(120.0),
@@ -441,10 +437,8 @@ struct PlannerFixture {
     return scheme->plan(segment, predicted, 10.0, util::BytesPerSec(bandwidth), util::Seconds(buffer), -1.0);
   }
 
-  video::EncodingModel encoding{42};
-  qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
+  const VideoWorkload& workload = football_workload();
   SessionConfig session;
-  SchemeEnv env;
 };
 
 TEST(SchemeTest, InvalidKindThrowsInsteadOfIndexingOutOfBounds) {
@@ -459,7 +453,7 @@ TEST(SchemeTest, NamesAndFactory) {
   EXPECT_EQ(registered_schemes().size(), kSchemeCount);
   const PlannerFixture fixture;
   for (SchemeKind kind : registered_schemes()) {
-    EXPECT_EQ(make_scheme(kind, fixture.env)->kind(), kind);
+    EXPECT_EQ(fixture.make(kind)->kind(), kind);
   }
 }
 
@@ -500,8 +494,8 @@ TEST(SchemeTest, MoreBandwidthNeverLowersQuality) {
 
 TEST(SchemeTest, NontileCoversEverythingCtileCoversViewport) {
   const PlannerFixture fixture;
-  const auto scheme_n = make_scheme(SchemeKind::kNontile, fixture.env);
-  const auto scheme_c = make_scheme(SchemeKind::kCtile, fixture.env);
+  const auto scheme_n = fixture.make(SchemeKind::kNontile);
+  const auto scheme_c = fixture.make(SchemeKind::kCtile);
   const auto plan_n = fixture.plan(SchemeKind::kNontile);
   const auto plan_c = fixture.plan(SchemeKind::kCtile);
   const auto far_away = geometry::Viewport(
@@ -512,7 +506,7 @@ TEST(SchemeTest, NontileCoversEverythingCtileCoversViewport) {
 
 TEST(SchemeTest, PtileFallsBackToConventionalTilesWhenUncovered) {
   const PlannerFixture fixture;
-  const auto scheme = make_scheme(SchemeKind::kPtile, fixture.env);
+  const auto scheme = fixture.make(SchemeKind::kPtile);
   // A viewport far from every training user's interest: no covering Ptile.
   const auto& ptiles = football_workload().ptiles(10).ptiles;
   double far_lon = 0.0;
@@ -547,9 +541,9 @@ TEST(SchemeTest, CtileBytesDecomposeIntoFovAndBackground) {
   // The scheme uses per-segment noise keys we don't reproduce here, so
   // compare against the noise-free expectation with a generous band
   // (sigma_log = 0.1 -> ~±30% tail).
-  const double expected_fov = fixture.encoding.region_bytes(
+  const double expected_fov = video::region_bytes(
       fov_area, rect.tile_count(), plan.option.quality, feat, 1.0);
-  const double expected_bg = fixture.encoding.region_bytes(
+  const double expected_bg = video::region_bytes(
       1.0 - fov_area, grid.tile_count() - rect.tile_count(), 1, feat, 1.0);
   EXPECT_NEAR(plan.option.bytes, expected_fov + expected_bg,
               0.5 * (expected_fov + expected_bg));
@@ -562,10 +556,10 @@ TEST(SchemeTest, PtilePlanChargesPtilePlusBackgroundBlocks) {
   const auto& feat = football_workload().features(10);
   const double area = plan.hq_region.area_fraction();
   const double expected_min =
-      fixture.encoding.region_bytes(area, 1, plan.option.quality, feat, 1.0) * 0.6;
+      video::region_bytes(area, 1, plan.option.quality, feat, 1.0) * 0.6;
   const double expected_max =
-      fixture.encoding.region_bytes(area, 1, plan.option.quality, feat, 1.0) * 1.6 +
-      fixture.encoding.region_bytes(1.0 - area, 3, 1, feat, 1.0) * 1.6;
+      video::region_bytes(area, 1, plan.option.quality, feat, 1.0) * 1.6 +
+      video::region_bytes(1.0 - area, 3, 1, feat, 1.0) * 1.6;
   EXPECT_GT(plan.option.bytes, expected_min);
   EXPECT_LT(plan.option.bytes, expected_max);
 }
@@ -575,7 +569,7 @@ TEST(SchemeTest, NontileBytesAreWholeFrame) {
   const auto plan = fixture.plan(SchemeKind::kNontile, 10);
   const auto& feat = football_workload().features(10);
   const double expected =
-      fixture.encoding.region_bytes(1.0, 1, plan.option.quality, feat, 1.0);
+      video::region_bytes(1.0, 1, plan.option.quality, feat, 1.0);
   EXPECT_NEAR(plan.option.bytes, expected, 0.5 * expected);
 }
 
@@ -593,7 +587,7 @@ TEST(SchemeTest, FtileDownloadsSubsetOfTiles) {
 // The per-option reference for the MPC schemes' plan() (Ftile, Ctile,
 // Nontile, Pano, Ptile and Ours): every (segment, quality, frame) option
 // makes one bytes()
-// call, which draws its own size noise (EncodingModel::size_noise(
+// call, which draws its own size noise (video::size_noise(seed,
 // noise_key(...))) and, for Ftile, selects the FoV tiles against its
 // segment's layout; and one Eq. 3/4 predicted Qo, times Pano's perceptual
 // weight. The schemes evaluate each of these terms once per segment,
@@ -601,14 +595,16 @@ TEST(SchemeTest, FtileDownloadsSubsetOfTiles) {
 // to this reference bit for bit.
 class PerOptionReference : public Scheme {
  public:
-  PerOptionReference(SchemeKind kind, const SchemeEnv& env)
+  PerOptionReference(SchemeKind kind, const VideoWorkload& workload,
+                     const SessionConfig& session)
       : Scheme(kind),
-        env_(env),
-        ladder_(env.workload->video().fps),
-        qoe_(util::Seconds(env.workload->config().segment_seconds), env.session->mpc,
-             power::device_model(env.session->device), core::MpcObjective::kMaxQoE),
-        energy_(util::Seconds(env.workload->config().segment_seconds), env.session->mpc,
-                power::device_model(env.session->device),
+        workload_(workload),
+        session_(session),
+        ladder_(workload.video().fps),
+        qoe_(util::Seconds(workload.config().segment_seconds), session.mpc,
+             power::device_model(session.device), core::MpcObjective::kMaxQoE),
+        energy_(util::Seconds(workload.config().segment_seconds), session.mpc,
+                power::device_model(session.device),
                 core::MpcObjective::kMinEnergyQoEConstrained) {}
 
 
@@ -653,15 +649,14 @@ class PerOptionReference : public Scheme {
 
   video::SizeNoise draw(std::size_t segment, int quality, std::size_t frame_index,
                         NoiseRole role) const {
-    return env_.encoding->size_noise(
-        noise_key(*env_.workload, segment, quality, frame_index, role));
+    return video::size_noise(session_.seed,
+                             noise_key(workload_, segment, quality, frame_index, role));
   }
 
   double predicted_qo(std::size_t segment, int quality, double frame_ratio,
                       double sfov, bool perceptual) const {
-    const auto& feat = env_.workload->features(segment);
-    const double b = env_.encoding->fov_bitrate_mbps(quality, feat);
-    double qo = env_.qo_model->qo(feat.si, feat.ti, util::Mbps(b));
+    const auto& feat = workload_.features(segment);
+    double qo = segment_qo(feat, quality);
     if (frame_ratio < 1.0) {
       const double alpha = qoe::QoModel::alpha(util::DegPerSec(sfov), feat.ti);
       qo = qo * qoe::QoModel::frame_rate_factor(alpha, frame_ratio);
@@ -675,7 +670,7 @@ class PerOptionReference : public Scheme {
                      const OptionBytesFn& bytes, bool frame_options, bool perceptual,
                      power::DecodeProfile profile) const {
     const std::size_t end =
-        std::min(in.k + env_.session->mpc_horizon, env_.workload->segment_count());
+        std::min(in.k + session_.mpc_horizon, workload_.segment_count());
     std::vector<core::SegmentChoices> horizon;
     for (std::size_t i = in.k; i < end; ++i) {
       core::SegmentChoices choices;
@@ -707,7 +702,7 @@ class PerOptionReference : public Scheme {
   }
 
   DownloadPlan ctile(const Inputs& in, bool frame_options, bool perceptual) const {
-    const auto& workload = *env_.workload;
+    const auto& workload = workload_;
     const auto rect = grid_.covering_rect(
         in.predicted.area(), workload.config().ptile.tile_overlap_threshold);
     const geometry::EquirectRect hq = grid_.rect_area(rect);
@@ -717,11 +712,11 @@ class PerOptionReference : public Scheme {
     const double bg_area = std::max(1.0 - hq_area, 0.0);
     const double L = workload.config().segment_seconds;
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
-      double total = env_.encoding->region_bytes(hq_area, n_hq, v, workload.features(i), L,
-                                                 ratio, draw(i, v, fi, NoiseRole::kCtileHq));
+      double total = video::region_bytes(hq_area, n_hq, v, workload.features(i), L,
+                                         ratio, draw(i, v, fi, NoiseRole::kCtileHq));
       if (n_bg > 0 && bg_area > 0.0) {
-        total += env_.encoding->region_bytes(bg_area, n_bg, 1, workload.features(i), L, 1.0,
-                                             draw(i, 1, fi, NoiseRole::kCtileBackground));
+        total += video::region_bytes(bg_area, n_bg, 1, workload.features(i), L, 1.0,
+                                     draw(i, 1, fi, NoiseRole::kCtileBackground));
       }
       return total;
     };
@@ -732,11 +727,11 @@ class PerOptionReference : public Scheme {
   }
 
   DownloadPlan nontile(const Inputs& in) const {
-    const auto& workload = *env_.workload;
+    const auto& workload = workload_;
     const double L = workload.config().segment_seconds;
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
-      return env_.encoding->region_bytes(1.0, 1, v, workload.features(i), L, ratio,
-                                         draw(i, v, fi, NoiseRole::kNontile));
+      return video::region_bytes(1.0, 1, v, workload.features(i), L, ratio,
+                                 draw(i, v, fi, NoiseRole::kNontile));
     };
     DownloadPlan plan = solve(qoe_, in, bytes, /*frame_options=*/false,
                               /*perceptual=*/false, power::DecodeProfile::kNontile);
@@ -747,7 +742,7 @@ class PerOptionReference : public Scheme {
   }
 
   DownloadPlan ftile(const Inputs& in) const {
-    const auto& workload = *env_.workload;
+    const auto& workload = workload_;
     const double L = workload.config().segment_seconds;
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double) {
       const auto& layout = workload.ftile(i);
@@ -760,12 +755,12 @@ class PerOptionReference : public Scheme {
       }
       double total = 0.0;
       if (!hq_areas.empty()) {
-        total += env_.encoding->tiled_bytes(hq_areas, v, workload.features(i), L, 1.0,
-                                            draw(i, v, fi, NoiseRole::kFtileHq));
+        total += video::tiled_bytes(hq_areas, v, workload.features(i), L, 1.0,
+                                    draw(i, v, fi, NoiseRole::kFtileHq));
       }
       if (!bg_areas.empty()) {
-        total += env_.encoding->tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
-                                            draw(i, 1, fi, NoiseRole::kFtileBackground));
+        total += video::tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
+                                    draw(i, 1, fi, NoiseRole::kFtileBackground));
       }
       return total;
     };
@@ -777,19 +772,19 @@ class PerOptionReference : public Scheme {
   }
 
   DownloadPlan ptile(const Inputs& in, bool frame_adaptation) const {
-    const auto& workload = *env_.workload;
+    const auto& workload = workload_;
     const ptile::Ptile* ptile =
-        workload.ptiles(in.k).covering(in.predicted, env_.session->ptile_min_coverage);
+        workload.ptiles(in.k).covering(in.predicted, session_.ptile_min_coverage);
     if (ptile == nullptr) return ctile(in, /*frame_options=*/false, /*perceptual=*/false);
     const double L = workload.config().segment_seconds;
     const double ptile_area = ptile->area.area_fraction();
     const std::vector<double> bg_areas = ptile::background_block_areas(*ptile);
     const OptionBytesFn bytes = [&](std::size_t i, int v, std::size_t fi, double ratio) {
-      double total = env_.encoding->region_bytes(ptile_area, 1, v, workload.features(i), L,
-                                                 ratio, draw(i, v, fi, NoiseRole::kPtile));
+      double total = video::region_bytes(ptile_area, 1, v, workload.features(i), L,
+                                         ratio, draw(i, v, fi, NoiseRole::kPtile));
       if (!bg_areas.empty()) {
-        total += env_.encoding->tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
-                                            draw(i, 1, fi, NoiseRole::kPtileBackground));
+        total += video::tiled_bytes(bg_areas, 1, workload.features(i), L, 1.0,
+                                    draw(i, 1, fi, NoiseRole::kPtileBackground));
       }
       return total;
     };
@@ -800,7 +795,8 @@ class PerOptionReference : public Scheme {
     return plan;
   }
 
-  const SchemeEnv env_;
+  const VideoWorkload& workload_;
+  const SessionConfig& session_;
   const geometry::TileGrid grid_{4, 8};
   const video::FrameRateLadder ladder_;
   core::MpcController qoe_;
@@ -830,8 +826,8 @@ void expect_same_plan(const DownloadPlan& got, const DownloadPlan& want,
 TEST(SchemeTest, FtilePlanMatchesPerOptionReference) {
   const PlannerFixture fixture;
   const auto& workload = football_workload();
-  const auto scheme = make_scheme(SchemeKind::kFtile, fixture.env);
-  const PerOptionReference reference(SchemeKind::kFtile, fixture.env);
+  const auto scheme = fixture.make(SchemeKind::kFtile);
+  const PerOptionReference reference(SchemeKind::kFtile, fixture.workload, fixture.session);
   const std::size_t n = workload.segment_count();
   // Every 7th segment plus the last few, whose horizons are clipped.
   std::vector<std::size_t> segments;
@@ -862,8 +858,8 @@ TEST(SchemeTest, FtilePlanMatchesPerOptionReference) {
 void expect_plans_match_reference(SchemeKind kind) {
   const PlannerFixture fixture;
   const auto& workload = football_workload();
-  const auto scheme = make_scheme(kind, fixture.env);
-  const PerOptionReference reference(kind, fixture.env);
+  const auto scheme = fixture.make(kind);
+  const PerOptionReference reference(kind, fixture.workload, fixture.session);
   const std::size_t n = workload.segment_count();
   std::vector<std::size_t> segments;
   for (std::size_t k = 0; k < n; k += 6) segments.push_back(k);
@@ -933,26 +929,27 @@ TEST(SchemeTest, PtilePlanMatchesPerOptionReference) {
 // GhoshLP's and GhoshRobust's plan as it was before each term was computed
 // once: a candidate list, per candidate a nested cost ladder of region_bytes
 // calls that each rebuild the tile's rect and draw the tile's own size noise
-// (EncodingModel::size_noise(noise_key(..., kGhoshTile, tile id))), a
+// (video::size_noise(seed, noise_key(..., kGhoshTile, tile id))), a
 // per-candidate copy of the utility ladder, the per-tile visibility loop
 // and the rescanning greedy (tests/ghosh_reference.h).
-DownloadPlan ghosh_per_tile_reference(const SchemeEnv& env, bool robust, std::size_t k,
-                                      const geometry::Viewport& predicted,
+DownloadPlan ghosh_per_tile_reference(const VideoWorkload& workload,
+                                      const SessionConfig& session, bool robust,
+                                      std::size_t k, const geometry::Viewport& predicted,
                                       double predicted_sfov, util::BytesPerSec bandwidth,
                                       util::Seconds buffer) {
   using geometry::EquirectRect;
   using geometry::TileIndex;
   using video::QualityLadder;
   const geometry::TileGrid grid(4, 8);
-  const auto& feat = env.workload->features(k);
-  const double L = env.workload->config().segment_seconds;
+  const auto& feat = workload.features(k);
+  const double L = workload.config().segment_seconds;
   const auto tile_id = [&](const TileIndex& t) { return t.row * grid.cols() + t.col; };
   const auto tile_level_bytes = [&](const TileIndex& t, int quality) {
-    return env.encoding->region_bytes(
+    return video::region_bytes(
         grid.tile_area(t).area_fraction(), 1, quality, feat, L, 1.0,
-        env.encoding->size_noise(noise_key(*env.workload, k, quality,
-                                           video::FrameRateLadder::kOptions,
-                                           NoiseRole::kGhoshTile, tile_id(t))));
+        video::size_noise(session.seed, noise_key(workload, k, quality,
+                                                  video::FrameRateLadder::kOptions,
+                                                  NoiseRole::kGhoshTile, tile_id(t))));
   };
 
   std::vector<TileIndex> candidates;
@@ -972,7 +969,7 @@ DownloadPlan ghosh_per_tile_reference(const SchemeEnv& env, bool robust, std::si
   }
   if (candidates.empty()) {
     const auto rect = grid.covering_rect(
-        predicted.area(), env.workload->config().ptile.tile_overlap_threshold);
+        predicted.area(), workload.config().ptile.tile_overlap_threshold);
     candidates = grid.tiles_in(rect);
     weights.assign(candidates.size(), 1.0);
   }
@@ -991,8 +988,7 @@ DownloadPlan ghosh_per_tile_reference(const SchemeEnv& env, bool robust, std::si
   std::vector<std::vector<double>> tile_utility(candidates.size());
   std::vector<double> level_utility;
   for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v) {
-    level_utility.push_back(env.qo_model->qo(
-        feat.si, feat.ti, util::Mbps(env.encoding->fov_bitrate_mbps(v, feat))));
+    level_utility.push_back(segment_qo(feat, v));
   }
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     for (int v = QualityLadder::kMinLevel; v <= QualityLadder::kMaxLevel; ++v)
@@ -1025,7 +1021,7 @@ DownloadPlan ghosh_per_tile_reference(const SchemeEnv& env, bool robust, std::si
     }
   }
 
-  const video::FrameRateLadder ladder(env.workload->video().fps);
+  const video::FrameRateLadder ladder(workload.video().fps);
   DownloadPlan plan;
   plan.option.quality = quality;
   plan.option.frame_index = video::FrameRateLadder::kOptions;
@@ -1047,7 +1043,7 @@ DownloadPlan ghosh_per_tile_reference(const SchemeEnv& env, bool robust, std::si
 void expect_ghosh_plans_match_reference(SchemeKind kind) {
   const PlannerFixture fixture;
   const auto& workload = football_workload();
-  const auto scheme = make_scheme(kind, fixture.env);
+  const auto scheme = fixture.make(kind);
   const bool robust = kind == SchemeKind::kGhoshRobust;
   const std::size_t n = workload.segment_count();
   std::vector<std::size_t> segments;
@@ -1073,8 +1069,9 @@ void expect_ghosh_plans_match_reference(SchemeKind kind) {
             const util::BytesPerSec rate(bandwidth);
             const util::Seconds level(buffer);
             const DownloadPlan got = scheme->plan(k, *predicted, sfov, rate, level, 50.0);
-            const DownloadPlan want = ghosh_per_tile_reference(fixture.env, robust, k,
-                                                               *predicted, sfov, rate, level);
+            const DownloadPlan want =
+                ghosh_per_tile_reference(fixture.workload, fixture.session, robust, k,
+                                         *predicted, sfov, rate, level);
             expect_same_plan(got, want,
                              scheme_name(kind) + " segment " + std::to_string(k) +
                                  " sfov " + std::to_string(sfov) + " bandwidth " +
@@ -1105,7 +1102,7 @@ TEST(SchemeTest, GhoshRobustPlanMatchesPerTileReference) {
 
 TEST(SchemeTest, OursUsesReducedFramesUnderFastSwitching) {
   const PlannerFixture fixture;
-  const auto scheme = make_scheme(SchemeKind::kOurs, fixture.env);
+  const auto scheme = fixture.make(SchemeKind::kOurs);
   const auto center = football_workload().test_trace(0).center_at(10);
   const geometry::Viewport predicted(center, geometry::Degrees(120.0),
                                        geometry::Degrees(120.0));

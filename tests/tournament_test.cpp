@@ -66,26 +66,13 @@ const trace::NetworkTrace& paper_trace1() {
   return t;
 }
 
-struct RegistryFixture {
-  RegistryFixture() {
-    env.workload = &tiny_workload();
-    env.encoding = &encoding;
-    env.qo_model = &qo_model;
-    env.session = &session;
-  }
-
-  video::EncodingModel encoding{42};
-  qoe::QoModel qo_model{qoe::QoParams{}, 4.0};
-  SessionConfig session;
-  SchemeEnv env;
-};
-
 using test::ScopedThreadsEnv;
 
 // ------------------------------------------------------------ Registry
 
 TEST(ControllerRegistryTest, EveryEntryRoundTripsMakeNameMake) {
-  const RegistryFixture fixture;
+  const VideoWorkload& workload = tiny_workload();
+  const SessionConfig session;
   const auto kinds = registered_schemes();
   ASSERT_EQ(kinds.size(), kSchemeCount);
   std::set<std::string> names;
@@ -99,10 +86,10 @@ TEST(ControllerRegistryTest, EveryEntryRoundTripsMakeNameMake) {
         << "duplicate registered name " << scheme_name(kinds[i]);
 
     // make -> name -> make: identity survives both factory paths.
-    const auto by_kind = make_scheme(kinds[i], fixture.env);
+    const auto by_kind = make_scheme(kinds[i], workload, session);
     EXPECT_EQ(by_kind->kind(), kinds[i]);
     EXPECT_EQ(by_kind->name(), scheme_name(kinds[i]));
-    const auto by_name = make_scheme(by_kind->name(), fixture.env);
+    const auto by_name = make_scheme(by_kind->name(), workload, session);
     EXPECT_EQ(by_name->kind(), kinds[i]);
   }
 }
@@ -112,11 +99,12 @@ TEST(ControllerRegistryTest, IdentityIsIndependentOfConfiguration) {
   // kPtile depending on its frame_adaptation_ flag. Identity is now assigned
   // by the registry at construction: the two registry rows that share the
   // PtileScheme implementation keep distinct, stable kinds.
-  const RegistryFixture fixture;
-  EXPECT_EQ(make_scheme(SchemeKind::kPtile, fixture.env)->kind(), SchemeKind::kPtile);
-  EXPECT_EQ(make_scheme(SchemeKind::kOurs, fixture.env)->kind(), SchemeKind::kOurs);
-  EXPECT_EQ(make_scheme("Ptile", fixture.env)->name(), "Ptile");
-  EXPECT_EQ(make_scheme("Ours", fixture.env)->name(), "Ours");
+  const VideoWorkload& workload = tiny_workload();
+  const SessionConfig session;
+  EXPECT_EQ(make_scheme(SchemeKind::kPtile, workload, session)->kind(), SchemeKind::kPtile);
+  EXPECT_EQ(make_scheme(SchemeKind::kOurs, workload, session)->kind(), SchemeKind::kOurs);
+  EXPECT_EQ(make_scheme("Ptile", workload, session)->name(), "Ptile");
+  EXPECT_EQ(make_scheme("Ours", workload, session)->name(), "Ours");
 }
 
 TEST(ControllerRegistryTest, InPaperSubsetIsAllSchemes) {
@@ -131,13 +119,14 @@ TEST(ControllerRegistryTest, InPaperSubsetIsAllSchemes) {
 }
 
 TEST(ControllerRegistryTest, UnknownKindOrNameThrows) {
-  const RegistryFixture fixture;
+  const VideoWorkload& workload = tiny_workload();
+  const SessionConfig session;
   EXPECT_THROW(scheme_name(static_cast<SchemeKind>(99)), std::invalid_argument);
   EXPECT_THROW(controller_info(static_cast<SchemeKind>(99)), std::invalid_argument);
-  EXPECT_THROW(make_scheme(static_cast<SchemeKind>(99), fixture.env),
+  EXPECT_THROW(make_scheme(static_cast<SchemeKind>(99), workload, session),
                std::invalid_argument);
   EXPECT_THROW(scheme_kind("NoSuchScheme"), std::invalid_argument);
-  EXPECT_THROW(make_scheme("NoSuchScheme", fixture.env), std::invalid_argument);
+  EXPECT_THROW(make_scheme("NoSuchScheme", workload, session), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- lp_allocate

@@ -688,13 +688,6 @@ TEST(NetworkTraceTest, CsvRoundTrip) {
   std::filesystem::remove(path);
 }
 
-TEST(NetworkTraceTest, MeanMbpsMatchesIntegral) {
-  const NetworkTrace trace({{0.0, 4.0}, {1.0, 8.0}, {2.0, 2.0}});
-  EXPECT_NEAR(trace.mean_mbps(0.0, 2.0), 6.0, 1e-9);
-  EXPECT_NEAR(trace.mean_mbps(0.0, 3.0), (4.0 + 8.0 + 2.0) / 3.0, 1e-9);
-  EXPECT_THROW(trace.mean_mbps(1.0, 1.0), std::invalid_argument);
-}
-
 TEST(NetworkTraceTest, BytesInConservesAcrossWrap) {
   // Regression: the old wrap guard credited a fabricated 1e-6 s chunk at the
   // pre-wrap sample's rate, so integrals straddling the trace end

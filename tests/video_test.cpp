@@ -95,18 +95,17 @@ TEST(ContentTest, VideoFeaturesAverageSegments) {
   EXPECT_NEAR(f.ti, video.ti_base, 5.0);
 }
 
-// ----------------------------------------------------------- EncodingModel
+// ------------------------------------------------------------ encoding model
 
 TEST(EncodingModelTest, Fig8RatiosReproducedExactly) {
   // The calibration anchor: a 9-reference-tile region encoded as one Ptile
   // versus as 9 conventional tiles must have exactly the Fig. 8 median
   // ratios (62/57/47/35/27% for quality 5..1), with noise disabled.
-  const EncodingModel model(42);
   const double anchor_area = static_cast<double>(kAnchorTileCount) * kRefTileAreaFraction;
   for (int v = 1; v <= 5; ++v) {
-    const double one = model.region_bytes(anchor_area, 1, v, kReferenceContent, 1.0);
+    const double one = region_bytes(anchor_area, 1, v, kReferenceContent, 1.0);
     const double nine =
-        model.region_bytes(anchor_area, kAnchorTileCount, v, kReferenceContent, 1.0);
+        region_bytes(anchor_area, kAnchorTileCount, v, kReferenceContent, 1.0);
     EXPECT_NEAR(one / nine, kFovSizeRatio[v - 1], 1e-9) << "quality " << v;
   }
 }
@@ -122,11 +121,10 @@ TEST(EncodingModelTest, SavingsGrowAsQualityDrops) {
 }
 
 TEST(EncodingModelTest, MoreTilesMoreBytes) {
-  const EncodingModel model(42);
   for (int v : {1, 3, 5}) {
     double prev = 0.0;
     for (std::size_t n : {1u, 4u, 9u, 16u}) {
-      const double bytes = model.region_bytes(0.3, n, v, kReferenceContent, 1.0);
+      const double bytes = region_bytes(0.3, n, v, kReferenceContent, 1.0);
       EXPECT_GT(bytes, prev);
       prev = bytes;
     }
@@ -134,40 +132,36 @@ TEST(EncodingModelTest, MoreTilesMoreBytes) {
 }
 
 TEST(EncodingModelTest, BytesScaleWithAreaQualityAndDuration) {
-  const EncodingModel model(42);
-  const double base = model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0);
-  EXPECT_GT(model.region_bytes(0.4, 1, 3, kReferenceContent, 1.0), base);
-  EXPECT_GT(model.region_bytes(0.2, 1, 4, kReferenceContent, 1.0), base);
-  EXPECT_NEAR(model.region_bytes(0.2, 1, 3, kReferenceContent, 2.0), 2.0 * base, 1e-6);
+  const double base = region_bytes(0.2, 1, 3, kReferenceContent, 1.0);
+  EXPECT_GT(region_bytes(0.4, 1, 3, kReferenceContent, 1.0), base);
+  EXPECT_GT(region_bytes(0.2, 1, 4, kReferenceContent, 1.0), base);
+  EXPECT_NEAR(region_bytes(0.2, 1, 3, kReferenceContent, 2.0), 2.0 * base, 1e-6);
 }
 
 TEST(EncodingModelTest, ContentComplexityRaisesRate) {
-  const EncodingModel model(42);
   const ContentFeatures simple{20.0, 5.0};
   const ContentFeatures complex{80.0, 60.0};
-  EXPECT_GT(model.area_rate_mbps(3, complex), model.area_rate_mbps(3, simple));
+  EXPECT_GT(area_rate_mbps(3, complex), area_rate_mbps(3, simple));
 }
 
 TEST(EncodingModelTest, FrameRateReductionSavesSublinearly) {
-  const EncodingModel model(42);
-  const double full = model.region_bytes(0.2, 1, 4, kReferenceContent, 1.0, 1.0);
-  const double reduced = model.region_bytes(0.2, 1, 4, kReferenceContent, 1.0, 0.7);
+  const double full = region_bytes(0.2, 1, 4, kReferenceContent, 1.0, 1.0);
+  const double reduced = region_bytes(0.2, 1, 4, kReferenceContent, 1.0, 0.7);
   // Dropping 30% of frames saves bytes, but less than 30%.
   EXPECT_LT(reduced, full);
   EXPECT_GT(reduced, 0.7 * full);
 }
 
 TEST(EncodingModelTest, NoiseIsDeterministicAndMedianCentred) {
-  const EncodingModel model(42);
   const double clean =
-      model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, model.size_noise(0));
-  EXPECT_EQ(clean, model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0));
+      region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, size_noise(42, 0));
+  EXPECT_EQ(clean, region_bytes(0.2, 1, 3, kReferenceContent, 1.0));
   std::vector<double> ratios;
   for (std::uint64_t key = 1; key <= 501; ++key) {
     const double noisy =
-        model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, model.size_noise(key));
-    EXPECT_DOUBLE_EQ(noisy, model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0,
-                                               model.size_noise(key)));
+        region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0, size_noise(42, key));
+    EXPECT_DOUBLE_EQ(noisy, region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.0,
+                                         size_noise(42, key)));
     ratios.push_back(noisy / clean);
   }
   std::sort(ratios.begin(), ratios.end());
@@ -177,47 +171,43 @@ TEST(EncodingModelTest, NoiseIsDeterministicAndMedianCentred) {
 }
 
 TEST(EncodingModelTest, TiledBytesMatchesEqualSplit) {
-  const EncodingModel model(42);
   const std::vector<double> equal_tiles(4, 0.05);
-  const double a = model.tiled_bytes(equal_tiles, 3, kReferenceContent, 1.0);
-  const double b = model.region_bytes(0.2, 4, 3, kReferenceContent, 1.0);
+  const double a = tiled_bytes(equal_tiles, 3, kReferenceContent, 1.0);
+  const double b = region_bytes(0.2, 4, 3, kReferenceContent, 1.0);
   EXPECT_NEAR(a, b, 1e-6);
 }
 
 TEST(EncodingModelTest, FovBitrateTracksQuality) {
-  const EncodingModel model(42);
   double prev = 0.0;
   for (int v = 1; v <= 5; ++v) {
-    const double b = model.fov_bitrate_mbps(v, kReferenceContent);
+    const double b = fov_bitrate_mbps(v, kReferenceContent);
     EXPECT_GT(b, prev);
     prev = b;
   }
   // At quality 5 a FoV patch is a Mbps-scale stream (an order below the
   // full-frame rate).
-  EXPECT_GT(model.fov_bitrate_mbps(5, kReferenceContent), 0.5);
-  EXPECT_LT(model.fov_bitrate_mbps(5, kReferenceContent), 5.0);
+  EXPECT_GT(fov_bitrate_mbps(5, kReferenceContent), 0.5);
+  EXPECT_LT(fov_bitrate_mbps(5, kReferenceContent), 5.0);
 }
 
 TEST(EncodingModelTest, WholeFrameSingleTileIsEfficient) {
   // Nontile pays only one per-tile overhead: its per-area cost must be well
   // below the same frame cut into the 4x8 grid.
-  const EncodingModel model(42);
-  const double nontile = model.region_bytes(1.0, 1, 3, kReferenceContent, 1.0);
-  const double grid = model.region_bytes(1.0, 32, 3, kReferenceContent, 1.0);
+  const double nontile = region_bytes(1.0, 1, 3, kReferenceContent, 1.0);
+  const double grid = region_bytes(1.0, 32, 3, kReferenceContent, 1.0);
   EXPECT_LT(nontile, 0.6 * grid);
 }
 
 TEST(EncodingModelTest, RejectsInvalidArguments) {
-  const EncodingModel model(42);
-  EXPECT_THROW(model.region_bytes(0.0, 1, 3, kReferenceContent, 1.0),
+  EXPECT_THROW(region_bytes(0.0, 1, 3, kReferenceContent, 1.0),
                std::invalid_argument);
-  EXPECT_THROW(model.region_bytes(0.2, 0, 3, kReferenceContent, 1.0),
+  EXPECT_THROW(region_bytes(0.2, 0, 3, kReferenceContent, 1.0),
                std::invalid_argument);
-  EXPECT_THROW(model.region_bytes(0.2, 1, 3, kReferenceContent, 0.0),
+  EXPECT_THROW(region_bytes(0.2, 1, 3, kReferenceContent, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(model.region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.5),
+  EXPECT_THROW(region_bytes(0.2, 1, 3, kReferenceContent, 1.0, 1.5),
                std::invalid_argument);
-  EXPECT_THROW(model.region_bytes(0.2, 1, 0, kReferenceContent, 1.0),
+  EXPECT_THROW(region_bytes(0.2, 1, 0, kReferenceContent, 1.0),
                std::invalid_argument);
 }
 
@@ -228,11 +218,10 @@ class EncodingRatioSweep
 
 TEST_P(EncodingRatioSweep, RatioIndependentOfContent) {
   const auto [quality, si, ti] = GetParam();
-  const EncodingModel model(42);
   const ContentFeatures feat{si, ti};
   const double anchor_area = static_cast<double>(kAnchorTileCount) * kRefTileAreaFraction;
-  const double one = model.region_bytes(anchor_area, 1, quality, feat, 1.0);
-  const double nine = model.region_bytes(anchor_area, kAnchorTileCount, quality, feat, 1.0);
+  const double one = region_bytes(anchor_area, 1, quality, feat, 1.0);
+  const double nine = region_bytes(anchor_area, kAnchorTileCount, quality, feat, 1.0);
   EXPECT_NEAR(one / nine, kFovSizeRatio[quality - 1], 1e-9);
 }
 

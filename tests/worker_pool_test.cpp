@@ -24,21 +24,31 @@ namespace {
 using test::ScopedThreadsEnv;
 
 TEST(ExperimentTest, ResolveThreadCountHonorsEnvOverride) {
-  // PS360_THREADS pins the thread budget for reproducible perf runs; invalid
-  // or unset values fall back to the hardware concurrency.
-  const std::size_t hardware = [] {
+  // PS360_THREADS pins the thread budget for reproducible perf runs; unset,
+  // the budget is the hardware concurrency, and a malformed value is
+  // rejected by name instead of running the full pool.
+  {
     const ScopedThreadsEnv unset(nullptr);
-    return resolve_thread_count();
-  }();
-  EXPECT_GE(hardware, 1u);
+    EXPECT_GE(resolve_thread_count(), 1u);
+  }
   for (const char* value : {"2", "3"}) {
     const ScopedThreadsEnv env(value);
     EXPECT_EQ(resolve_thread_count(), std::stoul(value)) << value;
   }
-  // Not positive, not a number, trailing garbage.
-  for (const char* invalid : {"0", "not-a-number", "2x"}) {
+  // Not positive, not a number, trailing garbage, a sign, a space, empty,
+  // out of range.
+  for (const char* invalid :
+       {"0", "not-a-number", "2x", "-1", "+2", " 2", "", "99999999999999999999999"}) {
     const ScopedThreadsEnv env(invalid);
-    EXPECT_EQ(resolve_thread_count(), hardware) << invalid;
+    try {
+      resolve_thread_count();
+      ADD_FAILURE() << "accepted PS360_THREADS=\"" << invalid << "\"";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("PS360_THREADS"), std::string::npos) << message;
+      EXPECT_NE(message.find(std::string("\"") + invalid + "\""), std::string::npos)
+          << message;
+    }
   }
 }
 

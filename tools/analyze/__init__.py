@@ -2,8 +2,7 @@
 
 A small, project-specific analyzer: every repo invariant is a registered
 check class with a stable ID, findings carry file/line locations, and the
-engine layers inline suppressions and a committed baseline on top before
-deciding the exit code. `tools/lint.py` is the CLI shim; `tools/analyze/cli.py`
+engine applies inline suppressions before deciding the exit code. `tools/lint.py` is the CLI shim; `tools/analyze/cli.py`
 holds the argument parsing; checks live in `tools/analyze/checks/`.
 
 Public API (used by tools/lint.py and tests/analyze_test.py):

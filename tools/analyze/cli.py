@@ -1,8 +1,8 @@
 """Command-line front end for the analyzer (tools/lint.py is the shim).
 
-Exit codes: 0 clean, 1 findings outside the baseline, 2 usage/internal
-error. `--check` may repeat; each per-check ctest entry (`lint.<id>`) is
-one such invocation, so local runs, ctest, and CI all share this path.
+Exit codes: 0 clean, 1 findings, 2 usage/internal error. `--check` may
+repeat; each per-check ctest entry (`lint.<id>`) is one such invocation, so
+local runs, ctest, and CI all share this path.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ import argparse
 import pathlib
 import sys
 
-from . import baseline as baseline_mod
-from .engine import DEFAULT_BASELINE, run_analysis
+from .engine import run_analysis
 from .output import RENDERERS
 from .registry import all_checks
 
@@ -50,16 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the report to FILE instead of stdout",
     )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=f"baseline file (default: <repo>/{DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
     return parser
 
 
@@ -75,28 +64,11 @@ def main(argv: list[str] | None = None) -> int:
     if not repo.is_dir():
         print(f"lint.py: not a directory: {repo}", file=sys.stderr)
         return 2
-    baseline_path = (
-        pathlib.Path(args.baseline) if args.baseline
-        else repo.resolve() / DEFAULT_BASELINE
-    )
-
     try:
-        report = run_analysis(repo, args.check, baseline_path)
+        report = run_analysis(repo, args.check)
     except ValueError as err:
         print(f"lint.py: {err}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        fingerprints = {f.fingerprint for f in report.all_findings} | {
-            f.fingerprint for f in report.grandfathered
-        }
-        fingerprints -= report.stale_baseline
-        baseline_mod.save(baseline_path, fingerprints)
-        print(
-            f"lint.py: baseline updated with {len(fingerprints)} "
-            f"fingerprint(s) -> {baseline_path}"
-        )
-        return 0
 
     text = RENDERERS[args.format](report)
     if args.out:

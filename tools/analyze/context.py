@@ -145,7 +145,7 @@ class RepoContext:
 
 def content_fingerprint(check_id: str, sf: SourceFile | None, finding: Finding,
                         ordinal: int) -> str:
-    """Line-content hash so baselines survive line-number drift.
+    """Line-content hash so a finding's identity survives line-number drift.
 
     File-scope findings hash the message instead (there is no line to pin
     to); `ordinal` disambiguates identical lines in one file.

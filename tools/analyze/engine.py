@@ -1,4 +1,4 @@
-"""Analysis engine: run checks, resolve suppressions, apply the baseline.
+"""Analysis engine: run checks and resolve suppressions.
 
 The engine always evaluates the *full* check set — a `--check` filter only
 restricts which findings are reported. That keeps per-check ctest entries
@@ -19,11 +19,8 @@ import collections
 import dataclasses
 import pathlib
 
-from . import baseline as baseline_mod
 from .context import Finding, RepoContext, Suppression, content_fingerprint
 from .registry import all_checks
-
-DEFAULT_BASELINE = "tools/analyze/baseline.json"
 
 
 @dataclasses.dataclass
@@ -31,10 +28,8 @@ class Report:
     repo: pathlib.Path
     check_ids: list[str]                 # every check that ran
     selected: list[str] | None           # reporting filter (None = all)
-    findings: list[Finding]              # new findings, post-filter
-    all_findings: list[Finding]          # new findings, pre-filter
-    grandfathered: list[Finding]         # present, but in the baseline
-    stale_baseline: set[str]             # baseline entries that no longer fire
+    findings: list[Finding]              # post-filter
+    all_findings: list[Finding]          # pre-filter
     suppressions_honored: int
 
     @property
@@ -88,7 +83,6 @@ def _hygiene_findings(
 def run_analysis(
     repo: pathlib.Path,
     selected: list[str] | None = None,
-    baseline_path: pathlib.Path | None = None,
 ) -> Report:
     repo = repo.resolve()
     ctx = RepoContext(repo)
@@ -139,24 +133,15 @@ def run_analysis(
         seen[key] += 1
         fingerprinted.append(dataclasses.replace(finding, fingerprint=fp))
 
-    known = baseline_mod.load(
-        baseline_path if baseline_path is not None else repo / DEFAULT_BASELINE
-    )
-    new = [f for f in fingerprinted if f.fingerprint not in known]
-    grandfathered = [f for f in fingerprinted if f.fingerprint in known]
-    stale = known - {f.fingerprint for f in fingerprinted}
-
     reported = (
-        new if selected is None
-        else [f for f in new if f.check_id in selected]
+        fingerprinted if selected is None
+        else [f for f in fingerprinted if f.check_id in selected]
     )
     return Report(
         repo=repo,
         check_ids=sorted(checks),
         selected=sorted(selected) if selected else None,
         findings=reported,
-        all_findings=new,
-        grandfathered=grandfathered,
-        stale_baseline=stale,
+        all_findings=fingerprinted,
         suppressions_honored=honored,
     )

@@ -4,7 +4,7 @@ The SARIF output is the CI artifact (uploaded from the release leg) and is
 deliberately minimal-but-valid: tool.driver with the full rule table,
 results with ruleId/ruleIndex, message, one physical location each, and the
 engine's content fingerprint under `fingerprints` so external viewers can
-track findings across commits the same way the baseline does.
+track findings across commits.
 """
 
 from __future__ import annotations
@@ -32,16 +32,6 @@ def render_text(report: Report) -> str:
             lines.append(f"  {f.location()}: [{f.check_id}] {f.message}")
     else:
         lines.append(f"ps360-lint: clean [{scope}]")
-    if report.grandfathered:
-        lines.append(
-            f"ps360-lint: {len(report.grandfathered)} grandfathered finding(s) "
-            "in the baseline (tools/analyze/baseline.json) — burn these down"
-        )
-    if report.stale_baseline:
-        lines.append(
-            f"ps360-lint: {len(report.stale_baseline)} stale baseline entr(y/ies) "
-            "no longer fire — rerun with --update-baseline to drop them"
-        )
     if report.suppressions_honored:
         lines.append(
             f"ps360-lint: {report.suppressions_honored} inline suppression(s) "
@@ -65,8 +55,6 @@ def render_json(report: Report) -> str:
             }
             for f in report.findings
         ],
-        "grandfathered": len(report.grandfathered),
-        "stale_baseline": sorted(report.stale_baseline),
         "suppressions_honored": report.suppressions_honored,
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -1,9 +1,9 @@
 """Check registry: every invariant is a class with a stable ID.
 
-A check yields Findings; it never looks at suppressions or the baseline —
-the engine owns those layers. IDs are stable public API: they appear in
-suppression comments, the baseline file, SARIF ruleIds, and ctest names
-(`lint.<id>`), so renaming one is a breaking change.
+A check yields Findings; it never looks at suppressions — the engine owns
+that layer. IDs are stable public API: they appear in suppression
+comments, SARIF ruleIds, and ctest names (`lint.<id>`), so renaming one is
+a breaking change.
 """
 
 from __future__ import annotations

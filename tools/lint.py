@@ -3,9 +3,8 @@
 
 Every invariant is a registered check class with a stable ID (see
 `--list-checks`); findings honor inline suppressions
-(`// ps360-lint: allow(<check-id>) -- <justification>`) and the committed
-baseline (tools/analyze/baseline.json). ctest runs one `lint.<id>` entry
-per check; CI additionally uploads the SARIF report:
+(`// ps360-lint: allow(<check-id>) -- <justification>`). ctest runs one
+`lint.<id>` entry per check; CI additionally uploads the SARIF report:
 
   python3 tools/lint.py --repo . --format sarif --out lint.sarif
 
